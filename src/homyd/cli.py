@@ -119,30 +119,19 @@ def matrix_from_json(text):
     return LinearMap(data["rows"], data["cols"], entries)
 
 
-def emit_braiding(resolved, m_name, n_name, out_format="csv"):
-    """Serialized braiding matrix of two named modules from a resolved file.
+def emit_braiding(m, n, out_format="csv"):
+    """Serialized braiding matrix of two Yetter-Drinfeld modules.
 
     CSV is row-major with exact rationals as integer or p/q strings; JSON
     carries basis labels and the source/target component pairs alongside
     the matrix.
     """
-    kind_m, mod_m = resolved.get(m_name)
-    kind_n, mod_n = resolved.get(n_name)
-    if kind_m != "ydmodule" or kind_n != "ydmodule":
-        raise SuiteError("braiding needs two ydmodule sections, got %s and %s" % (kind_m, kind_n))
-    if mod_m.over is not mod_n.over and not mod_m.over.equal_tables(mod_n.over):
-        raise SuiteError("modules %r and %r are over different algebras" % (m_name, n_name))
-    b = braiding(mod_m, mod_n)
+    if m.over is not n.over and not m.over.equal_tables(n.over):
+        raise SuiteError("modules %r and %r are over different algebras" % (m.name, n.name))
+    b = braiding(m, n)
     if out_format == "csv":
         return matrix_to_csv(b.matrix)
     return json.dumps(braiding_to_dict(b), indent=2) + "\n"
-
-
-def _emit_braiding(b, out_format, stream):
-    if out_format == "csv":
-        stream.write(matrix_to_csv(b.matrix))
-    else:
-        stream.write(json.dumps(braiding_to_dict(b), indent=2) + "\n")
 
 
 def cmd_check(args):
@@ -161,7 +150,11 @@ def cmd_braid(args):
     try:
         text = open(args.file, "r", encoding="utf-8").read()
         resolved = resolve_definition(parse_definition(text))
-        out = emit_braiding(resolved, args.m, args.n, args.out)
+        kind_m, mod_m = resolved.get(args.m)
+        kind_n, mod_n = resolved.get(args.n)
+        if kind_m != "ydmodule" or kind_n != "ydmodule":
+            raise SuiteError("braiding needs two ydmodule sections, got %s and %s" % (kind_m, kind_n))
+        out = emit_braiding(mod_m, mod_n, args.out)
     except DefinitionError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -181,8 +174,7 @@ def cmd_demo(args):
     except (ZeroParameter, ZeroDivisionError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    b = braiding(m, n)
-    _emit_braiding(b, args.out, sys.stdout)
+    sys.stdout.write(emit_braiding(m, n, args.out))
     print(
         "note: columns are images of basis vectors; transpose for the "
         "row-per-source table.",

@@ -54,7 +54,7 @@ from .hom_algebra import (
     check_hom_bialgebra,
     check_hom_coalgebra,
 )
-from .reports import CheckReport, CheckItem
+from .reports import CheckReport
 from .yd_modules import (
     HomComoduleData,
     HomModuleData,
@@ -1005,13 +1005,6 @@ _BUILDERS = {
 # ---------------------------------------------------------------------------
 
 
-def _tagged(rep, tag):
-    out = CheckReport(rep.suite, rep.seed)
-    for it in rep.items:
-        out.items.append(CheckItem("%s:%s" % (tag, it.identity), it.law, it.passed, it.witness))
-    return out
-
-
 SUITES = ("all", "algebra", "coalgebra", "hopf", "yd", "tcat")
 
 
@@ -1039,14 +1032,14 @@ def run_checks(resolved, suite="all", seed=0):
         if suite == "algebra" and not targets:
             raise SuiteError("suite requires algebra section")
         for name, alg in targets:
-            rep.extend(_tagged(check_hom_algebra(alg), name))
+            rep.extend(check_hom_algebra(alg).prefixed(name + ":"))
 
     if suite in ("all", "coalgebra"):
         targets = coalgebra_targets()
         if suite == "coalgebra" and not targets:
             raise SuiteError("suite requires coalgebra section")
         for name, coa in targets:
-            rep.extend(_tagged(check_hom_coalgebra(coa), name))
+            rep.extend(check_hom_coalgebra(coa).prefixed(name + ":"))
 
     if suite in ("all", "hopf"):
         targets = resolved.of_kind("hopf")
@@ -1054,26 +1047,26 @@ def run_checks(resolved, suite="all", seed=0):
             raise SuiteError("suite requires hopf section")
         for name, h in targets:
             if suite == "hopf":
-                rep.extend(_tagged(check_hom_algebra(h.algebra), name))
-                rep.extend(_tagged(check_hom_coalgebra(h.coalgebra), name))
-            rep.extend(_tagged(check_hom_bialgebra(h), name))
-            rep.extend(_tagged(check_antipode(h), name))
+                rep.extend(check_hom_algebra(h.algebra).prefixed(name + ":"))
+                rep.extend(check_hom_coalgebra(h.coalgebra).prefixed(name + ":"))
+            rep.extend(check_hom_bialgebra(h).prefixed(name + ":"))
+            rep.extend(check_antipode(h).prefixed(name + ":"))
 
     if suite in ("all", "yd"):
         targets = resolved.of_kind("ydmodule")
         if suite == "yd" and not targets:
             raise SuiteError("suite requires ydmodule section")
         for name, yd in targets:
-            rep.extend(_tagged(check_hom_module(yd.module), name))
-            rep.extend(_tagged(check_hom_comodule(yd.comodule), name))
+            rep.extend(check_hom_module(yd.module).prefixed(name + ":"))
+            rep.extend(check_hom_comodule(yd.comodule).prefixed(name + ":"))
             for pname, aut in (("pair-a", yd.pair_a), ("pair-b", yd.pair_b)):
                 sub = check_automorphism(yd.over, aut)
                 rep.add(
                     "%s:%s" % (name, pname), "component tag is a structure automorphism",
                     sub.ok(), None if sub.ok() else sub.failures()[0].witness,
                 )
-            rep.extend(_tagged(check_yd(yd), name))
-            rep.extend(_tagged(check_yd_alt(yd), name))
+            rep.extend(check_yd(yd).prefixed(name + ":"))
+            rep.extend(check_yd_alt(yd).prefixed(name + ":"))
 
     if suite in ("all", "tcat"):
         from .t_category import AutPair, check_t_category
@@ -1091,5 +1084,5 @@ def run_checks(resolved, suite="all", seed=0):
             for pname, (a, b) in resolved.of_kind("autpair"):
                 if a.matrix.rows == h.dim:
                     pairs.append(AutPair(a, b, label=pname))
-            rep.extend(_tagged(check_t_category(h, modules, pairs, seed=seed), hname))
+            rep.extend(check_t_category(h, modules, pairs, seed=seed).prefixed(hname + ":"))
     return rep

@@ -1,10 +1,11 @@
-"""Exact rational scalars and small dense linear/tensor algebra.
+"""Exact rational scalars and sparse linear/tensor algebra.
 
 Every structure map in this library (multiplication, comultiplication,
 antipode, twists, actions, coactions, braidings) is ultimately a LinearMap
-over the rationals, acting on column coordinate vectors.  Tensor legs are
-flattened with the fixed convention (i, j) -> i * dim_right + j; Kronecker
-products and slot permutations below follow the same convention.
+over the rationals, acting on column coordinate vectors and storing only
+its nonzero entries, column by column.  Tensor legs are flattened with the
+fixed convention (i, j) -> i * dim_right + j; Kronecker products and leg
+permutations below follow the same convention.
 
 All values are immutable after construction and all operations are pure,
 so everything here is safe to share between threads.
@@ -37,18 +38,20 @@ class SingularMap(ArithmeticError):
 
 
 class LinearMap:
-    """Dense rows x cols matrix of exact rationals.
+    """rows x cols matrix of exact rationals, stored as its nonzero entries
+    column by column.
 
     Maps act on column coordinate vectors, so ``(f @ g)`` means "apply g
-    first, then f".  This convention is fixed across the library.
+    first, then f".  This convention is fixed across the library.  Each
+    column is a dict row -> nonzero scalar that is never mutated after
+    construction, so two equal maps store equal columns.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "_cols")
 
     def __init__(self, rows, cols, entries):
-        entries = tuple(
-            e if type(e) is Fraction else Fraction(e) for e in entries
-        )
+        """Checked constructor from row-major dense entries."""
+        entries = [e if type(e) is Fraction else Fraction(e) for e in entries]
         if len(entries) != rows * cols:
             raise DimensionMismatch(
                 "expected %d entries for %dx%d, got %d"
@@ -56,23 +59,24 @@ class LinearMap:
             )
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        self._cols = tuple(
+            {i: e for i, e in enumerate(entries[j::cols]) if e} for j in range(cols)
+        )
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
+        return _from_columns(n, tuple({j: ONE} for j in range(n)))
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, [ZERO] * (rows * cols))
+        return _from_columns(rows, tuple({} for _ in range(cols)))
 
     @classmethod
     def diagonal(cls, values):
         values = [Fraction(v) for v in values]
-        n = len(values)
-        return cls(n, n, [values[i] if i == j else ZERO for i in range(n) for j in range(n)])
+        return _from_columns(len(values), tuple({j: v} if v else {} for j, v in enumerate(values)))
 
     @classmethod
     def from_rows(cls, rows):
@@ -87,51 +91,62 @@ class LinearMap:
 
     @classmethod
     def from_cols(cls, cols):
-        return cls.from_rows(cols).transpose()
+        nr = len(cols[0]) if cols else 0
+        out = []
+        for c in cols:
+            if len(c) != nr:
+                raise DimensionMismatch("ragged columns")
+            out.append({i: e if type(e) is Fraction else Fraction(e) for i, e in enumerate(c) if e})
+        return _from_columns(nr, tuple(out))
 
     # -- access ------------------------------------------------------
 
+    @property
+    def entries(self):
+        """Dense row-major view of every entry."""
+        c = self.cols
+        out = [ZERO] * (self.rows * c)
+        for j, col in enumerate(self._cols):
+            for i, e in col.items():
+                out[i * c + j] = e
+        return tuple(out)
+
     def entry(self, i, j):
-        return self.entries[i * self.cols + j]
+        return self._cols[j].get(i, ZERO)
 
     def column(self, j):
-        c = self.cols
-        return tuple(self.entries[i * c + j] for i in range(self.rows))
+        out = [ZERO] * self.rows
+        for i, e in self._cols[j].items():
+            out[i] = e
+        return tuple(out)
 
     def row(self, i):
-        c = self.cols
-        return self.entries[i * c : (i + 1) * c]
+        return tuple(col.get(i, ZERO) for col in self._cols)
 
     def apply(self, vec):
         """Image of a column coordinate vector."""
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length %d, map has %d columns" % (len(vec), self.cols))
         out = [ZERO] * self.rows
-        e = self.entries
-        c = self.cols
-        for j, vj in enumerate(vec):
+        for vj, col in zip(vec, self._cols):
             if vj:
-                for i in range(self.rows):
-                    eij = e[i * c + j]
-                    if eij:
-                        out[i] += eij * vj
+                for i, e in col.items():
+                    out[i] += e * vj
         return tuple(out)
 
     def transpose(self):
-        return LinearMap(
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
+        out = tuple({} for _ in range(self.rows))
+        for j, col in enumerate(self._cols):
+            for i, e in col.items():
+                out[i][j] = e
+        return _from_columns(self.cols, out)
 
     @property
     def is_square(self):
         return self.rows == self.cols
 
     def is_identity(self):
-        if not self.is_square:
-            return False
-        return self == LinearMap.identity(self.rows)
+        return self.is_square and self == LinearMap.identity(self.rows)
 
     # -- algebra -----------------------------------------------------
 
@@ -143,11 +158,11 @@ class LinearMap:
             isinstance(other, LinearMap)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self._cols == other._cols
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, tuple(frozenset(col.items()) for col in self._cols)))
 
     def __repr__(self):
         return "LinearMap(%d, %d, %r)" % (self.rows, self.cols, list(self.entries))
@@ -160,27 +175,33 @@ class LinearMap:
         return "\n".join(lines)
 
 
+def _from_columns(rows, columns):
+    """Trusted constructor: columns is a tuple of dicts row -> nonzero
+    Fraction, owned by the new map from here on."""
+    f = object.__new__(LinearMap)
+    f.rows = rows
+    f.cols = len(columns)
+    f._cols = columns
+    return f
+
+
 def compose(f, g):
     """Matrix product f . g (apply g first)."""
     if f.cols != g.rows:
         raise DimensionMismatch(
             "cannot compose %dx%d with %dx%d" % (f.rows, f.cols, g.rows, g.cols)
         )
-    out = [ZERO] * (f.rows * g.cols)
-    fe, ge = f.entries, g.entries
-    fc, gc = f.cols, g.cols
-    for i in range(f.rows):
-        frow = i * fc
-        orow = i * gc
-        for k in range(fc):
-            fik = fe[frow + k]
-            if fik:
-                grow = k * gc
-                for j in range(gc):
-                    gkj = ge[grow + j]
-                    if gkj:
-                        out[orow + j] += fik * gkj
-    return LinearMap(f.rows, g.cols, out)
+    fcols = f._cols
+    out = []
+    for gcol in g._cols:
+        acc = {}
+        for k, gk in gcol.items():
+            for i, fik in fcols[k].items():
+                acc[i] = acc[i] + fik * gk if i in acc else fik * gk
+        if len(gcol) > 1:
+            acc = {i: e for i, e in acc.items() if e}
+        out.append(acc)
+    return _from_columns(f.rows, tuple(out))
 
 
 def kron(f, g):
@@ -189,39 +210,31 @@ def kron(f, g):
     Index convention: basis vector (i, j) of the domain sits at i*g.cols + j,
     matching the global flattening.
     """
-    rows = f.rows * g.rows
-    cols = f.cols * g.cols
-    out = [ZERO] * (rows * cols)
-    for i1 in range(f.rows):
-        for j1 in range(f.cols):
-            a = f.entries[i1 * f.cols + j1]
-            if not a:
-                continue
-            for i2 in range(g.rows):
-                base = (i1 * g.rows + i2) * cols + j1 * g.cols
-                grow = i2 * g.cols
-                for j2 in range(g.cols):
-                    b = g.entries[grow + j2]
-                    if b:
-                        out[base + j2] = a * b
-    return LinearMap(rows, cols, out)
+    gr = g.rows
+    return _from_columns(f.rows * gr, tuple(
+        {i1 * gr + i2: a * b for i1, a in fcol.items() for i2, b in gcol.items()}
+        for fcol in f._cols
+        for gcol in g._cols
+    ))
 
 
-def kron_all(*maps):
-    acc = maps[0]
-    for m in maps[1:]:
-        acc = kron(acc, m)
-    return acc
+def permute(dims, order):
+    """Leg permutation X_0 (x) ... (x) X_n-1 -> X_order[0] (x) ... (x) X_order[n-1],
+    where dims[k] = dim X_k."""
+    stride = [0] * len(dims)
+    size = 1
+    for k in reversed(order):
+        stride[k] = size
+        size *= dims[k]
+    targets = [0]
+    for d, s in zip(dims, stride):
+        targets = [t + i * s for t in targets for i in range(d)]
+    return _from_columns(size, tuple({t: ONE} for t in targets))
 
 
 def flip(d1, d2):
     """Permutation map X (x) Y -> Y (x) X for dim(X)=d1, dim(Y)=d2."""
-    n = d1 * d2
-    out = [ZERO] * (n * n)
-    for i in range(d1):
-        for j in range(d2):
-            out[(j * d1 + i) * n + (i * d2 + j)] = ONE
-    return LinearMap(n, n, out)
+    return permute((d1, d2), (1, 0))
 
 
 def invert(f):
@@ -232,12 +245,15 @@ def invert(f):
     if not f.is_square:
         raise DimensionMismatch("only square maps can be inverted")
     n = f.rows
-    a = [list(f.row(i)) for i in range(n)]
-    b = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    a = [{} for _ in range(n)]
+    for j, col in enumerate(f._cols):
+        for i, e in col.items():
+            a[i][j] = e
+    b = [{i: ONE} for i in range(n)]
     for col in range(n):
         pivot = None
         for r in range(col, n):
-            if a[r][col]:
+            if col in a[r]:
                 pivot = r
                 break
         if pivot is None:
@@ -247,14 +263,26 @@ def invert(f):
             b[col], b[pivot] = b[pivot], b[col]
         p = a[col][col]
         if p != ONE:
-            a[col] = [x / p for x in a[col]]
-            b[col] = [x / p for x in b[col]]
+            a[col] = {k: x / p for k, x in a[col].items()}
+            b[col] = {k: x / p for k, x in b[col].items()}
         for r in range(n):
-            if r != col and a[r][col]:
+            if r != col and col in a[r]:
                 factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-                b[r] = [x - factor * y for x, y in zip(b[r], b[col])]
-    return LinearMap(n, n, [x for row_ in b for x in row_])
+                a[r] = _axpy(a[r], -factor, a[col])
+                b[r] = _axpy(b[r], -factor, b[col])
+    return _from_columns(n, tuple(b)).transpose()
+
+
+def _axpy(y, coef, x):
+    """The sparse vector y + coef * x, without stored zeros."""
+    out = dict(y)
+    for k, v in x.items():
+        s = out.get(k, ZERO) + coef * v
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
 
 
 class Tensor3:
@@ -293,6 +321,22 @@ class Tensor3:
                 raise DimensionMismatch("index %r out of range for dims %r" % ((i, j, k), dims))
             entries[(i * d1 + j) * d2 + k] = Fraction(v)
         return cls(dims, entries)
+
+    @classmethod
+    def from_map(cls, dims, f):
+        """Inverse of as_map: the table whose domain indices come first."""
+        return cls(dims, f.transpose().entries)
+
+    def as_map(self, out_legs):
+        """The LinearMap reading the last out_legs indices as the codomain
+        and the others as the domain: a product table t[i, j, k] gives
+        A (x) A -> A with out_legs=1, a coproduct table C -> C (x) C with 2."""
+        d0, d1, d2 = self.dims
+        rows = d2 if out_legs == 1 else d1 * d2
+        e = self.entries
+        return _from_columns(rows, tuple(
+            {i: v for i, v in enumerate(e[j:j + rows]) if v} for j in range(0, len(e), rows)
+        ))
 
     def at(self, i, j, k):
         d0, d1, d2 = self.dims

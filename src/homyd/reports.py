@@ -2,15 +2,17 @@
 
 A CheckReport is a flat list of items, one per verified identity (or per
 identity instance, when a suite runs the same law over several module
-tuples).  Identity ids are stable strings so reports stay diffable across
-runs; a failing item carries the first counterexample found, as basis
-indices plus both sides' coordinates.
+tuples).  Every law is checked as an equality of two LinearMaps; a column
+of either side is the law evaluated at one basis tuple of the domain legs,
+which suffices by multilinearity.  Identity ids are stable strings so
+reports stay diffable across runs; a failing item carries the first
+differing column, as basis indices plus both sides' coordinates.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,11 @@ class CheckReport:
     def add(self, identity, law, passed, witness=None):
         self.items.append(CheckItem(identity, law, passed, witness))
 
+    def prefixed(self, prefix):
+        """Copy with every identity id prefixed."""
+        items = [replace(it, identity=prefix + it.identity) for it in self.items]
+        return CheckReport(self.suite, self.seed, items)
+
     def summary(self):
         bad = len(self.failures())
         return "%s: %d identities, %d failing" % (self.suite, len(self.items), bad)
@@ -72,8 +79,7 @@ def check_all_vectors(report, identity, law, dims, labeler, evaluate):
     """Quantify an identity over all basis tuples of the given domain dims.
 
     evaluate(idx_tuple) must return (lhs, rhs) coordinate sequences; the
-    first mismatch becomes the witness.  Bilinearity of every structure map
-    makes basis tuples sufficient.
+    first mismatch becomes the witness.
     """
     for idx in itertools.product(*(range(d) for d in dims)):
         lhs, rhs = evaluate(idx)
@@ -90,12 +96,14 @@ def check_all_vectors(report, identity, law, dims, labeler, evaluate):
 
 
 def check_matrix_equal(report, identity, law, lhs, rhs, dims=None, labeler=None):
-    """Compare two LinearMaps column by column.
+    """Compare two LinearMaps; on a mismatch the witness is the first
+    differing column.
 
-    dims, when given, decode a flattened domain column index back into a
-    basis tuple for the witness; labeler maps that tuple to basis names.
+    dims, when given, are the domain legs whose flattening indexes the
+    columns, so the witness names a basis tuple; labeler maps that tuple to
+    basis names.
     """
-    if lhs.rows == rhs.rows and lhs.cols == rhs.cols and lhs.entries == rhs.entries:
+    if lhs == rhs:
         report.add(identity, law, True)
         return True
     if lhs.rows != rhs.rows or lhs.cols != rhs.cols:
@@ -106,20 +114,16 @@ def check_matrix_equal(report, identity, law, lhs, rhs, dims=None, labeler=None)
             Witness((), ("shape %dx%d vs %dx%d" % (lhs.rows, lhs.cols, rhs.rows, rhs.cols),), (), ()),
         )
         return False
-    for j in range(lhs.cols):
-        lc, rc = lhs.column(j), rhs.column(j)
-        if lc != rc:
-            idx = _decode(j, dims) if dims else (j,)
-            labels = tuple(labeler(idx)) if labeler else tuple(str(i) for i in idx)
-            report.add(identity, law, False, Witness(tuple(idx), labels, lc, rc))
-            return False
-    report.add(identity, law, True)
-    return True
 
+    dims = dims or (lhs.cols,)
 
-def _decode(flat, dims):
-    idx = []
-    for d in reversed(dims):
-        idx.append(flat % d)
-        flat //= d
-    return tuple(reversed(idx))
+    def column_pair(idx):
+        j = 0
+        for i, d in zip(idx, dims):
+            j = j * d + i
+        return lhs.column(j), rhs.column(j)
+
+    return check_all_vectors(
+        report, identity, law, dims,
+        labeler or (lambda idx: tuple(str(i) for i in idx)), column_pair,
+    )

@@ -27,9 +27,10 @@ from .exactlin import (
     Tensor3,
     ZERO,
     add_scaled,
-    basis_vec,
+    flip,
     invert,
-    tensor_vec,
+    kron,
+    permute,
 )
 from .hom_algebra import (
     InvalidStructure,
@@ -38,16 +39,7 @@ from .hom_algebra import (
     _require,
     _shape_report,
 )
-from .reports import CheckReport, CheckItem, check_all_vectors
-
-
-def act_hv(action, hvec, m):
-    """hvec . f_m for a coordinate vector hvec."""
-    out = [ZERO] * action.dims[2]
-    for i, hi in enumerate(hvec):
-        if hi:
-            add_scaled(out, action.fiber(i, m), hi)
-    return tuple(out)
+from .reports import CheckReport, check_matrix_equal
 
 
 def act_vv(action, hvec, mvec):
@@ -76,6 +68,7 @@ class HomModuleData:
         if action.dims != (over.dim, dim, dim):
             raise InvalidStructure(_shape_report("hom-module", "action dims %r" % (action.dims,)))
         self.action = action
+        self.act_map = action.as_map(1)
         self.mu = mu
         self.mu_inv = invert(mu)
         self.basis = _auto_basis(dim, basis)
@@ -99,6 +92,7 @@ class HomComoduleData:
                 _shape_report("hom-comodule", "coaction dims %r, expected %r" % (coaction.dims, want))
             )
         self.coaction = coaction
+        self.coact_map = coaction.as_map(2)
         self.mu = mu
         self.mu_inv = invert(mu)
         self.basis = _auto_basis(dim, basis)
@@ -109,16 +103,6 @@ class HomComoduleData:
         """Right side: nonzero (p, j, coefficient) with p the carrier leg.
         Left side: nonzero (i, p, coefficient) with i the algebra leg."""
         return self._sparse[k]
-
-    def coact_vec(self, v):
-        d2 = self.coaction.dims[1] * self.coaction.dims[2]
-        out = [ZERO] * d2
-        dlast = self.coaction.dims[2]
-        for k, vk in enumerate(v):
-            if vk:
-                for a, b, w in self._sparse[k]:
-                    out[a * dlast + b] += vk * w
-        return tuple(out)
 
     def label(self, k):
         return self.basis[k]
@@ -189,14 +173,11 @@ class YDModuleData:
 
     def action_map(self):
         """The action as a LinearMap H (x) M -> M."""
-        dh, dm = self.over.dim, self.dim
-        cols = [self.action.fiber(h, m) for h in range(dh) for m in range(dm)]
-        return LinearMap.from_cols(cols)
+        return self.module.act_map
 
     def coaction_map(self):
         """The coaction as a LinearMap M -> M (x) H."""
-        cols = [self.comodule.coact_vec(basis_vec(self.dim, m)) for m in range(self.dim)]
-        return LinearMap.from_cols(cols)
+        return self.comodule.coact_map
 
     def same_structure(self, other):
         """Strict object equality: equal structure tensors on the flattened
@@ -224,12 +205,6 @@ class EntwiningData:
         self.psi = psi
         _require(lambda: check_entwining(self), check)
 
-    def psi_terms(self, hvec, cvec):
-        """Nonzero (i, j, coefficient) terms of psi(hvec (x) cvec)."""
-        dc = self.coalgebra.dim
-        out = self.psi.apply(tensor_vec(hvec, cvec))
-        return [(idx // dc, idx % dc, v) for idx, v in enumerate(out) if v]
-
 
 class BicomoduleAlgebraData:
     """Twisted algebra with compatible left and right coactions of the same
@@ -255,36 +230,40 @@ class BicomoduleAlgebraData:
 # ---------------------------------------------------------------------------
 
 
+def _legs(*bases):
+    """Witness labeler naming index k of leg n by bases[n][k]."""
+    return lambda idx: tuple(b[i] for b, i in zip(bases, idx))
+
+
+def _check_sided(rep, side, right, left, legs, lhs, rhs, dims, labeler):
+    """check_matrix_equal for a comodule law written right-sided, with
+    (id, law) pairs for either side.  For a left coaction lambda, lhs and rhs
+    are built from the right coaction flip . lambda (and, where the law
+    iterates the coaction, the co-opposite coproduct); reversing their
+    codomain legs gives the left-sided law exactly."""
+    if side == "left":
+        back = permute(legs, tuple(reversed(range(len(legs)))))
+        lhs, rhs, right = back @ lhs, back @ rhs, left
+    check_matrix_equal(rep, right[0], right[1], lhs, rhs, dims, labeler)
+
+
 def check_hom_module(m):
     rep = CheckReport("hom-module")
     h = m.over
     d, dm = h.dim, m.dim
-
-    def lab3(idx):
-        return (h.basis[idx[0]], h.basis[idx[1]], m.basis[idx[2]])
-
-    def assoc(idx):
-        a, b, k = idx
-        lhs = act_vv(m.action, h.alpha.column(a), m.action.fiber(b, k))
-        rhs = act_vv(m.action, h.mul.fiber(a, b), m.mu.column(k))
-        return lhs, rhs
-
-    check_all_vectors(rep, "module-assoc", "alpha(a).(b.m) = (ab).mu(m)", (d, d, dm), lab3, assoc)
-
-    def twist(idx):
-        a, k = idx
-        lhs = m.mu.apply(m.action.fiber(a, k))
-        rhs = act_vv(m.action, h.alpha.column(a), m.mu.column(k))
-        return lhs, rhs
-
-    check_all_vectors(
-        rep, "module-twist", "mu(a.m) = alpha(a).mu(m)", (d, dm),
-        lambda idx: (h.basis[idx[0]], m.basis[idx[1]]), twist,
+    act = m.act_map
+    check_matrix_equal(
+        rep, "module-assoc", "alpha(a).(b.m) = (ab).mu(m)",
+        act @ kron(h.alpha, act), act @ kron(h.algebra.mul_map, m.mu),
+        (d, d, dm), _legs(h.basis, h.basis, m.basis),
     )
-
-    check_all_vectors(
-        rep, "module-unit", "1.m = mu(m)", (dm,), lambda idx: (m.basis[idx[0]],),
-        lambda idx: (act_hv(m.action, h.unit, idx[0]), m.mu.column(idx[0])),
+    check_matrix_equal(
+        rep, "module-twist", "mu(a.m) = alpha(a).mu(m)",
+        m.mu @ act, act @ kron(h.alpha, m.mu), (d, dm), _legs(h.basis, m.basis),
+    )
+    check_matrix_equal(
+        rep, "module-unit", "1.m = mu(m)", act @ kron(h.algebra.unit_map, LinearMap.identity(dm)),
+        m.mu, (dm,), _legs(m.basis),
     )
     return rep
 
@@ -293,94 +272,29 @@ def check_hom_comodule(m):
     rep = CheckReport("hom-comodule")
     h = m.over
     d, dm = h.dim, m.dim
-    lab = lambda idx: tuple(m.basis[i] for i in idx)
     coa = h.coalgebra
-
-    if m.side == "right":
-
-        def coassoc(idx):
-            (k,) = idx
-            lhs = [ZERO] * (dm * d * d)  # mu^-1(m0) (x) comul(m1)
-            rhs = [ZERO] * (dm * d * d)  # rho(m0) (x) gamma^-1(m1)
-            for p, a, w in m.coact_terms(k):
-                mv = m.mu_inv.column(p)
-                for a1, a2, w2 in coa.comul_terms(a):
-                    for t, mt in enumerate(mv):
-                        if mt:
-                            lhs[(t * d + a1) * d + a2] += w * w2 * mt
-                gv = coa.gamma_inv.column(a)
-                for q, b, w2 in m.coact_terms(p):
-                    for t, gt in enumerate(gv):
-                        if gt:
-                            rhs[(q * d + b) * d + t] += w * w2 * gt
-            return lhs, rhs
-
-        check_all_vectors(
-            rep, "eq-1.7", "mu^-1(m0) (x) comul(m1) = rho(m0) (x) gamma^-1(m1)", (dm,), lab, coassoc,
-        )
-
-        def coact_mu(idx):
-            (k,) = idx
-            lhs = m.coact_vec(m.mu.column(k))
-            rhs = [ZERO] * (dm * d)
-            for p, a, w in m.coact_terms(k):
-                add_scaled(rhs, tensor_vec(m.mu.column(p), coa.gamma.column(a)), w)
-            return lhs, rhs
-
-        check_all_vectors(rep, "eq-1.8-coact", "rho(mu(m)) = mu(m0) (x) gamma(m1)", (dm,), lab, coact_mu)
-
-        def counit_part(idx):
-            (k,) = idx
-            out = [ZERO] * dm
-            for p, a, w in m.coact_terms(k):
-                out[p] += w * h.counit[a]
-            return out, m.mu_inv.column(k)
-
-        check_all_vectors(rep, "eq-1.8-counit", "m0 eps(m1) = mu^-1(m)", (dm,), lab, counit_part)
-        return rep
-
-    # left-sided comodule: mirrored laws
-    def coassoc_left(idx):
-        (k,) = idx
-        lhs = [ZERO] * (d * d * dm)  # comul(m-1) (x) mu^-1(m0)
-        rhs = [ZERO] * (d * d * dm)  # gamma^-1(m-1) (x) rho_l(m0)
-        for a, p, w in m.coact_terms(k):
-            mv = m.mu_inv.column(p)
-            for a1, a2, w2 in coa.comul_terms(a):
-                for t, mt in enumerate(mv):
-                    if mt:
-                        lhs[(a1 * d + a2) * dm + t] += w * w2 * mt
-            gv = coa.gamma_inv.column(a)
-            for b, q, w2 in m.coact_terms(p):
-                for t, gt in enumerate(gv):
-                    if gt:
-                        rhs[(t * d + b) * dm + q] += w * w2 * gt
-        return lhs, rhs
-
-    check_all_vectors(
-        rep, "eq-1.7-left", "comul(m-1) (x) mu^-1(m0) = gamma^-1(m-1) (x) rho(m0)", (dm,), lab, coassoc_left,
+    rho, comul = m.coact_map, coa.comul_map
+    if m.side == "left":
+        rho, comul = flip(d, dm) @ rho, flip(d, d) @ comul
+    lab = _legs(m.basis)
+    _check_sided(
+        rep, m.side,
+        ("eq-1.7", "mu^-1(m0) (x) comul(m1) = rho(m0) (x) gamma^-1(m1)"),
+        ("eq-1.7-left", "comul(m-1) (x) mu^-1(m0) = gamma^-1(m-1) (x) rho(m0)"),
+        (dm, d, d), kron(m.mu_inv, comul) @ rho, kron(rho, coa.gamma_inv) @ rho, (dm,), lab,
     )
-
-    def coact_mu_left(idx):
-        (k,) = idx
-        lhs = m.coact_vec(m.mu.column(k))
-        rhs = [ZERO] * (d * dm)
-        for a, p, w in m.coact_terms(k):
-            add_scaled(rhs, tensor_vec(coa.gamma.column(a), m.mu.column(p)), w)
-        return lhs, rhs
-
-    check_all_vectors(
-        rep, "eq-1.8-coact-left", "rho(mu(m)) = gamma(m-1) (x) mu(m0)", (dm,), lab, coact_mu_left,
+    _check_sided(
+        rep, m.side,
+        ("eq-1.8-coact", "rho(mu(m)) = mu(m0) (x) gamma(m1)"),
+        ("eq-1.8-coact-left", "rho(mu(m)) = gamma(m-1) (x) mu(m0)"),
+        (dm, d), rho @ m.mu, kron(m.mu, coa.gamma) @ rho, (dm,), lab,
     )
-
-    def counit_left(idx):
-        (k,) = idx
-        out = [ZERO] * dm
-        for a, p, w in m.coact_terms(k):
-            out[p] += w * h.counit[a]
-        return out, m.mu_inv.column(k)
-
-    check_all_vectors(rep, "eq-1.8-counit-left", "eps(m-1) m0 = mu^-1(m)", (dm,), lab, counit_left)
+    _check_sided(
+        rep, m.side,
+        ("eq-1.8-counit", "m0 eps(m1) = mu^-1(m)"),
+        ("eq-1.8-counit-left", "eps(m-1) m0 = mu^-1(m)"),
+        (dm,), kron(LinearMap.identity(dm), coa.counit_map) @ rho, m.mu_inv, (dm,), lab,
+    )
     return rep
 
 
@@ -390,31 +304,18 @@ def check_module_algebra(m, carrier):
     rep = CheckReport("module-algebra")
     h = m.over
     d, db = h.dim, carrier.dim
-
-    def mult(idx):
-        hk, a, b = idx
-        lhs = act_vv(m.action, basis_vec(d, hk), carrier.mul.fiber(a, b))
-        rhs = [ZERO] * db
-        for h1, h2, w in h.comul_terms(hk):
-            add_scaled(
-                rhs,
-                carrier.mul_vv(m.action.fiber(h1, a), m.action.fiber(h2, b)),
-                w,
-            )
-        return lhs, rhs
-
-    check_all_vectors(
-        rep, "eq-1.9-mult", "h.(ab) = (h1.a)(h2.b)", (d, db, db),
-        lambda idx: (h.basis[idx[0]], carrier.basis[idx[1]], carrier.basis[idx[2]]), mult,
+    act, mul, unit = m.act_map, carrier.mul_map, carrier.unit_map
+    check_matrix_equal(
+        rep, "eq-1.9-mult", "h.(ab) = (h1.a)(h2.b)",
+        act @ kron(LinearMap.identity(d), mul),
+        mul @ kron(act, act) @ permute((d, d, db, db), (0, 2, 1, 3))
+        @ kron(h.coalgebra.comul_map, LinearMap.identity(db * db)),
+        (d, db, db), _legs(h.basis, carrier.basis, carrier.basis),
     )
-
-    def unit(idx):
-        (hk,) = idx
-        lhs = act_vv(m.action, basis_vec(d, hk), carrier.unit)
-        rhs = [w * h.counit[hk] for w in carrier.unit]
-        return lhs, rhs
-
-    check_all_vectors(rep, "eq-1.9-unit", "h.1 = eps(h)1", (d,), lambda idx: (h.basis[idx[0]],), unit)
+    check_matrix_equal(
+        rep, "eq-1.9-unit", "h.1 = eps(h)1", act @ kron(LinearMap.identity(d), unit),
+        unit @ h.coalgebra.counit_map, (d,), _legs(h.basis),
+    )
     return rep
 
 
@@ -424,40 +325,23 @@ def check_comodule_algebra(m, carrier):
     rep = CheckReport("%s-comodule-algebra" % side)
     h = m.over
     d, db = h.dim, carrier.dim
-    lab = lambda idx: tuple(carrier.basis[i] for i in idx)
-
-    if side == "right":
-
-        def mult(idx):
-            a, b = idx
-            lhs = m.coact_vec(carrier.mul.fiber(a, b))
-            rhs = [ZERO] * (db * d)
-            for p, i, w in m.coact_terms(a):
-                for q, j, w2 in m.coact_terms(b):
-                    add_scaled(rhs, tensor_vec(carrier.mul.fiber(p, q), h.mul.fiber(i, j)), w * w2)
-            return lhs, rhs
-
-        check_all_vectors(rep, "comodule-algebra-mult", "rho(ab) = a0 b0 (x) a1 b1", (db, db), lab, mult)
-        check_all_vectors(
-            rep, "comodule-algebra-unit", "rho(1) = 1 (x) 1", (1,), lambda idx: ("1",),
-            lambda idx: (m.coact_vec(carrier.unit), tensor_vec(carrier.unit, h.unit)),
-        )
-    else:
-
-        def mult(idx):
-            a, b = idx
-            lhs = m.coact_vec(carrier.mul.fiber(a, b))
-            rhs = [ZERO] * (d * db)
-            for i, p, w in m.coact_terms(a):
-                for j, q, w2 in m.coact_terms(b):
-                    add_scaled(rhs, tensor_vec(h.mul.fiber(i, j), carrier.mul.fiber(p, q)), w * w2)
-            return lhs, rhs
-
-        check_all_vectors(rep, "comodule-algebra-mult", "rho(ab) = a-1 b-1 (x) a0 b0", (db, db), lab, mult)
-        check_all_vectors(
-            rep, "comodule-algebra-unit", "rho(1) = 1 (x) 1", (1,), lambda idx: ("1",),
-            lambda idx: (m.coact_vec(carrier.unit), tensor_vec(h.unit, carrier.unit)),
-        )
+    rho = m.coact_map if side == "right" else flip(d, db) @ m.coact_map
+    mul = carrier.mul_map
+    _check_sided(
+        rep, side,
+        ("comodule-algebra-mult", "rho(ab) = a0 b0 (x) a1 b1"),
+        ("comodule-algebra-mult", "rho(ab) = a-1 b-1 (x) a0 b0"),
+        (db, d), rho @ mul,
+        kron(mul, h.algebra.mul_map) @ permute((db, d, db, d), (0, 2, 1, 3)) @ kron(rho, rho),
+        (db, db), _legs(carrier.basis, carrier.basis),
+    )
+    _check_sided(
+        rep, side,
+        ("comodule-algebra-unit", "rho(1) = 1 (x) 1"),
+        ("comodule-algebra-unit", "rho(1) = 1 (x) 1"),
+        (db, d), rho @ carrier.unit_map, kron(carrier.unit_map, h.algebra.unit_map),
+        (1,), _legs(("1",)),
+    )
     return rep
 
 
@@ -471,28 +355,17 @@ def check_yd(yd):
     rep = CheckReport("yd")
     h = yd.over
     d, dm = h.dim, yd.dim
-    a_mat = yd.pair_a.matrix
-    b_mat = yd.pair_b.matrix
-    asinv = a_mat @ h.antipode_inv
-
-    def law(idx):
-        hk, mk = idx
-        lhs = yd.comodule.coact_vec(yd.action.fiber(hk, mk))
-        rhs = [ZERO] * (dm * d)
-        for i1, i21, i22, w in h.sweedler2_terms(hk):
-            av = h.alpha.column(i21)
-            right_tail = asinv.column(i1)
-            bvec = b_mat.column(i22)
-            for p, a1, w2 in yd.coact_terms(mk):
-                mv = act_vv(yd.action, av, basis_vec(dm, p))
-                hv = h.mul_vv(h.mul_vv(bvec, h.alpha_inv.column(a1)), right_tail)
-                add_scaled(rhs, tensor_vec(mv, hv), w * w2)
-        return lhs, rhs
-
-    check_all_vectors(
+    mul, comul = h.algebra.mul_map, h.coalgebra.comul_map
+    act, rho = yd.action_map(), yd.coaction_map()
+    ident = LinearMap.identity(d)
+    # legs (h1, h21, h22, m0, m1) -> (h21, m0, h22, m1, h1)
+    spread = permute((d, d, d, dm, d), (1, 3, 2, 4, 0)) @ kron(kron(ident, comul) @ comul, rho)
+    tail = mul @ kron(mul @ kron(yd.pair_b.matrix, h.alpha_inv), yd.pair_a.matrix @ h.antipode_inv)
+    check_matrix_equal(
         rep, "eq-2.1",
         "rho(h.m) = alpha(h21).m0 (x) (B(h22) alpha^-1(m1)) A(S^-1(h1))",
-        (d, dm), lambda idx: (h.basis[idx[0]], yd.basis[idx[1]]), law,
+        rho @ act, kron(act @ kron(h.alpha, LinearMap.identity(dm)), tail) @ spread,
+        (d, dm), _legs(h.basis, yd.basis),
     )
     return rep
 
@@ -502,66 +375,47 @@ def check_yd_alt(yd):
     rep = CheckReport("yd-alt")
     h = yd.over
     d, dm = h.dim, yd.dim
-    a_mat = yd.pair_a.matrix
-    b_mat = yd.pair_b.matrix
-
-    def law(idx):
-        hk, mk = idx
-        lhs = [ZERO] * (dm * d)
-        for h1, h2, w in h.comul_terms(hk):
-            for p, a1, w2 in yd.coact_terms(mk):
-                mv = yd.action.fiber(h1, p)
-                hv = h.mul_vv(b_mat.column(h2), basis_vec(d, a1))
-                add_scaled(lhs, tensor_vec(mv, hv), w * w2)
-        rhs = [ZERO] * (dm * d)
-        for h1, h2, w in h.comul_terms(hk):
-            v = act_vv(yd.action, basis_vec(d, h2), yd.mu_inv.column(mk))
-            ahv = a_mat.column(h1)
-            for q, vq in enumerate(v):
-                if vq:
-                    for p2, a2, w3 in yd.coact_terms(q):
-                        hv = h.mul_vv(basis_vec(d, a2), ahv)
-                        add_scaled(rhs, tensor_vec(yd.mu.column(p2), hv), w * vq * w3)
-        return lhs, rhs
-
-    check_all_vectors(
+    mul, comul = h.algebra.mul_map, h.coalgebra.comul_map
+    act, rho = yd.action_map(), yd.coaction_map()
+    ident = LinearMap.identity(d)
+    lhs = (
+        kron(act, mul @ kron(yd.pair_b.matrix, ident))
+        @ permute((d, d, dm, d), (0, 2, 1, 3)) @ kron(comul, rho)
+    )
+    rhs = (
+        kron(yd.mu, mul @ kron(ident, yd.pair_a.matrix)) @ permute((d, dm, d), (1, 2, 0))
+        @ kron(ident, rho @ act @ kron(ident, yd.mu_inv)) @ kron(comul, LinearMap.identity(dm))
+    )
+    check_matrix_equal(
         rep, "eq-2.2",
         "h1.m0 (x) B(h2)m1 = mu((h2.mu^-1(m))0) (x) (h2.mu^-1(m))1 A(h1)",
-        (d, dm), lambda idx: (h.basis[idx[0]], yd.basis[idx[1]]), law,
+        lhs, rhs, (d, dm), _legs(h.basis, yd.basis),
     )
     return rep
+
+
+def _require_automorphisms(h, auts, check):
+    if check:
+        for aut in auts:
+            rep = check_automorphism(h, aut)
+            if not rep.ok():
+                raise InvalidStructure(rep)
 
 
 def build_canonical_yd(h, a_aut, b_aut, check=True, label=None):
     """The regular-carrier member of component (A, B): carrier H, coaction
     the comultiplication, action h.y = (B(h2) alpha^-1(y)) A(S^-1(alpha(h1)))."""
-    if check:
-        for name, aut in (("A", a_aut), ("B", b_aut)):
-            rep = check_automorphism(h, aut)
-            if not rep.ok():
-                raise InvalidStructure(rep)
+    _require_automorphisms(h, (a_aut, b_aut), check)
     d = h.dim
+    mul = h.algebra.mul_map
     tail = a_aut.matrix @ h.antipode_inv @ h.alpha
-    entries = {}
-    for hk in range(d):
-        for yk in range(d):
-            out = [ZERO] * d
-            for h1, h2, w in h.comul_terms(hk):
-                t = h.mul_vv(
-                    h.mul_vv(b_aut.matrix.column(h2), h.alpha_inv.column(yk)),
-                    tail.column(h1),
-                )
-                add_scaled(out, t, w)
-            for t, v in enumerate(out):
-                if v:
-                    entries[(hk, yk, t)] = v
-    action = Tensor3.from_dict((d, d, d), entries)
-    coaction = Tensor3(
-        (d, d, d),
-        [h.comul.at(k, i, j) for k in range(d) for i in range(d) for j in range(d)],
+    # legs (h1, h2, y) -> (h2, y, h1)
+    act = (
+        mul @ kron(mul @ kron(b_aut.matrix, h.alpha_inv), tail) @ permute((d, d, d), (1, 2, 0))
+        @ kron(h.coalgebra.comul_map, LinearMap.identity(d))
     )
-    module = HomModuleData(h, d, action, h.alpha, basis=h.basis, check=check)
-    comodule = HomComoduleData(h, d, coaction, h.alpha, basis=h.basis, check=check)
+    module = HomModuleData(h, d, Tensor3.from_map((d, d, d), act), h.alpha, basis=h.basis, check=check)
+    comodule = HomComoduleData(h, d, h.comul, h.alpha, basis=h.basis, check=check)
     return YDModuleData(module, comodule, (a_aut, b_aut), check=check, label=label or "H(A,B)")
 
 
@@ -587,28 +441,16 @@ def build_entwining(h, a_aut, b_aut, check=True):
 
         psi(a (x) c) = alpha^2(a21) (x) (B(a22) alpha^-2(c)) A(S^-1(a1)).
     """
-    if check:
-        for aut in (a_aut, b_aut):
-            rep = check_automorphism(h, aut)
-            if not rep.ok():
-                raise InvalidStructure(rep)
+    _require_automorphisms(h, (a_aut, b_aut), check)
     d = h.dim
-    alpha2 = h.alpha @ h.alpha
-    ainv2 = h.alpha_inv @ h.alpha_inv
-    asinv = a_aut.matrix @ h.antipode_inv
-    cols = []
-    for ak in range(d):
-        sw = h.sweedler2_terms(ak)
-        for ck in range(d):
-            out = [ZERO] * (d * d)
-            for a1, a21, a22, w in sw:
-                hv = h.mul_vv(
-                    h.mul_vv(b_aut.matrix.column(a22), ainv2.column(ck)),
-                    asinv.column(a1),
-                )
-                add_scaled(out, tensor_vec(alpha2.column(a21), hv), w)
-            cols.append(out)
-    psi = LinearMap.from_cols(cols)
+    mul, comul = h.algebra.mul_map, h.coalgebra.comul_map
+    ident = LinearMap.identity(d)
+    tail = mul @ kron(mul @ kron(b_aut.matrix, h.alpha_inv @ h.alpha_inv), a_aut.matrix @ h.antipode_inv)
+    # legs (a1, a21, a22, c) -> (a21, a22, c, a1)
+    psi = (
+        kron(h.alpha @ h.alpha, tail) @ permute((d, d, d, d), (1, 2, 3, 0))
+        @ kron(kron(ident, comul) @ comul, ident)
+    )
     return EntwiningData(h.algebra, h.coalgebra, psi, check=check)
 
 
@@ -617,66 +459,32 @@ def check_entwining(e):
     rep = CheckReport("entwining")
     alg, coa = e.algebra, e.coalgebra
     d, dc = alg.dim, coa.dim
-    labh = alg.basis
-    labc = coa.basis
-
-    def eq23(idx):
-        hk, gk, ck = idx
-        lhs = e.psi.apply(tensor_vec(alg.mul.fiber(hk, gk), basis_vec(dc, ck)))
-        rhs = [ZERO] * (d * dc)
-        inner = e.psi_terms(basis_vec(d, gk), coa.gamma_inv.column(ck))
-        for gp, cp, w in inner:
-            outer = e.psi_terms(basis_vec(d, hk), basis_vec(dc, cp))
-            for hp, cpp, w2 in outer:
-                add_scaled(rhs, tensor_vec(alg.mul.fiber(hp, gp), coa.gamma.column(cpp)), w * w2)
-        return lhs, rhs
-
-    check_all_vectors(
+    psi = e.psi
+    idd, idc = LinearMap.identity(d), LinearMap.identity(dc)
+    # legs (h, c, c') -> (h, c', c)
+    swap = permute((d, dc, dc), (0, 2, 1))
+    check_matrix_equal(
         rep, "eq-2.3", "psi(hg (x) c) = (phi h)(psi g) (x) gamma(gamma^-1(c)^psi^phi)",
-        (d, d, dc), lambda idx: (labh[idx[0]], labh[idx[1]], labc[idx[2]]), eq23,
+        psi @ kron(alg.mul_map, idc),
+        kron(alg.mul_map, coa.gamma) @ permute((d, dc, d), (0, 2, 1)) @ kron(psi, idd)
+        @ kron(idd, flip(d, dc) @ psi @ kron(idd, coa.gamma_inv)),
+        (d, d, dc), _legs(alg.basis, alg.basis, coa.basis),
     )
-
-    check_all_vectors(
-        rep, "eq-2.4", "psi(1 (x) c) = 1 (x) c", (dc,), lambda idx: (labc[idx[0]],),
-        lambda idx: (
-            e.psi.apply(tensor_vec(alg.unit, basis_vec(dc, idx[0]))),
-            tensor_vec(alg.unit, basis_vec(dc, idx[0])),
-        ),
+    check_matrix_equal(
+        rep, "eq-2.4", "psi(1 (x) c) = 1 (x) c",
+        psi @ kron(alg.unit_map, idc), kron(alg.unit_map, idc), (dc,), _legs(coa.basis),
     )
-
-    def eq25(idx):
-        hk, ck = idx
-        lhs = [ZERO] * (d * dc * dc)
-        for hp, cp, w in e.psi_terms(basis_vec(d, hk), basis_vec(dc, ck)):
-            for c1, c2, w2 in coa.comul_terms(cp):
-                lhs[(hp * dc + c1) * dc + c2] += w * w2
-        rhs = [ZERO] * (d * dc * dc)
-        hv = alg.alpha_inv.column(hk)
-        for c1, c2, w0 in coa.comul_terms(ck):
-            for h1, c2p, w1 in e.psi_terms(hv, basis_vec(dc, c2)):
-                for h2, c1p, w2 in e.psi_terms(basis_vec(d, h1), basis_vec(dc, c1)):
-                    av = alg.alpha.column(h2)
-                    for t, at in enumerate(av):
-                        if at:
-                            rhs[(t * dc + c1p) * dc + c2p] += w0 * w1 * w2 * at
-        return lhs, rhs
-
-    check_all_vectors(
+    check_matrix_equal(
         rep, "eq-2.5", "psi h (x) comul(c^psi) = alpha(phi psi alpha^-1(h)) (x) c1^phi (x) c2^psi",
-        (d, dc), lambda idx: (labh[idx[0]], labc[idx[1]]), eq25,
+        kron(idd, coa.comul_map) @ psi,
+        kron(alg.alpha, LinearMap.identity(dc * dc)) @ kron(psi, idc) @ swap
+        @ kron(psi, idc) @ swap @ kron(alg.alpha_inv, coa.comul_map),
+        (d, dc), _legs(alg.basis, coa.basis),
     )
-
-    def eq26(idx):
-        hk, ck = idx
-        out = [ZERO] * d
-        for hp, cp, w in e.psi_terms(basis_vec(d, hk), basis_vec(dc, ck)):
-            add_scaled(out, basis_vec(d, hp), w * coa.counit[cp])
-        want = [w * coa.counit[ck] for w in basis_vec(d, hk)]
-        return out, want
-
-    check_all_vectors(
-        rep, "eq-2.6", "eps(c^psi) psi(h) = eps(c) h", (d, dc),
-        lambda idx: (labh[idx[0]], labc[idx[1]]), eq26,
+    check_matrix_equal(
+        rep, "eq-2.6", "eps(c^psi) psi(h) = eps(c) h",
+        kron(idd, coa.counit_map) @ psi, kron(idd, coa.counit_map),
+        (d, dc), _legs(alg.basis, coa.basis),
     )
     return rep
 
@@ -692,23 +500,16 @@ def check_entwined_module(m, e):
     """
     rep = CheckReport("entwined-module")
     h = m.over
-    d, dm = h.dim, m.dim
-    alpha = e.coalgebra.gamma
-
-    def law(idx):
-        hk, mk = idx
-        lhs = m.comodule.coact_vec(m.action.fiber(hk, mk))
-        rhs = [ZERO] * (dm * d)
-        hv = h.alpha_inv.column(hk)
-        for p, a1, w in m.coact_terms(mk):
-            for hp, cp, w2 in e.psi_terms(hv, basis_vec(d, a1)):
-                mv = m.action.fiber(hp, p)
-                add_scaled(rhs, tensor_vec(mv, alpha.column(cp)), w * w2)
-        return lhs, rhs
-
-    check_all_vectors(
+    d, dm, dc = h.dim, m.dim, e.coalgebra.dim
+    act, rho = m.action_map(), m.coaction_map()
+    rhs = (
+        kron(act, e.coalgebra.gamma) @ permute((dm, d, dc), (1, 0, 2))
+        @ kron(LinearMap.identity(dm), e.psi) @ permute((d, dm, d), (1, 0, 2))
+        @ kron(h.alpha_inv, rho)
+    )
+    check_matrix_equal(
         rep, "entwined-compat", "rho(h.m) = psi(alpha^-1(h)).m0 (x) alpha(m1^psi)",
-        (d, dm), lambda idx: (h.basis[idx[0]], m.basis[idx[1]]), law,
+        rho @ act, rhs, (d, dm), _legs(h.basis, m.basis),
     )
     return rep
 
@@ -720,73 +521,32 @@ def check_entwined_module(m, e):
 
 def build_bicomodule_algebra(h, a_aut, b_aut, check=True):
     """Coactions h -> A(h1) (x) h2 and h -> h1 (x) B(h2) on the carrier H."""
-    if check:
-        for aut in (a_aut, b_aut):
-            rep = check_automorphism(h, aut)
-            if not rep.ok():
-                raise InvalidStructure(rep)
+    _require_automorphisms(h, (a_aut, b_aut), check)
     d = h.dim
-    left = {}
-    right = {}
-    for k in range(d):
-        for n1, n2, w in h.comul_terms(k):
-            for i, av in enumerate(a_aut.matrix.column(n1)):
-                if av:
-                    left[(k, i, n2)] = left.get((k, i, n2), ZERO) + w * av
-            for j, bv in enumerate(b_aut.matrix.column(n2)):
-                if bv:
-                    right[(k, n1, j)] = right.get((k, n1, j), ZERO) + w * bv
+    comul, ident = h.coalgebra.comul_map, LinearMap.identity(d)
     return BicomoduleAlgebraData(
         h,
         h.algebra,
-        Tensor3.from_dict((d, d, d), left),
-        Tensor3.from_dict((d, d, d), right),
+        Tensor3.from_map((d, d, d), kron(a_aut.matrix, ident) @ comul),
+        Tensor3.from_map((d, d, d), kron(ident, b_aut.matrix) @ comul),
         check=check,
     )
-
-
-def _prefixed(rep, prefix):
-    out = CheckReport(rep.suite, rep.seed)
-    for it in rep.items:
-        out.items.append(CheckItem(prefix + it.identity, it.law, it.passed, it.witness))
-    return out
 
 
 def check_bicomodule_algebra(n):
     """Both comodule structures, both comodule-algebra laws, and the
     left/right interchange compatibility."""
     rep = CheckReport("bicomodule-algebra")
-    rep.extend(_prefixed(check_hom_comodule(n.left), "left-"))
-    rep.extend(_prefixed(check_hom_comodule(n.right), "right-"))
-    rep.extend(_prefixed(check_comodule_algebra(n.left, n.carrier), "left-"))
-    rep.extend(_prefixed(check_comodule_algebra(n.right, n.carrier), "right-"))
-
-    h = n.over
-    d, dn = h.dim, n.carrier.dim
-    ainv = h.alpha_inv
-
-    def compat(idx):
-        (k,) = idx
-        lhs = [ZERO] * (d * dn * d)
-        for p, j, w in n.right.coact_terms(k):
-            av = ainv.column(j)
-            for i2, q, w2 in n.left.coact_terms(p):
-                for t, at in enumerate(av):
-                    if at:
-                        lhs[(i2 * dn + q) * d + t] += w * w2 * at
-        rhs = [ZERO] * (d * dn * d)
-        for i, p, w in n.left.coact_terms(k):
-            av = ainv.column(i)
-            for q, j2, w2 in n.right.coact_terms(p):
-                for t, at in enumerate(av):
-                    if at:
-                        rhs[(t * dn + q) * d + j2] += w * w2 * at
-        return lhs, rhs
-
-    check_all_vectors(
+    rep.extend(check_hom_comodule(n.left).prefixed("left-"))
+    rep.extend(check_hom_comodule(n.right).prefixed("right-"))
+    rep.extend(check_comodule_algebra(n.left, n.carrier).prefixed("left-"))
+    rep.extend(check_comodule_algebra(n.right, n.carrier).prefixed("right-"))
+    ainv = n.over.alpha_inv
+    lam, rho = n.left.coact_map, n.right.coact_map
+    check_matrix_equal(
         rep, "bicomodule-compat",
         "n<0>[-1] (x) n<0>[0] (x) alpha^-1(n<1>) = alpha^-1(n[-1]) (x) n[0]<0> (x) n[0]<1>",
-        (dn,), lambda idx: (n.carrier.basis[idx[0]],), compat,
+        kron(lam, ainv) @ rho, kron(ainv, rho) @ lam, (n.carrier.dim,), _legs(n.carrier.basis),
     )
     return rep
 
@@ -796,51 +556,32 @@ def check_yd_datum(m, n):
     algebra N, in both printed forms."""
     rep = CheckReport("yd-datum")
     h = n.over
-    d = h.dim
-    dn = n.carrier.dim
-    dm = m.dim
-    nu = n.carrier.alpha
-    sinv = h.antipode_inv
-
-    def main(idx):
-        ak, mk = idx
-        lhs = m.comodule.coact_vec(m.action.fiber(ak, mk))
-        rhs = [ZERO] * (dm * d)
-        for i, p, w in n.left.coact_terms(ak):
-            tail = sinv.column(i)
-            for q, j, w2 in n.right.coact_terms(p):
-                nv = nu.column(q)
-                for m0, m1, w3 in m.coact_terms(mk):
-                    mv = act_vv(m.action, nv, basis_vec(dm, m0))
-                    hv = h.mul_vv(h.mul_vv(basis_vec(d, j), h.alpha_inv.column(m1)), tail)
-                    add_scaled(rhs, tensor_vec(mv, hv), w * w2 * w3)
-        return lhs, rhs
-
-    check_all_vectors(
+    d, dn, dm = h.dim, n.carrier.dim, m.dim
+    mul = h.algebra.mul_map
+    lam, rho_n = n.left.coact_map, n.right.coact_map
+    act, rho = m.action_map(), m.coaction_map()
+    lab = _legs(n.carrier.basis, m.basis)
+    # legs (n[-1], n[0]<0>, n[0]<1>, m0, m1) -> (n[0]<0>, m0, n[0]<1>, m1, n[-1])
+    spread = (
+        permute((d, dn, d, dm, d), (1, 3, 2, 4, 0))
+        @ kron(kron(LinearMap.identity(d), rho_n) @ lam, rho)
+    )
+    tail = mul @ kron(mul @ kron(LinearMap.identity(d), h.alpha_inv), h.antipode_inv)
+    check_matrix_equal(
         rep, "yd-datum-main",
         "rho(n.m) = nu(n[0]<0>).m0 (x) (n[0]<1> alpha^-1(m1)) S^-1(n[-1])",
-        (dn, dm), lambda idx: (n.carrier.basis[idx[0]], m.basis[idx[1]]), main,
+        rho @ act, kron(act @ kron(n.carrier.alpha, LinearMap.identity(dm)), tail) @ spread,
+        (dn, dm), lab,
     )
-
-    def alt(idx):
-        ak, mk = idx
-        lhs = [ZERO] * (dm * d)
-        for q, j, w in n.right.coact_terms(ak):
-            for m0, m1, w2 in m.coact_terms(mk):
-                add_scaled(lhs, tensor_vec(m.action.fiber(q, m0), h.mul.fiber(j, m1)), w * w2)
-        rhs = [ZERO] * (dm * d)
-        for i, p, w in n.left.coact_terms(ak):
-            v = act_vv(m.action, basis_vec(dn, p), m.mu_inv.column(mk))
-            for q, vq in enumerate(v):
-                if vq:
-                    for p2, a2, w3 in m.coact_terms(q):
-                        hv = h.mul_vv(basis_vec(d, a2), basis_vec(d, i))
-                        add_scaled(rhs, tensor_vec(m.mu.column(p2), hv), w * vq * w3)
-        return lhs, rhs
-
-    check_all_vectors(
+    lhs = kron(act, mul) @ permute((dn, d, dm, d), (0, 2, 1, 3)) @ kron(rho_n, rho)
+    rhs = (
+        kron(m.mu, mul) @ permute((d, dm, d), (1, 2, 0))
+        @ kron(LinearMap.identity(d), rho @ act @ kron(LinearMap.identity(dn), m.mu_inv))
+        @ kron(lam, LinearMap.identity(dm))
+    )
+    check_matrix_equal(
         rep, "yd-datum-alt",
         "n<0>.m0 (x) n<1> m1 = mu((n[0].mu^-1(m))0) (x) (n[0].mu^-1(m))1 n[-1]",
-        (dn, dm), lambda idx: (n.carrier.basis[idx[0]], m.basis[idx[1]]), alt,
+        lhs, rhs, (dn, dm), lab,
     )
     return rep

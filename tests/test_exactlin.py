@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import dense_reference as dense
 from homyd.exactlin import (
     DimensionMismatch,
     LinearMap,
@@ -12,6 +14,7 @@ from homyd.exactlin import (
     flip,
     invert,
     kron,
+    permute,
     rat,
 )
 from homyd.h4_library import build_h4
@@ -152,3 +155,152 @@ def test_tensor3_layout_and_sparse_access():
     assert t.sparse_pairs(0) == [(1, 1, rat(5))]
     with pytest.raises(DimensionMismatch):
         Tensor3((2, 2, 2), [rat(0)] * 7)
+
+
+# ---------------------------------------------------------------------------
+# the sparse column kernel against the dense reference
+# ---------------------------------------------------------------------------
+
+
+def random_map(rng, rows, cols, density):
+    """Seeded random map with about density * rows * cols nonzero entries,
+    small signed rationals so that sums cancel now and then."""
+    return LinearMap(rows, cols, [
+        Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 1, 2, 3)))
+        if rng.random() < density else 0
+        for _ in range(rows * cols)
+    ])
+
+
+def stored_values(f):
+    return [v for col in f._cols for v in col.values()]
+
+
+# (rows, inner, cols, density): the product shapes and densities of a tcat run
+TCAT_SHAPES = [(4, 4, 4, 0.25), (16, 16, 16, 0.068), (64, 64, 64, 0.019), (64, 256, 256, 0.007)]
+
+
+@pytest.mark.parametrize("rows, inner, cols, density", TCAT_SHAPES)
+def test_compose_matches_dense_reference(rows, inner, cols, density):
+    rng = random.Random(rows * 1000 + cols)
+    for _ in range(6):
+        f = random_map(rng, rows, inner, density)
+        g = random_map(rng, inner, cols, density)
+        got = compose(f, g)
+        want = dense.compose(f, g)
+        assert got == want
+        assert got.entries == want.entries
+        assert all(stored_values(got))
+
+
+def test_compose_matches_dense_reference_with_cancellation():
+    # dense enough that many output cells sum to zero
+    rng = random.Random(5)
+    cancelled = 0
+    for _ in range(40):
+        f = random_map(rng, 4, 6, 0.5)
+        g = random_map(rng, 6, 4, 0.5)
+        got = compose(f, g)
+        assert got == dense.compose(f, g)
+        assert all(stored_values(got))
+        cancelled += sum(1 for v in dense.compose(f, g).entries if not v)
+    assert cancelled
+
+
+@pytest.mark.parametrize("left, right", [
+    ((4, 4, 0.25), (4, 4, 0.25)),
+    ((16, 16, 0.068), (4, 4, 0.25)),
+    ((4, 16, 0.25), (16, 4, 0.068)),
+])
+def test_kron_matches_dense_reference(left, right):
+    rng = random.Random(len(left) + left[0] * right[1])
+    for _ in range(6):
+        f = random_map(rng, *left)
+        g = random_map(rng, *right)
+        got = kron(f, g)
+        assert got == dense.kron(f, g)
+        assert all(stored_values(got))
+
+
+def test_invert_matches_dense_reference():
+    rng = random.Random(31)
+    outcomes = []
+    for n, density in [(4, 0.25), (4, 0.6), (16, 0.068), (16, 0.3)]:
+        for _ in range(12):
+            m = random_map(rng, n, n, density)
+            try:
+                want = dense.invert(m)
+            except SingularMap as exc:
+                with pytest.raises(SingularMap) as got:
+                    invert(m)
+                assert str(got.value) == str(exc)
+                outcomes.append((n, "singular"))
+                continue
+            got = invert(m)
+            assert got == want
+            assert all(stored_values(got))
+            outcomes.append((n, "inverted"))
+    assert {(n, o) for n in (4, 16) for o in ("singular", "inverted")} <= set(outcomes)
+
+
+def test_invert_singular_with_nonzero_entries():
+    # rank 2: the third column is the sum of the first two
+    m = LinearMap.from_rows([[1, 2, 3], [0, 1, 1], [2, 0, 2]])
+    with pytest.raises(SingularMap) as want:
+        dense.invert(m)
+    with pytest.raises(SingularMap) as got:
+        invert(m)
+    assert str(got.value) == str(want.value) == "matrix is singular at column 2"
+
+
+def test_dense_built_and_kernel_built_maps_are_equal_and_hash_equal():
+    rng = random.Random(11)
+    for _ in range(10):
+        f = random_map(rng, 16, 16, 0.068)
+        g = random_map(rng, 16, 16, 0.068)
+        kernel = f @ g
+        rebuilt = LinearMap(16, 16, list(dense.compose(f, g).entries))
+        assert kernel == rebuilt and rebuilt == kernel
+        assert hash(kernel) == hash(rebuilt)
+        assert LinearMap.from_cols([kernel.column(j) for j in range(16)]) == kernel
+        assert kernel.transpose().transpose() == kernel
+    assert kron(LinearMap.identity(2), LinearMap.identity(3)) == LinearMap(
+        6, 6, [1 if i == j else 0 for i in range(6) for j in range(6)])
+    bumped = list(rebuilt.entries)
+    bumped[5] += 1
+    assert LinearMap(16, 16, bumped) != kernel
+
+
+def test_no_zeros_stored_after_entries_cancel():
+    f = LinearMap.from_rows([[1, 1]])
+    g = LinearMap.from_rows([[1], [-1]])
+    assert stored_values(f @ g) == []
+    assert f @ g == LinearMap.zeros(1, 1)
+    assert hash(f @ g) == hash(LinearMap.zeros(1, 1))
+    m = LinearMap.from_rows([[1, 1], [1, 2]])
+    assert all(stored_values(invert(m)))
+    assert invert(m) == LinearMap.from_rows([[2, -1], [-1, 1]])
+    assert stored_values(LinearMap(2, 2, [0, 3, 0, 0])) == [3]
+
+
+def test_permute_moves_legs():
+    dims = (2, 3, 2)
+    order = (2, 0, 1)
+    p = permute(dims, order)
+    assert (p.rows, p.cols) == (12, 12)
+    for src, idx in enumerate(itertools.product(*(range(d) for d in dims))):
+        tgt = idx[2] * 6 + idx[0] * 3 + idx[1]
+        assert p.column(src) == tuple(rat(int(i == tgt)) for i in range(12))
+    assert permute((4, 5), (1, 0)) == flip(4, 5)
+
+
+def test_tensor3_map_round_trip():
+    h = build_h4(3)
+    mul = h.mul.as_map(1)
+    assert (mul.rows, mul.cols) == (4, 16)
+    assert mul.column(2 * 4 + 1) == h.mul.fiber(2, 1)
+    comul = h.comul.as_map(2)
+    assert (comul.rows, comul.cols) == (16, 4)
+    assert comul.entry(2 * 4 + 0, 2) == h.comul.at(2, 2, 0)
+    assert Tensor3.from_map(h.mul.dims, mul) == h.mul
+    assert Tensor3.from_map(h.comul.dims, comul) == h.comul
