@@ -1060,10 +1060,9 @@ def run_checks(resolved, suite="all", seed=0):
             rep.extend(check_hom_module(yd.module).prefixed(name + ":"))
             rep.extend(check_hom_comodule(yd.comodule).prefixed(name + ":"))
             for pname, aut in (("pair-a", yd.pair_a), ("pair-b", yd.pair_b)):
-                sub = check_automorphism(yd.over, aut)
-                rep.add(
+                rep.add_verdict(
                     "%s:%s" % (name, pname), "component tag is a structure automorphism",
-                    sub.ok(), None if sub.ok() else sub.failures()[0].witness,
+                    check_automorphism(yd.over, aut),
                 )
             rep.extend(check_yd(yd).prefixed(name + ":"))
             rep.extend(check_yd_alt(yd).prefixed(name + ":"))

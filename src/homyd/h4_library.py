@@ -119,15 +119,6 @@ def _table_action(c, x_on_1, x_on_g, gx_on_1, gx_on_g):
     return Tensor3.from_dict((4, 4, 4), flat)
 
 
-def _comul_coaction(h):
-    """Coaction tensor of the regular coaction (the comultiplication)."""
-    d = h.dim
-    return Tensor3(
-        (d, d, d),
-        [h.comul.at(k, i, j) for k in range(d) for i in range(d) for j in range(d)],
-    )
-
-
 def build_h4_yd_table(which, p, check=True, h=None):
     """Golden Yetter-Drinfeld module table H4A, H4B or H4AB.
 
@@ -159,7 +150,7 @@ def build_h4_yd_table(which, p, check=True, h=None):
     if h is None:
         h = build_h4(c, check=check)
     module = HomModuleData(h, 4, action, h.alpha, basis=BASIS, check=check)
-    comodule = HomComoduleData(h, 4, _comul_coaction(h), h.alpha, basis=BASIS, check=check)
+    comodule = HomComoduleData(h, 4, h.comul, h.alpha, basis=BASIS, check=check)
     return YDModuleData(module, comodule, pair, check=check, label=which)
 
 

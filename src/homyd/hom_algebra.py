@@ -81,14 +81,13 @@ class HomCoalgebraData:
         self.counit = tuple(counit)
         self.gamma = gamma
         self.gamma_inv = invert(gamma)
-        self._sparse = [comul.sparse_pairs(k) for k in range(self.dim)]
         self.comul_map = comul.as_map(2)
         self.counit_map = LinearMap(1, self.dim, self.counit)
         _require(lambda: check_hom_coalgebra(self), check)
 
     def comul_terms(self, k):
         """Nonzero (i, j, coefficient) terms of comul(e_k)."""
-        return self._sparse[k]
+        return self.comul.sparse_pairs(k)
 
     def label(self, k):
         return self.basis[k]

@@ -62,6 +62,12 @@ class CheckReport:
     def add(self, identity, law, passed, witness=None):
         self.items.append(CheckItem(identity, law, passed, witness))
 
+    def add_verdict(self, identity, law, sub):
+        """Add one item that passes when every item of the report sub does,
+        carrying the witness of sub's first failure."""
+        ok = sub.ok()
+        self.add(identity, law, ok, None if ok else sub.failures()[0].witness)
+
     def prefixed(self, prefix):
         """Copy with every identity id prefixed."""
         items = [replace(it, identity=prefix + it.identity) for it in self.items]

@@ -96,13 +96,12 @@ class HomComoduleData:
         self.mu = mu
         self.mu_inv = invert(mu)
         self.basis = _auto_basis(dim, basis)
-        self._sparse = [coaction.sparse_pairs(k) for k in range(dim)]
         _require(lambda: check_hom_comodule(self), check)
 
     def coact_terms(self, k):
         """Right side: nonzero (p, j, coefficient) with p the carrier leg.
         Left side: nonzero (i, p, coefficient) with i the algebra leg."""
-        return self._sparse[k]
+        return self.coaction.sparse_pairs(k)
 
     def label(self, k):
         return self.basis[k]

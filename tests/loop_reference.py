@@ -1,0 +1,137 @@
+"""The loop builders of the crossed-category objects, kept for tests only.
+
+These are the tensor product, conjugation, braiding and inverse braiding as
+they were first written: loops over basis indices that assemble each
+structure tensor from dense coordinate vectors and the per-term views
+``comul_terms`` / ``coact_terms``.  The library builds the same objects as
+composites of the structure maps with the sparse kernel; the tests require
+both to agree entry for entry.
+"""
+
+from homyd.exactlin import LinearMap, Tensor3, ZERO, add_scaled, basis_vec, kron, tensor_vec
+from homyd.t_category import AutPair, BraidingMap, group_inv, group_mul
+from homyd.yd_modules import HomComoduleData, HomModuleData, YDModuleData, act_vv
+
+
+def tensor_yd(m, n, check=True, label=None):
+    """M (x) N with action h.(x (x) y) = C(h1).x (x) C^-1 B C(h2).y and
+    coaction (x0 (x) y0) (x) y1 x1, placed in component pair(M) * pair(N)."""
+    if m.over is not n.over and not m.over.equal_tables(n.over):
+        raise ValueError("tensor factors live over different algebras")
+    h = m.over
+    d = h.dim
+    dm, dn = m.dim, n.dim
+    dim = dm * dn
+    c_mat = n.pair_a.matrix
+    cbc = n.pair_a.inverse @ m.pair_b.matrix @ n.pair_a.matrix
+
+    act_entries = {}
+    for hk in range(d):
+        terms = h.comul_terms(hk)
+        for i in range(dm):
+            for j in range(dn):
+                out = [ZERO] * dim
+                for h1, h2, w in terms:
+                    mv = act_vv(m.action, c_mat.column(h1), basis_vec(dm, i))
+                    nv = act_vv(n.action, cbc.column(h2), basis_vec(dn, j))
+                    add_scaled(out, tensor_vec(mv, nv), w)
+                for t, v in enumerate(out):
+                    if v:
+                        act_entries[(hk, i * dn + j, t)] = v
+    action = Tensor3.from_dict((d, dim, dim), act_entries)
+
+    coact_entries = {}
+    for i in range(dm):
+        for j in range(dn):
+            src = i * dn + j
+            for p, a, w in m.coact_terms(i):
+                for q, b, w2 in n.coact_terms(j):
+                    hv = h.mul.fiber(b, a)
+                    tgt = p * dn + q
+                    for t, v in enumerate(hv):
+                        if v:
+                            key = (src, tgt, t)
+                            coact_entries[key] = coact_entries.get(key, ZERO) + w * w2 * v
+    coaction = Tensor3.from_dict((dim, dim, d), coact_entries)
+
+    pair = group_mul(AutPair.of(m), AutPair.of(n))
+    mu = kron(m.mu, n.mu)
+    basis = tuple("%s(x)%s" % (a, b) for a in m.basis for b in n.basis)
+    module = HomModuleData(h, dim, action, mu, basis=basis, check=check)
+    comodule = HomComoduleData(h, dim, coaction, mu, basis=basis, check=check)
+    name = label or "%s(x)%s" % (m.name, n.name)
+    return YDModuleData(module, comodule, (pair.a, pair.b), check=check, label=name)
+
+
+def conjugate_yd(p, n, check=True, label=None):
+    """The conjugation functor on objects: same carrier, action routed
+    through C^-1 B C A^-1, coaction leg twisted by A B^-1, component moved
+    to p * pair(N) * p^-1."""
+    h = n.over
+    d = h.dim
+    dn = n.dim
+    phi = n.pair_a.inverse @ p.b.matrix @ n.pair_a.matrix @ p.a.inverse
+    twist = p.a.matrix @ p.b.inverse
+
+    act_entries = {}
+    for hk in range(d):
+        hv = phi.column(hk)
+        for j in range(dn):
+            out = act_vv(n.action, hv, basis_vec(dn, j))
+            for t, v in enumerate(out):
+                if v:
+                    act_entries[(hk, j, t)] = v
+    action = Tensor3.from_dict((d, dn, dn), act_entries)
+
+    coact_entries = {}
+    for j in range(dn):
+        for q, a, w in n.coact_terms(j):
+            for t, v in enumerate(twist.column(a)):
+                if v:
+                    key = (j, q, t)
+                    coact_entries[key] = coact_entries.get(key, ZERO) + w * v
+    coaction = Tensor3.from_dict((dn, dn, d), coact_entries)
+
+    pair = group_mul(group_mul(p, AutPair.of(n)), group_inv(p))
+    module = HomModuleData(h, dn, action, n.mu, basis=n.basis, check=check)
+    comodule = HomComoduleData(h, dn, coaction, n.mu, basis=n.basis, check=check)
+    name = label or "^%s%s" % (p.name, n.name)
+    return YDModuleData(module, comodule, (pair.a, pair.b), check=check, label=name)
+
+
+def braiding(m, n):
+    """eq-3.3: c(x (x) y) = nu(y0) (x) B^-1(y1) . mu^-1(x), with B from M's
+    component pair and the action being M's."""
+    dm, dn = m.dim, n.dim
+    binv = m.pair_b.inverse
+    cols = []
+    for i in range(dm):
+        mi = m.mu_inv.column(i)
+        for j in range(dn):
+            out = [ZERO] * (dn * dm)
+            for p, a, w in n.coact_terms(j):
+                nv = n.mu.column(p)
+                mv = act_vv(m.action, binv.column(a), mi)
+                add_scaled(out, tensor_vec(nv, mv), w)
+            cols.append(out)
+    target_first = conjugate_yd(AutPair.of(m), n, check=False)
+    return BraidingMap((m, n), (target_first, m), LinearMap.from_cols(cols))
+
+
+def braiding_inverse(b):
+    """lemma-3.6: c^-1(y (x) x) = B^-1(S(y1)) . mu^-1(x) (x) nu(y0)."""
+    m, n = b.source
+    dm, dn = m.dim, n.dim
+    h = m.over
+    binvs = m.pair_b.inverse @ h.antipode
+    cols = []
+    for j in range(dn):
+        terms = n.coact_terms(j)
+        for i in range(dm):
+            mi = m.mu_inv.column(i)
+            out = [ZERO] * (dm * dn)
+            for p, a, w in terms:
+                mv = act_vv(m.action, binvs.column(a), mi)
+                add_scaled(out, tensor_vec(mv, n.mu.column(p)), w)
+            cols.append(out)
+    return LinearMap.from_cols(cols)

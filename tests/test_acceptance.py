@@ -2,6 +2,7 @@
 single pass line.  Every comparison is exact rational equality; nothing is
 approximate anywhere in this module."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -232,6 +233,8 @@ def test_criterion_9_parser_and_cli(tmp_path, capsys):
     # the shipped file passes the complete suite through the real CLI
     assert cli_main(["check", str(H4_ALG), "--suite", "all", "--report", "json"]) == 0
     out_all = capsys.readouterr().out
+    golden = json.loads((H4_ALG.parent / "perfbench" / "golden.json").read_text(encoding="utf-8"))
+    assert hashlib.sha256(out_all.encode("utf-8")).hexdigest() == golden["all-json"]
     ids = {item["id"] for item in json.loads(out_all)["items"]}
     assert any(i.endswith("eq-1.1") for i in ids)
     assert any(i.endswith("thm-3.7") for i in ids)

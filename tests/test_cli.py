@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -8,7 +9,10 @@ from homyd.cli import main, matrix_from_json
 from homyd.exactlin import LinearMap, rat
 from homyd.h4_library import H4Params, h4_braiding_matrix
 
-H4_ALG = str(Path(__file__).resolve().parent.parent / "h4.alg")
+ROOT = Path(__file__).resolve().parent.parent
+H4_ALG = str(ROOT / "h4.alg")
+#: sha256 digests of the shipped file's reports, recorded for the benchmark
+REPORT_GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
@@ -45,6 +49,12 @@ def test_check_corrupted_file_exits_one_with_witness(tmp_path, capsys):
     failing = [i for i in data["items"] if i["status"] == "fail"]
     assert failing
     assert any("witness" in i for i in failing)
+
+
+def test_tcat_json_report_bytes_match_golden(capsys):
+    code, out, _ = run(capsys, "check", H4_ALG, "--suite", "tcat", "--report", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPORT_GOLDEN["tcat-json"]
 
 
 def test_check_parse_error_exits_two(tmp_path, capsys):

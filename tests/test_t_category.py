@@ -1,11 +1,14 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from homyd.exactlin import LinearMap, ZERO, ONE, add_scaled, basis_vec, kron, rat, tensor_vec
-from homyd.hom_algebra import identity_automorphism
+import loop_reference as loop
+from homyd.defformat import parse_definition, resolve_definition
+from homyd.exactlin import LinearMap, Tensor3, ZERO, ONE, add_scaled, basis_vec, kron, rat, tensor_vec
+from homyd.hom_algebra import HopfAutomorphism, identity_automorphism
 from homyd.h4_library import H4Params, build_h4, build_h4_yd_table, build_twisted_h4b, h4_automorphism
 from homyd.t_category import (
     AutPair,
@@ -25,7 +28,7 @@ from homyd.t_category import (
     sample_nonzero_rationals,
     tensor_yd,
 )
-from homyd.yd_modules import YDModuleData, act_vv, check_yd, trivial_yd
+from homyd.yd_modules import HomComoduleData, HomModuleData, YDModuleData, check_yd, trivial_yd
 
 
 def pair_of(lam1, lam2, label=None):
@@ -401,3 +404,101 @@ def test_aggregate_suite_isolates_a_corrupted_module():
     assert "yd-member(BAD)" in failing
     assert "yd-member(H4A)" not in failing
     assert not rep.item("thm-3.7").passed
+
+
+# ---------------------------------------------------------------------------
+# composite builders against the loop reference
+# ---------------------------------------------------------------------------
+
+H4_ALG = Path(__file__).resolve().parent.parent / "h4.alg"
+SHIPPED_PARAMS = "[params]\nc = 1\ncp = 2\ncpp = 3\n"
+# the shipped point has alpha = mu = id; the other point twists every carrier
+POINTS = {"shipped": SHIPPED_PARAMS, "twisted": "[params]\nc = 2\ncp = 1/3\ncpp = -5\n"}
+
+
+@pytest.fixture(scope="module", params=sorted(POINTS))
+def file_objects(request):
+    """The ydmodules of h4.alg plus the trivial module, and the pairs
+    (id,id) and the file's P, resolved at one parameter point."""
+    text = H4_ALG.read_text(encoding="utf-8")
+    assert text.startswith(SHIPPED_PARAMS)
+    resolved = resolve_definition(parse_definition(POINTS[request.param] + text[len(SHIPPED_PARAMS):]))
+    _, h = resolved.get("H4")
+    _, (a, b) = resolved.get("P")
+    modules = [yd for _, yd in resolved.of_kind("ydmodule")] + [trivial_yd(h)]
+    return modules, [AutPair.identity(h.dim), AutPair(a, b, label="P")]
+
+
+def assert_same_object(got, want):
+    assert got.action == want.action
+    assert got.coaction == want.coaction
+    assert got.mu == want.mu
+    assert got.pair_a.matrix == want.pair_a.matrix
+    assert got.pair_b.matrix == want.pair_b.matrix
+    assert got.basis == want.basis
+    assert got.name == want.name
+
+
+def test_tensor_yd_matches_loop_reference(file_objects):
+    modules, _ = file_objects
+    for m, n in itertools.product(modules, repeat=2):
+        assert_same_object(tensor_yd(m, n, check=False), loop.tensor_yd(m, n, check=False))
+    for m, n, p in itertools.product(modules, repeat=3):
+        for first, second in ((tensor_yd(m, n, check=False), p), (m, tensor_yd(n, p, check=False))):
+            assert_same_object(
+                tensor_yd(first, second, check=False), loop.tensor_yd(first, second, check=False)
+            )
+
+
+def test_conjugate_yd_matches_loop_reference(file_objects):
+    modules, pairs = file_objects
+    for p, n in itertools.product(pairs, modules):
+        assert_same_object(conjugate_yd(p, n, check=False), loop.conjugate_yd(p, n, check=False))
+
+
+def test_braiding_and_inverse_match_loop_reference(file_objects):
+    modules, _ = file_objects
+    for m, n in itertools.product(modules, repeat=2):
+        b, want = braiding(m, n), loop.braiding(m, n)
+        assert b.matrix == want.matrix
+        assert_same_object(b.target[0], want.target[0])
+        assert braiding_inverse(b) == loop.braiding_inverse(want)
+
+
+def random_structure(h, rng, dim, label):
+    """Arbitrary (non-Yetter-Drinfeld) tables with an upper-triangular twist
+    and upper-triangular pair: composites and loops must agree on any data,
+    and such pairs do not commute, unlike the diagonal h4 automorphisms."""
+
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    def triangular(size):
+        return LinearMap.from_rows([
+            [Fraction(rng.choice((-2, 1, 3))) if i == j else entry() if j > i else ZERO
+             for j in range(size)]
+            for i in range(size)
+        ])
+
+    d = h.dim
+    mu = triangular(dim)
+    action = Tensor3((d, dim, dim), [entry() for _ in range(d * dim * dim)])
+    coaction = Tensor3((dim, dim, d), [entry() for _ in range(dim * dim * d)])
+    module = HomModuleData(h, dim, action, mu, check=False)
+    comodule = HomComoduleData(h, dim, coaction, mu, check=False)
+    pair = (HopfAutomorphism(triangular(d)), HopfAutomorphism(triangular(d)))
+    return YDModuleData(module, comodule, pair, check=False, label=label)
+
+
+def test_builders_match_loop_reference_on_arbitrary_tables():
+    rng = random.Random(2014)
+    h = build_h4(rat(-3, 2))
+    mods = [random_structure(h, rng, dim, "R%d" % dim) for dim in (1, 2, 3)]
+    p = AutPair(HopfAutomorphism(mods[1].pair_b.matrix), HopfAutomorphism(mods[2].pair_a.matrix))
+    for m, n in itertools.product(mods, repeat=2):
+        assert_same_object(tensor_yd(m, n, check=False), loop.tensor_yd(m, n, check=False))
+        b, want = braiding(m, n), loop.braiding(m, n)
+        assert b.matrix == want.matrix
+        assert braiding_inverse(b) == loop.braiding_inverse(want)
+    for n in mods:
+        assert_same_object(conjugate_yd(p, n, check=False), loop.conjugate_yd(p, n, check=False))

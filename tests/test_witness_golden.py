@@ -1,10 +1,12 @@
 """Witness bytes of failing reports stay fixed.
 
 Each case corrupts one line of the shipped ``h4.alg`` (or one entry of a
-library structure) and renders the JSON report of a suite.  The sha256 of
+library structure) and renders the JSON report of a suite; one module
+corruption also renders the crossed-category suite ``tcat``.  The sha256 of
 those bytes is compared with ``witness_golden.json``, which was recorded
 from the per-basis-tuple evaluators that predate the map-equality form of
-the laws: a change of these bytes is a change of what a user is shown.
+the laws (for ``tcat``, from the loop builders of ``t_category``): a change
+of these bytes is a change of what a user is shown.
 """
 
 import hashlib
@@ -68,6 +70,14 @@ CORRUPTIONS = [
 ]
 
 
+#: corruptions whose crossed-category report is pinned as well: a module
+#: coaction line makes tensor products, conjugates, braidings and hexagons fail
+TCAT_CORRUPTIONS = [
+    ("h4a-coact-x", "[ydmodule H4A over H4]", "coact: x -> 1 / c * x@1 + 1 / c * g@x",
+     "coact: x -> 1 / c * x@1 + 1 / c * 1@x"),
+]
+
+
 def corrupted_text(header, line, replacement):
     text = (ROOT / "h4.alg").read_text(encoding="utf-8")
     start = text.index(header)
@@ -124,6 +134,9 @@ def all_reports():
         df = parse_definition(corrupted_text(header, line, replacement))
         for suite in SUITES:
             reports["%s/%s" % (case, suite)] = run_checks(df, suite)
+    for case, header, line, replacement in TCAT_CORRUPTIONS:
+        df = parse_definition(corrupted_text(header, line, replacement))
+        reports["%s/tcat" % case] = run_checks(df, "tcat")
     for name, rep in library_reports().items():
         reports["library/%s" % name] = rep
     return reports
