@@ -356,14 +356,20 @@ def check_yd(yd):
     d, dm = h.dim, yd.dim
     mul, comul = h.algebra.mul_map, h.coalgebra.comul_map
     act, rho = yd.action_map(), yd.coaction_map()
-    ident = LinearMap.identity(d)
-    # legs (h1, h21, h22, m0, m1) -> (h21, m0, h22, m1, h1)
-    spread = permute((d, d, d, dm, d), (1, 3, 2, 4, 0)) @ kron(kron(ident, comul) @ comul, rho)
+    ident_m = LinearMap.identity(dm)
+    # (h2, m0) -> (alpha(h21).m0, h22): h2 is split only after h1 and m1 are
+    # parked behind it, so no intermediate has five legs
+    head = (
+        kron(act @ kron(h.alpha, ident_m), LinearMap.identity(d))
+        @ permute((d, d, dm), (0, 2, 1)) @ kron(comul, ident_m)
+    )
+    # legs (h1, h2, m0, m1) -> (h2, m0, m1, h1)
+    spread = permute((d, d, dm, d), (1, 2, 3, 0)) @ kron(comul, rho)
     tail = mul @ kron(mul @ kron(yd.pair_b.matrix, h.alpha_inv), yd.pair_a.matrix @ h.antipode_inv)
     check_matrix_equal(
         rep, "eq-2.1",
         "rho(h.m) = alpha(h21).m0 (x) (B(h22) alpha^-1(m1)) A(S^-1(h1))",
-        rho @ act, kron(act @ kron(h.alpha, LinearMap.identity(dm)), tail) @ spread,
+        rho @ act, kron(ident_m, tail) @ kron(head, LinearMap.identity(d * d)) @ spread,
         (d, dm), _legs(h.basis, yd.basis),
     )
     return rep
