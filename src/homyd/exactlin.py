@@ -208,14 +208,32 @@ def kron(f, g):
     """Kronecker product realising f (x) g on flattened tensor coordinates.
 
     Index convention: basis vector (i, j) of the domain sits at i*g.cols + j,
-    matching the global flattening.
+    matching the global flattening.  A column that is a basis vector, as in
+    every column of an identity or a leg permutation, places the other
+    factor's column without multiplying it by 1.
     """
     gr = g.rows
-    return _from_columns(f.rows * gr, tuple(
-        {i1 * gr + i2: a * b for i1, a in fcol.items() for i2, b in gcol.items()}
-        for fcol in f._cols
-        for gcol in g._cols
-    ))
+    g_units = [_unit_index(gcol) for gcol in g._cols]
+    out = []
+    for fcol in f._cols:
+        f_unit = _unit_index(fcol)
+        for gcol, g_unit in zip(g._cols, g_units):
+            if g_unit is not None:
+                out.append({i1 * gr + g_unit: a for i1, a in fcol.items()})
+            elif f_unit is not None:
+                out.append({f_unit * gr + i2: b for i2, b in gcol.items()})
+            else:
+                out.append({i1 * gr + i2: a * b for i1, a in fcol.items() for i2, b in gcol.items()})
+    return _from_columns(f.rows * gr, tuple(out))
+
+
+def _unit_index(col):
+    """i when the column is the basis vector e_i, else None."""
+    if len(col) == 1:
+        for i, e in col.items():
+            if e == ONE:
+                return i
+    return None
 
 
 def permute(dims, order):

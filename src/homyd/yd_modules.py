@@ -358,10 +358,11 @@ def check_yd(yd):
     act, rho = yd.action_map(), yd.coaction_map()
     ident_m = LinearMap.identity(dm)
     # (h2, m0) -> (alpha(h21).m0, h22): h2 is split only after h1 and m1 are
-    # parked behind it, so no intermediate has five legs
+    # parked behind it, so no intermediate has five legs; the parentheses
+    # keep each product's right factor thin
     head = (
         kron(act @ kron(h.alpha, ident_m), LinearMap.identity(d))
-        @ permute((d, d, dm), (0, 2, 1)) @ kron(comul, ident_m)
+        @ (permute((d, d, dm), (0, 2, 1)) @ kron(comul, ident_m))
     )
     # legs (h1, h2, m0, m1) -> (h2, m0, m1, h1)
     spread = permute((d, d, dm, d), (1, 2, 3, 0)) @ kron(comul, rho)
@@ -369,7 +370,7 @@ def check_yd(yd):
     check_matrix_equal(
         rep, "eq-2.1",
         "rho(h.m) = alpha(h21).m0 (x) (B(h22) alpha^-1(m1)) A(S^-1(h1))",
-        rho @ act, kron(ident_m, tail) @ kron(head, LinearMap.identity(d * d)) @ spread,
+        rho @ act, kron(ident_m, tail) @ (kron(head, LinearMap.identity(d * d)) @ spread),
         (d, dm), _legs(h.basis, yd.basis),
     )
     return rep

@@ -304,3 +304,16 @@ def test_tensor3_map_round_trip():
     assert comul.entry(2 * 4 + 0, 2) == h.comul.at(2, 2, 0)
     assert Tensor3.from_map(h.mul.dims, mul) == h.mul
     assert Tensor3.from_map(h.comul.dims, comul) == h.comul
+
+
+def test_kron_with_basis_vector_columns_matches_dense_reference():
+    rng = random.Random(17)
+    swap = permute((2, 3), (1, 0))
+    scaled = LinearMap(2, 2, [rat(2), 0, 0, 1])
+    for unitary in (LinearMap.identity(4), swap, scaled):
+        for shape in ((4, 6, 0.3), (6, 4, 0.5), (1, 1, 1.0)):
+            g = random_map(rng, *shape)
+            for got, want in ((kron(unitary, g), dense.kron(unitary, g)),
+                              (kron(g, unitary), dense.kron(g, unitary))):
+                assert got == want
+                assert all(stored_values(got))
