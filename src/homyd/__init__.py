@@ -1,6 +1,6 @@
 """Exact verification of twisted Hopf-algebra structures, their
 Yetter-Drinfeld modules, entwining structures and braidings, all over the
-rationals with structure-constant representations."""
+rationals with structure-map representations."""
 
 from .exactlin import (
     DimensionMismatch,

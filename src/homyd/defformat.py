@@ -854,7 +854,7 @@ def _resolve_algebra_parts(section, rf, basis):
             if v:
                 mul[(i, j, k)] = v
     alpha = _square_map(g, "alpha", basis, params)
-    return Tensor3.from_dict((n, n, n), mul), unit, alpha
+    return Tensor3.from_dict((n, n, n), mul).as_map(1), unit, alpha
 
 
 def _resolve_coalgebra_parts(section, rf, basis, twist_key):
@@ -872,7 +872,7 @@ def _resolve_coalgebra_parts(section, rf, basis, twist_key):
     for e in g.get("counit", []):
         counit[basis.index(e.args[0])] = eval_expr(e.value, params, e.line)
     gamma = _square_map(g, twist_key, basis, params)
-    return Tensor3.from_dict((n, n, n), comul), tuple(counit), gamma
+    return Tensor3.from_dict((n, n, n), comul).as_map(2), tuple(counit), gamma
 
 
 def _build_algebra(section, rf):
@@ -927,7 +927,7 @@ def _resolve_carrier(section, rf, h):
             for k, v in enumerate(vec):
                 if v:
                     act[(i, j, k)] = v
-        action = Tensor3.from_dict((h.dim, dm, dm), act)
+        action = Tensor3.from_dict((h.dim, dm, dm), act).as_map(1)
     coaction = None
     if g.get("coact"):
         coa = {}
@@ -938,7 +938,7 @@ def _resolve_carrier(section, rf, h):
                 a = h.basis.index(t.atom[1])
                 key = (k, p, a)
                 coa[key] = coa.get(key, ZERO) + eval_expr(t.coef, params, e.line)
-        coaction = Tensor3.from_dict((dm, dm, h.dim), coa)
+        coaction = Tensor3.from_dict((dm, dm, h.dim), coa).as_map(2)
     return basis, mu, action, coaction
 
 

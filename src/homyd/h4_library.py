@@ -116,7 +116,7 @@ def _table_action(c, x_on_1, x_on_g, gx_on_1, gx_on_g):
     for (h, m), targets in data.items():
         for t, v in targets.items():
             flat[(h, m, t)] = v
-    return Tensor3.from_dict((4, 4, 4), flat)
+    return Tensor3.from_dict((4, 4, 4), flat).as_map(1)
 
 
 def build_h4_yd_table(which, p, check=True, h=None):
@@ -150,7 +150,7 @@ def build_h4_yd_table(which, p, check=True, h=None):
     if h is None:
         h = build_h4(c, check=check)
     module = HomModuleData(h, 4, action, h.alpha, basis=BASIS, check=check)
-    comodule = HomComoduleData(h, 4, h.comul, h.alpha, basis=BASIS, check=check)
+    comodule = HomComoduleData(h, 4, h.coalgebra.comul_map, h.alpha, basis=BASIS, check=check)
     return YDModuleData(module, comodule, pair, check=check, label=which)
 
 
@@ -178,7 +178,7 @@ def build_twisted_h4b(p, check=True, h=None):
             (_X, _X, _I): cinv, (_X, _G, _X): cinv * cp,
             (_GX, _GX, _G): cinv, (_GX, _I, _GX): cinv * cp,
         },
-    )
+    ).as_map(2)
     if h is None:
         h = build_h4(c, check=check)
     ident = HopfAutomorphism(LinearMap.identity(4))
@@ -242,16 +242,14 @@ def golden_table_errata(p):
     rep = CheckReport("golden-table-errata")
     for name in ("H4A", "H4B", "H4AB"):
         variant_action, (a_aut, b_aut) = variants[name]
-        constructed = build_canonical_yd(h, a_aut, b_aut, check=False)
+        constructed = build_canonical_yd(h, a_aut, b_aut, check=False).action_map()
         mismatch = None
         for hk in range(4):
             for mk in range(4):
-                got = variant_action.fiber(hk, mk)
-                want = constructed.action.fiber(hk, mk)
+                got = variant_action.column(hk * 4 + mk)
+                want = constructed.column(hk * 4 + mk)
                 if got != want and mismatch is None:
-                    mismatch = Witness(
-                        (hk, mk), (BASIS[hk], BASIS[mk]), tuple(got), tuple(want)
-                    )
+                    mismatch = Witness((hk, mk), (BASIS[hk], BASIS[mk]), got, want)
         rep.add(
             "variant-table-%s" % name,
             "sign-variant action table equals the constructed action",

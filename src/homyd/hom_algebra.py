@@ -1,4 +1,4 @@
-"""Structure-constant representation of twisted (Hom-type) algebras,
+"""Structure-map representation of twisted (Hom-type) algebras,
 coalgebras, bialgebras and Hopf algebras, with a machine-checked axiom
 catalogue.
 
@@ -15,7 +15,7 @@ numbering groups the structure-level laws as the 1.x family.
 
 from __future__ import annotations
 
-from .exactlin import LinearMap, flip, invert, kron, permute
+from .exactlin import LinearMap, Tensor3, flip, invert, kron, permute
 from .reports import CheckReport, check_matrix_equal
 
 
@@ -37,30 +37,41 @@ def _require(report_fn, check):
             raise InvalidStructure(report)
 
 
+def _require_shape(suite, what, f, rows, cols):
+    """Reject a structure map that is not rows x cols."""
+    if (f.rows, f.cols) != (rows, cols):
+        raise InvalidStructure(_shape_report(
+            suite, "%s shape %dx%d, expected %dx%d" % (what, f.rows, f.cols, rows, cols)))
+
+
 # ---------------------------------------------------------------------------
 # data types
 # ---------------------------------------------------------------------------
 
 
 class HomAlgebraData:
-    """Twisted unital algebra (A, m, 1, alpha) given by structure constants.
+    """Twisted unital algebra (A, m, 1, alpha) given by structure maps.
 
-    mul.at(i, j, k) is the coefficient of e_k in e_i e_j; unit is the
-    coordinate vector of 1; alpha is the invertible twist.
+    mul_map is m : A (x) A -> A, so column i*dim + j is the coordinate
+    vector of e_i e_j; unit is the coordinate vector of 1; alpha is the
+    invertible twist.
     """
 
-    def __init__(self, basis, mul, unit, alpha, check=True):
+    def __init__(self, basis, mul_map, unit, alpha, check=True):
         self.basis = tuple(basis)
-        self.dim = len(self.basis)
-        if mul.dims != (self.dim,) * 3:
-            raise InvalidStructure(_shape_report("hom-algebra", "mul dims %r" % (mul.dims,)))
-        self.mul = mul
+        self.dim = d = len(self.basis)
+        _require_shape("hom-algebra", "mul", mul_map, d, d * d)
+        self.mul_map = mul_map
         self.unit = tuple(unit)
         self.alpha = alpha
         self.alpha_inv = invert(alpha)
-        self.mul_map = mul.as_map(1)
-        self.unit_map = LinearMap(self.dim, 1, self.unit)
+        self.unit_map = LinearMap(d, 1, self.unit)
         _require(lambda: check_hom_algebra(self), check)
+
+    @property
+    def mul(self):
+        """Read-only table view: mul.at(i, j, k) is the e_k coefficient of e_i e_j."""
+        return Tensor3.from_map((self.dim,) * 3, self.mul_map)
 
     def label(self, k):
         return self.basis[k]
@@ -69,25 +80,25 @@ class HomAlgebraData:
 class HomCoalgebraData:
     """Twisted counital coalgebra (C, comul, counit, gamma).
 
-    comul.at(k, i, j) is the coefficient of e_i (x) e_j in comul(e_k).
+    comul_map is C -> C (x) C, so row i*dim + j of column k is the
+    coefficient of e_i (x) e_j in comul(e_k).
     """
 
-    def __init__(self, basis, comul, counit, gamma, check=True):
+    def __init__(self, basis, comul_map, counit, gamma, check=True):
         self.basis = tuple(basis)
-        self.dim = len(self.basis)
-        if comul.dims != (self.dim,) * 3:
-            raise InvalidStructure(_shape_report("hom-coalgebra", "comul dims %r" % (comul.dims,)))
-        self.comul = comul
+        self.dim = d = len(self.basis)
+        _require_shape("hom-coalgebra", "comul", comul_map, d * d, d)
+        self.comul_map = comul_map
         self.counit = tuple(counit)
         self.gamma = gamma
         self.gamma_inv = invert(gamma)
-        self.comul_map = comul.as_map(2)
-        self.counit_map = LinearMap(1, self.dim, self.counit)
+        self.counit_map = LinearMap(1, d, self.counit)
         _require(lambda: check_hom_coalgebra(self), check)
 
-    def comul_terms(self, k):
-        """Nonzero (i, j, coefficient) terms of comul(e_k)."""
-        return self.comul.sparse_pairs(k)
+    @property
+    def comul(self):
+        """Read-only table view: comul.at(k, i, j) is the e_i (x) e_j coefficient of comul(e_k)."""
+        return Tensor3.from_map((self.dim,) * 3, self.comul_map)
 
     def label(self, k):
         return self.basis[k]
@@ -112,15 +123,14 @@ class HomHopfAlgebraData:
         self.coalgebra = coalgebra
         self.antipode = antipode
         self.antipode_inv = invert(antipode)
-        if check:
-            rep = check_hom_bialgebra(self)
-            rep.extend(check_antipode(self))
-            _require(lambda: rep, True)
+        _require(lambda: CheckReport("hom-hopf").extend(check_hom_bialgebra(self))
+                                                .extend(check_antipode(self)), check)
 
     @classmethod
     def from_tables(cls, basis, mul, unit, comul, counit, antipode, alpha, check=True):
-        alg = HomAlgebraData(basis, mul, unit, alpha, check=check)
-        coa = HomCoalgebraData(basis, comul, counit, alpha, check=check)
+        """Build from Tensor3 table literals: mul[i, j, k] and comul[k, i, j]."""
+        alg = HomAlgebraData(basis, mul.as_map(1), unit, alpha, check=check)
+        coa = HomCoalgebraData(basis, comul.as_map(2), counit, alpha, check=check)
         return cls(alg, coa, antipode, check=check)
 
     # convenience pass-throughs used all over the higher layers
@@ -156,19 +166,16 @@ class HomHopfAlgebraData:
     def counit(self):
         return self.coalgebra.counit
 
-    def comul_terms(self, k):
-        return self.coalgebra.comul_terms(k)
-
     def label(self, k):
         return self.algebra.basis[k]
 
     def equal_tables(self, other):
-        """Structural equality of every structure constant."""
+        """Structural equality of every structure map."""
         return (
             self.basis == other.basis
-            and self.mul == other.mul
+            and self.algebra.mul_map == other.algebra.mul_map
             and self.unit == other.unit
-            and self.comul == other.comul
+            and self.coalgebra.comul_map == other.coalgebra.comul_map
             and self.counit == other.counit
             and self.alpha == other.alpha
             and self.antipode == other.antipode

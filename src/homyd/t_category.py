@@ -19,7 +19,7 @@ crosses from M (x) N to (conjugated N) (x) M, with inverse
 Each object is a composite of the stored structure maps built with @, kron
 and permute, as the laws in hom_algebra and yd_modules are.  "Equality of
 objects" in the functor identities below always means equality of
-structure tensors on the flattened carrier, the strongest checkable reading.
+structure maps on the flattened carrier, the strongest checkable reading.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .exactlin import LinearMap, Tensor3, flip, kron, permute
+from .exactlin import LinearMap, flip, kron, permute
 from .hom_algebra import HopfAutomorphism, check_automorphism, identity_automorphism
 from .reports import CheckReport, Witness, check_matrix_equal
 from .yd_modules import HomComoduleData, HomModuleData, YDModuleData, check_yd, trivial_yd
@@ -108,8 +108,8 @@ def tensor_yd(m, n, check=True, label=None):
     pair = group_mul(AutPair.of(m), AutPair.of(n))
     mu = kron(m.mu, n.mu)
     basis = tuple("%s(x)%s" % (a, b) for a in m.basis for b in n.basis)
-    module = HomModuleData(h, dim, Tensor3.from_map((d, dim, dim), act), mu, basis=basis, check=check)
-    comodule = HomComoduleData(h, dim, Tensor3.from_map((dim, dim, d), coact), mu, basis=basis, check=check)
+    module = HomModuleData(h, dim, act, mu, basis=basis, check=check)
+    comodule = HomComoduleData(h, dim, coact, mu, basis=basis, check=check)
     name = label or "%s(x)%s" % (m.name, n.name)
     return YDModuleData(module, comodule, (pair.a, pair.b), check=check, label=name)
 
@@ -122,13 +122,13 @@ def conjugate_yd(p, n, check=True, label=None):
         rho(y) = y0 (x) A B^-1(y1) = (id (x) A B^-1) rho_N.
     """
     h = n.over
-    d, dn = h.dim, n.dim
+    dn = n.dim
     phi = n.pair_a.inverse @ p.b.matrix @ n.pair_a.matrix @ p.a.inverse
     act = n.action_map() @ kron(phi, LinearMap.identity(dn))
     coact = kron(LinearMap.identity(dn), p.a.matrix @ p.b.inverse) @ n.coaction_map()
     pair = group_mul(group_mul(p, AutPair.of(n)), group_inv(p))
-    module = HomModuleData(h, dn, Tensor3.from_map((d, dn, dn), act), n.mu, basis=n.basis, check=check)
-    comodule = HomComoduleData(h, dn, Tensor3.from_map((dn, dn, d), coact), n.mu, basis=n.basis, check=check)
+    module = HomModuleData(h, dn, act, n.mu, basis=n.basis, check=check)
+    comodule = HomComoduleData(h, dn, coact, n.mu, basis=n.basis, check=check)
     name = label or "^%s%s" % (p.name, n.name)
     return YDModuleData(module, comodule, (pair.a, pair.b), check=check, label=name)
 
@@ -141,10 +141,15 @@ def conjugate_yd(p, n, check=True, label=None):
 class BraidingMap:
     """The component-crossing isomorphism M (x) N -> (^M N) (x) M."""
 
-    def __init__(self, source, target, matrix):
+    def __init__(self, source, matrix):
         self.source = source
-        self.target = target
         self.matrix = matrix
+
+    @property
+    def target(self):
+        """(^M N, M), built when read."""
+        m, n = self.source
+        return conjugate_yd(AutPair.of(m), n, check=False), m
 
     def __repr__(self):
         m, n = self.source
@@ -159,8 +164,7 @@ def braiding(m, n):
     """
     act = m.action_map() @ kron(m.pair_b.inverse, m.mu_inv)
     matrix = kron(n.mu, act) @ kron(n.coaction_map(), LinearMap.identity(m.dim)) @ flip(m.dim, n.dim)
-    target_first = conjugate_yd(AutPair.of(m), n, check=False)
-    return BraidingMap((m, n), (target_first, m), matrix)
+    return BraidingMap((m, n), matrix)
 
 
 def braiding_inverse(b):
@@ -206,7 +210,7 @@ def check_braiding_equivariance(b):
     h = m.over
     tag = _pair_labels(m, n)
     src = tensor_yd(m, n, check=False)
-    tgt = tensor_yd(b.target[0], b.target[1], check=False)
+    tgt = tensor_yd(*b.target, check=False)
 
     lhs = b.matrix @ src.action_map()
     rhs = tgt.action_map() @ kron(LinearMap.identity(h.dim), b.matrix)
@@ -326,9 +330,9 @@ def _structures_equal(rep, ident, law, x, y):
     witness = None
     if not ok:
         pieces = []
-        if x.action != y.action:
+        if x.action_map() != y.action_map():
             pieces.append("action")
-        if x.coaction != y.coaction:
+        if x.coaction_map() != y.coaction_map():
             pieces.append("coaction")
         if x.mu != y.mu:
             pieces.append("twist")

@@ -3,10 +3,11 @@ structures and bicomodule algebras.
 
 Conventions, fixed throughout:
 
-* actions are left actions H (x) M -> M, stored as Tensor3 with
-  act.at(h, m, p) the coefficient of f_p in e_h . f_m;
-* right coactions M -> M (x) H store coact.at(m, p, j) = coefficient of
-  f_p (x) e_j; left coactions M -> H (x) M store coact.at(m, i, p);
+* actions are left actions H (x) M -> M, stored as the LinearMap act_map,
+  whose column h*dim(M) + m is the coordinate vector of e_h . f_m;
+* right coactions M -> M (x) H are stored as coact_map, whose column m
+  holds the coefficient of f_p (x) e_j in row p*dim(H) + j; left coactions
+  M -> H (x) M hold that of e_i (x) f_p in row i*dim(M) + p;
 * every carrier comes with its own invertible twist mu, and every axiom
   below is the mu/alpha-twisted one.
 
@@ -37,6 +38,7 @@ from .hom_algebra import (
     check_automorphism,
     identity_automorphism,
     _require,
+    _require_shape,
     _shape_report,
 )
 from .reports import CheckReport, check_matrix_equal
@@ -62,17 +64,20 @@ def _auto_basis(dim, basis):
 class HomModuleData:
     """Left twisted module over a twisted Hopf algebra."""
 
-    def __init__(self, over, dim, action, mu, basis=None, check=True):
+    def __init__(self, over, dim, act_map, mu, basis=None, check=True):
         self.over = over
         self.dim = dim
-        if action.dims != (over.dim, dim, dim):
-            raise InvalidStructure(_shape_report("hom-module", "action dims %r" % (action.dims,)))
-        self.action = action
-        self.act_map = action.as_map(1)
+        _require_shape("hom-module", "action", act_map, dim, over.dim * dim)
+        self.act_map = act_map
         self.mu = mu
         self.mu_inv = invert(mu)
         self.basis = _auto_basis(dim, basis)
         _require(lambda: check_hom_module(self), check)
+
+    @property
+    def action(self):
+        """Read-only table view: action.at(h, m, p) is the f_p coefficient of e_h . f_m."""
+        return Tensor3.from_map((self.over.dim, self.dim, self.dim), self.act_map)
 
     def label(self, k):
         return self.basis[k]
@@ -82,26 +87,22 @@ class HomComoduleData:
     """Twisted comodule; right-sided by default, left-sided for the
     bicomodule-algebra machinery."""
 
-    def __init__(self, over, dim, coaction, mu, basis=None, side="right", check=True):
+    def __init__(self, over, dim, coact_map, mu, basis=None, side="right", check=True):
         self.over = over
         self.dim = dim
         self.side = side
-        want = (dim, dim, over.dim) if side == "right" else (dim, over.dim, dim)
-        if coaction.dims != want:
-            raise InvalidStructure(
-                _shape_report("hom-comodule", "coaction dims %r, expected %r" % (coaction.dims, want))
-            )
-        self.coaction = coaction
-        self.coact_map = coaction.as_map(2)
+        _require_shape("hom-comodule", "coaction", coact_map, dim * over.dim, dim)
+        self.coact_map = coact_map
         self.mu = mu
         self.mu_inv = invert(mu)
         self.basis = _auto_basis(dim, basis)
         _require(lambda: check_hom_comodule(self), check)
 
-    def coact_terms(self, k):
-        """Right side: nonzero (p, j, coefficient) with p the carrier leg.
-        Left side: nonzero (i, p, coefficient) with i the algebra leg."""
-        return self.coaction.sparse_pairs(k)
+    @property
+    def coaction(self):
+        """Read-only table view: coaction.at(m, p, j) (right) or .at(m, i, p) (left)."""
+        d, dm = self.over.dim, self.dim
+        return Tensor3.from_map((dm, dm, d) if self.side == "right" else (dm, d, dm), self.coact_map)
 
     def label(self, k):
         return self.basis[k]
@@ -124,12 +125,10 @@ class YDModuleData:
         self.comodule = comodule
         self.pair = (pair[0], pair[1])
         self.name = label or "M"
-        if check:
-            rep = check_hom_module(module)
-            rep.extend(check_hom_comodule(comodule))
-            rep.extend(check_yd(self))
-            rep.extend(check_yd_alt(self))
-            _require(lambda: rep, True)
+        _require(lambda: CheckReport("yd-module").extend(check_hom_module(module))
+                                                 .extend(check_hom_comodule(comodule))
+                                                 .extend(check_yd(self))
+                                                 .extend(check_yd_alt(self)), check)
 
     @property
     def over(self):
@@ -167,9 +166,6 @@ class YDModuleData:
     def pair_b(self):
         return self.pair[1]
 
-    def coact_terms(self, k):
-        return self.comodule.coact_terms(k)
-
     def action_map(self):
         """The action as a LinearMap H (x) M -> M."""
         return self.module.act_map
@@ -179,12 +175,12 @@ class YDModuleData:
         return self.comodule.coact_map
 
     def same_structure(self, other):
-        """Strict object equality: equal structure tensors on the flattened
+        """Strict object equality: equal structure maps on the flattened
         carrier and equal component pair."""
         return (
             self.dim == other.dim
-            and self.action == other.action
-            and self.coaction == other.coaction
+            and self.action_map() == other.action_map()
+            and self.coaction_map() == other.coaction_map()
             and self.mu == other.mu
             and self.pair_a.matrix == other.pair_a.matrix
             and self.pair_b.matrix == other.pair_b.matrix
@@ -210,11 +206,9 @@ class BicomoduleAlgebraData:
     Hopf algebra."""
 
     def __init__(self, over, carrier, left_coaction, right_coaction, check=True):
-        d, dn = over.dim, carrier.dim
-        if left_coaction.dims != (dn, d, dn):
-            raise InvalidStructure(_shape_report("bicomodule-algebra", "left coaction dims %r" % (left_coaction.dims,)))
-        if right_coaction.dims != (dn, dn, d):
-            raise InvalidStructure(_shape_report("bicomodule-algebra", "right coaction dims %r" % (right_coaction.dims,)))
+        dn = carrier.dim
+        _require_shape("bicomodule-algebra", "left coaction", left_coaction, over.dim * dn, dn)
+        _require_shape("bicomodule-algebra", "right coaction", right_coaction, over.dim * dn, dn)
         self.over = over
         self.carrier = carrier
         self.left = HomComoduleData(over, dn, left_coaction, carrier.alpha,
@@ -420,20 +414,17 @@ def build_canonical_yd(h, a_aut, b_aut, check=True, label=None):
         mul @ kron(mul @ kron(b_aut.matrix, h.alpha_inv), tail) @ permute((d, d, d), (1, 2, 0))
         @ kron(h.coalgebra.comul_map, LinearMap.identity(d))
     )
-    module = HomModuleData(h, d, Tensor3.from_map((d, d, d), act), h.alpha, basis=h.basis, check=check)
-    comodule = HomComoduleData(h, d, h.comul, h.alpha, basis=h.basis, check=check)
+    module = HomModuleData(h, d, act, h.alpha, basis=h.basis, check=check)
+    comodule = HomComoduleData(h, d, h.coalgebra.comul_map, h.alpha, basis=h.basis, check=check)
     return YDModuleData(module, comodule, (a_aut, b_aut), check=check, label=label or "H(A,B)")
 
 
 def trivial_yd(h, label="k"):
     """The one-dimensional carrier: action through the counit, coaction
     through the unit, identity twist, component (id, id)."""
-    d = h.dim
-    action = Tensor3((d, 1, 1), [h.counit[i] for i in range(d)])
-    coaction = Tensor3((1, 1, d), list(h.unit))
-    ident = identity_automorphism(d)
-    module = HomModuleData(h, 1, action, LinearMap.identity(1), basis=("1",), check=True)
-    comodule = HomComoduleData(h, 1, coaction, LinearMap.identity(1), basis=("1",), check=True)
+    ident = identity_automorphism(h.dim)
+    module = HomModuleData(h, 1, h.coalgebra.counit_map, LinearMap.identity(1), basis=("1",), check=True)
+    comodule = HomComoduleData(h, 1, h.algebra.unit_map, LinearMap.identity(1), basis=("1",), check=True)
     return YDModuleData(module, comodule, (ident, ident), check=True, label=label)
 
 
@@ -528,14 +519,9 @@ def check_entwined_module(m, e):
 def build_bicomodule_algebra(h, a_aut, b_aut, check=True):
     """Coactions h -> A(h1) (x) h2 and h -> h1 (x) B(h2) on the carrier H."""
     _require_automorphisms(h, (a_aut, b_aut), check)
-    d = h.dim
-    comul, ident = h.coalgebra.comul_map, LinearMap.identity(d)
+    comul, ident = h.coalgebra.comul_map, LinearMap.identity(h.dim)
     return BicomoduleAlgebraData(
-        h,
-        h.algebra,
-        Tensor3.from_map((d, d, d), kron(a_aut.matrix, ident) @ comul),
-        Tensor3.from_map((d, d, d), kron(ident, b_aut.matrix) @ comul),
-        check=check,
+        h, h.algebra, kron(a_aut.matrix, ident) @ comul, kron(ident, b_aut.matrix) @ comul, check=check,
     )
 
 

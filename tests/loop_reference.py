@@ -3,14 +3,31 @@
 These are the tensor product, conjugation, braiding and inverse braiding as
 they were first written: loops over basis indices that assemble each
 structure tensor from dense coordinate vectors and the per-term views
-``comul_terms`` / ``coact_terms``.  The library builds the same objects as
-composites of the structure maps with the sparse kernel; the tests require
+``comul_terms`` / ``coact_terms`` below.  The library builds the same objects
+as composites of the structure maps with the sparse kernel; the tests require
 both to agree entry for entry.
 """
 
+from types import SimpleNamespace
+
 from homyd.exactlin import LinearMap, Tensor3, ZERO, add_scaled, basis_vec, kron, tensor_vec
-from homyd.t_category import AutPair, BraidingMap, group_inv, group_mul
+from homyd.t_category import AutPair, group_inv, group_mul
 from homyd.yd_modules import HomComoduleData, HomModuleData, YDModuleData, act_vv
+
+
+def comul_terms(h, k):
+    """Nonzero (i, j, coefficient) terms of comul(e_k), read from column k
+    of the stored comultiplication map."""
+    d = h.dim
+    return [(t // d, t % d, w) for t, w in enumerate(h.coalgebra.comul_map.column(k)) if w]
+
+
+def coact_terms(comodule, k):
+    """Nonzero terms of the coaction of f_k, read from column k of the
+    stored coaction map.  Right side: (p, j, coefficient) with p the carrier
+    leg.  Left side: (i, p, coefficient) with i the algebra leg."""
+    inner = comodule.over.dim if comodule.side == "right" else comodule.dim
+    return [(t // inner, t % inner, w) for t, w in enumerate(comodule.coact_map.column(k)) if w]
 
 
 def tensor_yd(m, n, check=True, label=None):
@@ -24,16 +41,17 @@ def tensor_yd(m, n, check=True, label=None):
     dim = dm * dn
     c_mat = n.pair_a.matrix
     cbc = n.pair_a.inverse @ m.pair_b.matrix @ n.pair_a.matrix
+    m_action, n_action = m.action, n.action
 
     act_entries = {}
     for hk in range(d):
-        terms = h.comul_terms(hk)
+        terms = comul_terms(h, hk)
         for i in range(dm):
             for j in range(dn):
                 out = [ZERO] * dim
                 for h1, h2, w in terms:
-                    mv = act_vv(m.action, c_mat.column(h1), basis_vec(dm, i))
-                    nv = act_vv(n.action, cbc.column(h2), basis_vec(dn, j))
+                    mv = act_vv(m_action, c_mat.column(h1), basis_vec(dm, i))
+                    nv = act_vv(n_action, cbc.column(h2), basis_vec(dn, j))
                     add_scaled(out, tensor_vec(mv, nv), w)
                 for t, v in enumerate(out):
                     if v:
@@ -41,12 +59,13 @@ def tensor_yd(m, n, check=True, label=None):
     action = Tensor3.from_dict((d, dim, dim), act_entries)
 
     coact_entries = {}
+    mul = h.mul
     for i in range(dm):
         for j in range(dn):
             src = i * dn + j
-            for p, a, w in m.coact_terms(i):
-                for q, b, w2 in n.coact_terms(j):
-                    hv = h.mul.fiber(b, a)
+            for p, a, w in coact_terms(m.comodule, i):
+                for q, b, w2 in coact_terms(n.comodule, j):
+                    hv = mul.fiber(b, a)
                     tgt = p * dn + q
                     for t, v in enumerate(hv):
                         if v:
@@ -57,8 +76,8 @@ def tensor_yd(m, n, check=True, label=None):
     pair = group_mul(AutPair.of(m), AutPair.of(n))
     mu = kron(m.mu, n.mu)
     basis = tuple("%s(x)%s" % (a, b) for a in m.basis for b in n.basis)
-    module = HomModuleData(h, dim, action, mu, basis=basis, check=check)
-    comodule = HomComoduleData(h, dim, coaction, mu, basis=basis, check=check)
+    module = HomModuleData(h, dim, action.as_map(1), mu, basis=basis, check=check)
+    comodule = HomComoduleData(h, dim, coaction.as_map(2), mu, basis=basis, check=check)
     name = label or "%s(x)%s" % (m.name, n.name)
     return YDModuleData(module, comodule, (pair.a, pair.b), check=check, label=name)
 
@@ -72,12 +91,13 @@ def conjugate_yd(p, n, check=True, label=None):
     dn = n.dim
     phi = n.pair_a.inverse @ p.b.matrix @ n.pair_a.matrix @ p.a.inverse
     twist = p.a.matrix @ p.b.inverse
+    n_action = n.action
 
     act_entries = {}
     for hk in range(d):
         hv = phi.column(hk)
         for j in range(dn):
-            out = act_vv(n.action, hv, basis_vec(dn, j))
+            out = act_vv(n_action, hv, basis_vec(dn, j))
             for t, v in enumerate(out):
                 if v:
                     act_entries[(hk, j, t)] = v
@@ -85,7 +105,7 @@ def conjugate_yd(p, n, check=True, label=None):
 
     coact_entries = {}
     for j in range(dn):
-        for q, a, w in n.coact_terms(j):
+        for q, a, w in coact_terms(n.comodule, j):
             for t, v in enumerate(twist.column(a)):
                 if v:
                     key = (j, q, t)
@@ -93,29 +113,31 @@ def conjugate_yd(p, n, check=True, label=None):
     coaction = Tensor3.from_dict((dn, dn, d), coact_entries)
 
     pair = group_mul(group_mul(p, AutPair.of(n)), group_inv(p))
-    module = HomModuleData(h, dn, action, n.mu, basis=n.basis, check=check)
-    comodule = HomComoduleData(h, dn, coaction, n.mu, basis=n.basis, check=check)
+    module = HomModuleData(h, dn, action.as_map(1), n.mu, basis=n.basis, check=check)
+    comodule = HomComoduleData(h, dn, coaction.as_map(2), n.mu, basis=n.basis, check=check)
     name = label or "^%s%s" % (p.name, n.name)
     return YDModuleData(module, comodule, (pair.a, pair.b), check=check, label=name)
 
 
 def braiding(m, n):
     """eq-3.3: c(x (x) y) = nu(y0) (x) B^-1(y1) . mu^-1(x), with B from M's
-    component pair and the action being M's."""
+    component pair and the action being M's; returned with its source and
+    its loop-built target (^M N, M)."""
     dm, dn = m.dim, n.dim
     binv = m.pair_b.inverse
+    m_action = m.action
     cols = []
     for i in range(dm):
         mi = m.mu_inv.column(i)
         for j in range(dn):
             out = [ZERO] * (dn * dm)
-            for p, a, w in n.coact_terms(j):
+            for p, a, w in coact_terms(n.comodule, j):
                 nv = n.mu.column(p)
-                mv = act_vv(m.action, binv.column(a), mi)
+                mv = act_vv(m_action, binv.column(a), mi)
                 add_scaled(out, tensor_vec(nv, mv), w)
             cols.append(out)
     target_first = conjugate_yd(AutPair.of(m), n, check=False)
-    return BraidingMap((m, n), (target_first, m), LinearMap.from_cols(cols))
+    return SimpleNamespace(source=(m, n), target=(target_first, m), matrix=LinearMap.from_cols(cols))
 
 
 def braiding_inverse(b):
@@ -124,14 +146,15 @@ def braiding_inverse(b):
     dm, dn = m.dim, n.dim
     h = m.over
     binvs = m.pair_b.inverse @ h.antipode
+    m_action = m.action
     cols = []
     for j in range(dn):
-        terms = n.coact_terms(j)
+        terms = coact_terms(n.comodule, j)
         for i in range(dm):
             mi = m.mu_inv.column(i)
             out = [ZERO] * (dm * dn)
             for p, a, w in terms:
-                mv = act_vv(m.action, binvs.column(a), mi)
+                mv = act_vv(m_action, binvs.column(a), mi)
                 add_scaled(out, tensor_vec(mv, n.mu.column(p)), w)
             cols.append(out)
     return LinearMap.from_cols(cols)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from loop_reference import coact_terms
 from homyd.cli import main as cli_main
 from homyd.defformat import DefinitionError, parse_definition, run_checks
 from homyd.exactlin import LinearMap, ZERO, add_scaled, basis_vec, invert, rat, tensor_vec
@@ -220,7 +221,7 @@ def test_criterion_8_classical_limit():
     for i in range(4):
         for j in range(4):
             out = [ZERO] * 16
-            for q, a, w in n.coact_terms(j):
+            for q, a, w in coact_terms(n.comodule, j):
                 add_scaled(out, tensor_vec(basis_vec(4, q), m.action.fiber(a, i)), w)
             cols.append(out)
     untwisted = LinearMap.from_cols(cols)

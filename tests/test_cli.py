@@ -13,6 +13,8 @@ ROOT = Path(__file__).resolve().parent.parent
 H4_ALG = str(ROOT / "h4.alg")
 #: sha256 digests of the shipped file's reports, recorded for the benchmark
 REPORT_GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))
+#: sha256 digests of the shipped file's H4A, H4B braiding emissions
+BRAID_GOLDEN = json.loads((ROOT / "tests" / "braid_golden.json").read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
@@ -55,6 +57,19 @@ def test_tcat_json_report_bytes_match_golden(capsys):
     code, out, _ = run(capsys, "check", H4_ALG, "--suite", "tcat", "--report", "json")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPORT_GOLDEN["tcat-json"]
+
+
+def test_all_text_report_bytes_match_golden(capsys):
+    code, out, _ = run(capsys, "check", H4_ALG, "--suite", "all", "--report", "text")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPORT_GOLDEN["all-text"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_braid_output_bytes_match_golden(capsys, fmt):
+    code, out, _ = run(capsys, "braid", H4_ALG, "-m", "H4A", "-n", "H4B", "--out", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BRAID_GOLDEN[fmt]
 
 
 def test_check_parse_error_exits_two(tmp_path, capsys):

@@ -46,7 +46,7 @@ def test_untwisted_unit_fails_eq_12():
             mul[(0, k, t)] = rat(1) if t == k else rat(0)
             mul[(k, 0, t)] = rat(1) if t == k else rat(0)
     bad = HomAlgebraData(
-        BASIS, Tensor3.from_dict((4, 4, 4), {k: v for k, v in mul.items() if v}),
+        BASIS, Tensor3.from_dict((4, 4, 4), {k: v for k, v in mul.items() if v}).as_map(1),
         h.unit, h.alpha, check=False,
     )
     rep = check_hom_algebra(bad)
@@ -72,7 +72,7 @@ def test_comultiplication_without_twist_factor_fails():
             (3, 3, 1): 1, (3, 0, 3): 1,
         },
     )
-    bad = HomCoalgebraData(BASIS, comul, h.counit, h.alpha, check=False)
+    bad = HomCoalgebraData(BASIS, comul.as_map(2), h.counit, h.alpha, check=False)
     rep = check_hom_coalgebra(bad)
     assert not rep.ok()
     failing = {item.identity for item in rep.failures()}

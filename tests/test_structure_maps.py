@@ -1,0 +1,132 @@
+"""The structure-map boundary: constructors take LinearMaps and reject a
+wrongly shaped one under their own suite name, the read-only Tensor3 views
+read back the tables the objects were written from, and a failing aggregate
+check names the suite that holds it."""
+
+from pathlib import Path
+
+import pytest
+
+from homyd.defformat import eval_expr, parse_definition, resolve_definition
+from homyd.exactlin import LinearMap, Tensor3, rat
+from homyd.h4_library import BASIS, build_h4, h4_automorphism
+from homyd.hom_algebra import (
+    HomAlgebraData,
+    HomCoalgebraData,
+    HomHopfAlgebraData,
+    InvalidStructure,
+    identity_automorphism,
+)
+from homyd.yd_modules import (
+    BicomoduleAlgebraData,
+    HomComoduleData,
+    HomModuleData,
+    YDModuleData,
+    build_bicomodule_algebra,
+    build_canonical_yd,
+    trivial_yd,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Each case passes the map of the other table layout: 16x4 where 4x16 is
+# due and the reverse, the slip an out_legs mix-up makes.
+H = build_h4(1)
+MUL, COMUL = H.algebra.mul_map, H.coalgebra.comul_map
+WRONG_SHAPE = {
+    "algebra": ("hom-algebra", lambda: HomAlgebraData(BASIS, COMUL, H.unit, H.alpha)),
+    "coalgebra": ("hom-coalgebra", lambda: HomCoalgebraData(BASIS, MUL, H.counit, H.alpha)),
+    "module": ("hom-module", lambda: HomModuleData(H, 4, COMUL, H.alpha)),
+    "right-comodule": ("hom-comodule", lambda: HomComoduleData(H, 4, MUL, H.alpha)),
+    "left-comodule": ("hom-comodule", lambda: HomComoduleData(H, 4, MUL, H.alpha, side="left")),
+    "bicomodule-left": ("bicomodule-algebra", lambda: BicomoduleAlgebraData(H, H.algebra, MUL, COMUL)),
+    "bicomodule-right": ("bicomodule-algebra", lambda: BicomoduleAlgebraData(H, H.algebra, COMUL, MUL)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_SHAPE))
+def test_constructor_rejects_wrongly_shaped_map(case):
+    suite, build = WRONG_SHAPE[case]
+    with pytest.raises(InvalidStructure) as exc:
+        build()
+    assert exc.value.report.suite == suite
+    assert [item.identity for item in exc.value.report.failures()] == ["shape"]
+
+
+def written_table(section, key, bases, params):
+    """The Tensor3 a section's `key` lines spell out: a line's arguments
+    followed by a term's atom index the table, leg n in bases[n]."""
+    data = {}
+    for e in section.entries:
+        if e.key == key:
+            for t in e.value:
+                idx = tuple(b.index(lbl) for b, lbl in zip(bases, e.args + t.atom))
+                data[idx] = data.get(idx, 0) + eval_expr(t.coef, params, e.line)
+    return Tensor3.from_dict(tuple(len(b) for b in bases), data)
+
+
+def test_views_equal_the_tables_of_every_h4_alg_section():
+    df = parse_definition((ROOT / "h4.alg").read_text(encoding="utf-8"))
+    rf = resolve_definition(df)
+    seen = set()
+    for section in df.sections:
+        if section.kind == "params":
+            continue
+        kind, obj = rf.get(section.name)
+        seen.add(kind)
+        if kind == "hopf":
+            b = obj.basis
+            assert obj.mul == written_table(section, "mul", (b, b, b), rf.params)
+            assert obj.comul == written_table(section, "comul", (b, b, b), rf.params)
+        elif kind == "ydmodule":
+            hb, mb = obj.over.basis, obj.basis
+            assert obj.action.dims == (len(hb), len(mb), len(mb))
+            assert obj.action == written_table(section, "act", (hb, mb, mb), rf.params)
+            assert obj.coaction == written_table(section, "coact", (mb, mb, hb), rf.params)
+    assert seen == {"hopf", "ydmodule", "autpair"}
+
+
+def test_views_equal_both_bicomodule_coaction_tables():
+    # left: h -> A(h1) (x) h2 at (h, i, p); right: h -> h1 (x) B(h2) at (h, p, j)
+    h = build_h4(2)
+    a, b = h4_automorphism(3), h4_automorphism(rat(1, 2))
+    n = build_bicomodule_algebra(h, a, b)
+    comul = h.comul
+    r = range(4)
+    left = {(k, i, p): sum(a.matrix.entry(i, s) * comul.at(k, s, p) for s in r)
+            for k in r for i in r for p in r}
+    right = {(k, p, j): sum(b.matrix.entry(j, s) * comul.at(k, p, s) for s in r)
+             for k in r for p in r for j in r}
+    assert n.left.coaction == Tensor3.from_dict((4, 4, 4), left)
+    assert n.right.coaction == Tensor3.from_dict((4, 4, 4), right)
+
+
+def test_yd_module_failure_names_the_yd_module_suite():
+    # the canonical (A, id) module re-tagged (id, id): the module and comodule
+    # laws hold, only the compatibility forms fail
+    h = build_h4(2)
+    ident = identity_automorphism(4)
+    y = build_canonical_yd(h, h4_automorphism(3), ident, check=False)
+    with pytest.raises(InvalidStructure) as exc:
+        YDModuleData(y.module, y.comodule, (ident, ident))
+    assert exc.value.report.suite == "yd-module"
+    assert str(exc.value) == "yd-module fails: eq-2.1, eq-2.2"
+
+
+def test_hopf_failure_names_the_hom_hopf_suite():
+    h = build_h4(2)
+    flipped = LinearMap.from_cols([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    with pytest.raises(InvalidStructure) as exc:
+        HomHopfAlgebraData(h.algebra, h.coalgebra, flipped)
+    assert exc.value.report.suite == "hom-hopf"
+    assert str(exc.value) == "hom-hopf fails: antipode-left, antipode-right"
+
+
+def test_views_of_one_dimensional_carriers_place_each_leg():
+    # with dim M = 1 != dim H every view's dims tell its legs apart
+    h = build_h4(2)
+    k = trivial_yd(h)
+    assert k.action == Tensor3((4, 1, 1), h.counit)
+    assert k.coaction == Tensor3((1, 1, 4), h.unit)
+    left = HomComoduleData(h, 1, h.algebra.unit_map, LinearMap.identity(1), side="left")
+    assert left.coaction == Tensor3((1, 4, 1), h.unit)

@@ -110,7 +110,7 @@ def test_tensor_action_splits_when_left_pair_is_plain():
         for i in range(4):
             for j in range(4):
                 out = [ZERO] * 16
-                for h1, h2, w in h.comul_terms(hk):
+                for h1, h2, w in loop.comul_terms(h, hk):
                     add_scaled(
                         out,
                         tensor_vec(m.action.fiber(h1, i), n.action.fiber(h2, j)),
@@ -276,7 +276,7 @@ def test_corrupted_braiding_fails_equivariance_with_witness():
     b = braiding(mods["H4A"], mods["H4B"])
     entries = list(b.matrix.entries)
     entries[5 * 16 + 5] += ONE
-    bad = BraidingMap(b.source, b.target, LinearMap(16, 16, entries))
+    bad = BraidingMap(b.source, LinearMap(16, 16, entries))
     rep = check_braiding_equivariance(bad)
     assert not rep.ok()
     assert any(item.witness is not None for item in rep.failures())
@@ -378,7 +378,7 @@ def test_classical_limit_braiding_is_untwisted_double_crossing():
     for i in range(4):
         for j in range(4):
             out = [ZERO] * 16
-            for q, a, w in n.coact_terms(j):
+            for q, a, w in loop.coact_terms(n.comodule, j):
                 add_scaled(out, tensor_vec(basis_vec(4, q), m.action.fiber(a, i)), w)
             cols.append(out)
     untwisted = LinearMap.from_cols(cols)
@@ -484,8 +484,8 @@ def random_structure(h, rng, dim, label):
     mu = triangular(dim)
     action = Tensor3((d, dim, dim), [entry() for _ in range(d * dim * dim)])
     coaction = Tensor3((dim, dim, d), [entry() for _ in range(dim * dim * d)])
-    module = HomModuleData(h, dim, action, mu, check=False)
-    comodule = HomComoduleData(h, dim, coaction, mu, check=False)
+    module = HomModuleData(h, dim, action.as_map(1), mu, check=False)
+    comodule = HomComoduleData(h, dim, coaction.as_map(2), mu, check=False)
     pair = (HopfAutomorphism(triangular(d)), HopfAutomorphism(triangular(d)))
     return YDModuleData(module, comodule, pair, check=False, label=label)
 

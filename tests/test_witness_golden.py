@@ -102,8 +102,8 @@ def library_reports():
     # the left coaction of 1 gains terms in (g + x) (x) 1, the right one in 1 (x) (g + x)
     left = _with_entries(n.left.coaction, {1 * 4: 5, 2 * 4: 5})
     right = _with_entries(n.right.coaction, {1: 5, 2: 5})
-    bad_left = BicomoduleAlgebraData(h, h.algebra, left, n.right.coaction, check=False)
-    bad_right = BicomoduleAlgebraData(h, h.algebra, n.left.coaction, right, check=False)
+    bad_left = BicomoduleAlgebraData(h, h.algebra, left.as_map(2), n.right.coact_map, check=False)
+    bad_right = BicomoduleAlgebraData(h, h.algebra, n.left.coact_map, right.as_map(2), check=False)
 
     e = build_entwining(h, a, b, check=False)
     psi = list(e.psi.entries)
@@ -111,7 +111,7 @@ def library_reports():
     bad_e = EntwiningData(h.algebra, h.coalgebra, LinearMap(16, 16, psi), check=False)
 
     yd_ab = build_h4_yd_table("H4AB", p, h=h)
-    regular = HomModuleData(h, 4, _with_entries(h.mul, {(2 * 4 + 1) * 4 + 3: -1}), h.alpha,
+    regular = HomModuleData(h, 4, _with_entries(h.mul, {(2 * 4 + 1) * 4 + 3: -1}).as_map(1), h.alpha,
                             basis=h.basis, check=False)
     # phi(x) = 2x + g, and then also phi(1) = 1 + gx
     phi = LinearMap.from_rows([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
