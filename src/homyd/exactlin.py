@@ -325,11 +325,6 @@ class Tensor3:
         self.entries = entries
 
     @classmethod
-    def zeros(cls, dims):
-        d0, d1, d2 = dims
-        return cls(dims, [ZERO] * (d0 * d1 * d2))
-
-    @classmethod
     def from_dict(cls, dims, data):
         """Sparse constructor: data maps (i, j, k) -> scalar."""
         d0, d1, d2 = dims

@@ -73,9 +73,6 @@ class HomAlgebraData:
         """Read-only table view: mul.at(i, j, k) is the e_k coefficient of e_i e_j."""
         return Tensor3.from_map((self.dim,) * 3, self.mul_map)
 
-    def label(self, k):
-        return self.basis[k]
-
 
 class HomCoalgebraData:
     """Twisted counital coalgebra (C, comul, counit, gamma).
@@ -99,9 +96,6 @@ class HomCoalgebraData:
     def comul(self):
         """Read-only table view: comul.at(k, i, j) is the e_i (x) e_j coefficient of comul(e_k)."""
         return Tensor3.from_map((self.dim,) * 3, self.comul_map)
-
-    def label(self, k):
-        return self.basis[k]
 
 
 def _shape_report(suite, msg):
@@ -166,9 +160,6 @@ class HomHopfAlgebraData:
     def counit(self):
         return self.coalgebra.counit
 
-    def label(self, k):
-        return self.algebra.basis[k]
-
     def equal_tables(self, other):
         """Structural equality of every structure map."""
         return (
@@ -194,11 +185,11 @@ class HopfAutomorphism:
 
     def __matmul__(self, other):
         if isinstance(other, HopfAutomorphism):
-            return HopfAutomorphism(self.matrix @ other.matrix)
+            return _with_inverse(self.matrix @ other.matrix, other.inverse @ self.inverse)
         return self.matrix @ other
 
     def inv(self):
-        return HopfAutomorphism(self.inverse)
+        return _with_inverse(self.inverse, self.matrix)
 
     def __eq__(self, other):
         return isinstance(other, HopfAutomorphism) and self.matrix == other.matrix
@@ -208,6 +199,14 @@ class HopfAutomorphism:
 
     def __repr__(self):
         return "HopfAutomorphism(%r)" % (self.matrix,)
+
+
+def _with_inverse(matrix, inverse):
+    """Trusted constructor: inverse is already known to invert matrix."""
+    f = object.__new__(HopfAutomorphism)
+    f.matrix = matrix
+    f.inverse = inverse
+    return f
 
 
 def identity_automorphism(dim):

@@ -79,9 +79,6 @@ class HomModuleData:
         """Read-only table view: action.at(h, m, p) is the f_p coefficient of e_h . f_m."""
         return Tensor3.from_map((self.over.dim, self.dim, self.dim), self.act_map)
 
-    def label(self, k):
-        return self.basis[k]
-
 
 class HomComoduleData:
     """Twisted comodule; right-sided by default, left-sided for the
@@ -103,9 +100,6 @@ class HomComoduleData:
         """Read-only table view: coaction.at(m, p, j) (right) or .at(m, i, p) (left)."""
         d, dm = self.over.dim, self.dim
         return Tensor3.from_map((dm, dm, d) if self.side == "right" else (dm, d, dm), self.coact_map)
-
-    def label(self, k):
-        return self.basis[k]
 
 
 class YDModuleData:

@@ -6,10 +6,11 @@ from pathlib import Path
 import pytest
 
 import loop_reference as loop
-from homyd.defformat import parse_definition, resolve_definition
+from homyd.defformat import parse_definition, resolve_definition, run_checks
 from homyd.exactlin import LinearMap, Tensor3, ZERO, ONE, add_scaled, basis_vec, kron, rat, tensor_vec
 from homyd.hom_algebra import HopfAutomorphism, identity_automorphism
 from homyd.h4_library import H4Params, build_h4, build_h4_yd_table, build_twisted_h4b, h4_automorphism
+import homyd.t_category as tc
 from homyd.t_category import (
     AutPair,
     BraidingMap,
@@ -262,13 +263,13 @@ def test_braiding_inverse_for_sampled_parameters():
 def test_braiding_equivariance():
     _, _, mods = setup_modules(c=1, cp=2, cpp=3)
     b = braiding(mods["H4A"], mods["H4B"])
-    assert check_braiding_equivariance(b).ok()
+    assert check_braiding_equivariance(b, tensor_yd(mods["H4A"], mods["H4B"])).ok()
 
 
 def test_braiding_equivariance_trivial():
     h = build_h4(3)
     k = trivial_yd(h)
-    assert check_braiding_equivariance(braiding(k, k)).ok()
+    assert check_braiding_equivariance(braiding(k, k), tensor_yd(k, k)).ok()
 
 
 def test_corrupted_braiding_fails_equivariance_with_witness():
@@ -277,7 +278,7 @@ def test_corrupted_braiding_fails_equivariance_with_witness():
     entries = list(b.matrix.entries)
     entries[5 * 16 + 5] += ONE
     bad = BraidingMap(b.source, LinearMap(16, 16, entries))
-    rep = check_braiding_equivariance(bad)
+    rep = check_braiding_equivariance(bad, tensor_yd(mods["H4A"], mods["H4B"]))
     assert not rep.ok()
     assert any(item.witness is not None for item in rep.failures())
 
@@ -321,13 +322,17 @@ def test_associator_inverse():
 def test_hexagons_trivial_modules():
     h = build_h4(2)
     k = trivial_yd(h)
-    assert check_hexagons(k, k, k).ok()
+    kk, c = tensor_yd(k, k), braiding(k, k)
+    assert check_hexagons(kk, kk, c, c, c).ok()
 
 
 @pytest.mark.parametrize("c,cp,cpp", [(1, 2, 3), (1, rat(1, 2), 5)])
 def test_hexagons_on_module_triples(c, cp, cpp):
     _, _, mods = setup_modules(c, cp, cpp)
-    assert check_hexagons(mods["H4A"], mods["H4B"], mods["H4AB"]).ok()
+    m, n, p = mods["H4A"], mods["H4B"], mods["H4AB"]
+    assert check_hexagons(
+        tensor_yd(m, n), tensor_yd(n, p), braiding(m, n), braiding(n, p), braiding(m, p)
+    ).ok()
 
 
 def test_untwisted_associator_breaks_hexagon_when_twist_is_nontrivial():
@@ -349,13 +354,13 @@ def test_untwisted_associator_breaks_hexagon_when_twist_is_nontrivial():
 
 def test_conjugation_invariance_identity_pair():
     _, _, mods = setup_modules()
-    assert check_conjugation_invariance(AutPair.identity(4), mods["H4A"], mods["H4B"]).ok()
+    assert check_conjugation_invariance(AutPair.identity(4), braiding(mods["H4A"], mods["H4B"])).ok()
 
 
 def test_conjugation_invariance_concrete_pair():
     _, _, mods = setup_modules(c=1, cp=2, cpp=3)
     p = pair_of(2, 3)
-    assert check_conjugation_invariance(p, mods["H4A"], mods["H4B"]).ok()
+    assert check_conjugation_invariance(p, braiding(mods["H4A"], mods["H4B"])).ok()
 
 
 def test_conjugation_invariance_random_pairs():
@@ -363,7 +368,7 @@ def test_conjugation_invariance_random_pairs():
     lams = sample_nonzero_rationals(31, 20)
     for i in range(0, 20, 2):
         p = pair_of(lams[i], lams[i + 1])
-        assert check_conjugation_invariance(p, mods["H4AB"], mods["H4A"]).ok()
+        assert check_conjugation_invariance(p, braiding(mods["H4AB"], mods["H4A"])).ok()
 
 
 def test_classical_limit_braiding_is_untwisted_double_crossing():
@@ -502,3 +507,27 @@ def test_builders_match_loop_reference_on_arbitrary_tables():
         assert braiding_inverse(b) == loop.braiding_inverse(want)
     for n in mods:
         assert_same_object(conjugate_yd(p, n, check=False), loop.conjugate_yd(p, n, check=False))
+
+
+def test_tcat_builds_each_pair_tensor_and_braiding_once(monkeypatch):
+    calls = {"tensor_yd": [], "braiding": [], "conjugate_yd": []}
+
+    def recording(name):
+        fn = getattr(tc, name)
+
+        def wrapped(first, second, *rest, **kwargs):
+            # keep the arguments alive, so that their ids stay unique
+            calls[name].append((first, second))
+            return fn(first, second, *rest, **kwargs)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(tc, name, recording(name))
+    rep = run_checks(parse_definition(H4_ALG.read_text(encoding="utf-8")), "tcat")
+    assert rep.ok()
+    for name in ("tensor_yd", "braiding"):
+        keys = [(id(first), id(second)) for first, second in calls[name]]
+        assert len(set(keys)) == len(keys), name
+    assert len(calls["tensor_yd"]) <= 200 and len(calls["braiding"]) <= 240
+    assert len(calls["conjugate_yd"]) < 552

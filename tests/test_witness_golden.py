@@ -11,6 +11,7 @@ of these bytes is a change of what a user is shown.
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from homyd.defformat import parse_definition, run_checks
 from homyd.exactlin import LinearMap, Tensor3, rat
 from homyd.h4_library import H4Params, build_h4, build_h4_yd_table, h4_automorphism
 from homyd.hom_algebra import check_automorphism, identity_automorphism
+from homyd.t_category import AutPair, check_t_category
 from homyd.yd_modules import (
     BicomoduleAlgebraData,
     EntwiningData,
@@ -32,6 +34,7 @@ from homyd.yd_modules import (
     check_module_algebra,
     check_yd_datum,
 )
+from test_t_category import random_structure
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "witness_golden.json"
@@ -116,6 +119,12 @@ def library_reports():
     # phi(x) = 2x + g, and then also phi(1) = 1 + gx
     phi = LinearMap.from_rows([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
     phi_unit = LinearMap.from_rows([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 2, 0], [1, 0, 0, 2]])
+
+    # arbitrary tables with non-commuting triangular pairs: most items fail
+    rng = random.Random(2014)
+    h_r = build_h4(rat(-3, 2))
+    mods = [random_structure(h_r, rng, dim, "R%d" % dim) for dim in (1, 2, 3)]
+    pairs = [AutPair.identity(h_r.dim), AutPair(mods[1].pair_b, mods[2].pair_a)]
     return {
         "bicomodule-algebra-left": check_bicomodule_algebra(bad_left),
         "bicomodule-algebra-right": check_bicomodule_algebra(bad_right),
@@ -125,6 +134,7 @@ def library_reports():
         "automorphism": check_automorphism(h, phi),
         "automorphism-unit": check_automorphism(h, phi_unit),
         "module-algebra": check_module_algebra(regular, h.algebra),
+        "t-category-random": check_t_category(h_r, mods, pairs),
     }
 
 
