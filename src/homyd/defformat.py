@@ -29,6 +29,12 @@ denotes the tensor pair a (x) b, and a bare `0` is the zero element.
 Unspecified structure constants are zero; a wholly omitted twist line
 family (alpha / mu / a / b) defaults to the identity.
 
+Section names are unique; a repeated name is a ParseError at its header.
+A line may repeat the arguments of an earlier line of its family.  A mul or
+act line then sets the cells it gives nonzero and keeps the rest; comul and
+coact terms add up; an alpha, gamma, mu, antipode, a or b line replaces the
+whole column; a counit line replaces its label's value, a unit line the unit.
+
 The parser is total: every input yields a DefinitionFile or a positioned
 diagnostic (ParseError, UnboundName, OutOfRangeIndex, ZeroDenominator).
 Structural validity of the defined objects is *not* checked here; that is
@@ -42,12 +48,13 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactlin import LinearMap, Tensor3, ZERO, ONE
+from .exactlin import ONE, ZERO, DimensionMismatch, LinearMap, SingularMap
 from .hom_algebra import (
     HomAlgebraData,
     HomCoalgebraData,
     HomHopfAlgebraData,
     HopfAutomorphism,
+    InvalidStructure,
     check_antipode,
     check_automorphism,
     check_hom_algebra,
@@ -149,17 +156,22 @@ def _fold_neg(x, line, col):
     return Neg(x)
 
 
+def _arith(op, left, right, line, col):
+    """left op right on exact scalars; a zero divisor is a diagnostic."""
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return left * right
+    if right == 0:
+        raise ZeroDenominator(line, col)
+    return left / right
+
+
 def _fold_bin(op, left, right, line, col):
     if isinstance(left, Num) and isinstance(right, Num):
-        if op == "+":
-            return Num(left.value + right.value)
-        if op == "-":
-            return Num(left.value - right.value)
-        if op == "*":
-            return Num(left.value * right.value)
-        if right.value == 0:
-            raise ZeroDenominator(line, col)
-        return Num(left.value / right.value)
+        return Num(_arith(op, left.value, right.value, line, col))
     if op == "*":
         if left == Num(ONE):
             return right
@@ -178,16 +190,7 @@ def eval_expr(node, params, line):
     if isinstance(node, Neg):
         return -eval_expr(node.arg, params, line)
     left = eval_expr(node.left, params, line)
-    right = eval_expr(node.right, params, line)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if right == 0:
-        raise ZeroDenominator(line)
-    return left / right
+    return _arith(node.op, left, eval_expr(node.right, params, line), line, None)
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
@@ -246,22 +249,10 @@ class Section:
     over: str | None
     entries: list
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Section)
-            and self.kind == other.kind
-            and self.name == other.name
-            and self.over == other.over
-            and self.entries == other.entries
-        )
-
 
 @dataclass
 class DefinitionFile:
     sections: list
-
-    def __eq__(self, other):
-        return isinstance(other, DefinitionFile) and self.sections == other.sections
 
     def section(self, name):
         for s in self.sections:
@@ -315,13 +306,17 @@ def _tokenize(text, lineno):
 
 
 class _Cursor:
-    def __init__(self, tokens, lineno):
-        self.tokens = tokens
+    """Token stream of one line; past its last token it yields an
+    end-of-line token one column beyond the line's text."""
+
+    def __init__(self, line, lineno):
+        self.tokens = _tokenize(line, lineno)
+        self.end = ("end", "end of line", len(line) + 1)
         self.lineno = lineno
         self.i = 0
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, -1)
+        return self.tokens[self.i] if self.i < len(self.tokens) else self.end
 
     def next(self):
         tok = self.peek()
@@ -334,29 +329,27 @@ class _Cursor:
     def expect(self, kinds, what):
         kind, value, col = self.next()
         if kind not in kinds:
-            raise ParseError(self.lineno, col if col > 0 else 1, what, value)
+            raise ParseError(self.lineno, col, what, value)
         return kind, value, col
 
     def fail(self, what):
         kind, value, col = self.peek()
-        raise ParseError(self.lineno, col if col > 0 else 1, what, value)
+        raise ParseError(self.lineno, col, what, value)
 
 
 def _parse_scalar(cur):
     node = _parse_scalar_mul(cur)
     while cur.peek()[0] == "op" and cur.peek()[1] in "+-":
-        op = cur.next()[1]
-        right = _parse_scalar_mul(cur)
-        node = _fold_bin(op, node, right, cur.lineno, cur.peek()[2])
+        _, op, col = cur.next()
+        node = _fold_bin(op, node, _parse_scalar_mul(cur), cur.lineno, col)
     return node
 
 
 def _parse_scalar_mul(cur):
     node = _parse_scalar_unary(cur)
     while cur.peek()[0] == "op" and cur.peek()[1] in "*/":
-        op = cur.next()[1]
-        right = _parse_scalar_unary(cur)
-        node = _fold_bin(op, node, right, cur.lineno, cur.peek()[2])
+        _, op, col = cur.next()
+        node = _fold_bin(op, node, _parse_scalar_unary(cur), cur.lineno, col)
     return node
 
 
@@ -434,7 +427,7 @@ def _parse_term_factor(cur):
     kind, value, col = cur.peek()
     if kind == "op" and value == "-":
         cur.next()
-        return _fold_neg(_parse_term_factor_scalar_only(cur), cur.lineno, col)
+        return _fold_neg(_parse_scalar_unary(cur), cur.lineno, col)
     if kind == "op" and value == "(":
         cur.next()
         node = _parse_scalar(cur)
@@ -447,31 +440,11 @@ def _parse_term_factor(cur):
             kind2, value2, col2 = cur.expect(("num", "ident"), ("basis label",))
             return (value, value2)
         if cur.peek()[0] == "op" and cur.peek()[1] == "/":
-            cur.next()
-            denom = _parse_term_factor_scalar_only(cur)
+            _, _, slash = cur.next()
             base = Num(Fraction(value)) if kind == "num" else ParamRef(value)
-            return _fold_bin("/", base, denom, cur.lineno, col)
+            return _fold_bin("/", base, _parse_scalar_unary(cur), cur.lineno, slash)
         return (value,)
     cur.fail(("basis label", "scalar factor"))
-
-
-def _parse_term_factor_scalar_only(cur):
-    kind, value, col = cur.peek()
-    if kind == "num":
-        cur.next()
-        return Num(Fraction(value))
-    if kind == "ident":
-        cur.next()
-        return ParamRef(value)
-    if kind == "op" and value == "(":
-        cur.next()
-        node = _parse_scalar(cur)
-        cur.expect(("op",), ("')'",))
-        return node
-    if kind == "op" and value == "-":
-        cur.next()
-        return _fold_neg(_parse_term_factor_scalar_only(cur), cur.lineno, col)
-    cur.fail(("number", "name", "'('"))
 
 
 class _SectionState:
@@ -482,16 +455,11 @@ class _SectionState:
         self.basis = None
         self.via_dim = False
 
-    def declare_basis(self, labels, lineno):
+    def declare(self, key, labels, lineno):
         if self.basis is not None:
-            raise ParseError(lineno, 1, ("single basis/dim declaration",), "basis")
+            raise ParseError(lineno, 1, ("single basis/dim declaration",), key)
         self.basis = tuple(labels)
-
-    def declare_dim(self, n, lineno):
-        if self.basis is not None:
-            raise ParseError(lineno, 1, ("single basis/dim declaration",), "dim")
-        self.basis = tuple("e%d" % i for i in range(n))
-        self.via_dim = True
+        self.via_dim = key == "dim"
 
     def index(self, label, lineno):
         if self.basis is None:
@@ -511,22 +479,21 @@ def parse_definition(text):
         text = text.decode("utf-8")
     sections = []
     states = {}
-    current = None
+    current = state = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
-        tokens = _tokenize(line, lineno)
-        cur = _Cursor(tokens, lineno)
+        cur = _Cursor(line, lineno)
         kind, value, col = cur.peek()
 
         if kind == "op" and value == "[":
-            current = _parse_header(cur)
+            current = _parse_header(cur, states)
+            state = _SectionState(current)
             sections.append(current)
-            states[id(current)] = _SectionState(current)
             if current.name is not None:
-                states[current.name] = states[id(current)]
+                states[current.name] = state
             continue
 
         if current is None:
@@ -536,8 +503,7 @@ def parse_definition(text):
             _, name, _ = cur.expect(("ident",), ("parameter name",))
             cur.expect(("op",), ("'='",))
             expr = _parse_scalar(cur)
-            if not cur.done():
-                cur.fail(("end of line",))
+            cur.expect(("end",), ("end of line",))
             current.entries.append(Entry(lineno, "param", (name,), expr))
             continue
 
@@ -545,12 +511,11 @@ def parse_definition(text):
         if key not in _KEYS[current.kind]:
             raise ParseError(lineno, kcol, tuple(sorted(_KEYS[current.kind])), key)
         cur.expect(("op",), ("':'",))
-        state = states[id(current)]
         current.entries.append(_parse_entry(cur, key, state, states, lineno))
     return DefinitionFile(sections)
 
 
-def _parse_header(cur):
+def _parse_header(cur, states):
     lineno = cur.lineno
     cur.expect(("op",), ("'['",))
     _, kind, col = cur.expect(("ident",), SECTION_KINDS)
@@ -559,31 +524,37 @@ def _parse_header(cur):
     name = None
     over = None
     if kind != "params":
-        _, name, _ = cur.expect(("ident", "num"), ("section name",))
+        _, name, col = cur.expect(("ident", "num"), ("section name",))
+        if name in states:
+            raise ParseError(lineno, col, ("unused section name",), name)
         nxt = cur.peek()
         if nxt[0] == "ident" and nxt[1] == "over":
             cur.next()
             _, over, _ = cur.expect(("ident", "num"), ("section name",))
     cur.expect(("op",), ("']'",))
-    if not cur.done():
-        cur.fail(("end of line",))
+    cur.expect(("end",), ("end of line",))
     return Section(kind, name, over, [])
 
 
-def _over_state(section, states, lineno):
+def _over_name(section, lineno):
+    """The section this one is over: its last `over:` entry, else its header's."""
     name = section.over
     for e in section.entries:
         if e.key == "over":
             name = e.value
     if name is None:
         raise ResolveError("section %r needs an 'over' reference" % section.name, lineno)
+    return name
+
+
+def _over_state(section, states, lineno):
+    name = _over_name(section, lineno)
     if name not in states:
         raise UnboundName(name, lineno)
     return states[name]
 
 
 def _parse_entry(cur, key, state, states, lineno):
-    section = state.section
     if key == "basis":
         labels = []
         while not cur.done():
@@ -591,33 +562,23 @@ def _parse_entry(cur, key, state, states, lineno):
             labels.append(v)
         if not labels:
             cur.fail(("basis label",))
-        state.declare_basis(labels, lineno)
+        state.declare("basis", labels, lineno)
         return Entry(lineno, "basis", (), tuple(labels))
     if key == "dim":
         _, v, _ = cur.expect(("num",), ("dimension",))
-        if not cur.done():
-            cur.fail(("end of line",))
-        state.declare_dim(int(v), lineno)
+        cur.expect(("end",), ("end of line",))
+        state.declare("dim", ("e%d" % i for i in range(int(v))), lineno)
         return Entry(lineno, "dim", (), int(v))
-    if key == "over":
-        _, v, _ = cur.expect(("ident", "num"), ("section name",))
-        if not cur.done():
-            cur.fail(("end of line",))
+    if key in ("over", "pair"):
+        _, v, _ = cur.expect(("ident", "num"), ("section name" if key == "over" else "autpair name",))
+        cur.expect(("end",), ("end of line",))
         if v not in states:
             raise UnboundName(v, lineno)
-        return Entry(lineno, "over", (), v)
-    if key == "pair":
-        _, v, _ = cur.expect(("ident", "num"), ("autpair name",))
-        if not cur.done():
-            cur.fail(("end of line",))
-        if v not in states:
-            raise UnboundName(v, lineno)
-        return Entry(lineno, "pair", (), v)
+        return Entry(lineno, key, (), v)
 
     if key == "unit":
         combo = _parse_combo(cur, pairs_allowed=False)
-        if not cur.done():
-            cur.fail(("end of line",))
+        cur.expect(("end",), ("end of line",))
         for t in combo:
             state.index(t.atom[0], lineno)
         return Entry(lineno, "unit", (), combo)
@@ -627,57 +588,38 @@ def _parse_entry(cur, key, state, states, lineno):
         state.index(lbl, lineno)
         cur.expect(("arrow",), ("'->'",))
         expr = _parse_scalar(cur)
-        if not cur.done():
-            cur.fail(("end of line",))
+        cur.expect(("end",), ("end of line",))
         return Entry(lineno, "counit", (lbl,), expr)
 
-    if key in _MAP_KEYS or key in _BIN_KEYS or key in _PAIR_KEYS:
-        nargs = 2 if key in _BIN_KEYS else 1
-        args = []
-        for _ in range(nargs):
-            _, lbl, _ = cur.expect(("ident", "num"), ("basis label",))
-            args.append(lbl)
-        cur.expect(("arrow",), ("'->'",))
-        combo = _parse_combo(cur, pairs_allowed=(key in _PAIR_KEYS))
-        if not cur.done():
-            cur.fail(("end of line",))
-        _validate_entry_labels(key, args, combo, state, states, lineno, section)
-        return Entry(lineno, key, tuple(args), combo)
-
-    raise ParseError(lineno, 1, ("entry key",), key)
+    # the remaining keys are the table families of _MAP_KEYS, _BIN_KEYS and _PAIR_KEYS
+    args = []
+    for _ in range(2 if key in _BIN_KEYS else 1):
+        _, lbl, _ = cur.expect(("ident", "num"), ("basis label",))
+        args.append(lbl)
+    cur.expect(("arrow",), ("'->'",))
+    combo = _parse_combo(cur, pairs_allowed=(key in _PAIR_KEYS))
+    cur.expect(("end",), ("end of line",))
+    _validate_entry_labels(key, args, combo, state, states, lineno)
+    return Entry(lineno, key, tuple(args), combo)
 
 
-def _validate_entry_labels(key, args, combo, state, states, lineno, section):
-    """Index every label reference so bad names fail at parse time."""
-    over_needed = section.kind in ("module", "comodule", "ydmodule") and key in ("act", "coact", "a", "b")
-    over = _over_state(section, states, lineno) if over_needed else None
+def _validate_entry_labels(key, args, combo, state, states, lineno):
+    """Index every label reference so bad names fail at parse time: each
+    argument and each leg of a term in the basis it belongs to."""
+    over = _over_state(state.section, states, lineno) if key in ("act", "coact", "a", "b") else None
     if key == "act":
-        over.index(args[0], lineno)
-        state.index(args[1], lineno)
-        for t in combo:
-            state.index(t.atom[0], lineno)
+        arg_bases, leg_bases = (over, state), (state,)
     elif key == "coact":
-        state.index(args[0], lineno)
-        for t in combo:
-            state.index(t.atom[0], lineno)
-            over.index(t.atom[1], lineno)
-    elif key in ("a", "b") and section.kind in ("ydmodule",):
-        over.index(args[0], lineno)
-        for t in combo:
-            over.index(t.atom[0], lineno)
-    elif key in ("a", "b") and section.kind == "autpair":
-        over = _over_state(section, states, lineno)
-        over.index(args[0], lineno)
-        for t in combo:
-            over.index(t.atom[0], lineno)
+        arg_bases, leg_bases = (state,), (state, over)
+    elif key in ("a", "b"):
+        arg_bases, leg_bases = (over,), (over,)
     else:
-        state.index(args[0], lineno)
-        if key == "mul":
-            state.index(args[1], lineno)
-        for t in combo:
-            state.index(t.atom[0], lineno)
-            if len(t.atom) == 2:
-                state.index(t.atom[1], lineno)
+        arg_bases, leg_bases = (state, state), (state, state)
+    for label, basis in zip(args, arg_bases):
+        basis.index(label, lineno)
+    for t in combo:
+        for label, basis in zip(t.atom, leg_bases):
+            basis.index(label, lineno)
 
 
 # ---------------------------------------------------------------------------
@@ -786,20 +728,46 @@ def _combo_vec(combo, basis, params, line):
     return tuple(out)
 
 
-def _square_map(entries_by_key, key, basis, params, default_identity=True):
+def _square_map(entries_by_key, key, basis, params):
     """Assemble a dim x dim map from `key: lbl -> combo` lines; identity
     when no line of that family appears."""
     lines = entries_by_key.get(key, [])
     n = len(basis)
     if not lines:
-        if default_identity:
-            return LinearMap.identity(n)
-        return None
+        return LinearMap.identity(n)
     cols = {}
     for e in lines:
         cols[basis.index(e.args[0])] = _combo_vec(e.value, basis, params, e.line)
     allcols = [cols.get(j, tuple(ZERO for _ in range(n))) for j in range(n)]
     return LinearMap.from_cols(allcols)
+
+
+def _product_map(lines, left_basis, right_basis, params):
+    """L (x) R -> R from `l r -> combo` lines (mul, act); a repeated line
+    sets the cells it gives nonzero and keeps the rest."""
+    n = len(right_basis)
+    width = len(left_basis) * n
+    cells = [ZERO] * (n * width)
+    for e in lines:
+        j = left_basis.index(e.args[0]) * n + right_basis.index(e.args[1])
+        for k, v in enumerate(_combo_vec(e.value, right_basis, params, e.line)):
+            if v:
+                cells[k * width + j] = v
+    return LinearMap(n, width, cells)
+
+
+def _pair_map(lines, left_basis, right_basis, params):
+    """L -> L (x) R from `l -> combo of l@r` lines (comul, coact); repeated
+    terms and lines add up."""
+    n = len(left_basis)
+    height = n * len(right_basis)
+    cells = [ZERO] * (height * n)
+    for e in lines:
+        j = left_basis.index(e.args[0])
+        for t in e.value:
+            i = left_basis.index(t.atom[0]) * len(right_basis) + right_basis.index(t.atom[1])
+            cells[i * n + j] += eval_expr(t.coef, params, e.line)
+    return LinearMap(height, n, cells)
 
 
 def _group_entries(section):
@@ -817,9 +785,6 @@ def resolve_definition(df):
     shape clash) surfaces as a ResolveError diagnostic, never a bare
     arithmetic exception.
     """
-    from .exactlin import DimensionMismatch, SingularMap
-    from .hom_algebra import InvalidStructure
-
     rf = ResolvedFile()
     for section in df.sections:
         if section.kind == "params":
@@ -841,38 +806,22 @@ def resolve_definition(df):
 def _resolve_algebra_parts(section, rf, basis):
     g = _group_entries(section)
     params = rf.params
-    n = len(basis)
     unit_lines = g.get("unit")
     if not unit_lines:
         raise ResolveError("section %r has no unit" % section.name, None)
     unit = _combo_vec(unit_lines[-1].value, basis, params, unit_lines[-1].line)
-    mul = {}
-    for e in g.get("mul", []):
-        i, j = basis.index(e.args[0]), basis.index(e.args[1])
-        vec = _combo_vec(e.value, basis, params, e.line)
-        for k, v in enumerate(vec):
-            if v:
-                mul[(i, j, k)] = v
-    alpha = _square_map(g, "alpha", basis, params)
-    return Tensor3.from_dict((n, n, n), mul).as_map(1), unit, alpha
+    mul = _product_map(g.get("mul", []), basis, basis, params)
+    return mul, unit, _square_map(g, "alpha", basis, params)
 
 
 def _resolve_coalgebra_parts(section, rf, basis, twist_key):
     g = _group_entries(section)
     params = rf.params
-    n = len(basis)
-    comul = {}
-    for e in g.get("comul", []):
-        k = basis.index(e.args[0])
-        for t in e.value:
-            i, j = basis.index(t.atom[0]), basis.index(t.atom[1])
-            key = (k, i, j)
-            comul[key] = comul.get(key, ZERO) + eval_expr(t.coef, params, e.line)
-    counit = [ZERO] * n
+    comul = _pair_map(g.get("comul", []), basis, basis, params)
+    counit = [ZERO] * len(basis)
     for e in g.get("counit", []):
         counit[basis.index(e.args[0])] = eval_expr(e.value, params, e.line)
-    gamma = _square_map(g, twist_key, basis, params)
-    return Tensor3.from_dict((n, n, n), comul).as_map(2), tuple(counit), gamma
+    return comul, tuple(counit), _square_map(g, twist_key, basis, params)
 
 
 def _build_algebra(section, rf):
@@ -892,20 +841,16 @@ def _build_hopf(section, rf):
     mul, unit, alpha = _resolve_algebra_parts(section, rf, basis)
     comul, counit, _ = _resolve_coalgebra_parts(section, rf, basis, "alpha")
     g = _group_entries(section)
-    antipode = _square_map(g, "antipode", basis, rf.params, default_identity=False)
-    if antipode is None:
+    if "antipode" not in g:
         raise ResolveError("hopf section %r has no antipode" % section.name, None)
+    antipode = _square_map(g, "antipode", basis, rf.params)
     algebra = HomAlgebraData(basis, mul, unit, alpha, check=False)
     coalgebra = HomCoalgebraData(basis, comul, counit, alpha, check=False)
     return HomHopfAlgebraData(algebra, coalgebra, antipode, check=False)
 
 
 def _over_hopf(section, rf):
-    name = section.over
-    for e in section.entries:
-        if e.key == "over":
-            name = e.value
-    kind, obj = rf.get(name)
+    kind, obj = rf.get(_over_name(section, None))
     if kind != "hopf":
         raise ResolveError("section %r must be over a hopf section, got %s" % (section.name, kind), None)
     return obj
@@ -915,30 +860,9 @@ def _resolve_carrier(section, rf, h):
     basis = _basis_of(section)
     g = _group_entries(section)
     params = rf.params
-    dm = len(basis)
     mu = _square_map(g, "mu", basis, params)
-    action = None
-    if g.get("act"):
-        act = {}
-        for e in g.get("act", []):
-            i = h.basis.index(e.args[0])
-            j = basis.index(e.args[1])
-            vec = _combo_vec(e.value, basis, params, e.line)
-            for k, v in enumerate(vec):
-                if v:
-                    act[(i, j, k)] = v
-        action = Tensor3.from_dict((h.dim, dm, dm), act).as_map(1)
-    coaction = None
-    if g.get("coact"):
-        coa = {}
-        for e in g.get("coact", []):
-            k = basis.index(e.args[0])
-            for t in e.value:
-                p = basis.index(t.atom[0])
-                a = h.basis.index(t.atom[1])
-                key = (k, p, a)
-                coa[key] = coa.get(key, ZERO) + eval_expr(t.coef, params, e.line)
-        coaction = Tensor3.from_dict((dm, dm, h.dim), coa).as_map(2)
+    action = _product_map(g["act"], h.basis, basis, params) if "act" in g else None
+    coaction = _pair_map(g["coact"], basis, h.basis, params) if "coact" in g else None
     return basis, mu, action, coaction
 
 
@@ -1007,6 +931,15 @@ _BUILDERS = {
 
 SUITES = ("all", "algebra", "coalgebra", "hopf", "yd", "tcat")
 
+# what each suite but "all" requires of a file, named as SuiteError does
+_SUITE_NEEDS = {
+    "algebra": "algebra section",
+    "coalgebra": "coalgebra section",
+    "hopf": "hopf section",
+    "yd": "ydmodule section",
+    "tcat": "hopf and ydmodule sections",
+}
+
 
 def run_checks(resolved, suite="all", seed=0):
     """Dispatch the named suite over every applicable section of the file,
@@ -1015,37 +948,29 @@ def run_checks(resolved, suite="all", seed=0):
         resolved = resolve_definition(resolved)
     if suite not in SUITES:
         raise SuiteError("unknown suite %r; expected one of %s" % (suite, ", ".join(SUITES)))
+    hopfs = resolved.of_kind("hopf")
+    yds = resolved.of_kind("ydmodule")
+    targets = {
+        "algebra": resolved.of_kind("algebra") + [(n, h.algebra) for n, h in hopfs],
+        "coalgebra": resolved.of_kind("coalgebra") + [(n, h.coalgebra) for n, h in hopfs],
+        "hopf": hopfs,
+        "yd": yds,
+        "tcat": hopfs if yds else [],
+    }
+    if suite != "all" and not targets[suite]:
+        raise SuiteError("suite requires %s" % _SUITE_NEEDS[suite])
     rep = CheckReport(suite, seed=seed)
 
-    def algebra_targets():
-        out = [(n, o) for n, o in resolved.of_kind("algebra")]
-        out += [(n, o.algebra) for n, o in resolved.of_kind("hopf")]
-        return out
-
-    def coalgebra_targets():
-        out = [(n, o) for n, o in resolved.of_kind("coalgebra")]
-        out += [(n, o.coalgebra) for n, o in resolved.of_kind("hopf")]
-        return out
-
     if suite in ("all", "algebra"):
-        targets = algebra_targets()
-        if suite == "algebra" and not targets:
-            raise SuiteError("suite requires algebra section")
-        for name, alg in targets:
+        for name, alg in targets["algebra"]:
             rep.extend(check_hom_algebra(alg).prefixed(name + ":"))
 
     if suite in ("all", "coalgebra"):
-        targets = coalgebra_targets()
-        if suite == "coalgebra" and not targets:
-            raise SuiteError("suite requires coalgebra section")
-        for name, coa in targets:
+        for name, coa in targets["coalgebra"]:
             rep.extend(check_hom_coalgebra(coa).prefixed(name + ":"))
 
     if suite in ("all", "hopf"):
-        targets = resolved.of_kind("hopf")
-        if suite == "hopf" and not targets:
-            raise SuiteError("suite requires hopf section")
-        for name, h in targets:
+        for name, h in hopfs:
             if suite == "hopf":
                 rep.extend(check_hom_algebra(h.algebra).prefixed(name + ":"))
                 rep.extend(check_hom_coalgebra(h.coalgebra).prefixed(name + ":"))
@@ -1053,10 +978,7 @@ def run_checks(resolved, suite="all", seed=0):
             rep.extend(check_antipode(h).prefixed(name + ":"))
 
     if suite in ("all", "yd"):
-        targets = resolved.of_kind("ydmodule")
-        if suite == "yd" and not targets:
-            raise SuiteError("suite requires ydmodule section")
-        for name, yd in targets:
+        for name, yd in yds:
             rep.extend(check_hom_module(yd.module).prefixed(name + ":"))
             rep.extend(check_hom_comodule(yd.comodule).prefixed(name + ":"))
             for pname, aut in (("pair-a", yd.pair_a), ("pair-b", yd.pair_b)):
@@ -1070,11 +992,7 @@ def run_checks(resolved, suite="all", seed=0):
     if suite in ("all", "tcat"):
         from .t_category import AutPair, check_t_category
 
-        hopfs = resolved.of_kind("hopf")
-        yds = resolved.of_kind("ydmodule")
-        if suite == "tcat" and (not hopfs or not yds):
-            raise SuiteError("suite requires hopf and ydmodule sections")
-        for hname, h in hopfs:
+        for hname, h in targets["tcat"]:
             modules = [yd for _, yd in yds if yd.over is h]
             if not modules:
                 continue

@@ -20,7 +20,7 @@ from homyd.defformat import (
     run_checks,
     serialize_definition,
 )
-from homyd.exactlin import rat
+from homyd.exactlin import LinearMap, rat
 
 H4_ALG = Path(__file__).resolve().parent.parent / "h4.alg"
 
@@ -214,3 +214,89 @@ def test_fuzzed_mutations_of_shipped_file():
             resolve_definition(df)
         except DefinitionError:
             pass
+
+
+def test_repeated_lines_follow_each_family_rule():
+    df = parse_definition(
+        """
+        [hopf H]
+        basis: 1 x
+        unit: x
+        unit: 1
+        mul: 1 x -> 1 + x
+        mul: 1 x -> 3 * x
+        alpha: 1 -> 1
+        alpha: x -> 2 * x + 1
+        alpha: x -> 5 * x
+        comul: x -> x@1
+        comul: x -> x@1 + 1@x + 1@x
+        counit: 1 -> 1
+        counit: x -> 7
+        counit: x -> 0
+        antipode: 1 -> 1
+        antipode: x -> 1
+        antipode: x -> -1 * x
+
+        [ydmodule M over H]
+        basis: v w
+        mu: w -> w
+        mu: v -> v + w
+        mu: v -> 3 * v
+        act: x v -> v + w
+        act: x v -> 4 * w
+        coact: v -> v@x
+        coact: v -> v@x + w@1
+        a: 1 -> 1
+        a: x -> 1 + x
+        a: x -> 6 * x
+        b: x -> x
+        b: 1 -> 1 + x
+        b: 1 -> 1
+        """
+    )
+    resolved = resolve_definition(df)
+    _, h = resolved.get("H")
+    _, m = resolved.get("M")
+    # mul, act: a repeated line overwrites only the cells it sets to nonzero
+    assert h.algebra.mul_map == LinearMap.from_cols([(0, 0), (1, 3), (0, 0), (0, 0)])
+    assert m.action_map() == LinearMap.from_cols([(0, 0)] * 2 + [(1, 4), (0, 0)])
+    # comul, coact: repeated terms and lines add up
+    assert h.coalgebra.comul_map == LinearMap.from_cols([(0, 0, 0, 0), (0, 2, 2, 0)])
+    assert m.coaction_map() == LinearMap.from_cols([(0, 2, 1, 0), (0, 0, 0, 0)])
+    # alpha, mu, antipode, a, b: the last line replaces the whole column
+    assert h.alpha == LinearMap.from_cols([(1, 0), (0, 5)])
+    assert m.mu == LinearMap.from_cols([(3, 0), (0, 1)])
+    assert h.antipode == LinearMap.from_cols([(1, 0), (0, -1)])
+    assert m.pair_a.matrix == LinearMap.from_cols([(1, 0), (0, 6)])
+    assert m.pair_b.matrix == LinearMap.identity(2)
+    # counit: the last value per label wins; unit: the last line wins
+    assert h.counit == (1, 0)
+    assert h.unit == (1, 0)
+
+
+def test_duplicate_section_name_is_a_parse_error():
+    text = (
+        "[algebra A]\nbasis: x\nunit: x\nmul: x x -> x\n\n"
+        "[algebra A]\nbasis: y\nunit: y\nmul: y y -> y\n"
+    )
+    with pytest.raises(ParseError) as err:
+        parse_definition(text)
+    assert err.value.line == 6
+    assert err.value.found == "A"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[params]\nq = 1/0\n",
+        "[algebra A]\nbasis: x\nmul: x x -> 2 * x@x\n",
+        "[algebra A]\nbasis: x\nmul: x x -> 2 *\n",
+    ],
+    ids=["zero-denominator", "pair-in-algebra", "missing-atom"],
+)
+def test_end_of_line_diagnostics_point_into_the_line(text):
+    line = text.splitlines()[-1]
+    with pytest.raises(DefinitionError) as err:
+        parse_definition(text)
+    assert 1 <= err.value.col <= len(line) + 1
+    assert "None" not in str(err.value)
