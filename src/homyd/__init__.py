@@ -14,6 +14,7 @@ from .exactlin import (
     rat,
 )
 from .hom_algebra import (
+    AutPair,
     HomAlgebraData,
     HomCoalgebraData,
     HomHopfAlgebraData,
@@ -50,7 +51,6 @@ from .yd_modules import (
     trivial_yd,
 )
 from .t_category import (
-    AutPair,
     BraidingMap,
     associator,
     associator_inv,

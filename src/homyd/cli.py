@@ -85,7 +85,7 @@ def _pair_dict(pair):
     def rows(m):
         return [[str(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
 
-    return {"a": rows(pair[0].matrix), "b": rows(pair[1].matrix)}
+    return {"a": rows(pair.a.matrix), "b": rows(pair.b.matrix)}
 
 
 def braiding_to_dict(b):
@@ -105,7 +105,7 @@ def braiding_to_dict(b):
             "m_pair": _pair_dict(m.pair),
             "n_pair": _pair_dict(n.pair),
         },
-        "target_pair": _pair_dict((tgt_first.pair_a, tgt_first.pair_b)),
+        "target_pair": _pair_dict(tgt_first.pair),
         "matrix": [[str(mat.entry(i, j)) for j in range(mat.cols)] for i in range(mat.rows)],
     }
 

@@ -50,6 +50,7 @@ from fractions import Fraction
 
 from .exactlin import ONE, ZERO, DimensionMismatch, LinearMap, SingularMap
 from .hom_algebra import (
+    AutPair,
     HomAlgebraData,
     HomCoalgebraData,
     HomHopfAlgebraData,
@@ -284,7 +285,7 @@ _PAIR_KEYS = {"comul", "coact"}
 
 _TOKEN_RE = re.compile(
     r"[ \t]*(?:(?P<arrow>->)|(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[@+\-*/();:=\[\]])|(?P<bad>\S))"
+    r"|(?P<op>[@+\-*/();:=\[\]])|(?P<bad>.))"
 )
 
 
@@ -293,8 +294,6 @@ def _tokenize(text, lineno):
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if not m:
-            break
         pos = m.end()
         col = m.start(m.lastgroup) + 1
         kind = m.lastgroup
@@ -886,7 +885,7 @@ def _build_autpair_maps(section, rf, h):
     g = _group_entries(section)
     a = _square_map(g, "a", h.basis, rf.params)
     b = _square_map(g, "b", h.basis, rf.params)
-    return HopfAutomorphism(a), HopfAutomorphism(b)
+    return AutPair(HopfAutomorphism(a), HopfAutomorphism(b), label=section.name)
 
 
 def _build_autpair(section, rf):
@@ -908,9 +907,7 @@ def _build_ydmodule(section, rf):
             pair = obj
     if pair is None:
         pair = _build_autpair_maps(section, rf, h)
-    module = HomModuleData(h, len(basis), action, mu, basis=basis, check=False)
-    comodule = HomComoduleData(h, len(basis), coaction, mu, basis=basis, check=False)
-    return YDModuleData(module, comodule, pair, check=False, label=section.name)
+    return YDModuleData(h, action, coaction, mu, pair, basis=basis, check=False, label=section.name)
 
 
 _BUILDERS = {
@@ -990,7 +987,7 @@ def run_checks(resolved, suite="all", seed=0):
             rep.extend(check_yd_alt(yd).prefixed(name + ":"))
 
     if suite in ("all", "tcat"):
-        from .t_category import AutPair, check_t_category
+        from .t_category import check_t_category
 
         for hname, h in targets["tcat"]:
             modules = [yd for _, yd in yds if yd.over is h]
@@ -998,8 +995,8 @@ def run_checks(resolved, suite="all", seed=0):
                 continue
             modules = modules + [trivial_yd(h)]
             pairs = [AutPair.identity(h.dim)]
-            for pname, (a, b) in resolved.of_kind("autpair"):
-                if a.matrix.rows == h.dim:
-                    pairs.append(AutPair(a, b, label=pname))
+            for _, pair in resolved.of_kind("autpair"):
+                if pair.a.matrix.rows == h.dim:
+                    pairs.append(pair)
             rep.extend(check_t_category(h, modules, pairs, seed=seed).prefixed(hname + ":"))
     return rep

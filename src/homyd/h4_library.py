@@ -13,8 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactlin import LinearMap, Tensor3, ONE, ZERO
-from .hom_algebra import HomHopfAlgebraData, HopfAutomorphism
-from .yd_modules import HomComoduleData, HomModuleData, YDModuleData
+from .hom_algebra import AutPair, HomHopfAlgebraData, HopfAutomorphism, identity_automorphism
+from .reports import CheckReport, check_matrix_equal
+from .yd_modules import YDModuleData, build_canonical_yd
 
 
 class ZeroParameter(ValueError):
@@ -133,25 +134,24 @@ def build_h4_yd_table(which, p, check=True, h=None):
     golden_table_errata to see the exact cells where the variants differ.
     """
     c, cp, cpp = p.c, p.c_prime, p.c_double_prime
-    ident = HopfAutomorphism(LinearMap.identity(4))
+    ident = identity_automorphism(4)
     a_aut = h4_automorphism(cp)
     b_aut = h4_automorphism(cpp)
     if which == "H4A":
         action = _table_action(c, c * (cp - 1), c * (1 + cp), c * (1 - cp), -c * (1 + cp))
-        pair = (a_aut, ident)
+        pair = AutPair(a_aut, ident)
     elif which == "H4B":
         action = _table_action(c, c * (1 - cpp), c * (1 + cpp), c * (cpp - 1), -c * (1 + cpp))
-        pair = (ident, b_aut)
+        pair = AutPair(ident, b_aut)
     elif which == "H4AB":
         action = _table_action(c, c * (cp - cpp), c * (cp + cpp), c * (cpp - cp), -c * (cp + cpp))
-        pair = (a_aut, b_aut)
+        pair = AutPair(a_aut, b_aut)
     else:
         raise ValueError("unknown table %r; expected H4A, H4B or H4AB" % (which,))
     if h is None:
         h = build_h4(c, check=check)
-    module = HomModuleData(h, 4, action, h.alpha, basis=BASIS, check=check)
-    comodule = HomComoduleData(h, 4, h.coalgebra.comul_map, h.alpha, basis=BASIS, check=check)
-    return YDModuleData(module, comodule, pair, check=check, label=which)
+    return YDModuleData(h, action, h.coalgebra.comul_map, h.alpha, pair,
+                        basis=BASIS, check=check, label=which)
 
 
 def build_twisted_h4b(p, check=True, h=None):
@@ -181,10 +181,8 @@ def build_twisted_h4b(p, check=True, h=None):
     ).as_map(2)
     if h is None:
         h = build_h4(c, check=check)
-    ident = HopfAutomorphism(LinearMap.identity(4))
-    module = HomModuleData(h, 4, action, h.alpha, basis=BASIS, check=check)
-    comodule = HomComoduleData(h, 4, coaction, h.alpha, basis=BASIS, check=check)
-    return YDModuleData(module, comodule, (ident, h4_automorphism(cpp)), check=check, label="^(A,id)H4B")
+    pair = AutPair(identity_automorphism(4), h4_automorphism(cpp))
+    return YDModuleData(h, action, coaction, h.alpha, pair, basis=BASIS, check=check, label="^(A,id)H4B")
 
 
 def h4_braiding_matrix(p, check=True):
@@ -219,41 +217,22 @@ def golden_table_errata(p):
     the constructed one, which is how a transcription error in source
     tables surfaces instead of being silently patched.
     """
-    from .yd_modules import build_canonical_yd
-    from .reports import CheckReport, Witness
-
     c, cp, cpp = p.c, p.c_prime, p.c_double_prime
-    ident = HopfAutomorphism(LinearMap.identity(4))
+    ident = identity_automorphism(4)
     h = build_h4(c)
-    variants = {
-        "H4A": (
-            _table_action(c, -c * (1 + cp), c * (1 - cp), c * (1 - cp), -c * (1 + cp)),
-            (h4_automorphism(cp), ident),
-        ),
-        "H4B": (
-            _table_action(c, -c * (1 + cpp), c * (-1 + cpp), c * (-1 + cpp), -c * (1 + cpp)),
-            (ident, h4_automorphism(cpp)),
-        ),
-        "H4AB": (
-            _table_action(c, -c * (cp + cpp), c * (-cp + cpp), c * (-cp + cpp), -c * (cp + cpp)),
-            (h4_automorphism(cp), h4_automorphism(cpp)),
-        ),
-    }
+    variants = (
+        ("H4A", _table_action(c, -c * (1 + cp), c * (1 - cp), c * (1 - cp), -c * (1 + cp)),
+         h4_automorphism(cp), ident),
+        ("H4B", _table_action(c, -c * (1 + cpp), c * (-1 + cpp), c * (-1 + cpp), -c * (1 + cpp)),
+         ident, h4_automorphism(cpp)),
+        ("H4AB", _table_action(c, -c * (cp + cpp), c * (-cp + cpp), c * (-cp + cpp), -c * (cp + cpp)),
+         h4_automorphism(cp), h4_automorphism(cpp)),
+    )
     rep = CheckReport("golden-table-errata")
-    for name in ("H4A", "H4B", "H4AB"):
-        variant_action, (a_aut, b_aut) = variants[name]
-        constructed = build_canonical_yd(h, a_aut, b_aut, check=False).action_map()
-        mismatch = None
-        for hk in range(4):
-            for mk in range(4):
-                got = variant_action.column(hk * 4 + mk)
-                want = constructed.column(hk * 4 + mk)
-                if got != want and mismatch is None:
-                    mismatch = Witness((hk, mk), (BASIS[hk], BASIS[mk]), got, want)
-        rep.add(
-            "variant-table-%s" % name,
-            "sign-variant action table equals the constructed action",
-            mismatch is None,
-            mismatch,
+    for name, variant_action, a_aut, b_aut in variants:
+        check_matrix_equal(
+            rep, "variant-table-%s" % name, "sign-variant action table equals the constructed action",
+            variant_action, build_canonical_yd(h, a_aut, b_aut, check=False).action_map(),
+            dims=(4, 4), labeler=lambda idx: (BASIS[idx[0]], BASIS[idx[1]]),
         )
     return rep

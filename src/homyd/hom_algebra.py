@@ -213,6 +213,33 @@ def identity_automorphism(dim):
     return HopfAutomorphism(LinearMap.identity(dim))
 
 
+class AutPair:
+    """Element of the index group Aut x Aut: the component pair (A, B) of a
+    Yetter-Drinfeld object."""
+
+    def __init__(self, a, b, label=None):
+        self.a = a
+        self.b = b
+        self.name = label or "(A,B)"
+
+    @classmethod
+    def identity(cls, dim):
+        return cls(identity_automorphism(dim), identity_automorphism(dim), label="(id,id)")
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, AutPair)
+            and self.a.matrix == other.a.matrix
+            and self.b.matrix == other.b.matrix
+        )
+
+    def __hash__(self):
+        return hash((self.a.matrix, self.b.matrix))
+
+    def __repr__(self):
+        return "AutPair(%s)" % self.name
+
+
 # ---------------------------------------------------------------------------
 # axiom checks
 # ---------------------------------------------------------------------------

@@ -21,9 +21,12 @@ and permute, as the laws in hom_algebra and yd_modules are.  "Equality of
 objects" in the functor identities below always means equality of
 structure maps on the flattened carrier, the strongest checkable reading.
 
-check_t_category builds each pair tensor M (x) N and braiding c_{M,N} once
-and passes them down to the checks as arguments, with no cache across calls;
-products and inverses in G carry their inverses, so G never inverts a matrix.
+Every object built here is one YDModuleData call on its maps, twist and
+component: G's elements are the AutPairs of hom_algebra, and an object's
+pair is read as m.pair.  check_t_category builds each pair tensor M (x) N,
+braiding c_{M,N} and conjugate ^MN once and passes them down to the checks
+as arguments, with no cache across calls; products and inverses in G carry
+their inverses, so G never inverts a matrix.
 """
 
 from __future__ import annotations
@@ -33,39 +36,9 @@ import random
 from fractions import Fraction
 
 from .exactlin import LinearMap, flip, kron, permute
-from .hom_algebra import check_automorphism, identity_automorphism
+from .hom_algebra import AutPair, check_automorphism
 from .reports import CheckReport, Witness, check_matrix_equal
-from .yd_modules import HomComoduleData, HomModuleData, YDModuleData, check_yd, trivial_yd
-
-
-class AutPair:
-    """Element of the index group G: a pair of structure automorphisms."""
-
-    def __init__(self, a, b, label=None):
-        self.a = a
-        self.b = b
-        self.name = label or "(A,B)"
-
-    @classmethod
-    def identity(cls, dim):
-        return cls(identity_automorphism(dim), identity_automorphism(dim), label="(id,id)")
-
-    @classmethod
-    def of(cls, module):
-        return cls(module.pair_a, module.pair_b)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AutPair)
-            and self.a.matrix == other.a.matrix
-            and self.b.matrix == other.b.matrix
-        )
-
-    def __hash__(self):
-        return hash((self.a.matrix, self.b.matrix))
-
-    def __repr__(self):
-        return "AutPair(%s)" % self.name
+from .yd_modules import YDModuleData, check_yd, trivial_yd
 
 
 def group_mul(p, q):
@@ -98,20 +71,15 @@ def tensor_yd(m, n, check=True, label=None):
         raise ValueError("tensor factors live over different algebras")
     h = m.over
     d, dm, dn = h.dim, m.dim, n.dim
-    dim = dm * dn
     idd, idm, idn = LinearMap.identity(d), LinearMap.identity(dm), LinearMap.identity(dn)
     cbc = n.pair_a.inverse @ m.pair_b.matrix @ n.pair_a.matrix
     left = kron(n.pair_a.matrix, n.action_map() @ kron(cbc, idn)) @ kron(h.coalgebra.comul_map, idn)
     act = kron(m.action_map() @ flip(dm, d), idn) @ kron(idm, left) @ kron(flip(d, dm), idn)
     right = kron(idn, h.algebra.mul_map) @ kron(n.coaction_map(), idd) @ flip(d, dn)
     coact = kron(idm, right) @ kron(m.coaction_map(), idn)
-    pair = group_mul(AutPair.of(m), AutPair.of(n))
-    mu = kron(m.mu, n.mu)
     basis = tuple("%s(x)%s" % (a, b) for a in m.basis for b in n.basis)
-    module = HomModuleData(h, dim, act, mu, basis=basis, check=check)
-    comodule = HomComoduleData(h, dim, coact, mu, basis=basis, check=check)
-    name = label or "%s(x)%s" % (m.name, n.name)
-    return YDModuleData(module, comodule, (pair.a, pair.b), check=check, label=name)
+    return YDModuleData(h, act, coact, kron(m.mu, n.mu), group_mul(m.pair, n.pair), basis=basis,
+                        check=check, label=label or "%s(x)%s" % (m.name, n.name))
 
 
 def conjugate_yd(p, n, check=True, label=None):
@@ -121,16 +89,12 @@ def conjugate_yd(p, n, check=True, label=None):
         h.y = C^-1 B C A^-1(h).y  = act_N (C^-1 B C A^-1 (x) id),
         rho(y) = y0 (x) A B^-1(y1) = (id (x) A B^-1) rho_N.
     """
-    h = n.over
     dn = n.dim
     phi = n.pair_a.inverse @ p.b.matrix @ n.pair_a.matrix @ p.a.inverse
     act = n.action_map() @ kron(phi, LinearMap.identity(dn))
     coact = kron(LinearMap.identity(dn), p.a.matrix @ p.b.inverse) @ n.coaction_map()
-    pair = group_mul(group_mul(p, AutPair.of(n)), group_inv(p))
-    module = HomModuleData(h, dn, act, n.mu, basis=n.basis, check=check)
-    comodule = HomComoduleData(h, dn, coact, n.mu, basis=n.basis, check=check)
-    name = label or "^%s%s" % (p.name, n.name)
-    return YDModuleData(module, comodule, (pair.a, pair.b), check=check, label=name)
+    return YDModuleData(n.over, act, coact, n.mu, group_mul(group_mul(p, n.pair), group_inv(p)),
+                        basis=n.basis, check=check, label=label or "^%s%s" % (p.name, n.name))
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +113,7 @@ class BraidingMap:
     def target(self):
         """(^M N, M), built when read."""
         m, n = self.source
-        return conjugate_yd(AutPair.of(m), n, check=False), m
+        return conjugate_yd(m.pair, n, check=False), m
 
     def __repr__(self):
         m, n = self.source
@@ -202,15 +166,14 @@ def _pair_labels(m, n):
     return "%s,%s" % (m.name, n.name)
 
 
-def check_braiding_equivariance(b, src):
+def check_braiding_equivariance(b, src, tgt):
     """The braiding intertwines the tensor actions and tensor coactions of
-    its source src = M (x) N and its target, and is a morphism for the
-    carrier twists."""
+    its source src = M (x) N and its target tgt = ^MN (x) M, and is a
+    morphism for the carrier twists."""
     rep = CheckReport("braiding")
     m, n = b.source
     h = m.over
     tag = _pair_labels(m, n)
-    tgt = tensor_yd(*b.target, check=False)
 
     lhs = b.matrix @ src.action_map()
     rhs = tgt.action_map() @ kron(LinearMap.identity(h.dim), b.matrix)
@@ -254,16 +217,16 @@ def check_braiding_inverse(b):
     return rep
 
 
-def check_hexagons(mn, np, c_mn, c_np, c_mp):
+def check_hexagons(mn, np, np_conj, c_mn, c_np, c_mp):
     """The two crossed hexagon identities for M, N, P as exact matrix
-    equalities on the flattened triple tensor.  Conjugates keep carrier and
-    twist, so ^{MN}P, ^MN and ^MP enter only as P's and N's twists."""
+    equalities on the flattened triple tensor, given M (x) N, N (x) P, the
+    conjugate ^NP and the braidings of the pairs.  Conjugates keep carrier
+    and twist, so ^{MN}P, ^MN and ^MP enter only as P's and N's twists."""
     rep = CheckReport("hexagons")
     m, n = c_mn.source
     p = c_np.source[1]
     tag = "%s,%s,%s" % (m.name, n.name, p.name)
 
-    np_conj = conjugate_yd(AutPair.of(n), p, check=False)
     idm = LinearMap.identity(m.dim)
     idn = LinearMap.identity(n.dim)
     idp = LinearMap.identity(p.dim)
@@ -318,16 +281,8 @@ def check_conjugation_invariance(p, b, pm, pn):
 
 
 def _structures_equal(rep, ident, law, x, y):
-    """One item that fails naming the differing pieces; equal action maps imply equal carriers."""
-    pieces = []
-    if x.action_map() != y.action_map():
-        pieces.append("action")
-    if x.coaction_map() != y.coaction_map():
-        pieces.append("coaction")
-    if x.mu != y.mu:
-        pieces.append("twist")
-    if AutPair.of(x) != AutPair.of(y):
-        pieces.append("component pair")
+    """One item that fails naming the pieces in which x and y differ."""
+    pieces = x.differences(y)
     rep.add(ident, law, not pieces, Witness((), tuple(pieces), (), ()) if pieces else None)
 
 
@@ -352,8 +307,8 @@ def check_t_category(h, modules, pairs, seed=0):
     resulting report is deterministic.  The seed is recorded for the callers
     that sampled their inputs from it.
 
-    Each pair tensor M (x) N, braiding c_{M,N} and conjugate ^pM is built
-    once, before the checks, and lives only for this call.
+    Each pair tensor M (x) N, braiding c_{M,N} and conjugate ^pM and ^MN is
+    built once, before the checks, and lives only for this call.
     """
     rep = CheckReport("t-category", seed=seed)
     modules = list(modules)
@@ -367,6 +322,7 @@ def check_t_category(h, modules, pairs, seed=0):
         (pi, i): conjugate_yd(p, m, check=False)
         for pi, p in enumerate(pairs) for i, m in enumerate(modules)
     }
+    twisted = {(i, j): conjugate_yd(modules[i].pair, modules[j], check=False) for i, j in index_pairs}
 
     for p in pairs:
         for name, aut in (("a", p.a), ("b", p.b)):
@@ -409,7 +365,7 @@ def check_t_category(h, modules, pairs, seed=0):
             "M (x) N satisfies eq-2.1 in component pair(M)*pair(N)",
             check_yd(tensor[i, j]),
         )
-        rep.extend(check_braiding_equivariance(b, tensor[i, j]))
+        rep.extend(check_braiding_equivariance(b, tensor[i, j], tensor_yd(twisted[i, j], m, check=False)))
         rep.extend(check_braiding_inverse(b))
         check_matrix_equal(
             rep, "naturality-id(%s)" % _pair_labels(m, n),
@@ -455,7 +411,7 @@ def check_t_category(h, modules, pairs, seed=0):
         # structures coincide strictly only for identity twists, and in
         # general the twisted constraint is the intertwiner between them.
         a = associator(m, n, p_mod)
-        placement = left.mu == right.mu and AutPair.of(left) == AutPair.of(right)
+        placement = left.mu == right.mu and left.pair == right.pair
         module_map = (right.action_map() @ kron(idh, a)) == (a @ left.action_map())
         comodule_map = (right.coaction_map() @ a) == (kron(a, idh) @ left.coaction_map())
         rep.add(
@@ -464,7 +420,9 @@ def check_t_category(h, modules, pairs, seed=0):
             "intertwined by the twisted constraint",
             placement and module_map and comodule_map,
         )
-        rep.extend(check_hexagons(tensor[i, j], tensor[j, k], braid[i, j], braid[j, k], braid[i, k]))
+        rep.extend(check_hexagons(
+            tensor[i, j], tensor[j, k], twisted[j, k], braid[i, j], braid[j, k], braid[i, k],
+        ))
 
     unit = trivial_yd(h)
     for n in modules:

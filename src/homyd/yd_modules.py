@@ -19,6 +19,11 @@ through a pair (A, B) of structure automorphisms:
 check_yd_alt verifies the equivalent antipode-free form (2.2); the two
 verdicts must agree on any carrier whose module/comodule axioms hold, and
 the test suite exercises that equivalence on failing instances too.
+
+A Yetter-Drinfeld object is built in one call, YDModuleData(over, act_map,
+coact_map, mu, pair), from its maps, its twist and its component, an
+AutPair; every builder here, in t_category, h4_library and defformat goes
+through it.  Only comodules read mu^-1, so only they invert the twist.
 """
 
 from __future__ import annotations
@@ -34,9 +39,9 @@ from .exactlin import (
     permute,
 )
 from .hom_algebra import (
+    AutPair,
     InvalidStructure,
     check_automorphism,
-    identity_automorphism,
     _require,
     _require_shape,
     _shape_report,
@@ -70,7 +75,6 @@ class HomModuleData:
         _require_shape("hom-module", "action", act_map, dim, over.dim * dim)
         self.act_map = act_map
         self.mu = mu
-        self.mu_inv = invert(mu)
         self.basis = _auto_basis(dim, basis)
         _require(lambda: check_hom_module(self), check)
 
@@ -103,42 +107,29 @@ class HomComoduleData:
 
 
 class YDModuleData:
-    """Simultaneous module and comodule tagged with its component pair
-    (A, B); construction verifies both compatibility forms."""
+    """One object of the braided T-category: a carrier with twist mu, a left
+    action act_map and a right coaction coact_map over the Hopf algebra
+    over, in the component pair (an AutPair (A, B)).  Its module and
+    comodule parts are built here, sharing the maps, and mu is inverted
+    once; construction verifies the module and comodule laws and both
+    compatibility forms as the one yd-module suite."""
 
-    def __init__(self, module, comodule, pair, check=True, label=None):
-        if module.over is not comodule.over:
-            raise InvalidStructure(_shape_report("yd-module", "module/comodule over different algebras"))
-        if module.dim != comodule.dim:
-            raise InvalidStructure(_shape_report("yd-module", "carrier dims differ"))
-        if module.mu != comodule.mu:
-            raise InvalidStructure(_shape_report("yd-module", "carrier twists differ"))
-        if comodule.side != "right":
-            raise InvalidStructure(_shape_report("yd-module", "coaction must be right-sided"))
-        self.module = module
-        self.comodule = comodule
-        self.pair = (pair[0], pair[1])
+    def __init__(self, over, act_map, coact_map, mu, pair, basis=None, check=True, label=None):
+        self.over = over
+        self.dim = mu.rows
+        self.module = HomModuleData(over, self.dim, act_map, mu, basis=basis, check=False)
+        self.comodule = HomComoduleData(over, self.dim, coact_map, mu, basis=basis, check=False)
+        self.mu = mu
+        self.mu_inv = self.comodule.mu_inv
+        self.basis = self.module.basis
+        self.pair = pair
+        self.pair_a = pair.a
+        self.pair_b = pair.b
         self.name = label or "M"
-        _require(lambda: CheckReport("yd-module").extend(check_hom_module(module))
-                                                 .extend(check_hom_comodule(comodule))
+        _require(lambda: CheckReport("yd-module").extend(check_hom_module(self.module))
+                                                 .extend(check_hom_comodule(self.comodule))
                                                  .extend(check_yd(self))
                                                  .extend(check_yd_alt(self)), check)
-
-    @property
-    def over(self):
-        return self.module.over
-
-    @property
-    def dim(self):
-        return self.module.dim
-
-    @property
-    def mu(self):
-        return self.module.mu
-
-    @property
-    def mu_inv(self):
-        return self.module.mu_inv
 
     @property
     def action(self):
@@ -148,18 +139,6 @@ class YDModuleData:
     def coaction(self):
         return self.comodule.coaction
 
-    @property
-    def basis(self):
-        return self.module.basis
-
-    @property
-    def pair_a(self):
-        return self.pair[0]
-
-    @property
-    def pair_b(self):
-        return self.pair[1]
-
     def action_map(self):
         """The action as a LinearMap H (x) M -> M."""
         return self.module.act_map
@@ -168,17 +147,21 @@ class YDModuleData:
         """The coaction as a LinearMap M -> M (x) H."""
         return self.comodule.coact_map
 
+    def differences(self, other):
+        """The structure pieces in which other differs, in the order action,
+        coaction, twist, component pair; equal action maps imply equal
+        carriers."""
+        return [piece for piece, same in (
+            ("action", self.action_map() == other.action_map()),
+            ("coaction", self.coaction_map() == other.coaction_map()),
+            ("twist", self.mu == other.mu),
+            ("component pair", self.pair == other.pair),
+        ) if not same]
+
     def same_structure(self, other):
         """Strict object equality: equal structure maps on the flattened
         carrier and equal component pair."""
-        return (
-            self.dim == other.dim
-            and self.action_map() == other.action_map()
-            and self.coaction_map() == other.coaction_map()
-            and self.mu == other.mu
-            and self.pair_a.matrix == other.pair_a.matrix
-            and self.pair_b.matrix == other.pair_b.matrix
-        )
+        return not self.differences(other)
 
 
 class EntwiningData:
@@ -408,18 +391,15 @@ def build_canonical_yd(h, a_aut, b_aut, check=True, label=None):
         mul @ kron(mul @ kron(b_aut.matrix, h.alpha_inv), tail) @ permute((d, d, d), (1, 2, 0))
         @ kron(h.coalgebra.comul_map, LinearMap.identity(d))
     )
-    module = HomModuleData(h, d, act, h.alpha, basis=h.basis, check=check)
-    comodule = HomComoduleData(h, d, h.coalgebra.comul_map, h.alpha, basis=h.basis, check=check)
-    return YDModuleData(module, comodule, (a_aut, b_aut), check=check, label=label or "H(A,B)")
+    return YDModuleData(h, act, h.coalgebra.comul_map, h.alpha, AutPair(a_aut, b_aut),
+                        basis=h.basis, check=check, label=label or "H(A,B)")
 
 
 def trivial_yd(h, label="k"):
     """The one-dimensional carrier: action through the counit, coaction
     through the unit, identity twist, component (id, id)."""
-    ident = identity_automorphism(h.dim)
-    module = HomModuleData(h, 1, h.coalgebra.counit_map, LinearMap.identity(1), basis=("1",), check=True)
-    comodule = HomComoduleData(h, 1, h.algebra.unit_map, LinearMap.identity(1), basis=("1",), check=True)
-    return YDModuleData(module, comodule, (ident, ident), check=True, label=label)
+    return YDModuleData(h, h.coalgebra.counit_map, h.algebra.unit_map, LinearMap.identity(1),
+                        AutPair.identity(h.dim), basis=("1",), label=label)
 
 
 # ---------------------------------------------------------------------------

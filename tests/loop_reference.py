@@ -11,8 +11,8 @@ both to agree entry for entry.
 from types import SimpleNamespace
 
 from homyd.exactlin import LinearMap, Tensor3, ZERO, add_scaled, basis_vec, kron, tensor_vec
-from homyd.t_category import AutPair, group_inv, group_mul
-from homyd.yd_modules import HomComoduleData, HomModuleData, YDModuleData, act_vv
+from homyd.t_category import group_inv, group_mul
+from homyd.yd_modules import YDModuleData, act_vv
 
 
 def comul_terms(h, k):
@@ -73,13 +73,9 @@ def tensor_yd(m, n, check=True, label=None):
                             coact_entries[key] = coact_entries.get(key, ZERO) + w * w2 * v
     coaction = Tensor3.from_dict((dim, dim, d), coact_entries)
 
-    pair = group_mul(AutPair.of(m), AutPair.of(n))
-    mu = kron(m.mu, n.mu)
     basis = tuple("%s(x)%s" % (a, b) for a in m.basis for b in n.basis)
-    module = HomModuleData(h, dim, action.as_map(1), mu, basis=basis, check=check)
-    comodule = HomComoduleData(h, dim, coaction.as_map(2), mu, basis=basis, check=check)
-    name = label or "%s(x)%s" % (m.name, n.name)
-    return YDModuleData(module, comodule, (pair.a, pair.b), check=check, label=name)
+    return YDModuleData(h, action.as_map(1), coaction.as_map(2), kron(m.mu, n.mu), group_mul(m.pair, n.pair),
+                        basis=basis, check=check, label=label or "%s(x)%s" % (m.name, n.name))
 
 
 def conjugate_yd(p, n, check=True, label=None):
@@ -112,11 +108,9 @@ def conjugate_yd(p, n, check=True, label=None):
                     coact_entries[key] = coact_entries.get(key, ZERO) + w * v
     coaction = Tensor3.from_dict((dn, dn, d), coact_entries)
 
-    pair = group_mul(group_mul(p, AutPair.of(n)), group_inv(p))
-    module = HomModuleData(h, dn, action.as_map(1), n.mu, basis=n.basis, check=check)
-    comodule = HomComoduleData(h, dn, coaction.as_map(2), n.mu, basis=n.basis, check=check)
-    name = label or "^%s%s" % (p.name, n.name)
-    return YDModuleData(module, comodule, (pair.a, pair.b), check=check, label=name)
+    pair = group_mul(group_mul(p, n.pair), group_inv(p))
+    return YDModuleData(h, action.as_map(1), coaction.as_map(2), n.mu, pair,
+                        basis=n.basis, check=check, label=label or "^%s%s" % (p.name, n.name))
 
 
 def braiding(m, n):
@@ -136,7 +130,7 @@ def braiding(m, n):
                 mv = act_vv(m_action, binv.column(a), mi)
                 add_scaled(out, tensor_vec(nv, mv), w)
             cols.append(out)
-    target_first = conjugate_yd(AutPair.of(m), n, check=False)
+    target_first = conjugate_yd(m.pair, n, check=False)
     return SimpleNamespace(source=(m, n), target=(target_first, m), matrix=LinearMap.from_cols(cols))
 
 

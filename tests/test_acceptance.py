@@ -102,8 +102,8 @@ def test_criterion_3_yd_membership_grid():
             # (wrong component tag, axioms intact)
             base = build_h4_yd_table("H4A", p, h=h, check=False)
             wrong = YDModuleData(
-                base.module, base.comodule,
-                (h4_automorphism(cpp), h4_automorphism(cp)), check=False,
+                h, base.action_map(), base.coaction_map(), base.mu,
+                AutPair(h4_automorphism(cpp), h4_automorphism(cp)), basis=base.basis, check=False,
             )
             v1, v2 = check_yd(wrong).ok(), check_yd_alt(wrong).ok()
             assert v1 == v2, ("equivalence", c, cp, cpp, v1, v2)
@@ -126,7 +126,8 @@ def test_criterion_4_entwining_route():
         p = H4Params(c, l1, l2)
         for which in ("H4A", "H4B", "H4AB"):
             yd = build_h4_yd_table(which, p, h=h, check=False)
-            tagged = YDModuleData(yd.module, yd.comodule, (a, b), check=False)
+            tagged = YDModuleData(h, yd.action_map(), yd.coaction_map(), yd.mu, AutPair(a, b),
+                                  basis=yd.basis, check=False)
             assert check_entwined_module(yd, e).ok() == check_yd(tagged).ok(), (which, c, l1, l2)
     print("PASS criterion-4: induced entwinings satisfy all four axioms and classify exactly"
           " the compatible modules")
@@ -142,7 +143,8 @@ def test_criterion_5_bicomodule_route():
         p = H4Params(c, l1, l2)
         for which in ("H4A", "H4B", "H4AB"):
             yd = build_h4_yd_table(which, p, h=h, check=False)
-            tagged = YDModuleData(yd.module, yd.comodule, (a, b), check=False)
+            tagged = YDModuleData(h, yd.action_map(), yd.coaction_map(), yd.mu, AutPair(a, b),
+                                  basis=yd.basis, check=False)
             assert check_yd_datum(yd, n).ok() == check_yd(tagged).ok(), (which, c, l1, l2)
     print("PASS criterion-5: bicomodule algebras satisfy their axioms and the datum"
           " compatibility coincides with the module-comodule one")

@@ -300,3 +300,18 @@ def test_end_of_line_diagnostics_point_into_the_line(text):
         parse_definition(text)
     assert 1 <= err.value.col <= len(line) + 1
     assert "None" not in str(err.value)
+
+
+@pytest.mark.parametrize("space", ["\u00a0", "\u2003"], ids=["no-break-space", "em-space"])
+def test_unicode_space_is_a_parse_error_at_its_column(space, tmp_path, capsys):
+    from homyd.cli import main
+
+    line = "mul: x x -> x" + space + "+ 5 * x"
+    text = "[algebra A]\nbasis: x\nunit: x\n" + line + "\n"
+    with pytest.raises(ParseError) as err:
+        parse_definition(text)
+    assert (err.value.line, err.value.col, err.value.found) == (4, line.index(space) + 1, space)
+    path = tmp_path / "spaced.alg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert "error" in capsys.readouterr().err

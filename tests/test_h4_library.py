@@ -140,6 +140,27 @@ def test_sign_variant_tables_flagged_as_errata():
         assert item.witness.labels == ("x", "1")
 
 
+@pytest.mark.parametrize("p,last_cells", [
+    (H4Params(1, 2, 3), {"H4A": (-3, 1), "H4B": (-4, -2), "H4AB": (-5, -1)}),
+    (H4Params(rat(-2, 3), rat(1, 2), 5),
+     {"H4A": (1, rat(1, 3)), "H4B": (4, rat(8, 3)), "H4AB": (rat(11, 3), 3)}),
+])
+def test_errata_witnesses_pinned(p, last_cells):
+    # the full witness of every item: x acting on the unit lands on gx only
+    rep = golden_table_errata(p)
+    assert rep.suite == "golden-table-errata"
+    assert [item.identity for item in rep.items] == ["variant-table-%s" % name for name in last_cells]
+    zero = rat(0)
+    for item in rep.items:
+        lhs, rhs = last_cells[item.identity[len("variant-table-"):]]
+        assert item.law == "sign-variant action table equals the constructed action"
+        assert not item.passed
+        assert item.witness.inputs == (2, 0)
+        assert item.witness.labels == ("x", "1")
+        assert item.witness.lhs == (zero, zero, zero, rat(lhs))
+        assert item.witness.rhs == (zero, zero, zero, rat(rhs))
+
+
 def test_twisted_table_values():
     # x acts through the conjugated scale 1/c'
     p = H4Params(1, 2, 3)

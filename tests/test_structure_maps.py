@@ -11,6 +11,7 @@ from homyd.defformat import eval_expr, parse_definition, resolve_definition
 from homyd.exactlin import LinearMap, Tensor3, rat
 from homyd.h4_library import BASIS, build_h4, h4_automorphism
 from homyd.hom_algebra import (
+    AutPair,
     HomAlgebraData,
     HomCoalgebraData,
     HomHopfAlgebraData,
@@ -108,7 +109,7 @@ def test_yd_module_failure_names_the_yd_module_suite():
     ident = identity_automorphism(4)
     y = build_canonical_yd(h, h4_automorphism(3), ident, check=False)
     with pytest.raises(InvalidStructure) as exc:
-        YDModuleData(y.module, y.comodule, (ident, ident))
+        YDModuleData(h, y.action_map(), y.coaction_map(), y.mu, AutPair(ident, ident), basis=y.basis)
     assert exc.value.report.suite == "yd-module"
     assert str(exc.value) == "yd-module fails: eq-2.1, eq-2.2"
 

@@ -29,7 +29,7 @@ from homyd.t_category import (
     sample_nonzero_rationals,
     tensor_yd,
 )
-from homyd.yd_modules import HomComoduleData, HomModuleData, YDModuleData, check_yd, trivial_yd
+from homyd.yd_modules import YDModuleData, check_yd, trivial_yd
 
 
 def pair_of(lam1, lam2, label=None):
@@ -263,13 +263,15 @@ def test_braiding_inverse_for_sampled_parameters():
 def test_braiding_equivariance():
     _, _, mods = setup_modules(c=1, cp=2, cpp=3)
     b = braiding(mods["H4A"], mods["H4B"])
-    assert check_braiding_equivariance(b, tensor_yd(mods["H4A"], mods["H4B"])).ok()
+    tgt = tensor_yd(*b.target, check=False)
+    assert check_braiding_equivariance(b, tensor_yd(mods["H4A"], mods["H4B"]), tgt).ok()
 
 
 def test_braiding_equivariance_trivial():
     h = build_h4(3)
     k = trivial_yd(h)
-    assert check_braiding_equivariance(braiding(k, k), tensor_yd(k, k)).ok()
+    b = braiding(k, k)
+    assert check_braiding_equivariance(b, tensor_yd(k, k), tensor_yd(*b.target, check=False)).ok()
 
 
 def test_corrupted_braiding_fails_equivariance_with_witness():
@@ -278,7 +280,8 @@ def test_corrupted_braiding_fails_equivariance_with_witness():
     entries = list(b.matrix.entries)
     entries[5 * 16 + 5] += ONE
     bad = BraidingMap(b.source, LinearMap(16, 16, entries))
-    rep = check_braiding_equivariance(bad, tensor_yd(mods["H4A"], mods["H4B"]))
+    tgt = tensor_yd(*bad.target, check=False)
+    rep = check_braiding_equivariance(bad, tensor_yd(mods["H4A"], mods["H4B"]), tgt)
     assert not rep.ok()
     assert any(item.witness is not None for item in rep.failures())
 
@@ -323,7 +326,7 @@ def test_hexagons_trivial_modules():
     h = build_h4(2)
     k = trivial_yd(h)
     kk, c = tensor_yd(k, k), braiding(k, k)
-    assert check_hexagons(kk, kk, c, c, c).ok()
+    assert check_hexagons(kk, kk, conjugate_yd(k.pair, k, check=False), c, c, c).ok()
 
 
 @pytest.mark.parametrize("c,cp,cpp", [(1, 2, 3), (1, rat(1, 2), 5)])
@@ -331,7 +334,8 @@ def test_hexagons_on_module_triples(c, cp, cpp):
     _, _, mods = setup_modules(c, cp, cpp)
     m, n, p = mods["H4A"], mods["H4B"], mods["H4AB"]
     assert check_hexagons(
-        tensor_yd(m, n), tensor_yd(n, p), braiding(m, n), braiding(n, p), braiding(m, p)
+        tensor_yd(m, n), tensor_yd(n, p), conjugate_yd(n.pair, p, check=False),
+        braiding(m, n), braiding(n, p), braiding(m, p),
     ).ok()
 
 
@@ -341,7 +345,7 @@ def test_untwisted_associator_breaks_hexagon_when_twist_is_nontrivial():
     h, _, mods = setup_modules(c=2)
     m, n, p = mods["H4A"], mods["H4B"], mods["H4AB"]
     mn = tensor_yd(m, n, check=False)
-    mnp_conj = conjugate_yd(AutPair.of(mn), p, check=False)
+    mnp_conj = conjugate_yd(mn.pair, p, check=False)
     idn = LinearMap.identity(4)
     proper = (
         kron(mnp_conj.mu_inv, kron(LinearMap.identity(4), n.mu))
@@ -408,8 +412,8 @@ def test_aggregate_suite_smoke():
 def test_aggregate_suite_isolates_a_corrupted_module():
     h, _, mods = setup_modules(c=1, cp=2, cpp=3)
     good = mods["H4A"]
-    bad = YDModuleData(good.module, good.comodule, (good.pair_b, good.pair_a),
-                       check=False, label="BAD")
+    bad = YDModuleData(h, good.action_map(), good.coaction_map(), good.mu, AutPair(good.pair_b, good.pair_a),
+                       basis=good.basis, check=False, label="BAD")
     rep = check_t_category(h, [good, bad], [pair_of(2, 3)], seed=0)
     assert not rep.ok()
     failing = {item.identity for item in rep.failures()}
@@ -436,9 +440,9 @@ def file_objects(request):
     assert text.startswith(SHIPPED_PARAMS)
     resolved = resolve_definition(parse_definition(POINTS[request.param] + text[len(SHIPPED_PARAMS):]))
     _, h = resolved.get("H4")
-    _, (a, b) = resolved.get("P")
+    _, pair = resolved.get("P")
     modules = [yd for _, yd in resolved.of_kind("ydmodule")] + [trivial_yd(h)]
-    return modules, [AutPair.identity(h.dim), AutPair(a, b, label="P")]
+    return modules, [AutPair.identity(h.dim), pair]
 
 
 def assert_same_object(got, want):
@@ -496,10 +500,8 @@ def random_structure(h, rng, dim, label):
     mu = triangular(dim)
     action = Tensor3((d, dim, dim), [entry() for _ in range(d * dim * dim)])
     coaction = Tensor3((dim, dim, d), [entry() for _ in range(dim * dim * d)])
-    module = HomModuleData(h, dim, action.as_map(1), mu, check=False)
-    comodule = HomComoduleData(h, dim, coaction.as_map(2), mu, check=False)
-    pair = (HopfAutomorphism(triangular(d)), HopfAutomorphism(triangular(d)))
-    return YDModuleData(module, comodule, pair, check=False, label=label)
+    pair = AutPair(HopfAutomorphism(triangular(d)), HopfAutomorphism(triangular(d)))
+    return YDModuleData(h, action.as_map(1), coaction.as_map(2), mu, pair, check=False, label=label)
 
 
 def test_builders_match_loop_reference_on_arbitrary_tables():
@@ -537,4 +539,4 @@ def test_tcat_builds_each_pair_tensor_and_braiding_once(monkeypatch):
         keys = [(id(first), id(second)) for first, second in calls[name]]
         assert len(set(keys)) == len(keys), name
     assert len(calls["tensor_yd"]) <= 200 and len(calls["braiding"]) <= 240
-    assert len(calls["conjugate_yd"]) <= 152
+    assert len(calls["conjugate_yd"]) <= 88

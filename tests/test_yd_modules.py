@@ -6,7 +6,7 @@ import pytest
 
 from loop_reference import coact_terms, comul_terms
 from homyd.exactlin import LinearMap, Tensor3, ZERO, basis_vec, invert, rat, tensor_vec
-from homyd.hom_algebra import HopfAutomorphism, InvalidStructure, identity_automorphism
+from homyd.hom_algebra import AutPair, HopfAutomorphism, InvalidStructure, identity_automorphism
 from homyd.h4_library import BASIS, H4Params, build_h4, build_h4_yd_table, h4_automorphism
 from homyd.yd_modules import (
     BicomoduleAlgebraData,
@@ -178,7 +178,8 @@ def test_golden_h4a_is_yd_over_its_pair():
 
 def test_golden_h4a_fails_with_swapped_pair():
     m = build_h4_yd_table("H4A", H4Params(1, 2, 1))
-    swapped = YDModuleData(m.module, m.comodule, (m.pair_b, m.pair_a), check=False)
+    swapped = YDModuleData(m.over, m.action_map(), m.coaction_map(), m.mu, AutPair(m.pair_b, m.pair_a),
+                           basis=m.basis, check=False)
     rep = check_yd(swapped)
     assert not rep.ok()
     assert rep.item("eq-2.1").witness is not None
@@ -202,9 +203,9 @@ def test_equivalence_of_both_forms_on_valid_and_invalid_instances():
             h, h4_automorphism(actual[0]), h4_automorphism(actual[1]), check=False
         )
         tagged = YDModuleData(
-            yd.module, yd.comodule,
-            (h4_automorphism(declared[0]), h4_automorphism(declared[1])),
-            check=False,
+            h, yd.action_map(), yd.coaction_map(), yd.mu,
+            AutPair(h4_automorphism(declared[0]), h4_automorphism(declared[1])),
+            basis=yd.basis, check=False,
         )
         assert check_yd(tagged).ok() == check_yd_alt(tagged).ok()
 
@@ -311,8 +312,8 @@ def test_entwined_module_agreement_is_systematic():
         for which in ("H4A", "H4B", "H4AB"):
             yd = build_h4_yd_table(which, p, h=h)
             assert check_entwined_module(yd, e).ok() == check_yd(
-                YDModuleData(yd.module, yd.comodule,
-                             (h4_automorphism(cp), h4_automorphism(cpp)), check=False)
+                YDModuleData(h, yd.action_map(), yd.coaction_map(), yd.mu,
+                             AutPair(h4_automorphism(cp), h4_automorphism(cpp)), basis=yd.basis, check=False)
             ).ok()
 
 
@@ -383,7 +384,8 @@ def test_datum_fails_exactly_when_yd_fails():
     n = build_bicomodule_algebra(h, h4_automorphism(2), h4_automorphism(3))
     ydA = build_h4_yd_table("H4A", p, h=h)   # lives in (A, id), not (A, B)
     tagged = YDModuleData(
-        ydA.module, ydA.comodule, (h4_automorphism(2), h4_automorphism(3)), check=False
+        h, ydA.action_map(), ydA.coaction_map(), ydA.mu, AutPair(h4_automorphism(2), h4_automorphism(3)),
+        basis=ydA.basis, check=False,
     )
     assert not check_yd(tagged).ok()
     assert not check_yd_datum(ydA, n).ok()
