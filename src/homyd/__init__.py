@@ -7,11 +7,11 @@ from .exactlin import (
     LinearMap,
     Scalar,
     SingularMap,
-    Tensor3,
     compose,
     invert,
     kron,
     rat,
+    table_map,
 )
 from .hom_algebra import (
     AutPair,

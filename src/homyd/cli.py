@@ -6,7 +6,7 @@
     homyd demo h4 [--c Q] [--cp Q] [--cpp Q] [--out csv|json]
 
 Exit codes: 0 when every identity passes, 1 when any fails, 2 on a
-parse or resolution diagnostic.
+parse or resolution diagnostic or a FILE that cannot be read as UTF-8.
 
 Matrices act on column coordinate vectors, so in CSV/JSON output the
 column j holds the image of the j-th domain basis vector; the table
@@ -134,10 +134,20 @@ def emit_braiding(m, n, out_format="csv"):
     return json.dumps(braiding_to_dict(b), indent=2) + "\n"
 
 
+def _read_definition(path):
+    """The parsed definition file at path; a file that cannot be read is a
+    DefinitionError like any other diagnostic."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as exc:
+        raise DefinitionError("cannot read %s: %s" % (path, exc.strerror or exc)) from None
+    return parse_definition(data)
+
+
 def cmd_check(args):
     try:
-        text = open(args.file, "r", encoding="utf-8").read()
-        report = run_checks(parse_definition(text), args.suite, seed=args.seed)
+        report = run_checks(_read_definition(args.file), args.suite, seed=args.seed)
     except DefinitionError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -148,8 +158,7 @@ def cmd_check(args):
 
 def cmd_braid(args):
     try:
-        text = open(args.file, "r", encoding="utf-8").read()
-        resolved = resolve_definition(parse_definition(text))
+        resolved = resolve_definition(_read_definition(args.file))
         kind_m, mod_m = resolved.get(args.m)
         kind_n, mod_n = resolved.get(args.n)
         if kind_m != "ydmodule" or kind_n != "ydmodule":

@@ -475,7 +475,12 @@ def parse_definition(text):
     """Parse a definition file into its AST, validating all name and basis
     references along the way."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            col = exc.start - text.rfind(b"\n", 0, exc.start)
+            raise ParseError(text.count(b"\n", 0, exc.start) + 1, col, ("UTF-8 text",),
+                             text[exc.start:exc.end]) from None
     sections = []
     states = {}
     current = state = None
@@ -697,6 +702,7 @@ class ResolvedFile:
     def __init__(self):
         self.params = {}
         self.objects = {}   # name -> (kind, object)
+        self.sections = {}  # name -> Section
         self.order = []
 
     def of_kind(self, *kinds):
@@ -791,6 +797,7 @@ def resolve_definition(df):
                 rf.params[e.args[0]] = eval_expr(e.value, rf.params, e.line)
             continue
         builder = _BUILDERS[section.kind]
+        rf.sections[section.name] = section
         try:
             obj = builder(section, rf)
         except (SingularMap, DimensionMismatch, InvalidStructure) as exc:
@@ -808,7 +815,7 @@ def _resolve_algebra_parts(section, rf, basis):
     unit_lines = g.get("unit")
     if not unit_lines:
         raise ResolveError("section %r has no unit" % section.name, None)
-    unit = _combo_vec(unit_lines[-1].value, basis, params, unit_lines[-1].line)
+    unit = LinearMap.from_cols([_combo_vec(unit_lines[-1].value, basis, params, unit_lines[-1].line)])
     mul = _product_map(g.get("mul", []), basis, basis, params)
     return mul, unit, _square_map(g, "alpha", basis, params)
 
@@ -820,7 +827,7 @@ def _resolve_coalgebra_parts(section, rf, basis, twist_key):
     counit = [ZERO] * len(basis)
     for e in g.get("counit", []):
         counit[basis.index(e.args[0])] = eval_expr(e.value, params, e.line)
-    return comul, tuple(counit), _square_map(g, twist_key, basis, params)
+    return comul, LinearMap.from_rows([counit]), _square_map(g, twist_key, basis, params)
 
 
 def _build_algebra(section, rf):
@@ -843,9 +850,7 @@ def _build_hopf(section, rf):
     if "antipode" not in g:
         raise ResolveError("hopf section %r has no antipode" % section.name, None)
     antipode = _square_map(g, "antipode", basis, rf.params)
-    algebra = HomAlgebraData(basis, mul, unit, alpha, check=False)
-    coalgebra = HomCoalgebraData(basis, comul, counit, alpha, check=False)
-    return HomHopfAlgebraData(algebra, coalgebra, antipode, check=False)
+    return HomHopfAlgebraData.from_maps(basis, mul, unit, comul, counit, antipode, alpha, check=False)
 
 
 def _over_hopf(section, rf):
@@ -904,6 +909,8 @@ def _build_ydmodule(section, rf):
             kind, obj = rf.get(e.value, e.line)
             if kind != "autpair":
                 raise ResolveError("pair reference %r is not an autpair" % e.value, e.line)
+            if _over_name(rf.sections[e.value], e.line) != _over_name(section, e.line):
+                raise ResolveError("pair reference %r is over a different hopf section" % e.value, e.line)
             pair = obj
     if pair is None:
         pair = _build_autpair_maps(section, rf, h)
@@ -933,7 +940,7 @@ _SUITE_NEEDS = {
     "algebra": "algebra section",
     "coalgebra": "coalgebra section",
     "hopf": "hopf section",
-    "yd": "ydmodule section",
+    "yd": "ydmodule, module or comodule section",
     "tcat": "hopf and ydmodule sections",
 }
 
@@ -951,7 +958,7 @@ def run_checks(resolved, suite="all", seed=0):
         "algebra": resolved.of_kind("algebra") + [(n, h.algebra) for n, h in hopfs],
         "coalgebra": resolved.of_kind("coalgebra") + [(n, h.coalgebra) for n, h in hopfs],
         "hopf": hopfs,
-        "yd": yds,
+        "yd": resolved.of_kind("module", "comodule", "ydmodule"),
         "tcat": hopfs if yds else [],
     }
     if suite != "all" and not targets[suite]:
@@ -975,7 +982,11 @@ def run_checks(resolved, suite="all", seed=0):
             rep.extend(check_antipode(h).prefixed(name + ":"))
 
     if suite in ("all", "yd"):
-        for name, yd in yds:
+        for name, yd in targets["yd"]:
+            if not isinstance(yd, YDModuleData):
+                check = check_hom_module if isinstance(yd, HomModuleData) else check_hom_comodule
+                rep.extend(check(yd).prefixed(name + ":"))
+                continue
             rep.extend(check_hom_module(yd.module).prefixed(name + ":"))
             rep.extend(check_hom_comodule(yd.comodule).prefixed(name + ":"))
             for pname, aut in (("pair-a", yd.pair_a), ("pair-b", yd.pair_b)):

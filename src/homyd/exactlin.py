@@ -5,7 +5,8 @@ antipode, twists, actions, coactions, braidings) is ultimately a LinearMap
 over the rationals, acting on column coordinate vectors and storing only
 its nonzero entries, column by column.  Tensor legs are flattened with the
 fixed convention (i, j) -> i * dim_right + j; Kronecker products and leg
-permutations below follow the same convention.
+permutations below follow the same convention.  Structure constants
+written out as a sparse table literal become a map through table_map.
 
 All values are immutable after construction and all operations are pure,
 so everything here is safe to share between threads.
@@ -303,88 +304,23 @@ def _axpy(y, coef, x):
     return out
 
 
-class Tensor3:
-    """Rank-3 array of exact rationals in lexicographic index order.
-
-    Houses structure constants, e.g. a multiplication table
-    m(e_i (x) e_j) = sum_k t[i, j, k] e_k.
-    """
-
-    __slots__ = ("dims", "entries")
-
-    def __init__(self, dims, entries):
-        d0, d1, d2 = dims
-        entries = tuple(
-            e if type(e) is Fraction else Fraction(e) for e in entries
-        )
-        if len(entries) != d0 * d1 * d2:
-            raise DimensionMismatch(
-                "expected %d entries for dims %r, got %d" % (d0 * d1 * d2, dims, len(entries))
-            )
-        self.dims = (d0, d1, d2)
-        self.entries = entries
-
-    @classmethod
-    def from_dict(cls, dims, data):
-        """Sparse constructor: data maps (i, j, k) -> scalar."""
-        d0, d1, d2 = dims
-        entries = [ZERO] * (d0 * d1 * d2)
-        for (i, j, k), v in data.items():
-            if not (0 <= i < d0 and 0 <= j < d1 and 0 <= k < d2):
-                raise DimensionMismatch("index %r out of range for dims %r" % ((i, j, k), dims))
-            entries[(i * d1 + j) * d2 + k] = Fraction(v)
-        return cls(dims, entries)
-
-    @classmethod
-    def from_map(cls, dims, f):
-        """Inverse of as_map: the table whose domain indices come first."""
-        return cls(dims, f.transpose().entries)
-
-    def as_map(self, out_legs):
-        """The LinearMap reading the last out_legs indices as the codomain
-        and the others as the domain: a product table t[i, j, k] gives
-        A (x) A -> A with out_legs=1, a coproduct table C -> C (x) C with 2."""
-        d0, d1, d2 = self.dims
-        rows = d2 if out_legs == 1 else d1 * d2
-        e = self.entries
-        return _from_columns(rows, tuple(
-            {i: v for i, v in enumerate(e[j:j + rows]) if v} for j in range(0, len(e), rows)
-        ))
-
-    def at(self, i, j, k):
-        d0, d1, d2 = self.dims
-        return self.entries[(i * d1 + j) * d2 + k]
-
-    def fiber(self, i, j):
-        """Dense vector t[i, j, :]."""
-        d0, d1, d2 = self.dims
-        base = (i * d1 + j) * d2
-        return self.entries[base : base + d2]
-
-    def sparse_pairs(self, i):
-        """Nonzero terms of slice i as a list of (j, k, coefficient)."""
-        d0, d1, d2 = self.dims
-        out = []
-        base = i * d1 * d2
-        for j in range(d1):
-            for k in range(d2):
-                v = self.entries[base + j * d2 + k]
-                if v:
-                    out.append((j, k, v))
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Tensor3)
-            and self.dims == other.dims
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.dims, self.entries))
-
-    def __repr__(self):
-        return "Tensor3(%r, <%d entries>)" % (self.dims, len(self.entries))
+def table_map(dims, data, out_legs):
+    """The LinearMap of a sparse table literal data {(i, j, k): v} with index
+    ranges dims, reading the last out_legs indices as the codomain and the
+    others as the domain: a product table t[i, j, k] (the e_k coefficient of
+    e_i e_j) gives A (x) A -> A with out_legs=1, a coproduct table
+    t[k, i, j] (the e_i (x) e_j coefficient of comul(e_k)) C -> C (x) C
+    with 2."""
+    d0, d1, d2 = dims
+    rows = d2 if out_legs == 1 else d1 * d2
+    columns = tuple({} for _ in range(d0 * d1 * d2 // rows))
+    for (i, j, k), v in data.items():
+        if not (0 <= i < d0 and 0 <= j < d1 and 0 <= k < d2):
+            raise DimensionMismatch("index %r out of range for dims %r" % ((i, j, k), dims))
+        if v:
+            col, row = divmod((i * d1 + j) * d2 + k, rows)
+            columns[col][row] = Fraction(v)
+    return _from_columns(rows, columns)
 
 
 # -- coordinate vector helpers --------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactlin import LinearMap, Tensor3, ONE, ZERO
+from .exactlin import LinearMap, table_map
 from .hom_algebra import AutPair, HomHopfAlgebraData, HopfAutomorphism, identity_automorphism
 from .reports import CheckReport, check_matrix_equal
 from .yd_modules import YDModuleData, build_canonical_yd
@@ -50,27 +50,20 @@ def build_h4(c, check=True):
     """The dim-4 twisted Hopf algebra on (1, g, x, gx) with twist
     diag(1, 1, c, c)."""
     c = _nonzero(c, "c")
-    mul = Tensor3.from_dict(
-        (4, 4, 4),
-        {
-            (_I, _I, _I): 1, (_I, _G, _G): 1, (_I, _X, _X): c, (_I, _GX, _GX): c,
-            (_G, _I, _G): 1, (_G, _G, _I): 1, (_G, _X, _GX): c, (_G, _GX, _X): c,
-            (_X, _I, _X): c, (_X, _G, _GX): -c,
-            (_GX, _I, _GX): c, (_GX, _G, _X): -c,
-        },
-    )
+    mul = table_map((4, 4, 4), {
+        (_I, _I, _I): 1, (_I, _G, _G): 1, (_I, _X, _X): c, (_I, _GX, _GX): c,
+        (_G, _I, _G): 1, (_G, _G, _I): 1, (_G, _X, _GX): c, (_G, _GX, _X): c,
+        (_X, _I, _X): c, (_X, _G, _GX): -c,
+        (_GX, _I, _GX): c, (_GX, _G, _X): -c,
+    }, out_legs=1)
     cinv = 1 / c
-    comul = Tensor3.from_dict(
-        (4, 4, 4),
-        {
-            (_I, _I, _I): 1,
-            (_G, _G, _G): 1,
-            (_X, _X, _I): cinv, (_X, _G, _X): cinv,
-            (_GX, _GX, _G): cinv, (_GX, _I, _GX): cinv,
-        },
-    )
-    unit = (ONE, ZERO, ZERO, ZERO)
-    counit = (ONE, ONE, ZERO, ZERO)
+    comul = table_map((4, 4, 4), {
+        (_I, _I, _I): 1, (_G, _G, _G): 1,
+        (_X, _X, _I): cinv, (_X, _G, _X): cinv,
+        (_GX, _GX, _G): cinv, (_GX, _I, _GX): cinv,
+    }, out_legs=2)
+    unit = LinearMap.from_cols([[1, 0, 0, 0]])
+    counit = LinearMap.from_rows([[1, 1, 0, 0]])
     alpha = LinearMap.diagonal([1, 1, c, c])
     antipode = LinearMap.from_cols(
         [
@@ -80,7 +73,7 @@ def build_h4(c, check=True):
             [0, 0, 1, 0],   # S(gx) = x, forced by S(gx)(g) + 1(gx) = 0
         ]
     )
-    return HomHopfAlgebraData.from_tables(BASIS, mul, unit, comul, counit, antipode, alpha, check=check)
+    return HomHopfAlgebraData.from_maps(BASIS, mul, unit, comul, counit, antipode, alpha, check=check)
 
 
 def h4_automorphism(lam):
@@ -94,30 +87,18 @@ def h4_automorphism(lam):
 # golden module tables
 # ---------------------------------------------------------------------------
 
-# Action coefficients for the three printed module tables over (c, k1, k2):
-# each entry (h, m) -> [(target, coefficient expression)], where the
-# expression is evaluated at k1 = c' (or c'') per table.  The three tables
-# share rows for h in {1, g} and differ only in the x / gx rows.
-
-
-def _common_rows(c):
-    return {
-        (_I, _I): {_I: 1}, (_I, _G): {_G: 1}, (_I, _X): {_X: c}, (_I, _GX): {_GX: c},
-        (_G, _I): {_I: 1}, (_G, _G): {_G: 1}, (_G, _X): {_X: -c}, (_G, _GX): {_GX: -c},
-    }
+# Action coefficients of the printed module tables: cell (h, m, p) is the
+# f_p coefficient of h.m.  The tables share the rows for h in {1, g} and
+# differ only in the values of x.1, x.g, gx.1 and gx.g.
 
 
 def _table_action(c, x_on_1, x_on_g, gx_on_1, gx_on_g):
-    data = _common_rows(c)
-    data[(_X, _I)] = {_GX: x_on_1}
-    data[(_X, _G)] = {_X: x_on_g}
-    data[(_GX, _I)] = {_GX: gx_on_1}
-    data[(_GX, _G)] = {_X: gx_on_g}
-    flat = {}
-    for (h, m), targets in data.items():
-        for t, v in targets.items():
-            flat[(h, m, t)] = v
-    return Tensor3.from_dict((4, 4, 4), flat).as_map(1)
+    return table_map((4, 4, 4), {
+        (_I, _I, _I): 1, (_I, _G, _G): 1, (_I, _X, _X): c, (_I, _GX, _GX): c,
+        (_G, _I, _I): 1, (_G, _G, _G): 1, (_G, _X, _X): -c, (_G, _GX, _GX): -c,
+        (_X, _I, _GX): x_on_1, (_X, _G, _X): x_on_g,
+        (_GX, _I, _GX): gx_on_1, (_GX, _G, _X): gx_on_g,
+    }, out_legs=1)
 
 
 def build_h4_yd_table(which, p, check=True, h=None):
@@ -150,7 +131,7 @@ def build_h4_yd_table(which, p, check=True, h=None):
         raise ValueError("unknown table %r; expected H4A, H4B or H4AB" % (which,))
     if h is None:
         h = build_h4(c, check=check)
-    return YDModuleData(h, action, h.coalgebra.comul_map, h.alpha, pair,
+    return YDModuleData(h, action, h.coalgebra.comul, h.alpha, pair,
                         basis=BASIS, check=check, label=which)
 
 
@@ -170,15 +151,11 @@ def build_twisted_h4b(p, check=True, h=None):
         -c * (1 + cpp) / cp,
     )
     cinv = 1 / c
-    coaction = Tensor3.from_dict(
-        (4, 4, 4),
-        {
-            (_I, _I, _I): 1,
-            (_G, _G, _G): 1,
-            (_X, _X, _I): cinv, (_X, _G, _X): cinv * cp,
-            (_GX, _GX, _G): cinv, (_GX, _I, _GX): cinv * cp,
-        },
-    ).as_map(2)
+    coaction = table_map((4, 4, 4), {
+        (_I, _I, _I): 1, (_G, _G, _G): 1,
+        (_X, _X, _I): cinv, (_X, _G, _X): cinv * cp,
+        (_GX, _GX, _G): cinv, (_GX, _I, _GX): cinv * cp,
+    }, out_legs=2)
     if h is None:
         h = build_h4(c, check=check)
     pair = AutPair(identity_automorphism(4), h4_automorphism(cpp))
@@ -232,7 +209,7 @@ def golden_table_errata(p):
     for name, variant_action, a_aut, b_aut in variants:
         check_matrix_equal(
             rep, "variant-table-%s" % name, "sign-variant action table equals the constructed action",
-            variant_action, build_canonical_yd(h, a_aut, b_aut, check=False).action_map(),
+            variant_action, build_canonical_yd(h, a_aut, b_aut, check=False).action,
             dims=(4, 4), labeler=lambda idx: (BASIS[idx[0]], BASIS[idx[1]]),
         )
     return rep

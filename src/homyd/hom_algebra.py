@@ -4,10 +4,11 @@ catalogue.
 
 The twist automorphism deforms every axiom: associativity becomes
 alpha(a)(bc) = (ab)alpha(c), the unit law becomes a1 = 1a = alpha(a), and
-so on.  Each axiom is checked as one equality of two composites of the
-structure maps (product m, unit u, coproduct, counit, twist, antipode),
-compared column by column; by multilinearity a column is the law at one
-basis tuple.
+so on.  Each structure map is stored once, as the LinearMap the laws
+compose: mul and unit on HomAlgebraData, comul and counit on
+HomCoalgebraData, the twist and the antipode beside them.  Each axiom is
+checked as one equality of two composites of those maps, compared column
+by column; by multilinearity a column is the law at one basis tuple.
 
 Identity ids ("eq-1.1", "antipode-left", ...) are stable strings; the
 numbering groups the structure-level laws as the 1.x family.
@@ -15,7 +16,7 @@ numbering groups the structure-level laws as the 1.x family.
 
 from __future__ import annotations
 
-from .exactlin import LinearMap, Tensor3, flip, invert, kron, permute
+from .exactlin import LinearMap, flip, invert, kron, permute
 from .reports import CheckReport, check_matrix_equal
 
 
@@ -52,50 +53,40 @@ def _require_shape(suite, what, f, rows, cols):
 class HomAlgebraData:
     """Twisted unital algebra (A, m, 1, alpha) given by structure maps.
 
-    mul_map is m : A (x) A -> A, so column i*dim + j is the coordinate
-    vector of e_i e_j; unit is the coordinate vector of 1; alpha is the
-    invertible twist.
+    mul is m : A (x) A -> A, so column i*dim + j is the coordinate vector of
+    e_i e_j; unit is the dim x 1 map k -> A whose column is the coordinate
+    vector of 1; alpha is the invertible twist.
     """
 
-    def __init__(self, basis, mul_map, unit, alpha, check=True):
+    def __init__(self, basis, mul, unit, alpha, check=True):
         self.basis = tuple(basis)
         self.dim = d = len(self.basis)
-        _require_shape("hom-algebra", "mul", mul_map, d, d * d)
-        self.mul_map = mul_map
-        self.unit = tuple(unit)
+        _require_shape("hom-algebra", "mul", mul, d, d * d)
+        _require_shape("hom-algebra", "unit", unit, d, 1)
+        self.mul = mul
+        self.unit = unit
         self.alpha = alpha
         self.alpha_inv = invert(alpha)
-        self.unit_map = LinearMap(d, 1, self.unit)
         _require(lambda: check_hom_algebra(self), check)
-
-    @property
-    def mul(self):
-        """Read-only table view: mul.at(i, j, k) is the e_k coefficient of e_i e_j."""
-        return Tensor3.from_map((self.dim,) * 3, self.mul_map)
 
 
 class HomCoalgebraData:
     """Twisted counital coalgebra (C, comul, counit, gamma).
 
-    comul_map is C -> C (x) C, so row i*dim + j of column k is the
-    coefficient of e_i (x) e_j in comul(e_k).
+    comul is C -> C (x) C, so row i*dim + j of column k is the coefficient
+    of e_i (x) e_j in comul(e_k); counit is the 1 x dim map C -> k.
     """
 
-    def __init__(self, basis, comul_map, counit, gamma, check=True):
+    def __init__(self, basis, comul, counit, gamma, check=True):
         self.basis = tuple(basis)
         self.dim = d = len(self.basis)
-        _require_shape("hom-coalgebra", "comul", comul_map, d * d, d)
-        self.comul_map = comul_map
-        self.counit = tuple(counit)
+        _require_shape("hom-coalgebra", "comul", comul, d * d, d)
+        _require_shape("hom-coalgebra", "counit", counit, 1, d)
+        self.comul = comul
+        self.counit = counit
         self.gamma = gamma
         self.gamma_inv = invert(gamma)
-        self.counit_map = LinearMap(1, d, self.counit)
         _require(lambda: check_hom_coalgebra(self), check)
-
-    @property
-    def comul(self):
-        """Read-only table view: comul.at(k, i, j) is the e_i (x) e_j coefficient of comul(e_k)."""
-        return Tensor3.from_map((self.dim,) * 3, self.comul_map)
 
 
 def _shape_report(suite, msg):
@@ -121,10 +112,11 @@ class HomHopfAlgebraData:
                                                 .extend(check_antipode(self)), check)
 
     @classmethod
-    def from_tables(cls, basis, mul, unit, comul, counit, antipode, alpha, check=True):
-        """Build from Tensor3 table literals: mul[i, j, k] and comul[k, i, j]."""
-        alg = HomAlgebraData(basis, mul.as_map(1), unit, alpha, check=check)
-        coa = HomCoalgebraData(basis, comul.as_map(2), counit, alpha, check=check)
+    def from_maps(cls, basis, mul, unit, comul, counit, antipode, alpha, check=True):
+        """Build the algebra and coalgebra layers from their structure maps,
+        both twisted by alpha, and the Hopf data on top of them."""
+        alg = HomAlgebraData(basis, mul, unit, alpha, check=check)
+        coa = HomCoalgebraData(basis, comul, counit, alpha, check=check)
         return cls(alg, coa, antipode, check=check)
 
     # convenience pass-throughs used all over the higher layers
@@ -137,14 +129,6 @@ class HomHopfAlgebraData:
         return self.algebra.basis
 
     @property
-    def mul(self):
-        return self.algebra.mul
-
-    @property
-    def unit(self):
-        return self.algebra.unit
-
-    @property
     def alpha(self):
         return self.algebra.alpha
 
@@ -152,22 +136,14 @@ class HomHopfAlgebraData:
     def alpha_inv(self):
         return self.algebra.alpha_inv
 
-    @property
-    def comul(self):
-        return self.coalgebra.comul
-
-    @property
-    def counit(self):
-        return self.coalgebra.counit
-
     def equal_tables(self, other):
         """Structural equality of every structure map."""
         return (
             self.basis == other.basis
-            and self.algebra.mul_map == other.algebra.mul_map
-            and self.unit == other.unit
-            and self.coalgebra.comul_map == other.coalgebra.comul_map
-            and self.counit == other.counit
+            and self.algebra.mul == other.algebra.mul
+            and self.algebra.unit == other.algebra.unit
+            and self.coalgebra.comul == other.coalgebra.comul
+            and self.coalgebra.counit == other.coalgebra.counit
             and self.alpha == other.alpha
             and self.antipode == other.antipode
         )
@@ -254,7 +230,7 @@ def check_hom_algebra(a):
     rep = CheckReport("hom-algebra")
     d = a.dim
     lab = _labeler(a.basis)
-    m, u, alpha = a.mul_map, a.unit_map, a.alpha
+    m, u, alpha = a.mul, a.unit, a.alpha
     ident = LinearMap.identity(d)
     check_matrix_equal(rep, "eq-1.1", "alpha(a)(bc) = (ab)alpha(c)",
                        m @ kron(alpha, m), m @ kron(m, alpha), (d, d, d), lab)
@@ -272,7 +248,7 @@ def check_hom_coalgebra(c):
     rep = CheckReport("hom-coalgebra")
     d = c.dim
     lab = _labeler(c.basis)
-    comul, eps, gamma, gamma_inv = c.comul_map, c.counit_map, c.gamma, c.gamma_inv
+    comul, eps, gamma, gamma_inv = c.comul, c.counit, c.gamma, c.gamma_inv
     ident = LinearMap.identity(d)
     check_matrix_equal(
         rep, "eq-1.4", "gamma^-1(c1) (x) comul(c2) = comul(c1) (x) gamma^-1(c2)",
@@ -299,8 +275,8 @@ def check_hom_bialgebra(h):
     rep = CheckReport("hom-bialgebra")
     d = h.dim
     lab = _labeler(h.basis)
-    m, u = h.algebra.mul_map, h.algebra.unit_map
-    comul, eps = h.coalgebra.comul_map, h.coalgebra.counit_map
+    m, u = h.algebra.mul, h.algebra.unit
+    comul, eps = h.coalgebra.comul, h.coalgebra.counit
     middle = permute((d, d, d, d), (0, 2, 1, 3))
     check_matrix_equal(rep, "bialg-comul-mult", "comul(hg) = comul(h)comul(g)",
                        comul @ m, kron(m, m) @ middle @ kron(comul, comul), (d, d), lab)
@@ -320,8 +296,8 @@ def check_antipode(h):
     d = h.dim
     lab = _labeler(h.basis)
     s = h.antipode
-    m, u = h.algebra.mul_map, h.algebra.unit_map
-    comul, eps = h.coalgebra.comul_map, h.coalgebra.counit_map
+    m, u = h.algebra.mul, h.algebra.unit
+    comul, eps = h.coalgebra.comul, h.coalgebra.counit
     ident = LinearMap.identity(d)
     check_matrix_equal(rep, "antipode-left", "S(h1)h2 = eps(h)1",
                        convolution(h, s, ident), u @ eps, (d,), lab)
@@ -348,8 +324,8 @@ def check_automorphism(h, phi):
     rep = CheckReport("automorphism")
     d = h.dim
     lab = _labeler(h.basis)
-    m, u = h.algebra.mul_map, h.algebra.unit_map
-    comul, eps = h.coalgebra.comul_map, h.coalgebra.counit_map
+    m, u = h.algebra.mul, h.algebra.unit
+    comul, eps = h.coalgebra.comul, h.coalgebra.counit
 
     try:
         invert(phi)
@@ -376,9 +352,9 @@ def convolution(h, f, g):
     d = h.dim
     if not (f.rows == f.cols == d and g.rows == g.cols == d):
         raise InvalidStructure(_shape_report("convolution", "endomorphism shapes required"))
-    return h.algebra.mul_map @ kron(f, g) @ h.coalgebra.comul_map
+    return h.algebra.mul @ kron(f, g) @ h.coalgebra.comul
 
 
-def counit_unit_map(h):
+def convolution_unit(h):
     """The convolution unit x -> eps(x) 1."""
-    return h.algebra.unit_map @ h.coalgebra.counit_map
+    return h.algebra.unit @ h.coalgebra.counit

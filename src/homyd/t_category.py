@@ -73,10 +73,10 @@ def tensor_yd(m, n, check=True, label=None):
     d, dm, dn = h.dim, m.dim, n.dim
     idd, idm, idn = LinearMap.identity(d), LinearMap.identity(dm), LinearMap.identity(dn)
     cbc = n.pair_a.inverse @ m.pair_b.matrix @ n.pair_a.matrix
-    left = kron(n.pair_a.matrix, n.action_map() @ kron(cbc, idn)) @ kron(h.coalgebra.comul_map, idn)
-    act = kron(m.action_map() @ flip(dm, d), idn) @ kron(idm, left) @ kron(flip(d, dm), idn)
-    right = kron(idn, h.algebra.mul_map) @ kron(n.coaction_map(), idd) @ flip(d, dn)
-    coact = kron(idm, right) @ kron(m.coaction_map(), idn)
+    left = kron(n.pair_a.matrix, n.action @ kron(cbc, idn)) @ kron(h.coalgebra.comul, idn)
+    act = kron(m.action @ flip(dm, d), idn) @ kron(idm, left) @ kron(flip(d, dm), idn)
+    right = kron(idn, h.algebra.mul) @ kron(n.coaction, idd) @ flip(d, dn)
+    coact = kron(idm, right) @ kron(m.coaction, idn)
     basis = tuple("%s(x)%s" % (a, b) for a in m.basis for b in n.basis)
     return YDModuleData(h, act, coact, kron(m.mu, n.mu), group_mul(m.pair, n.pair), basis=basis,
                         check=check, label=label or "%s(x)%s" % (m.name, n.name))
@@ -91,8 +91,8 @@ def conjugate_yd(p, n, check=True, label=None):
     """
     dn = n.dim
     phi = n.pair_a.inverse @ p.b.matrix @ n.pair_a.matrix @ p.a.inverse
-    act = n.action_map() @ kron(phi, LinearMap.identity(dn))
-    coact = kron(LinearMap.identity(dn), p.a.matrix @ p.b.inverse) @ n.coaction_map()
+    act = n.action @ kron(phi, LinearMap.identity(dn))
+    coact = kron(LinearMap.identity(dn), p.a.matrix @ p.b.inverse) @ n.coaction
     return YDModuleData(n.over, act, coact, n.mu, group_mul(group_mul(p, n.pair), group_inv(p)),
                         basis=n.basis, check=check, label=label or "^%s%s" % (p.name, n.name))
 
@@ -126,8 +126,8 @@ def braiding(m, n):
         c(x (x) y) = nu(y0) (x) B^-1(y1) . mu^-1(x)
                    = (nu (x) act_M (B^-1 (x) mu^-1)) (rho_N (x) id) flip.
     """
-    act = m.action_map() @ kron(m.pair_b.inverse, m.mu_inv)
-    matrix = kron(n.mu, act) @ kron(n.coaction_map(), LinearMap.identity(m.dim)) @ flip(m.dim, n.dim)
+    act = m.action @ kron(m.pair_b.inverse, m.mu_inv)
+    matrix = kron(n.mu, act) @ kron(n.coaction, LinearMap.identity(m.dim)) @ flip(m.dim, n.dim)
     return BraidingMap((m, n), matrix)
 
 
@@ -138,10 +138,10 @@ def braiding_inverse(b):
                       = (act_M (B^-1 S (x) mu^-1) (x) nu) (y0, y1, x -> y1, x, y0) (rho_N (x) id).
     """
     m, n = b.source
-    act = m.action_map() @ kron(m.pair_b.inverse @ m.over.antipode, m.mu_inv)
+    act = m.action @ kron(m.pair_b.inverse @ m.over.antipode, m.mu_inv)
     return (
         kron(act, n.mu) @ permute((n.dim, m.over.dim, m.dim), (1, 2, 0))
-        @ kron(n.coaction_map(), LinearMap.identity(m.dim))
+        @ kron(n.coaction, LinearMap.identity(m.dim))
     )
 
 
@@ -175,16 +175,16 @@ def check_braiding_equivariance(b, src, tgt):
     h = m.over
     tag = _pair_labels(m, n)
 
-    lhs = b.matrix @ src.action_map()
-    rhs = tgt.action_map() @ kron(LinearMap.identity(h.dim), b.matrix)
+    lhs = b.matrix @ src.action
+    rhs = tgt.action @ kron(LinearMap.identity(h.dim), b.matrix)
     check_matrix_equal(
         rep, "braiding-module-map(%s)" % tag, "c(h.(m (x) n)) = h.c(m (x) n)",
         lhs, rhs, dims=(h.dim, m.dim * n.dim),
         labeler=lambda idx: (h.basis[idx[0]], src.basis[idx[1]]),
     )
 
-    lhs = kron(b.matrix, LinearMap.identity(h.dim)) @ src.coaction_map()
-    rhs = tgt.coaction_map() @ b.matrix
+    lhs = kron(b.matrix, LinearMap.identity(h.dim)) @ src.coaction
+    rhs = tgt.coaction @ b.matrix
     check_matrix_equal(
         rep, "braiding-comodule-map(%s)" % tag, "rho(c(m (x) n)) = (c (x) id) rho(m (x) n)",
         lhs, rhs, dims=(m.dim * n.dim,), labeler=lambda idx: (src.basis[idx[0]],),
@@ -412,8 +412,8 @@ def check_t_category(h, modules, pairs, seed=0):
         # general the twisted constraint is the intertwiner between them.
         a = associator(m, n, p_mod)
         placement = left.mu == right.mu and left.pair == right.pair
-        module_map = (right.action_map() @ kron(idh, a)) == (a @ left.action_map())
-        comodule_map = (right.coaction_map() @ a) == (kron(a, idh) @ left.coaction_map())
+        module_map = (right.action @ kron(idh, a)) == (a @ left.action)
+        comodule_map = (right.coaction @ a) == (kron(a, idh) @ left.coaction)
         rep.add(
             "tensor-assoc(%s,%s,%s)" % (m.name, n.name, p_mod.name),
             "(M (x) N) (x) P and M (x) (N (x) P) share the component and are "
@@ -432,13 +432,13 @@ def check_t_category(h, modules, pairs, seed=0):
         ):
             check_matrix_equal(
                 rep, "unit-%s-module(%s)" % (side, n.name), "%s(h.(%s)) = h.%s(%s)" % (sym, src, sym, src),
-                n.mu @ t.action_map(), n.action_map() @ kron(idh, n.mu), dims=(h.dim, n.dim),
+                n.mu @ t.action, n.action @ kron(idh, n.mu), dims=(h.dim, n.dim),
                 labeler=lambda idx: (h.basis[idx[0]], n.basis[idx[1]]),
             )
             check_matrix_equal(
                 rep, "unit-%s-comodule(%s)" % (side, n.name),
                 "rho(%s(%s)) = (%s (x) id) rho(%s)" % (sym, src, sym, src),
-                kron(n.mu, idh) @ t.coaction_map(), n.coaction_map() @ n.mu, dims=(n.dim,),
+                kron(n.mu, idh) @ t.coaction, n.coaction @ n.mu, dims=(n.dim,),
             )
 
     rep.add(

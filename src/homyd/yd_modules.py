@@ -3,11 +3,11 @@ structures and bicomodule algebras.
 
 Conventions, fixed throughout:
 
-* actions are left actions H (x) M -> M, stored as the LinearMap act_map,
+* actions are left actions H (x) M -> M, stored as the LinearMap action,
   whose column h*dim(M) + m is the coordinate vector of e_h . f_m;
-* right coactions M -> M (x) H are stored as coact_map, whose column m
-  holds the coefficient of f_p (x) e_j in row p*dim(H) + j; left coactions
-  M -> H (x) M hold that of e_i (x) f_p in row i*dim(M) + p;
+* right coactions M -> M (x) H are stored as the LinearMap coaction, whose
+  column m holds the coefficient of f_p (x) e_j in row p*dim(H) + j; left
+  coactions M -> H (x) M hold that of e_i (x) f_p in row i*dim(M) + p;
 * every carrier comes with its own invertible twist mu, and every axiom
   below is the mu/alpha-twisted one.
 
@@ -20,24 +20,15 @@ check_yd_alt verifies the equivalent antipode-free form (2.2); the two
 verdicts must agree on any carrier whose module/comodule axioms hold, and
 the test suite exercises that equivalence on failing instances too.
 
-A Yetter-Drinfeld object is built in one call, YDModuleData(over, act_map,
-coact_map, mu, pair), from its maps, its twist and its component, an
+A Yetter-Drinfeld object is built in one call, YDModuleData(over, action,
+coaction, mu, pair), from its maps, its twist and its component, an
 AutPair; every builder here, in t_category, h4_library and defformat goes
 through it.  Only comodules read mu^-1, so only they invert the twist.
 """
 
 from __future__ import annotations
 
-from .exactlin import (
-    LinearMap,
-    Tensor3,
-    ZERO,
-    add_scaled,
-    flip,
-    invert,
-    kron,
-    permute,
-)
+from .exactlin import LinearMap, flip, invert, kron, permute, tensor_vec
 from .hom_algebra import (
     AutPair,
     InvalidStructure,
@@ -50,14 +41,9 @@ from .reports import CheckReport, check_matrix_equal
 
 
 def act_vv(action, hvec, mvec):
-    """hvec . mvec, bilinear in both coordinate vectors."""
-    out = [ZERO] * action.dims[2]
-    for i, hi in enumerate(hvec):
-        if hi:
-            for j, mj in enumerate(mvec):
-                if mj:
-                    add_scaled(out, action.fiber(i, j), hi * mj)
-    return tuple(out)
+    """hvec . mvec, bilinear in both coordinate vectors, for an action map
+    H (x) M -> M."""
+    return action.apply(tensor_vec(hvec, mvec))
 
 
 def _auto_basis(dim, basis):
@@ -67,58 +53,51 @@ def _auto_basis(dim, basis):
 
 
 class HomModuleData:
-    """Left twisted module over a twisted Hopf algebra."""
+    """Left twisted module over a twisted Hopf algebra: the action map
+    H (x) M -> M and the carrier twist mu."""
 
-    def __init__(self, over, dim, act_map, mu, basis=None, check=True):
+    def __init__(self, over, dim, action, mu, basis=None, check=True):
         self.over = over
         self.dim = dim
-        _require_shape("hom-module", "action", act_map, dim, over.dim * dim)
-        self.act_map = act_map
+        _require_shape("hom-module", "action", action, dim, over.dim * dim)
+        self.action = action
         self.mu = mu
         self.basis = _auto_basis(dim, basis)
         _require(lambda: check_hom_module(self), check)
 
-    @property
-    def action(self):
-        """Read-only table view: action.at(h, m, p) is the f_p coefficient of e_h . f_m."""
-        return Tensor3.from_map((self.over.dim, self.dim, self.dim), self.act_map)
-
 
 class HomComoduleData:
-    """Twisted comodule; right-sided by default, left-sided for the
-    bicomodule-algebra machinery."""
+    """Twisted comodule: the coaction map M -> M (x) H, right-sided by
+    default, or M -> H (x) M, left-sided for the bicomodule-algebra
+    machinery, and the carrier twist mu."""
 
-    def __init__(self, over, dim, coact_map, mu, basis=None, side="right", check=True):
+    def __init__(self, over, dim, coaction, mu, basis=None, side="right", check=True):
         self.over = over
         self.dim = dim
         self.side = side
-        _require_shape("hom-comodule", "coaction", coact_map, dim * over.dim, dim)
-        self.coact_map = coact_map
+        _require_shape("hom-comodule", "coaction", coaction, dim * over.dim, dim)
+        self.coaction = coaction
         self.mu = mu
         self.mu_inv = invert(mu)
         self.basis = _auto_basis(dim, basis)
         _require(lambda: check_hom_comodule(self), check)
 
-    @property
-    def coaction(self):
-        """Read-only table view: coaction.at(m, p, j) (right) or .at(m, i, p) (left)."""
-        d, dm = self.over.dim, self.dim
-        return Tensor3.from_map((dm, dm, d) if self.side == "right" else (dm, d, dm), self.coact_map)
-
 
 class YDModuleData:
     """One object of the braided T-category: a carrier with twist mu, a left
-    action act_map and a right coaction coact_map over the Hopf algebra
-    over, in the component pair (an AutPair (A, B)).  Its module and
-    comodule parts are built here, sharing the maps, and mu is inverted
-    once; construction verifies the module and comodule laws and both
-    compatibility forms as the one yd-module suite."""
+    action and a right coaction over the Hopf algebra over, in the
+    component pair (an AutPair (A, B)).  Its module and comodule parts are
+    built here, sharing the maps, and mu is inverted once; construction
+    verifies the module and comodule laws and both compatibility forms as
+    the one yd-module suite."""
 
-    def __init__(self, over, act_map, coact_map, mu, pair, basis=None, check=True, label=None):
+    def __init__(self, over, action, coaction, mu, pair, basis=None, check=True, label=None):
         self.over = over
         self.dim = mu.rows
-        self.module = HomModuleData(over, self.dim, act_map, mu, basis=basis, check=False)
-        self.comodule = HomComoduleData(over, self.dim, coact_map, mu, basis=basis, check=False)
+        self.module = HomModuleData(over, self.dim, action, mu, basis=basis, check=False)
+        self.comodule = HomComoduleData(over, self.dim, coaction, mu, basis=basis, check=False)
+        self.action = action
+        self.coaction = coaction
         self.mu = mu
         self.mu_inv = self.comodule.mu_inv
         self.basis = self.module.basis
@@ -131,29 +110,13 @@ class YDModuleData:
                                                  .extend(check_yd(self))
                                                  .extend(check_yd_alt(self)), check)
 
-    @property
-    def action(self):
-        return self.module.action
-
-    @property
-    def coaction(self):
-        return self.comodule.coaction
-
-    def action_map(self):
-        """The action as a LinearMap H (x) M -> M."""
-        return self.module.act_map
-
-    def coaction_map(self):
-        """The coaction as a LinearMap M -> M (x) H."""
-        return self.comodule.coact_map
-
     def differences(self, other):
         """The structure pieces in which other differs, in the order action,
         coaction, twist, component pair; equal action maps imply equal
         carriers."""
         return [piece for piece, same in (
-            ("action", self.action_map() == other.action_map()),
-            ("coaction", self.coaction_map() == other.coaction_map()),
+            ("action", self.action == other.action),
+            ("coaction", self.coaction == other.coaction),
             ("twist", self.mu == other.mu),
             ("component pair", self.pair == other.pair),
         ) if not same]
@@ -221,10 +184,10 @@ def check_hom_module(m):
     rep = CheckReport("hom-module")
     h = m.over
     d, dm = h.dim, m.dim
-    act = m.act_map
+    act = m.action
     check_matrix_equal(
         rep, "module-assoc", "alpha(a).(b.m) = (ab).mu(m)",
-        act @ kron(h.alpha, act), act @ kron(h.algebra.mul_map, m.mu),
+        act @ kron(h.alpha, act), act @ kron(h.algebra.mul, m.mu),
         (d, d, dm), _legs(h.basis, h.basis, m.basis),
     )
     check_matrix_equal(
@@ -232,7 +195,7 @@ def check_hom_module(m):
         m.mu @ act, act @ kron(h.alpha, m.mu), (d, dm), _legs(h.basis, m.basis),
     )
     check_matrix_equal(
-        rep, "module-unit", "1.m = mu(m)", act @ kron(h.algebra.unit_map, LinearMap.identity(dm)),
+        rep, "module-unit", "1.m = mu(m)", act @ kron(h.algebra.unit, LinearMap.identity(dm)),
         m.mu, (dm,), _legs(m.basis),
     )
     return rep
@@ -243,7 +206,7 @@ def check_hom_comodule(m):
     h = m.over
     d, dm = h.dim, m.dim
     coa = h.coalgebra
-    rho, comul = m.coact_map, coa.comul_map
+    rho, comul = m.coaction, coa.comul
     if m.side == "left":
         rho, comul = flip(d, dm) @ rho, flip(d, d) @ comul
     lab = _legs(m.basis)
@@ -263,7 +226,7 @@ def check_hom_comodule(m):
         rep, m.side,
         ("eq-1.8-counit", "m0 eps(m1) = mu^-1(m)"),
         ("eq-1.8-counit-left", "eps(m-1) m0 = mu^-1(m)"),
-        (dm,), kron(LinearMap.identity(dm), coa.counit_map) @ rho, m.mu_inv, (dm,), lab,
+        (dm,), kron(LinearMap.identity(dm), coa.counit) @ rho, m.mu_inv, (dm,), lab,
     )
     return rep
 
@@ -274,17 +237,17 @@ def check_module_algebra(m, carrier):
     rep = CheckReport("module-algebra")
     h = m.over
     d, db = h.dim, carrier.dim
-    act, mul, unit = m.act_map, carrier.mul_map, carrier.unit_map
+    act, mul, unit = m.action, carrier.mul, carrier.unit
     check_matrix_equal(
         rep, "eq-1.9-mult", "h.(ab) = (h1.a)(h2.b)",
         act @ kron(LinearMap.identity(d), mul),
         mul @ kron(act, act) @ permute((d, d, db, db), (0, 2, 1, 3))
-        @ kron(h.coalgebra.comul_map, LinearMap.identity(db * db)),
+        @ kron(h.coalgebra.comul, LinearMap.identity(db * db)),
         (d, db, db), _legs(h.basis, carrier.basis, carrier.basis),
     )
     check_matrix_equal(
         rep, "eq-1.9-unit", "h.1 = eps(h)1", act @ kron(LinearMap.identity(d), unit),
-        unit @ h.coalgebra.counit_map, (d,), _legs(h.basis),
+        unit @ h.coalgebra.counit, (d,), _legs(h.basis),
     )
     return rep
 
@@ -295,21 +258,21 @@ def check_comodule_algebra(m, carrier):
     rep = CheckReport("%s-comodule-algebra" % side)
     h = m.over
     d, db = h.dim, carrier.dim
-    rho = m.coact_map if side == "right" else flip(d, db) @ m.coact_map
-    mul = carrier.mul_map
+    rho = m.coaction if side == "right" else flip(d, db) @ m.coaction
+    mul = carrier.mul
     _check_sided(
         rep, side,
         ("comodule-algebra-mult", "rho(ab) = a0 b0 (x) a1 b1"),
         ("comodule-algebra-mult", "rho(ab) = a-1 b-1 (x) a0 b0"),
         (db, d), rho @ mul,
-        kron(mul, h.algebra.mul_map) @ permute((db, d, db, d), (0, 2, 1, 3)) @ kron(rho, rho),
+        kron(mul, h.algebra.mul) @ permute((db, d, db, d), (0, 2, 1, 3)) @ kron(rho, rho),
         (db, db), _legs(carrier.basis, carrier.basis),
     )
     _check_sided(
         rep, side,
         ("comodule-algebra-unit", "rho(1) = 1 (x) 1"),
         ("comodule-algebra-unit", "rho(1) = 1 (x) 1"),
-        (db, d), rho @ carrier.unit_map, kron(carrier.unit_map, h.algebra.unit_map),
+        (db, d), rho @ carrier.unit, kron(carrier.unit, h.algebra.unit),
         (1,), _legs(("1",)),
     )
     return rep
@@ -325,8 +288,8 @@ def check_yd(yd):
     rep = CheckReport("yd")
     h = yd.over
     d, dm = h.dim, yd.dim
-    mul, comul = h.algebra.mul_map, h.coalgebra.comul_map
-    act, rho = yd.action_map(), yd.coaction_map()
+    mul, comul = h.algebra.mul, h.coalgebra.comul
+    act, rho = yd.action, yd.coaction
     ident_m = LinearMap.identity(dm)
     # (h2, m0) -> (alpha(h21).m0, h22): h2 is split only after h1 and m1 are
     # parked behind it, so no intermediate has five legs; the parentheses
@@ -352,8 +315,8 @@ def check_yd_alt(yd):
     rep = CheckReport("yd-alt")
     h = yd.over
     d, dm = h.dim, yd.dim
-    mul, comul = h.algebra.mul_map, h.coalgebra.comul_map
-    act, rho = yd.action_map(), yd.coaction_map()
+    mul, comul = h.algebra.mul, h.coalgebra.comul
+    act, rho = yd.action, yd.coaction
     ident = LinearMap.identity(d)
     lhs = (
         kron(act, mul @ kron(yd.pair_b.matrix, ident))
@@ -384,21 +347,21 @@ def build_canonical_yd(h, a_aut, b_aut, check=True, label=None):
     the comultiplication, action h.y = (B(h2) alpha^-1(y)) A(S^-1(alpha(h1)))."""
     _require_automorphisms(h, (a_aut, b_aut), check)
     d = h.dim
-    mul = h.algebra.mul_map
+    mul = h.algebra.mul
     tail = a_aut.matrix @ h.antipode_inv @ h.alpha
     # legs (h1, h2, y) -> (h2, y, h1)
     act = (
         mul @ kron(mul @ kron(b_aut.matrix, h.alpha_inv), tail) @ permute((d, d, d), (1, 2, 0))
-        @ kron(h.coalgebra.comul_map, LinearMap.identity(d))
+        @ kron(h.coalgebra.comul, LinearMap.identity(d))
     )
-    return YDModuleData(h, act, h.coalgebra.comul_map, h.alpha, AutPair(a_aut, b_aut),
+    return YDModuleData(h, act, h.coalgebra.comul, h.alpha, AutPair(a_aut, b_aut),
                         basis=h.basis, check=check, label=label or "H(A,B)")
 
 
 def trivial_yd(h, label="k"):
     """The one-dimensional carrier: action through the counit, coaction
     through the unit, identity twist, component (id, id)."""
-    return YDModuleData(h, h.coalgebra.counit_map, h.algebra.unit_map, LinearMap.identity(1),
+    return YDModuleData(h, h.coalgebra.counit, h.algebra.unit, LinearMap.identity(1),
                         AutPair.identity(h.dim), basis=("1",), label=label)
 
 
@@ -414,7 +377,7 @@ def build_entwining(h, a_aut, b_aut, check=True):
     """
     _require_automorphisms(h, (a_aut, b_aut), check)
     d = h.dim
-    mul, comul = h.algebra.mul_map, h.coalgebra.comul_map
+    mul, comul = h.algebra.mul, h.coalgebra.comul
     ident = LinearMap.identity(d)
     tail = mul @ kron(mul @ kron(b_aut.matrix, h.alpha_inv @ h.alpha_inv), a_aut.matrix @ h.antipode_inv)
     # legs (a1, a21, a22, c) -> (a21, a22, c, a1)
@@ -436,25 +399,25 @@ def check_entwining(e):
     swap = permute((d, dc, dc), (0, 2, 1))
     check_matrix_equal(
         rep, "eq-2.3", "psi(hg (x) c) = (phi h)(psi g) (x) gamma(gamma^-1(c)^psi^phi)",
-        psi @ kron(alg.mul_map, idc),
-        kron(alg.mul_map, coa.gamma) @ permute((d, dc, d), (0, 2, 1)) @ kron(psi, idd)
+        psi @ kron(alg.mul, idc),
+        kron(alg.mul, coa.gamma) @ permute((d, dc, d), (0, 2, 1)) @ kron(psi, idd)
         @ kron(idd, flip(d, dc) @ psi @ kron(idd, coa.gamma_inv)),
         (d, d, dc), _legs(alg.basis, alg.basis, coa.basis),
     )
     check_matrix_equal(
         rep, "eq-2.4", "psi(1 (x) c) = 1 (x) c",
-        psi @ kron(alg.unit_map, idc), kron(alg.unit_map, idc), (dc,), _legs(coa.basis),
+        psi @ kron(alg.unit, idc), kron(alg.unit, idc), (dc,), _legs(coa.basis),
     )
     check_matrix_equal(
         rep, "eq-2.5", "psi h (x) comul(c^psi) = alpha(phi psi alpha^-1(h)) (x) c1^phi (x) c2^psi",
-        kron(idd, coa.comul_map) @ psi,
+        kron(idd, coa.comul) @ psi,
         kron(alg.alpha, LinearMap.identity(dc * dc)) @ kron(psi, idc) @ swap
-        @ kron(psi, idc) @ swap @ kron(alg.alpha_inv, coa.comul_map),
+        @ kron(psi, idc) @ swap @ kron(alg.alpha_inv, coa.comul),
         (d, dc), _legs(alg.basis, coa.basis),
     )
     check_matrix_equal(
         rep, "eq-2.6", "eps(c^psi) psi(h) = eps(c) h",
-        kron(idd, coa.counit_map) @ psi, kron(idd, coa.counit_map),
+        kron(idd, coa.counit) @ psi, kron(idd, coa.counit),
         (d, dc), _legs(alg.basis, coa.basis),
     )
     return rep
@@ -472,7 +435,7 @@ def check_entwined_module(m, e):
     rep = CheckReport("entwined-module")
     h = m.over
     d, dm, dc = h.dim, m.dim, e.coalgebra.dim
-    act, rho = m.action_map(), m.coaction_map()
+    act, rho = m.action, m.coaction
     rhs = (
         kron(act, e.coalgebra.gamma) @ permute((dm, d, dc), (1, 0, 2))
         @ kron(LinearMap.identity(dm), e.psi) @ permute((d, dm, d), (1, 0, 2))
@@ -493,7 +456,7 @@ def check_entwined_module(m, e):
 def build_bicomodule_algebra(h, a_aut, b_aut, check=True):
     """Coactions h -> A(h1) (x) h2 and h -> h1 (x) B(h2) on the carrier H."""
     _require_automorphisms(h, (a_aut, b_aut), check)
-    comul, ident = h.coalgebra.comul_map, LinearMap.identity(h.dim)
+    comul, ident = h.coalgebra.comul, LinearMap.identity(h.dim)
     return BicomoduleAlgebraData(
         h, h.algebra, kron(a_aut.matrix, ident) @ comul, kron(ident, b_aut.matrix) @ comul, check=check,
     )
@@ -508,7 +471,7 @@ def check_bicomodule_algebra(n):
     rep.extend(check_comodule_algebra(n.left, n.carrier).prefixed("left-"))
     rep.extend(check_comodule_algebra(n.right, n.carrier).prefixed("right-"))
     ainv = n.over.alpha_inv
-    lam, rho = n.left.coact_map, n.right.coact_map
+    lam, rho = n.left.coaction, n.right.coaction
     check_matrix_equal(
         rep, "bicomodule-compat",
         "n<0>[-1] (x) n<0>[0] (x) alpha^-1(n<1>) = alpha^-1(n[-1]) (x) n[0]<0> (x) n[0]<1>",
@@ -523,9 +486,9 @@ def check_yd_datum(m, n):
     rep = CheckReport("yd-datum")
     h = n.over
     d, dn, dm = h.dim, n.carrier.dim, m.dim
-    mul = h.algebra.mul_map
-    lam, rho_n = n.left.coact_map, n.right.coact_map
-    act, rho = m.action_map(), m.coaction_map()
+    mul = h.algebra.mul
+    lam, rho_n = n.left.coaction, n.right.coaction
+    act, rho = m.action, m.coaction
     lab = _legs(n.carrier.basis, m.basis)
     # legs (n[-1], n[0]<0>, n[0]<1>, m0, m1) -> (n[0]<0>, m0, n[0]<1>, m1, n[-1])
     spread = (

@@ -1,10 +1,13 @@
 """Dense reference kernels for exactlin, kept for tests only.
 
 These are the row-major dense compose, kron and invert that the sparse
-column kernel replaced.  They read maps through the public dense view
+column kernel replaced, and a dense layout of the table literals that
+table_map reads.  They read maps through the public dense view
 ``LinearMap.entries`` and build results with the checked constructor, so
 they share no arithmetic path with the kernel under test.
 """
+
+from fractions import Fraction
 
 from homyd.exactlin import ONE, ZERO, DimensionMismatch, LinearMap, SingularMap
 
@@ -81,3 +84,17 @@ def invert(f):
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
                 b[r] = [x - factor * y for x, y in zip(b[r], b[col])]
     return LinearMap(n, n, [x for row_ in b for x in row_])
+
+
+def table_map(dims, data, out_legs):
+    """The map of a sparse table literal, laid out first as a dense rank-3
+    array and then read with its last out_legs indices as the row."""
+    d0, d1, d2 = dims
+    table = [[[ZERO] * d2 for _ in range(d1)] for _ in range(d0)]
+    for (i, j, k), v in data.items():
+        table[i][j][k] = Fraction(v)
+    if out_legs == 1:
+        rows, cols = d2, d0 * d1
+        return LinearMap(rows, cols, [table[c // d1][c % d1][r] for r in range(rows) for c in range(cols)])
+    rows, cols = d1 * d2, d0
+    return LinearMap(rows, cols, [table[c][r // d2][r % d2] for r in range(rows) for c in range(cols)])

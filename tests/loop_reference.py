@@ -10,7 +10,7 @@ both to agree entry for entry.
 
 from types import SimpleNamespace
 
-from homyd.exactlin import LinearMap, Tensor3, ZERO, add_scaled, basis_vec, kron, tensor_vec
+from homyd.exactlin import LinearMap, ZERO, add_scaled, basis_vec, kron, table_map, tensor_vec
 from homyd.t_category import group_inv, group_mul
 from homyd.yd_modules import YDModuleData, act_vv
 
@@ -19,7 +19,7 @@ def comul_terms(h, k):
     """Nonzero (i, j, coefficient) terms of comul(e_k), read from column k
     of the stored comultiplication map."""
     d = h.dim
-    return [(t // d, t % d, w) for t, w in enumerate(h.coalgebra.comul_map.column(k)) if w]
+    return [(t // d, t % d, w) for t, w in enumerate(h.coalgebra.comul.column(k)) if w]
 
 
 def coact_terms(comodule, k):
@@ -27,7 +27,7 @@ def coact_terms(comodule, k):
     stored coaction map.  Right side: (p, j, coefficient) with p the carrier
     leg.  Left side: (i, p, coefficient) with i the algebra leg."""
     inner = comodule.over.dim if comodule.side == "right" else comodule.dim
-    return [(t // inner, t % inner, w) for t, w in enumerate(comodule.coact_map.column(k)) if w]
+    return [(t // inner, t % inner, w) for t, w in enumerate(comodule.coaction.column(k)) if w]
 
 
 def tensor_yd(m, n, check=True, label=None):
@@ -56,25 +56,25 @@ def tensor_yd(m, n, check=True, label=None):
                 for t, v in enumerate(out):
                     if v:
                         act_entries[(hk, i * dn + j, t)] = v
-    action = Tensor3.from_dict((d, dim, dim), act_entries)
+    action = table_map((d, dim, dim), act_entries, out_legs=1)
 
     coact_entries = {}
-    mul = h.mul
+    mul = h.algebra.mul
     for i in range(dm):
         for j in range(dn):
             src = i * dn + j
             for p, a, w in coact_terms(m.comodule, i):
                 for q, b, w2 in coact_terms(n.comodule, j):
-                    hv = mul.fiber(b, a)
+                    hv = mul.column(b * d + a)
                     tgt = p * dn + q
                     for t, v in enumerate(hv):
                         if v:
                             key = (src, tgt, t)
                             coact_entries[key] = coact_entries.get(key, ZERO) + w * w2 * v
-    coaction = Tensor3.from_dict((dim, dim, d), coact_entries)
+    coaction = table_map((dim, dim, d), coact_entries, out_legs=2)
 
     basis = tuple("%s(x)%s" % (a, b) for a in m.basis for b in n.basis)
-    return YDModuleData(h, action.as_map(1), coaction.as_map(2), kron(m.mu, n.mu), group_mul(m.pair, n.pair),
+    return YDModuleData(h, action, coaction, kron(m.mu, n.mu), group_mul(m.pair, n.pair),
                         basis=basis, check=check, label=label or "%s(x)%s" % (m.name, n.name))
 
 
@@ -97,7 +97,7 @@ def conjugate_yd(p, n, check=True, label=None):
             for t, v in enumerate(out):
                 if v:
                     act_entries[(hk, j, t)] = v
-    action = Tensor3.from_dict((d, dn, dn), act_entries)
+    action = table_map((d, dn, dn), act_entries, out_legs=1)
 
     coact_entries = {}
     for j in range(dn):
@@ -106,10 +106,10 @@ def conjugate_yd(p, n, check=True, label=None):
                 if v:
                     key = (j, q, t)
                     coact_entries[key] = coact_entries.get(key, ZERO) + w * v
-    coaction = Tensor3.from_dict((dn, dn, d), coact_entries)
+    coaction = table_map((dn, dn, d), coact_entries, out_legs=2)
 
     pair = group_mul(group_mul(p, n.pair), group_inv(p))
-    return YDModuleData(h, action.as_map(1), coaction.as_map(2), n.mu, pair,
+    return YDModuleData(h, action, coaction, n.mu, pair,
                         basis=n.basis, check=check, label=label or "^%s%s" % (p.name, n.name))
 
 

@@ -102,7 +102,7 @@ def test_criterion_3_yd_membership_grid():
             # (wrong component tag, axioms intact)
             base = build_h4_yd_table("H4A", p, h=h, check=False)
             wrong = YDModuleData(
-                h, base.action_map(), base.coaction_map(), base.mu,
+                h, base.action, base.coaction, base.mu,
                 AutPair(h4_automorphism(cpp), h4_automorphism(cp)), basis=base.basis, check=False,
             )
             v1, v2 = check_yd(wrong).ok(), check_yd_alt(wrong).ok()
@@ -126,7 +126,7 @@ def test_criterion_4_entwining_route():
         p = H4Params(c, l1, l2)
         for which in ("H4A", "H4B", "H4AB"):
             yd = build_h4_yd_table(which, p, h=h, check=False)
-            tagged = YDModuleData(h, yd.action_map(), yd.coaction_map(), yd.mu, AutPair(a, b),
+            tagged = YDModuleData(h, yd.action, yd.coaction, yd.mu, AutPair(a, b),
                                   basis=yd.basis, check=False)
             assert check_entwined_module(yd, e).ok() == check_yd(tagged).ok(), (which, c, l1, l2)
     print("PASS criterion-4: induced entwinings satisfy all four axioms and classify exactly"
@@ -143,7 +143,7 @@ def test_criterion_5_bicomodule_route():
         p = H4Params(c, l1, l2)
         for which in ("H4A", "H4B", "H4AB"):
             yd = build_h4_yd_table(which, p, h=h, check=False)
-            tagged = YDModuleData(h, yd.action_map(), yd.coaction_map(), yd.mu, AutPair(a, b),
+            tagged = YDModuleData(h, yd.action, yd.coaction, yd.mu, AutPair(a, b),
                                   basis=yd.basis, check=False)
             assert check_yd_datum(yd, n).ok() == check_yd(tagged).ok(), (which, c, l1, l2)
     print("PASS criterion-5: bicomodule algebras satisfy their axioms and the datum"
@@ -224,7 +224,7 @@ def test_criterion_8_classical_limit():
         for j in range(4):
             out = [ZERO] * 16
             for q, a, w in coact_terms(n.comodule, j):
-                add_scaled(out, tensor_vec(basis_vec(4, q), m.action.fiber(a, i)), w)
+                add_scaled(out, tensor_vec(basis_vec(4, q), m.action.column(a * 4 + i)), w)
             cols.append(out)
     untwisted = LinearMap.from_cols(cols)
     assert braiding(m, n).matrix == untwisted

@@ -144,3 +144,84 @@ def test_trivial_braid_is_one_by_one(tmp_path, capsys):
     code, out, _ = run(capsys, "braid", str(f), "-m", "K", "-n", "K", "--out", "csv")
     assert code == 0
     assert out.strip() == "1"
+
+
+#: a one-dimensional Hopf section K, on which every law holds
+ONE_DIM_HOPF = (
+    "[hopf K]\nbasis: 1\nunit: 1\nmul: 1 1 -> 1\ncomul: 1 -> 1@1\n"
+    "counit: 1 -> 1\nantipode: 1 -> 1\n"
+)
+#: a module section breaking 1.m = mu(m) and a comodule section breaking
+#: m0 eps(m1) = mu^-1(m), both over K
+MODULE_AND_COMODULE = ONE_DIM_HOPF + (
+    "\n[module M over K]\nbasis: m\nact: 1 m -> 5 * m\n"
+    "\n[comodule C over K]\nbasis: m\ncoact: m -> 3 * m@1\n"
+)
+#: a ydmodule over H4 whose pair names an autpair over K
+FOREIGN_PAIR = "\n" + ONE_DIM_HOPF + (
+    "\n[autpair Q over K]\n"
+    "\n[ydmodule Z over H4]\nbasis: z\nact: 1 z -> z\ncoact: z -> z@1\npair: Q\n"
+)
+
+
+def exit_case_files(tmp_path):
+    """name -> path of each input of the exit-code contract test."""
+    files = {
+        "module-comodule": tmp_path / "modules.alg",
+        "foreign-pair": tmp_path / "foreign.alg",
+        "missing": tmp_path / "missing.alg",
+        "directory": tmp_path / "dir.alg",
+        "not-utf8": tmp_path / "latin1.alg",
+    }
+    files["module-comodule"].write_text(MODULE_AND_COMODULE, encoding="utf-8")
+    files["foreign-pair"].write_text(Path(H4_ALG).read_text(encoding="utf-8") + FOREIGN_PAIR, encoding="utf-8")
+    files["directory"].mkdir()
+    files["not-utf8"].write_bytes(b"[params]\nc = 1 # caf\xe9\n")
+    return files
+
+
+#: (input, command and options around FILE, exit code)
+EXIT_CASES = [
+    ("module-comodule", ("check", "--suite", "all"), 1),
+    ("module-comodule", ("check", "--suite", "yd"), 1),
+    ("foreign-pair", ("check", "--suite", "yd"), 2),
+    ("foreign-pair", ("check", "--suite", "tcat"), 2),
+    ("foreign-pair", ("check", "--suite", "all"), 2),
+    ("foreign-pair", ("braid", "-m", "Z", "-n", "H4A"), 2),
+    ("missing", ("check",), 2),
+    ("missing", ("braid", "-m", "H4A", "-n", "H4B"), 2),
+    ("directory", ("check",), 2),
+    ("directory", ("braid", "-m", "H4A", "-n", "H4B"), 2),
+    ("not-utf8", ("check",), 2),
+    ("not-utf8", ("braid", "-m", "H4A", "-n", "H4B"), 2),
+]
+
+
+@pytest.mark.parametrize("name, argv, code", EXIT_CASES, ids=[
+    "-".join((name,) + tuple(a for a in argv if not a.startswith("-"))) for name, argv, _ in EXIT_CASES
+])
+def test_exit_code_contract_on_malformed_inputs(tmp_path, capsys, name, argv, code):
+    path = str(exit_case_files(tmp_path)[name])
+    got, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert got == code
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_module_and_comodule_sections_are_checked_with_witnesses(tmp_path, capsys):
+    path = tmp_path / "modules.alg"
+    path.write_text(MODULE_AND_COMODULE, encoding="utf-8")
+    code, out, _ = run(capsys, "check", str(path), "--suite", "yd", "--report", "json")
+    assert code == 1
+    items = {item["id"]: item for item in json.loads(out)["items"]}
+    assert list(items) == [
+        "M:module-assoc", "M:module-twist", "M:module-unit",
+        "C:eq-1.7", "C:eq-1.8-coact", "C:eq-1.8-counit",
+    ]
+    # 1.m = 5m against mu(m) = m, and m0 eps(m1) = 3m against mu^-1(m) = m
+    assert items["M:module-unit"]["status"] == "fail"
+    assert items["M:module-unit"]["witness"] == {"inputs": [0], "labels": ["m"], "lhs": ["5"], "rhs": ["1"]}
+    assert items["C:eq-1.8-counit"]["status"] == "fail"
+    assert items["C:eq-1.8-counit"]["witness"] == {"inputs": [0], "labels": ["m"], "lhs": ["3"], "rhs": ["1"]}

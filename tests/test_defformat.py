@@ -143,8 +143,9 @@ def test_suite_requires_matching_sections():
     with pytest.raises(SuiteError) as err:
         run_checks(df, "coalgebra")
     assert "requires coalgebra section" in str(err.value)
-    with pytest.raises(SuiteError):
+    with pytest.raises(SuiteError) as err:
         run_checks(df, "yd")
+    assert "requires ydmodule, module or comodule section" in str(err.value)
     with pytest.raises(SuiteError):
         run_checks(df, "nonsense")
 
@@ -258,11 +259,11 @@ def test_repeated_lines_follow_each_family_rule():
     _, h = resolved.get("H")
     _, m = resolved.get("M")
     # mul, act: a repeated line overwrites only the cells it sets to nonzero
-    assert h.algebra.mul_map == LinearMap.from_cols([(0, 0), (1, 3), (0, 0), (0, 0)])
-    assert m.action_map() == LinearMap.from_cols([(0, 0)] * 2 + [(1, 4), (0, 0)])
+    assert h.algebra.mul == LinearMap.from_cols([(0, 0), (1, 3), (0, 0), (0, 0)])
+    assert m.action == LinearMap.from_cols([(0, 0)] * 2 + [(1, 4), (0, 0)])
     # comul, coact: repeated terms and lines add up
-    assert h.coalgebra.comul_map == LinearMap.from_cols([(0, 0, 0, 0), (0, 2, 2, 0)])
-    assert m.coaction_map() == LinearMap.from_cols([(0, 2, 1, 0), (0, 0, 0, 0)])
+    assert h.coalgebra.comul == LinearMap.from_cols([(0, 0, 0, 0), (0, 2, 2, 0)])
+    assert m.coaction == LinearMap.from_cols([(0, 2, 1, 0), (0, 0, 0, 0)])
     # alpha, mu, antipode, a, b: the last line replaces the whole column
     assert h.alpha == LinearMap.from_cols([(1, 0), (0, 5)])
     assert m.mu == LinearMap.from_cols([(3, 0), (0, 1)])
@@ -270,8 +271,8 @@ def test_repeated_lines_follow_each_family_rule():
     assert m.pair_a.matrix == LinearMap.from_cols([(1, 0), (0, 6)])
     assert m.pair_b.matrix == LinearMap.identity(2)
     # counit: the last value per label wins; unit: the last line wins
-    assert h.counit == (1, 0)
-    assert h.unit == (1, 0)
+    assert h.coalgebra.counit == LinearMap.from_rows([(1, 0)])
+    assert h.algebra.unit == LinearMap.from_cols([(1, 0)])
 
 
 def test_duplicate_section_name_is_a_parse_error():
@@ -300,6 +301,12 @@ def test_end_of_line_diagnostics_point_into_the_line(text):
         parse_definition(text)
     assert 1 <= err.value.col <= len(line) + 1
     assert "None" not in str(err.value)
+
+
+def test_non_utf8_bytes_are_a_parse_error_at_their_column():
+    with pytest.raises(ParseError) as err:
+        parse_definition(b"[params]\nc = 1  # caf\xe9\n")
+    assert (err.value.line, err.value.col, err.value.found) == (2, 13, b"\xe9")
 
 
 @pytest.mark.parametrize("space", ["\u00a0", "\u2003"], ids=["no-break-space", "em-space"])

@@ -9,13 +9,13 @@ from homyd.exactlin import (
     DimensionMismatch,
     LinearMap,
     SingularMap,
-    Tensor3,
     compose,
     flip,
     invert,
     kron,
     permute,
     rat,
+    table_map,
 )
 from homyd.h4_library import build_h4
 
@@ -146,15 +146,6 @@ def test_flip_is_permutation_involution():
     for i in range(2):
         for j in range(3):
             assert w[j * 2 + i] == v[i * 3 + j]
-
-
-def test_tensor3_layout_and_sparse_access():
-    t = Tensor3.from_dict((2, 2, 2), {(0, 1, 1): rat(5), (1, 0, 1): rat(-2)})
-    assert t.at(0, 1, 1) == 5
-    assert t.fiber(1, 0) == (rat(0), rat(-2))
-    assert t.sparse_pairs(0) == [(1, 1, rat(5))]
-    with pytest.raises(DimensionMismatch):
-        Tensor3((2, 2, 2), [rat(0)] * 7)
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +285,31 @@ def test_permute_moves_legs():
     assert permute((4, 5), (1, 0)) == flip(4, 5)
 
 
-def test_tensor3_map_round_trip():
-    h = build_h4(3)
-    mul = h.mul.as_map(1)
-    assert (mul.rows, mul.cols) == (4, 16)
-    assert mul.column(2 * 4 + 1) == h.mul.fiber(2, 1)
-    comul = h.comul.as_map(2)
-    assert (comul.rows, comul.cols) == (16, 4)
-    assert comul.entry(2 * 4 + 0, 2) == h.comul.at(2, 2, 0)
-    assert Tensor3.from_map(h.mul.dims, mul) == h.mul
-    assert Tensor3.from_map(h.comul.dims, comul) == h.comul
+@pytest.mark.parametrize("out_legs", [1, 2])
+def test_table_map_matches_dense_reference(out_legs):
+    rng = random.Random(40 + out_legs)
+    for dims in ((2, 3, 4), (4, 4, 4), (1, 4, 1), (3, 1, 2)):
+        data = {
+            idx: Fraction(rng.choice((-2, -1, 0, 1, 2)), rng.choice((1, 2, 3)))
+            for idx in itertools.product(*map(range, dims)) if rng.random() < 0.4
+        }
+        got = table_map(dims, data, out_legs)
+        want = dense.table_map(dims, data, out_legs)
+        assert got == want
+        assert got.entries == want.entries
+        assert all(stored_values(got))
+    # t[0, 1, 1] = 5 and t[1, 0, 1] = -2, read as a product and as a coproduct
+    t = table_map((2, 2, 2), {(0, 1, 1): rat(5), (1, 0, 1): rat(-2)}, out_legs)
+    if out_legs == 1:
+        assert (t.rows, t.cols) == (2, 4)
+        assert t.column(0 * 2 + 1) == (rat(0), rat(5))
+        assert t.column(1 * 2 + 0) == (rat(0), rat(-2))
+    else:
+        assert (t.rows, t.cols) == (4, 2)
+        assert t.column(0) == (rat(0), rat(0), rat(0), rat(5))
+        assert t.column(1) == (rat(0), rat(-2), rat(0), rat(0))
+    with pytest.raises(DimensionMismatch):
+        table_map((2, 2, 2), {(0, 2, 0): 1}, out_legs)
 
 
 def test_kron_with_basis_vector_columns_matches_dense_reference():

@@ -42,10 +42,10 @@ def test_h4_full_axiom_suite(c):
 def test_h4_structure_spot_values():
     h = build_h4(2)
     # 1 o x = 2x and the coproduct of x carries the 1/2 factors
-    assert h.mul.fiber(0, 2) == (rat(0), rat(0), rat(2), rat(0))
-    assert h.comul.at(2, 2, 0) == rat(1, 2)
-    assert h.comul.at(2, 1, 2) == rat(1, 2)
-    assert h.counit == (rat(1), rat(1), rat(0), rat(0))
+    assert h.algebra.mul.column(0 * 4 + 2) == (rat(0), rat(0), rat(2), rat(0))
+    assert h.coalgebra.comul.entry(2 * 4 + 0, 2) == rat(1, 2)
+    assert h.coalgebra.comul.entry(1 * 4 + 2, 2) == rat(1, 2)
+    assert h.coalgebra.counit.row(0) == (rat(1), rat(1), rat(0), rat(0))
 
 
 def test_h4_at_one_is_classical():
@@ -93,13 +93,13 @@ def test_golden_table_spot_entries():
     # the axiom-consistent x rows: x.1 = c(c'-1) gx and x.g = c(1+c') x
     p = H4Params(1, 2, 3)
     ydA = build_h4_yd_table("H4A", p)
-    assert ydA.action.fiber(2, 0) == (rat(0), rat(0), rat(0), rat(1))  # x.1 = gx
-    assert ydA.action.fiber(2, 1) == (rat(0), rat(0), rat(3), rat(0))  # x.g = 3x
+    assert ydA.action.column(2 * 4 + 0) == (rat(0), rat(0), rat(0), rat(1))  # x.1 = gx
+    assert ydA.action.column(2 * 4 + 1) == (rat(0), rat(0), rat(3), rat(0))  # x.g = 3x
     ydB = build_h4_yd_table("H4B", p)
-    assert ydB.action.fiber(2, 0) == (rat(0), rat(0), rat(0), rat(-2))  # x.1 = -2gx
-    assert ydB.action.fiber(3, 0) == (rat(0), rat(0), rat(0), rat(2))   # gx.1 = 2gx
+    assert ydB.action.column(2 * 4 + 0) == (rat(0), rat(0), rat(0), rat(-2))  # x.1 = -2gx
+    assert ydB.action.column(3 * 4 + 0) == (rat(0), rat(0), rat(0), rat(2))   # gx.1 = 2gx
     ydAB = build_h4_yd_table("H4AB", p)
-    assert ydAB.action.fiber(2, 1) == (rat(0), rat(0), rat(5), rat(0))  # x.g = (c'+c'')x
+    assert ydAB.action.column(2 * 4 + 1) == (rat(0), rat(0), rat(5), rat(0))  # x.g = (c'+c'')x
 
 
 def test_golden_pair_tags():
@@ -165,11 +165,11 @@ def test_twisted_table_values():
     # x acts through the conjugated scale 1/c'
     p = H4Params(1, 2, 3)
     tw = build_twisted_h4b(p)
-    assert tw.action.fiber(2, 0) == (rat(0), rat(0), rat(0), rat(-1))        # c(1-c'')/c' = -1
-    assert tw.action.fiber(3, 1) == (rat(0), rat(0), rat(-2), rat(0))        # -c(1+c'')/c' = -2
+    assert tw.action.column(2 * 4 + 0) == (rat(0), rat(0), rat(0), rat(-1))        # c(1-c'')/c' = -1
+    assert tw.action.column(3 * 4 + 1) == (rat(0), rat(0), rat(-2), rat(0))        # -c(1+c'')/c' = -2
     # coaction second legs of the nilpotents scaled by c'
-    assert tw.coaction.at(2, 1, 2) == rat(2)
-    assert tw.coaction.at(2, 2, 0) == rat(1)
+    assert tw.coaction.entry(1 * 4 + 2, 2) == rat(2)
+    assert tw.coaction.entry(2 * 4 + 0, 2) == rat(1)
 
 
 def test_twisted_table_equals_conjugation_for_sampled_tuples():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from homyd.exactlin import LinearMap, Tensor3, rat
+from homyd.exactlin import LinearMap, rat, table_map
 from homyd.hom_algebra import (
     HomAlgebraData,
     HomCoalgebraData,
@@ -15,7 +15,7 @@ from homyd.hom_algebra import (
     check_hom_bialgebra,
     check_hom_coalgebra,
     convolution,
-    counit_unit_map,
+    convolution_unit,
     identity_automorphism,
 )
 from homyd.h4_library import BASIS, build_h4, h4_automorphism
@@ -25,11 +25,11 @@ def broken_h4(**overrides):
     """Rebuild the dim-4 family with selected tables replaced, unchecked."""
     h = build_h4(overrides.pop("c", 2))
     parts = dict(
-        mul=h.mul, unit=h.unit, comul=h.comul, counit=h.counit,
+        mul=h.algebra.mul, unit=h.algebra.unit, comul=h.coalgebra.comul, counit=h.coalgebra.counit,
         antipode=h.antipode, alpha=h.alpha,
     )
     parts.update(overrides)
-    return HomHopfAlgebraData.from_tables(BASIS, check=False, **parts)
+    return HomHopfAlgebraData.from_maps(BASIS, check=False, **parts)
 
 
 @pytest.mark.parametrize("c", [1, 5, Fraction(-1, 2)])
@@ -39,15 +39,14 @@ def test_h4_algebra_axioms(c):
 
 def test_untwisted_unit_fails_eq_12():
     h = build_h4(2)
-    mul = {(i, j, k): h.mul.at(i, j, k) for i in range(4) for j in range(4) for k in range(4)}
+    mul = {(i, j, k): h.algebra.mul.entry(k, i * 4 + j) for i in range(4) for j in range(4) for k in range(4)}
     # replace both unit rows by the untwisted a1 = 1a = a
     for k in range(4):
         for t in range(4):
             mul[(0, k, t)] = rat(1) if t == k else rat(0)
             mul[(k, 0, t)] = rat(1) if t == k else rat(0)
     bad = HomAlgebraData(
-        BASIS, Tensor3.from_dict((4, 4, 4), {k: v for k, v in mul.items() if v}).as_map(1),
-        h.unit, h.alpha, check=False,
+        BASIS, table_map((4, 4, 4), mul, 1), h.algebra.unit, h.alpha, check=False,
     )
     rep = check_hom_algebra(bad)
     assert not rep.ok()
@@ -64,15 +63,16 @@ def test_h4_coalgebra_axioms(c):
 
 def test_comultiplication_without_twist_factor_fails():
     h = build_h4(2)
-    comul = Tensor3.from_dict(
+    comul = table_map(
         (4, 4, 4),
         {  # the 1/c factors on the two nilpotent generators deleted
             (0, 0, 0): 1, (1, 1, 1): 1,
             (2, 2, 0): 1, (2, 1, 2): 1,
             (3, 3, 1): 1, (3, 0, 3): 1,
         },
+        out_legs=2,
     )
-    bad = HomCoalgebraData(BASIS, comul.as_map(2), h.counit, h.alpha, check=False)
+    bad = HomCoalgebraData(BASIS, comul, h.coalgebra.counit, h.alpha, check=False)
     rep = check_hom_coalgebra(bad)
     assert not rep.ok()
     failing = {item.identity for item in rep.failures()}
@@ -89,10 +89,10 @@ def test_h4_bialgebra_axioms(c):
 
 def test_group_algebra_z2_classical_bialgebra():
     # k[Z2] with identity twist embedded as dim-2 data
-    mul = Tensor3.from_dict((2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1})
-    comul = Tensor3.from_dict((2, 2, 2), {(0, 0, 0): 1, (1, 1, 1): 1})
-    h = HomHopfAlgebraData.from_tables(
-        ("1", "g"), mul, (rat(1), rat(0)), comul, (rat(1), rat(1)),
+    mul = table_map((2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1}, 1)
+    comul = table_map((2, 2, 2), {(0, 0, 0): 1, (1, 1, 1): 1}, 2)
+    h = HomHopfAlgebraData.from_maps(
+        ("1", "g"), mul, LinearMap.from_cols([[1, 0]]), comul, LinearMap.from_rows([[1, 1]]),
         LinearMap.identity(2), LinearMap.identity(2),
     )
     assert check_hom_bialgebra(h).ok()
@@ -100,7 +100,7 @@ def test_group_algebra_z2_classical_bialgebra():
 
 
 def test_counit_of_g_redefined_fails_at_gg():
-    bad = broken_h4(counit=(rat(1), rat(0), rat(0), rat(0)))
+    bad = broken_h4(counit=LinearMap.from_rows([[1, 0, 0, 0]]))
     rep = check_hom_bialgebra(bad)
     item = rep.item("bialg-counit-mult")
     assert not item.passed
@@ -134,10 +134,10 @@ def test_antipode_commutes_with_twist_both_ways():
 def test_constructor_rejects_invalid_tables():
     flipped = LinearMap.from_cols([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
     with pytest.raises(InvalidStructure):
-        broken_h4(antipode=flipped).__class__.from_tables(
+        broken_h4(antipode=flipped).__class__.from_maps(
             BASIS,
-            broken_h4().mul, broken_h4().unit, broken_h4().comul,
-            broken_h4().counit, flipped, broken_h4().alpha,
+            broken_h4().algebra.mul, broken_h4().algebra.unit, broken_h4().coalgebra.comul,
+            broken_h4().coalgebra.counit, flipped, broken_h4().alpha,
         )
 
 
@@ -178,14 +178,14 @@ def test_convolution_antipode_identity_is_unit():
     for c in (1, 4):
         h = build_h4(c)
         ident = LinearMap.identity(4)
-        ue = counit_unit_map(h)
+        ue = convolution_unit(h)
         assert convolution(h, h.antipode, ident) == ue
         assert convolution(h, ident, h.antipode) == ue
 
 
 def test_convolution_unit_is_idempotent():
     h = build_h4(3)
-    ue = counit_unit_map(h)
+    ue = convolution_unit(h)
     assert convolution(h, ue, ue) == ue
 
 

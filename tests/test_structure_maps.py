@@ -1,14 +1,14 @@
 """The structure-map boundary: constructors take LinearMaps and reject a
-wrongly shaped one under their own suite name, the read-only Tensor3 views
-read back the tables the objects were written from, and a failing aggregate
-check names the suite that holds it."""
+wrongly shaped one under their own suite name, the stored maps equal the
+tables the objects were written from, and a failing aggregate check names
+the suite that holds it."""
 
 from pathlib import Path
 
 import pytest
 
 from homyd.defformat import eval_expr, parse_definition, resolve_definition
-from homyd.exactlin import LinearMap, Tensor3, rat
+from homyd.exactlin import LinearMap, rat, table_map
 from homyd.h4_library import BASIS, build_h4, h4_automorphism
 from homyd.hom_algebra import (
     AutPair,
@@ -33,10 +33,13 @@ ROOT = Path(__file__).resolve().parent.parent
 # Each case passes the map of the other table layout: 16x4 where 4x16 is
 # due and the reverse, the slip an out_legs mix-up makes.
 H = build_h4(1)
-MUL, COMUL = H.algebra.mul_map, H.coalgebra.comul_map
+MUL, COMUL = H.algebra.mul, H.coalgebra.comul
+UNIT, COUNIT = H.algebra.unit, H.coalgebra.counit
 WRONG_SHAPE = {
-    "algebra": ("hom-algebra", lambda: HomAlgebraData(BASIS, COMUL, H.unit, H.alpha)),
-    "coalgebra": ("hom-coalgebra", lambda: HomCoalgebraData(BASIS, MUL, H.counit, H.alpha)),
+    "algebra": ("hom-algebra", lambda: HomAlgebraData(BASIS, COMUL, UNIT, H.alpha)),
+    "algebra-unit": ("hom-algebra", lambda: HomAlgebraData(BASIS, MUL, COUNIT, H.alpha)),
+    "coalgebra": ("hom-coalgebra", lambda: HomCoalgebraData(BASIS, MUL, COUNIT, H.alpha)),
+    "coalgebra-counit": ("hom-coalgebra", lambda: HomCoalgebraData(BASIS, COMUL, UNIT, H.alpha)),
     "module": ("hom-module", lambda: HomModuleData(H, 4, COMUL, H.alpha)),
     "right-comodule": ("hom-comodule", lambda: HomComoduleData(H, 4, MUL, H.alpha)),
     "left-comodule": ("hom-comodule", lambda: HomComoduleData(H, 4, MUL, H.alpha, side="left")),
@@ -54,16 +57,17 @@ def test_constructor_rejects_wrongly_shaped_map(case):
     assert [item.identity for item in exc.value.report.failures()] == ["shape"]
 
 
-def written_table(section, key, bases, params):
-    """The Tensor3 a section's `key` lines spell out: a line's arguments
-    followed by a term's atom index the table, leg n in bases[n]."""
+def written_table(section, key, bases, params, out_legs):
+    """The map a section's `key` lines spell out: a line's arguments
+    followed by a term's atom index the table, leg n in bases[n], and the
+    last out_legs legs are the codomain."""
     data = {}
     for e in section.entries:
         if e.key == key:
             for t in e.value:
                 idx = tuple(b.index(lbl) for b, lbl in zip(bases, e.args + t.atom))
                 data[idx] = data.get(idx, 0) + eval_expr(t.coef, params, e.line)
-    return Tensor3.from_dict(tuple(len(b) for b in bases), data)
+    return table_map(tuple(len(b) for b in bases), data, out_legs)
 
 
 def test_views_equal_the_tables_of_every_h4_alg_section():
@@ -77,13 +81,13 @@ def test_views_equal_the_tables_of_every_h4_alg_section():
         seen.add(kind)
         if kind == "hopf":
             b = obj.basis
-            assert obj.mul == written_table(section, "mul", (b, b, b), rf.params)
-            assert obj.comul == written_table(section, "comul", (b, b, b), rf.params)
+            assert obj.algebra.mul == written_table(section, "mul", (b, b, b), rf.params, 1)
+            assert obj.coalgebra.comul == written_table(section, "comul", (b, b, b), rf.params, 2)
         elif kind == "ydmodule":
             hb, mb = obj.over.basis, obj.basis
-            assert obj.action.dims == (len(hb), len(mb), len(mb))
-            assert obj.action == written_table(section, "act", (hb, mb, mb), rf.params)
-            assert obj.coaction == written_table(section, "coact", (mb, mb, hb), rf.params)
+            assert (obj.action.rows, obj.action.cols) == (len(mb), len(hb) * len(mb))
+            assert obj.action == written_table(section, "act", (hb, mb, mb), rf.params, 1)
+            assert obj.coaction == written_table(section, "coact", (mb, mb, hb), rf.params, 2)
     assert seen == {"hopf", "ydmodule", "autpair"}
 
 
@@ -92,14 +96,14 @@ def test_views_equal_both_bicomodule_coaction_tables():
     h = build_h4(2)
     a, b = h4_automorphism(3), h4_automorphism(rat(1, 2))
     n = build_bicomodule_algebra(h, a, b)
-    comul = h.comul
+    comul = h.coalgebra.comul
     r = range(4)
-    left = {(k, i, p): sum(a.matrix.entry(i, s) * comul.at(k, s, p) for s in r)
+    left = {(k, i, p): sum(a.matrix.entry(i, s) * comul.entry(s * 4 + p, k) for s in r)
             for k in r for i in r for p in r}
-    right = {(k, p, j): sum(b.matrix.entry(j, s) * comul.at(k, p, s) for s in r)
+    right = {(k, p, j): sum(b.matrix.entry(j, s) * comul.entry(p * 4 + s, k) for s in r)
              for k in r for p in r for j in r}
-    assert n.left.coaction == Tensor3.from_dict((4, 4, 4), left)
-    assert n.right.coaction == Tensor3.from_dict((4, 4, 4), right)
+    assert n.left.coaction == table_map((4, 4, 4), left, 2)
+    assert n.right.coaction == table_map((4, 4, 4), right, 2)
 
 
 def test_yd_module_failure_names_the_yd_module_suite():
@@ -109,7 +113,7 @@ def test_yd_module_failure_names_the_yd_module_suite():
     ident = identity_automorphism(4)
     y = build_canonical_yd(h, h4_automorphism(3), ident, check=False)
     with pytest.raises(InvalidStructure) as exc:
-        YDModuleData(h, y.action_map(), y.coaction_map(), y.mu, AutPair(ident, ident), basis=y.basis)
+        YDModuleData(h, y.action, y.coaction, y.mu, AutPair(ident, ident), basis=y.basis)
     assert exc.value.report.suite == "yd-module"
     assert str(exc.value) == "yd-module fails: eq-2.1, eq-2.2"
 
@@ -124,10 +128,14 @@ def test_hopf_failure_names_the_hom_hopf_suite():
 
 
 def test_views_of_one_dimensional_carriers_place_each_leg():
-    # with dim M = 1 != dim H every view's dims tell its legs apart
+    # with dim M = 1 != dim H every map's shape tells its legs apart
     h = build_h4(2)
     k = trivial_yd(h)
-    assert k.action == Tensor3((4, 1, 1), h.counit)
-    assert k.coaction == Tensor3((1, 1, 4), h.unit)
-    left = HomComoduleData(h, 1, h.algebra.unit_map, LinearMap.identity(1), side="left")
-    assert left.coaction == Tensor3((1, 4, 1), h.unit)
+    eps = enumerate(h.coalgebra.counit.row(0))
+    one = list(enumerate(h.algebra.unit.column(0)))
+    assert (k.action.rows, k.action.cols) == (1, 4)
+    assert k.action == table_map((4, 1, 1), {(i, 0, 0): v for i, v in eps}, 1)
+    assert (k.coaction.rows, k.coaction.cols) == (4, 1)
+    assert k.coaction == table_map((1, 1, 4), {(0, 0, i): v for i, v in one}, 2)
+    left = HomComoduleData(h, 1, h.algebra.unit, LinearMap.identity(1), side="left")
+    assert left.coaction == table_map((1, 4, 1), {(0, i, 0): v for i, v in one}, 2)

@@ -7,7 +7,7 @@ import pytest
 
 import loop_reference as loop
 from homyd.defformat import parse_definition, resolve_definition, run_checks
-from homyd.exactlin import LinearMap, Tensor3, ZERO, ONE, add_scaled, basis_vec, kron, rat, tensor_vec
+from homyd.exactlin import LinearMap, ZERO, ONE, add_scaled, basis_vec, kron, rat, table_map, tensor_vec
 from homyd.hom_algebra import HopfAutomorphism, identity_automorphism
 from homyd.h4_library import H4Params, build_h4, build_h4_yd_table, build_twisted_h4b, h4_automorphism
 import homyd.t_category as tc
@@ -96,8 +96,8 @@ def test_tensor_with_trivial_module_reduces_via_unit_constraint():
     kn = tensor_yd(k, n)
     # the carrier reindex is trivial; the twisted unit constraint nu
     # intertwines the structures
-    lhs = n.mu @ kn.action_map()
-    rhs = n.action_map() @ kron(LinearMap.identity(h.dim), n.mu)
+    lhs = n.mu @ kn.action
+    rhs = n.action @ kron(LinearMap.identity(h.dim), n.mu)
     assert lhs == rhs
 
 
@@ -114,10 +114,10 @@ def test_tensor_action_splits_when_left_pair_is_plain():
                 for h1, h2, w in loop.comul_terms(h, hk):
                     add_scaled(
                         out,
-                        tensor_vec(m.action.fiber(h1, i), n.action.fiber(h2, j)),
+                        tensor_vec(m.action.column(h1 * 4 + i), n.action.column(h2 * 4 + j)),
                         w,
                     )
-                assert tuple(out) == t.action.fiber(hk, i * 4 + j)
+                assert tuple(out) == t.action.column(hk * 16 + i * 4 + j)
 
 
 def test_tensor_lands_in_product_component():
@@ -150,8 +150,8 @@ def test_tensor_orders_intertwined_by_constraint_at_general_twist():
     assert check_yd(left).ok() and check_yd(right).ok()
     a = associator(m, n, p)
     idh = LinearMap.identity(4)
-    assert (right.action_map() @ kron(idh, a)) == (a @ left.action_map())
-    assert (right.coaction_map() @ a) == (kron(a, idh) @ left.coaction_map())
+    assert (right.action @ kron(idh, a)) == (a @ left.action)
+    assert (right.coaction @ a) == (kron(a, idh) @ left.coaction)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +395,7 @@ def test_classical_limit_braiding_is_untwisted_double_crossing():
         for j in range(4):
             out = [ZERO] * 16
             for q, a, w in loop.coact_terms(n.comodule, j):
-                add_scaled(out, tensor_vec(basis_vec(4, q), m.action.fiber(a, i)), w)
+                add_scaled(out, tensor_vec(basis_vec(4, q), m.action.column(a * 4 + i)), w)
             cols.append(out)
     untwisted = LinearMap.from_cols(cols)
     assert braiding(m, n).matrix == untwisted
@@ -412,7 +412,7 @@ def test_aggregate_suite_smoke():
 def test_aggregate_suite_isolates_a_corrupted_module():
     h, _, mods = setup_modules(c=1, cp=2, cpp=3)
     good = mods["H4A"]
-    bad = YDModuleData(h, good.action_map(), good.coaction_map(), good.mu, AutPair(good.pair_b, good.pair_a),
+    bad = YDModuleData(h, good.action, good.coaction, good.mu, AutPair(good.pair_b, good.pair_a),
                        basis=good.basis, check=False, label="BAD")
     rep = check_t_category(h, [good, bad], [pair_of(2, 3)], seed=0)
     assert not rep.ok()
@@ -498,10 +498,13 @@ def random_structure(h, rng, dim, label):
 
     d = h.dim
     mu = triangular(dim)
-    action = Tensor3((d, dim, dim), [entry() for _ in range(d * dim * dim)])
-    coaction = Tensor3((dim, dim, d), [entry() for _ in range(dim * dim * d)])
+    def table(dims, out_legs):
+        return table_map(dims, {idx: entry() for idx in itertools.product(*map(range, dims))}, out_legs)
+
+    action = table((d, dim, dim), 1)
+    coaction = table((dim, dim, d), 2)
     pair = AutPair(HopfAutomorphism(triangular(d)), HopfAutomorphism(triangular(d)))
-    return YDModuleData(h, action.as_map(1), coaction.as_map(2), mu, pair, check=False, label=label)
+    return YDModuleData(h, action, coaction, mu, pair, check=False, label=label)
 
 
 def test_builders_match_loop_reference_on_arbitrary_tables():

@@ -18,7 +18,7 @@ import pytest
 
 from homyd.cli import render_json_report
 from homyd.defformat import parse_definition, run_checks
-from homyd.exactlin import LinearMap, Tensor3, rat
+from homyd.exactlin import LinearMap, rat
 from homyd.h4_library import H4Params, build_h4, build_h4_yd_table, h4_automorphism
 from homyd.hom_algebra import check_automorphism, identity_automorphism
 from homyd.t_category import AutPair, check_t_category
@@ -88,11 +88,12 @@ def corrupted_text(header, line, replacement):
     return text[:at] + replacement + text[at + len(line):]
 
 
-def _with_entries(t, changes):
-    entries = list(t.entries)
-    for index, value in changes.items():
-        entries[index] = rat(value)
-    return Tensor3(t.dims, entries)
+def _with_entries(f, changes):
+    """f with the entry at each (row, column) key of changes replaced."""
+    entries = list(f.entries)
+    for (i, j), value in changes.items():
+        entries[i * f.cols + j] = rat(value)
+    return LinearMap(f.rows, f.cols, entries)
 
 
 def library_reports():
@@ -103,10 +104,10 @@ def library_reports():
 
     n = build_bicomodule_algebra(h, a, b, check=False)
     # the left coaction of 1 gains terms in (g + x) (x) 1, the right one in 1 (x) (g + x)
-    left = _with_entries(n.left.coaction, {1 * 4: 5, 2 * 4: 5})
-    right = _with_entries(n.right.coaction, {1: 5, 2: 5})
-    bad_left = BicomoduleAlgebraData(h, h.algebra, left.as_map(2), n.right.coact_map, check=False)
-    bad_right = BicomoduleAlgebraData(h, h.algebra, n.left.coact_map, right.as_map(2), check=False)
+    left = _with_entries(n.left.coaction, {(1 * 4, 0): 5, (2 * 4, 0): 5})
+    right = _with_entries(n.right.coaction, {(1, 0): 5, (2, 0): 5})
+    bad_left = BicomoduleAlgebraData(h, h.algebra, left, n.right.coaction, check=False)
+    bad_right = BicomoduleAlgebraData(h, h.algebra, n.left.coaction, right, check=False)
 
     e = build_entwining(h, a, b, check=False)
     psi = list(e.psi.entries)
@@ -114,7 +115,7 @@ def library_reports():
     bad_e = EntwiningData(h.algebra, h.coalgebra, LinearMap(16, 16, psi), check=False)
 
     yd_ab = build_h4_yd_table("H4AB", p, h=h)
-    regular = HomModuleData(h, 4, _with_entries(h.mul, {(2 * 4 + 1) * 4 + 3: -1}).as_map(1), h.alpha,
+    regular = HomModuleData(h, 4, _with_entries(h.algebra.mul, {(3, 2 * 4 + 1): -1}), h.alpha,
                             basis=h.basis, check=False)
     # phi(x) = 2x + g, and then also phi(1) = 1 + gx
     phi = LinearMap.from_rows([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 2, 0], [0, 0, 0, 2]])

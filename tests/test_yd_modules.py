@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from loop_reference import coact_terms, comul_terms
-from homyd.exactlin import LinearMap, Tensor3, ZERO, basis_vec, invert, rat, tensor_vec
+from homyd.exactlin import LinearMap, ZERO, basis_vec, invert, rat, table_map, tensor_vec
 from homyd.hom_algebra import AutPair, HopfAutomorphism, InvalidStructure, identity_automorphism
 from homyd.h4_library import BASIS, H4Params, build_h4, build_h4_yd_table, h4_automorphism
 from homyd.yd_modules import (
@@ -33,18 +33,11 @@ from homyd.yd_modules import (
 
 def regular_module(h):
     """H acting on itself by its own product."""
-    d = h.dim
-    action = Tensor3(h.mul.dims, h.mul.entries)
-    return HomModuleData(h, d, action.as_map(1), h.alpha, basis=h.basis)
+    return HomModuleData(h, h.dim, h.algebra.mul, h.alpha, basis=h.basis)
 
 
 def regular_comodule(h):
-    d = h.dim
-    coaction = Tensor3(
-        (d, d, d),
-        [h.comul.at(k, i, j) for k in range(d) for i in range(d) for j in range(d)],
-    )
-    return HomComoduleData(h, d, coaction.as_map(2), h.alpha, basis=h.basis)
+    return HomComoduleData(h, h.dim, h.coalgebra.comul, h.alpha, basis=h.basis)
 
 
 def test_regular_action_is_hom_module():
@@ -54,8 +47,7 @@ def test_regular_action_is_hom_module():
 
 def test_trivial_module_counit_action():
     h = build_h4(3)
-    action = Tensor3((h.dim, 1, 1), list(h.counit))
-    m = HomModuleData(h, 1, action.as_map(1), LinearMap.identity(1), basis=("1",))
+    m = HomModuleData(h, 1, h.coalgebra.counit, LinearMap.identity(1), basis=("1",))
     assert check_hom_module(m).ok()
 
 
@@ -70,8 +62,7 @@ def test_regular_coaction_is_hom_comodule():
 
 def test_trivial_comodule():
     h = build_h4(2)
-    coaction = Tensor3((1, 1, h.dim), list(h.unit))
-    m = HomComoduleData(h, 1, coaction.as_map(2), LinearMap.identity(1), basis=("1",))
+    m = HomComoduleData(h, 1, h.algebra.unit, LinearMap.identity(1), basis=("1",))
     assert check_hom_comodule(m).ok()
 
 
@@ -79,30 +70,31 @@ def test_twisted_coaction_of_conjugated_module():
     # second comultiplication legs of the nilpotents scaled by c'
     h = build_h4(1)
     cp = rat(2)
-    coaction = Tensor3.from_dict(
+    coaction = table_map(
         (4, 4, 4),
         {
             (0, 0, 0): 1, (1, 1, 1): 1,
             (2, 2, 0): 1, (2, 1, 2): cp,
             (3, 3, 1): 1, (3, 0, 3): cp,
         },
+        out_legs=2,
     )
-    m = HomComoduleData(h, 4, coaction.as_map(2), h.alpha, basis=BASIS)
+    m = HomComoduleData(h, 4, coaction, h.alpha, basis=BASIS)
     assert check_hom_comodule(m).ok()
 
 
 def test_module_algebra_trivial_action():
     h = build_h4(2)
     act = {}
-    for i in range(4):
-        if not h.counit[i]:
+    for i, eps in enumerate(h.coalgebra.counit.row(0)):
+        if not eps:
             continue
         for j in range(4):
             for k in range(4):
-                v = h.counit[i] * h.alpha.entry(k, j)
+                v = eps * h.alpha.entry(k, j)
                 if v:
                     act[(i, j, k)] = v
-    m = HomModuleData(h, 4, Tensor3.from_dict((4, 4, 4), act).as_map(1), h.alpha, basis=BASIS)
+    m = HomModuleData(h, 4, table_map((4, 4, 4), act, 1), h.alpha, basis=BASIS)
     assert check_module_algebra(m, h.algebra).ok()
 
 
@@ -116,12 +108,12 @@ def test_module_algebra_unit_violation_witnessed():
     h = build_h4(1)
     m = build_h4_yd_table("H4A", H4Params(1, 1, 1), h=h)
     act = {
-        (i, j, k): m.action.at(i, j, k)
+        (i, j, k): m.action.entry(k, i * 4 + j)
         for i in range(4) for j in range(4) for k in range(4)
-        if m.action.at(i, j, k)
+        if m.action.entry(k, i * 4 + j)
     }
     act[(2, 0, 2)] = rat(1)  # x . 1 = x breaks h.1 = eps(h)1
-    bad = HomModuleData(h, 4, Tensor3.from_dict((4, 4, 4), act).as_map(1), h.alpha, basis=BASIS, check=False)
+    bad = HomModuleData(h, 4, table_map((4, 4, 4), act, 1), h.alpha, basis=BASIS, check=False)
     rep = check_module_algebra(bad, h.algebra)
     item = rep.item("eq-1.9-unit")
     assert not item.passed and item.witness.labels == ("x",)
@@ -140,7 +132,7 @@ def test_comodule_algebra_trivial_left_coaction():
         for t, v in enumerate(h.alpha_inv.column(k)):
             if v:
                 coa[(k, 0, t)] = v
-    m = HomComoduleData(h, 4, Tensor3.from_dict((4, 4, 4), coa).as_map(2), h.alpha, basis=BASIS, side="left")
+    m = HomComoduleData(h, 4, table_map((4, 4, 4), coa, 2), h.alpha, basis=BASIS, side="left")
     assert check_hom_comodule(m).ok()
     assert check_comodule_algebra(m, h.algebra).ok()
 
@@ -155,7 +147,7 @@ def test_comodule_algebra_left_coaction_through_automorphism():
             for t, v in enumerate(a.column(i)):
                 if v:
                     coa[(k, t, j)] = coa.get((k, t, j), ZERO) + w * v
-    m = HomComoduleData(h, 4, Tensor3.from_dict((4, 4, 4), coa).as_map(2), h.alpha, basis=BASIS, side="left")
+    m = HomComoduleData(h, 4, table_map((4, 4, 4), coa, 2), h.alpha, basis=BASIS, side="left")
     assert check_hom_comodule(m).ok()
     assert check_comodule_algebra(m, h.algebra).ok()
 
@@ -178,7 +170,7 @@ def test_golden_h4a_is_yd_over_its_pair():
 
 def test_golden_h4a_fails_with_swapped_pair():
     m = build_h4_yd_table("H4A", H4Params(1, 2, 1))
-    swapped = YDModuleData(m.over, m.action_map(), m.coaction_map(), m.mu, AutPair(m.pair_b, m.pair_a),
+    swapped = YDModuleData(m.over, m.action, m.coaction, m.mu, AutPair(m.pair_b, m.pair_a),
                            basis=m.basis, check=False)
     rep = check_yd(swapped)
     assert not rep.ok()
@@ -203,7 +195,7 @@ def test_equivalence_of_both_forms_on_valid_and_invalid_instances():
             h, h4_automorphism(actual[0]), h4_automorphism(actual[1]), check=False
         )
         tagged = YDModuleData(
-            h, yd.action_map(), yd.coaction_map(), yd.mu,
+            h, yd.action, yd.coaction, yd.mu,
             AutPair(h4_automorphism(declared[0]), h4_automorphism(declared[1])),
             basis=yd.basis, check=False,
         )
@@ -215,9 +207,9 @@ def test_canonical_action_classical_case_table():
     # h.y = (h2 y) S^-1(h1); x then annihilates the unit
     h = build_h4(1)
     yd = build_canonical_yd(h, identity_automorphism(4), identity_automorphism(4))
-    assert yd.action.fiber(2, 0) == (ZERO, ZERO, ZERO, ZERO)          # x.1 = 0
-    assert yd.action.fiber(2, 1) == (ZERO, ZERO, rat(2), ZERO)        # x.g = 2x
-    assert yd.action.fiber(1, 0) == (rat(1), ZERO, ZERO, ZERO)        # g.1 = 1
+    assert yd.action.column(2 * 4 + 0) == (ZERO, ZERO, ZERO, ZERO)          # x.1 = 0
+    assert yd.action.column(2 * 4 + 1) == (ZERO, ZERO, rat(2), ZERO)        # x.g = 2x
+    assert yd.action.column(1 * 4 + 0) == (rat(1), ZERO, ZERO, ZERO)        # g.1 = 1
 
 
 def test_canonical_matches_golden_tables():
@@ -253,8 +245,8 @@ def test_entwining_fixes_unit_leg():
     h = build_h4(2)
     e = build_entwining(h, h4_automorphism(3), identity_automorphism(4))
     for c in range(4):
-        v = e.psi.apply(tensor_vec(h.unit, basis_vec(4, c)))
-        assert v == tuple(tensor_vec(h.unit, basis_vec(4, c)))
+        v = e.psi.apply(tensor_vec(h.algebra.unit.column(0), basis_vec(4, c)))
+        assert v == tuple(tensor_vec(h.algebra.unit.column(0), basis_vec(4, c)))
 
 
 def test_entwining_axioms_for_sampled_pairs():
@@ -312,7 +304,7 @@ def test_entwined_module_agreement_is_systematic():
         for which in ("H4A", "H4B", "H4AB"):
             yd = build_h4_yd_table(which, p, h=h)
             assert check_entwined_module(yd, e).ok() == check_yd(
-                YDModuleData(h, yd.action_map(), yd.coaction_map(), yd.mu,
+                YDModuleData(h, yd.action, yd.coaction, yd.mu,
                              AutPair(h4_automorphism(cp), h4_automorphism(cpp)), basis=yd.basis, check=False)
             ).ok()
 
@@ -350,15 +342,17 @@ def test_swapped_coactions_break_compatibility():
     n = build_bicomodule_algebra(h, h4_automorphism(2), h4_automorphism(3))
     # exchanging the two coactions of a non-symmetric instance cannot
     # satisfy the interchange law (the sides carry different twists)
-    left = Tensor3.from_dict(
+    left = table_map(
         (4, 4, 4),
         {(k, i, p): w for k in range(4) for p, i, w in coact_terms(n.right, k)},
+        out_legs=2,
     )
-    right = Tensor3.from_dict(
+    right = table_map(
         (4, 4, 4),
         {(k, p, i): w for k in range(4) for i, p, w in coact_terms(n.left, k)},
+        out_legs=2,
     )
-    swapped = BicomoduleAlgebraData(h, h.algebra, left.as_map(2), right.as_map(2), check=False)
+    swapped = BicomoduleAlgebraData(h, h.algebra, left, right, check=False)
     assert not check_bicomodule_algebra(swapped).ok()
 
 
@@ -384,7 +378,7 @@ def test_datum_fails_exactly_when_yd_fails():
     n = build_bicomodule_algebra(h, h4_automorphism(2), h4_automorphism(3))
     ydA = build_h4_yd_table("H4A", p, h=h)   # lives in (A, id), not (A, B)
     tagged = YDModuleData(
-        h, ydA.action_map(), ydA.coaction_map(), ydA.mu, AutPair(h4_automorphism(2), h4_automorphism(3)),
+        h, ydA.action, ydA.coaction, ydA.mu, AutPair(h4_automorphism(2), h4_automorphism(3)),
         basis=ydA.basis, check=False,
     )
     assert not check_yd(tagged).ok()

@@ -57,6 +57,7 @@ def test_each_object_inverts_its_twist_once(name, monkeypatch):
     yd = build()
     assert counts == {"invert": objects, "objects": objects}
     assert yd.mu_inv is yd.comodule.mu_inv
+    assert yd.action is yd.module.action and yd.coaction is yd.comodule.coaction
     assert (yd.mu @ yd.mu_inv).is_identity()
 
 
@@ -65,7 +66,7 @@ def test_differences_name_the_differing_pieces_in_order():
     h = build_h4(p.c)
     m = build_h4_yd_table("H4A", p, h=h)
     assert m.differences(build_h4_yd_table("H4A", p, h=h)) == []
-    retagged = YDModuleData(h, m.action_map(), m.coaction_map(), m.mu, AutPair(m.pair_b, m.pair_a),
+    retagged = YDModuleData(h, m.action, m.coaction, m.mu, AutPair(m.pair_b, m.pair_a),
                             basis=m.basis, check=False)
     assert m.differences(retagged) == ["component pair"]
     other = build_h4_yd_table("H4B", p, h=h)
