@@ -6,7 +6,8 @@
     homyd demo h4 [--c Q] [--cp Q] [--cpp Q] [--out csv|json]
 
 Exit codes: 0 when every identity passes, 1 when any fails, 2 on a
-parse or resolution diagnostic or a FILE that cannot be read as UTF-8.
+parse or resolution diagnostic, a FILE that cannot be read as UTF-8, or a
+reader that closes stdout before the output is written.
 
 Matrices act on column coordinate vectors, so in CSV/JSON output the
 column j holds the image of the j-th domain basis vector; the table
@@ -20,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -225,7 +227,15 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (`| head`): send the rest of the output to
+        # devnull, so the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
 
 
 if __name__ == "__main__":

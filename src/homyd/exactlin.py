@@ -8,6 +8,11 @@ fixed convention (i, j) -> i * dim_right + j; Kronecker products and leg
 permutations below follow the same convention.  Structure constants
 written out as a sparse table literal become a map through table_map.
 
+Every scalar enters a map through one coercion, _scalar: an integral entry
+is stored as an int and any other as a Fraction, both exact, so products of
+integral entries stay in int arithmetic.  An integral Fraction that
+arithmetic leaves behind equals, and hashes like, the int it stands for.
+
 All values are immutable after construction and all operations are pure,
 so everything here is safe to share between threads.
 """
@@ -16,9 +21,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-#: Ground-field scalar.  Exact rational in canonical form: positive
-#: denominator, gcd(|num|, den) = 1.  Equality is structural.
-Scalar = Fraction
+#: Ground-field scalar: an exact rational, stored in a map as an int when
+#: integral and as a Fraction (positive denominator, gcd(|num|, den) = 1)
+#: otherwise.  Equal values compare and hash equal across the two types.
+Scalar = int | Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -27,6 +33,16 @@ ONE = Fraction(1)
 def rat(num, den=1):
     """Exact rational; accepts ints or strings like '-2/3'."""
     return Fraction(num, den)
+
+
+def _scalar(e):
+    """e as a map stores it: an int when integral, else a Fraction."""
+    t = type(e)
+    if t is int:
+        return e
+    if t is not Fraction:
+        e = Fraction(e)
+    return e.numerator if e.denominator == 1 else e
 
 
 class DimensionMismatch(ValueError):
@@ -52,7 +68,7 @@ class LinearMap:
 
     def __init__(self, rows, cols, entries):
         """Checked constructor from row-major dense entries."""
-        entries = [e if type(e) is Fraction else Fraction(e) for e in entries]
+        entries = [_scalar(e) for e in entries]
         if len(entries) != rows * cols:
             raise DimensionMismatch(
                 "expected %d entries for %dx%d, got %d"
@@ -68,7 +84,7 @@ class LinearMap:
 
     @classmethod
     def identity(cls, n):
-        return _from_columns(n, tuple({j: ONE} for j in range(n)))
+        return _from_columns(n, tuple({j: 1} for j in range(n)))
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -76,7 +92,7 @@ class LinearMap:
 
     @classmethod
     def diagonal(cls, values):
-        values = [Fraction(v) for v in values]
+        values = [_scalar(v) for v in values]
         return _from_columns(len(values), tuple({j: v} if v else {} for j, v in enumerate(values)))
 
     @classmethod
@@ -97,7 +113,7 @@ class LinearMap:
         for c in cols:
             if len(c) != nr:
                 raise DimensionMismatch("ragged columns")
-            out.append({i: e if type(e) is Fraction else Fraction(e) for i, e in enumerate(c) if e})
+            out.append({i: _scalar(e) for i, e in enumerate(c) if e})
         return _from_columns(nr, tuple(out))
 
     # -- access ------------------------------------------------------
@@ -178,7 +194,8 @@ class LinearMap:
 
 def _from_columns(rows, columns):
     """Trusted constructor: columns is a tuple of dicts row -> nonzero
-    Fraction, owned by the new map from here on."""
+    scalar, never mutated from here on and so free to be shared with other
+    maps."""
     f = object.__new__(LinearMap)
     f.rows = rows
     f.cols = len(columns)
@@ -195,6 +212,12 @@ def compose(f, g):
     fcols = f._cols
     out = []
     for gcol in g._cols:
+        if len(gcol) == 1:
+            # a multiple of a basis vector selects one column of f
+            for k, gk in gcol.items():
+                fcol = fcols[k]
+                out.append(fcol if gk == 1 else {i: fik * gk for i, fik in fcol.items()})
+            continue
         acc = {}
         for k, gk in gcol.items():
             for i, fik in fcols[k].items():
@@ -232,7 +255,7 @@ def _unit_index(col):
     """i when the column is the basis vector e_i, else None."""
     if len(col) == 1:
         for i, e in col.items():
-            if e == ONE:
+            if e == 1:
                 return i
     return None
 
@@ -248,7 +271,7 @@ def permute(dims, order):
     targets = [0]
     for d, s in zip(dims, stride):
         targets = [t + i * s for t in targets for i in range(d)]
-    return _from_columns(size, tuple({t: ONE} for t in targets))
+    return _from_columns(size, tuple({t: 1} for t in targets))
 
 
 def flip(d1, d2):
@@ -257,7 +280,8 @@ def flip(d1, d2):
 
 
 def invert(f):
-    """Exact inverse by Gauss-Jordan elimination over the rationals.
+    """Exact inverse by Gauss-Jordan elimination over the rationals,
+    dividing in Fraction (int / int would be a float).
 
     Raises SingularMap when the determinant vanishes.
     """
@@ -268,7 +292,7 @@ def invert(f):
     for j, col in enumerate(f._cols):
         for i, e in col.items():
             a[i][j] = e
-    b = [{i: ONE} for i in range(n)]
+    b = [{i: 1} for i in range(n)]
     for col in range(n):
         pivot = None
         for r in range(col, n):
@@ -281,7 +305,8 @@ def invert(f):
             a[col], a[pivot] = a[pivot], a[col]
             b[col], b[pivot] = b[pivot], b[col]
         p = a[col][col]
-        if p != ONE:
+        if p != 1:
+            p = Fraction(p)
             a[col] = {k: x / p for k, x in a[col].items()}
             b[col] = {k: x / p for k, x in b[col].items()}
         for r in range(n):
@@ -289,14 +314,14 @@ def invert(f):
                 factor = a[r][col]
                 a[r] = _axpy(a[r], -factor, a[col])
                 b[r] = _axpy(b[r], -factor, b[col])
-    return _from_columns(n, tuple(b)).transpose()
+    return _from_columns(n, tuple({k: _scalar(x) for k, x in row.items()} for row in b)).transpose()
 
 
 def _axpy(y, coef, x):
     """The sparse vector y + coef * x, without stored zeros."""
     out = dict(y)
     for k, v in x.items():
-        s = out.get(k, ZERO) + coef * v
+        s = out.get(k, 0) + coef * v
         if s:
             out[k] = s
         else:
@@ -319,7 +344,7 @@ def table_map(dims, data, out_legs):
             raise DimensionMismatch("index %r out of range for dims %r" % ((i, j, k), dims))
         if v:
             col, row = divmod((i * d1 + j) * d2 + k, rows)
-            columns[col][row] = Fraction(v)
+            columns[col][row] = _scalar(v)
     return _from_columns(rows, columns)
 
 

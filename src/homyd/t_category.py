@@ -21,12 +21,13 @@ and permute, as the laws in hom_algebra and yd_modules are.  "Equality of
 objects" in the functor identities below always means equality of
 structure maps on the flattened carrier, the strongest checkable reading.
 
-Every object built here is one YDModuleData call on its maps, twist and
-component: G's elements are the AutPairs of hom_algebra, and an object's
-pair is read as m.pair.  check_t_category builds each pair tensor M (x) N,
-braiding c_{M,N} and conjugate ^MN once and passes them down to the checks
-as arguments, with no cache across calls; products and inverses in G carry
-their inverses, so G never inverts a matrix.
+Every object built here is one YDModuleData on its maps, twist and
+component, handed the twist inverse that its factors already know, so
+neither G nor the objects invert a matrix: G's elements are the AutPairs of
+hom_algebra, whose products and inverses carry their inverses, and an
+object's pair is read as m.pair.  check_t_category builds each pair tensor
+M (x) N, braiding c_{M,N} and conjugate ^MN once and passes them down to
+the checks as arguments, with no cache across calls.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from fractions import Fraction
 from .exactlin import LinearMap, flip, kron, permute
 from .hom_algebra import AutPair, check_automorphism
 from .reports import CheckReport, Witness, check_matrix_equal
-from .yd_modules import YDModuleData, check_yd, trivial_yd
+from .yd_modules import _with_twist_inverse, check_yd, trivial_yd
 
 
 def group_mul(p, q):
@@ -78,8 +79,9 @@ def tensor_yd(m, n, check=True, label=None):
     right = kron(idn, h.algebra.mul) @ kron(n.coaction, idd) @ flip(d, dn)
     coact = kron(idm, right) @ kron(m.coaction, idn)
     basis = tuple("%s(x)%s" % (a, b) for a in m.basis for b in n.basis)
-    return YDModuleData(h, act, coact, kron(m.mu, n.mu), group_mul(m.pair, n.pair), basis=basis,
-                        check=check, label=label or "%s(x)%s" % (m.name, n.name))
+    return _with_twist_inverse(h, act, coact, kron(m.mu, n.mu), kron(m.mu_inv, n.mu_inv),
+                               group_mul(m.pair, n.pair), basis, check,
+                               label or "%s(x)%s" % (m.name, n.name))
 
 
 def conjugate_yd(p, n, check=True, label=None):
@@ -93,8 +95,9 @@ def conjugate_yd(p, n, check=True, label=None):
     phi = n.pair_a.inverse @ p.b.matrix @ n.pair_a.matrix @ p.a.inverse
     act = n.action @ kron(phi, LinearMap.identity(dn))
     coact = kron(LinearMap.identity(dn), p.a.matrix @ p.b.inverse) @ n.coaction
-    return YDModuleData(n.over, act, coact, n.mu, group_mul(group_mul(p, n.pair), group_inv(p)),
-                        basis=n.basis, check=check, label=label or "^%s%s" % (p.name, n.name))
+    return _with_twist_inverse(n.over, act, coact, n.mu, n.mu_inv,
+                               group_mul(group_mul(p, n.pair), group_inv(p)), n.basis, check,
+                               label or "^%s%s" % (p.name, n.name))
 
 
 # ---------------------------------------------------------------------------

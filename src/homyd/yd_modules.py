@@ -23,7 +23,9 @@ the test suite exercises that equivalence on failing instances too.
 A Yetter-Drinfeld object is built in one call, YDModuleData(over, action,
 coaction, mu, pair), from its maps, its twist and its component, an
 AutPair; every builder here, in t_category, h4_library and defformat goes
-through it.  Only comodules read mu^-1, so only they invert the twist.
+through it.  Only comodules read mu^-1, so only they invert the twist.  The
+tensor products and conjugates of t_category already know mu^-1 from their
+factors and hand it over through the trusted _with_twist_inverse instead.
 """
 
 from __future__ import annotations
@@ -72,30 +74,42 @@ class HomComoduleData:
     machinery, and the carrier twist mu."""
 
     def __init__(self, over, dim, coaction, mu, basis=None, side="right", check=True):
+        self._fill(over, dim, coaction, mu, None, basis, side)
+        _require(lambda: check_hom_comodule(self), check)
+
+    def _fill(self, over, dim, coaction, mu, mu_inv, basis, side):
+        """The unchecked constructor, given the inverse mu_inv of mu, or None
+        to invert mu here."""
         self.over = over
         self.dim = dim
         self.side = side
         _require_shape("hom-comodule", "coaction", coaction, dim * over.dim, dim)
         self.coaction = coaction
         self.mu = mu
-        self.mu_inv = invert(mu)
+        self.mu_inv = invert(mu) if mu_inv is None else mu_inv
         self.basis = _auto_basis(dim, basis)
-        _require(lambda: check_hom_comodule(self), check)
 
 
 class YDModuleData:
     """One object of the braided T-category: a carrier with twist mu, a left
     action and a right coaction over the Hopf algebra over, in the
     component pair (an AutPair (A, B)).  Its module and comodule parts are
-    built here, sharing the maps, and mu is inverted once; construction
+    built here, sharing the maps, and mu is inverted once unless its
+    inverse is handed over (_with_twist_inverse); construction
     verifies the module and comodule laws and both compatibility forms as
     the one yd-module suite."""
 
     def __init__(self, over, action, coaction, mu, pair, basis=None, check=True, label=None):
+        self._fill(over, action, coaction, mu, None, pair, basis, check, label)
+
+    def _fill(self, over, action, coaction, mu, mu_inv, pair, basis, check, label):
+        """The constructor, given the inverse mu_inv of mu, or None to invert
+        mu here."""
         self.over = over
         self.dim = mu.rows
         self.module = HomModuleData(over, self.dim, action, mu, basis=basis, check=False)
-        self.comodule = HomComoduleData(over, self.dim, coaction, mu, basis=basis, check=False)
+        self.comodule = object.__new__(HomComoduleData)
+        self.comodule._fill(over, self.dim, coaction, mu, mu_inv, basis, "right")
         self.action = action
         self.coaction = coaction
         self.mu = mu
@@ -125,6 +139,15 @@ class YDModuleData:
         """Strict object equality: equal structure maps on the flattened
         carrier and equal component pair."""
         return not self.differences(other)
+
+
+def _with_twist_inverse(over, action, coaction, mu, mu_inv, pair, basis, check, label):
+    """Trusted constructor: YDModuleData(over, action, coaction, mu, pair,
+    basis, check, label) for a twist mu already known to have the inverse
+    mu_inv."""
+    yd = object.__new__(YDModuleData)
+    yd._fill(over, action, coaction, mu, mu_inv, pair, basis, check, label)
+    return yd
 
 
 class EntwiningData:

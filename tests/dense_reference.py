@@ -76,8 +76,9 @@ def invert(f):
             b[col], b[pivot] = b[pivot], b[col]
         p = a[col][col]
         if p != ONE:
-            a[col] = [x / p for x in a[col]]
-            b[col] = [x / p for x in b[col]]
+            # in Fraction: entries may be ints, and int / int is a float
+            a[col] = [Fraction(x) / p for x in a[col]]
+            b[col] = [Fraction(x) / p for x in b[col]]
         for r in range(n):
             if r != col and a[r][col]:
                 factor = a[r][col]

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -225,3 +228,21 @@ def test_module_and_comodule_sections_are_checked_with_witnesses(tmp_path, capsy
     assert items["M:module-unit"]["witness"] == {"inputs": [0], "labels": ["m"], "lhs": ["5"], "rhs": ["1"]}
     assert items["C:eq-1.8-counit"]["status"] == "fail"
     assert items["C:eq-1.8-counit"]["witness"] == {"inputs": [0], "labels": ["m"], "lhs": ["3"], "rhs": ["1"]}
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", H4_ALG, "--suite", "tcat", "--report", "json"),
+    ("braid", H4_ALG, "-m", "H4A", "-n", "H4B", "--out", "csv"),
+], ids=["check-tcat", "braid"])
+def test_closed_stdout_exits_two_without_traceback(argv):
+    # as in `homyd check ... | head -c 0`: the reader is gone before the
+    # report is written
+    path = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.Popen([sys.executable, "-m", "homyd", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode("utf-8")
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert err == ""

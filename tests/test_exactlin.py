@@ -323,3 +323,64 @@ def test_kron_with_basis_vector_columns_matches_dense_reference():
                               (kron(g, unitary), dense.kron(g, unitary))):
                 assert got == want
                 assert all(stored_values(got))
+
+
+# ---------------------------------------------------------------------------
+# single-entry columns: compose selects, and reuses or scales, a column
+# ---------------------------------------------------------------------------
+
+
+def selector(rng, n, kind):
+    """An n x n map with one entry per column: the identity, a permutation,
+    or a permutation whose columns are scaled by nonzero rationals (1 among
+    them)."""
+    if kind == "identity":
+        return LinearMap.identity(n)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    scales = [1] * n if kind == "permutation" else [
+        rng.choice((1, -1, 2, rat(1, 2), rat(-3, 2))) for _ in range(n)
+    ]
+    return LinearMap.from_cols([[scales[j] if i == perm[j] else 0 for i in range(n)] for j in range(n)])
+
+
+def snapshot(f):
+    return tuple(dict(col) for col in f._cols)
+
+
+@pytest.mark.parametrize("kind", ["identity", "permutation", "scaled"])
+def test_compose_with_single_entry_columns_matches_dense_reference(kind):
+    rng = random.Random(len(kind))
+    for n, m, density in ((4, 4, 0.5), (16, 8, 0.3), (16, 64, 0.05)):
+        s = selector(rng, n, kind)
+        f = random_map(rng, m, n, density)
+        g = random_map(rng, n, m, density)
+        for got, want in ((compose(f, s), dense.compose(f, s)), (compose(s, g), dense.compose(s, g))):
+            assert got == want
+            assert got.entries == want.entries
+            assert all(stored_values(got))
+
+
+@pytest.mark.parametrize("kind", ["identity", "permutation", "scaled"])
+def test_columns_shared_by_compose_are_never_mutated(kind):
+    rng = random.Random(17)
+    s = selector(rng, 8, kind)
+    # lower triangular with a nonzero diagonal, so h below is invertible
+    f = LinearMap.from_rows([
+        [rng.choice((1, 2, rat(-1, 3))) if i == j else rng.choice((0, 0, 1, rat(1, 2))) if j < i else 0
+         for j in range(8)]
+        for i in range(8)
+    ])
+    h = compose(f, s)
+    # a column of s holding a 1 hands f's column over as it is
+    shared = sum(1 for hc in h._cols for fc in f._cols if hc is fc)
+    assert shared == sum(1 for e in stored_values(s) if e == 1)
+    before_f, before_h = snapshot(f), snapshot(h)
+    # every kernel operation that reads the shared columns
+    assert compose(h, h) == dense.compose(h, h)
+    assert compose(s, h) == dense.compose(s, h)
+    assert kron(h, s) == dense.kron(h, s) and kron(s, h) == dense.kron(s, h)
+    assert compose(invert(h), h).is_identity()
+    assert h.transpose().transpose() == h
+    assert h.apply([1] * 8) == tuple(sum(h.row(i)) for i in range(8))
+    assert snapshot(f) == before_f and snapshot(h) == before_h

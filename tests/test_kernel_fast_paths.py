@@ -1,0 +1,66 @@
+"""The integer-first kernel over a whole crossed-category run.
+
+Every map built while ``run_checks(h4.alg, "tcat")`` runs, at the shipped
+point and at the twisted point c = -3/2, is inspected as it is built: its
+entries are ints or Fractions, never floats.  Every Yetter-Drinfeld object
+of the run is recorded too, and the twist inverse it holds, handed over by
+tensor_yd and conjugate_yd or computed by the constructor, is compared with
+a fresh Gauss-Jordan inverse of its twist.
+"""
+
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import homyd.exactlin as exactlin
+from homyd.defformat import parse_definition, run_checks
+from homyd.exactlin import LinearMap, invert
+from homyd.yd_modules import YDModuleData
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module", params=["1", "-3/2"], ids=["shipped", "twisted"])
+def tcat_run(request):
+    """(entry types seen, number of maps built, YD objects built) over one
+    tcat run of h4.alg with c bound to the parameter; cp = 2 and cpp = 3
+    give the component pairs inverses with denominators at either point."""
+    text = (ROOT / "h4.alg").read_text(encoding="utf-8").replace("c = 1\n", "c = %s\n" % request.param)
+    types, maps, objects = set(), [0], []
+    from_columns, init, fill = exactlin._from_columns, LinearMap.__init__, YDModuleData._fill
+
+    def seen(f):
+        maps[0] += 1
+        types.update(type(v) for col in f._cols for v in col.values())
+        return f
+
+    def checked_init(self, *args):
+        init(self, *args)
+        seen(self)
+
+    def recording_fill(self, *args):
+        fill(self, *args)
+        objects.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlin, "_from_columns", lambda rows, columns: seen(from_columns(rows, columns)))
+        mp.setattr(LinearMap, "__init__", checked_init)
+        mp.setattr(YDModuleData, "_fill", recording_fill)
+        run_checks(parse_definition(text), "tcat")
+    return types, maps[0], objects
+
+
+def test_every_map_holds_only_exact_scalars(tcat_run):
+    types, maps, _ = tcat_run
+    assert maps > 1000
+    assert types == {int, Fraction}
+
+
+def test_every_object_holds_the_inverse_of_its_twist(tcat_run):
+    objects = tcat_run[2]
+    assert len(objects) > 100
+    for yd in objects:
+        assert yd.mu_inv == invert(yd.mu)
+        assert (yd.mu @ yd.mu_inv).is_identity()
+        assert yd.comodule.mu_inv is yd.mu_inv

@@ -81,8 +81,11 @@ TCAT_CORRUPTIONS = [
 ]
 
 
-def corrupted_text(header, line, replacement):
-    text = (ROOT / "h4.alg").read_text(encoding="utf-8")
+def corrupted_text(header, line, replacement, text=None):
+    """text (by default the shipped h4.alg) with the first occurrence of
+    line after header replaced."""
+    if text is None:
+        text = (ROOT / "h4.alg").read_text(encoding="utf-8")
     start = text.index(header)
     at = text.index(line, start)
     return text[:at] + replacement + text[at + len(line):]

@@ -1,6 +1,8 @@
 """One Yetter-Drinfeld object per builder call: every builder goes through
-the one YDModuleData constructor, which inverts the twist once, and the
-objects keep the attributes the outside-in tracer of perfbench/ reads."""
+the one YDModuleData construction path, which inverts the twist once unless
+the builder hands its known inverse over (tensor products and conjugates),
+and the objects keep the attributes the outside-in tracer of perfbench/
+reads."""
 
 import importlib
 import importlib.util
@@ -20,8 +22,8 @@ H4_ALG = ROOT / "h4.alg"
 
 
 def builders():
-    """name -> (zero-argument builder, number of objects it builds), all over
-    one twisted H4 with non-identity pairs."""
+    """name -> (zero-argument builder, number of objects it builds, number of
+    twists it inverts), all over one twisted H4 with non-identity pairs."""
     p = H4Params(2, 3, 5)
     h = build_h4(p.c)
     m = build_h4_yd_table("H4A", p, h=h)
@@ -29,33 +31,33 @@ def builders():
     pair = AutPair(h4_automorphism(7), identity_automorphism(4))
     parsed = parse_definition(H4_ALG.read_text(encoding="utf-8"))
     return {
-        "tensor_yd": (lambda: tensor_yd(m, n), 1),
-        "conjugate_yd": (lambda: conjugate_yd(pair, n), 1),
-        "build_canonical_yd": (lambda: build_canonical_yd(h, h4_automorphism(3), h4_automorphism(5)), 1),
-        "trivial_yd": (lambda: trivial_yd(h), 1),
-        "build_h4_yd_table": (lambda: build_h4_yd_table("H4B", p, h=h), 1),
-        "ydmodule-section": (lambda: resolve_definition(parsed).of_kind("ydmodule")[0][1], 3),
+        "tensor_yd": (lambda: tensor_yd(m, n), 1, 0),
+        "conjugate_yd": (lambda: conjugate_yd(pair, n), 1, 0),
+        "build_canonical_yd": (lambda: build_canonical_yd(h, h4_automorphism(3), h4_automorphism(5)), 1, 1),
+        "trivial_yd": (lambda: trivial_yd(h), 1, 1),
+        "build_h4_yd_table": (lambda: build_h4_yd_table("H4B", p, h=h), 1, 1),
+        "ydmodule-section": (lambda: resolve_definition(parsed).of_kind("ydmodule")[0][1], 3, 3),
     }
 
 
 @pytest.mark.parametrize("name", sorted(builders()))
 def test_each_object_inverts_its_twist_once(name, monkeypatch):
-    build, objects = builders()[name]
+    build, objects, inverts = builders()[name]
     counts = {"invert": 0, "objects": 0}
-    invert, init = yd_modules.invert, YDModuleData.__init__
+    invert, fill = yd_modules.invert, YDModuleData._fill
 
     def counting_invert(f):
         counts["invert"] += 1
         return invert(f)
 
-    def counting_init(self, *args, **kwargs):
+    def counting_fill(self, *args):
         counts["objects"] += 1
-        init(self, *args, **kwargs)
+        fill(self, *args)
 
     monkeypatch.setattr(yd_modules, "invert", counting_invert)
-    monkeypatch.setattr(YDModuleData, "__init__", counting_init)
+    monkeypatch.setattr(YDModuleData, "_fill", counting_fill)
     yd = build()
-    assert counts == {"invert": objects, "objects": objects}
+    assert counts == {"invert": inverts, "objects": objects}
     assert yd.mu_inv is yd.comodule.mu_inv
     assert yd.action is yd.module.action and yd.coaction is yd.comodule.coaction
     assert (yd.mu @ yd.mu_inv).is_identity()
@@ -97,6 +99,6 @@ def test_tracer_targets_resolve():
 
 @pytest.mark.parametrize("name", sorted(builders()))
 def test_tracer_structure_key_reads_every_builders_objects(name):
-    build, _ = builders()[name]
+    build = builders()[name][0]
     key = load_tracer().Tracer()._structure_key(build())
     assert isinstance(key, int)
