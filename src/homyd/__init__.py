@@ -53,7 +53,6 @@ from .yd_modules import (
 from .t_category import (
     BraidingMap,
     associator,
-    associator_inv,
     braiding,
     braiding_inverse,
     check_braiding_equivariance,

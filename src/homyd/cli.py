@@ -112,15 +112,6 @@ def braiding_to_dict(b):
     }
 
 
-def matrix_from_json(text):
-    """Inverse of the JSON emission, for round-tripping."""
-    from .exactlin import LinearMap
-
-    data = json.loads(text)
-    entries = [Fraction(x) for row in data["matrix"] for x in row]
-    return LinearMap(data["rows"], data["cols"], entries)
-
-
 def emit_braiding(m, n, out_format="csv"):
     """Serialized braiding matrix of two Yetter-Drinfeld modules.
 

@@ -8,10 +8,14 @@ fixed convention (i, j) -> i * dim_right + j; Kronecker products and leg
 permutations below follow the same convention.  Structure constants
 written out as a sparse table literal become a map through table_map.
 
-Every scalar enters a map through one coercion, _scalar: an integral entry
-is stored as an int and any other as a Fraction, both exact, so products of
-integral entries stay in int arithmetic.  An integral Fraction that
-arithmetic leaves behind equals, and hashes like, the int it stands for.
+A map stores its entries fraction-free: int numerators over one positive
+denominator shared by the whole map, in canonical form (the gcd of the
+denominator and every numerator is 1, and an integral map has denominator
+1).  Every scalar enters a map through one coercion, _scalar, and the
+entries of a new map are cleared to that form by _cleared; compose and kron
+then multiply plain ints, multiply the denominators, and _reduced restores
+the canonical form.  Entries read back through the access methods are ints
+when integral and Fractions otherwise, exactly as rational entries are.
 
 All values are immutable after construction and all operations are pure,
 so everything here is safe to share between threads.
@@ -20,10 +24,12 @@ so everything here is safe to share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-#: Ground-field scalar: an exact rational, stored in a map as an int when
-#: integral and as a Fraction (positive denominator, gcd(|num|, den) = 1)
-#: otherwise.  Equal values compare and hash equal across the two types.
+#: Ground-field scalar: an exact rational, read back from a map as an int
+#: when integral and as a Fraction (positive denominator, gcd(|num|, den) = 1)
+#: otherwise; a map stores it as an int numerator over the map's common
+#: denominator.  Equal values compare and hash equal across the two types.
 Scalar = int | Fraction
 
 ZERO = Fraction(0)
@@ -45,6 +51,17 @@ def _scalar(e):
     return e.numerator if e.denominator == 1 else e
 
 
+def _value(n, den):
+    """The numerator n over den as the access methods return it: ZERO for
+    an absent entry (n = 0), an int when integral, else a Fraction."""
+    if not n:
+        return ZERO
+    if den == 1:
+        return n
+    q, r = divmod(n, den)
+    return Fraction(n, den) if r else q
+
+
 class DimensionMismatch(ValueError):
     """Shapes do not compose; this is always a hard error, never silent."""
 
@@ -55,16 +72,19 @@ class SingularMap(ArithmeticError):
 
 
 class LinearMap:
-    """rows x cols matrix of exact rationals, stored as its nonzero entries
-    column by column.
+    """rows x cols matrix of exact rationals, stored as the int numerators
+    of its nonzero entries, column by column, over one reduced denominator.
 
     Maps act on column coordinate vectors, so ``(f @ g)`` means "apply g
     first, then f".  This convention is fixed across the library.  Each
-    column is a dict row -> nonzero scalar that is never mutated after
-    construction, so two equal maps store equal columns.
+    column is a dict row -> nonzero int numerator that is never mutated
+    after construction, and _den is the positive denominator of the whole
+    map, prime to the numerators taken together; so two equal maps store
+    equal denominators and equal columns.  entry, entries, column, row and
+    apply read the values back as ints and Fractions.
     """
 
-    __slots__ = ("rows", "cols", "_cols")
+    __slots__ = ("rows", "cols", "_cols", "_den")
 
     def __init__(self, rows, cols, entries):
         """Checked constructor from row-major dense entries."""
@@ -76,24 +96,24 @@ class LinearMap:
             )
         self.rows = rows
         self.cols = cols
-        self._cols = tuple(
+        self._cols, self._den = _cleared(tuple(
             {i: e for i, e in enumerate(entries[j::cols]) if e} for j in range(cols)
-        )
+        ))
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def identity(cls, n):
-        return _from_columns(n, tuple({j: 1} for j in range(n)))
+        return _from_columns(n, tuple({j: 1} for j in range(n)), 1)
 
     @classmethod
     def zeros(cls, rows, cols):
-        return _from_columns(rows, tuple({} for _ in range(cols)))
+        return _from_columns(rows, tuple({} for _ in range(cols)), 1)
 
     @classmethod
     def diagonal(cls, values):
         values = [_scalar(v) for v in values]
-        return _from_columns(len(values), tuple({j: v} if v else {} for j, v in enumerate(values)))
+        return _from_columns(len(values), *_cleared(tuple({j: v} if v else {} for j, v in enumerate(values))))
 
     @classmethod
     def from_rows(cls, rows):
@@ -114,31 +134,30 @@ class LinearMap:
             if len(c) != nr:
                 raise DimensionMismatch("ragged columns")
             out.append({i: _scalar(e) for i, e in enumerate(c) if e})
-        return _from_columns(nr, tuple(out))
+        return _from_columns(nr, *_cleared(tuple(out)))
 
     # -- access ------------------------------------------------------
 
     @property
     def entries(self):
         """Dense row-major view of every entry."""
-        c = self.cols
+        c, d = self.cols, self._den
         out = [ZERO] * (self.rows * c)
         for j, col in enumerate(self._cols):
-            for i, e in col.items():
-                out[i * c + j] = e
+            for i, n in col.items():
+                out[i * c + j] = _value(n, d)
         return tuple(out)
 
     def entry(self, i, j):
-        return self._cols[j].get(i, ZERO)
+        return _value(self._cols[j].get(i, 0), self._den)
 
     def column(self, j):
-        out = [ZERO] * self.rows
-        for i, e in self._cols[j].items():
-            out[i] = e
-        return tuple(out)
+        col, d = self._cols[j], self._den
+        return tuple(_value(col.get(i, 0), d) for i in range(self.rows))
 
     def row(self, i):
-        return tuple(col.get(i, ZERO) for col in self._cols)
+        d = self._den
+        return tuple(_value(col.get(i, 0), d) for col in self._cols)
 
     def apply(self, vec):
         """Image of a column coordinate vector."""
@@ -147,16 +166,17 @@ class LinearMap:
         out = [ZERO] * self.rows
         for vj, col in zip(vec, self._cols):
             if vj:
-                for i, e in col.items():
-                    out[i] += e * vj
-        return tuple(out)
+                for i, n in col.items():
+                    out[i] += n * vj
+        d = self._den
+        return tuple(out) if d == 1 else tuple(x / d for x in out)
 
     def transpose(self):
         out = tuple({} for _ in range(self.rows))
         for j, col in enumerate(self._cols):
-            for i, e in col.items():
-                out[i][j] = e
-        return _from_columns(self.cols, out)
+            for i, n in col.items():
+                out[i][j] = n
+        return _from_columns(self.cols, out, self._den)
 
     @property
     def is_square(self):
@@ -175,11 +195,12 @@ class LinearMap:
             isinstance(other, LinearMap)
             and self.rows == other.rows
             and self.cols == other.cols
+            and self._den == other._den
             and self._cols == other._cols
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(frozenset(col.items()) for col in self._cols)))
+        return hash((self.rows, self.cols, self._den, tuple(frozenset(col.items()) for col in self._cols)))
 
     def __repr__(self):
         return "LinearMap(%d, %d, %r)" % (self.rows, self.cols, list(self.entries))
@@ -192,19 +213,51 @@ class LinearMap:
         return "\n".join(lines)
 
 
-def _from_columns(rows, columns):
-    """Trusted constructor: columns is a tuple of dicts row -> nonzero
-    scalar, never mutated from here on and so free to be shared with other
-    maps."""
+def _from_columns(rows, columns, den):
+    """Trusted constructor: columns is a tuple of dicts row -> nonzero int
+    numerator over the positive den, already in canonical form, never
+    mutated from here on and so free to be shared with other maps."""
     f = object.__new__(LinearMap)
     f.rows = rows
     f.cols = len(columns)
     f._cols = columns
+    f._den = den
     return f
 
 
+def _cleared(columns):
+    """(numerator columns, den) of columns of dicts row -> nonzero scalar
+    as _scalar returns them: den is the least common denominator of the
+    entries, and it is prime to the numerators taken together, since a
+    prime dividing den divides some entry's denominator to the full power
+    and that entry's numerator not at all."""
+    den = 1
+    for col in columns:
+        for e in col.values():
+            if type(e) is not int:
+                den = lcm(den, e.denominator)
+    if den == 1:
+        return columns, 1
+    return tuple({i: e.numerator * (den // e.denominator) for i, e in col.items()} for col in columns), den
+
+
+def _reduced(rows, columns, den):
+    """The map of int numerator columns over the positive den, divided
+    through by the gcd of den and every numerator; the scan stops at the
+    first column that brings the running gcd to 1, and a den of 1 skips it."""
+    if den != 1:
+        g = den
+        for col in columns:
+            g = gcd(g, *col.values())
+            if g == 1:
+                return _from_columns(rows, columns, den)
+        columns = tuple({i: n // g for i, n in col.items()} for col in columns)
+        den //= g
+    return _from_columns(rows, columns, den)
+
+
 def compose(f, g):
-    """Matrix product f . g (apply g first)."""
+    """Matrix product f . g (apply g first), multiplying numerators."""
     if f.cols != g.rows:
         raise DimensionMismatch(
             "cannot compose %dx%d with %dx%d" % (f.rows, f.cols, g.rows, g.cols)
@@ -225,16 +278,16 @@ def compose(f, g):
         if len(gcol) > 1:
             acc = {i: e for i, e in acc.items() if e}
         out.append(acc)
-    return _from_columns(f.rows, tuple(out))
+    return _reduced(f.rows, tuple(out), f._den * g._den)
 
 
 def kron(f, g):
     """Kronecker product realising f (x) g on flattened tensor coordinates.
 
     Index convention: basis vector (i, j) of the domain sits at i*g.cols + j,
-    matching the global flattening.  A column that is a basis vector, as in
-    every column of an identity or a leg permutation, places the other
-    factor's column without multiplying it by 1.
+    matching the global flattening.  A column whose one numerator is 1, as
+    in every column of an identity or a leg permutation, places the other
+    factor's column without multiplying it by 1; the denominators multiply.
     """
     gr = g.rows
     g_units = [_unit_index(gcol) for gcol in g._cols]
@@ -248,11 +301,12 @@ def kron(f, g):
                 out.append({f_unit * gr + i2: b for i2, b in gcol.items()})
             else:
                 out.append({i1 * gr + i2: a * b for i1, a in fcol.items() for i2, b in gcol.items()})
-    return _from_columns(f.rows * gr, tuple(out))
+    return _reduced(f.rows * gr, tuple(out), f._den * g._den)
 
 
 def _unit_index(col):
-    """i when the column is the basis vector e_i, else None."""
+    """i when the column's numerators are those of the basis vector e_i,
+    else None."""
     if len(col) == 1:
         for i, e in col.items():
             if e == 1:
@@ -271,7 +325,7 @@ def permute(dims, order):
     targets = [0]
     for d, s in zip(dims, stride):
         targets = [t + i * s for t in targets for i in range(d)]
-    return _from_columns(size, tuple({t: 1} for t in targets))
+    return _from_columns(size, tuple({t: 1} for t in targets), 1)
 
 
 def flip(d1, d2):
@@ -280,8 +334,9 @@ def flip(d1, d2):
 
 
 def invert(f):
-    """Exact inverse by Gauss-Jordan elimination over the rationals,
-    dividing in Fraction (int / int would be a float).
+    """Exact inverse by Gauss-Jordan elimination over the rationals on the
+    numerators N of f = N / den, dividing in Fraction (int / int would be a
+    float); the inverse is den * N^-1.
 
     Raises SingularMap when the determinant vanishes.
     """
@@ -314,7 +369,8 @@ def invert(f):
                 factor = a[r][col]
                 a[r] = _axpy(a[r], -factor, a[col])
                 b[r] = _axpy(b[r], -factor, b[col])
-    return _from_columns(n, tuple({k: _scalar(x) for k, x in row.items()} for row in b)).transpose()
+    d = f._den
+    return _from_columns(n, *_cleared(tuple({k: _scalar(x * d) for k, x in row.items()} for row in b))).transpose()
 
 
 def _axpy(y, coef, x):
@@ -345,7 +401,7 @@ def table_map(dims, data, out_legs):
         if v:
             col, row = divmod((i * d1 + j) * d2 + k, rows)
             columns[col][row] = _scalar(v)
-    return _from_columns(rows, columns)
+    return _from_columns(rows, *_cleared(columns))
 
 
 # -- coordinate vector helpers --------------------------------------

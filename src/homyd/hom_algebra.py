@@ -353,8 +353,3 @@ def convolution(h, f, g):
     if not (f.rows == f.cols == d and g.rows == g.cols == d):
         raise InvalidStructure(_shape_report("convolution", "endomorphism shapes required"))
     return h.algebra.mul @ kron(f, g) @ h.coalgebra.comul
-
-
-def convolution_unit(h):
-    """The convolution unit x -> eps(x) 1."""
-    return h.algebra.unit @ h.coalgebra.counit

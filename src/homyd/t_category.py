@@ -155,11 +155,6 @@ def associator(m, n, p):
     return kron(m.mu, kron(LinearMap.identity(n.dim), p.mu_inv))
 
 
-def associator_inv(m, n, p):
-    """Inverse constraint M (x) (N (x) P) -> (M (x) N) (x) P."""
-    return kron(m.mu_inv, kron(LinearMap.identity(n.dim), p.mu))
-
-
 # ---------------------------------------------------------------------------
 # identity suite
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Dense reference kernels for exactlin, kept for tests only.
 
 These are the row-major dense compose, kron and invert that the sparse
-column kernel replaced, and a dense layout of the table literals that
-table_map reads.  They read maps through the public dense view
+column kernel replaced, a dense transpose and apply, and a dense layout of
+the table literals that table_map reads.  They read maps through the public dense view
 ``LinearMap.entries`` and build results with the checked constructor, so
 they share no arithmetic path with the kernel under test.
 """
@@ -85,6 +85,18 @@ def invert(f):
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
                 b[r] = [x - factor * y for x, y in zip(b[r], b[col])]
     return LinearMap(n, n, [x for row_ in b for x in row_])
+
+
+def transpose(f):
+    """The transpose, read off the dense entries."""
+    e, c = f.entries, f.cols
+    return LinearMap(c, f.rows, [e[i * c + j] for j in range(c) for i in range(f.rows)])
+
+
+def apply(f, vec):
+    """Image of a column vector, one dense row at a time."""
+    e, c = f.entries, f.cols
+    return tuple(sum((e[i * c + j] * vec[j] for j in range(c)), ZERO) for i in range(f.rows))
 
 
 def table_map(dims, data, out_legs):

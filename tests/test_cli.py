@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from homyd.cli import main, matrix_from_json
+from homyd.cli import main
 from homyd.exactlin import LinearMap, rat
 from homyd.h4_library import H4Params, h4_braiding_matrix
 
@@ -24,6 +24,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def matrix_from_json(text):
+    """Inverse of the JSON braiding emission, for round-tripping."""
+    data = json.loads(text)
+    entries = [Fraction(x) for row in data["matrix"] for x in row]
+    return LinearMap(data["rows"], data["cols"], entries)
 
 
 def test_check_passing_suite_exits_zero(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -164,7 +165,8 @@ def random_map(rng, rows, cols, density):
 
 
 def stored_values(f):
-    return [v for col in f._cols for v in col.values()]
+    """The int numerators f stores, over its one denominator f._den."""
+    return [n for col in f._cols for n in col.values()]
 
 
 # (rows, inner, cols, density): the product shapes and densities of a tcat run
@@ -345,7 +347,8 @@ def selector(rng, n, kind):
 
 
 def snapshot(f):
-    return tuple(dict(col) for col in f._cols)
+    """Copies of f's numerator columns, with its denominator."""
+    return tuple(dict(col) for col in f._cols), f._den
 
 
 @pytest.mark.parametrize("kind", ["identity", "permutation", "scaled"])
@@ -372,7 +375,10 @@ def test_columns_shared_by_compose_are_never_mutated(kind):
         for i in range(8)
     ])
     h = compose(f, s)
-    # a column of s holding a 1 hands f's column over as it is
+    # a column of s whose one numerator is 1 hands f's numerator column over
+    # as it is; h keeps the product of the denominators, so no reduction
+    # replaced the columns
+    assert h._den == f._den * s._den
     shared = sum(1 for hc in h._cols for fc in f._cols if hc is fc)
     assert shared == sum(1 for e in stored_values(s) if e == 1)
     before_f, before_h = snapshot(f), snapshot(h)
@@ -384,3 +390,129 @@ def test_columns_shared_by_compose_are_never_mutated(kind):
     assert h.transpose().transpose() == h
     assert h.apply([1] * 8) == tuple(sum(h.row(i)) for i in range(8))
     assert snapshot(f) == before_f and snapshot(h) == before_h
+
+
+# ---------------------------------------------------------------------------
+# fraction-free storage: numerators over one reduced denominator, against
+# the dense reference on maps whose denominators cancel
+# ---------------------------------------------------------------------------
+
+# values whose products and sums cancel denominators now and then
+CANCELLING = (1, -1, 2, -3, rat(1, 2), rat(-1, 2), rat(2, 3), rat(-2, 3), rat(3, 2), rat(-3, 2))
+
+
+def cancelling_map(rng, rows, cols, density):
+    return LinearMap(rows, cols, [
+        rng.choice(CANCELLING) if rng.random() < density else 0 for _ in range(rows * cols)
+    ])
+
+
+def invertible_map(rng, n, density):
+    """Lower times upper triangular, with diagonals drawn from CANCELLING."""
+    def triangle(lower):
+        return LinearMap(n, n, [
+            rng.choice(CANCELLING) if i == j or ((i > j) == lower and rng.random() < density) else 0
+            for i in range(n) for j in range(n)
+        ])
+    return triangle(True) @ triangle(False)
+
+
+def assert_canonical(f):
+    """int numerators, none zero, over a positive int denominator that
+    shares no factor with all of them; 1 for an integral map."""
+    nums = stored_values(f)
+    assert all(type(n) is int and n for n in nums)
+    assert type(f._den) is int and f._den > 0
+    assert math.gcd(f._den, *nums) == 1
+
+
+def read_type(x):
+    """The type the access methods return for the value x."""
+    return int if x and Fraction(x).denominator == 1 else Fraction
+
+
+@pytest.mark.parametrize("rows, inner, cols, density", TCAT_SHAPES)
+def test_fraction_free_kernel_matches_dense_reference(rows, inner, cols, density):
+    rng = random.Random(rows * 7 + inner)
+    small = cancelling_map(rng, 2, 3, 0.7)
+    for _ in range(2):
+        f = cancelling_map(rng, rows, inner, max(density, 0.1))
+        g = cancelling_map(rng, inner, cols, density)
+        results = [
+            (compose(f, g), dense.compose(f, g)),
+            (kron(f, small), dense.kron(f, small)),
+            (kron(small, f), dense.kron(small, f)),
+            (g.transpose(), dense.transpose(g)),
+        ]
+        sq = invertible_map(rng, min(rows, 16), density)
+        results.append((invert(sq), dense.invert(sq)))
+        for got, want in results:
+            assert_canonical(got)
+            assert got == want and hash(got) == hash(want)
+            assert got.entries == want.entries
+        vec = [rng.choice(CANCELLING + (0,)) for _ in range(inner)]
+        assert f.apply(vec) == dense.apply(f, vec)
+        assert all(type(x) is Fraction for x in f.apply(vec))
+        values = [rng.choice(CANCELLING + (0, 0, 4)) for _ in range(rows * cols)]
+        h = LinearMap(rows, cols, values)
+        assert_canonical(h)
+        assert h.entries == tuple(values)
+        assert [type(x) for x in h.entries] == [read_type(x) for x in values]
+        for i in range(0, rows, 7):
+            assert h.row(i) == tuple(values[i * cols:(i + 1) * cols])
+            assert [type(x) for x in h.row(i)] == [read_type(x) for x in h.row(i)]
+        for j in range(0, cols, 7):
+            assert h.column(j) == tuple(values[j::cols])
+            assert [type(x) for x in h.column(j)] == [read_type(x) for x in h.column(j)]
+
+
+def test_fraction_free_results_cancel_to_canonical_form():
+    rng = random.Random(3)
+    cancelled = 0
+    for _ in range(60):
+        f = cancelling_map(rng, 4, 4, 0.5)
+        g = cancelling_map(rng, 4, 4, 0.5)
+        h = compose(f, g)
+        assert_canonical(h)
+        assert h == dense.compose(f, g)
+        cancelled += h._den < f._den * g._den
+    assert cancelled
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_maps_equal_in_value_are_equal_and_hash_equal_by_any_route(n):
+    half, two = LinearMap.diagonal([rat(1, 2)] * n), LinearMap.diagonal([2] * n)
+    for one in (half @ two, two @ half, kron(LinearMap.identity(1), half @ two),
+                invert(half) @ half, LinearMap.from_cols([[rat(i == j) for i in range(n)] for j in range(n)])):
+        assert_canonical(one)
+        assert one == LinearMap.identity(n) and hash(one) == hash(LinearMap.identity(n))
+        assert one._den == 1
+    rng = random.Random(n)
+    k = 4
+    f = cancelling_map(rng, n, k, 0.6)
+    g = cancelling_map(rng, k, n, 0.6)
+    third, three = LinearMap.diagonal([rat(1, 3)] * k), LinearMap.diagonal([3] * k)
+    direct = kron(f, g)
+    routed = kron(f @ third, three @ g)
+    assert_canonical(routed)
+    assert routed == direct and hash(routed) == hash(direct)
+    assert routed == LinearMap(n * k, k * n, list(dense.kron(f, g).entries))
+    assert invert(invert(half)) == half and hash(invert(invert(half))) == hash(half)
+    assert LinearMap(n, n, list(half.entries)) == half
+    # the same numerators over another denominator are another map
+    assert half != LinearMap.identity(n) and LinearMap.diagonal([rat(1, 3)] * n) != half
+
+
+def test_compose_and_kron_do_no_fraction_arithmetic(monkeypatch):
+    rng = random.Random(8)
+    f = cancelling_map(rng, 16, 16, 0.2)
+    g = cancelling_map(rng, 16, 16, 0.2)
+    s = LinearMap.diagonal([rng.choice(CANCELLING) for _ in range(16)])
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__eq__", "__hash__"):
+        op = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda *a, _op=op, _name=name: calls.append(_name) or _op(*a))
+    for h in (compose(f, g), compose(s, f), compose(f, s), kron(f, g), kron(s, g), kron(f, s)):
+        assert_canonical(h)
+    assert calls == []

@@ -15,7 +15,6 @@ from homyd.hom_algebra import (
     check_hom_bialgebra,
     check_hom_coalgebra,
     convolution,
-    convolution_unit,
     identity_automorphism,
 )
 from homyd.h4_library import BASIS, build_h4, h4_automorphism
@@ -172,6 +171,11 @@ def test_identity_automorphism_passes_for_sampled_twists():
     for c in (1, 2, Fraction(1, 3)):
         h = build_h4(c)
         assert check_automorphism(h, identity_automorphism(4)).ok()
+
+
+def convolution_unit(h):
+    """The convolution unit x -> eps(x) 1."""
+    return h.algebra.unit @ h.coalgebra.counit
 
 
 def test_convolution_antipode_identity_is_unit():

@@ -1,13 +1,15 @@
 """The integer-first kernel over a whole crossed-category run.
 
 Every map built while ``run_checks(h4.alg, "tcat")`` runs, at the shipped
-point and at the twisted point c = -3/2, is inspected as it is built: its
-entries are ints or Fractions, never floats.  Every Yetter-Drinfeld object
+point and at the twisted point c = -3/2, is inspected as it is built: it
+stores int numerators over a positive denominator prime to them, and its
+entries read back as ints or Fractions, never floats.  Every Yetter-Drinfeld object
 of the run is recorded too, and the twist inverse it holds, handed over by
 tensor_yd and conjugate_yd or computed by the constructor, is compared with
 a fresh Gauss-Jordan inverse of its twist.
 """
 
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,16 +25,23 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.fixture(scope="module", params=["1", "-3/2"], ids=["shipped", "twisted"])
 def tcat_run(request):
-    """(entry types seen, number of maps built, YD objects built) over one
-    tcat run of h4.alg with c bound to the parameter; cp = 2 and cpp = 3
-    give the component pairs inverses with denominators at either point."""
+    """(types stored, types of the stored entries read back, one flag per
+    map built telling whether it is in canonical form, YD objects built) over one tcat run of h4.alg with c
+    bound to the parameter; cp = 2 and cpp = 3 give the component pairs
+    inverses with denominators at either point."""
     text = (ROOT / "h4.alg").read_text(encoding="utf-8").replace("c = 1\n", "c = %s\n" % request.param)
-    types, maps, objects = set(), [0], []
+    stored, read, maps, objects = set(), set(), [], []
     from_columns, init, fill = exactlin._from_columns, LinearMap.__init__, YDModuleData._fill
 
     def seen(f):
-        maps[0] += 1
-        types.update(type(v) for col in f._cols for v in col.values())
+        stored.update(type(n) for col in f._cols for n in col.values())
+        stored.add(type(f._den))
+        read.update(type(f.entry(i, j)) for j, col in enumerate(f._cols) for i in col)
+        g = f._den
+        for col in f._cols:
+            for n in col.values():
+                g = math.gcd(g, n)
+        maps.append(f._den > 0 and g == 1)
         return f
 
     def checked_init(self, *args):
@@ -44,21 +53,27 @@ def tcat_run(request):
         objects.append(self)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exactlin, "_from_columns", lambda rows, columns: seen(from_columns(rows, columns)))
+        mp.setattr(exactlin, "_from_columns", lambda rows, columns, den: seen(from_columns(rows, columns, den)))
         mp.setattr(LinearMap, "__init__", checked_init)
         mp.setattr(YDModuleData, "_fill", recording_fill)
         run_checks(parse_definition(text), "tcat")
-    return types, maps[0], objects
+    return stored, read, maps, objects
 
 
 def test_every_map_holds_only_exact_scalars(tcat_run):
-    types, maps, _ = tcat_run
-    assert maps > 1000
-    assert types == {int, Fraction}
+    stored, read, maps, _ = tcat_run
+    assert len(maps) > 1000
+    assert stored == {int}
+    assert read == {int, Fraction}
+
+
+def test_every_map_stores_a_reduced_positive_denominator(tcat_run):
+    maps = tcat_run[2]
+    assert all(maps)
 
 
 def test_every_object_holds_the_inverse_of_its_twist(tcat_run):
-    objects = tcat_run[2]
+    objects = tcat_run[3]
     assert len(objects) > 100
     for yd in objects:
         assert yd.mu_inv == invert(yd.mu)
