@@ -164,12 +164,21 @@ def cmd_braid(args):
     return 0
 
 
+def _demo_param(flag, text):
+    """The rational value of a demo flag; a zero denominator is a diagnostic
+    that names the flag, like any other malformed value."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("--%s %s has a zero denominator" % (flag, text)) from None
+
+
 def cmd_demo(args):
     if args.what != "h4":
         print("error: unknown demo %r" % args.what, file=sys.stderr)
         return 2
     try:
-        params = H4Params(Fraction(args.c), Fraction(args.cp), Fraction(args.cpp))
+        params = H4Params(*(_demo_param(flag, getattr(args, flag)) for flag in ("c", "cp", "cpp")))
         h = build_h4(params.c)
         m = build_h4_yd_table("H4A", params, h=h)
         n = build_h4_yd_table("H4B", params, h=h)

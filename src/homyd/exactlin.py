@@ -17,8 +17,19 @@ then multiply plain ints, multiply the denominators, and _reduced restores
 the canonical form.  Entries read back through the access methods are ints
 when integral and Fractions otherwise, exactly as rational entries are.
 
+Most Kronecker products in the library whisker a map with identities:
+id (x) f, f (x) id, and a twist or flip placed on one leg.  kron returns
+such a product I_a (x) x (x) I_b as a whisker, a LinearMap that holds
+(a, x, b) and leaves its columns unbuilt; compose reads a whisker on either
+side through index offsets into x's columns, and anything else that reads
+the columns (entries, transpose, invert, apply, ==, hash, a kron with no
+identity factor) builds them on first read.  A whisker equals, and hashes
+as, the map its columns spell out.
+
 All values are immutable after construction and all operations are pure,
-so everything here is safe to share between threads.
+so everything here is safe to share between threads.  The one write after
+construction is a whisker storing the columns it builds on first read;
+threads that race there store equal columns, and either copy serves.
 """
 
 from __future__ import annotations
@@ -81,10 +92,12 @@ class LinearMap:
     after construction, and _den is the positive denominator of the whole
     map, prime to the numerators taken together; so two equal maps store
     equal denominators and equal columns.  entry, entries, column, row and
-    apply read the values back as ints and Fractions.
+    apply read the values back as ints and Fractions.  _whisker is
+    (a, x, b) for a whisker I_a (x) x (x) I_b, whose columns are built on
+    first read, and None otherwise.
     """
 
-    __slots__ = ("rows", "cols", "_cols", "_den")
+    __slots__ = ("rows", "cols", "_cols", "_den", "_whisker")
 
     def __init__(self, rows, cols, entries):
         """Checked constructor from row-major dense entries."""
@@ -96,6 +109,7 @@ class LinearMap:
             )
         self.rows = rows
         self.cols = cols
+        self._whisker = None
         self._cols, self._den = _cleared(tuple(
             {i: e for i, e in enumerate(entries[j::cols]) if e} for j in range(cols)
         ))
@@ -137,6 +151,14 @@ class LinearMap:
         return _from_columns(nr, *_cleared(tuple(out)))
 
     # -- access ------------------------------------------------------
+
+    def __getattr__(self, name):
+        # reached for a slot that is unset: only a whisker's _cols, built here
+        # on first read
+        if name != "_cols" or self._whisker is None:
+            raise AttributeError(name)
+        self._cols = columns = _whisker_columns(*self._whisker)
+        return columns
 
     @property
     def entries(self):
@@ -183,7 +205,7 @@ class LinearMap:
         return self.rows == self.cols
 
     def is_identity(self):
-        return self.is_square and self == LinearMap.identity(self.rows)
+        return _is_identity(self)
 
     # -- algebra -----------------------------------------------------
 
@@ -222,7 +244,46 @@ def _from_columns(rows, columns, den):
     f.cols = len(columns)
     f._cols = columns
     f._den = den
+    f._whisker = None
     return f
+
+
+def _whisker_map(a, x, b):
+    """I_a (x) x (x) I_b as a whisker, with a nested whisker x flattened into
+    one (a, x, b); its columns stay unbuilt until read.  x is in canonical
+    form and so is the whisker, over x's denominator."""
+    if x._whisker is not None:
+        xa, x, xb = x._whisker
+        a, b = a * xa, xb * b
+    if a == b == 1:
+        return x
+    f = object.__new__(LinearMap)
+    f.rows = a * x.rows * b
+    f.cols = a * x.cols * b
+    f._den = x._den
+    f._whisker = (a, x, b)
+    return f
+
+
+def _whisker_columns(a, x, b):
+    """The columns of I_a (x) x (x) I_b: column (p, j, q) is x's column j
+    with each row i moved to (p, i, q) = p * x.rows * b + i * b + q; the
+    block p = 0 shares x's columns when b = 1."""
+    xcols, tops = x._cols, [p * x.rows * b for p in range(a)]
+    if b == 1:
+        return tuple({top + i: n for i, n in xcol.items()} if top else xcol for top in tops for xcol in xcols)
+    return tuple({top + q + i * b: n for i, n in xcol.items()} for top in tops for xcol in xcols for q in range(b))
+
+
+def _is_identity(f):
+    """Whether f is an identity map, read from its stored columns; a whisker
+    never is one, since kron(I, I) returns an identity."""
+    if f._whisker is not None or f.rows != f.cols or f._den != 1:
+        return False
+    for j, col in enumerate(f._cols):
+        if len(col) != 1 or col.get(j) != 1:
+            return False
+    return True
 
 
 def _cleared(columns):
@@ -251,17 +312,38 @@ def _reduced(rows, columns, den):
             g = gcd(g, *col.values())
             if g == 1:
                 return _from_columns(rows, columns, den)
+        return _divided(rows, columns, den, g)
+    return _from_columns(rows, columns, den)
+
+
+def _divided(rows, columns, den, g):
+    """The map of int numerator columns over den, divided through by g, a
+    common factor of den and every numerator."""
+    if g != 1:
         columns = tuple({i: n // g for i, n in col.items()} for col in columns)
         den //= g
     return _from_columns(rows, columns, den)
 
 
+def _content(columns):
+    """The gcd of every numerator in columns; 0 when there is none."""
+    return gcd(*(n for col in columns for n in col.values()))
+
+
 def compose(f, g):
-    """Matrix product f . g (apply g first), multiplying numerators."""
+    """Matrix product f . g (apply g first), multiplying numerators.
+
+    A whisker on either side is read through index offsets into its
+    middle factor's columns and is left unbuilt; when both sides are
+    whiskers, f's columns are built."""
     if f.cols != g.rows:
         raise DimensionMismatch(
             "cannot compose %dx%d with %dx%d" % (f.rows, f.cols, g.rows, g.cols)
         )
+    if g._whisker is not None:
+        return _compose_whisker_right(f, *g._whisker)
+    if f._whisker is not None:
+        return _compose_whisker_left(*f._whisker, g)
     fcols = f._cols
     out = []
     for gcol in g._cols:
@@ -281,27 +363,82 @@ def compose(f, g):
     return _reduced(f.rows, tuple(out), f._den * g._den)
 
 
+def _compose_whisker_right(f, a, x, b):
+    """f . (I_a (x) x (x) I_b).  Column (p, j, q) of the whisker holds x's
+    column j on the rows (p, i, q) = top + i * b + q, so a unit column of x
+    selects, and hands over, the b consecutive columns of f from top + i * b."""
+    fcols, step = f._cols, x.rows * b
+    out = []
+    for p in range(a):
+        top = p * step
+        for xcol in x._cols:
+            if len(xcol) == 1:
+                for i, n in xcol.items():
+                    start = top + i * b
+                    block = fcols[start:start + b]
+                    out.extend(block if n == 1 else ({r: v * n for r, v in fcol.items()} for fcol in block))
+                continue
+            for q in range(top, top + b):
+                acc = {}
+                for i, n in xcol.items():
+                    for r, v in fcols[q + i * b].items():
+                        acc[r] = acc[r] + v * n if r in acc else v * n
+                out.append({r: v for r, v in acc.items() if v})
+    return _reduced(f.rows, tuple(out), f._den * x._den)
+
+
+def _compose_whisker_left(a, x, b, g):
+    """(I_a (x) x (x) I_b) . g.  Row k = (p, j, q) of g meets x's column j,
+    whose row i lands on (p, i, q) = p * x.rows * b + q + i * b."""
+    xcols, inner, step = x._cols, x.cols * b, x.rows * b
+    out = []
+    for gcol in g._cols:
+        acc = {}
+        for k, gk in gcol.items():
+            p, k = divmod(k, inner)
+            j, q = divmod(k, b)
+            base = p * step + q
+            for i, n in xcols[j].items():
+                r = base + i * b
+                acc[r] = acc[r] + n * gk if r in acc else n * gk
+        out.append({r: v for r, v in acc.items() if v} if len(gcol) > 1 else acc)
+    return _reduced(a * step, tuple(out), x._den * g._den)
+
+
 def kron(f, g):
     """Kronecker product realising f (x) g on flattened tensor coordinates.
 
     Index convention: basis vector (i, j) of the domain sits at i*g.cols + j,
-    matching the global flattening.  A column whose one numerator is 1, as
-    in every column of an identity or a leg permutation, places the other
-    factor's column without multiplying it by 1; the denominators multiply.
+    matching the global flattening.  With an identity factor the product is
+    a whisker, and kron(I, I) is an identity.  Otherwise a column whose one
+    numerator is 1, as in every column of a leg permutation, places the
+    other factor's column without multiplying it by 1; the denominators
+    multiply, and since the gcd of all products of two numerators is the
+    product of the factors' gcds, the factors give the reduction factor.
     """
+    if _is_identity(f):
+        if _is_identity(g):
+            return LinearMap.identity(f.rows * g.rows)
+        return _whisker_map(f.rows, g, 1)
+    if _is_identity(g):
+        return _whisker_map(1, f, g.rows)
     gr = g.rows
-    g_units = [_unit_index(gcol) for gcol in g._cols]
+    fcols, gcols = f._cols, g._cols
+    g_units = [_unit_index(gcol) for gcol in gcols]
     out = []
-    for fcol in f._cols:
+    for fcol in fcols:
         f_unit = _unit_index(fcol)
-        for gcol, g_unit in zip(g._cols, g_units):
+        for gcol, g_unit in zip(gcols, g_units):
             if g_unit is not None:
                 out.append({i1 * gr + g_unit: a for i1, a in fcol.items()})
             elif f_unit is not None:
                 out.append({f_unit * gr + i2: b for i2, b in gcol.items()})
             else:
                 out.append({i1 * gr + i2: a * b for i1, a in fcol.items() for i2, b in gcol.items()})
-    return _reduced(f.rows * gr, tuple(out), f._den * g._den)
+    den = f._den * g._den
+    if den == 1:
+        return _from_columns(f.rows * gr, tuple(out), 1)
+    return _divided(f.rows * gr, tuple(out), den, gcd(den, _content(fcols) * _content(gcols)))
 
 
 def _unit_index(col):

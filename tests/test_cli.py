@@ -141,6 +141,13 @@ def test_demo_zero_parameter_exits_two(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("flag", ["--c", "--cp", "--cpp"])
+def test_demo_zero_denominator_names_the_flag(capsys, flag):
+    code, out, err = run(capsys, "demo", "h4", flag, "1/0")
+    assert code == 2 and out == ""
+    assert err == "error: %s 1/0 has a zero denominator\n" % flag
+
+
 def test_trivial_braid_is_one_by_one(tmp_path, capsys):
     text = Path(H4_ALG).read_text() + (
         "\n[ydmodule K over H4]\n"

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -508,11 +510,172 @@ def test_compose_and_kron_do_no_fraction_arithmetic(monkeypatch):
     f = cancelling_map(rng, 16, 16, 0.2)
     g = cancelling_map(rng, 16, 16, 0.2)
     s = LinearMap.diagonal([rng.choice(CANCELLING) for _ in range(16)])
+    wide, tall = cancelling_map(rng, 8, 64, 0.2), cancelling_map(rng, 64, 8, 0.2)
     calls = []
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                  "__truediv__", "__rtruediv__", "__eq__", "__hash__"):
         op = getattr(Fraction, name)
         monkeypatch.setattr(Fraction, name, lambda *a, _op=op, _name=name: calls.append(_name) or _op(*a))
-    for h in (compose(f, g), compose(s, f), compose(f, s), kron(f, g), kron(s, g), kron(f, s)):
+    # whiskers I2 (x) s (x) I2 and f (x) I4, composed on either side and
+    # with each other, and built at the end by assert_canonical
+    left, right = kron(LinearMap.identity(2), kron(s, LinearMap.identity(2))), kron(f, LinearMap.identity(4))
+    for h in (compose(f, g), compose(s, f), compose(f, s), kron(f, g), kron(s, g), kron(f, s),
+              compose(left, tall), compose(wide, right), compose(left, right), compose(right, left),
+              compose(right, kron(LinearMap.identity(4), s)), left, right):
         assert_canonical(h)
     assert calls == []
+
+
+def test_kron_reduction_factor_comes_from_the_factors():
+    # 1/2 * 2, 1/2 * 4, 3/2 * 2, 3/2 * 4: the denominator 2 cancels in every product
+    h = kron(LinearMap.diagonal([rat(1, 2), rat(3, 2)]), LinearMap.diagonal([2, 4]))
+    assert_canonical(h)
+    assert h._den == 1 and stored_values(h) == [1, 2, 3, 6]
+    assert h == LinearMap.diagonal([1, 2, 3, 6])
+    rng = random.Random(12)
+    reduced = 0
+    for _ in range(40):
+        f = cancelling_map(rng, 3, 4, 0.5)
+        g = LinearMap(2, 3, [rng.choice((0, 2, -4, 6, rat(4, 3))) for _ in range(6)])
+        for got, want in ((kron(f, g), dense.kron(f, g)), (kron(g, f), dense.kron(g, f))):
+            assert_canonical(got)
+            assert got == want and hash(got) == hash(want)
+            reduced += got._den < f._den * g._den
+    assert reduced
+
+
+# ---------------------------------------------------------------------------
+# whiskers: kron with an identity factor holds (a, x, b), and compose reads
+# it through index offsets without building its columns
+# ---------------------------------------------------------------------------
+
+
+def built(f):
+    """Whether f's columns are stored; a whisker builds them on first read."""
+    try:
+        LinearMap._cols.__get__(f)
+    except AttributeError:
+        return False
+    return True
+
+
+def eye(n):
+    return LinearMap.identity(n)
+
+
+#: (name, factors of the kron, the whisker's (a, x-shape, b)); x is a 4 x 4
+#: map, except in I4 (x) I16, which is an identity
+WHISKER_SHAPES = [
+    ("I4(x)X", lambda x: (eye(4), x), (4, 1)),
+    ("X(x)I4", lambda x: (x, eye(4)), (1, 4)),
+    ("I16(x)X", lambda x: (eye(16), x), (16, 1)),
+    ("I4(x)I16", lambda x: (eye(4), eye(16)), None),
+    ("I4(x)(X(x)I4)", lambda x: (eye(4), kron(x, eye(4))), (4, 4)),
+]
+
+
+@pytest.mark.parametrize("name, factors, legs", WHISKER_SHAPES, ids=[s[0] for s in WHISKER_SHAPES])
+def test_whiskers_match_dense_reference(name, factors, legs):
+    rng = random.Random(name)
+    for _ in range(4):
+        x = cancelling_map(rng, 4, 4, 0.4)
+        f, g = factors(x)
+        w = kron(f, g)
+        want = dense.kron(f, g)
+        if legs is None:
+            assert w._whisker is None and w.is_identity()
+        else:
+            a, xw, b = w._whisker
+            assert (a, b) == legs and xw is x
+            assert not built(w)
+            assert not w.is_identity()
+            assert not built(w)  # is_identity built no columns
+        assert (w.rows, w.cols, w._den) == (want.rows, want.cols, want._den)
+        assert w == want and want == w and hash(w) == hash(want)
+        assert built(w)
+        assert_canonical(w)
+        assert w.entries == want.entries
+        assert kron(f, g).transpose() == dense.transpose(want)
+        vec = [rng.choice(CANCELLING + (0,)) for _ in range(w.cols)]
+        assert kron(f, g).apply(vec) == dense.apply(want, vec)
+
+
+def shift(rng, n, kind):
+    """The cyclic shift e_j -> e_j+1 on n > 1 coordinates, never an
+    identity, with its columns scaled by values from CANCELLING (1 among
+    them) when kind is "scaled"."""
+    scales = [rng.choice(CANCELLING) if kind == "scaled" else 1 for _ in range(n)]
+    return LinearMap.from_cols([[scales[j] if r == (j + 1) % n else 0 for r in range(n)] for j in range(n)])
+
+
+@pytest.mark.parametrize("kind", ["random", "permutation", "scaled"])
+def test_compose_reads_whiskers_on_either_side_against_dense_reference(kind):
+    rng = random.Random(len(kind) + 1)
+    for n, (a, b) in itertools.product((2, 4), ((4, 1), (1, 4), (2, 3), (1, 16))):
+        x = cancelling_map(rng, n, n + 1, 0.5) if kind == "random" else shift(rng, n, kind)
+        w = kron(kron(eye(a), x), eye(b))
+        assert w._whisker == (a, x, b)
+        f = cancelling_map(rng, 5, w.rows, 0.3)
+        g = cancelling_map(rng, w.cols, 5, 0.3)
+        s, p = selector(rng, w.cols, "scaled"), selector(rng, w.cols, "permutation")
+        # whiskers on both sides: the left one is built, the right one is not
+        v = kron(eye(w.rows // n), shift(rng, n, "scaled"))
+        got = [compose(f, w), compose(w, g), compose(w, s), compose(w, p), compose(v, w)]
+        assert not built(w) and built(v)
+        want = [dense.compose(f, w), dense.compose(w, g), dense.compose(w, s), dense.compose(w, p),
+                dense.compose(v, w)]
+        for h, d in zip(got, want):
+            assert_canonical(h)
+            assert h == d and hash(h) == hash(d)
+            assert h.entries == d.entries
+
+
+def test_compose_hands_over_columns_through_whiskers():
+    rng = random.Random(21)
+    f = cancelling_map(rng, 4, 16, 0.5)
+    # each column of the shift selects, and hands over, 4 columns of f
+    w = kron(shift(rng, 4, "permutation"), eye(4))
+    h = compose(f, w)
+    assert not built(w) and h._den == f._den
+    assert sum(1 for hc in h._cols for fc in f._cols if hc is fc) == 16
+    assert h == dense.compose(f, w)
+
+
+def test_is_identity_reads_the_stored_columns():
+    n = 3
+    assert (LinearMap.diagonal([rat(1, 2)] * n) @ LinearMap.diagonal([2] * n)).is_identity()
+    assert LinearMap.identity(0).is_identity() and kron(eye(2), eye(3)).is_identity()
+    # numerators of an identity over the denominator 2, a scaled identity,
+    # a permutation and non-square maps
+    for f in (LinearMap.diagonal([rat(1, 2)] * n), LinearMap.diagonal([1, 2, 1]), flip(2, 2),
+              LinearMap.zeros(2, 3), LinearMap.from_rows([[1, 0, 0], [0, 1, 0]])):
+        assert not f.is_identity()
+
+
+def test_threads_racing_to_build_a_whisker_read_equal_columns():
+    rng = random.Random(30)
+    x = cancelling_map(rng, 8, 8, 0.4)
+    want = dense.kron(eye(4), dense.kron(x, eye(4)))
+    rounds, workers = 20, 8
+    whiskers = [kron(eye(4), kron(x, eye(4))) for _ in range(rounds)]
+    seen = [[] for _ in range(workers)]
+    start = threading.Barrier(workers)
+
+    def read(out):
+        start.wait(timeout=30)
+        for w in whiskers:
+            out.append((w.entries, hash(w), w.column(5)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(out,)) for out in seen]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(out == [(want.entries, hash(want), want.column(5))] * rounds for out in seen)
+    assert all(w == want for w in whiskers)

@@ -1,9 +1,12 @@
 """The integer-first kernel over a whole crossed-category run.
 
 Every map built while ``run_checks(h4.alg, "tcat")`` runs, at the shipped
-point and at the twisted point c = -3/2, is inspected as it is built: it
-stores int numerators over a positive denominator prime to them, and its
-entries read back as ints or Fractions, never floats.  Every Yetter-Drinfeld object
+point and at the twisted point c = -3/2, is inspected: it stores int
+numerators over a positive denominator prime to them, and its entries read
+back as ints or Fractions, never floats.  A map with stored columns is
+inspected as it is built; a whisker, whose columns are built on first read,
+is recorded as kron makes it and inspected once the run is over, when
+reading it builds the columns it did not build during the run.  Every Yetter-Drinfeld object
 of the run is recorded too, and the twist inverse it holds, handed over by
 tensor_yd and conjugate_yd or computed by the constructor, is compared with
 a fresh Gauss-Jordan inverse of its twist.
@@ -26,12 +29,14 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.fixture(scope="module", params=["1", "-3/2"], ids=["shipped", "twisted"])
 def tcat_run(request):
     """(types stored, types of the stored entries read back, one flag per
-    map built telling whether it is in canonical form, YD objects built) over one tcat run of h4.alg with c
+    map built telling whether it is in canonical form, YD objects built,
+    number of whiskers made) over one tcat run of h4.alg with c
     bound to the parameter; cp = 2 and cpp = 3 give the component pairs
     inverses with denominators at either point."""
     text = (ROOT / "h4.alg").read_text(encoding="utf-8").replace("c = 1\n", "c = %s\n" % request.param)
-    stored, read, maps, objects = set(), set(), [], []
-    from_columns, init, fill = exactlin._from_columns, LinearMap.__init__, YDModuleData._fill
+    stored, read, maps, objects, whiskers = set(), set(), [], [], []
+    from_columns, whisker_map = exactlin._from_columns, exactlin._whisker_map
+    init, fill = LinearMap.__init__, YDModuleData._fill
 
     def seen(f):
         stored.update(type(n) for col in f._cols for n in col.values())
@@ -52,17 +57,25 @@ def tcat_run(request):
         fill(self, *args)
         objects.append(self)
 
+    def recording_whisker_map(*args):
+        f = whisker_map(*args)
+        whiskers.append(f)
+        return f
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exactlin, "_from_columns", lambda rows, columns, den: seen(from_columns(rows, columns, den)))
+        mp.setattr(exactlin, "_whisker_map", recording_whisker_map)
         mp.setattr(LinearMap, "__init__", checked_init)
         mp.setattr(YDModuleData, "_fill", recording_fill)
         run_checks(parse_definition(text), "tcat")
-    return stored, read, maps, objects
+    for f in whiskers:
+        seen(f)
+    return stored, read, maps, objects, len(whiskers)
 
 
 def test_every_map_holds_only_exact_scalars(tcat_run):
-    stored, read, maps, _ = tcat_run
-    assert len(maps) > 1000
+    stored, read, maps, _, whiskers = tcat_run
+    assert len(maps) > 1000 and whiskers > 1000
     assert stored == {int}
     assert read == {int, Fraction}
 
