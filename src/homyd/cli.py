@@ -165,12 +165,14 @@ def cmd_braid(args):
 
 
 def _demo_param(flag, text):
-    """The rational value of a demo flag; a zero denominator is a diagnostic
-    that names the flag, like any other malformed value."""
+    """The rational value of a demo flag; a zero denominator or a value that
+    is no rational literal is a diagnostic that names the flag."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError("--%s %s has a zero denominator" % (flag, text)) from None
+    except ValueError:
+        raise ValueError("--%s %r is not a rational number" % (flag, text)) from None
 
 
 def cmd_demo(args):

@@ -21,15 +21,24 @@ Most Kronecker products in the library whisker a map with identities:
 id (x) f, f (x) id, and a twist or flip placed on one leg.  kron returns
 such a product I_a (x) x (x) I_b as a whisker, a LinearMap that holds
 (a, x, b) and leaves its columns unbuilt; compose reads a whisker on either
-side through index offsets into x's columns, and anything else that reads
-the columns (entries, transpose, invert, apply, ==, hash, a kron with no
-identity factor) builds them on first read.  A whisker equals, and hashes
-as, the map its columns spell out.
+side, or on both, through index offsets into the middle factors' columns,
+and anything else that reads the columns (entries, transpose, invert,
+apply, ==, hash, a kron with no identity factor) builds them on first
+read.  A whisker equals, and hashes as, the map its columns spell out.
+
+Twists are mostly diagonal, and identities are everywhere.  Each map
+stores, once, whether it is diagonal with no zero on its diagonal, and if
+so its diagonal numerators: a map that is not square when it is made, a
+square one on first read (_diagonal; a whisker reads them off its middle
+factor).  The identity is the case of all ones over the denominator 1.
+compose returns the other operand of an identity and scales the rows of g
+by a diagonal f, and kron of two diagonals is built as a diagonal.
 
 All values are immutable after construction and all operations are pure,
-so everything here is safe to share between threads.  The one write after
-construction is a whisker storing the columns it builds on first read;
-threads that race there store equal columns, and either copy serves.
+so everything here is safe to share between threads.  The writes after
+construction are a map storing its diagonal, and a whisker its columns, on
+first read; threads that race there store equal values, and either copy
+serves.
 """
 
 from __future__ import annotations
@@ -94,10 +103,13 @@ class LinearMap:
     equal denominators and equal columns.  entry, entries, column, row and
     apply read the values back as ints and Fractions.  _whisker is
     (a, x, b) for a whisker I_a (x) x (x) I_b, whose columns are built on
-    first read, and None otherwise.
+    first read, and None otherwise.  _diag is the tuple of diagonal
+    numerators of a diagonal map with no zero on its diagonal, and None
+    for any other map: from the start for a map that is not square, and
+    worked out on first read (_diagonal) for one that is.
     """
 
-    __slots__ = ("rows", "cols", "_cols", "_den", "_whisker")
+    __slots__ = ("rows", "cols", "_cols", "_den", "_whisker", "_diag")
 
     def __init__(self, rows, cols, entries):
         """Checked constructor from row-major dense entries."""
@@ -110,6 +122,8 @@ class LinearMap:
         self.rows = rows
         self.cols = cols
         self._whisker = None
+        if rows != cols:
+            self._diag = None
         self._cols, self._den = _cleared(tuple(
             {i: e for i, e in enumerate(entries[j::cols]) if e} for j in range(cols)
         ))
@@ -118,7 +132,7 @@ class LinearMap:
 
     @classmethod
     def identity(cls, n):
-        return _from_columns(n, tuple({j: 1} for j in range(n)), 1)
+        return _diagonal_map((1,) * n, 1)
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -153,8 +167,11 @@ class LinearMap:
     # -- access ------------------------------------------------------
 
     def __getattr__(self, name):
-        # reached for a slot that is unset: only a whisker's _cols, built here
-        # on first read
+        # reached for a slot that is unset: a square map's _diag, or a
+        # whisker's _cols, each worked out here on first read
+        if name == "_diag":
+            self._diag = diag = _diagonal(self)
+            return diag
         if name != "_cols" or self._whisker is None:
             raise AttributeError(name)
         self._cols = columns = _whisker_columns(*self._whisker)
@@ -245,6 +262,8 @@ def _from_columns(rows, columns, den):
     f._cols = columns
     f._den = den
     f._whisker = None
+    if rows != f.cols:
+        f._diag = None
     return f
 
 
@@ -262,6 +281,8 @@ def _whisker_map(a, x, b):
     f.cols = a * x.cols * b
     f._den = x._den
     f._whisker = (a, x, b)
+    if x.rows != x.cols:
+        f._diag = None
     return f
 
 
@@ -275,15 +296,41 @@ def _whisker_columns(a, x, b):
     return tuple({top + q + i * b: n for i, n in xcol.items()} for top in tops for xcol in xcols for q in range(b))
 
 
+def _diagonal_map(diag, den):
+    """Trusted constructor of the diagonal map whose numerators diag, none
+    of them zero, are over den in canonical form."""
+    f = _from_columns(len(diag), tuple({j: n} for j, n in enumerate(diag)), den)
+    f._diag = diag
+    return f
+
+
+def _diagonal(f):
+    """The numerators on the diagonal of the square map f when f is
+    diagonal and has no zero there, else None; a whisker reads them off its
+    middle factor and stays unbuilt.  The identity is the case of all ones
+    over the denominator 1 (_is_identity)."""
+    if f._whisker is not None:
+        a, x, b = f._whisker
+        diag = x._diag
+        if diag is not None and b != 1:
+            diag = tuple(n for n in diag for _ in range(b))
+        return diag if diag is None else diag * a
+    # column j holds just its diagonal entry when each column has an entry
+    # on its diagonal and the columns hold n entries in all; the middle
+    # column alone rules out most maps that are not diagonal, and the scan
+    # for a missing diagonal entry stops at the first
+    columns = f._cols
+    n = len(columns)
+    mid = columns[n // 2] if n else {}
+    if n and (len(mid) != 1 or n // 2 not in mid) or None in map(dict.get, columns, range(n)):
+        return None
+    return tuple(map(dict.get, columns, range(n))) if sum(map(len, columns)) == n else None
+
+
 def _is_identity(f):
-    """Whether f is an identity map, read from its stored columns; a whisker
-    never is one, since kron(I, I) returns an identity."""
-    if f._whisker is not None or f.rows != f.cols or f._den != 1:
-        return False
-    for j, col in enumerate(f._cols):
-        if len(col) != 1 or col.get(j) != 1:
-            return False
-    return True
+    """Whether f is an identity map, read from its diagonal."""
+    diag = f._diag
+    return diag is not None and f._den == 1 and diag.count(1) == len(diag)
 
 
 def _cleared(columns):
@@ -333,15 +380,26 @@ def _content(columns):
 def compose(f, g):
     """Matrix product f . g (apply g first), multiplying numerators.
 
-    A whisker on either side is read through index offsets into its
-    middle factor's columns and is left unbuilt; when both sides are
-    whiskers, f's columns are built."""
+    An identity on either side returns the other operand.  A whisker on
+    either side, or on both, is read through index offsets into its middle
+    factor's columns and is left unbuilt; otherwise a diagonal f scales the
+    rows of g."""
     if f.cols != g.rows:
         raise DimensionMismatch(
             "cannot compose %dx%d with %dx%d" % (f.rows, f.cols, g.rows, g.cols)
         )
+    if _is_identity(f):
+        return g
+    if _is_identity(g):
+        return f
     if g._whisker is not None:
+        if f._whisker is not None:
+            return _compose_whiskers(*f._whisker, *g._whisker)
         return _compose_whisker_right(f, *g._whisker)
+    fd = f._diag
+    if fd is not None:
+        return _reduced(f.rows, tuple([{i: fd[i] * n for i, n in gcol.items()} for gcol in g._cols]),
+                        f._den * g._den)
     if f._whisker is not None:
         return _compose_whisker_left(*f._whisker, g)
     fcols = f._cols
@@ -405,16 +463,39 @@ def _compose_whisker_left(a, x, b, g):
     return _reduced(a * step, tuple(out), x._den * g._den)
 
 
+def _compose_whiskers(a, x, b, c, y, d):
+    """(I_a (x) x (x) I_b) . (I_c (x) y (x) I_d), building neither.  Column
+    (p, j, q) of the right whisker holds y's column j on the rows
+    k = p * y.rows * d + i * d + q, and column k of the left whisker is x's
+    column J on the rows P * x.rows * b + Q + I * b for k = (P, J, Q);
+    placed lists that (P * x.rows * b + Q, x's column J) for every k."""
+    xcols, step, ystep = x._cols, x.rows * b, y.rows * d
+    placed = [(top + q, xcol) for top in range(0, a * step, step) for xcol in xcols for q in range(b)]
+    out = []
+    for top in range(0, c * ystep, ystep):
+        for ycol in y._cols:
+            for q in range(top, top + d):
+                acc = {}
+                for i, n in ycol.items():
+                    base, xcol = placed[q + i * d]
+                    for r, v in xcol.items():
+                        r = base + r * b
+                        acc[r] = acc[r] + v * n if r in acc else v * n
+                out.append({r: v for r, v in acc.items() if v} if len(ycol) > 1 else acc)
+    return _reduced(a * step, tuple(out), x._den * y._den)
+
+
 def kron(f, g):
     """Kronecker product realising f (x) g on flattened tensor coordinates.
 
     Index convention: basis vector (i, j) of the domain sits at i*g.cols + j,
     matching the global flattening.  With an identity factor the product is
-    a whisker, and kron(I, I) is an identity.  Otherwise a column whose one
-    numerator is 1, as in every column of a leg permutation, places the
-    other factor's column without multiplying it by 1; the denominators
-    multiply, and since the gcd of all products of two numerators is the
-    product of the factors' gcds, the factors give the reduction factor.
+    a whisker, and kron(I, I) is an identity; two diagonal factors give a
+    diagonal, built as one.  Otherwise a column whose one numerator is 1,
+    as in every column of a leg permutation, places the other factor's
+    column without multiplying it by 1.  The denominators multiply, and
+    since the gcd of all products of two numerators is the product of the
+    factors' gcds, the factors give the reduction factor.
     """
     if _is_identity(f):
         if _is_identity(g):
@@ -422,6 +503,12 @@ def kron(f, g):
         return _whisker_map(f.rows, g, 1)
     if _is_identity(g):
         return _whisker_map(1, f, g.rows)
+    den = f._den * g._den
+    fd, gd = f._diag, g._diag
+    if fd is not None and gd is not None:
+        diag = tuple([m * n for m in fd for n in gd])
+        common = gcd(den, gcd(*fd) * gcd(*gd))
+        return _diagonal_map(diag if common == 1 else tuple([n // common for n in diag]), den // common)
     gr = g.rows
     fcols, gcols = f._cols, g._cols
     g_units = [_unit_index(gcol) for gcol in gcols]
@@ -435,7 +522,6 @@ def kron(f, g):
                 out.append({f_unit * gr + i2: b for i2, b in gcol.items()})
             else:
                 out.append({i1 * gr + i2: a * b for i1, a in fcol.items() for i2, b in gcol.items()})
-    den = f._den * g._den
     if den == 1:
         return _from_columns(f.rows * gr, tuple(out), 1)
     return _divided(f.rows * gr, tuple(out), den, gcd(den, _content(fcols) * _content(gcols)))

@@ -28,6 +28,17 @@ hom_algebra, whose products and inverses carry their inverses, and an
 object's pair is read as m.pair.  check_t_category builds each pair tensor
 M (x) N, braiding c_{M,N} and conjugate ^MN once and passes them down to
 the checks as arguments, with no cache across calls.
+
+Tensor products and braidings contain pieces that depend on one factor X
+only, its _Halves: act_X flip when X is the left tensor factor, (id (x)
+mul)(rho_X (x) id) flip when it is the right one, and act_X (B^-1 (x)
+mu^-1) when it is the braiding's first factor.  tensor_yd and braiding
+build the halves they need and hand them to their one private formula
+(_tensor_yd, _tensor_maps, _braiding); check_t_category builds the halves
+of every module, pair tensor and conjugate ^pM once, keeps them by position
+for the call, never on the objects, and hands them to the same formulas.
+Its twisted associativity check compares the two triple tensors as maps,
+without building either as an object.
 """
 
 from __future__ import annotations
@@ -67,21 +78,51 @@ def tensor_yd(m, n, check=True, label=None):
         rho(x (x) y) = (x0 (x) y0) (x) y1 x1
                      = (id (x) right) (rho_M (x) id),
         right(x1 (x) y) = y0 (x) y1 x1 = (id (x) mul) (rho_N (x) id) flip.
+
+    act_M flip depends on M alone and right on N alone (_Halves).
     """
+    return _tensor_yd(m, n, _action_half(m), _coaction_half(n), check, label)
+
+
+def _tensor_yd(m, n, act_flip, right, check=False, label=None):
+    """tensor_yd(m, n, check, label), given M's half act_flip and N's half
+    right."""
     if m.over is not n.over and not m.over.equal_tables(n.over):
         raise ValueError("tensor factors live over different algebras")
-    h = m.over
-    d, dm, dn = h.dim, m.dim, n.dim
-    idd, idm, idn = LinearMap.identity(d), LinearMap.identity(dm), LinearMap.identity(dn)
-    cbc = n.pair_a.inverse @ m.pair_b.matrix @ n.pair_a.matrix
-    left = kron(n.pair_a.matrix, n.action @ kron(cbc, idn)) @ kron(h.coalgebra.comul, idn)
-    act = kron(m.action @ flip(dm, d), idn) @ kron(idm, left) @ kron(flip(d, dm), idn)
-    right = kron(idn, h.algebra.mul) @ kron(n.coaction, idd) @ flip(d, dn)
-    coact = kron(idm, right) @ kron(m.coaction, idn)
+    act, coact = _tensor_maps(m, n, act_flip, right)
     basis = tuple("%s(x)%s" % (a, b) for a in m.basis for b in n.basis)
-    return _with_twist_inverse(h, act, coact, kron(m.mu, n.mu), kron(m.mu_inv, n.mu_inv),
+    return _with_twist_inverse(m.over, act, coact, kron(m.mu, n.mu), kron(m.mu_inv, n.mu_inv),
                                group_mul(m.pair, n.pair), basis, check,
                                label or "%s(x)%s" % (m.name, n.name))
+
+
+def _tensor_maps(m, n, act_flip, right):
+    """The action and coaction of M (x) N (tensor_yd), given M's half
+    act_flip = act_M flip and N's half right; only the piece left depends
+    on both factors."""
+    h = m.over
+    d, dm, dn = h.dim, m.dim, n.dim
+    idm, idn = LinearMap.identity(dm), LinearMap.identity(dn)
+    cbc = n.pair_a.inverse @ m.pair_b.matrix @ n.pair_a.matrix
+    left = kron(n.pair_a.matrix, n.action @ kron(cbc, idn)) @ kron(h.coalgebra.comul, idn)
+    act = kron(act_flip, idn) @ kron(idm, left) @ kron(flip(d, dm), idn)
+    coact = kron(idm, right) @ kron(m.coaction, idn)
+    return act, coact
+
+
+def _action_half(x):
+    """act_X flip: X (x) H -> X, the half of a tensor product X (x) N that
+    depends on its left factor X alone."""
+    return x.action @ flip(x.dim, x.over.dim)
+
+
+def _coaction_half(x):
+    """right(x1 (x) y) = y0 (x) y1 x1 = (id (x) mul) (rho_X (x) id) flip:
+    H (x) X -> X (x) H, the half of a tensor product M (x) X that depends
+    on its right factor X alone."""
+    h = x.over
+    return (kron(LinearMap.identity(x.dim), h.algebra.mul) @ kron(x.coaction, LinearMap.identity(h.dim))
+            @ flip(h.dim, x.dim))
 
 
 def conjugate_yd(p, n, check=True, label=None):
@@ -128,10 +169,33 @@ def braiding(m, n):
 
         c(x (x) y) = nu(y0) (x) B^-1(y1) . mu^-1(x)
                    = (nu (x) act_M (B^-1 (x) mu^-1)) (rho_N (x) id) flip.
+
+    act_M (B^-1 (x) mu^-1) depends on M alone (_Halves).
     """
-    act = m.action @ kron(m.pair_b.inverse, m.mu_inv)
+    return _braiding(m, n, _braiding_half(m))
+
+
+def _braiding(m, n, act):
+    """braiding(m, n), given M's half act = act_M (B^-1 (x) mu^-1)."""
     matrix = kron(n.mu, act) @ kron(n.coaction, LinearMap.identity(m.dim)) @ flip(m.dim, n.dim)
     return BraidingMap((m, n), matrix)
+
+
+def _braiding_half(x):
+    """act_X (B^-1 (x) mu^-1): H (x) X -> X, the half of a braiding c_{X,N}
+    that depends on its first factor X alone."""
+    return x.action @ kron(x.pair_b.inverse, x.mu_inv)
+
+
+class _Halves:
+    """The pieces of X (x) N, M (x) X and c_{X,N} that depend on X alone."""
+
+    __slots__ = ("act", "coact", "braid")
+
+    def __init__(self, x):
+        self.act = _action_half(x)
+        self.coact = _coaction_half(x)
+        self.braid = _braiding_half(x)
 
 
 def braiding_inverse(b):
@@ -220,6 +284,13 @@ def check_hexagons(mn, np, np_conj, c_mn, c_np, c_mp):
     equalities on the flattened triple tensor, given M (x) N, N (x) P, the
     conjugate ^NP and the braidings of the pairs.  Conjugates keep carrier
     and twist, so ^{MN}P, ^MN and ^MP enter only as P's and N's twists."""
+    m, p = c_mn.source[0], c_np.source[1]
+    return _check_hexagons(c_mn, c_np, c_mp, braiding(mn, p), braiding(m, np_conj), braiding(m, np))
+
+
+def _check_hexagons(c_mn, c_np, c_mp, c_mn_p, c_m_npconj, c_m_np):
+    """check_hexagons, given also the braidings c_{MN,P}, c_{M,^NP} and
+    c_{M,NP}."""
     rep = CheckReport("hexagons")
     m, n = c_mn.source
     p = c_np.source[1]
@@ -232,11 +303,11 @@ def check_hexagons(mn, np, np_conj, c_mn, c_np, c_mp):
     # eq-3.4 on M (x) (N (x) P)
     lhs = (
         kron(p.mu_inv, kron(idm, n.mu))
-        @ braiding(mn, p).matrix
+        @ c_mn_p.matrix
         @ kron(m.mu_inv, kron(idn, p.mu))
     )
     rhs = (
-        kron(braiding(m, np_conj).matrix, idn)
+        kron(c_m_npconj.matrix, idn)
         @ kron(m.mu_inv, kron(idp, n.mu))
         @ kron(idm, c_np.matrix)
     )
@@ -250,7 +321,7 @@ def check_hexagons(mn, np, np_conj, c_mn, c_np, c_mp):
     # eq-3.5 on (M (x) N) (x) P
     lhs = (
         kron(n.mu, kron(idp, m.mu_inv))
-        @ braiding(m, np).matrix
+        @ c_m_np.matrix
         @ kron(m.mu, kron(idn, p.mu_inv))
     )
     rhs = kron(idn, c_mp.matrix) @ kron(n.mu, kron(idm, p.mu_inv)) @ kron(c_mn.matrix, idp)
@@ -267,12 +338,16 @@ def check_conjugation_invariance(p, b, pm, pn):
     """The braiding computed on pm = ^pM and pn = ^pN, the p-conjugates of
     b's source modules, equals b as a matrix (crossed-category axiom for
     the conjugation functors)."""
+    return _check_conjugation_invariance(p, b, braiding(pm, pn))
+
+
+def _check_conjugation_invariance(p, b, conjugated):
+    """check_conjugation_invariance, given the braiding c_{^pM,^pN}."""
     rep = CheckReport("conjugation")
     m, n = b.source
-    lhs = braiding(pm, pn).matrix
     check_matrix_equal(
         rep, "conjugation-invariance(%s;%s,%s)" % (p.name, m.name, n.name),
-        "c_{^pM,^pN} = c_{M,N}", lhs, b.matrix, dims=(m.dim, n.dim),
+        "c_{^pM,^pN} = c_{M,N}", conjugated.matrix, b.matrix, dims=(m.dim, n.dim),
         labeler=lambda idx: (m.basis[idx[0]], n.basis[idx[1]]),
     )
     return rep
@@ -306,7 +381,9 @@ def check_t_category(h, modules, pairs, seed=0):
     that sampled their inputs from it.
 
     Each pair tensor M (x) N, braiding c_{M,N} and conjugate ^pM and ^MN is
-    built once, before the checks, and lives only for this call.
+    built once, before the checks, and so are the _Halves of every module,
+    pair tensor and conjugate ^pM; all of them are kept by position and
+    live only for this call.
     """
     rep = CheckReport("t-category", seed=seed)
     modules = list(modules)
@@ -314,12 +391,17 @@ def check_t_category(h, modules, pairs, seed=0):
     ident_pair = AutPair.identity(h.dim)
     idh = LinearMap.identity(h.dim)
     index_pairs = list(itertools.product(range(len(modules)), repeat=2))
-    tensor = {(i, j): tensor_yd(modules[i], modules[j], check=False) for i, j in index_pairs}
-    braid = {(i, j): braiding(modules[i], modules[j]) for i, j in index_pairs}
+    half = [_Halves(m) for m in modules]
+    tensor = {
+        (i, j): _tensor_yd(modules[i], modules[j], half[i].act, half[j].coact) for i, j in index_pairs
+    }
+    tensor_half = {ij: _Halves(t) for ij, t in tensor.items()}
+    braid = {(i, j): _braiding(modules[i], modules[j], half[i].braid) for i, j in index_pairs}
     conj = {
         (pi, i): conjugate_yd(p, m, check=False)
         for pi, p in enumerate(pairs) for i, m in enumerate(modules)
     }
+    conj_half = {key: _Halves(c) for key, c in conj.items()}
     twisted = {(i, j): conjugate_yd(modules[i].pair, modules[j], check=False) for i, j in index_pairs}
 
     for p in pairs:
@@ -363,7 +445,8 @@ def check_t_category(h, modules, pairs, seed=0):
             "M (x) N satisfies eq-2.1 in component pair(M)*pair(N)",
             check_yd(tensor[i, j]),
         )
-        rep.extend(check_braiding_equivariance(b, tensor[i, j], tensor_yd(twisted[i, j], m, check=False)))
+        target = _tensor_yd(twisted[i, j], m, _action_half(twisted[i, j]), half[i].coact)
+        rep.extend(check_braiding_equivariance(b, tensor[i, j], target))
         rep.extend(check_braiding_inverse(b))
         check_matrix_equal(
             rep, "naturality-id(%s)" % _pair_labels(m, n),
@@ -394,32 +477,38 @@ def check_t_category(h, modules, pairs, seed=0):
         for i, j in index_pairs:
             m, n = modules[i], modules[j]
             whole = conjugate_yd(p, tensor[i, j], check=False)
-            split = tensor_yd(conj[pi, i], conj[pi, j], check=False)
+            split = _tensor_yd(conj[pi, i], conj[pi, j], conj_half[pi, i].act, conj_half[pi, j].coact)
             _structures_equal(
                 rep, "functor-tensor(%s;%s)" % (p.name, _pair_labels(m, n)),
                 "^p(M (x) N) = ^pM (x) ^pN as structure tensors", whole, split,
             )
-            rep.extend(check_conjugation_invariance(p, braid[i, j], conj[pi, i], conj[pi, j]))
+            rep.extend(_check_conjugation_invariance(
+                p, braid[i, j], _braiding(conj[pi, i], conj[pi, j], conj_half[pi, i].braid),
+            ))
 
     for i, j, k in itertools.product(range(len(modules)), repeat=3):
         m, n, p_mod = modules[i], modules[j], modules[k]
-        left = tensor_yd(tensor[i, j], p_mod, check=False)
-        right = tensor_yd(m, tensor[j, k], check=False)
+        mn, np = tensor[i, j], tensor[j, k]
+        left_act, left_coact = _tensor_maps(mn, p_mod, tensor_half[i, j].act, half[k].coact)
+        right_act, right_coact = _tensor_maps(m, np, half[i].act, tensor_half[j, k].coact)
         # The two orders share carrier, twist and component; their
         # structures coincide strictly only for identity twists, and in
         # general the twisted constraint is the intertwiner between them.
         a = associator(m, n, p_mod)
-        placement = left.mu == right.mu and left.pair == right.pair
-        module_map = (right.action @ kron(idh, a)) == (a @ left.action)
-        comodule_map = (right.coaction @ a) == (kron(a, idh) @ left.coaction)
+        placement = kron(mn.mu, p_mod.mu) == kron(m.mu, np.mu) and (
+            group_mul(mn.pair, p_mod.pair) == group_mul(m.pair, np.pair)
+        )
+        module_map = (right_act @ kron(idh, a)) == (a @ left_act)
+        comodule_map = (right_coact @ a) == (kron(a, idh) @ left_coact)
         rep.add(
             "tensor-assoc(%s,%s,%s)" % (m.name, n.name, p_mod.name),
             "(M (x) N) (x) P and M (x) (N (x) P) share the component and are "
             "intertwined by the twisted constraint",
             placement and module_map and comodule_map,
         )
-        rep.extend(check_hexagons(
-            tensor[i, j], tensor[j, k], twisted[j, k], braid[i, j], braid[j, k], braid[i, k],
+        rep.extend(_check_hexagons(
+            braid[i, j], braid[j, k], braid[i, k], _braiding(mn, p_mod, tensor_half[i, j].braid),
+            _braiding(m, twisted[j, k], half[i].braid), _braiding(m, np, half[i].braid),
         ))
 
     unit = trivial_yd(h)

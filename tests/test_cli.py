@@ -148,6 +148,14 @@ def test_demo_zero_denominator_names_the_flag(capsys, flag):
     assert err == "error: %s 1/0 has a zero denominator\n" % flag
 
 
+@pytest.mark.parametrize("flag", ["--c", "--cp", "--cpp"])
+@pytest.mark.parametrize("text", ["abc", "1/", "", "nan"])
+def test_demo_malformed_value_names_the_flag(capsys, flag, text):
+    code, out, err = run(capsys, "demo", "h4", "%s=%s" % (flag, text))
+    assert code == 2 and out == ""
+    assert err == "error: %s %r is not a rational number\n" % (flag, text)
+
+
 def test_trivial_braid_is_one_by_one(tmp_path, capsys):
     text = Path(H4_ALG).read_text() + (
         "\n[ydmodule K over H4]\n"

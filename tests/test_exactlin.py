@@ -519,9 +519,16 @@ def test_compose_and_kron_do_no_fraction_arithmetic(monkeypatch):
     # whiskers I2 (x) s (x) I2 and f (x) I4, composed on either side and
     # with each other, and built at the end by assert_canonical
     left, right = kron(LinearMap.identity(2), kron(s, LinearMap.identity(2))), kron(f, LinearMap.identity(4))
+    # s and the whisker left are diagonal: compose scales rows by them, and
+    # kron of two of them is a diagonal
+    s4 = LinearMap.diagonal([rng.choice(CANCELLING) for _ in range(4)])
     for h in (compose(f, g), compose(s, f), compose(f, s), kron(f, g), kron(s, g), kron(f, s),
               compose(left, tall), compose(wide, right), compose(left, right), compose(right, left),
-              compose(right, kron(LinearMap.identity(4), s)), left, right):
+              compose(right, kron(LinearMap.identity(4), s)), compose(kron(LinearMap.identity(4), s), left),
+              compose(LinearMap.identity(16), f), compose(f, LinearMap.identity(16)), kron(s, s),
+              kron(left, s4), kron(s4, left),
+              compose(kron(wide, LinearMap.identity(2)), kron(LinearMap.identity(2), tall)),
+              left, right):
         assert_canonical(h)
     assert calls == []
 
@@ -618,10 +625,10 @@ def test_compose_reads_whiskers_on_either_side_against_dense_reference(kind):
         f = cancelling_map(rng, 5, w.rows, 0.3)
         g = cancelling_map(rng, w.cols, 5, 0.3)
         s, p = selector(rng, w.cols, "scaled"), selector(rng, w.cols, "permutation")
-        # whiskers on both sides: the left one is built, the right one is not
+        # whiskers on both sides: neither is built
         v = kron(eye(w.rows // n), shift(rng, n, "scaled"))
         got = [compose(f, w), compose(w, g), compose(w, s), compose(w, p), compose(v, w)]
-        assert not built(w) and built(v)
+        assert not built(w) and not built(v)
         want = [dense.compose(f, w), dense.compose(w, g), dense.compose(w, s), dense.compose(w, p),
                 dense.compose(v, w)]
         for h, d in zip(got, want):
@@ -679,3 +686,128 @@ def test_threads_racing_to_build_a_whisker_read_equal_columns():
     assert not any(t.is_alive() for t in threads)
     assert all(out == [(want.entries, hash(want), want.column(5))] * rounds for out in seen)
     assert all(w == want for w in whiskers)
+
+
+# ---------------------------------------------------------------------------
+# whisker on whisker, and the diagonal predicate: compose reads two whiskers
+# through index offsets, and a diagonal or identity operand takes a shortcut
+# ---------------------------------------------------------------------------
+
+
+def whisker(a, x, b):
+    """I_a (x) x (x) I_b through kron, flattened to one whisker."""
+    return kron(kron(eye(a), x), eye(b))
+
+
+def unit_columns(rng, rows, cols):
+    """A rows x cols map whose columns each hold one value from CANCELLING,
+    1 among them, on a random row."""
+    return LinearMap.from_cols([
+        [rng.choice(CANCELLING) if r == i else 0 for r in range(rows)]
+        for i in (rng.randrange(rows) for _ in range(cols))
+    ])
+
+
+#: (name, (a, x shape, b), (c, y shape, d)) of (I_a (x) x (x) I_b) . (I_c (x) y (x) I_d);
+#: the first three are the most frequent shapes of a tcat run, where X is
+#: a map with one entry per column in the third
+WHISKER_PAIRS = [
+    ("(1,X16x64,4)@(16,Y16x16,1)", (1, (16, 64), 4), (16, (16, 16), 1)),
+    ("(4,X4x16,1)@(1,Y16x4,4)", (4, (4, 16), 1), (1, (16, 4), 4)),
+    ("(16,D4x16,1)@(1,Y64x16,4)", (16, (4, 16), 1), (1, (64, 16), 4)),
+    ("nested(2,X3x4,2)@(2,Y4x3,2)", (2, (3, 4), 2), (2, (4, 3), 2)),
+    ("strides(2,X3x6,2)@(3,Y8x2,1)", (2, (3, 6), 2), (3, (8, 2), 1)),
+]
+
+
+@pytest.mark.parametrize("name, left, right", WHISKER_PAIRS, ids=[w[0] for w in WHISKER_PAIRS])
+def test_compose_of_two_whiskers_builds_neither(name, left, right):
+    rng = random.Random(name)
+    (a, (xr, xc), b), (c, (yr, yc), d) = left, right
+    for _ in range(3):
+        x = unit_columns(rng, xr, xc) if name.startswith("(16,D") else cancelling_map(rng, xr, xc, 0.3)
+        y = cancelling_map(rng, yr, yc, 0.3)
+        if name.startswith("nested"):
+            f, g = kron(eye(a), kron(x, eye(b))), kron(kron(eye(c), y), eye(d))
+        else:
+            f, g = whisker(a, x, b), whisker(c, y, d)
+        assert f._whisker == (a, x, b) and g._whisker == (c, y, d)
+        h = compose(f, g)
+        assert not built(f) and not built(g)
+        assert_canonical(h)
+        want = dense.compose(f, g)
+        assert h == want and hash(h) == hash(want)
+        assert h.entries == want.entries
+
+
+UNSET = object()
+
+
+def stored_diag(f):
+    """f's _diag slot as stored, or UNSET before its first read."""
+    try:
+        return LinearMap._diag.__get__(f)
+    except AttributeError:
+        return UNSET
+
+
+def nonzero_diagonal(rng, n):
+    return LinearMap.diagonal([rng.choice(CANCELLING) for _ in range(n)])
+
+
+def test_diagonal_predicate_returns_the_diagonal_numerators():
+    rng = random.Random(40)
+    d = nonzero_diagonal(rng, 8)
+    assert stored_diag(d) is UNSET
+    assert d._diag == tuple(d._cols[j][j] for j in range(8))
+    assert stored_diag(d) == d._diag
+    assert eye(5)._diag == (1,) * 5 and eye(5).is_identity()
+    # all-ones numerators over the denominator 2 are half the identity
+    half = LinearMap.diagonal([rat(1, 2)] * 5)
+    assert half._diag == (1,) * 5 and not half.is_identity()
+    # a zero on the diagonal, a scaled permutation, a non-square map and a
+    # column with an entry off the diagonal are not diagonal
+    zero = LinearMap.diagonal([2, 0, rat(1, 3), 1])
+    off = LinearMap.from_cols([[1, 0, 0], [0, 2, 1], [0, 0, 3]])
+    for f in (zero, shift(rng, 6, "scaled"), shift(rng, 6, "permutation"), LinearMap.zeros(3, 2), off):
+        assert f._diag is None and not f.is_identity()
+    # a whisker of a diagonal reads its diagonal off the middle factor
+    w = whisker(2, d, 3)
+    assert w._diag == tuple(n for n in d._diag for _ in range(3)) * 2
+    assert not built(w) and not w.is_identity()
+    assert whisker(4, cancelling_map(rng, 3, 3, 1.0), 1)._diag is None
+
+
+def test_diagonal_and_identity_paths_match_dense_reference():
+    rng = random.Random(41)
+    n = 16
+    d, d4 = nonzero_diagonal(rng, n), nonzero_diagonal(rng, 4)
+    x, tall, wide = cancelling_map(rng, n, n, 0.3), cancelling_map(rng, n, 5, 0.4), cancelling_map(rng, 5, n, 0.4)
+    # identity on either side returns the other operand itself
+    assert compose(eye(n), x) is x and compose(x, eye(n)) is x and compose(eye(n), tall) is tall
+    w = kron(eye(4), x)
+    assert compose(eye(4 * n), w) is w and compose(w, eye(4 * n)) is w and not built(w)
+    half = LinearMap.diagonal([rat(1, 2)] * n)
+    dw = whisker(4, d4, 1)
+    zero = LinearMap.diagonal([rng.choice(CANCELLING) if j % 5 else 0 for j in range(n)])
+    perm = shift(rng, n, "scaled")
+    cases = [(d, x), (d, tall), (x, d), (wide, d), (half, x), (d, d), (zero, x), (x, zero), (perm, x),
+             (x, perm), (zero, d), (d, zero), (dw, x), (dw, tall)]
+    pairs = ((d, d4), (d4, d), (half, d4), (dw, d4), (d4, dw), (zero, d4), (perm, d4), (d4, perm))
+    # the kernel reads the diagonal whisker dw without building it; the
+    # dense reference, which reads entries, builds it afterwards
+    got = [compose(f, g) for f, g in cases] + [kron(f, g) for f, g in pairs]
+    assert not built(dw)
+    want = [dense.compose(f, g) for f, g in cases] + [dense.kron(f, g) for f, g in pairs]
+    for h, w in zip(got, want):
+        assert_canonical(h)
+        assert h == w and hash(h) == hash(w) and h.entries == w.entries
+    for (f, g), h in zip(pairs, got[len(cases):]):
+        if f._diag is not None and g._diag is not None:
+            # built as a diagonal: its diagonal is stored, not scanned for
+            assert stored_diag(h) == tuple(h._cols[j][j] for j in range(h.rows))
+        else:
+            assert stored_diag(h) is UNSET
+    # the products of two diagonals cancel to canonical form
+    h = kron(LinearMap.diagonal([rat(1, 2), rat(3, 2)]), LinearMap.diagonal([2, 4]))
+    assert h._den == 1 and stored_diag(h) == (1, 2, 3, 6)

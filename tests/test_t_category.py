@@ -526,7 +526,8 @@ def test_builders_match_loop_reference_on_arbitrary_tables():
 
 
 def test_tcat_builds_each_pair_tensor_and_braiding_once(monkeypatch):
-    calls = {"tensor_yd": [], "braiding": [], "conjugate_yd": []}
+    # the private builders, which the public tensor_yd and braiding call too
+    calls = {"_tensor_yd": [], "_braiding": [], "conjugate_yd": []}
 
     def recording(name):
         fn = getattr(tc, name)
@@ -542,8 +543,53 @@ def test_tcat_builds_each_pair_tensor_and_braiding_once(monkeypatch):
         monkeypatch.setattr(tc, name, recording(name))
     rep = run_checks(parse_definition(H4_ALG.read_text(encoding="utf-8")), "tcat")
     assert rep.ok()
-    for name in ("tensor_yd", "braiding"):
+    for name in ("_tensor_yd", "_braiding"):
         keys = [(id(first), id(second)) for first, second in calls[name]]
         assert len(set(keys)) == len(keys), name
-    assert len(calls["tensor_yd"]) <= 200 and len(calls["braiding"]) <= 240
+    assert len(calls["_tensor_yd"]) <= 200 and len(calls["_braiding"]) <= 240
     assert len(calls["conjugate_yd"]) <= 88
+
+
+def test_tcat_halves_give_the_public_builders_maps(monkeypatch):
+    """Every tensor product and braiding that check_t_category assembles
+    from prebuilt halves equals the one tensor_yd and braiding build from
+    scratch, at a twisted point; and the halves are never stored on the
+    input objects."""
+    text = H4_ALG.read_text(encoding="utf-8")
+    resolved = resolve_definition(parse_definition(
+        "[params]\nc = -3/2\ncp = 2\ncpp = 3\n" + text[len(SHIPPED_PARAMS):]
+    ))
+    _, h = resolved.get("H4")
+    _, pair = resolved.get("P")
+    modules = [yd for _, yd in resolved.of_kind("ydmodule")] + [trivial_yd(h)]
+    pairs = [AutPair.identity(h.dim), pair]
+    inputs = [h, *modules, *pairs]
+    before = [dict(vars(x)) for x in inputs]
+    tensors, braidings = [], []
+    tensor_maps, braiding_ = tc._tensor_maps, tc._braiding
+
+    def recording_tensor_maps(m, n, act_flip, right):
+        out = tensor_maps(m, n, act_flip, right)
+        tensors.append((m, n, out))
+        return out
+
+    def recording_braiding(m, n, act):
+        out = braiding_(m, n, act)
+        braidings.append((m, n, out))
+        return out
+
+    monkeypatch.setattr(tc, "_tensor_maps", recording_tensor_maps)
+    monkeypatch.setattr(tc, "_braiding", recording_braiding)
+    rep = check_t_category(h, modules, pairs)
+    monkeypatch.undo()
+    assert rep.ok()
+    assert [vars(x) for x in inputs] == before
+    assert all(vars(x)[k] is v for x, b in zip(inputs, before) for k, v in b.items())
+    # pair tensors, triple tensors of either order, braiding targets, ^pM (x) ^pN
+    # and the unit tensors; pair braidings, conjugated ones and the hexagons'
+    assert len(tensors) == 16 + 128 + 16 + 32 + 8 and len(braidings) == 16 + 32 + 192
+    for m, n, (act, coact) in tensors:
+        t = tensor_yd(m, n, check=False)
+        assert act == t.action and coact == t.coaction
+    for m, n, b in braidings:
+        assert b.source == (m, n) and b.matrix == braiding(m, n).matrix
