@@ -149,13 +149,23 @@ def cmd_check(args):
     return 0 if report.ok() else 1
 
 
+def _ydmodule_named(resolved, flag, name):
+    """The ydmodule section that the braid flag -flag names; any other name
+    is a diagnostic that names the flag and lists the file's ydmodule
+    sections."""
+    kind, obj = resolved.objects.get(name, (None, None))
+    if kind != "ydmodule":
+        names = ", ".join(n for n, _ in resolved.of_kind("ydmodule")) or "none"
+        raise SuiteError("-%s %s names no ydmodule section; the file's ydmodule sections are: %s"
+                         % (flag, name, names))
+    return obj
+
+
 def cmd_braid(args):
     try:
         resolved = resolve_definition(_read_definition(args.file))
-        kind_m, mod_m = resolved.get(args.m)
-        kind_n, mod_n = resolved.get(args.n)
-        if kind_m != "ydmodule" or kind_n != "ydmodule":
-            raise SuiteError("braiding needs two ydmodule sections, got %s and %s" % (kind_m, kind_n))
+        mod_m = _ydmodule_named(resolved, "m", args.m)
+        mod_n = _ydmodule_named(resolved, "n", args.n)
         out = emit_braiding(mod_m, mod_n, args.out)
     except DefinitionError as exc:
         print("error: %s" % exc, file=sys.stderr)

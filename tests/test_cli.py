@@ -121,6 +121,15 @@ def test_braid_unknown_module_exits_two(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("flag, name", [("-m", "NOPE"), ("-n", "NOPE"), ("-m", "H4"), ("-n", "P")])
+def test_braid_diagnostic_names_the_flag_and_the_ydmodule_sections(capsys, flag, name):
+    names = {"-m": "H4A", "-n": "H4B", flag: name}
+    code, out, err = run(capsys, "braid", H4_ALG, "-m", names["-m"], "-n", names["-n"])
+    assert code == 2 and out == ""
+    assert err == "error: %s %s names no ydmodule section; the file's ydmodule sections are: H4A, H4B, H4AB\n" % (
+        flag, name)
+
+
 def test_demo_csv_matches_library_matrix(capsys):
     code, out, err = run(capsys, "demo", "h4", "--c", "1", "--cp", "2", "--cpp", "3")
     assert code == 0

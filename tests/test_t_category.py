@@ -7,7 +7,7 @@ import pytest
 
 import loop_reference as loop
 from homyd.defformat import parse_definition, resolve_definition, run_checks
-from homyd.exactlin import LinearMap, ZERO, ONE, add_scaled, basis_vec, kron, rat, table_map, tensor_vec
+from homyd.exactlin import LinearMap, ZERO, ONE, add_scaled, basis_vec, flip, kron, permute, rat, table_map, tensor_vec
 from homyd.hom_algebra import HopfAutomorphism, identity_automorphism
 from homyd.h4_library import H4Params, build_h4, build_h4_yd_table, build_twisted_h4b, h4_automorphism
 import homyd.t_category as tc
@@ -525,6 +525,58 @@ def test_builders_match_loop_reference_on_arbitrary_tables():
         assert_same_object(conjugate_yd(p, n, check=False), loop.conjugate_yd(p, n, check=False))
 
 
+def kron_twist_formulas(m, n):
+    """The action of M (x) N, c_{M,N} and c_{M,N}^-1 with each twist
+    Kronecker-multiplied with a two-factor piece, as written before the
+    twists moved onto the one-object halves: C (x) act_N (C^-1 B C (x) id),
+    nu (x) act_M (B^-1 (x) mu^-1) and act_M (B^-1 S (x) mu^-1) (x) nu."""
+    h = m.over
+    d, idm, idn = h.dim, LinearMap.identity(m.dim), LinearMap.identity(n.dim)
+    cbc = n.pair_a.inverse @ m.pair_b.matrix @ n.pair_a.matrix
+    left = kron(n.pair_a.matrix, n.action @ kron(cbc, idn)) @ kron(h.coalgebra.comul, idn)
+    action = kron(tc._action_half(m), idn) @ kron(idm, left) @ kron(flip(d, m.dim), idn)
+    braid = kron(n.mu, tc._braiding_half(m)) @ kron(n.coaction, idm) @ flip(m.dim, n.dim)
+    inverse = (kron(tc._inverse_half(m), n.mu) @ permute((n.dim, d, m.dim), (1, 2, 0))
+               @ kron(n.coaction, idm))
+    return action, braid, inverse
+
+
+def twisted_point_objects():
+    """The ydmodules of h4.alg at c = -3/2 plus the trivial module, their
+    pair tensors and their conjugates by the file's pair P."""
+    text = H4_ALG.read_text(encoding="utf-8")
+    resolved = resolve_definition(parse_definition(
+        "[params]\nc = -3/2\ncp = 2\ncpp = 3\n" + text[len(SHIPPED_PARAMS):]
+    ))
+    _, h = resolved.get("H4")
+    _, pair = resolved.get("P")
+    modules = [yd for _, yd in resolved.of_kind("ydmodule")] + [trivial_yd(h)]
+    return (modules + [tensor_yd(m, n, check=False) for m, n in itertools.product(modules[:2], repeat=2)]
+            + [conjugate_yd(pair, m, check=False) for m in modules])
+
+
+def triangular_objects():
+    """Arbitrary tables with triangular twists and pairs, and their pair
+    tensors."""
+    rng = random.Random(2015)
+    h = build_h4(rat(-3, 2))
+    mods = [random_structure(h, rng, dim, "R%d" % dim) for dim in (1, 2, 3)]
+    return mods + [tensor_yd(m, n, check=False) for m, n in itertools.product(mods[1:], repeat=2)]
+
+
+@pytest.mark.parametrize("objects", [twisted_point_objects, triangular_objects], ids=["c=-3/2", "triangular"])
+def test_twists_on_the_halves_equal_the_kron_formulas(objects):
+    objs = objects()
+    for m, n in itertools.product(objs, repeat=2):
+        if m.dim * n.dim > 64:
+            continue
+        action, braid, inverse = kron_twist_formulas(m, n)
+        b = braiding(m, n)
+        assert tensor_yd(m, n, check=False).action == action
+        assert b.matrix == braid
+        assert braiding_inverse(b) == inverse
+
+
 def test_tcat_builds_each_pair_tensor_and_braiding_once(monkeypatch):
     # the private builders, which the public tensor_yd and braiding call too
     calls = {"_tensor_yd": [], "_braiding": [], "conjugate_yd": []}
@@ -565,21 +617,27 @@ def test_tcat_halves_give_the_public_builders_maps(monkeypatch):
     pairs = [AutPair.identity(h.dim), pair]
     inputs = [h, *modules, *pairs]
     before = [dict(vars(x)) for x in inputs]
-    tensors, braidings = [], []
-    tensor_maps, braiding_ = tc._tensor_maps, tc._braiding
+    tensors, braidings, inverses = [], [], []
+    tensor_maps, braiding_, braiding_inverse_ = tc._tensor_maps, tc._braiding, tc._braiding_inverse
 
-    def recording_tensor_maps(m, n, act_flip, right):
-        out = tensor_maps(m, n, act_flip, right)
+    def recording_tensor_maps(m, n, *halves):
+        out = tensor_maps(m, n, *halves)
         tensors.append((m, n, out))
         return out
 
-    def recording_braiding(m, n, act):
-        out = braiding_(m, n, act)
+    def recording_braiding(m, n, *halves):
+        out = braiding_(m, n, *halves)
         braidings.append((m, n, out))
+        return out
+
+    def recording_braiding_inverse(m, n, *halves):
+        out = braiding_inverse_(m, n, *halves)
+        inverses.append((m, n, out))
         return out
 
     monkeypatch.setattr(tc, "_tensor_maps", recording_tensor_maps)
     monkeypatch.setattr(tc, "_braiding", recording_braiding)
+    monkeypatch.setattr(tc, "_braiding_inverse", recording_braiding_inverse)
     rep = check_t_category(h, modules, pairs)
     monkeypatch.undo()
     assert rep.ok()
@@ -593,3 +651,6 @@ def test_tcat_halves_give_the_public_builders_maps(monkeypatch):
         assert act == t.action and coact == t.coaction
     for m, n, b in braidings:
         assert b.source == (m, n) and b.matrix == braiding(m, n).matrix
+    assert len(inverses) == 16
+    for m, n, inv in inverses:
+        assert inv == braiding_inverse(braiding(m, n))
