@@ -25,8 +25,10 @@ from .hom_algebra import (
     check_hom_algebra,
     check_hom_bialgebra,
     check_hom_coalgebra,
+    check_hom_hopf,
     convolution,
     identity_automorphism,
+    require,
 )
 from .reports import CheckItem, CheckReport, Witness
 from .yd_modules import (
@@ -48,6 +50,7 @@ from .yd_modules import (
     check_yd,
     check_yd_alt,
     check_yd_datum,
+    check_yd_module,
     trivial_yd,
 )
 from .t_category import (

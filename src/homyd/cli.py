@@ -34,7 +34,9 @@ from .defformat import (
     run_checks,
 )
 from .h4_library import H4Params, ZeroParameter, build_h4, build_h4_yd_table
+from .hom_algebra import check_hom_algebra, check_hom_coalgebra, check_hom_hopf, require
 from .t_category import braiding
+from .yd_modules import check_yd_module
 
 
 def render_text_report(report):
@@ -194,6 +196,11 @@ def cmd_demo(args):
         h = build_h4(params.c)
         m = build_h4_yd_table("H4A", params, h=h)
         n = build_h4_yd_table("H4B", params, h=h)
+        # the emitted tables are validated, not just built; a failing law
+        # would raise InvalidStructure, a ValueError, and exit 2
+        for check, obj in ((check_hom_algebra, h.algebra), (check_hom_coalgebra, h.coalgebra),
+                           (check_hom_hopf, h), (check_yd_module, m), (check_yd_module, n)):
+            require(check(obj))
     except (ZeroParameter, ZeroDivisionError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

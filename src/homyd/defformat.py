@@ -783,8 +783,8 @@ def _group_entries(section):
 
 
 def resolve_definition(df):
-    """Build unchecked structure objects for every section; all axiom
-    verification is deferred to run_checks.
+    """Build the structure objects of every section; constructors check no
+    law, and run_checks verifies the axioms.
 
     Malformed data that cannot even be represented (a singular twist, a
     shape clash) surfaces as a ResolveError diagnostic, never a bare
@@ -833,13 +833,13 @@ def _resolve_coalgebra_parts(section, rf, basis, twist_key):
 def _build_algebra(section, rf):
     basis = _basis_of(section)
     mul, unit, alpha = _resolve_algebra_parts(section, rf, basis)
-    return HomAlgebraData(basis, mul, unit, alpha, check=False)
+    return HomAlgebraData(basis, mul, unit, alpha)
 
 
 def _build_coalgebra(section, rf):
     basis = _basis_of(section)
     comul, counit, gamma = _resolve_coalgebra_parts(section, rf, basis, "gamma")
-    return HomCoalgebraData(basis, comul, counit, gamma, check=False)
+    return HomCoalgebraData(basis, comul, counit, gamma)
 
 
 def _build_hopf(section, rf):
@@ -850,7 +850,7 @@ def _build_hopf(section, rf):
     if "antipode" not in g:
         raise ResolveError("hopf section %r has no antipode" % section.name, None)
     antipode = _square_map(g, "antipode", basis, rf.params)
-    return HomHopfAlgebraData.from_maps(basis, mul, unit, comul, counit, antipode, alpha, check=False)
+    return HomHopfAlgebraData.from_maps(basis, mul, unit, comul, counit, antipode, alpha)
 
 
 def _over_hopf(section, rf):
@@ -875,7 +875,7 @@ def _build_module(section, rf):
     basis, mu, action, _ = _resolve_carrier(section, rf, h)
     if action is None:
         raise ResolveError("module section %r has no act lines" % section.name, None)
-    return HomModuleData(h, len(basis), action, mu, basis=basis, check=False)
+    return HomModuleData(h, len(basis), action, mu, basis=basis)
 
 
 def _build_comodule(section, rf):
@@ -883,7 +883,7 @@ def _build_comodule(section, rf):
     basis, mu, _, coaction = _resolve_carrier(section, rf, h)
     if coaction is None:
         raise ResolveError("comodule section %r has no coact lines" % section.name, None)
-    return HomComoduleData(h, len(basis), coaction, mu, basis=basis, check=False)
+    return HomComoduleData(h, len(basis), coaction, mu, basis=basis)
 
 
 def _build_autpair_maps(section, rf, h):
@@ -914,7 +914,7 @@ def _build_ydmodule(section, rf):
             pair = obj
     if pair is None:
         pair = _build_autpair_maps(section, rf, h)
-    return YDModuleData(h, action, coaction, mu, pair, basis=basis, check=False, label=section.name)
+    return YDModuleData(h, action, coaction, mu, pair, basis=basis, label=section.name)
 
 
 _BUILDERS = {

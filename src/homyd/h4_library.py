@@ -46,7 +46,7 @@ BASIS = ("1", "g", "x", "gx")
 _I, _G, _X, _GX = 0, 1, 2, 3
 
 
-def build_h4(c, check=True):
+def build_h4(c):
     """The dim-4 twisted Hopf algebra on (1, g, x, gx) with twist
     diag(1, 1, c, c)."""
     c = _nonzero(c, "c")
@@ -73,7 +73,7 @@ def build_h4(c, check=True):
             [0, 0, 1, 0],   # S(gx) = x, forced by S(gx)(g) + 1(gx) = 0
         ]
     )
-    return HomHopfAlgebraData.from_maps(BASIS, mul, unit, comul, counit, antipode, alpha, check=check)
+    return HomHopfAlgebraData.from_maps(BASIS, mul, unit, comul, counit, antipode, alpha)
 
 
 def h4_automorphism(lam):
@@ -101,7 +101,7 @@ def _table_action(c, x_on_1, x_on_g, gx_on_1, gx_on_g):
     }, out_legs=1)
 
 
-def build_h4_yd_table(which, p, check=True, h=None):
+def build_h4_yd_table(which, p, h=None):
     """Golden Yetter-Drinfeld module table H4A, H4B or H4AB.
 
     The coaction is the comultiplication, the carrier twist is alpha, and
@@ -130,12 +130,12 @@ def build_h4_yd_table(which, p, check=True, h=None):
     else:
         raise ValueError("unknown table %r; expected H4A, H4B or H4AB" % (which,))
     if h is None:
-        h = build_h4(c, check=check)
+        h = build_h4(c)
     return YDModuleData(h, action, h.coalgebra.comul, h.alpha, pair,
-                        basis=BASIS, check=check, label=which)
+                        basis=BASIS, label=which)
 
 
-def build_twisted_h4b(p, check=True, h=None):
+def build_twisted_h4b(p, h=None):
     """Golden conjugated module: H4B twisted by the pair (A, id).
 
     The action divides the x / gx rows of H4B by c', the coaction picks up
@@ -157,12 +157,12 @@ def build_twisted_h4b(p, check=True, h=None):
         (_GX, _GX, _G): cinv, (_GX, _I, _GX): cinv * cp,
     }, out_legs=2)
     if h is None:
-        h = build_h4(c, check=check)
+        h = build_h4(c)
     pair = AutPair(identity_automorphism(4), h4_automorphism(cpp))
-    return YDModuleData(h, action, coaction, h.alpha, pair, basis=BASIS, check=check, label="^(A,id)H4B")
+    return YDModuleData(h, action, coaction, h.alpha, pair, basis=BASIS, label="^(A,id)H4B")
 
 
-def h4_braiding_matrix(p, check=True):
+def h4_braiding_matrix(p):
     """16x16 matrix of the braiding H4A (x) H4B -> (twisted H4B) (x) H4A in
     the flattened basis (1(x)1, 1(x)g, ..., gx(x)gx).
 
@@ -179,9 +179,9 @@ def h4_braiding_matrix(p, check=True):
     """
     from .t_category import braiding
 
-    h = build_h4(p.c, check=check)
-    m = build_h4_yd_table("H4A", p, check=check, h=h)
-    n = build_h4_yd_table("H4B", p, check=check, h=h)
+    h = build_h4(p.c)
+    m = build_h4_yd_table("H4A", p, h=h)
+    n = build_h4_yd_table("H4B", p, h=h)
     return braiding(m, n).matrix
 
 
@@ -209,7 +209,7 @@ def golden_table_errata(p):
     for name, variant_action, a_aut, b_aut in variants:
         check_matrix_equal(
             rep, "variant-table-%s" % name, "sign-variant action table equals the constructed action",
-            variant_action, build_canonical_yd(h, a_aut, b_aut, check=False).action,
+            variant_action, build_canonical_yd(h, a_aut, b_aut).action,
             dims=(4, 4), labeler=lambda idx: (BASIS[idx[0]], BASIS[idx[1]]),
         )
     return rep

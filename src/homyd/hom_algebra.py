@@ -12,6 +12,11 @@ by column; by multilinearity a column is the law at one basis tuple.
 
 Identity ids ("eq-1.1", "antipode-left", ...) are stable strings; the
 numbering groups the structure-level laws as the 1.x family.
+
+Constructors only build: they reject data they cannot represent (a map
+of the wrong shape, a singular twist), never data that breaks a law.  A
+caller that wants a validated object runs the suite and hands its report
+to require.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ from .reports import CheckReport, check_matrix_equal
 
 
 class InvalidStructure(ValueError):
-    """Constructor-time rejection: the supplied tables fail the axiom suite."""
+    """A report with failing items, raised by require or, with the single
+    item "shape", by a constructor given data it cannot represent."""
 
     def __init__(self, report):
         self.report = report
@@ -29,13 +35,12 @@ class InvalidStructure(ValueError):
         super().__init__("%s fails: %s" % (report.suite, bad))
 
 
-def _require(report_fn, check):
-    """Run the validation suite only when checking is requested; reject the
-    construction on any failing identity."""
-    if check:
-        report = report_fn()
-        if not report.ok():
-            raise InvalidStructure(report)
+def require(report):
+    """Raise InvalidStructure(report) if any item of report fails: the one
+    call that turns a law suite into a validation of a library object, as
+    in require(check_hom_hopf(h))."""
+    if not report.ok():
+        raise InvalidStructure(report)
 
 
 def _require_shape(suite, what, f, rows, cols):
@@ -58,7 +63,7 @@ class HomAlgebraData:
     vector of 1; alpha is the invertible twist.
     """
 
-    def __init__(self, basis, mul, unit, alpha, check=True):
+    def __init__(self, basis, mul, unit, alpha):
         self.basis = tuple(basis)
         self.dim = d = len(self.basis)
         _require_shape("hom-algebra", "mul", mul, d, d * d)
@@ -67,7 +72,6 @@ class HomAlgebraData:
         self.unit = unit
         self.alpha = alpha
         self.alpha_inv = invert(alpha)
-        _require(lambda: check_hom_algebra(self), check)
 
 
 class HomCoalgebraData:
@@ -77,7 +81,7 @@ class HomCoalgebraData:
     of e_i (x) e_j in comul(e_k); counit is the 1 x dim map C -> k.
     """
 
-    def __init__(self, basis, comul, counit, gamma, check=True):
+    def __init__(self, basis, comul, counit, gamma):
         self.basis = tuple(basis)
         self.dim = d = len(self.basis)
         _require_shape("hom-coalgebra", "comul", comul, d * d, d)
@@ -86,7 +90,6 @@ class HomCoalgebraData:
         self.counit = counit
         self.gamma = gamma
         self.gamma_inv = invert(gamma)
-        _require(lambda: check_hom_coalgebra(self), check)
 
 
 def _shape_report(suite, msg):
@@ -99,7 +102,7 @@ class HomHopfAlgebraData:
     """Twisted Hopf algebra: algebra + coalgebra on the same basis with the
     same twist, plus a bijective antipode."""
 
-    def __init__(self, algebra, coalgebra, antipode, check=True):
+    def __init__(self, algebra, coalgebra, antipode):
         if algebra.dim != coalgebra.dim or algebra.basis != coalgebra.basis:
             raise InvalidStructure(_shape_report("hom-hopf", "algebra/coalgebra basis mismatch"))
         if algebra.alpha != coalgebra.gamma:
@@ -108,16 +111,13 @@ class HomHopfAlgebraData:
         self.coalgebra = coalgebra
         self.antipode = antipode
         self.antipode_inv = invert(antipode)
-        _require(lambda: CheckReport("hom-hopf").extend(check_hom_bialgebra(self))
-                                                .extend(check_antipode(self)), check)
 
     @classmethod
-    def from_maps(cls, basis, mul, unit, comul, counit, antipode, alpha, check=True):
+    def from_maps(cls, basis, mul, unit, comul, counit, antipode, alpha):
         """Build the algebra and coalgebra layers from their structure maps,
         both twisted by alpha, and the Hopf data on top of them."""
-        alg = HomAlgebraData(basis, mul, unit, alpha, check=check)
-        coa = HomCoalgebraData(basis, comul, counit, alpha, check=check)
-        return cls(alg, coa, antipode, check=check)
+        return cls(HomAlgebraData(basis, mul, unit, alpha), HomCoalgebraData(basis, comul, counit, alpha),
+                   antipode)
 
     # convenience pass-throughs used all over the higher layers
     @property
@@ -314,6 +314,12 @@ def check_antipode(h):
     check_matrix_equal(rep, "antipode-alpha-inv", "S alpha^-1 = alpha^-1 S",
                        s @ h.alpha_inv, h.alpha_inv @ s, (d,), lab)
     return rep
+
+
+def check_hom_hopf(h):
+    """The laws the Hopf layer adds to its algebra and coalgebra: the
+    bialgebra compatibilities and the antipode axioms."""
+    return CheckReport("hom-hopf").extend(check_hom_bialgebra(h)).extend(check_antipode(h))
 
 
 def check_automorphism(h, phi):

@@ -43,11 +43,13 @@ tensor_yd, braiding and braiding_inverse build the halves they need and
 hand them to their one private formula (_tensor_yd, _tensor_maps,
 _braiding, _braiding_inverse); check_t_category builds the halves of every
 module, pair tensor and conjugate ^pM once, keeps them by position for the
-call, never on the objects, and hands them to the same formulas.  Its
-twisted associativity check compares the two triple tensors as maps,
-without building either as an object, and decides each intertwining with
-the diagonal constraint through exactlin.intertwined, without building the
-scaled products.
+call, never on the objects, and hands them to the same formulas.  The
+checks have one function each, and check_braiding_inverse, check_hexagons
+and check_conjugation_invariance take every braiding they compare
+prebuilt.  The twisted associativity check compares the two triple
+tensors as maps, without building either as an object, and decides each
+intertwining with the diagonal constraint through exactlin.intertwined,
+without building the scaled products.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ def group_inv(p):
 # ---------------------------------------------------------------------------
 
 
-def tensor_yd(m, n, check=True, label=None):
+def tensor_yd(m, n, label=None):
     """M (x) N in component pair(M) * pair(N), with B from M's pair and C
     from N's:
 
@@ -92,19 +94,18 @@ def tensor_yd(m, n, check=True, label=None):
     act_M flip depends on M alone, and right and (C (x) id) comul on N
     alone (_Halves).
     """
-    return _tensor_yd(m, n, _action_half(m), _coaction_half(n), _comul_half(n), check, label)
+    return _tensor_yd(m, n, _action_half(m), _coaction_half(n), _comul_half(n), label)
 
 
-def _tensor_yd(m, n, act_flip, right, comul, check=False, label=None):
-    """tensor_yd(m, n, check, label), given M's half act_flip and N's halves
-    right and comul."""
+def _tensor_yd(m, n, act_flip, right, comul, label=None):
+    """tensor_yd(m, n, label), given M's half act_flip and N's halves right
+    and comul."""
     if m.over is not n.over and not m.over.equal_tables(n.over):
         raise ValueError("tensor factors live over different algebras")
     act, coact = _tensor_maps(m, n, act_flip, right, comul)
     basis = tuple("%s(x)%s" % (a, b) for a in m.basis for b in n.basis)
     return _with_twist_inverse(m.over, act, coact, kron(m.mu, n.mu), kron(m.mu_inv, n.mu_inv),
-                               group_mul(m.pair, n.pair), basis, check,
-                               label or "%s(x)%s" % (m.name, n.name))
+                               group_mul(m.pair, n.pair), basis, label or "%s(x)%s" % (m.name, n.name))
 
 
 def _tensor_maps(m, n, act_flip, right, comul):
@@ -144,7 +145,7 @@ def _comul_half(x):
     return kron(x.pair_a.matrix, LinearMap.identity(h.dim)) @ h.coalgebra.comul
 
 
-def conjugate_yd(p, n, check=True, label=None):
+def conjugate_yd(p, n, label=None):
     """The conjugation functor on objects: same carrier and twist, component
     moved to p * pair(N) * p^-1, and with p = (A, B), C from N's pair,
 
@@ -156,7 +157,7 @@ def conjugate_yd(p, n, check=True, label=None):
     act = n.action @ kron(phi, LinearMap.identity(dn))
     coact = kron(LinearMap.identity(dn), p.a.matrix @ p.b.inverse) @ n.coaction
     return _with_twist_inverse(n.over, act, coact, n.mu, n.mu_inv,
-                               group_mul(group_mul(p, n.pair), group_inv(p)), n.basis, check,
+                               group_mul(group_mul(p, n.pair), group_inv(p)), n.basis,
                                label or "^%s%s" % (p.name, n.name))
 
 
@@ -176,7 +177,7 @@ class BraidingMap:
     def target(self):
         """(^M N, M), built when read."""
         m, n = self.source
-        return conjugate_yd(m.pair, n, check=False), m
+        return conjugate_yd(m.pair, n), m
 
     def __repr__(self):
         m, n = self.source
@@ -302,13 +303,9 @@ def check_braiding_equivariance(b, src, tgt):
     return rep
 
 
-def check_braiding_inverse(b):
-    """Both composites with the lemma-3.6 formula are identities, exactly."""
-    return _check_braiding_inverse(b, braiding_inverse(b))
-
-
-def _check_braiding_inverse(b, inv):
-    """check_braiding_inverse, given the lemma-3.6 formula inv for b."""
+def check_braiding_inverse(b, inv):
+    """Both composites of b with inv, the lemma-3.6 formula
+    braiding_inverse(b), are identities, exactly."""
     rep = CheckReport("braiding")
     m, n = b.source
     tag = _pair_labels(m, n)
@@ -324,18 +321,13 @@ def _check_braiding_inverse(b, inv):
     return rep
 
 
-def check_hexagons(mn, np, np_conj, c_mn, c_np, c_mp):
+def check_hexagons(c_mn, c_np, c_mp, c_mn_p, c_m_npconj, c_m_np):
     """The two crossed hexagon identities for M, N, P as exact matrix
-    equalities on the flattened triple tensor, given M (x) N, N (x) P, the
-    conjugate ^NP and the braidings of the pairs.  Conjugates keep carrier
-    and twist, so ^{MN}P, ^MN and ^MP enter only as P's and N's twists."""
-    m, p = c_mn.source[0], c_np.source[1]
-    return _check_hexagons(c_mn, c_np, c_mp, braiding(mn, p), braiding(m, np_conj), braiding(m, np))
-
-
-def _check_hexagons(c_mn, c_np, c_mp, c_mn_p, c_m_npconj, c_m_np):
-    """check_hexagons, given also the braidings c_{MN,P}, c_{M,^NP} and
-    c_{M,NP}."""
+    equalities on the flattened triple tensor, given the braidings of the
+    pairs and c_{MN,P}, c_{M,^NP} and c_{M,NP}, where MN = M (x) N,
+    NP = N (x) P and ^NP is P conjugated by N's pair.  Conjugates keep
+    carrier and twist, so ^{MN}P, ^MN and ^MP enter only as P's and N's
+    twists."""
     rep = CheckReport("hexagons")
     m, n = c_mn.source
     p = c_np.source[1]
@@ -379,15 +371,10 @@ def _check_hexagons(c_mn, c_np, c_mp, c_mn_p, c_m_npconj, c_m_np):
     return rep
 
 
-def check_conjugation_invariance(p, b, pm, pn):
-    """The braiding computed on pm = ^pM and pn = ^pN, the p-conjugates of
-    b's source modules, equals b as a matrix (crossed-category axiom for
-    the conjugation functors)."""
-    return _check_conjugation_invariance(p, b, braiding(pm, pn))
-
-
-def _check_conjugation_invariance(p, b, conjugated):
-    """check_conjugation_invariance, given the braiding c_{^pM,^pN}."""
+def check_conjugation_invariance(p, b, conjugated):
+    """The braiding conjugated = c_{^pM,^pN} on the p-conjugates of b's
+    source modules equals b as a matrix (crossed-category axiom for the
+    conjugation functors)."""
     rep = CheckReport("conjugation")
     m, n = b.source
     check_matrix_equal(
@@ -448,11 +435,11 @@ def check_t_category(h, modules, pairs, seed=0):
     tensor_half = {ij: _Halves(t) for ij, t in tensor.items()}
     braid = {(i, j): _braiding(modules[i], modules[j], half[i].braid, half[j].rho) for i, j in index_pairs}
     conj = {
-        (pi, i): conjugate_yd(p, m, check=False)
+        (pi, i): conjugate_yd(p, m)
         for pi, p in enumerate(pairs) for i, m in enumerate(modules)
     }
     conj_half = {key: _Halves(c) for key, c in conj.items()}
-    twisted = {(i, j): conjugate_yd(modules[i].pair, modules[j], check=False) for i, j in index_pairs}
+    twisted = {(i, j): conjugate_yd(modules[i].pair, modules[j]) for i, j in index_pairs}
     twisted_rho = {ij: _rho_half(t) for ij, t in twisted.items()}
 
     for p in pairs:
@@ -498,7 +485,7 @@ def check_t_category(h, modules, pairs, seed=0):
         )
         target = _tensor_yd(twisted[i, j], m, _action_half(twisted[i, j]), half[i].coact, half[i].comul)
         rep.extend(check_braiding_equivariance(b, tensor[i, j], target))
-        rep.extend(_check_braiding_inverse(b, _braiding_inverse(m, n, inverse_half[i], half[j].rho)))
+        rep.extend(check_braiding_inverse(b, _braiding_inverse(m, n, inverse_half[i], half[j].rho)))
         check_matrix_equal(
             rep, "naturality-id(%s)" % _pair_labels(m, n),
             "(id (x) id) c = c (id (x) id)",
@@ -517,8 +504,8 @@ def check_t_category(h, modules, pairs, seed=0):
 
     for (pi, p), (qi, q) in itertools.product(enumerate(pairs), repeat=2):
         for i, n in enumerate(modules):
-            once = conjugate_yd(group_mul(p, q), n, check=False)
-            twice = conjugate_yd(p, conj[qi, i], check=False)
+            once = conjugate_yd(group_mul(p, q), n)
+            twice = conjugate_yd(p, conj[qi, i])
             _structures_equal(
                 rep, "functor-compose(%s,%s;%s)" % (p.name, q.name, n.name),
                 "^(p*q)N = ^p(^qN) as structure tensors", once, twice,
@@ -527,14 +514,14 @@ def check_t_category(h, modules, pairs, seed=0):
     for pi, p in enumerate(pairs):
         for i, j in index_pairs:
             m, n = modules[i], modules[j]
-            whole = conjugate_yd(p, tensor[i, j], check=False)
+            whole = conjugate_yd(p, tensor[i, j])
             split = _tensor_yd(conj[pi, i], conj[pi, j], conj_half[pi, i].act, conj_half[pi, j].coact,
                                conj_half[pi, j].comul)
             _structures_equal(
                 rep, "functor-tensor(%s;%s)" % (p.name, _pair_labels(m, n)),
                 "^p(M (x) N) = ^pM (x) ^pN as structure tensors", whole, split,
             )
-            rep.extend(_check_conjugation_invariance(
+            rep.extend(check_conjugation_invariance(
                 p, braid[i, j], _braiding(conj[pi, i], conj[pi, j], conj_half[pi, i].braid, conj_half[pi, j].rho),
             ))
 
@@ -558,7 +545,7 @@ def check_t_category(h, modules, pairs, seed=0):
             "intertwined by the twisted constraint",
             placement and module_map and comodule_map,
         )
-        rep.extend(_check_hexagons(
+        rep.extend(check_hexagons(
             braid[i, j], braid[j, k], braid[i, k], _braiding(mn, p_mod, tensor_half[i, j].braid, half[k].rho),
             _braiding(m, twisted[j, k], half[i].braid, twisted_rho[j, k]),
             _braiding(m, np, half[i].braid, tensor_half[j, k].rho),
@@ -567,8 +554,8 @@ def check_t_category(h, modules, pairs, seed=0):
     unit = trivial_yd(h)
     for n in modules:
         for side, sym, src, t in (
-            ("left", "l", "1 (x) n", tensor_yd(unit, n, check=False)),
-            ("right", "r", "n (x) 1", tensor_yd(n, unit, check=False)),
+            ("left", "l", "1 (x) n", tensor_yd(unit, n)),
+            ("right", "r", "n (x) 1", tensor_yd(n, unit)),
         ):
             check_matrix_equal(
                 rep, "unit-%s-module(%s)" % (side, n.name), "%s(h.(%s)) = h.%s(%s)" % (sym, src, sym, src),

@@ -26,6 +26,9 @@ AutPair; every builder here, in t_category, h4_library and defformat goes
 through it.  Only comodules read mu^-1, so only they invert the twist.  The
 tensor products and conjugates of t_category already know mu^-1 from their
 factors and hand it over through the trusted _with_twist_inverse instead.
+Constructors and builders check only that each map has the shape its
+carrier needs; the laws are the check_* suites below, and
+require(check_yd_module(yd)) validates a built object.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ from .exactlin import LinearMap, flip, invert, kron, permute, tensor_vec
 from .hom_algebra import (
     AutPair,
     InvalidStructure,
-    check_automorphism,
-    _require,
     _require_shape,
     _shape_report,
 )
@@ -58,14 +59,13 @@ class HomModuleData:
     """Left twisted module over a twisted Hopf algebra: the action map
     H (x) M -> M and the carrier twist mu."""
 
-    def __init__(self, over, dim, action, mu, basis=None, check=True):
+    def __init__(self, over, dim, action, mu, basis=None):
         self.over = over
         self.dim = dim
         _require_shape("hom-module", "action", action, dim, over.dim * dim)
         self.action = action
         self.mu = mu
         self.basis = _auto_basis(dim, basis)
-        _require(lambda: check_hom_module(self), check)
 
 
 class HomComoduleData:
@@ -73,13 +73,12 @@ class HomComoduleData:
     default, or M -> H (x) M, left-sided for the bicomodule-algebra
     machinery, and the carrier twist mu."""
 
-    def __init__(self, over, dim, coaction, mu, basis=None, side="right", check=True):
+    def __init__(self, over, dim, coaction, mu, basis=None, side="right"):
         self._fill(over, dim, coaction, mu, None, basis, side)
-        _require(lambda: check_hom_comodule(self), check)
 
     def _fill(self, over, dim, coaction, mu, mu_inv, basis, side):
-        """The unchecked constructor, given the inverse mu_inv of mu, or None
-        to invert mu here."""
+        """The constructor, given the inverse mu_inv of mu, or None to invert
+        mu here."""
         self.over = over
         self.dim = dim
         self.side = side
@@ -95,19 +94,18 @@ class YDModuleData:
     action and a right coaction over the Hopf algebra over, in the
     component pair (an AutPair (A, B)).  Its module and comodule parts are
     built here, sharing the maps, and mu is inverted once unless its
-    inverse is handed over (_with_twist_inverse); construction
-    verifies the module and comodule laws and both compatibility forms as
-    the one yd-module suite."""
+    inverse is handed over (_with_twist_inverse); check_yd_module is the
+    suite of its laws."""
 
-    def __init__(self, over, action, coaction, mu, pair, basis=None, check=True, label=None):
-        self._fill(over, action, coaction, mu, None, pair, basis, check, label)
+    def __init__(self, over, action, coaction, mu, pair, basis=None, label=None):
+        self._fill(over, action, coaction, mu, None, pair, basis, label)
 
-    def _fill(self, over, action, coaction, mu, mu_inv, pair, basis, check, label):
+    def _fill(self, over, action, coaction, mu, mu_inv, pair, basis, label):
         """The constructor, given the inverse mu_inv of mu, or None to invert
         mu here."""
         self.over = over
         self.dim = mu.rows
-        self.module = HomModuleData(over, self.dim, action, mu, basis=basis, check=False)
+        self.module = HomModuleData(over, self.dim, action, mu, basis=basis)
         self.comodule = object.__new__(HomComoduleData)
         self.comodule._fill(over, self.dim, coaction, mu, mu_inv, basis, "right")
         self.action = action
@@ -119,10 +117,6 @@ class YDModuleData:
         self.pair_a = pair.a
         self.pair_b = pair.b
         self.name = label or "M"
-        _require(lambda: CheckReport("yd-module").extend(check_hom_module(self.module))
-                                                 .extend(check_hom_comodule(self.comodule))
-                                                 .extend(check_yd(self))
-                                                 .extend(check_yd_alt(self)), check)
 
     def differences(self, other):
         """The structure pieces in which other differs, in the order action,
@@ -141,12 +135,12 @@ class YDModuleData:
         return not self.differences(other)
 
 
-def _with_twist_inverse(over, action, coaction, mu, mu_inv, pair, basis, check, label):
+def _with_twist_inverse(over, action, coaction, mu, mu_inv, pair, basis, label):
     """Trusted constructor: YDModuleData(over, action, coaction, mu, pair,
-    basis, check, label) for a twist mu already known to have the inverse
+    basis, label) for a twist mu already known to have the inverse
     mu_inv."""
     yd = object.__new__(YDModuleData)
-    yd._fill(over, action, coaction, mu, mu_inv, pair, basis, check, label)
+    yd._fill(over, action, coaction, mu, mu_inv, pair, basis, label)
     return yd
 
 
@@ -154,31 +148,29 @@ class EntwiningData:
     """Triple (H, C, psi) with psi : H (x) C -> H (x) C subject to the four
     twisted distributivity axioms eq-2.3 .. eq-2.6."""
 
-    def __init__(self, algebra, coalgebra, psi, check=True):
+    def __init__(self, algebra, coalgebra, psi):
         n = algebra.dim * coalgebra.dim
         if not (psi.rows == psi.cols == n):
             raise InvalidStructure(_shape_report("entwining", "psi must be %dx%d" % (n, n)))
         self.algebra = algebra
         self.coalgebra = coalgebra
         self.psi = psi
-        _require(lambda: check_entwining(self), check)
 
 
 class BicomoduleAlgebraData:
     """Twisted algebra with compatible left and right coactions of the same
     Hopf algebra."""
 
-    def __init__(self, over, carrier, left_coaction, right_coaction, check=True):
+    def __init__(self, over, carrier, left_coaction, right_coaction):
         dn = carrier.dim
         _require_shape("bicomodule-algebra", "left coaction", left_coaction, over.dim * dn, dn)
         _require_shape("bicomodule-algebra", "right coaction", right_coaction, over.dim * dn, dn)
         self.over = over
         self.carrier = carrier
         self.left = HomComoduleData(over, dn, left_coaction, carrier.alpha,
-                                    basis=carrier.basis, side="left", check=False)
+                                    basis=carrier.basis, side="left")
         self.right = HomComoduleData(over, dn, right_coaction, carrier.alpha,
-                                     basis=carrier.basis, side="right", check=False)
-        _require(lambda: check_bicomodule_algebra(self), check)
+                                     basis=carrier.basis, side="right")
 
 
 # ---------------------------------------------------------------------------
@@ -357,18 +349,18 @@ def check_yd_alt(yd):
     return rep
 
 
-def _require_automorphisms(h, auts, check):
-    if check:
-        for aut in auts:
-            rep = check_automorphism(h, aut)
-            if not rep.ok():
-                raise InvalidStructure(rep)
+def check_yd_module(yd):
+    """Every law of one Yetter-Drinfeld object: the module and comodule
+    laws and both compatibility forms."""
+    return (CheckReport("yd-module").extend(check_hom_module(yd.module)).extend(check_hom_comodule(yd.comodule))
+            .extend(check_yd(yd)).extend(check_yd_alt(yd)))
 
 
-def build_canonical_yd(h, a_aut, b_aut, check=True, label=None):
+def build_canonical_yd(h, a_aut, b_aut, label=None):
     """The regular-carrier member of component (A, B): carrier H, coaction
-    the comultiplication, action h.y = (B(h2) alpha^-1(y)) A(S^-1(alpha(h1)))."""
-    _require_automorphisms(h, (a_aut, b_aut), check)
+    the comultiplication, action h.y = (B(h2) alpha^-1(y)) A(S^-1(alpha(h1)));
+    a Yetter-Drinfeld object when A and B are structure automorphisms
+    (check_automorphism)."""
     d = h.dim
     mul = h.algebra.mul
     tail = a_aut.matrix @ h.antipode_inv @ h.alpha
@@ -378,7 +370,7 @@ def build_canonical_yd(h, a_aut, b_aut, check=True, label=None):
         @ kron(h.coalgebra.comul, LinearMap.identity(d))
     )
     return YDModuleData(h, act, h.coalgebra.comul, h.alpha, AutPair(a_aut, b_aut),
-                        basis=h.basis, check=check, label=label or "H(A,B)")
+                        basis=h.basis, label=label or "H(A,B)")
 
 
 def trivial_yd(h, label="k"):
@@ -393,12 +385,11 @@ def trivial_yd(h, label="k"):
 # ---------------------------------------------------------------------------
 
 
-def build_entwining(h, a_aut, b_aut, check=True):
+def build_entwining(h, a_aut, b_aut):
     """The entwining map induced by an automorphism pair:
 
         psi(a (x) c) = alpha^2(a21) (x) (B(a22) alpha^-2(c)) A(S^-1(a1)).
     """
-    _require_automorphisms(h, (a_aut, b_aut), check)
     d = h.dim
     mul, comul = h.algebra.mul, h.coalgebra.comul
     ident = LinearMap.identity(d)
@@ -408,7 +399,7 @@ def build_entwining(h, a_aut, b_aut, check=True):
         kron(h.alpha @ h.alpha, tail) @ permute((d, d, d, d), (1, 2, 3, 0))
         @ kron(kron(ident, comul) @ comul, ident)
     )
-    return EntwiningData(h.algebra, h.coalgebra, psi, check=check)
+    return EntwiningData(h.algebra, h.coalgebra, psi)
 
 
 def check_entwining(e):
@@ -476,12 +467,11 @@ def check_entwined_module(m, e):
 # ---------------------------------------------------------------------------
 
 
-def build_bicomodule_algebra(h, a_aut, b_aut, check=True):
+def build_bicomodule_algebra(h, a_aut, b_aut):
     """Coactions h -> A(h1) (x) h2 and h -> h1 (x) B(h2) on the carrier H."""
-    _require_automorphisms(h, (a_aut, b_aut), check)
     comul, ident = h.coalgebra.comul, LinearMap.identity(h.dim)
     return BicomoduleAlgebraData(
-        h, h.algebra, kron(a_aut.matrix, ident) @ comul, kron(ident, b_aut.matrix) @ comul, check=check,
+        h, h.algebra, kron(a_aut.matrix, ident) @ comul, kron(ident, b_aut.matrix) @ comul,
     )
 
 

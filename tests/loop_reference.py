@@ -30,7 +30,7 @@ def coact_terms(comodule, k):
     return [(t // inner, t % inner, w) for t, w in enumerate(comodule.coaction.column(k)) if w]
 
 
-def tensor_yd(m, n, check=True, label=None):
+def tensor_yd(m, n, label=None):
     """M (x) N with action h.(x (x) y) = C(h1).x (x) C^-1 B C(h2).y and
     coaction (x0 (x) y0) (x) y1 x1, placed in component pair(M) * pair(N)."""
     if m.over is not n.over and not m.over.equal_tables(n.over):
@@ -75,10 +75,10 @@ def tensor_yd(m, n, check=True, label=None):
 
     basis = tuple("%s(x)%s" % (a, b) for a in m.basis for b in n.basis)
     return YDModuleData(h, action, coaction, kron(m.mu, n.mu), group_mul(m.pair, n.pair),
-                        basis=basis, check=check, label=label or "%s(x)%s" % (m.name, n.name))
+                        basis=basis, label=label or "%s(x)%s" % (m.name, n.name))
 
 
-def conjugate_yd(p, n, check=True, label=None):
+def conjugate_yd(p, n, label=None):
     """The conjugation functor on objects: same carrier, action routed
     through C^-1 B C A^-1, coaction leg twisted by A B^-1, component moved
     to p * pair(N) * p^-1."""
@@ -110,7 +110,7 @@ def conjugate_yd(p, n, check=True, label=None):
 
     pair = group_mul(group_mul(p, n.pair), group_inv(p))
     return YDModuleData(h, action, coaction, n.mu, pair,
-                        basis=n.basis, check=check, label=label or "^%s%s" % (p.name, n.name))
+                        basis=n.basis, label=label or "^%s%s" % (p.name, n.name))
 
 
 def braiding(m, n):
@@ -130,7 +130,7 @@ def braiding(m, n):
                 mv = act_vv(m_action, binv.column(a), mi)
                 add_scaled(out, tensor_vec(nv, mv), w)
             cols.append(out)
-    target_first = conjugate_yd(m.pair, n, check=False)
+    target_first = conjugate_yd(m.pair, n)
     return SimpleNamespace(source=(m, n), target=(target_first, m), matrix=LinearMap.from_cols(cols))
 
 

@@ -93,17 +93,17 @@ def test_criterion_3_yd_membership_grid():
         for cp, cpp in itertools.product(cps, cpps):
             p = H4Params(c, cp, cpp)
             for which in ("H4A", "H4B", "H4AB"):
-                yd = build_h4_yd_table(which, p, h=h, check=False)
+                yd = build_h4_yd_table(which, p, h=h)
                 ok1 = check_yd(yd).ok()
                 ok2 = check_yd_alt(yd).ok()
                 assert ok1 and ok2, (which, c, cp, cpp)
                 tested += 1
             # both compatibility forms must also agree on failing instances
             # (wrong component tag, axioms intact)
-            base = build_h4_yd_table("H4A", p, h=h, check=False)
+            base = build_h4_yd_table("H4A", p, h=h)
             wrong = YDModuleData(
                 h, base.action, base.coaction, base.mu,
-                AutPair(h4_automorphism(cpp), h4_automorphism(cp)), basis=base.basis, check=False,
+                AutPair(h4_automorphism(cpp), h4_automorphism(cp)), basis=base.basis,
             )
             v1, v2 = check_yd(wrong).ok(), check_yd_alt(wrong).ok()
             assert v1 == v2, ("equivalence", c, cp, cpp, v1, v2)
@@ -119,15 +119,15 @@ def test_criterion_4_entwining_route():
     for c, l1, l2 in sampled:
         h = build_h4(c)
         a, b = h4_automorphism(l1), h4_automorphism(l2)
-        e = build_entwining(h, a, b, check=False)
+        e = build_entwining(h, a, b)
         assert check_entwining(e).ok(), (c, l1, l2)
         # the entwined-module condition agrees with the compatibility
         # verdict on every carrier, for matched and mismatched tags alike
         p = H4Params(c, l1, l2)
         for which in ("H4A", "H4B", "H4AB"):
-            yd = build_h4_yd_table(which, p, h=h, check=False)
+            yd = build_h4_yd_table(which, p, h=h)
             tagged = YDModuleData(h, yd.action, yd.coaction, yd.mu, AutPair(a, b),
-                                  basis=yd.basis, check=False)
+                                  basis=yd.basis)
             assert check_entwined_module(yd, e).ok() == check_yd(tagged).ok(), (which, c, l1, l2)
     print("PASS criterion-4: induced entwinings satisfy all four axioms and classify exactly"
           " the compatible modules")
@@ -138,13 +138,13 @@ def test_criterion_5_bicomodule_route():
     for c, l1, l2 in sampled:
         h = build_h4(c)
         a, b = h4_automorphism(l1), h4_automorphism(l2)
-        n = build_bicomodule_algebra(h, a, b, check=False)
+        n = build_bicomodule_algebra(h, a, b)
         assert check_bicomodule_algebra(n).ok(), (c, l1, l2)
         p = H4Params(c, l1, l2)
         for which in ("H4A", "H4B", "H4AB"):
-            yd = build_h4_yd_table(which, p, h=h, check=False)
+            yd = build_h4_yd_table(which, p, h=h)
             tagged = YDModuleData(h, yd.action, yd.coaction, yd.mu, AutPair(a, b),
-                                  basis=yd.basis, check=False)
+                                  basis=yd.basis)
             assert check_yd_datum(yd, n).ok() == check_yd(tagged).ok(), (which, c, l1, l2)
     print("PASS criterion-5: bicomodule algebras satisfy their axioms and the datum"
           " compatibility coincides with the module-comodule one")
@@ -184,7 +184,7 @@ def test_criterion_7_braiding_matrix_reproduction():
     tuples = [tuple(rng_values[i : i + 3]) for i in range(0, 30, 3)]
     for c, cp, cpp in tuples:
         p = H4Params(c, cp, cpp)
-        mat = h4_braiding_matrix(p, check=False)
+        mat = h4_braiding_matrix(p)
         table = mat.transpose()  # row-per-source layout of the printed table
         for i in range(1, 17):
             for j in range(1, 17):
@@ -200,8 +200,8 @@ def test_criterion_7_braiding_matrix_reproduction():
         # exact invertibility, inverse from the antipode formula
         h = build_h4(c)
         b = braiding(
-            build_h4_yd_table("H4A", p, h=h, check=False),
-            build_h4_yd_table("H4B", p, h=h, check=False),
+            build_h4_yd_table("H4A", p, h=h),
+            build_h4_yd_table("H4B", p, h=h),
         )
         inv = braiding_inverse(b)
         assert (b.matrix @ inv).is_identity()

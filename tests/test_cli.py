@@ -191,6 +191,9 @@ MODULE_AND_COMODULE = ONE_DIM_HOPF + (
     "\n[module M over K]\nbasis: m\nact: 1 m -> 5 * m\n"
     "\n[comodule C over K]\nbasis: m\ncoact: m -> 3 * m@1\n"
 )
+#: the shipped file with eps(g) = 2, which breaks the counit laws of its
+#: Hopf section and so the trivial module k that tcat adds over it
+BROKEN_HOPF = ("counit: g -> 1\n", "counit: g -> 2\n")
 #: a ydmodule over H4 whose pair names an autpair over K
 FOREIGN_PAIR = "\n" + ONE_DIM_HOPF + (
     "\n[autpair Q over K]\n"
@@ -206,11 +209,15 @@ def exit_case_files(tmp_path):
         "missing": tmp_path / "missing.alg",
         "directory": tmp_path / "dir.alg",
         "not-utf8": tmp_path / "latin1.alg",
+        "broken-hopf": tmp_path / "broken-hopf.alg",
     }
     files["module-comodule"].write_text(MODULE_AND_COMODULE, encoding="utf-8")
     files["foreign-pair"].write_text(Path(H4_ALG).read_text(encoding="utf-8") + FOREIGN_PAIR, encoding="utf-8")
     files["directory"].mkdir()
     files["not-utf8"].write_bytes(b"[params]\nc = 1 # caf\xe9\n")
+    shipped = Path(H4_ALG).read_text(encoding="utf-8")
+    assert shipped.count(BROKEN_HOPF[0]) == 1
+    files["broken-hopf"].write_text(shipped.replace(*BROKEN_HOPF), encoding="utf-8")
     return files
 
 
@@ -228,6 +235,11 @@ EXIT_CASES = [
     ("directory", ("braid", "-m", "H4A", "-n", "H4B"), 2),
     ("not-utf8", ("check",), 2),
     ("not-utf8", ("braid", "-m", "H4A", "-n", "H4B"), 2),
+    ("broken-hopf", ("check", "--suite", "tcat"), 1),
+    ("broken-hopf", ("check", "--suite", "all"), 1),
+    ("broken-hopf", ("check", "--suite", "hopf"), 1),
+    ("broken-hopf", ("check", "--suite", "yd"), 1),
+    ("broken-hopf", ("braid", "-m", "H4A", "-n", "H4B"), 0),
 ]
 
 
@@ -238,10 +250,19 @@ def test_exit_code_contract_on_malformed_inputs(tmp_path, capsys, name, argv, co
     path = str(exit_case_files(tmp_path)[name])
     got, out, err = run(capsys, argv[0], path, *argv[1:])
     assert got == code
-    assert "Traceback" not in err
+    assert "Traceback" not in out + err
     if code == 2:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_broken_hopf_data_fails_the_trivial_module_and_thm_37(tmp_path, capsys):
+    # k, the trivial module tcat adds, acts through the broken counit
+    path = str(exit_case_files(tmp_path)["broken-hopf"])
+    code, out, err = run(capsys, "check", path, "--suite", "tcat", "--report", "json")
+    assert (code, err) == (1, "")
+    failing = {item["id"] for item in json.loads(out)["items"] if item["status"] == "fail"}
+    assert {"H4:yd-member(k)", "H4:thm-3.7"} <= failing
 
 
 def test_module_and_comodule_sections_are_checked_with_witnesses(tmp_path, capsys):

@@ -24,7 +24,7 @@ from homyd.h4_library import (
     h4_braiding_matrix,
 )
 from homyd.t_category import AutPair, braiding_inverse, braiding, conjugate_yd, sample_nonzero_rationals
-from homyd.yd_modules import build_canonical_yd, check_yd, check_yd_alt
+from homyd.yd_modules import build_canonical_yd, check_yd_module
 
 
 GRID_C = [rat(1), rat(2), rat(3), rat(-1), rat(1, 2), rat(-2, 3)]
@@ -84,9 +84,8 @@ def test_golden_tables_pass_both_forms_on_grid():
         for cp, cpp in itertools.product(vals, vals):
             p = H4Params(c, cp, cpp)
             for which in ("H4A", "H4B", "H4AB"):
-                yd = build_h4_yd_table(which, p, h=h, check=False)
-                assert check_yd(yd).ok()
-                assert check_yd_alt(yd).ok()
+                # module and comodule laws, eq-2.1 and eq-2.2
+                assert check_yd_module(build_h4_yd_table(which, p, h=h)).ok()
 
 
 def test_golden_table_spot_entries():
@@ -125,8 +124,8 @@ def test_golden_equals_canonical_everywhere_on_grid():
             p = H4Params(c, cp, cpp)
             a, b = h4_automorphism(cp), h4_automorphism(cpp)
             for which, pair in (("H4A", (a, ident)), ("H4B", (ident, b)), ("H4AB", (a, b))):
-                golden = build_h4_yd_table(which, p, h=h, check=False)
-                constructed = build_canonical_yd(h, pair[0], pair[1], check=False)
+                golden = build_h4_yd_table(which, p, h=h)
+                constructed = build_canonical_yd(h, pair[0], pair[1])
                 assert golden.same_structure(constructed), (which, c, cp, cpp)
 
 
@@ -165,6 +164,7 @@ def test_twisted_table_values():
     # x acts through the conjugated scale 1/c'
     p = H4Params(1, 2, 3)
     tw = build_twisted_h4b(p)
+    assert check_yd_module(tw).ok()
     assert tw.action.column(2 * 4 + 0) == (rat(0), rat(0), rat(0), rat(-1))        # c(1-c'')/c' = -1
     assert tw.action.column(3 * 4 + 1) == (rat(0), rat(0), rat(-2), rat(0))        # -c(1+c'')/c' = -2
     # coaction second legs of the nilpotents scaled by c'
@@ -177,11 +177,10 @@ def test_twisted_table_equals_conjugation_for_sampled_tuples():
     for i in range(0, 30, 3):
         p = H4Params(lams[i], lams[i + 1], lams[i + 2])
         h = build_h4(p.c)
-        tw = build_twisted_h4b(p, h=h, check=False)
+        tw = build_twisted_h4b(p, h=h)
         conj = conjugate_yd(
             AutPair(h4_automorphism(p.c_prime), identity_automorphism(4)),
-            build_h4_yd_table("H4B", p, h=h, check=False),
-            check=False,
+            build_h4_yd_table("H4B", p, h=h),
         )
         assert tw.same_structure(conj)
 

@@ -14,21 +14,24 @@ from homyd.hom_algebra import (
     check_hom_algebra,
     check_hom_bialgebra,
     check_hom_coalgebra,
+    check_hom_hopf,
     convolution,
     identity_automorphism,
+    require,
 )
+from homyd.reports import CheckReport
 from homyd.h4_library import BASIS, build_h4, h4_automorphism
 
 
 def broken_h4(**overrides):
-    """Rebuild the dim-4 family with selected tables replaced, unchecked."""
+    """Rebuild the dim-4 family with selected tables replaced."""
     h = build_h4(overrides.pop("c", 2))
     parts = dict(
         mul=h.algebra.mul, unit=h.algebra.unit, comul=h.coalgebra.comul, counit=h.coalgebra.counit,
         antipode=h.antipode, alpha=h.alpha,
     )
     parts.update(overrides)
-    return HomHopfAlgebraData.from_maps(BASIS, check=False, **parts)
+    return HomHopfAlgebraData.from_maps(BASIS, **parts)
 
 
 @pytest.mark.parametrize("c", [1, 5, Fraction(-1, 2)])
@@ -45,7 +48,7 @@ def test_untwisted_unit_fails_eq_12():
             mul[(0, k, t)] = rat(1) if t == k else rat(0)
             mul[(k, 0, t)] = rat(1) if t == k else rat(0)
     bad = HomAlgebraData(
-        BASIS, table_map((4, 4, 4), mul, 1), h.algebra.unit, h.alpha, check=False,
+        BASIS, table_map((4, 4, 4), mul, 1), h.algebra.unit, h.alpha,
     )
     rep = check_hom_algebra(bad)
     assert not rep.ok()
@@ -71,7 +74,7 @@ def test_comultiplication_without_twist_factor_fails():
         },
         out_legs=2,
     )
-    bad = HomCoalgebraData(BASIS, comul, h.coalgebra.counit, h.alpha, check=False)
+    bad = HomCoalgebraData(BASIS, comul, h.coalgebra.counit, h.alpha)
     rep = check_hom_coalgebra(bad)
     assert not rep.ok()
     failing = {item.identity for item in rep.failures()}
@@ -131,13 +134,23 @@ def test_antipode_commutes_with_twist_both_ways():
 
 
 def test_constructor_rejects_invalid_tables():
+    # the constructor builds; require on the Hopf suite is what rejects
     flipped = LinearMap.from_cols([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
-    with pytest.raises(InvalidStructure):
-        broken_h4(antipode=flipped).__class__.from_maps(
-            BASIS,
-            broken_h4().algebra.mul, broken_h4().algebra.unit, broken_h4().coalgebra.comul,
-            broken_h4().coalgebra.counit, flipped, broken_h4().alpha,
-        )
+    with pytest.raises(InvalidStructure) as exc:
+        require(check_hom_hopf(broken_h4(antipode=flipped)))
+    assert str(exc.value) == "hom-hopf fails: antipode-left, antipode-right, antipode-anti-mult"
+
+
+def test_require_passes_an_ok_report_and_names_the_failures_of_another():
+    assert require(check_hom_hopf(build_h4(2))) is None
+    rep = CheckReport("some-suite")
+    rep.add("first", "a law that holds", True)
+    rep.add("second", "a law that fails", False)
+    rep.add("third", "another law that fails", False)
+    with pytest.raises(InvalidStructure) as exc:
+        require(rep)
+    assert exc.value.report is rep
+    assert str(exc.value) == "some-suite fails: second, third"
 
 
 def test_automorphism_diagonal_family():

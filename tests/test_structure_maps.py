@@ -16,7 +16,9 @@ from homyd.hom_algebra import (
     HomCoalgebraData,
     HomHopfAlgebraData,
     InvalidStructure,
+    check_hom_hopf,
     identity_automorphism,
+    require,
 )
 from homyd.yd_modules import (
     BicomoduleAlgebraData,
@@ -25,6 +27,7 @@ from homyd.yd_modules import (
     YDModuleData,
     build_bicomodule_algebra,
     build_canonical_yd,
+    check_yd_module,
     trivial_yd,
 )
 
@@ -111,9 +114,10 @@ def test_yd_module_failure_names_the_yd_module_suite():
     # laws hold, only the compatibility forms fail
     h = build_h4(2)
     ident = identity_automorphism(4)
-    y = build_canonical_yd(h, h4_automorphism(3), ident, check=False)
+    y = build_canonical_yd(h, h4_automorphism(3), ident)
+    retagged = YDModuleData(h, y.action, y.coaction, y.mu, AutPair(ident, ident), basis=y.basis)
     with pytest.raises(InvalidStructure) as exc:
-        YDModuleData(h, y.action, y.coaction, y.mu, AutPair(ident, ident), basis=y.basis)
+        require(check_yd_module(retagged))
     assert exc.value.report.suite == "yd-module"
     assert str(exc.value) == "yd-module fails: eq-2.1, eq-2.2"
 
@@ -122,7 +126,7 @@ def test_hopf_failure_names_the_hom_hopf_suite():
     h = build_h4(2)
     flipped = LinearMap.from_cols([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
     with pytest.raises(InvalidStructure) as exc:
-        HomHopfAlgebraData(h.algebra, h.coalgebra, flipped)
+        require(check_hom_hopf(HomHopfAlgebraData(h.algebra, h.coalgebra, flipped)))
     assert exc.value.report.suite == "hom-hopf"
     assert str(exc.value) == "hom-hopf fails: antipode-left, antipode-right"
 

@@ -28,7 +28,7 @@ from homyd.t_category import (
     sample_nonzero_rationals,
     tensor_yd,
 )
-from homyd.yd_modules import YDModuleData, check_yd, trivial_yd
+from homyd.yd_modules import YDModuleData, check_yd, check_yd_module, trivial_yd
 
 
 def pair_of(lam1, lam2, label=None):
@@ -124,14 +124,14 @@ def test_tensor_lands_in_product_component():
     t = tensor_yd(mods["H4A"], mods["H4B"])
     assert t.pair_a.matrix == h4_automorphism(3).matrix
     assert t.pair_b.matrix == h4_automorphism(5).matrix
-    assert check_yd(t).ok()
+    assert check_yd_module(t).ok()
 
 
 def test_tensor_carriers_associate_strictly_at_identity_twist():
     _, _, mods = setup_modules(c=1)
     m, n, p = mods["H4A"], mods["H4B"], mods["H4AB"]
-    left = tensor_yd(tensor_yd(m, n, check=False), p, check=False)
-    right = tensor_yd(m, tensor_yd(n, p, check=False), check=False)
+    left = tensor_yd(tensor_yd(m, n), p)
+    right = tensor_yd(m, tensor_yd(n, p))
     assert left.same_structure(right)
 
 
@@ -141,8 +141,8 @@ def test_tensor_orders_intertwined_by_constraint_at_general_twist():
     # isomorphism between them, landing in the same component
     h, _, mods = setup_modules(c=2)
     m, n, p = mods["H4A"], mods["H4B"], mods["H4AB"]
-    left = tensor_yd(tensor_yd(m, n, check=False), p, check=False)
-    right = tensor_yd(m, tensor_yd(n, p, check=False), check=False)
+    left = tensor_yd(tensor_yd(m, n), p)
+    right = tensor_yd(m, tensor_yd(n, p))
     assert not left.same_structure(right)
     assert left.pair_a.matrix == right.pair_a.matrix
     assert left.pair_b.matrix == right.pair_b.matrix
@@ -171,15 +171,15 @@ def test_conjugation_matches_golden_twisted_table():
     n = build_h4_yd_table("H4B", p, h=h)
     conj = conjugate_yd(AutPair(h4_automorphism(2), identity_automorphism(4)), n)
     assert build_twisted_h4b(p, h=h).same_structure(conj)
-    assert check_yd(conj).ok()
+    assert check_yd_module(conj).ok()
 
 
 def test_conjugation_is_functorial_in_the_group():
     _, _, mods = setup_modules(c=2)
     n = mods["H4AB"]
     p, q = pair_of(2, 3), pair_of(rat(1, 2), 5)
-    once = conjugate_yd(group_mul(p, q), n, check=False)
-    twice = conjugate_yd(p, conjugate_yd(q, n, check=False), check=False)
+    once = conjugate_yd(group_mul(p, q), n)
+    twice = conjugate_yd(p, conjugate_yd(q, n))
     assert once.same_structure(twice)
 
 
@@ -187,8 +187,8 @@ def test_conjugation_distributes_over_tensor():
     _, _, mods = setup_modules(c=2)
     m, n = mods["H4A"], mods["H4B"]
     p = pair_of(3, 7)
-    whole = conjugate_yd(p, tensor_yd(m, n, check=False), check=False)
-    split = tensor_yd(conjugate_yd(p, m, check=False), conjugate_yd(p, n, check=False), check=False)
+    whole = conjugate_yd(p, tensor_yd(m, n))
+    split = tensor_yd(conjugate_yd(p, m), conjugate_yd(p, n))
     assert whole.same_structure(split)
 
 
@@ -256,13 +256,13 @@ def test_braiding_inverse_for_sampled_parameters():
     for c, cp, cpp in [(2, 2, 2), (3, rat(1, 3), 5), (rat(-1, 2), 4, rat(1, 5))]:
         _, _, mods = setup_modules(c, cp, cpp)
         b = braiding(mods["H4A"], mods["H4AB"])
-        assert check_braiding_inverse(b).ok()
+        assert check_braiding_inverse(b, braiding_inverse(b)).ok()
 
 
 def test_braiding_equivariance():
     _, _, mods = setup_modules(c=1, cp=2, cpp=3)
     b = braiding(mods["H4A"], mods["H4B"])
-    tgt = tensor_yd(*b.target, check=False)
+    tgt = tensor_yd(*b.target)
     assert check_braiding_equivariance(b, tensor_yd(mods["H4A"], mods["H4B"]), tgt).ok()
 
 
@@ -270,7 +270,7 @@ def test_braiding_equivariance_trivial():
     h = build_h4(3)
     k = trivial_yd(h)
     b = braiding(k, k)
-    assert check_braiding_equivariance(b, tensor_yd(k, k), tensor_yd(*b.target, check=False)).ok()
+    assert check_braiding_equivariance(b, tensor_yd(k, k), tensor_yd(*b.target)).ok()
 
 
 def test_corrupted_braiding_fails_equivariance_with_witness():
@@ -279,7 +279,7 @@ def test_corrupted_braiding_fails_equivariance_with_witness():
     entries = list(b.matrix.entries)
     entries[5 * 16 + 5] += ONE
     bad = BraidingMap(b.source, LinearMap(16, 16, entries))
-    tgt = tensor_yd(*bad.target, check=False)
+    tgt = tensor_yd(*bad.target)
     rep = check_braiding_equivariance(bad, tensor_yd(mods["H4A"], mods["H4B"]), tgt)
     assert not rep.ok()
     assert any(item.witness is not None for item in rep.failures())
@@ -330,7 +330,7 @@ def test_hexagons_trivial_modules():
     h = build_h4(2)
     k = trivial_yd(h)
     kk, c = tensor_yd(k, k), braiding(k, k)
-    assert check_hexagons(kk, kk, conjugate_yd(k.pair, k, check=False), c, c, c).ok()
+    assert check_hexagons(c, c, c, braiding(kk, k), braiding(k, conjugate_yd(k.pair, k)), braiding(k, kk)).ok()
 
 
 @pytest.mark.parametrize("c,cp,cpp", [(1, 2, 3), (1, rat(1, 2), 5)])
@@ -338,8 +338,8 @@ def test_hexagons_on_module_triples(c, cp, cpp):
     _, _, mods = setup_modules(c, cp, cpp)
     m, n, p = mods["H4A"], mods["H4B"], mods["H4AB"]
     assert check_hexagons(
-        tensor_yd(m, n), tensor_yd(n, p), conjugate_yd(n.pair, p, check=False),
         braiding(m, n), braiding(n, p), braiding(m, p),
+        braiding(tensor_yd(m, n), p), braiding(m, conjugate_yd(n.pair, p)), braiding(m, tensor_yd(n, p)),
     ).ok()
 
 
@@ -348,8 +348,8 @@ def test_untwisted_associator_breaks_hexagon_when_twist_is_nontrivial():
     # twisted constraint must change the matrix whenever alpha != id
     h, _, mods = setup_modules(c=2)
     m, n, p = mods["H4A"], mods["H4B"], mods["H4AB"]
-    mn = tensor_yd(m, n, check=False)
-    mnp_conj = conjugate_yd(mn.pair, p, check=False)
+    mn = tensor_yd(m, n)
+    mnp_conj = conjugate_yd(mn.pair, p)
     idn = LinearMap.identity(4)
     proper = (
         kron(mnp_conj.mu_inv, kron(LinearMap.identity(4), n.mu))
@@ -364,16 +364,16 @@ def test_conjugation_invariance_identity_pair():
     _, _, mods = setup_modules()
     p = AutPair.identity(4)
     m, n = mods["H4A"], mods["H4B"]
-    pm, pn = conjugate_yd(p, m, check=False), conjugate_yd(p, n, check=False)
-    assert check_conjugation_invariance(p, braiding(m, n), pm, pn).ok()
+    pm, pn = conjugate_yd(p, m), conjugate_yd(p, n)
+    assert check_conjugation_invariance(p, braiding(m, n), braiding(pm, pn)).ok()
 
 
 def test_conjugation_invariance_concrete_pair():
     _, _, mods = setup_modules(c=1, cp=2, cpp=3)
     p = pair_of(2, 3)
     m, n = mods["H4A"], mods["H4B"]
-    pm, pn = conjugate_yd(p, m, check=False), conjugate_yd(p, n, check=False)
-    assert check_conjugation_invariance(p, braiding(m, n), pm, pn).ok()
+    pm, pn = conjugate_yd(p, m), conjugate_yd(p, n)
+    assert check_conjugation_invariance(p, braiding(m, n), braiding(pm, pn)).ok()
 
 
 def test_conjugation_invariance_random_pairs():
@@ -382,8 +382,8 @@ def test_conjugation_invariance_random_pairs():
     for i in range(0, 20, 2):
         p = pair_of(lams[i], lams[i + 1])
         m, n = mods["H4AB"], mods["H4A"]
-        pm, pn = conjugate_yd(p, m, check=False), conjugate_yd(p, n, check=False)
-        assert check_conjugation_invariance(p, braiding(m, n), pm, pn).ok()
+        pm, pn = conjugate_yd(p, m), conjugate_yd(p, n)
+        assert check_conjugation_invariance(p, braiding(m, n), braiding(pm, pn)).ok()
 
 
 def test_classical_limit_braiding_is_untwisted_double_crossing():
@@ -417,7 +417,7 @@ def test_aggregate_suite_isolates_a_corrupted_module():
     h, _, mods = setup_modules(c=1, cp=2, cpp=3)
     good = mods["H4A"]
     bad = YDModuleData(h, good.action, good.coaction, good.mu, AutPair(good.pair_b, good.pair_a),
-                       basis=good.basis, check=False, label="BAD")
+                       basis=good.basis, label="BAD")
     rep = check_t_category(h, [good, bad], [pair_of(2, 3)], seed=0)
     assert not rep.ok()
     failing = {item.identity for item in rep.failures()}
@@ -462,18 +462,18 @@ def assert_same_object(got, want):
 def test_tensor_yd_matches_loop_reference(file_objects):
     modules, _ = file_objects
     for m, n in itertools.product(modules, repeat=2):
-        assert_same_object(tensor_yd(m, n, check=False), loop.tensor_yd(m, n, check=False))
+        assert_same_object(tensor_yd(m, n), loop.tensor_yd(m, n))
     for m, n, p in itertools.product(modules, repeat=3):
-        for first, second in ((tensor_yd(m, n, check=False), p), (m, tensor_yd(n, p, check=False))):
+        for first, second in ((tensor_yd(m, n), p), (m, tensor_yd(n, p))):
             assert_same_object(
-                tensor_yd(first, second, check=False), loop.tensor_yd(first, second, check=False)
+                tensor_yd(first, second), loop.tensor_yd(first, second)
             )
 
 
 def test_conjugate_yd_matches_loop_reference(file_objects):
     modules, pairs = file_objects
     for p, n in itertools.product(pairs, modules):
-        assert_same_object(conjugate_yd(p, n, check=False), loop.conjugate_yd(p, n, check=False))
+        assert_same_object(conjugate_yd(p, n), loop.conjugate_yd(p, n))
 
 
 def test_braiding_and_inverse_match_loop_reference(file_objects):
@@ -508,7 +508,7 @@ def random_structure(h, rng, dim, label):
     action = table((d, dim, dim), 1)
     coaction = table((dim, dim, d), 2)
     pair = AutPair(HopfAutomorphism(triangular(d)), HopfAutomorphism(triangular(d)))
-    return YDModuleData(h, action, coaction, mu, pair, check=False, label=label)
+    return YDModuleData(h, action, coaction, mu, pair, label=label)
 
 
 def test_builders_match_loop_reference_on_arbitrary_tables():
@@ -517,12 +517,12 @@ def test_builders_match_loop_reference_on_arbitrary_tables():
     mods = [random_structure(h, rng, dim, "R%d" % dim) for dim in (1, 2, 3)]
     p = AutPair(HopfAutomorphism(mods[1].pair_b.matrix), HopfAutomorphism(mods[2].pair_a.matrix))
     for m, n in itertools.product(mods, repeat=2):
-        assert_same_object(tensor_yd(m, n, check=False), loop.tensor_yd(m, n, check=False))
+        assert_same_object(tensor_yd(m, n), loop.tensor_yd(m, n))
         b, want = braiding(m, n), loop.braiding(m, n)
         assert b.matrix == want.matrix
         assert braiding_inverse(b) == loop.braiding_inverse(want)
     for n in mods:
-        assert_same_object(conjugate_yd(p, n, check=False), loop.conjugate_yd(p, n, check=False))
+        assert_same_object(conjugate_yd(p, n), loop.conjugate_yd(p, n))
 
 
 def kron_twist_formulas(m, n):
@@ -551,8 +551,8 @@ def twisted_point_objects():
     _, h = resolved.get("H4")
     _, pair = resolved.get("P")
     modules = [yd for _, yd in resolved.of_kind("ydmodule")] + [trivial_yd(h)]
-    return (modules + [tensor_yd(m, n, check=False) for m, n in itertools.product(modules[:2], repeat=2)]
-            + [conjugate_yd(pair, m, check=False) for m in modules])
+    return (modules + [tensor_yd(m, n) for m, n in itertools.product(modules[:2], repeat=2)]
+            + [conjugate_yd(pair, m) for m in modules])
 
 
 def triangular_objects():
@@ -561,7 +561,7 @@ def triangular_objects():
     rng = random.Random(2015)
     h = build_h4(rat(-3, 2))
     mods = [random_structure(h, rng, dim, "R%d" % dim) for dim in (1, 2, 3)]
-    return mods + [tensor_yd(m, n, check=False) for m, n in itertools.product(mods[1:], repeat=2)]
+    return mods + [tensor_yd(m, n) for m, n in itertools.product(mods[1:], repeat=2)]
 
 
 @pytest.mark.parametrize("objects", [twisted_point_objects, triangular_objects], ids=["c=-3/2", "triangular"])
@@ -572,7 +572,7 @@ def test_twists_on_the_halves_equal_the_kron_formulas(objects):
             continue
         action, braid, inverse = kron_twist_formulas(m, n)
         b = braiding(m, n)
-        assert tensor_yd(m, n, check=False).action == action
+        assert tensor_yd(m, n).action == action
         assert b.matrix == braid
         assert braiding_inverse(b) == inverse
 
@@ -647,7 +647,7 @@ def test_tcat_halves_give_the_public_builders_maps(monkeypatch):
     # and the unit tensors; pair braidings, conjugated ones and the hexagons'
     assert len(tensors) == 16 + 128 + 16 + 32 + 8 and len(braidings) == 16 + 32 + 192
     for m, n, (act, coact) in tensors:
-        t = tensor_yd(m, n, check=False)
+        t = tensor_yd(m, n)
         assert act == t.action and coact == t.coaction
     for m, n, b in braidings:
         assert b.source == (m, n) and b.matrix == braiding(m, n).matrix

@@ -105,21 +105,21 @@ def library_reports():
     p = H4Params(2, 3, rat(1, 2))
     a, b = h4_automorphism(3), h4_automorphism(rat(1, 2))
 
-    n = build_bicomodule_algebra(h, a, b, check=False)
+    n = build_bicomodule_algebra(h, a, b)
     # the left coaction of 1 gains terms in (g + x) (x) 1, the right one in 1 (x) (g + x)
     left = _with_entries(n.left.coaction, {(1 * 4, 0): 5, (2 * 4, 0): 5})
     right = _with_entries(n.right.coaction, {(1, 0): 5, (2, 0): 5})
-    bad_left = BicomoduleAlgebraData(h, h.algebra, left, n.right.coaction, check=False)
-    bad_right = BicomoduleAlgebraData(h, h.algebra, n.left.coaction, right, check=False)
+    bad_left = BicomoduleAlgebraData(h, h.algebra, left, n.right.coaction)
+    bad_right = BicomoduleAlgebraData(h, h.algebra, n.left.coaction, right)
 
-    e = build_entwining(h, a, b, check=False)
+    e = build_entwining(h, a, b)
     psi = list(e.psi.entries)
     psi[5 * e.psi.cols + 1] = rat(7)  # psi(1 (x) g) gains 7 g (x) g
-    bad_e = EntwiningData(h.algebra, h.coalgebra, LinearMap(16, 16, psi), check=False)
+    bad_e = EntwiningData(h.algebra, h.coalgebra, LinearMap(16, 16, psi))
 
     yd_ab = build_h4_yd_table("H4AB", p, h=h)
     regular = HomModuleData(h, 4, _with_entries(h.algebra.mul, {(3, 2 * 4 + 1): -1}), h.alpha,
-                            basis=h.basis, check=False)
+                            basis=h.basis)
     # phi(x) = 2x + g, and then also phi(1) = 1 + gx
     phi = LinearMap.from_rows([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
     phi_unit = LinearMap.from_rows([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 2, 0], [1, 0, 0, 2]])

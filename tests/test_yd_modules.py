@@ -6,7 +6,14 @@ import pytest
 
 from loop_reference import coact_terms, comul_terms
 from homyd.exactlin import LinearMap, ZERO, basis_vec, invert, rat, table_map, tensor_vec
-from homyd.hom_algebra import AutPair, HopfAutomorphism, InvalidStructure, identity_automorphism
+from homyd.hom_algebra import (
+    AutPair,
+    HopfAutomorphism,
+    InvalidStructure,
+    check_automorphism,
+    identity_automorphism,
+    require,
+)
 from homyd.h4_library import BASIS, H4Params, build_h4, build_h4_yd_table, h4_automorphism
 from homyd.yd_modules import (
     BicomoduleAlgebraData,
@@ -25,6 +32,7 @@ from homyd.yd_modules import (
     check_hom_module,
     check_module_algebra,
     check_yd,
+    check_yd_module,
     check_yd_alt,
     check_yd_datum,
     trivial_yd,
@@ -113,7 +121,7 @@ def test_module_algebra_unit_violation_witnessed():
         if m.action.entry(k, i * 4 + j)
     }
     act[(2, 0, 2)] = rat(1)  # x . 1 = x breaks h.1 = eps(h)1
-    bad = HomModuleData(h, 4, table_map((4, 4, 4), act, 1), h.alpha, basis=BASIS, check=False)
+    bad = HomModuleData(h, 4, table_map((4, 4, 4), act, 1), h.alpha, basis=BASIS)
     rep = check_module_algebra(bad, h.algebra)
     item = rep.item("eq-1.9-unit")
     assert not item.passed and item.witness.labels == ("x",)
@@ -160,7 +168,7 @@ def test_comodule_algebra_left_coaction_through_automorphism():
 def test_identity_pair_regular_carrier_is_yd():
     h = build_h4(1)
     yd = build_canonical_yd(h, identity_automorphism(4), identity_automorphism(4))
-    assert check_yd(yd).ok() and check_yd_alt(yd).ok()
+    assert check_yd_module(yd).ok()
 
 
 def test_golden_h4a_is_yd_over_its_pair():
@@ -171,7 +179,7 @@ def test_golden_h4a_is_yd_over_its_pair():
 def test_golden_h4a_fails_with_swapped_pair():
     m = build_h4_yd_table("H4A", H4Params(1, 2, 1))
     swapped = YDModuleData(m.over, m.action, m.coaction, m.mu, AutPair(m.pair_b, m.pair_a),
-                           basis=m.basis, check=False)
+                           basis=m.basis)
     rep = check_yd(swapped)
     assert not rep.ok()
     assert rep.item("eq-2.1").witness is not None
@@ -192,12 +200,12 @@ def test_equivalence_of_both_forms_on_valid_and_invalid_instances():
         actual = (rng.choice(lams), rng.choice(lams))
         declared = (rng.choice(lams), rng.choice(lams))
         yd = build_canonical_yd(
-            h, h4_automorphism(actual[0]), h4_automorphism(actual[1]), check=False
+            h, h4_automorphism(actual[0]), h4_automorphism(actual[1])
         )
         tagged = YDModuleData(
             h, yd.action, yd.coaction, yd.mu,
             AutPair(h4_automorphism(declared[0]), h4_automorphism(declared[1])),
-            basis=yd.basis, check=False,
+            basis=yd.basis,
         )
         assert check_yd(tagged).ok() == check_yd_alt(tagged).ok()
 
@@ -226,14 +234,17 @@ def test_canonical_matches_golden_tables():
 def test_canonical_rejects_invalid_automorphism():
     h = build_h4(1)
     bad = HopfAutomorphism(LinearMap.diagonal([1, 1, 2, 3]))
-    with pytest.raises(InvalidStructure):
-        build_canonical_yd(h, bad, identity_automorphism(4))
+    # the builder builds over any pair; the automorphism suite rejects it
+    assert build_canonical_yd(h, bad, identity_automorphism(4)).pair_a is bad
+    with pytest.raises(InvalidStructure) as exc:
+        require(check_automorphism(h, bad))
+    assert str(exc.value) == "automorphism fails: aut-mult, aut-antipode"
 
 
 def test_trivial_yd_module():
     yd = trivial_yd(build_h4(2))
     assert yd.dim == 1
-    assert check_yd(yd).ok() and check_yd_alt(yd).ok()
+    assert check_yd_module(yd).ok()
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +290,7 @@ def test_flip_map_is_not_an_entwining():
     h = build_h4(2)
     from homyd.exactlin import flip
 
-    bad = EntwiningData(h.algebra, h.coalgebra, flip(4, 4), check=False)
+    bad = EntwiningData(h.algebra, h.coalgebra, flip(4, 4))
     rep = check_entwining(bad)
     assert not rep.ok()
 
@@ -305,7 +316,7 @@ def test_entwined_module_agreement_is_systematic():
             yd = build_h4_yd_table(which, p, h=h)
             assert check_entwined_module(yd, e).ok() == check_yd(
                 YDModuleData(h, yd.action, yd.coaction, yd.mu,
-                             AutPair(h4_automorphism(cp), h4_automorphism(cpp)), basis=yd.basis, check=False)
+                             AutPair(h4_automorphism(cp), h4_automorphism(cpp)), basis=yd.basis)
             ).ok()
 
 
@@ -352,7 +363,7 @@ def test_swapped_coactions_break_compatibility():
         {(k, p, i): w for k in range(4) for i, p, w in coact_terms(n.left, k)},
         out_legs=2,
     )
-    swapped = BicomoduleAlgebraData(h, h.algebra, left, right, check=False)
+    swapped = BicomoduleAlgebraData(h, h.algebra, left, right)
     assert not check_bicomodule_algebra(swapped).ok()
 
 
@@ -379,7 +390,7 @@ def test_datum_fails_exactly_when_yd_fails():
     ydA = build_h4_yd_table("H4A", p, h=h)   # lives in (A, id), not (A, B)
     tagged = YDModuleData(
         h, ydA.action, ydA.coaction, ydA.mu, AutPair(h4_automorphism(2), h4_automorphism(3)),
-        basis=ydA.basis, check=False,
+        basis=ydA.basis,
     )
     assert not check_yd(tagged).ok()
     assert not check_yd_datum(ydA, n).ok()

@@ -69,7 +69,7 @@ def test_differences_name_the_differing_pieces_in_order():
     m = build_h4_yd_table("H4A", p, h=h)
     assert m.differences(build_h4_yd_table("H4A", p, h=h)) == []
     retagged = YDModuleData(h, m.action, m.coaction, m.mu, AutPair(m.pair_b, m.pair_a),
-                            basis=m.basis, check=False)
+                            basis=m.basis)
     assert m.differences(retagged) == ["component pair"]
     other = build_h4_yd_table("H4B", p, h=h)
     assert m.differences(other) == ["action", "component pair"]
