@@ -25,29 +25,30 @@ Every object built here is one YDModuleData on its maps, twist and
 component, handed the twist inverse that its factors already know, so
 neither G nor the objects invert a matrix: G's elements are the AutPairs of
 hom_algebra, whose products and inverses carry their inverses, and an
-object's pair is read as m.pair.  check_t_category builds each pair tensor
-M (x) N, braiding c_{M,N} and conjugate ^MN once and passes them down to
-the checks as arguments, with no cache across calls.
+object's pair is read as m.pair.
 
 Tensor products and braidings contain pieces that depend on one factor X
-only, its _Halves: act_X flip when X is the left tensor factor, (id (x)
-mul)(rho_X (x) id) flip and (C (x) id) comul (C from X's pair) when it is
-the right one, act_X (B^-1 (x) mu^-1) when it is the braiding's first
-factor and (mu (x) id) rho_X when it is the second; an inverse braiding
-c_{X,N}^-1 adds act_X (B^-1 S (x) mu^-1).  Each twist rides on the
-one-object piece it meets, by the interchange law (f (x) g)(h (x) k) =
-fh (x) gk: nu on rho_N rather than nu (x) act_M, and C on the
-comultiplication rather than C (x) act_N (...), so no twist is
+only.  X builds each of them once, when first read, and keeps it
+(YDModuleData): tensor_act = act_X flip when X is the left tensor factor,
+tensor_coact = (id (x) mul)(rho_X (x) id) flip and tensor_comul = (C (x)
+id) comul (C from X's pair) when it is the right one, braid_act = act_X
+(B^-1 (x) mu^-1) when it is the braiding's first factor, braid_coact = (mu
+(x) id) rho_X when it is the second, and inverse_act = act_X (B^-1 S (x)
+mu^-1) when it is the first factor of an inverse braiding.  Each twist
+rides on the one-object piece it meets, by the interchange law (f (x)
+g)(h (x) k) = fh (x) gk: nu on rho_N rather than nu (x) act_M, and C on
+the comultiplication rather than C (x) act_N (...), so no twist is
 Kronecker-multiplied with a piece that depends on both factors.
-tensor_yd, braiding and braiding_inverse build the halves they need and
-hand them to their one private formula (_tensor_yd, _tensor_maps,
-_braiding, _braiding_inverse); check_t_category builds the halves of every
-module, pair tensor and conjugate ^pM once, keeps them by position for the
-call, never on the objects, and hands them to the same formulas.  The
-checks have one function each, and check_braiding_inverse, check_hexagons
+
+Each formula has one function: tensor_yd (with _tensor_maps, its maps,
+which the twisted associativity check shares), braiding, braiding_inverse
+and the checks.  check_t_category builds each pair tensor M (x) N,
+braiding c_{M,N} and conjugate ^MN once and passes them down to the checks
+as arguments.  What it builds lives only for the call; of its inputs, only
+the modules' own pieces outlive it.  check_braiding_inverse, check_hexagons
 and check_conjugation_invariance take every braiding they compare
-prebuilt.  The twisted associativity check compares the two triple
-tensors as maps, without building either as an object, and decides each
+prebuilt.  The twisted associativity check compares the two triple tensors
+as maps, without building either as an object, and decides each
 intertwining with the diagonal constraint through exactlin.intertwined,
 without building the scaled products.
 """
@@ -91,58 +92,28 @@ def tensor_yd(m, n, label=None):
                      = (id (x) right) (rho_M (x) id),
         right(x1 (x) y) = y0 (x) y1 x1 = (id (x) mul) (rho_N (x) id) flip.
 
-    act_M flip depends on M alone, and right and (C (x) id) comul on N
-    alone (_Halves).
+    act_M flip is M's tensor_act, and right and (C (x) id) comul are N's
+    tensor_coact and tensor_comul.
     """
-    return _tensor_yd(m, n, _action_half(m), _coaction_half(n), _comul_half(n), label)
-
-
-def _tensor_yd(m, n, act_flip, right, comul, label=None):
-    """tensor_yd(m, n, label), given M's half act_flip and N's halves right
-    and comul."""
     if m.over is not n.over and not m.over.equal_tables(n.over):
         raise ValueError("tensor factors live over different algebras")
-    act, coact = _tensor_maps(m, n, act_flip, right, comul)
+    act, coact = _tensor_maps(m, n)
     basis = tuple("%s(x)%s" % (a, b) for a in m.basis for b in n.basis)
     return _with_twist_inverse(m.over, act, coact, kron(m.mu, n.mu), kron(m.mu_inv, n.mu_inv),
                                group_mul(m.pair, n.pair), basis, label or "%s(x)%s" % (m.name, n.name))
 
 
-def _tensor_maps(m, n, act_flip, right, comul):
-    """The action and coaction of M (x) N (tensor_yd), given M's half
-    act_flip = act_M flip and N's halves right and comul = (C (x) id) comul;
-    only the piece act_N (C^-1 B C (x) id) of left depends on both
-    factors, and C rides on the comultiplication, not on that piece."""
-    h = m.over
-    d, dm, dn = h.dim, m.dim, n.dim
+def _tensor_maps(m, n):
+    """The action and coaction of M (x) N (tensor_yd); only the piece
+    act_N (C^-1 B C (x) id) of left depends on both factors, and C rides on
+    N's tensor_comul, not on that piece."""
+    d, dm, dn = m.over.dim, m.dim, n.dim
     idm, idn = LinearMap.identity(dm), LinearMap.identity(dn)
     cbc = n.pair_a.inverse @ m.pair_b.matrix @ n.pair_a.matrix
-    left = kron(LinearMap.identity(d), n.action @ kron(cbc, idn)) @ kron(comul, idn)
-    act = kron(act_flip, idn) @ kron(idm, left) @ kron(flip(d, dm), idn)
-    coact = kron(idm, right) @ kron(m.coaction, idn)
+    left = kron(LinearMap.identity(d), n.action @ kron(cbc, idn)) @ kron(n.tensor_comul, idn)
+    act = kron(m.tensor_act, idn) @ kron(idm, left) @ kron(flip(d, dm), idn)
+    coact = kron(idm, n.tensor_coact) @ kron(m.coaction, idn)
     return act, coact
-
-
-def _action_half(x):
-    """act_X flip: X (x) H -> X, the half of a tensor product X (x) N that
-    depends on its left factor X alone."""
-    return x.action @ flip(x.dim, x.over.dim)
-
-
-def _coaction_half(x):
-    """right(x1 (x) y) = y0 (x) y1 x1 = (id (x) mul) (rho_X (x) id) flip:
-    H (x) X -> X (x) H, the half of a tensor product M (x) X that depends
-    on its right factor X alone."""
-    h = x.over
-    return (kron(LinearMap.identity(x.dim), h.algebra.mul) @ kron(x.coaction, LinearMap.identity(h.dim))
-            @ flip(h.dim, x.dim))
-
-
-def _comul_half(x):
-    """(C (x) id) comul: H -> H (x) H with C from X's pair, the other half
-    of a tensor product M (x) X that depends on X alone."""
-    h = x.over
-    return kron(x.pair_a.matrix, LinearMap.identity(h.dim)) @ h.coalgebra.comul
 
 
 def conjugate_yd(p, n, label=None):
@@ -188,69 +159,29 @@ def braiding(m, n):
     """eq-3.3, with B from M's component pair and the action being M's:
 
         c(x (x) y) = nu(y0) (x) B^-1(y1) . mu^-1(x)
-                   = (id (x) act_M (B^-1 (x) mu^-1)) ((nu (x) id) rho_N (x) id) flip.
+                   = (id (x) act_M (B^-1 (x) mu^-1)) ((nu (x) id) rho_N (x) id) flip,
 
-    act_M (B^-1 (x) mu^-1) depends on M alone and (nu (x) id) rho_N on N
-    alone (_Halves).
+    where act_M (B^-1 (x) mu^-1) is M's braid_act and (nu (x) id) rho_N is
+    N's braid_coact.
     """
-    return _braiding(m, n, _braiding_half(m), _rho_half(n))
-
-
-def _braiding(m, n, act, rho):
-    """braiding(m, n), given M's half act = act_M (B^-1 (x) mu^-1) and N's
-    half rho = (nu (x) id) rho_N."""
-    matrix = kron(LinearMap.identity(n.dim), act) @ kron(rho, LinearMap.identity(m.dim)) @ flip(m.dim, n.dim)
+    matrix = (kron(LinearMap.identity(n.dim), m.braid_act) @ kron(n.braid_coact, LinearMap.identity(m.dim))
+              @ flip(m.dim, n.dim))
     return BraidingMap((m, n), matrix)
-
-
-def _braiding_half(x):
-    """act_X (B^-1 (x) mu^-1): H (x) X -> X, the half of a braiding c_{X,N}
-    that depends on its first factor X alone."""
-    return x.action @ kron(x.pair_b.inverse, x.mu_inv)
-
-
-def _rho_half(x):
-    """(mu (x) id) rho_X: X -> X (x) H, the half of a braiding c_{M,X} and
-    of its inverse that depends on its second factor X alone."""
-    return kron(x.mu, LinearMap.identity(x.over.dim)) @ x.coaction
-
-
-def _inverse_half(x):
-    """act_X (B^-1 S (x) mu^-1): H (x) X -> X, the half of an inverse
-    braiding c_{X,N}^-1 that depends on X alone."""
-    return x.action @ kron(x.pair_b.inverse @ x.over.antipode, x.mu_inv)
-
-
-class _Halves:
-    """The pieces of X (x) N, M (x) X, c_{X,N} and c_{M,X} that depend on X
-    alone."""
-
-    __slots__ = ("act", "coact", "comul", "braid", "rho")
-
-    def __init__(self, x):
-        self.act = _action_half(x)
-        self.coact = _coaction_half(x)
-        self.comul = _comul_half(x)
-        self.braid = _braiding_half(x)
-        self.rho = _rho_half(x)
 
 
 def braiding_inverse(b):
     """lemma-3.6, with nu moved through the leg permutation onto rho_N:
 
         c^-1(y (x) x) = B^-1(S(y1)) . mu^-1(x) (x) nu(y0)
-                      = (act_M (B^-1 S (x) mu^-1) (x) id) (y, h, x -> h, x, y) ((nu (x) id) rho_N (x) id).
+                      = (act_M (B^-1 S (x) mu^-1) (x) id) (y, h, x -> h, x, y) ((nu (x) id) rho_N (x) id),
+
+    where act_M (B^-1 S (x) mu^-1) is M's inverse_act and (nu (x) id) rho_N
+    is N's braid_coact.
     """
     m, n = b.source
-    return _braiding_inverse(m, n, _inverse_half(m), _rho_half(n))
-
-
-def _braiding_inverse(m, n, act, rho):
-    """braiding_inverse of c_{M,N}, given M's half act = act_M (B^-1 S (x)
-    mu^-1) and N's half rho = (nu (x) id) rho_N."""
     return (
-        kron(act, LinearMap.identity(n.dim)) @ permute((n.dim, m.over.dim, m.dim), (1, 2, 0))
-        @ kron(rho, LinearMap.identity(m.dim))
+        kron(m.inverse_act, LinearMap.identity(n.dim)) @ permute((n.dim, m.over.dim, m.dim), (1, 2, 0))
+        @ kron(n.braid_coact, LinearMap.identity(m.dim))
     )
 
 
@@ -413,10 +344,9 @@ def check_t_category(h, modules, pairs, seed=0):
     that sampled their inputs from it.
 
     Each pair tensor M (x) N, braiding c_{M,N} and conjugate ^pM and ^MN is
-    built once, before the checks, and so are the _Halves of every module,
-    pair tensor and conjugate ^pM, each module's inverse-braiding piece and
-    the (mu (x) id) rho of each ^MN; all of them are kept by position and
-    live only for this call.
+    built once, before the checks, and kept by position for this call.
+    tensor_yd, braiding and braiding_inverse read the one-object pieces of
+    their factors, which each object builds once, when first read.
     """
     rep = CheckReport("t-category", seed=seed)
     modules = list(modules)
@@ -424,23 +354,13 @@ def check_t_category(h, modules, pairs, seed=0):
     ident_pair = AutPair.identity(h.dim)
     idh = LinearMap.identity(h.dim)
     index_pairs = list(itertools.product(range(len(modules)), repeat=2))
-    half = [_Halves(m) for m in modules]
-    # only the braidings of two modules are inverted, so this piece is not
-    # one of the _Halves, which tensors and conjugates have too
-    inverse_half = [_inverse_half(m) for m in modules]
-    tensor = {
-        (i, j): _tensor_yd(modules[i], modules[j], half[i].act, half[j].coact, half[j].comul)
-        for i, j in index_pairs
-    }
-    tensor_half = {ij: _Halves(t) for ij, t in tensor.items()}
-    braid = {(i, j): _braiding(modules[i], modules[j], half[i].braid, half[j].rho) for i, j in index_pairs}
+    tensor = {(i, j): tensor_yd(modules[i], modules[j]) for i, j in index_pairs}
+    braid = {(i, j): braiding(modules[i], modules[j]) for i, j in index_pairs}
     conj = {
         (pi, i): conjugate_yd(p, m)
         for pi, p in enumerate(pairs) for i, m in enumerate(modules)
     }
-    conj_half = {key: _Halves(c) for key, c in conj.items()}
     twisted = {(i, j): conjugate_yd(modules[i].pair, modules[j]) for i, j in index_pairs}
-    twisted_rho = {ij: _rho_half(t) for ij, t in twisted.items()}
 
     for p in pairs:
         for name, aut in (("a", p.a), ("b", p.b)):
@@ -483,9 +403,8 @@ def check_t_category(h, modules, pairs, seed=0):
             "M (x) N satisfies eq-2.1 in component pair(M)*pair(N)",
             check_yd(tensor[i, j]),
         )
-        target = _tensor_yd(twisted[i, j], m, _action_half(twisted[i, j]), half[i].coact, half[i].comul)
-        rep.extend(check_braiding_equivariance(b, tensor[i, j], target))
-        rep.extend(check_braiding_inverse(b, _braiding_inverse(m, n, inverse_half[i], half[j].rho)))
+        rep.extend(check_braiding_equivariance(b, tensor[i, j], tensor_yd(twisted[i, j], m)))
+        rep.extend(check_braiding_inverse(b, braiding_inverse(b)))
         check_matrix_equal(
             rep, "naturality-id(%s)" % _pair_labels(m, n),
             "(id (x) id) c = c (id (x) id)",
@@ -515,21 +434,18 @@ def check_t_category(h, modules, pairs, seed=0):
         for i, j in index_pairs:
             m, n = modules[i], modules[j]
             whole = conjugate_yd(p, tensor[i, j])
-            split = _tensor_yd(conj[pi, i], conj[pi, j], conj_half[pi, i].act, conj_half[pi, j].coact,
-                               conj_half[pi, j].comul)
+            split = tensor_yd(conj[pi, i], conj[pi, j])
             _structures_equal(
                 rep, "functor-tensor(%s;%s)" % (p.name, _pair_labels(m, n)),
                 "^p(M (x) N) = ^pM (x) ^pN as structure tensors", whole, split,
             )
-            rep.extend(check_conjugation_invariance(
-                p, braid[i, j], _braiding(conj[pi, i], conj[pi, j], conj_half[pi, i].braid, conj_half[pi, j].rho),
-            ))
+            rep.extend(check_conjugation_invariance(p, braid[i, j], braiding(conj[pi, i], conj[pi, j])))
 
     for i, j, k in itertools.product(range(len(modules)), repeat=3):
         m, n, p_mod = modules[i], modules[j], modules[k]
         mn, np = tensor[i, j], tensor[j, k]
-        left_act, left_coact = _tensor_maps(mn, p_mod, tensor_half[i, j].act, half[k].coact, half[k].comul)
-        right_act, right_coact = _tensor_maps(m, np, half[i].act, tensor_half[j, k].coact, tensor_half[j, k].comul)
+        left_act, left_coact = _tensor_maps(mn, p_mod)
+        right_act, right_coact = _tensor_maps(m, np)
         # The two orders share carrier, twist and component; their
         # structures coincide strictly only for identity twists, and in
         # general the twisted constraint is the intertwiner between them.
@@ -546,9 +462,8 @@ def check_t_category(h, modules, pairs, seed=0):
             placement and module_map and comodule_map,
         )
         rep.extend(check_hexagons(
-            braid[i, j], braid[j, k], braid[i, k], _braiding(mn, p_mod, tensor_half[i, j].braid, half[k].rho),
-            _braiding(m, twisted[j, k], half[i].braid, twisted_rho[j, k]),
-            _braiding(m, np, half[i].braid, tensor_half[j, k].rho),
+            braid[i, j], braid[j, k], braid[i, k], braiding(mn, p_mod), braiding(m, twisted[j, k]),
+            braiding(m, np),
         ))
 
     unit = trivial_yd(h)

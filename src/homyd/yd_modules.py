@@ -29,9 +29,18 @@ factors and hand it over through the trusted _with_twist_inverse instead.
 Constructors and builders check only that each map has the shape its
 carrier needs; the laws are the check_* suites below, and
 require(check_yd_module(yd)) validates a built object.
+
+An object is immutable once built: nothing reassigns its action,
+coaction, mu, mu_inv or pair.  That lets it keep the six pieces of
+t_category's tensor products and braidings that depend on it alone
+(tensor_act, tensor_coact, tensor_comul, braid_act, braid_coact,
+inverse_act), each a functools.cached_property built when first read, as
+exactlin.LinearMap keeps its columns and its diagonal.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .exactlin import LinearMap, flip, invert, kron, permute, tensor_vec
 from .hom_algebra import (
@@ -95,7 +104,9 @@ class YDModuleData:
     component pair (an AutPair (A, B)).  Its module and comodule parts are
     built here, sharing the maps, and mu is inverted once unless its
     inverse is handed over (_with_twist_inverse); check_yd_module is the
-    suite of its laws."""
+    suite of its laws.  The maps are never reassigned, so the one-object
+    pieces of tensor products and braidings below are built on first read
+    and kept."""
 
     def __init__(self, over, action, coaction, mu, pair, basis=None, label=None):
         self._fill(over, action, coaction, mu, None, pair, basis, label)
@@ -117,6 +128,45 @@ class YDModuleData:
         self.pair_a = pair.a
         self.pair_b = pair.b
         self.name = label or "M"
+
+    @cached_property
+    def tensor_act(self):
+        """act_X flip: X (x) H -> X, the piece of a tensor product X (x) N
+        that depends on its left factor X alone."""
+        return self.action @ flip(self.dim, self.over.dim)
+
+    @cached_property
+    def tensor_coact(self):
+        """right(x1 (x) y) = y0 (x) y1 x1 = (id (x) mul) (rho_X (x) id) flip:
+        H (x) X -> X (x) H, the piece of a tensor product M (x) X that
+        depends on its right factor X alone."""
+        d = self.over.dim
+        return (kron(LinearMap.identity(self.dim), self.over.algebra.mul)
+                @ kron(self.coaction, LinearMap.identity(d)) @ flip(d, self.dim))
+
+    @cached_property
+    def tensor_comul(self):
+        """(C (x) id) comul: H -> H (x) H with C from X's pair, the other
+        piece of a tensor product M (x) X that depends on X alone."""
+        return kron(self.pair_a.matrix, LinearMap.identity(self.over.dim)) @ self.over.coalgebra.comul
+
+    @cached_property
+    def braid_act(self):
+        """act_X (B^-1 (x) mu^-1): H (x) X -> X, the piece of a braiding
+        c_{X,N} that depends on its first factor X alone."""
+        return self.action @ kron(self.pair_b.inverse, self.mu_inv)
+
+    @cached_property
+    def braid_coact(self):
+        """(mu (x) id) rho_X: X -> X (x) H, the piece of a braiding c_{M,X}
+        and of its inverse that depends on its second factor X alone."""
+        return kron(self.mu, LinearMap.identity(self.over.dim)) @ self.coaction
+
+    @cached_property
+    def inverse_act(self):
+        """act_X (B^-1 S (x) mu^-1): H (x) X -> X, the piece of an inverse
+        braiding c_{X,N}^-1 that depends on X alone."""
+        return self.action @ kron(self.pair_b.inverse @ self.over.antipode, self.mu_inv)
 
     def differences(self, other):
         """The structure pieces in which other differs, in the order action,

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from homyd.cli import main
+from homyd.defformat import SUITES
 from homyd.exactlin import LinearMap, rat
 from homyd.h4_library import H4Params, h4_braiding_matrix
 
@@ -298,3 +300,48 @@ def test_closed_stdout_exits_two_without_traceback(argv):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 2
     assert err == ""
+
+
+#: what a pipeline-fuzz mutation puts in place of one token of a line
+FUZZ_TOKENS = ("0", "1/0", "x", "(", ")", "->", "[", "]", "", "@", "*", "-1", "0/1", ":", "=", "c", "g", "x g")
+
+
+def mutate_lines(lines, rng):
+    """lines with one line deleted, one line duplicated, or one token of a
+    line replaced by one of FUZZ_TOKENS, and a description of the edit."""
+    lines = list(lines)
+    i = rng.randrange(len(lines))
+    kind = rng.choice(("delete", "duplicate", "replace"))
+    if kind == "delete":
+        del lines[i]
+        return lines, "delete line %d" % (i + 1)
+    if kind == "duplicate":
+        lines.insert(i, lines[i])
+        return lines, "duplicate line %d" % (i + 1)
+    tokens = lines[i].rstrip("\n").split(" ")
+    j = rng.randrange(len(tokens))
+    tokens[j] = rng.choice(FUZZ_TOKENS)
+    lines[i] = " ".join(tokens) + "\n"
+    return lines, "line %d token %d -> %r" % (i + 1, j + 1, tokens[j])
+
+
+def test_pipeline_fuzz_keeps_the_exit_code_contract(tmp_path, capsys):
+    # parse -> resolve -> run_checks -> render on seeded mutations of the
+    # shipped file: every run exits 0, 1 or 2 and none ends in a traceback;
+    # the cheap suites and braid run on every file, tcat and all on a few
+    rng = random.Random(2014)
+    shipped = Path(H4_ALG).read_text(encoding="utf-8").splitlines(keepends=True)
+    path = tmp_path / "mutated.alg"
+    cheap = [s for s in SUITES if s not in ("tcat", "all")]
+    for k in range(60):
+        lines, edit = mutate_lines(shipped, rng)
+        path.write_text("".join(lines), encoding="utf-8")
+        suites = SUITES if k % 12 == 0 else cheap
+        for argv in [("check", str(path), "--suite", s) for s in suites] + [
+            ("braid", str(path), "-m", "H4A", "-n", "H4B"),
+        ]:
+            code, out, err = run(capsys, *argv)
+            assert code in (0, 1, 2), (edit, argv)
+            assert "Traceback" not in out + err, (edit, argv)
+            if code == 2:
+                assert out == "" and err.count("\n") == 1 and err.startswith("error: "), (edit, argv)

@@ -528,15 +528,20 @@ def test_builders_match_loop_reference_on_arbitrary_tables():
 def kron_twist_formulas(m, n):
     """The action of M (x) N, c_{M,N} and c_{M,N}^-1 with each twist
     Kronecker-multiplied with a two-factor piece, as written before the
-    twists moved onto the one-object halves: C (x) act_N (C^-1 B C (x) id),
-    nu (x) act_M (B^-1 (x) mu^-1) and act_M (B^-1 S (x) mu^-1) (x) nu."""
+    twists moved onto the one-object pieces: C (x) act_N (C^-1 B C (x) id),
+    nu (x) act_M (B^-1 (x) mu^-1) and act_M (B^-1 S (x) mu^-1) (x) nu.
+    Every piece is written out here, so none of the objects' own pieces
+    enters."""
     h = m.over
     d, idm, idn = h.dim, LinearMap.identity(m.dim), LinearMap.identity(n.dim)
     cbc = n.pair_a.inverse @ m.pair_b.matrix @ n.pair_a.matrix
     left = kron(n.pair_a.matrix, n.action @ kron(cbc, idn)) @ kron(h.coalgebra.comul, idn)
-    action = kron(tc._action_half(m), idn) @ kron(idm, left) @ kron(flip(d, m.dim), idn)
-    braid = kron(n.mu, tc._braiding_half(m)) @ kron(n.coaction, idm) @ flip(m.dim, n.dim)
-    inverse = (kron(tc._inverse_half(m), n.mu) @ permute((n.dim, d, m.dim), (1, 2, 0))
+    act_flip = m.action @ flip(m.dim, d)
+    action = kron(act_flip, idn) @ kron(idm, left) @ kron(flip(d, m.dim), idn)
+    braid_act = m.action @ kron(m.pair_b.inverse, m.mu_inv)
+    braid = kron(n.mu, braid_act) @ kron(n.coaction, idm) @ flip(m.dim, n.dim)
+    inverse_act = m.action @ kron(m.pair_b.inverse @ h.antipode, m.mu_inv)
+    inverse = (kron(inverse_act, n.mu) @ permute((n.dim, d, m.dim), (1, 2, 0))
                @ kron(n.coaction, idm))
     return action, braid, inverse
 
@@ -578,8 +583,7 @@ def test_twists_on_the_halves_equal_the_kron_formulas(objects):
 
 
 def test_tcat_builds_each_pair_tensor_and_braiding_once(monkeypatch):
-    # the private builders, which the public tensor_yd and braiding call too
-    calls = {"_tensor_yd": [], "_braiding": [], "conjugate_yd": []}
+    calls = {"tensor_yd": [], "braiding": [], "conjugate_yd": []}
 
     def recording(name):
         fn = getattr(tc, name)
@@ -595,18 +599,31 @@ def test_tcat_builds_each_pair_tensor_and_braiding_once(monkeypatch):
         monkeypatch.setattr(tc, name, recording(name))
     rep = run_checks(parse_definition(H4_ALG.read_text(encoding="utf-8")), "tcat")
     assert rep.ok()
-    for name in ("_tensor_yd", "_braiding"):
+    for name in ("tensor_yd", "braiding"):
         keys = [(id(first), id(second)) for first, second in calls[name]]
         assert len(set(keys)) == len(keys), name
-    assert len(calls["_tensor_yd"]) <= 200 and len(calls["_braiding"]) <= 240
+    assert len(calls["tensor_yd"]) <= 200 and len(calls["braiding"]) <= 240
     assert len(calls["conjugate_yd"]) <= 88
 
 
+def fresh_copy(x):
+    """x built anew from its structure maps, holding none of x's kept
+    pieces."""
+    copy = YDModuleData(x.over, x.action, x.coaction, x.mu, x.pair, basis=x.basis, label=x.name)
+    assert not set(vars(copy)) & {"tensor_act", "tensor_coact", "tensor_comul", "braid_act",
+                                   "braid_coact", "inverse_act"}
+    return copy
+
+
+STRUCTURE = ("action", "coaction", "mu", "mu_inv", "pair")
+
+
 def test_tcat_halves_give_the_public_builders_maps(monkeypatch):
-    """Every tensor product and braiding that check_t_category assembles
-    from prebuilt halves equals the one tensor_yd and braiding build from
-    scratch, at a twisted point; and the halves are never stored on the
-    input objects."""
+    """Every tensor product, braiding and inverse braiding that
+    check_t_category builds from the pieces its objects keep equals the one
+    the same builder makes on fresh copies of its inputs, at a twisted
+    point, so a stale or mis-kept piece would show; and the inputs' structure
+    maps are the same objects after the call."""
     text = H4_ALG.read_text(encoding="utf-8")
     resolved = resolve_definition(parse_definition(
         "[params]\nc = -3/2\ncp = 2\ncpp = 3\n" + text[len(SHIPPED_PARAMS):]
@@ -615,42 +632,43 @@ def test_tcat_halves_give_the_public_builders_maps(monkeypatch):
     _, pair = resolved.get("P")
     modules = [yd for _, yd in resolved.of_kind("ydmodule")] + [trivial_yd(h)]
     pairs = [AutPair.identity(h.dim), pair]
-    inputs = [h, *modules, *pairs]
-    before = [dict(vars(x)) for x in inputs]
+    before_h = [dict(vars(x)) for x in (h, *pairs)]
+    before = [{k: getattr(m, k) for k in STRUCTURE} for m in modules]
     tensors, braidings, inverses = [], [], []
-    tensor_maps, braiding_, braiding_inverse_ = tc._tensor_maps, tc._braiding, tc._braiding_inverse
+    tensor_maps, braiding_, braiding_inverse_ = tc._tensor_maps, tc.braiding, tc.braiding_inverse
 
-    def recording_tensor_maps(m, n, *halves):
-        out = tensor_maps(m, n, *halves)
+    def recording_tensor_maps(m, n):
+        out = tensor_maps(m, n)
         tensors.append((m, n, out))
         return out
 
-    def recording_braiding(m, n, *halves):
-        out = braiding_(m, n, *halves)
+    def recording_braiding(m, n):
+        out = braiding_(m, n)
         braidings.append((m, n, out))
         return out
 
-    def recording_braiding_inverse(m, n, *halves):
-        out = braiding_inverse_(m, n, *halves)
-        inverses.append((m, n, out))
+    def recording_braiding_inverse(b):
+        out = braiding_inverse_(b)
+        inverses.append((b, out))
         return out
 
     monkeypatch.setattr(tc, "_tensor_maps", recording_tensor_maps)
-    monkeypatch.setattr(tc, "_braiding", recording_braiding)
-    monkeypatch.setattr(tc, "_braiding_inverse", recording_braiding_inverse)
+    monkeypatch.setattr(tc, "braiding", recording_braiding)
+    monkeypatch.setattr(tc, "braiding_inverse", recording_braiding_inverse)
     rep = check_t_category(h, modules, pairs)
     monkeypatch.undo()
     assert rep.ok()
-    assert [vars(x) for x in inputs] == before
-    assert all(vars(x)[k] is v for x, b in zip(inputs, before) for k, v in b.items())
+    assert [vars(x) for x in (h, *pairs)] == before_h
+    assert all(getattr(m, k) is v for m, b in zip(modules, before) for k, v in b.items())
     # pair tensors, triple tensors of either order, braiding targets, ^pM (x) ^pN
     # and the unit tensors; pair braidings, conjugated ones and the hexagons'
     assert len(tensors) == 16 + 128 + 16 + 32 + 8 and len(braidings) == 16 + 32 + 192
     for m, n, (act, coact) in tensors:
-        t = tensor_yd(m, n)
-        assert act == t.action and coact == t.coaction
+        want_act, want_coact = tc._tensor_maps(fresh_copy(m), fresh_copy(n))
+        assert act == want_act and coact == want_coact
     for m, n, b in braidings:
-        assert b.source == (m, n) and b.matrix == braiding(m, n).matrix
+        assert b.source == (m, n) and b.matrix == braiding(fresh_copy(m), fresh_copy(n)).matrix
     assert len(inverses) == 16
-    for m, n, inv in inverses:
-        assert inv == braiding_inverse(braiding(m, n))
+    for b, inv in inverses:
+        m, n = b.source
+        assert inv == braiding_inverse(BraidingMap((fresh_copy(m), fresh_copy(n)), b.matrix))

@@ -4,14 +4,17 @@ the builder hands its known inverse over (tensor products and conjugates),
 and the objects keep the attributes the outside-in tracer of perfbench/
 reads."""
 
+import cProfile
 import importlib
 import importlib.util
+import pstats
 from pathlib import Path
 
 import pytest
 
+import homyd.t_category as t_category
 import homyd.yd_modules as yd_modules
-from homyd.defformat import parse_definition, resolve_definition
+from homyd.defformat import parse_definition, resolve_definition, run_checks
 from homyd.h4_library import H4Params, build_h4, build_h4_yd_table, h4_automorphism
 from homyd.hom_algebra import AutPair, identity_automorphism
 from homyd.t_category import conjugate_yd, tensor_yd
@@ -95,6 +98,18 @@ def test_tracer_targets_resolve():
                 assert meth in vars(getattr(mod, cls_name)).keys(), (module, attr)
             else:
                 assert callable(getattr(mod, attr, None)), (module, attr)
+
+
+def test_tracer_t_category_targets_run_in_tcat():
+    # each t_category name the tracer counts is the function the tcat suite
+    # calls, so none of them reads 0 calls in a tcat op
+    definition = parse_definition(H4_ALG.read_text(encoding="utf-8"))
+    profile = cProfile.Profile()
+    profile.runcall(run_checks, definition, "tcat")
+    calls = {key: stat[1] for key, stat in pstats.Stats(profile).stats.items()}
+    for _, attr in load_tracer().TARGETS["t_category"]:
+        code = getattr(t_category, attr).__code__
+        assert calls.get((code.co_filename, code.co_firstlineno, code.co_name), 0) >= 1, attr
 
 
 @pytest.mark.parametrize("name", sorted(builders()))
