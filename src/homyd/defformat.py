@@ -34,6 +34,9 @@ A line may repeat the arguments of an earlier line of its family.  A mul or
 act line then sets the cells it gives nonzero and keeps the rest; comul and
 coact terms add up; an alpha, gamma, mu, antipode, a or b line replaces the
 whole column; a counit line replaces its label's value, a unit line the unit.
+An `over:` line replaces the header's `over` for the lines after it, and
+may not name another section once act, coact, a or b lines were read over
+the current one (a ParseError at the name).
 
 The parser is total: every input yields a DefinitionFile or a positioned
 diagnostic (ParseError, UnboundName, OutOfRangeIndex, ZeroDenominator).
@@ -48,7 +51,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactlin import ONE, ZERO, DimensionMismatch, LinearMap, SingularMap
+from .exactlin import ONE, ZERO, DimensionMismatch, LinearMap, SingularMap, table_map
 from .hom_algebra import (
     AutPair,
     HomAlgebraData,
@@ -453,6 +456,9 @@ class _SectionState:
         self.section = section
         self.basis = None
         self.via_dim = False
+        # the section this one is over, and whether lines were read over it
+        self.over = section.over
+        self.over_read = False
 
     def declare(self, key, labels, lineno):
         if self.basis is not None:
@@ -551,10 +557,15 @@ def _over_name(section, lineno):
     return name
 
 
-def _over_state(section, states, lineno):
-    name = _over_name(section, lineno)
+def _over_state(state, states, lineno):
+    """The parse state of the section that state's section is over so far,
+    marked as read over, so that a later `over:` cannot move it."""
+    name = state.over
+    if name is None:
+        raise ResolveError("section %r needs an 'over' reference" % state.section.name, lineno)
     if name not in states:
         raise UnboundName(name, lineno)
+    state.over_read = True
     return states[name]
 
 
@@ -574,10 +585,16 @@ def _parse_entry(cur, key, state, states, lineno):
         state.declare("dim", ("e%d" % i for i in range(int(v))), lineno)
         return Entry(lineno, "dim", (), int(v))
     if key in ("over", "pair"):
-        _, v, _ = cur.expect(("ident", "num"), ("section name" if key == "over" else "autpair name",))
+        _, v, col = cur.expect(("ident", "num"), ("section name" if key == "over" else "autpair name",))
         cur.expect(("end",), ("end of line",))
         if v not in states:
             raise UnboundName(v, lineno)
+        if key == "over":
+            # resolution reads every line over the last `over:`, so it may
+            # not move away from the section earlier lines were checked in
+            if state.over_read and v != state.over:
+                raise ParseError(lineno, col, ("%r, which earlier lines of this section are over" % state.over,), v)
+            state.over = v
         return Entry(lineno, key, (), v)
 
     if key == "unit":
@@ -610,7 +627,7 @@ def _parse_entry(cur, key, state, states, lineno):
 def _validate_entry_labels(key, args, combo, state, states, lineno):
     """Index every label reference so bad names fail at parse time: each
     argument and each leg of a term in the basis it belongs to."""
-    over = _over_state(state.section, states, lineno) if key in ("act", "coact", "a", "b") else None
+    over = _over_state(state, states, lineno) if key in ("act", "coact", "a", "b") else None
     if key == "act":
         arg_bases, leg_bases = (over, state), (state,)
     elif key == "coact":
@@ -750,29 +767,25 @@ def _square_map(entries_by_key, key, basis, params):
 def _product_map(lines, left_basis, right_basis, params):
     """L (x) R -> R from `l r -> combo` lines (mul, act); a repeated line
     sets the cells it gives nonzero and keeps the rest."""
-    n = len(right_basis)
-    width = len(left_basis) * n
-    cells = [ZERO] * (n * width)
+    cells = {}
     for e in lines:
-        j = left_basis.index(e.args[0]) * n + right_basis.index(e.args[1])
+        i, j = left_basis.index(e.args[0]), right_basis.index(e.args[1])
         for k, v in enumerate(_combo_vec(e.value, right_basis, params, e.line)):
             if v:
-                cells[k * width + j] = v
-    return LinearMap(n, width, cells)
+                cells[i, j, k] = v
+    return table_map((len(left_basis), len(right_basis), len(right_basis)), cells, 1)
 
 
 def _pair_map(lines, left_basis, right_basis, params):
     """L -> L (x) R from `l -> combo of l@r` lines (comul, coact); repeated
     terms and lines add up."""
-    n = len(left_basis)
-    height = n * len(right_basis)
-    cells = [ZERO] * (height * n)
+    cells = {}
     for e in lines:
         j = left_basis.index(e.args[0])
         for t in e.value:
-            i = left_basis.index(t.atom[0]) * len(right_basis) + right_basis.index(t.atom[1])
-            cells[i * n + j] += eval_expr(t.coef, params, e.line)
-    return LinearMap(height, n, cells)
+            key = j, left_basis.index(t.atom[0]), right_basis.index(t.atom[1])
+            cells[key] = cells.get(key, 0) + eval_expr(t.coef, params, e.line)
+    return table_map((len(left_basis), len(left_basis), len(right_basis)), cells, 2)
 
 
 def _group_entries(section):

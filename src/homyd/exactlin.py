@@ -32,7 +32,10 @@ so its diagonal numerators: a map that is not square when it is made, a
 square one on first read (_diagonal; a whisker reads them off its middle
 factor).  The identity is the case of all ones over the denominator 1.
 compose returns the other operand of an identity and scales the rows of g
-by a diagonal f, and kron of two diagonals is built as a diagonal.
+by a diagonal f, kron of two diagonals is built as a diagonal, and invert
+returns an identity as it is and the inverse of any other diagonal in
+closed form, the diagonal den / n_i, so only a map that is not diagonal
+(or has a zero on its diagonal) meets Gauss-Jordan elimination.
 intertwined decides x . r = l . y for diagonal r and l without building
 either product, by comparing the numerators of x and y column by column.
 
@@ -591,14 +594,31 @@ def flip(d1, d2):
 
 
 def invert(f):
-    """Exact inverse by Gauss-Jordan elimination over the rationals on the
-    numerators N of f = N / den, dividing in Fraction (int / int would be a
-    float); the inverse is den * N^-1.
+    """Exact inverse of f = N / den, the map den * N^-1.
+
+    An identity is its own inverse, and a diagonal map with no zero on its
+    diagonal n_i has the diagonal inverse den / n_i; any other square map,
+    a diagonal with a zero on it included, goes through _gauss_jordan.
 
     Raises SingularMap when the determinant vanishes.
     """
     if not f.is_square:
         raise DimensionMismatch("only square maps can be inverted")
+    diag = f._diag
+    if diag is None:
+        return _gauss_jordan(f)
+    if _is_identity(f):
+        return f
+    # cleared as _cleared clears: over the lcm of the entries' denominators
+    values = [Fraction(f._den, n) for n in diag]
+    den = lcm(*(v.denominator for v in values))
+    return _diagonal_map(tuple(v.numerator * (den // v.denominator) for v in values), den)
+
+
+def _gauss_jordan(f):
+    """The inverse of the square map f by Gauss-Jordan elimination over the
+    rationals on the numerators N of f = N / den, dividing in Fraction
+    (int / int would be a float); the inverse is den * N^-1."""
     n = f.rows
     a = [{} for _ in range(n)]
     for j, col in enumerate(f._cols):

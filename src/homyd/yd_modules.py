@@ -382,14 +382,24 @@ def check_yd_alt(yd):
     d, dm = h.dim, yd.dim
     mul, comul = h.algebra.mul, h.coalgebra.comul
     act, rho = yd.action, yd.coaction
-    ident = LinearMap.identity(d)
-    lhs = (
-        kron(act, mul @ kron(yd.pair_b.matrix, ident))
-        @ permute((d, d, dm, d), (0, 2, 1, 3)) @ kron(comul, rho)
+    ident, ident_m = LinearMap.identity(d), LinearMap.identity(dm)
+    # each side is applied right to left as a chain of whiskers, one leg's
+    # map at a time, so every product has the d * dm columns of H (x) M and
+    # compose reads each whisker through its middle factor; associated to
+    # the left, the same chain Kronecker-multiplied whole legs and built a
+    # (dm d) x (d d dm d) map and a (d d dm d)-square leg permutation
+    # (h, m) -> (h1, h2, m0, m1) -> (h1, m0, h2, m1) -> (h1 . m0, B(h2) m1)
+    lhs = kron(act, ident) @ (
+        kron(LinearMap.identity(d * dm), mul @ kron(yd.pair_b.matrix, ident))
+        @ (kron(ident, kron(flip(d, dm), ident))
+           @ (kron(comul, LinearMap.identity(dm * d)) @ kron(ident, rho)))
     )
-    rhs = (
-        kron(yd.mu, mul @ kron(ident, yd.pair_a.matrix)) @ permute((d, dm, d), (1, 2, 0))
-        @ kron(ident, rho @ act @ kron(ident, yd.mu_inv)) @ kron(comul, LinearMap.identity(dm))
+    # (h, m) -> (h1, h2, m) -> (h1, x0, x1) for x = h2 . mu^-1(m)
+    # -> (x0, x1, h1) -> (mu(x0), x1 A(h1))
+    rhs = kron(yd.mu, ident) @ (
+        kron(ident_m, mul @ kron(ident, yd.pair_a.matrix))
+        @ (flip(d, dm * d)
+           @ (kron(ident, rho @ act @ kron(ident, yd.mu_inv)) @ kron(comul, ident_m)))
     )
     check_matrix_equal(
         rep, "eq-2.2",

@@ -13,6 +13,7 @@ from homyd.cli import main
 from homyd.defformat import SUITES
 from homyd.exactlin import LinearMap, rat
 from homyd.h4_library import H4Params, h4_braiding_matrix
+from test_defformat import TWO_HOPFS
 
 ROOT = Path(__file__).resolve().parent.parent
 H4_ALG = str(ROOT / "h4.alg")
@@ -20,6 +21,8 @@ H4_ALG = str(ROOT / "h4.alg")
 REPORT_GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))
 #: sha256 digests of the shipped file's H4A, H4B braiding emissions
 BRAID_GOLDEN = json.loads((ROOT / "tests" / "braid_golden.json").read_text(encoding="utf-8"))
+#: sha256 digests of `demo h4 ARGS --out csv|json`, keyed by ARGS
+DEMO_GOLDEN = json.loads((ROOT / "tests" / "demo_golden.json").read_text(encoding="utf-8"))["points"]
 
 
 def run(capsys, *argv):
@@ -147,6 +150,14 @@ def test_demo_json_and_rational_params(capsys):
     assert matrix_from_json(out) == h4_braiding_matrix(H4Params(rat(1, 2), rat(2, 3), 3))
 
 
+@pytest.mark.parametrize("args", sorted(DEMO_GOLDEN))
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_demo_output_bytes_match_golden(capsys, args, fmt):
+    code, out, _ = run(capsys, "demo", "h4", *args.split(), "--out", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEMO_GOLDEN[args][fmt]
+
+
 def test_demo_zero_parameter_exits_two(capsys):
     code, _, err = run(capsys, "demo", "h4", "--c", "0")
     assert code == 2 and "error" in err
@@ -203,6 +214,11 @@ FOREIGN_PAIR = "\n" + ONE_DIM_HOPF + (
 )
 
 
+#: a module whose act line was checked over H before an `over:` line moves it
+#: over K, whose basis has no g
+LATE_OVER = TWO_HOPFS + "[module M over H]\nbasis: v\nact: g v -> v\nover: K\n"
+
+
 def exit_case_files(tmp_path):
     """name -> path of each input of the exit-code contract test."""
     files = {
@@ -212,7 +228,9 @@ def exit_case_files(tmp_path):
         "directory": tmp_path / "dir.alg",
         "not-utf8": tmp_path / "latin1.alg",
         "broken-hopf": tmp_path / "broken-hopf.alg",
+        "late-over": tmp_path / "late-over.alg",
     }
+    files["late-over"].write_text(LATE_OVER, encoding="utf-8")
     files["module-comodule"].write_text(MODULE_AND_COMODULE, encoding="utf-8")
     files["foreign-pair"].write_text(Path(H4_ALG).read_text(encoding="utf-8") + FOREIGN_PAIR, encoding="utf-8")
     files["directory"].mkdir()
@@ -242,6 +260,8 @@ EXIT_CASES = [
     ("broken-hopf", ("check", "--suite", "hopf"), 1),
     ("broken-hopf", ("check", "--suite", "yd"), 1),
     ("broken-hopf", ("braid", "-m", "H4A", "-n", "H4B"), 0),
+    ("late-over", ("check", "--suite", "yd"), 2),
+    ("late-over", ("check", "--suite", "all"), 2),
 ]
 
 

@@ -138,6 +138,43 @@ def test_over_must_exist_and_be_hopf():
         resolve_definition(df)
 
 
+#: two Hopf sections, H on basis 1 g and K on basis 1 y, both group algebras of Z/2
+TWO_HOPFS = "".join(
+    "[hopf {h}]\nbasis: 1 {g}\nunit: 1\nmul: 1 1 -> 1\nmul: 1 {g} -> {g}\nmul: {g} 1 -> {g}\n"
+    "mul: {g} {g} -> 1\ncomul: 1 -> 1@1\ncomul: {g} -> {g}@{g}\ncounit: 1 -> 1\ncounit: {g} -> 1\n"
+    "antipode: 1 -> 1\nantipode: {g} -> {g}\n\n".format(h=h, g=g)
+    for h, g in (("H", "g"), ("K", "y"))
+)
+
+
+def test_over_line_before_the_lines_it_governs_takes_effect():
+    # the act and a lines name K's labels, which H does not have
+    rf = resolve_definition(parse_definition(
+        TWO_HOPFS + "[module M over H]\nbasis: v\nover: K\nact: y v -> v\n"
+        "\n[autpair P over H]\nover: K\na: 1 -> 1\na: y -> y\n"
+    ))
+    h, k = rf.get("H")[1], rf.get("K")[1]
+    module, pair = rf.get("M")[1], rf.get("P")[1]
+    assert module.over is k and module.over is not h
+    assert module.action.column(1) == (1,)
+    assert pair.a.matrix.rows == k.dim
+    # a later over line naming the same section moves nothing
+    same = resolve_definition(parse_definition(
+        TWO_HOPFS + "[module M over H]\nbasis: v\nact: g v -> v\nover: H\n"
+    ))
+    assert same.get("M")[1].over is same.get("H")[1]
+
+
+@pytest.mark.parametrize("line", ["act: g v -> v", "coact: v -> v@g", "a: g -> g", "b: g -> g"])
+def test_over_line_after_the_lines_it_governs_is_a_positioned_parse_error(line):
+    # the line was checked against H's basis, and resolution would read it over K
+    text = TWO_HOPFS + "[ydmodule M over H]\nbasis: v\n%s\nover: K\n" % line
+    with pytest.raises(ParseError) as err:
+        parse_definition(text)
+    assert err.value.line == text.count("\n") and err.value.col == 7
+    assert err.value.found == "K" and "'H'" in err.value.expected[0]
+
+
 def test_suite_requires_matching_sections():
     df = parse_definition("[algebra A]\nbasis: x\nunit: x\nmul: x x -> x\nalpha: x -> x\n")
     with pytest.raises(SuiteError) as err:

@@ -239,6 +239,47 @@ def test_invert_matches_dense_reference():
     assert {(n, o) for n in (4, 16) for o in ("singular", "inverted")} <= set(outcomes)
 
 
+def test_invert_diagonal_in_closed_form_matches_dense_reference(monkeypatch):
+    # no elimination runs: a diagonal is inverted entry by entry, and the
+    # inverse knows its diagonal from the start
+    monkeypatch.setattr("homyd.exactlin._gauss_jordan", None)
+    rng = random.Random(18)
+    kinds = {
+        "integral": lambda: rng.choice((1, 2, 3, 5, 6)),
+        "fraction": lambda: Fraction(rng.randint(1, 9), rng.randint(2, 9)),
+        "negative": lambda: -Fraction(rng.randint(1, 9), rng.choice((1, 1, 3, 4))),
+        "mixed": lambda: Fraction(rng.randint(-9, 9) or 7, rng.randint(1, 6)),
+    }
+    for kind, draw in kinds.items():
+        for n in (1, 2, 4, 16):
+            for _ in range(6):
+                d = LinearMap.diagonal([draw() for _ in range(n)])
+                got = invert(d)
+                assert got == dense.invert(d), kind
+                assert object.__getattribute__(got, "_diag") == tuple(got._cols[j][j] for j in range(n))
+                assert got._den > 0 and math.gcd(got._den, *stored_values(got)) == 1
+                assert (got @ d).is_identity() and (d @ got).is_identity()
+    eye = LinearMap.identity(5)
+    assert invert(eye) is eye
+    # a diagonal whisker, I (x) d, is inverted without building its columns
+    w = kron(LinearMap.identity(2), LinearMap.diagonal([2, rat(-1, 3)]))
+    wi = invert(w)
+    with pytest.raises(AttributeError):
+        object.__getattribute__(w, "_cols")
+    assert wi == dense.invert(w) == LinearMap.diagonal([rat(1, 2), -3, rat(1, 2), -3])
+
+
+def test_invert_diagonal_with_a_zero_on_it_is_singular():
+    for values in ([0], [1, 0, 2], [rat(1, 2), 3, 0], [0, 0]):
+        d = LinearMap.diagonal(values)
+        assert d._diag is None
+        with pytest.raises(SingularMap) as want:
+            dense.invert(d)
+        with pytest.raises(SingularMap) as got:
+            invert(d)
+        assert str(got.value) == str(want.value)
+
+
 def test_invert_singular_with_nonzero_entries():
     # rank 2: the third column is the sum of the first two
     m = LinearMap.from_rows([[1, 2, 3], [0, 1, 1], [2, 0, 2]])

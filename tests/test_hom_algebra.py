@@ -16,6 +16,7 @@ from homyd.hom_algebra import (
     check_hom_coalgebra,
     check_hom_hopf,
     convolution,
+    _with_inverse,
     identity_automorphism,
     require,
 )
@@ -178,6 +179,19 @@ def test_unequal_diagonal_fails_on_mixed_products():
     assert not item.passed
     assert set(item.witness.labels) == {"g", "x"}
     assert not rep.item("aut-antipode").passed
+
+
+def test_automorphism_bijectivity_reads_the_held_inverse():
+    # a HopfAutomorphism is bijective when the inverse it holds inverts its
+    # matrix on both sides; a raw map is bijective when it inverts
+    h = build_h4(2)
+    a = h4_automorphism(3)
+    rep = check_automorphism(h, _with_inverse(a.matrix, h4_automorphism(2).matrix))
+    assert [(it.identity, it.passed) for it in rep] == [("aut-invertible", False)]
+    assert check_automorphism(h, a).item("aut-invertible").passed
+    for raw in (LinearMap.diagonal([1, 1, 0, 2]), LinearMap.zeros(3, 4)):
+        rep = check_automorphism(h, raw)
+        assert [(it.identity, it.passed) for it in rep] == [("aut-invertible", False)]
 
 
 def test_identity_automorphism_passes_for_sampled_twists():

@@ -9,7 +9,9 @@ is recorded as kron makes it and inspected once the run is over, when
 reading it builds the columns it did not build during the run.  Every Yetter-Drinfeld object
 of the run is recorded too, and the twist inverse it holds, handed over by
 tensor_yd and conjugate_yd or computed by the constructor, is compared with
-a fresh Gauss-Jordan inverse of its twist.
+a fresh inverse of its twist and with the dense Gauss-Jordan reference.
+Last, a yd check of h4.alg, whose twists and component automorphisms are
+all diagonal, runs Gauss-Jordan elimination once, for the antipode.
 """
 
 import math
@@ -18,7 +20,9 @@ from pathlib import Path
 
 import pytest
 
+import dense_reference as dense
 import homyd.exactlin as exactlin
+from homyd.cli import main
 from homyd.defformat import parse_definition, run_checks
 from homyd.exactlin import LinearMap, invert
 from homyd.yd_modules import YDModuleData
@@ -89,6 +93,25 @@ def test_every_object_holds_the_inverse_of_its_twist(tcat_run):
     objects = tcat_run[3]
     assert len(objects) > 100
     for yd in objects:
-        assert yd.mu_inv == invert(yd.mu)
+        assert yd.mu_inv == invert(yd.mu) == dense.invert(yd.mu)
         assert (yd.mu @ yd.mu_inv).is_identity()
         assert yd.comodule.mu_inv is yd.mu_inv
+
+
+def test_a_yd_check_eliminates_once_for_the_antipode(monkeypatch, capsys):
+    # every twist and component automorphism of h4.alg is diagonal and is
+    # inverted in closed form, and check_automorphism reads the inverse a
+    # HopfAutomorphism holds; the antipode alone needs Gauss-Jordan
+    eliminated = []
+    gauss_jordan = exactlin._gauss_jordan
+
+    def counted(f):
+        eliminated.append(f)
+        return gauss_jordan(f)
+
+    monkeypatch.setattr(exactlin, "_gauss_jordan", counted)
+    assert main(["check", str(ROOT / "h4.alg"), "--suite", "yd"]) == 0
+    capsys.readouterr()
+    assert len(eliminated) == 1
+    [s] = eliminated
+    assert s._diag is None and (s @ s @ s @ s).is_identity() and not (s @ s).is_identity()

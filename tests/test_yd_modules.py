@@ -1,11 +1,15 @@
+import importlib.util
 import itertools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from loop_reference import coact_terms, comul_terms
-from homyd.exactlin import LinearMap, ZERO, basis_vec, invert, rat, table_map, tensor_vec
+from homyd.defformat import parse_definition, resolve_definition
+from homyd.exactlin import LinearMap, ZERO, basis_vec, invert, kron, permute, rat, table_map, tensor_vec
 from homyd.hom_algebra import (
     AutPair,
     HopfAutomorphism,
@@ -15,6 +19,7 @@ from homyd.hom_algebra import (
     require,
 )
 from homyd.h4_library import BASIS, H4Params, build_h4, build_h4_yd_table, h4_automorphism
+from homyd.reports import CheckReport, check_matrix_equal
 from homyd.yd_modules import (
     BicomoduleAlgebraData,
     EntwiningData,
@@ -37,6 +42,8 @@ from homyd.yd_modules import (
     check_yd_datum,
     trivial_yd,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def regular_module(h):
@@ -208,6 +215,62 @@ def test_equivalence_of_both_forms_on_valid_and_invalid_instances():
             basis=yd.basis,
         )
         assert check_yd(tagged).ok() == check_yd_alt(tagged).ok()
+
+
+def load_bench_inputs():
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", ROOT / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while the file runs
+    sys.modules[spec.name] = inputs
+    try:
+        spec.loader.exec_module(inputs)
+    finally:
+        del sys.modules[spec.name]
+    return inputs
+
+
+def check_yd_alt_left_associated(yd):
+    """eq-2.2 with each side's product associated to the left, as Sweedler
+    notation reads it: whole legs Kronecker-multiplied, then permuted."""
+    rep = CheckReport("yd-alt")
+    h = yd.over
+    d, dm = h.dim, yd.dim
+    mul, comul = h.algebra.mul, h.coalgebra.comul
+    act, rho = yd.action, yd.coaction
+    ident = LinearMap.identity(d)
+    lhs = (
+        kron(act, mul @ kron(yd.pair_b.matrix, ident))
+        @ permute((d, d, dm, d), (0, 2, 1, 3)) @ kron(comul, rho)
+    )
+    rhs = (
+        kron(yd.mu, mul @ kron(ident, yd.pair_a.matrix)) @ permute((d, dm, d), (1, 2, 0))
+        @ kron(ident, rho @ act @ kron(ident, yd.mu_inv)) @ kron(comul, LinearMap.identity(dm))
+    )
+    check_matrix_equal(
+        rep, "eq-2.2",
+        "h1.m0 (x) B(h2)m1 = mu((h2.mu^-1(m))0) (x) (h2.mu^-1(m))1 A(h1)",
+        lhs, rhs, (d, dm), lambda idx: (h.basis[idx[0]], yd.basis[idx[1]]),
+    )
+    return rep
+
+
+def test_eq_2_2_whiskered_matches_the_left_associated_formula_on_bench_mutations():
+    # every module mutation of the benchmark, at the shipped point and at
+    # seeded generic points: same verdict and same witness, item for item
+    inputs = load_bench_inputs()
+    rng = random.Random(22)
+    points = [inputs.SHIPPED_POINT] + [inputs.sample_point(rng) for _ in range(3)]
+    mutations = [m for m in inputs.MUTATIONS.values() if not m.hopf_data]
+    assert len(mutations) >= 4
+    failing = 0
+    for point in points:
+        clean = inputs.h4_family_text(*point)
+        for text in [clean] + [inputs.apply_mutation(clean, m) for m in mutations]:
+            for _, yd in resolve_definition(parse_definition(text)).of_kind("ydmodule"):
+                got = check_yd_alt(yd)
+                assert got == check_yd_alt_left_associated(yd)
+                failing += not got.ok()
+    assert failing
 
 
 def test_canonical_action_classical_case_table():
