@@ -29,9 +29,18 @@ denotes the tensor pair a (x) b, and a bare `0` is the zero element.
 Unspecified structure constants are zero; a wholly omitted twist line
 family (alpha / mu / a / b) defaults to the identity.
 
-Section names are unique; a repeated name is a ParseError at its header.
-A line may repeat the arguments of an earlier line of its family.  A mul or
-act line then sets the cells it gives nonzero and keeps the rest; comul and
+A token is a number, a name, the arrow `->` or one of the characters
+@ + - * / ( ) ; : = [ ]; spaces and tabs separate tokens, and any other
+character is a ParseError.  The arrow and each punctuation character are
+each a token kind of their own, so a wrong one (`q : 2`, `[algebra A)`) is
+a ParseError at it.
+
+Section names are unique; a repeated name is a ParseError at its header,
+and a repeated basis label one at the repeat.  _LEGS says which basis each
+argument label and each term leg of a table line is in: the section's own,
+or that of the hopf section it is over.  A line may repeat the arguments of
+an earlier line of its family, and _table applies the rule: a mul or act
+line then sets the cells it gives nonzero and keeps the rest; comul and
 coact terms add up; an alpha, gamma, mu, antipode, a or b line replaces the
 whole column; a counit line replaces its label's value, a unit line the unit.
 An `over:` line replaces the header's `over` for the lines after it, and
@@ -51,7 +60,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactlin import ONE, ZERO, DimensionMismatch, LinearMap, SingularMap, table_map
+from .exactlin import ONE, DimensionMismatch, LinearMap, SingularMap, table_map
 from .hom_algebra import (
     AutPair,
     HomAlgebraData,
@@ -154,7 +163,7 @@ class Bin:
     right: object
 
 
-def _fold_neg(x, line, col):
+def _fold_neg(x):
     if isinstance(x, Num):
         return Num(-x.value)
     return Neg(x)
@@ -278,175 +287,162 @@ _KEYS = {
     "autpair": {"over", "a", "b"},
 }
 
-# keys whose right-hand side is `label -> combo`
-_MAP_KEYS = {"alpha", "gamma", "mu", "antipode", "a", "b"}
-# keys whose right-hand side is `label label -> combo`
-_BIN_KEYS = {"mul", "act"}
-# keys producing tensor pairs
-_PAIR_KEYS = {"comul", "coact"}
+# For each table key: the basis of each of its argument labels, then the
+# basis of each leg of its terms, "own" for the section's basis and "over"
+# for that of the hopf section it is over.  unit has no argument, and
+# counit's value is a scalar, not a combination of terms.
+_LEGS = {
+    "unit": ((), ("own",)),
+    "counit": (("own",), ()),
+    "mul": (("own", "own"), ("own",)),
+    "act": (("over", "own"), ("own",)),
+    "comul": (("own",), ("own", "own")),
+    "coact": (("own",), ("own", "over")),
+    "alpha": (("own",), ("own",)),
+    "gamma": (("own",), ("own",)),
+    "mu": (("own",), ("own",)),
+    "antipode": (("own",), ("own",)),
+    "a": (("over",), ("over",)),
+    "b": (("over",), ("over",)),
+}
 
+# the kinds of a token that is a basis label or section name
+_LABEL = ("ident", "num")
 
+# spaces and tabs separate tokens; any other character outside a token is bad
 _TOKEN_RE = re.compile(
-    r"[ \t]*(?:(?P<arrow>->)|(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[@+\-*/();:=\[\]])|(?P<bad>.))"
+    r"(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>->|[@+\-*/();:=\[\]])|(?P<bad>[^ \t])"
 )
 
 
-def _tokenize(text, lineno):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        pos = m.end()
-        col = m.start(m.lastgroup) + 1
-        kind = m.lastgroup
-        value = m.group(kind)
-        if kind == "bad":
-            raise ParseError(lineno, col, ("token",), value)
-        tokens.append((kind, value, col))
-    return tokens
-
-
 class _Cursor:
-    """Token stream of one line; past its last token it yields an
-    end-of-line token one column beyond the line's text."""
+    """Token stream of one line, (kind, value, col) triples ending in an
+    end-of-line token one column beyond the line's text.  The kind of the
+    arrow and of each punctuation character is its own text."""
 
     def __init__(self, line, lineno):
-        self.tokens = _tokenize(line, lineno)
-        self.end = ("end", "end of line", len(line) + 1)
         self.lineno = lineno
         self.i = 0
+        self.tokens = []
+        for m in _TOKEN_RE.finditer(line):
+            kind, value = m.lastgroup, m.group()
+            if kind == "bad":
+                raise ParseError(lineno, m.start() + 1, ("token",), value)
+            self.tokens.append((value if kind == "punct" else kind, value, m.start() + 1))
+        self.tokens.append(("end", "end of line", len(line) + 1))
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else self.end
+        return self.tokens[self.i]
 
-    def next(self):
-        tok = self.peek()
+    def accept(self, kinds):
+        """The next token, consumed, if its kind is one of kinds; else None."""
+        tok = self.tokens[self.i]
+        if tok[0] in kinds:
+            self.i += 1
+            return tok
+        return None
+
+    def expect(self, kinds, what):
+        """The next token, consumed; a ParseError naming what if its kind
+        is not one of kinds."""
+        tok = self.tokens[self.i]
+        if tok[0] not in kinds:
+            raise ParseError(self.lineno, tok[2], what, tok[1])
         self.i += 1
         return tok
 
-    def done(self):
-        return self.i >= len(self.tokens)
 
-    def expect(self, kinds, what):
-        kind, value, col = self.next()
-        if kind not in kinds:
-            raise ParseError(self.lineno, col, what, value)
-        return kind, value, col
-
-    def fail(self, what):
-        kind, value, col = self.peek()
-        raise ParseError(self.lineno, col, what, value)
+def _leaf(kind, value):
+    """The scalar of a number or name token."""
+    return Num(Fraction(value)) if kind == "num" else ParamRef(value)
 
 
 def _parse_scalar(cur):
     node = _parse_scalar_mul(cur)
-    while cur.peek()[0] == "op" and cur.peek()[1] in "+-":
-        _, op, col = cur.next()
-        node = _fold_bin(op, node, _parse_scalar_mul(cur), cur.lineno, col)
+    while op := cur.accept(("+", "-")):
+        node = _fold_bin(op[0], node, _parse_scalar_mul(cur), cur.lineno, op[2])
     return node
 
 
 def _parse_scalar_mul(cur):
     node = _parse_scalar_unary(cur)
-    while cur.peek()[0] == "op" and cur.peek()[1] in "*/":
-        _, op, col = cur.next()
-        node = _fold_bin(op, node, _parse_scalar_unary(cur), cur.lineno, col)
+    while op := cur.accept(("*", "/")):
+        node = _fold_bin(op[0], node, _parse_scalar_unary(cur), cur.lineno, op[2])
     return node
 
 
 def _parse_scalar_unary(cur):
-    kind, value, col = cur.peek()
-    if kind == "op" and value == "-":
-        cur.next()
-        return _fold_neg(_parse_scalar_unary(cur), cur.lineno, col)
-    if kind == "num":
-        cur.next()
-        return Num(Fraction(value))
-    if kind == "ident":
-        cur.next()
-        return ParamRef(value)
-    if kind == "op" and value == "(":
-        cur.next()
+    kind, value, _ = cur.expect(("-", "num", "ident", "("), ("number", "name", "'('", "'-'"))
+    if kind == "-":
+        return _fold_neg(_parse_scalar_unary(cur))
+    if kind == "(":
         node = _parse_scalar(cur)
-        cur.expect(("op",), ("')'",))
+        cur.expect((")",), ("')'",))
         return node
-    cur.fail(("number", "name", "'('", "'-'"))
+    return _leaf(kind, value)
 
 
 def _parse_combo(cur, pairs_allowed):
     """List of Terms; `0` alone denotes the empty combination."""
-    kind, value, col = cur.peek()
-    if kind == "num" and value == "0" and cur.i + 1 == len(cur.tokens):
-        cur.next()
+    if cur.peek()[1] == "0" and cur.tokens[cur.i + 1][0] == "end":
+        cur.accept(("num",))
         return ()
     terms = [_parse_term(cur, pairs_allowed, negate=False)]
-    while cur.peek()[0] == "op" and cur.peek()[1] in "+-":
-        op = cur.next()[1]
-        terms.append(_parse_term(cur, pairs_allowed, negate=(op == "-")))
+    while op := cur.accept(("+", "-")):
+        terms.append(_parse_term(cur, pairs_allowed, negate=(op[0] == "-")))
     return tuple(terms)
 
 
 def _parse_term(cur, pairs_allowed, negate):
     """A term is '*'-separated factors whose last factor is the basis atom."""
-    while cur.peek()[0] == "op" and cur.peek()[1] == "-":
-        cur.next()
+    while cur.accept(("-",)):
         negate = not negate
     factors = [_parse_term_factor(cur)]
-    while cur.peek()[0] == "op" and cur.peek()[1] == "*":
-        cur.next()
+    while cur.accept(("*",)):
         factors.append(_parse_term_factor(cur))
     atom = factors[-1]
+    _, found, col = cur.peek()
     if not isinstance(atom, tuple):
-        cur.fail(("basis label",))
+        raise ParseError(cur.lineno, col, ("basis label",), found)
     coef = None
     for f in factors[:-1]:
         if isinstance(f, tuple):
             # a bare label in coefficient position is a parameter reference
             if len(f) != 1:
-                raise ParseError(cur.lineno, cur.peek()[2], ("scalar factor",), "@".join(f))
-            f = Num(Fraction(f[0])) if f[0].isdigit() else ParamRef(f[0])
-        coef = f if coef is None else _fold_bin("*", coef, f, cur.lineno, cur.peek()[2])
+                raise ParseError(cur.lineno, col, ("scalar factor",), "@".join(tok[1] for tok in f))
+            kind, value, _ = f[0]
+            f = _leaf(kind, value)
+        coef = f if coef is None else _fold_bin("*", coef, f, cur.lineno, col)
     if coef is None:
         coef = Num(ONE)
     if negate:
-        coef = _fold_neg(coef, cur.lineno, cur.peek()[2])
+        coef = _fold_neg(coef)
+    atom = tuple(tok[1] for tok in atom)
     if len(atom) == 2 and not pairs_allowed:
-        raise ParseError(cur.lineno, cur.peek()[2], ("plain basis label",), "@".join(atom))
+        raise ParseError(cur.lineno, col, ("plain basis label",), "@".join(atom))
     if len(atom) == 1 and pairs_allowed:
-        raise ParseError(cur.lineno, cur.peek()[2], ("tensor pair label@label",), atom[0])
+        raise ParseError(cur.lineno, col, ("tensor pair label@label",), atom[0])
     return Term(coef, atom)
 
 
 def _parse_term_factor(cur):
-    """Either a scalar coefficient factor or a basis atom.
+    """Either a scalar coefficient factor or a basis atom, the tuple of its
+    one or two label tokens.
 
     A lone identifier or number could be either; atoms are recognised by
     *not* being followed by an arithmetic continuation, and tensor pairs by
     the infix @.  Ambiguity is settled when the term ends: the final factor
     must be an atom.
     """
-    kind, value, col = cur.peek()
-    if kind == "op" and value == "-":
-        cur.next()
-        return _fold_neg(_parse_scalar_unary(cur), cur.lineno, col)
-    if kind == "op" and value == "(":
-        cur.next()
-        node = _parse_scalar(cur)
-        cur.expect(("op",), ("')'",))
-        return node
-    if kind in ("num", "ident"):
-        cur.next()
-        if cur.peek()[0] == "op" and cur.peek()[1] == "@":
-            cur.next()
-            kind2, value2, col2 = cur.expect(("num", "ident"), ("basis label",))
-            return (value, value2)
-        if cur.peek()[0] == "op" and cur.peek()[1] == "/":
-            _, _, slash = cur.next()
-            base = Num(Fraction(value)) if kind == "num" else ParamRef(value)
-            return _fold_bin("/", base, _parse_scalar_unary(cur), cur.lineno, slash)
-        return (value,)
-    cur.fail(("basis label", "scalar factor"))
+    if cur.peek()[0] in ("-", "("):
+        return _parse_scalar_unary(cur)
+    label = cur.expect(_LABEL, ("basis label", "scalar factor"))
+    if cur.accept(("@",)):
+        return (label, cur.expect(_LABEL, ("basis label",)))
+    slash = cur.accept(("/",))
+    if slash:
+        return _fold_bin("/", _leaf(label[0], label[1]), _parse_scalar_unary(cur), cur.lineno, slash[2])
+    return (label,)
 
 
 class _SectionState:
@@ -454,27 +450,26 @@ class _SectionState:
 
     def __init__(self, section):
         self.section = section
-        self.basis = None
+        self.labels = None
         self.via_dim = False
         # the section this one is over, and whether lines were read over it
         self.over = section.over
         self.over_read = False
 
     def declare(self, key, labels, lineno):
-        if self.basis is not None:
+        if self.labels is not None:
             raise ParseError(lineno, 1, ("single basis/dim declaration",), key)
-        self.basis = tuple(labels)
+        self.labels = frozenset(labels)
         self.via_dim = key == "dim"
 
-    def index(self, label, lineno):
-        if self.basis is None:
+    def check(self, label, lineno):
+        """A diagnostic unless label is one of the declared basis labels."""
+        if self.labels is None:
             raise UnboundName(label, lineno)
-        try:
-            return self.basis.index(label)
-        except ValueError:
+        if label not in self.labels:
             if self.via_dim and re.fullmatch(r"e\d+", label):
-                raise OutOfRangeIndex(label, len(self.basis), lineno) from None
-            raise UnboundName(label, lineno) from None
+                raise OutOfRangeIndex(label, len(self.labels), lineno)
+            raise UnboundName(label, lineno)
 
 
 def parse_definition(text):
@@ -496,9 +491,8 @@ def parse_definition(text):
         if not line.strip():
             continue
         cur = _Cursor(line, lineno)
-        kind, value, col = cur.peek()
 
-        if kind == "op" and value == "[":
+        if cur.accept(("[",)):
             current = _parse_header(cur, states)
             state = _SectionState(current)
             sections.append(current)
@@ -507,11 +501,11 @@ def parse_definition(text):
             continue
 
         if current is None:
-            raise ParseError(lineno, 1, ("section header",), value)
+            raise ParseError(lineno, 1, ("section header",), cur.peek()[1])
 
         if current.kind == "params":
             _, name, _ = cur.expect(("ident",), ("parameter name",))
-            cur.expect(("op",), ("'='",))
+            cur.expect(("=",), ("'='",))
             expr = _parse_scalar(cur)
             cur.expect(("end",), ("end of line",))
             current.entries.append(Entry(lineno, "param", (name,), expr))
@@ -520,28 +514,27 @@ def parse_definition(text):
         _, key, kcol = cur.expect(("ident",), ("entry key",))
         if key not in _KEYS[current.kind]:
             raise ParseError(lineno, kcol, tuple(sorted(_KEYS[current.kind])), key)
-        cur.expect(("op",), ("':'",))
+        cur.expect((":",), ("':'",))
         current.entries.append(_parse_entry(cur, key, state, states, lineno))
     return DefinitionFile(sections)
 
 
 def _parse_header(cur, states):
+    """The rest of a section header line after its '['."""
     lineno = cur.lineno
-    cur.expect(("op",), ("'['",))
     _, kind, col = cur.expect(("ident",), SECTION_KINDS)
     if kind not in SECTION_KINDS:
         raise ParseError(lineno, col, SECTION_KINDS, kind)
     name = None
     over = None
     if kind != "params":
-        _, name, col = cur.expect(("ident", "num"), ("section name",))
+        _, name, col = cur.expect(_LABEL, ("section name",))
         if name in states:
             raise ParseError(lineno, col, ("unused section name",), name)
-        nxt = cur.peek()
-        if nxt[0] == "ident" and nxt[1] == "over":
-            cur.next()
-            _, over, _ = cur.expect(("ident", "num"), ("section name",))
-    cur.expect(("op",), ("']'",))
+        if cur.peek()[1] == "over":
+            cur.accept(("ident",))
+            _, over, _ = cur.expect(_LABEL, ("section name",))
+    cur.expect(("]",), ("']'",))
     cur.expect(("end",), ("end of line",))
     return Section(kind, name, over, [])
 
@@ -557,26 +550,14 @@ def _over_name(section, lineno):
     return name
 
 
-def _over_state(state, states, lineno):
-    """The parse state of the section that state's section is over so far,
-    marked as read over, so that a later `over:` cannot move it."""
-    name = state.over
-    if name is None:
-        raise ResolveError("section %r needs an 'over' reference" % state.section.name, lineno)
-    if name not in states:
-        raise UnboundName(name, lineno)
-    state.over_read = True
-    return states[name]
-
-
 def _parse_entry(cur, key, state, states, lineno):
     if key == "basis":
-        labels = []
-        while not cur.done():
-            k, v, c = cur.expect(("ident", "num"), ("basis label",))
-            labels.append(v)
-        if not labels:
-            cur.fail(("basis label",))
+        labels = {}
+        while cur.peek()[0] != "end" or not labels:
+            _, label, col = cur.expect(_LABEL, ("basis label",))
+            if label in labels:
+                raise ParseError(lineno, col, ("basis label not declared before",), label)
+            labels[label] = None
         state.declare("basis", labels, lineno)
         return Entry(lineno, "basis", (), tuple(labels))
     if key == "dim":
@@ -585,7 +566,7 @@ def _parse_entry(cur, key, state, states, lineno):
         state.declare("dim", ("e%d" % i for i in range(int(v))), lineno)
         return Entry(lineno, "dim", (), int(v))
     if key in ("over", "pair"):
-        _, v, col = cur.expect(("ident", "num"), ("section name" if key == "over" else "autpair name",))
+        _, v, col = cur.expect(_LABEL, ("section name" if key == "over" else "autpair name",))
         cur.expect(("end",), ("end of line",))
         if v not in states:
             raise UnboundName(v, lineno)
@@ -597,50 +578,36 @@ def _parse_entry(cur, key, state, states, lineno):
             state.over = v
         return Entry(lineno, key, (), v)
 
-    if key == "unit":
-        combo = _parse_combo(cur, pairs_allowed=False)
+    # a table line: its argument labels, then `-> value` (unit: the value alone)
+    arg_legs, term_legs = _LEGS[key]
+    args = tuple(cur.expect(_LABEL, ("basis label",))[1] for _ in arg_legs)
+    if not term_legs:
+        # counit: its label is checked before its scalar is read
+        state.check(args[0], lineno)
+        cur.expect(("->",), ("'->'",))
+        value = _parse_scalar(cur)
         cur.expect(("end",), ("end of line",))
-        for t in combo:
-            state.index(t.atom[0], lineno)
-        return Entry(lineno, "unit", (), combo)
-
-    if key == "counit":
-        _, lbl, _ = cur.expect(("ident", "num"), ("basis label",))
-        state.index(lbl, lineno)
-        cur.expect(("arrow",), ("'->'",))
-        expr = _parse_scalar(cur)
-        cur.expect(("end",), ("end of line",))
-        return Entry(lineno, "counit", (lbl,), expr)
-
-    # the remaining keys are the table families of _MAP_KEYS, _BIN_KEYS and _PAIR_KEYS
-    args = []
-    for _ in range(2 if key in _BIN_KEYS else 1):
-        _, lbl, _ = cur.expect(("ident", "num"), ("basis label",))
-        args.append(lbl)
-    cur.expect(("arrow",), ("'->'",))
-    combo = _parse_combo(cur, pairs_allowed=(key in _PAIR_KEYS))
+        return Entry(lineno, key, args, value)
+    if args:
+        cur.expect(("->",), ("'->'",))
+    combo = _parse_combo(cur, pairs_allowed=len(term_legs) == 2)
     cur.expect(("end",), ("end of line",))
-    _validate_entry_labels(key, args, combo, state, states, lineno)
-    return Entry(lineno, key, tuple(args), combo)
-
-
-def _validate_entry_labels(key, args, combo, state, states, lineno):
-    """Index every label reference so bad names fail at parse time: each
-    argument and each leg of a term in the basis it belongs to."""
-    over = _over_state(state, states, lineno) if key in ("act", "coact", "a", "b") else None
-    if key == "act":
-        arg_bases, leg_bases = (over, state), (state,)
-    elif key == "coact":
-        arg_bases, leg_bases = (state,), (state, over)
-    elif key in ("a", "b"):
-        arg_bases, leg_bases = (over,), (over,)
-    else:
-        arg_bases, leg_bases = (state, state), (state, state)
-    for label, basis in zip(args, arg_bases):
-        basis.index(label, lineno)
+    # every label is checked in its leg's basis, so bad names fail here
+    bases = {"own": state}
+    if "over" in arg_legs + term_legs:
+        if state.over is None:
+            raise ResolveError("section %r needs an 'over' reference" % state.section.name, lineno)
+        if state.over not in states:
+            raise UnboundName(state.over, lineno)
+        # a later `over:` may no longer move this section
+        state.over_read = True
+        bases["over"] = states[state.over]
+    for label, leg in zip(args, arg_legs):
+        bases[leg].check(label, lineno)
     for t in combo:
-        for label, basis in zip(t.atom, leg_bases):
-            basis.index(label, lineno)
+        for label, leg in zip(t.atom, term_legs):
+            bases[leg].check(label, lineno)
+    return Entry(lineno, key, args, combo)
 
 
 # ---------------------------------------------------------------------------
@@ -718,12 +685,11 @@ def serialize_definition(df):
 class ResolvedFile:
     def __init__(self):
         self.params = {}
-        self.objects = {}   # name -> (kind, object)
+        self.objects = {}   # name -> (kind, object), in file order
         self.sections = {}  # name -> Section
-        self.order = []
 
     def of_kind(self, *kinds):
-        return [(n, obj) for n in self.order for k, obj in (self.objects[n],) if k in kinds]
+        return [(n, obj) for n, (k, obj) in self.objects.items() if k in kinds]
 
     def get(self, name, line=None):
         if name not in self.objects:
@@ -743,56 +709,47 @@ def _basis_of(section, lineno=None):
     return basis
 
 
-def _combo_vec(combo, basis, params, line):
-    out = [ZERO] * len(basis)
-    for t in combo:
-        out[basis.index(t.atom[0])] += eval_expr(t.coef, params, line)
-    return tuple(out)
+def _table(key, lines, bases, params):
+    """The map of a section's `key` lines, read through exactlin.table_map.
 
-
-def _square_map(entries_by_key, key, basis, params):
-    """Assemble a dim x dim map from `key: lbl -> combo` lines; identity
-    when no line of that family appears."""
-    lines = entries_by_key.get(key, [])
-    n = len(basis)
-    if not lines:
-        return LinearMap.identity(n)
-    cols = {}
-    for e in lines:
-        cols[basis.index(e.args[0])] = _combo_vec(e.value, basis, params, e.line)
-    allcols = [cols.get(j, tuple(ZERO for _ in range(n))) for j in range(n)]
-    return LinearMap.from_cols(allcols)
-
-
-def _product_map(lines, left_basis, right_basis, params):
-    """L (x) R -> R from `l r -> combo` lines (mul, act); a repeated line
-    sets the cells it gives nonzero and keeps the rest."""
-    cells = {}
-    for e in lines:
-        i, j = left_basis.index(e.args[0]), right_basis.index(e.args[1])
-        for k, v in enumerate(_combo_vec(e.value, right_basis, params, e.line)):
-            if v:
-                cells[i, j, k] = v
-    return table_map((len(left_basis), len(right_basis), len(right_basis)), cells, 1)
-
-
-def _pair_map(lines, left_basis, right_basis, params):
-    """L -> L (x) R from `l -> combo of l@r` lines (comul, coact); repeated
-    terms and lines add up."""
-    cells = {}
-    for e in lines:
-        j = left_basis.index(e.args[0])
-        for t in e.value:
-            key = j, left_basis.index(t.atom[0]), right_basis.index(t.atom[1])
-            cells[key] = cells.get(key, 0) + eval_expr(t.coef, params, e.line)
-    return table_map((len(left_basis), len(left_basis), len(right_basis)), cells, 2)
-
-
-def _group_entries(section):
-    grouped = {}
-    for e in section.entries:
-        grouped.setdefault(e.key, []).append(e)
-    return grouped
+    lines maps each key to its entries in file order, and bases maps each
+    leg of _LEGS[key] to its basis labels.  The domain is the argument
+    legs, the codomain the term legs (a scalar for counit).  A key with
+    one argument and one leg and no line is the identity.  A repeated
+    line follows its family's rule: comul and coact terms add up, a mul or
+    act line sets the cells it gives nonzero and keeps the rest, and every
+    other line replaces its column.
+    """
+    arg_legs, term_legs = _LEGS[key]
+    family = lines.get(key, ())
+    if not family and len(arg_legs) == len(term_legs) == 1:
+        return LinearMap.identity(len(bases[arg_legs[0]]))
+    index = {leg: {label: i for i, label in enumerate(basis)} for leg, basis in bases.items()}
+    arg_index = [index[leg] for leg in arg_legs]
+    term_index = [index[leg] for leg in term_legs]
+    columns = {}
+    for e in family:
+        col = tuple(map(dict.__getitem__, arg_index, e.args))
+        if not term_legs:
+            cells = {(0,): eval_expr(e.value, params, e.line)}
+        else:
+            cells = {}
+            for t in e.value:
+                cell = tuple(map(dict.__getitem__, term_index, t.atom))
+                v = eval_expr(t.coef, params, e.line)
+                cells[cell] = cells[cell] + v if cell in cells else v
+        if len(term_legs) == 2:  # comul, coact
+            old = columns.setdefault(col, {})
+            for cell, v in cells.items():
+                old[cell] = old[cell] + v if cell in old else v
+        elif len(arg_legs) == 2:  # mul, act
+            columns.setdefault(col, {}).update((cell, v) for cell, v in cells.items() if v)
+        else:
+            columns[col] = cells
+    dims = tuple(len(bases[leg]) for leg in arg_legs) + (tuple(len(bases[leg]) for leg in term_legs) or (1,))
+    pad = (0,) * (3 - len(dims))
+    data = {pad + col + cell: v for col, cells in columns.items() for cell, v in cells.items()}
+    return table_map((1,) * len(pad) + dims, data, max(len(term_legs), 1))
 
 
 def resolve_definition(df):
@@ -809,136 +766,77 @@ def resolve_definition(df):
             for e in section.entries:
                 rf.params[e.args[0]] = eval_expr(e.value, rf.params, e.line)
             continue
-        builder = _BUILDERS[section.kind]
+        lines = {}
+        for e in section.entries:
+            lines.setdefault(e.key, []).append(e)
+        build = _build_own if section.kind in ("algebra", "coalgebra", "hopf") else _build_over
         rf.sections[section.name] = section
         try:
-            obj = builder(section, rf)
+            obj = build(section, lines, rf)
         except (SingularMap, DimensionMismatch, InvalidStructure) as exc:
             raise ResolveError(
                 "section %r does not define a usable structure: %s" % (section.name, exc)
             ) from exc
         rf.objects[section.name] = (section.kind, obj)
-        rf.order.append(section.name)
     return rf
 
 
-def _resolve_algebra_parts(section, rf, basis):
-    g = _group_entries(section)
-    params = rf.params
-    unit_lines = g.get("unit")
-    if not unit_lines:
-        raise ResolveError("section %r has no unit" % section.name, None)
-    unit = LinearMap.from_cols([_combo_vec(unit_lines[-1].value, basis, params, unit_lines[-1].line)])
-    mul = _product_map(g.get("mul", []), basis, basis, params)
-    return mul, unit, _square_map(g, "alpha", basis, params)
-
-
-def _resolve_coalgebra_parts(section, rf, basis, twist_key):
-    g = _group_entries(section)
-    params = rf.params
-    comul = _pair_map(g.get("comul", []), basis, basis, params)
-    counit = [ZERO] * len(basis)
-    for e in g.get("counit", []):
-        counit[basis.index(e.args[0])] = eval_expr(e.value, params, e.line)
-    return comul, LinearMap.from_rows([counit]), _square_map(g, twist_key, basis, params)
-
-
-def _build_algebra(section, rf):
+def _build_own(section, lines, rf):
+    """The object of an algebra, coalgebra or hopf section."""
     basis = _basis_of(section)
-    mul, unit, alpha = _resolve_algebra_parts(section, rf, basis)
-    return HomAlgebraData(basis, mul, unit, alpha)
-
-
-def _build_coalgebra(section, rf):
-    basis = _basis_of(section)
-    comul, counit, gamma = _resolve_coalgebra_parts(section, rf, basis, "gamma")
-    return HomCoalgebraData(basis, comul, counit, gamma)
-
-
-def _build_hopf(section, rf):
-    basis = _basis_of(section)
-    mul, unit, alpha = _resolve_algebra_parts(section, rf, basis)
-    comul, counit, _ = _resolve_coalgebra_parts(section, rf, basis, "alpha")
-    g = _group_entries(section)
-    if "antipode" not in g:
+    bases = {"own": basis}
+    if section.kind != "coalgebra":
+        if "unit" not in lines:
+            raise ResolveError("section %r has no unit" % section.name, None)
+        unit, mul, alpha = (_table(key, lines, bases, rf.params) for key in ("unit", "mul", "alpha"))
+        if section.kind == "algebra":
+            return HomAlgebraData(basis, mul, unit, alpha)
+    comul, counit = (_table(key, lines, bases, rf.params) for key in ("comul", "counit"))
+    if section.kind == "coalgebra":
+        return HomCoalgebraData(basis, comul, counit, _table("gamma", lines, bases, rf.params))
+    if "antipode" not in lines:
         raise ResolveError("hopf section %r has no antipode" % section.name, None)
-    antipode = _square_map(g, "antipode", basis, rf.params)
+    antipode = _table("antipode", lines, bases, rf.params)
     return HomHopfAlgebraData.from_maps(basis, mul, unit, comul, counit, antipode, alpha)
 
 
-def _over_hopf(section, rf):
-    kind, obj = rf.get(_over_name(section, None))
-    if kind != "hopf":
-        raise ResolveError("section %r must be over a hopf section, got %s" % (section.name, kind), None)
-    return obj
-
-
-def _resolve_carrier(section, rf, h):
-    basis = _basis_of(section)
-    g = _group_entries(section)
-    params = rf.params
-    mu = _square_map(g, "mu", basis, params)
-    action = _product_map(g["act"], h.basis, basis, params) if "act" in g else None
-    coaction = _pair_map(g["coact"], basis, h.basis, params) if "coact" in g else None
-    return basis, mu, action, coaction
-
-
-def _build_module(section, rf):
-    h = _over_hopf(section, rf)
-    basis, mu, action, _ = _resolve_carrier(section, rf, h)
-    if action is None:
-        raise ResolveError("module section %r has no act lines" % section.name, None)
-    return HomModuleData(h, len(basis), action, mu, basis=basis)
-
-
-def _build_comodule(section, rf):
-    h = _over_hopf(section, rf)
-    basis, mu, _, coaction = _resolve_carrier(section, rf, h)
-    if coaction is None:
-        raise ResolveError("comodule section %r has no coact lines" % section.name, None)
-    return HomComoduleData(h, len(basis), coaction, mu, basis=basis)
-
-
-def _build_autpair_maps(section, rf, h):
-    g = _group_entries(section)
-    a = _square_map(g, "a", h.basis, rf.params)
-    b = _square_map(g, "b", h.basis, rf.params)
-    return AutPair(HopfAutomorphism(a), HopfAutomorphism(b), label=section.name)
-
-
-def _build_autpair(section, rf):
-    h = _over_hopf(section, rf)
-    return _build_autpair_maps(section, rf, h)
-
-
-def _build_ydmodule(section, rf):
-    h = _over_hopf(section, rf)
-    basis, mu, action, coaction = _resolve_carrier(section, rf, h)
-    if action is None or coaction is None:
-        raise ResolveError("ydmodule section %r needs act and coact lines" % section.name, None)
+def _build_over(section, lines, rf):
+    """The object of a module, comodule, ydmodule or autpair section."""
+    kind = section.kind
+    over, h = rf.get(_over_name(section, None))
+    if over != "hopf":
+        raise ResolveError("section %r must be over a hopf section, got %s" % (section.name, over), None)
+    bases = {"over": h.basis}
+    if kind != "autpair":
+        basis = bases["own"] = _basis_of(section)
+        mu = _table("mu", lines, bases, rf.params)
+        action, coaction = (
+            _table(key, lines, bases, rf.params) if key in lines else None for key in ("act", "coact")
+        )
+        if kind == "module":
+            if action is None:
+                raise ResolveError("module section %r has no act lines" % section.name, None)
+            return HomModuleData(h, len(basis), action, mu, basis=basis)
+        if kind == "comodule":
+            if coaction is None:
+                raise ResolveError("comodule section %r has no coact lines" % section.name, None)
+            return HomComoduleData(h, len(basis), coaction, mu, basis=basis)
+        if action is None or coaction is None:
+            raise ResolveError("ydmodule section %r needs act and coact lines" % section.name, None)
     pair = None
-    for e in section.entries:
-        if e.key == "pair":
-            kind, obj = rf.get(e.value, e.line)
-            if kind != "autpair":
-                raise ResolveError("pair reference %r is not an autpair" % e.value, e.line)
-            if _over_name(rf.sections[e.value], e.line) != _over_name(section, e.line):
-                raise ResolveError("pair reference %r is over a different hopf section" % e.value, e.line)
-            pair = obj
+    for e in lines.get("pair", ()):
+        pkind, obj = rf.get(e.value, e.line)
+        if pkind != "autpair":
+            raise ResolveError("pair reference %r is not an autpair" % e.value, e.line)
+        if _over_name(rf.sections[e.value], e.line) != _over_name(section, e.line):
+            raise ResolveError("pair reference %r is over a different hopf section" % e.value, e.line)
+        pair = obj
     if pair is None:
-        pair = _build_autpair_maps(section, rf, h)
+        a, b = (HopfAutomorphism(_table(key, lines, bases, rf.params)) for key in ("a", "b"))
+        pair = AutPair(a, b, label=section.name)
+    if kind == "autpair":
+        return pair
     return YDModuleData(h, action, coaction, mu, pair, basis=basis, label=section.name)
-
-
-_BUILDERS = {
-    "algebra": _build_algebra,
-    "coalgebra": _build_coalgebra,
-    "hopf": _build_hopf,
-    "module": _build_module,
-    "comodule": _build_comodule,
-    "ydmodule": _build_ydmodule,
-    "autpair": _build_autpair,
-}
 
 
 # ---------------------------------------------------------------------------

@@ -670,8 +670,8 @@ def table_map(dims, data, out_legs):
     t[k, i, j] (the e_i (x) e_j coefficient of comul(e_k)) C -> C (x) C
     with 2."""
     d0, d1, d2 = dims
-    rows = d2 if out_legs == 1 else d1 * d2
-    columns = tuple({} for _ in range(d0 * d1 * d2 // rows))
+    rows, cols = (d2, d0 * d1) if out_legs == 1 else (d1 * d2, d0)
+    columns = tuple({} for _ in range(cols))
     for (i, j, k), v in data.items():
         if not (0 <= i < d0 and 0 <= j < d1 and 0 <= k < d2):
             raise DimensionMismatch("index %r out of range for dims %r" % ((i, j, k), dims))

@@ -207,6 +207,8 @@ MODULE_AND_COMODULE = ONE_DIM_HOPF + (
 #: the shipped file with eps(g) = 2, which breaks the counit laws of its
 #: Hopf section and so the trivial module k that tcat adds over it
 BROKEN_HOPF = ("counit: g -> 1\n", "counit: g -> 2\n")
+#: the shipped file with '=' in place of the ':' after the unit key
+WRONG_PUNCTUATION = ("unit: 1\n", "unit= 1\n")
 #: a ydmodule over H4 whose pair names an autpair over K
 FOREIGN_PAIR = "\n" + ONE_DIM_HOPF + (
     "\n[autpair Q over K]\n"
@@ -229,6 +231,9 @@ def exit_case_files(tmp_path):
         "not-utf8": tmp_path / "latin1.alg",
         "broken-hopf": tmp_path / "broken-hopf.alg",
         "late-over": tmp_path / "late-over.alg",
+        "wrong-punctuation": tmp_path / "wrong-punctuation.alg",
+        "dim-zero-algebra": tmp_path / "dim-zero-algebra.alg",
+        "dim-zero-coalgebra": tmp_path / "dim-zero-coalgebra.alg",
     }
     files["late-over"].write_text(LATE_OVER, encoding="utf-8")
     files["module-comodule"].write_text(MODULE_AND_COMODULE, encoding="utf-8")
@@ -238,6 +243,10 @@ def exit_case_files(tmp_path):
     shipped = Path(H4_ALG).read_text(encoding="utf-8")
     assert shipped.count(BROKEN_HOPF[0]) == 1
     files["broken-hopf"].write_text(shipped.replace(*BROKEN_HOPF), encoding="utf-8")
+    assert shipped.count(WRONG_PUNCTUATION[0]) == 1
+    files["wrong-punctuation"].write_text(shipped.replace(*WRONG_PUNCTUATION), encoding="utf-8")
+    files["dim-zero-algebra"].write_text("[algebra A]\ndim: 0\nunit: 0\n", encoding="utf-8")
+    files["dim-zero-coalgebra"].write_text("[coalgebra C]\ndim: 0\n", encoding="utf-8")
     return files
 
 
@@ -262,6 +271,9 @@ EXIT_CASES = [
     ("broken-hopf", ("braid", "-m", "H4A", "-n", "H4B"), 0),
     ("late-over", ("check", "--suite", "yd"), 2),
     ("late-over", ("check", "--suite", "all"), 2),
+    ("wrong-punctuation", ("check",), 2),
+    ("dim-zero-algebra", ("check", "--suite", "all"), 0),
+    ("dim-zero-coalgebra", ("check", "--suite", "all"), 0),
 ]
 
 

@@ -222,16 +222,36 @@ def test_parameter_rebinding_changes_resolution():
     assert h4.alpha.entry(2, 2) == 5
 
 
+#: what fuzzed_texts strings together
+FUZZ_VOCAB = [
+    "[", "]", "(", ")", "->", "@", "+", "-", "*", "/", ":", "=",
+    "algebra", "hopf", "params", "ydmodule", "basis", "mul", "act",
+    "coact", "unit", "alpha", "mu", "over", "x", "gx", "q", "1", "0",
+    "2/3", "\n", " ", "#", "e7", "dim",
+]
+
+
+def fuzzed_texts(seed, count):
+    """count seeded strings of 1 to 60 FUZZ_VOCAB items."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield "".join(rng.choice(FUZZ_VOCAB) for _ in range(rng.randint(1, 60)))
+
+
+def mutated_texts(seed, count):
+    """count seeded copies of h4.alg with 1 to 4 characters overwritten."""
+    chars = list(H4_ALG.read_text())
+    rng = random.Random(seed)
+    for _ in range(count):
+        mutated = chars[:]
+        for _ in range(rng.randint(1, 4)):
+            pos = rng.randrange(len(mutated))
+            mutated[pos] = rng.choice("abc01@*/()[]->:=# \n")
+        yield "".join(mutated)
+
+
 def test_parser_total_on_fuzzed_inputs():
-    rng = random.Random(12345)
-    vocab = [
-        "[", "]", "(", ")", "->", "@", "+", "-", "*", "/", ":", "=",
-        "algebra", "hopf", "params", "ydmodule", "basis", "mul", "act",
-        "coact", "unit", "alpha", "mu", "over", "x", "gx", "q", "1", "0",
-        "2/3", "\n", " ", "#", "e7", "dim",
-    ]
-    for _ in range(2000):
-        text = "".join(rng.choice(vocab) for _ in range(rng.randint(1, 60)))
+    for text in fuzzed_texts(12345, 2000):
         try:
             parse_definition(text)
         except DefinitionError:
@@ -239,16 +259,9 @@ def test_parser_total_on_fuzzed_inputs():
 
 
 def test_fuzzed_mutations_of_shipped_file():
-    base = H4_ALG.read_text()
-    rng = random.Random(99)
-    chars = list(base)
-    for _ in range(500):
-        mutated = chars[:]
-        for _ in range(rng.randint(1, 4)):
-            pos = rng.randrange(len(mutated))
-            mutated[pos] = rng.choice("abc01@*/()[]->:=# \n")
+    for text in mutated_texts(99, 500):
         try:
-            df = parse_definition("".join(mutated))
+            df = parse_definition(text)
             resolve_definition(df)
         except DefinitionError:
             pass
@@ -359,3 +372,23 @@ def test_unicode_space_is_a_parse_error_at_its_column(space, tmp_path, capsys):
     path.write_text(text, encoding="utf-8")
     assert main(["check", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, bad", [
+    ("[params]\nq : 2\n", ":"),
+    ("[algebra A]\nbasis@ x\n", "@"),
+    ("[algebra A)\n", ")"),
+    ("[params]\nq = (1 + 2]\n", "]"),
+    ("[algebra A]\nbasis: x\nunit: x\nmul: x x -> (2] * x\n", "]"),
+], ids=["params-equals", "key-colon", "header-bracket", "scalar-paren", "term-factor-paren"])
+def test_wrong_punctuation_is_a_parse_error_at_its_token(text, bad):
+    line = text.splitlines()[-1]
+    with pytest.raises(ParseError) as err:
+        parse_definition(text)
+    assert (err.value.line, err.value.col, err.value.found) == (text.count("\n"), line.index(bad) + 1, bad)
+
+
+def test_repeated_basis_label_is_a_parse_error_at_the_repeat():
+    with pytest.raises(ParseError) as err:
+        parse_definition("[algebra A]\nbasis: x y x\nunit: x\n")
+    assert (err.value.line, err.value.col, err.value.found) == (2, 12, "x")

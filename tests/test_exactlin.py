@@ -334,7 +334,8 @@ def test_permute_moves_legs():
 @pytest.mark.parametrize("out_legs", [1, 2])
 def test_table_map_matches_dense_reference(out_legs):
     rng = random.Random(40 + out_legs)
-    for dims in ((2, 3, 4), (4, 4, 4), (1, 4, 1), (3, 1, 2)):
+    # a zero dimension gives a map with no rows or no columns
+    for dims in ((2, 3, 4), (4, 4, 4), (1, 4, 1), (3, 1, 2), (0, 0, 0), (3, 2, 0), (2, 0, 3)):
         data = {
             idx: Fraction(rng.choice((-2, -1, 0, 1, 2)), rng.choice((1, 2, 3)))
             for idx in itertools.product(*map(range, dims)) if rng.random() < 0.4
