@@ -18,8 +18,7 @@ is emitted here (the demo prints a reminder on stderr).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import functools
 import json
 import os
 import sys
@@ -78,11 +77,10 @@ def render_json_report(report):
 
 
 def matrix_to_csv(matrix):
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    for i in range(matrix.rows):
-        writer.writerow([str(x) for x in matrix.row(i)])
-    return buf.getvalue()
+    """Rows of exact rationals as csv.writer's default dialect writes them:
+    comma-separated, each row ended by CRLF; an integer or p/q needs no
+    quoting."""
+    return "".join(",".join([str(x) for x in matrix.row(i)]) + "\r\n" for i in range(matrix.rows))
 
 
 def _pair_dict(pair):
@@ -213,7 +211,10 @@ def cmd_demo(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The homyd argument parser, built once per process: each parse_args
+    returns a fresh Namespace and leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="homyd",
         description="Exact checks for twisted Hopf structures and their braidings.",

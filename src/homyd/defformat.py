@@ -57,7 +57,6 @@ with witnesses rather than load-time crashes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactlin import ONE, DimensionMismatch, LinearMap, SingularMap, table_map
@@ -74,7 +73,7 @@ from .hom_algebra import (
     check_hom_bialgebra,
     check_hom_coalgebra,
 )
-from .reports import CheckReport
+from .reports import CheckReport, _FrozenRecord, _Record, _set
 from .yd_modules import (
     HomComoduleData,
     HomModuleData,
@@ -141,26 +140,34 @@ class SuiteError(DefinitionError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
+class Num(_FrozenRecord):
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class ParamRef:
-    name: str
+class ParamRef(_FrozenRecord):
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: object
+class Neg(_FrozenRecord):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg):
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    left: object
-    right: object
+class Bin(_FrozenRecord):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op, left, right):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 def _fold_neg(x):
@@ -241,31 +248,41 @@ def render_expr(node, needed=0):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Term:
-    coef: object  # scalar AST; Num(1) when implicit
-    atom: tuple   # one or two basis labels
+class Term(_FrozenRecord):
+    __slots__ = ("coef", "atom")
+
+    def __init__(self, coef, atom):
+        _set(self, "coef", coef)  # scalar AST; Num(1) when implicit
+        _set(self, "atom", atom)  # one or two basis labels
 
 
-@dataclass(frozen=True)
-class Entry:
-    line: int = field(compare=False)
-    key: str = ""
-    args: tuple = ()
-    value: object = None  # tuple[Term, ...] | scalar AST | tuple[str, ...] | str | int
+class Entry(_FrozenRecord, compare=("key", "args", "value")):
+    """One line of a section; equality ignores the line number."""
+
+    __slots__ = ("line", "key", "args", "value")
+
+    def __init__(self, line, key="", args=(), value=None):
+        _set(self, "line", line)
+        _set(self, "key", key)
+        _set(self, "args", args)
+        _set(self, "value", value)  # tuple[Term, ...] | scalar AST | tuple[str, ...] | str | int
 
 
-@dataclass
-class Section:
-    kind: str
-    name: str | None
-    over: str | None
-    entries: list
+class Section(_Record):
+    __slots__ = ("kind", "name", "over", "entries")
+
+    def __init__(self, kind, name, over, entries):
+        self.kind = kind
+        self.name = name
+        self.over = over
+        self.entries = entries
 
 
-@dataclass
-class DefinitionFile:
-    sections: list
+class DefinitionFile(_Record):
+    __slots__ = ("sections",)
+
+    def __init__(self, sections):
+        self.sections = sections
 
     def section(self, name):
         for s in self.sections:

@@ -12,36 +12,90 @@ differing column, as basis indices plus both sides' coordinates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from operator import attrgetter
+
+#: assigns a frozen record's field, in its __init__ only
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Witness:
+class _Record:
+    """A value record: its fields are its __slots__, two records are equal
+    when they are of one class and equal in the fields that equality
+    compares, and the repr names every field.  Mutable, and so unhashable.
+
+    A subclass names the compared fields with the class keyword compare;
+    by default equality compares all of them.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, compare=None):
+        fields = compare or cls.__slots__
+        if fields:
+            cls._key = attrgetter(*fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % (f, getattr(self, f)) for f in self.__slots__)
+        return "%s(%s)" % (type(self).__qualname__, fields)
+
+
+class _FrozenRecord(_Record):
+    """A record whose fields are set once, by __init__; hashable."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not through setattr
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
+class Witness(_FrozenRecord):
     """First counterexample of a failed identity.
 
     inputs are basis indices into the identity's domain legs, labels the
     matching basis names, lhs/rhs the two sides' coordinate vectors.
     """
 
-    inputs: tuple
-    labels: tuple
-    lhs: tuple
-    rhs: tuple
+    __slots__ = ("inputs", "labels", "lhs", "rhs")
+
+    def __init__(self, inputs, labels, lhs, rhs):
+        _set(self, "inputs", inputs)
+        _set(self, "labels", labels)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class CheckItem:
-    identity: str
-    law: str
-    passed: bool
-    witness: Witness | None = None
+class CheckItem(_FrozenRecord):
+    __slots__ = ("identity", "law", "passed", "witness")
+
+    def __init__(self, identity, law, passed, witness=None):
+        _set(self, "identity", identity)
+        _set(self, "law", law)
+        _set(self, "passed", passed)
+        _set(self, "witness", witness)
 
 
-@dataclass
-class CheckReport:
-    suite: str
-    seed: int = 0
-    items: list = field(default_factory=list)
+class CheckReport(_Record):
+    __slots__ = ("suite", "seed", "items")
+
+    def __init__(self, suite, seed=0, items=None):
+        self.suite = suite
+        self.seed = seed
+        self.items = [] if items is None else items
 
     def ok(self):
         return all(item.passed for item in self.items)
@@ -70,7 +124,7 @@ class CheckReport:
 
     def prefixed(self, prefix):
         """Copy with every identity id prefixed."""
-        items = [replace(it, identity=prefix + it.identity) for it in self.items]
+        items = [CheckItem(prefix + it.identity, it.law, it.passed, it.witness) for it in self.items]
         return CheckReport(self.suite, self.seed, items)
 
     def summary(self):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from homyd.cli import main
+from homyd.cli import build_parser, main
 from homyd.defformat import SUITES
 from homyd.exactlin import LinearMap, rat
 from homyd.h4_library import H4Params, h4_braiding_matrix
@@ -23,6 +23,12 @@ REPORT_GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text(encodi
 BRAID_GOLDEN = json.loads((ROOT / "tests" / "braid_golden.json").read_text(encoding="utf-8"))
 #: sha256 digests of `demo h4 ARGS --out csv|json`, keyed by ARGS
 DEMO_GOLDEN = json.loads((ROOT / "tests" / "demo_golden.json").read_text(encoding="utf-8"))["points"]
+
+
+def src_env(**extra):
+    """The environment with src first on PYTHONPATH, for a fresh homyd process."""
+    path = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra)
 
 
 def run(capsys, *argv):
@@ -323,15 +329,62 @@ def test_module_and_comodule_sections_are_checked_with_witnesses(tmp_path, capsy
 def test_closed_stdout_exits_two_without_traceback(argv):
     # as in `homyd check ... | head -c 0`: the reader is gone before the
     # report is written
-    path = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.Popen([sys.executable, "-m", "homyd", *argv], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=env)
+                            stderr=subprocess.PIPE, env=src_env())
     proc.stdout.close()
     err = proc.stderr.read().decode("utf-8")
     proc.stderr.close()
     assert proc.wait(timeout=120) == 2
     assert err == ""
+
+
+#: fails when import homyd.cli loads a slow stdlib module that homyd does
+#: not need; the CI smoke job runs the same line, without pytest
+IMPORT_BUDGET = (
+    "import sys; before = set(sys.modules); import homyd.cli; "
+    "new = sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'csv'} & (set(sys.modules) - before)); "
+    "print('newly imported:', new); sys.exit(bool(new))"
+)
+
+
+def test_import_loads_no_dataclasses_csv_or_inspect():
+    # a fresh interpreter, since pytest itself imports these modules, and
+    # compared against what it had loaded before homyd, since site may too
+    proc = subprocess.run([sys.executable, "-c", IMPORT_BUDGET], capture_output=True, text=True,
+                          env=src_env(), timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "newly imported: []\n", "")
+
+
+#: main calls in the order one process makes them: an emission, an argparse
+#: usage error, a demo diagnostic, then braid and check
+REUSE_CALLS = [
+    ("demo", "h4", "--out", "csv"),
+    ("check",),
+    ("demo", "h4", "--c=0"),
+    ("braid", H4_ALG, "-m", "H4A", "-n", "H4B", "--out", "csv"),
+    ("check", H4_ALG, "--suite", "yd", "--report", "text"),
+]
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    # argparse wraps its usage text to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    got = []
+    for argv in REUSE_CALLS:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        got.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in got] == [0, 2, 2, 0, 0]
+    assert hashlib.sha256(got[0][1].encode("utf-8")).hexdigest() == DEMO_GOLDEN[""]["csv"]
+    assert hashlib.sha256(got[3][1].encode("utf-8")).hexdigest() == BRAID_GOLDEN["csv"]
+    for argv, result in zip(REUSE_CALLS, got):
+        proc = subprocess.run([sys.executable, "-m", "homyd", *argv], capture_output=True,
+                              env=src_env(COLUMNS="80"), timeout=120)
+        assert result == (proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")), argv
 
 
 #: what a pipeline-fuzz mutation puts in place of one token of a line
