@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .exactlin import LinearMap, table_map
 from .hom_algebra import AutPair, HomHopfAlgebraData, HopfAutomorphism, identity_automorphism
-from .reports import CheckReport, check_matrix_equal
+from .reports import check_laws
 from .yd_modules import YDModuleData, build_canonical_yd
 
 
@@ -205,11 +205,8 @@ def golden_table_errata(p):
         ("H4AB", _table_action(c, -c * (cp + cpp), c * (-cp + cpp), c * (-cp + cpp), -c * (cp + cpp)),
          h4_automorphism(cp), h4_automorphism(cpp)),
     )
-    rep = CheckReport("golden-table-errata")
-    for name, variant_action, a_aut, b_aut in variants:
-        check_matrix_equal(
-            rep, "variant-table-%s" % name, "sign-variant action table equals the constructed action",
-            variant_action, build_canonical_yd(h, a_aut, b_aut).action,
-            dims=(4, 4), labeler=lambda idx: (BASIS[idx[0]], BASIS[idx[1]]),
-        )
-    return rep
+    return check_laws("golden-table-errata", [
+        ("variant-table-%s" % name, "sign-variant action table equals the constructed action", (BASIS, BASIS),
+         variant_action, build_canonical_yd(h, a_aut, b_aut).action)
+        for name, variant_action, a_aut, b_aut in variants
+    ])

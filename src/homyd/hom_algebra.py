@@ -7,8 +7,10 @@ alpha(a)(bc) = (ab)alpha(c), the unit law becomes a1 = 1a = alpha(a), and
 so on.  Each structure map is stored once, as the LinearMap the laws
 compose: mul and unit on HomAlgebraData, comul and counit on
 HomCoalgebraData, the twist and the antipode beside them.  Each axiom is
-checked as one equality of two composites of those maps, compared column
-by column; by multilinearity a column is the law at one basis tuple.
+one law record (identity, law text, legs, lhs, rhs) for
+reports.check_laws: an equality of two composites of those maps on the
+domain legs, compared column by column; by multilinearity a column is the
+law at one basis tuple.
 
 Identity ids ("eq-1.1", "antipode-left", ...) are stable strings; the
 numbering groups the structure-level laws as the 1.x family.
@@ -22,7 +24,7 @@ to require.
 from __future__ import annotations
 
 from .exactlin import DimensionMismatch, LinearMap, SingularMap, flip, invert, kron, permute
-from .reports import CheckReport, check_matrix_equal
+from .reports import FIELD_LEG, CheckReport, check_laws
 
 
 class InvalidStructure(ValueError):
@@ -221,99 +223,74 @@ class AutPair:
 # ---------------------------------------------------------------------------
 
 
-def _labeler(basis):
-    return lambda idx: tuple(basis[i] for i in idx)
-
-
 def check_hom_algebra(a):
     """Twisted associativity, twist multiplicativity, twisted unit laws."""
-    rep = CheckReport("hom-algebra")
-    d = a.dim
-    lab = _labeler(a.basis)
+    b = a.basis
     m, u, alpha = a.mul, a.unit, a.alpha
-    ident = LinearMap.identity(d)
-    check_matrix_equal(rep, "eq-1.1", "alpha(a)(bc) = (ab)alpha(c)",
-                       m @ kron(alpha, m), m @ kron(m, alpha), (d, d, d), lab)
-    check_matrix_equal(rep, "alpha-mult", "alpha(ab) = alpha(a)alpha(b)",
-                       alpha @ m, m @ kron(alpha, alpha), (d, d), lab)
-    check_matrix_equal(rep, "eq-1.2-left", "1a = alpha(a)", m @ kron(u, ident), alpha, (d,), lab)
-    check_matrix_equal(rep, "eq-1.2-right", "a1 = alpha(a)", m @ kron(ident, u), alpha, (d,), lab)
-    check_matrix_equal(rep, "eq-1.3", "alpha(1) = 1", alpha @ u, u, (1,), _labeler(("1",)))
-    return rep
+    ident = LinearMap.identity(a.dim)
+    return check_laws("hom-algebra", (
+        ("eq-1.1", "alpha(a)(bc) = (ab)alpha(c)", (b, b, b), m @ kron(alpha, m), m @ kron(m, alpha)),
+        ("alpha-mult", "alpha(ab) = alpha(a)alpha(b)", (b, b), alpha @ m, m @ kron(alpha, alpha)),
+        ("eq-1.2-left", "1a = alpha(a)", (b,), m @ kron(u, ident), alpha),
+        ("eq-1.2-right", "a1 = alpha(a)", (b,), m @ kron(ident, u), alpha),
+        ("eq-1.3", "alpha(1) = 1", (FIELD_LEG,), alpha @ u, u),
+    ))
 
 
 def check_hom_coalgebra(c):
     """Twisted coassociativity (both printed forms), comul/counit twist
     compatibility and the twisted counit law."""
-    rep = CheckReport("hom-coalgebra")
-    d = c.dim
-    lab = _labeler(c.basis)
+    legs = (c.basis,)
     comul, eps, gamma, gamma_inv = c.comul, c.counit, c.gamma, c.gamma_inv
-    ident = LinearMap.identity(d)
-    check_matrix_equal(
-        rep, "eq-1.4", "gamma^-1(c1) (x) comul(c2) = comul(c1) (x) gamma^-1(c2)",
-        kron(gamma_inv, comul) @ comul, kron(comul, gamma_inv) @ comul, (d,), lab,
-    )
-    check_matrix_equal(
-        rep, "eq-1.4-alt", "c1 (x) c21 (x) gamma(c22) = gamma(c11) (x) c12 (x) c2",
-        kron(ident, kron(ident, gamma) @ comul) @ comul,
-        kron(kron(gamma, ident) @ comul, ident) @ comul, (d,), lab,
-    )
-    check_matrix_equal(rep, "eq-1.5", "comul(gamma(c)) = gamma(c1) (x) gamma(c2)",
-                       comul @ gamma, kron(gamma, gamma) @ comul, (d,), lab)
-    check_matrix_equal(rep, "counit-right", "c1 eps(c2) = gamma^-1(c)",
-                       kron(ident, eps) @ comul, gamma_inv, (d,), lab)
-    check_matrix_equal(rep, "counit-left", "eps(c1) c2 = gamma^-1(c)",
-                       kron(eps, ident) @ comul, gamma_inv, (d,), lab)
-    check_matrix_equal(rep, "eq-1.6", "eps(gamma(c)) = eps(c)", eps @ gamma, eps, (d,), lab)
-    return rep
+    ident = LinearMap.identity(c.dim)
+    return check_laws("hom-coalgebra", (
+        ("eq-1.4", "gamma^-1(c1) (x) comul(c2) = comul(c1) (x) gamma^-1(c2)", legs,
+         kron(gamma_inv, comul) @ comul, kron(comul, gamma_inv) @ comul),
+        ("eq-1.4-alt", "c1 (x) c21 (x) gamma(c22) = gamma(c11) (x) c12 (x) c2", legs,
+         kron(ident, kron(ident, gamma) @ comul) @ comul, kron(kron(gamma, ident) @ comul, ident) @ comul),
+        ("eq-1.5", "comul(gamma(c)) = gamma(c1) (x) gamma(c2)", legs, comul @ gamma, kron(gamma, gamma) @ comul),
+        ("counit-right", "c1 eps(c2) = gamma^-1(c)", legs, kron(ident, eps) @ comul, gamma_inv),
+        ("counit-left", "eps(c1) c2 = gamma^-1(c)", legs, kron(eps, ident) @ comul, gamma_inv),
+        ("eq-1.6", "eps(gamma(c)) = eps(c)", legs, eps @ gamma, eps),
+    ))
 
 
 def check_hom_bialgebra(h):
     """comul and counit are morphisms of twisted algebras; the product on
     H (x) H is componentwise."""
-    rep = CheckReport("hom-bialgebra")
-    d = h.dim
-    lab = _labeler(h.basis)
+    d, b = h.dim, h.basis
     m, u = h.algebra.mul, h.algebra.unit
     comul, eps = h.coalgebra.comul, h.coalgebra.counit
     middle = permute((d, d, d, d), (0, 2, 1, 3))
-    check_matrix_equal(rep, "bialg-comul-mult", "comul(hg) = comul(h)comul(g)",
-                       comul @ m, kron(m, m) @ middle @ kron(comul, comul), (d, d), lab)
-    check_matrix_equal(rep, "bialg-comul-unit", "comul(1) = 1 (x) 1",
-                       comul @ u, kron(u, u), (1,), _labeler(("1",)))
-    check_matrix_equal(rep, "bialg-counit-mult", "eps(hg) = eps(h)eps(g)",
-                       eps @ m, kron(eps, eps), (d, d), lab)
-    check_matrix_equal(rep, "bialg-counit-unit", "eps(1) = 1",
-                       eps @ u, LinearMap.identity(1), (1,), _labeler(("1",)))
-    return rep
+    return check_laws("hom-bialgebra", (
+        ("bialg-comul-mult", "comul(hg) = comul(h)comul(g)", (b, b),
+         comul @ m, kron(m, m) @ middle @ kron(comul, comul)),
+        ("bialg-comul-unit", "comul(1) = 1 (x) 1", (FIELD_LEG,), comul @ u, kron(u, u)),
+        ("bialg-counit-mult", "eps(hg) = eps(h)eps(g)", (b, b), eps @ m, kron(eps, eps)),
+        ("bialg-counit-unit", "eps(1) = 1", (FIELD_LEG,), eps @ u, LinearMap.identity(1)),
+    ))
 
 
 def check_antipode(h):
     """Convolution-inverse axiom plus the derived anti-homomorphism
     properties and twist compatibility (both directions)."""
-    rep = CheckReport("antipode")
-    d = h.dim
-    lab = _labeler(h.basis)
+    d, b = h.dim, h.basis
+    legs = (b,)
     s = h.antipode
     m, u = h.algebra.mul, h.algebra.unit
     comul, eps = h.coalgebra.comul, h.coalgebra.counit
     ident = LinearMap.identity(d)
-    check_matrix_equal(rep, "antipode-left", "S(h1)h2 = eps(h)1",
-                       convolution(h, s, ident), u @ eps, (d,), lab)
-    check_matrix_equal(rep, "antipode-right", "h1 S(h2) = eps(h)1",
-                       convolution(h, ident, s), u @ eps, (d,), lab)
-    check_matrix_equal(rep, "antipode-anti-mult", "S(hg) = S(g)S(h)",
-                       s @ m, m @ kron(s, s) @ flip(d, d), (d, d), lab)
-    check_matrix_equal(rep, "antipode-unit", "S(1) = 1", s @ u, u, (1,), _labeler(("1",)))
-    check_matrix_equal(rep, "antipode-anti-comult", "comul(S(h)) = S(h2) (x) S(h1)",
-                       comul @ s, flip(d, d) @ kron(s, s) @ comul, (d,), lab)
-    check_matrix_equal(rep, "antipode-counit", "eps(S(h)) = eps(h)", eps @ s, eps, (d,), lab)
-    check_matrix_equal(rep, "antipode-alpha", "S alpha = alpha S",
-                       s @ h.alpha, h.alpha @ s, (d,), lab)
-    check_matrix_equal(rep, "antipode-alpha-inv", "S alpha^-1 = alpha^-1 S",
-                       s @ h.alpha_inv, h.alpha_inv @ s, (d,), lab)
-    return rep
+    return check_laws("antipode", (
+        ("antipode-left", "S(h1)h2 = eps(h)1", legs, convolution(h, s, ident), u @ eps),
+        ("antipode-right", "h1 S(h2) = eps(h)1", legs, convolution(h, ident, s), u @ eps),
+        ("antipode-anti-mult", "S(hg) = S(g)S(h)", (b, b), s @ m, m @ kron(s, s) @ flip(d, d)),
+        ("antipode-unit", "S(1) = 1", (FIELD_LEG,), s @ u, u),
+        ("antipode-anti-comult", "comul(S(h)) = S(h2) (x) S(h1)", legs,
+         comul @ s, flip(d, d) @ kron(s, s) @ comul),
+        ("antipode-counit", "eps(S(h)) = eps(h)", legs, eps @ s, eps),
+        ("antipode-alpha", "S alpha = alpha S", legs, s @ h.alpha, h.alpha @ s),
+        ("antipode-alpha-inv", "S alpha^-1 = alpha^-1 S", legs, s @ h.alpha_inv, h.alpha_inv @ s),
+    ))
 
 
 def check_hom_hopf(h):
@@ -340,22 +317,18 @@ def check_automorphism(h, phi):
     rep.add("aut-invertible", "phi bijective", bijective)
     if not bijective:
         return rep
-    d = h.dim
-    lab = _labeler(h.basis)
+    b = h.basis
+    legs = (b,)
     m, u = h.algebra.mul, h.algebra.unit
     comul, eps = h.coalgebra.comul, h.coalgebra.counit
-
-    check_matrix_equal(rep, "aut-mult", "phi(ab) = phi(a)phi(b)",
-                       phi @ m, m @ kron(phi, phi), (d, d), lab)
-    check_matrix_equal(rep, "aut-unit", "phi(1) = 1", phi @ u, u, (1,), _labeler(("1",)))
-    check_matrix_equal(rep, "aut-comul", "comul(phi(c)) = phi(c1) (x) phi(c2)",
-                       comul @ phi, kron(phi, phi) @ comul, (d,), lab)
-    check_matrix_equal(rep, "aut-counit", "eps(phi(c)) = eps(c)", eps @ phi, eps, (d,), lab)
-    check_matrix_equal(rep, "aut-alpha", "phi alpha = alpha phi",
-                       phi @ h.alpha, h.alpha @ phi, (d,), lab)
-    check_matrix_equal(rep, "aut-antipode", "phi S = S phi",
-                       phi @ h.antipode, h.antipode @ phi, (d,), lab)
-    return rep
+    return rep.extend(check_laws("automorphism", (
+        ("aut-mult", "phi(ab) = phi(a)phi(b)", (b, b), phi @ m, m @ kron(phi, phi)),
+        ("aut-unit", "phi(1) = 1", (FIELD_LEG,), phi @ u, u),
+        ("aut-comul", "comul(phi(c)) = phi(c1) (x) phi(c2)", legs, comul @ phi, kron(phi, phi) @ comul),
+        ("aut-counit", "eps(phi(c)) = eps(c)", legs, eps @ phi, eps),
+        ("aut-alpha", "phi alpha = alpha phi", legs, phi @ h.alpha, h.alpha @ phi),
+        ("aut-antipode", "phi S = S phi", legs, phi @ h.antipode, h.antipode @ phi),
+    )))
 
 
 def convolution(h, f, g):

@@ -2,17 +2,23 @@
 
 A CheckReport is a flat list of items, one per verified identity (or per
 identity instance, when a suite runs the same law over several module
-tuples).  Every law is checked as an equality of two LinearMaps; a column
-of either side is the law evaluated at one basis tuple of the domain legs,
-which suffices by multilinearity.  Identity ids are stable strings so
-reports stay diffable across runs; a failing item carries the first
-differing column, as basis indices plus both sides' coordinates.
+tuples).  A law is one record (identity, law text, legs, lhs, rhs):
+an equality of two LinearMaps lhs and rhs on the tensor product of the
+domain legs, each leg the tuple of its basis labels.  A column of either
+side is the law evaluated at one basis tuple of the legs, which suffices
+by multilinearity; check_laws checks a suite's records in order.
+Identity ids are stable strings so reports stay diffable across runs; a
+failing item carries the first differing column, as basis indices, their
+labels from the legs and both sides' coordinates.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import prod
 from operator import attrgetter
+
+from .exactlin import DimensionMismatch
 
 #: assigns a frozen record's field, in its __init__ only
 _set = object.__setattr__
@@ -155,14 +161,14 @@ def check_all_vectors(report, identity, law, dims, labeler, evaluate):
     return True
 
 
-def check_matrix_equal(report, identity, law, lhs, rhs, dims=None, labeler=None):
-    """Compare two LinearMaps; on a mismatch the witness is the first
-    differing column.
-
-    dims, when given, are the domain legs whose flattening indexes the
-    columns, so the witness names a basis tuple; labeler maps that tuple to
-    basis names.
-    """
+def check_matrix_equal(report, identity, law, lhs, rhs, legs):
+    """Compare two LinearMaps on the domain legs, a tuple of basis-label
+    tuples whose flattening indexes the columns; on a mismatch the witness
+    is the first differing column, as a basis tuple and its labels.  Legs
+    that do not span lhs's columns are a DimensionMismatch."""
+    dims = tuple(map(len, legs))
+    if prod(dims) != lhs.cols:
+        raise DimensionMismatch("%s: legs of sizes %r do not span %d columns" % (identity, dims, lhs.cols))
     if lhs == rhs:
         report.add(identity, law, True)
         return True
@@ -175,8 +181,6 @@ def check_matrix_equal(report, identity, law, lhs, rhs, dims=None, labeler=None)
         )
         return False
 
-    dims = dims or (lhs.cols,)
-
     def column_pair(idx):
         j = 0
         for i, d in zip(idx, dims):
@@ -184,6 +188,23 @@ def check_matrix_equal(report, identity, law, lhs, rhs, dims=None, labeler=None)
         return lhs.column(j), rhs.column(j)
 
     return check_all_vectors(
-        report, identity, law, dims,
-        labeler or (lambda idx: tuple(str(i) for i in idx)), column_pair,
+        report, identity, law, dims, lambda idx: tuple(leg[i] for leg, i in zip(legs, idx)), column_pair,
     )
+
+
+def check_laws(suite, laws):
+    """The report of suite with one item per law record (identity, law
+    text, legs, lhs, rhs), in order."""
+    report = CheckReport(suite)
+    for identity, law, legs, lhs, rhs in laws:
+        check_matrix_equal(report, identity, law, lhs, rhs, legs)
+    return report
+
+
+#: the ground field's one leg
+FIELD_LEG = ("1",)
+
+
+def index_leg(n):
+    """A leg of n basis vectors labelled by their indices "0", "1", ..."""
+    return tuple(map(str, range(n)))

@@ -61,7 +61,7 @@ from fractions import Fraction
 
 from .exactlin import LinearMap, flip, intertwined, kron, permute
 from .hom_algebra import AutPair, check_automorphism
-from .reports import CheckReport, Witness, check_matrix_equal
+from .reports import CheckReport, Witness, check_laws, index_leg
 from .yd_modules import _with_twist_inverse, check_yd, trivial_yd
 
 
@@ -80,7 +80,7 @@ def group_inv(p):
 # ---------------------------------------------------------------------------
 
 
-def tensor_yd(m, n, label=None):
+def tensor_yd(m, n):
     """M (x) N in component pair(M) * pair(N), with B from M's pair and C
     from N's:
 
@@ -100,7 +100,7 @@ def tensor_yd(m, n, label=None):
     act, coact = _tensor_maps(m, n)
     basis = tuple("%s(x)%s" % (a, b) for a in m.basis for b in n.basis)
     return _with_twist_inverse(m.over, act, coact, kron(m.mu, n.mu), kron(m.mu_inv, n.mu_inv),
-                               group_mul(m.pair, n.pair), basis, label or "%s(x)%s" % (m.name, n.name))
+                               group_mul(m.pair, n.pair), basis, "%s(x)%s" % (m.name, n.name))
 
 
 def _tensor_maps(m, n):
@@ -116,7 +116,7 @@ def _tensor_maps(m, n):
     return act, coact
 
 
-def conjugate_yd(p, n, label=None):
+def conjugate_yd(p, n):
     """The conjugation functor on objects: same carrier and twist, component
     moved to p * pair(N) * p^-1, and with p = (A, B), C from N's pair,
 
@@ -129,7 +129,7 @@ def conjugate_yd(p, n, label=None):
     coact = kron(LinearMap.identity(dn), p.a.matrix @ p.b.inverse) @ n.coaction
     return _with_twist_inverse(n.over, act, coact, n.mu, n.mu_inv,
                                group_mul(group_mul(p, n.pair), group_inv(p)), n.basis,
-                               label or "^%s%s" % (p.name, n.name))
+                               "^%s%s" % (p.name, n.name))
 
 
 # ---------------------------------------------------------------------------
@@ -205,51 +205,30 @@ def check_braiding_equivariance(b, src, tgt):
     """The braiding intertwines the tensor actions and tensor coactions of
     its source src = M (x) N and its target tgt = ^MN (x) M, and is a
     morphism for the carrier twists."""
-    rep = CheckReport("braiding")
     m, n = b.source
     h = m.over
     tag = _pair_labels(m, n)
-
-    lhs = b.matrix @ src.action
-    rhs = tgt.action @ kron(LinearMap.identity(h.dim), b.matrix)
-    check_matrix_equal(
-        rep, "braiding-module-map(%s)" % tag, "c(h.(m (x) n)) = h.c(m (x) n)",
-        lhs, rhs, dims=(h.dim, m.dim * n.dim),
-        labeler=lambda idx: (h.basis[idx[0]], src.basis[idx[1]]),
-    )
-
-    lhs = kron(b.matrix, LinearMap.identity(h.dim)) @ src.coaction
-    rhs = tgt.coaction @ b.matrix
-    check_matrix_equal(
-        rep, "braiding-comodule-map(%s)" % tag, "rho(c(m (x) n)) = (c (x) id) rho(m (x) n)",
-        lhs, rhs, dims=(m.dim * n.dim,), labeler=lambda idx: (src.basis[idx[0]],),
-    )
-
-    lhs = kron(n.mu, m.mu) @ b.matrix
-    rhs = b.matrix @ kron(m.mu, n.mu)
-    check_matrix_equal(
-        rep, "braiding-morphism(%s)" % tag, "(nu (x) mu) c = c (mu (x) nu)",
-        lhs, rhs, dims=(m.dim * n.dim,), labeler=lambda idx: (src.basis[idx[0]],),
-    )
-    return rep
+    return check_laws("braiding", (
+        ("braiding-module-map(%s)" % tag, "c(h.(m (x) n)) = h.c(m (x) n)", (h.basis, src.basis),
+         b.matrix @ src.action, tgt.action @ kron(LinearMap.identity(h.dim), b.matrix)),
+        ("braiding-comodule-map(%s)" % tag, "rho(c(m (x) n)) = (c (x) id) rho(m (x) n)", (src.basis,),
+         kron(b.matrix, LinearMap.identity(h.dim)) @ src.coaction, tgt.coaction @ b.matrix),
+        ("braiding-morphism(%s)" % tag, "(nu (x) mu) c = c (mu (x) nu)", (src.basis,),
+         kron(n.mu, m.mu) @ b.matrix, b.matrix @ kron(m.mu, n.mu)),
+    ))
 
 
 def check_braiding_inverse(b, inv):
     """Both composites of b with inv, the lemma-3.6 formula
     braiding_inverse(b), are identities, exactly."""
-    rep = CheckReport("braiding")
     m, n = b.source
     tag = _pair_labels(m, n)
     dim = m.dim * n.dim
-    check_matrix_equal(
-        rep, "braiding-inverse-left(%s)" % tag, "c^-1 c = id", inv @ b.matrix,
-        LinearMap.identity(dim), dims=(dim,),
-    )
-    check_matrix_equal(
-        rep, "braiding-inverse-right(%s)" % tag, "c c^-1 = id", b.matrix @ inv,
-        LinearMap.identity(dim), dims=(dim,),
-    )
-    return rep
+    legs = (index_leg(dim),)
+    return check_laws("braiding", (
+        ("braiding-inverse-left(%s)" % tag, "c^-1 c = id", legs, inv @ b.matrix, LinearMap.identity(dim)),
+        ("braiding-inverse-right(%s)" % tag, "c c^-1 = id", legs, b.matrix @ inv, LinearMap.identity(dim)),
+    ))
 
 
 def check_hexagons(c_mn, c_np, c_mp, c_mn_p, c_m_npconj, c_m_np):
@@ -259,7 +238,6 @@ def check_hexagons(c_mn, c_np, c_mp, c_mn_p, c_m_npconj, c_m_np):
     NP = N (x) P and ^NP is P conjugated by N's pair.  Conjugates keep
     carrier and twist, so ^{MN}P, ^MN and ^MP enter only as P's and N's
     twists."""
-    rep = CheckReport("hexagons")
     m, n = c_mn.source
     p = c_np.source[1]
     tag = "%s,%s,%s" % (m.name, n.name, p.name)
@@ -268,52 +246,28 @@ def check_hexagons(c_mn, c_np, c_mp, c_mn_p, c_m_npconj, c_m_np):
     idn = LinearMap.identity(n.dim)
     idp = LinearMap.identity(p.dim)
 
-    # eq-3.4 on M (x) (N (x) P)
-    lhs = (
-        kron(p.mu_inv, kron(idm, n.mu))
-        @ c_mn_p.matrix
-        @ kron(m.mu_inv, kron(idn, p.mu))
-    )
-    rhs = (
-        kron(c_m_npconj.matrix, idn)
-        @ kron(m.mu_inv, kron(idp, n.mu))
-        @ kron(idm, c_np.matrix)
-    )
-    check_matrix_equal(
-        rep, "eq-3.4(%s)" % tag,
-        "a^-1 c_{MN,P} a^-1 = (c_{M,^NP} (x) id) a^-1 (id (x) c_{N,P})",
-        lhs, rhs, dims=(m.dim, n.dim, p.dim),
-        labeler=lambda idx: (m.basis[idx[0]], n.basis[idx[1]], p.basis[idx[2]]),
-    )
-
-    # eq-3.5 on (M (x) N) (x) P
-    lhs = (
-        kron(n.mu, kron(idp, m.mu_inv))
-        @ c_m_np.matrix
-        @ kron(m.mu, kron(idn, p.mu_inv))
-    )
-    rhs = kron(idn, c_mp.matrix) @ kron(n.mu, kron(idm, p.mu_inv)) @ kron(c_mn.matrix, idp)
-    check_matrix_equal(
-        rep, "eq-3.5(%s)" % tag,
-        "a c_{M,NP} a = (id (x) c_{M,P}) a (c_{M,N} (x) id)",
-        lhs, rhs, dims=(m.dim, n.dim, p.dim),
-        labeler=lambda idx: (m.basis[idx[0]], n.basis[idx[1]], p.basis[idx[2]]),
-    )
-    return rep
+    legs = (m.basis, n.basis, p.basis)
+    return check_laws("hexagons", (
+        # eq-3.4 on M (x) (N (x) P)
+        ("eq-3.4(%s)" % tag, "a^-1 c_{MN,P} a^-1 = (c_{M,^NP} (x) id) a^-1 (id (x) c_{N,P})", legs,
+         kron(p.mu_inv, kron(idm, n.mu)) @ c_mn_p.matrix @ kron(m.mu_inv, kron(idn, p.mu)),
+         kron(c_m_npconj.matrix, idn) @ kron(m.mu_inv, kron(idp, n.mu)) @ kron(idm, c_np.matrix)),
+        # eq-3.5 on (M (x) N) (x) P
+        ("eq-3.5(%s)" % tag, "a c_{M,NP} a = (id (x) c_{M,P}) a (c_{M,N} (x) id)", legs,
+         kron(n.mu, kron(idp, m.mu_inv)) @ c_m_np.matrix @ kron(m.mu, kron(idn, p.mu_inv)),
+         kron(idn, c_mp.matrix) @ kron(n.mu, kron(idm, p.mu_inv)) @ kron(c_mn.matrix, idp)),
+    ))
 
 
 def check_conjugation_invariance(p, b, conjugated):
     """The braiding conjugated = c_{^pM,^pN} on the p-conjugates of b's
     source modules equals b as a matrix (crossed-category axiom for the
     conjugation functors)."""
-    rep = CheckReport("conjugation")
     m, n = b.source
-    check_matrix_equal(
-        rep, "conjugation-invariance(%s;%s,%s)" % (p.name, m.name, n.name),
-        "c_{^pM,^pN} = c_{M,N}", conjugated.matrix, b.matrix, dims=(m.dim, n.dim),
-        labeler=lambda idx: (m.basis[idx[0]], n.basis[idx[1]]),
-    )
-    return rep
+    return check_laws("conjugation", ((
+        "conjugation-invariance(%s;%s,%s)" % (p.name, m.name, n.name), "c_{^pM,^pN} = c_{M,N}",
+        (m.basis, n.basis), conjugated.matrix, b.matrix,
+    ),))
 
 
 def _structures_equal(rep, ident, law, x, y):
@@ -405,13 +359,12 @@ def check_t_category(h, modules, pairs, seed=0):
         )
         rep.extend(check_braiding_equivariance(b, tensor[i, j], tensor_yd(twisted[i, j], m)))
         rep.extend(check_braiding_inverse(b, braiding_inverse(b)))
-        check_matrix_equal(
-            rep, "naturality-id(%s)" % _pair_labels(m, n),
-            "(id (x) id) c = c (id (x) id)",
+        rep.extend(check_laws(rep.suite, ((
+            "naturality-id(%s)" % _pair_labels(m, n), "(id (x) id) c = c (id (x) id)",
+            (index_leg(m.dim), index_leg(n.dim)),
             kron(LinearMap.identity(n.dim), LinearMap.identity(m.dim)) @ b.matrix,
             b.matrix @ kron(LinearMap.identity(m.dim), LinearMap.identity(n.dim)),
-            dims=(m.dim, n.dim),
-        )
+        ),)))
 
     for pi, p in enumerate(pairs):
         for i, n in enumerate(modules):
@@ -472,16 +425,13 @@ def check_t_category(h, modules, pairs, seed=0):
             ("left", "l", "1 (x) n", tensor_yd(unit, n)),
             ("right", "r", "n (x) 1", tensor_yd(n, unit)),
         ):
-            check_matrix_equal(
-                rep, "unit-%s-module(%s)" % (side, n.name), "%s(h.(%s)) = h.%s(%s)" % (sym, src, sym, src),
-                n.mu @ t.action, n.action @ kron(idh, n.mu), dims=(h.dim, n.dim),
-                labeler=lambda idx: (h.basis[idx[0]], n.basis[idx[1]]),
-            )
-            check_matrix_equal(
-                rep, "unit-%s-comodule(%s)" % (side, n.name),
-                "rho(%s(%s)) = (%s (x) id) rho(%s)" % (sym, src, sym, src),
-                kron(n.mu, idh) @ t.coaction, n.coaction @ n.mu, dims=(n.dim,),
-            )
+            rep.extend(check_laws(rep.suite, (
+                ("unit-%s-module(%s)" % (side, n.name), "%s(h.(%s)) = h.%s(%s)" % (sym, src, sym, src),
+                 (h.basis, n.basis), n.mu @ t.action, n.action @ kron(idh, n.mu)),
+                ("unit-%s-comodule(%s)" % (side, n.name),
+                 "rho(%s(%s)) = (%s (x) id) rho(%s)" % (sym, src, sym, src), (index_leg(n.dim),),
+                 kron(n.mu, idh) @ t.coaction, n.coaction @ n.mu),
+            )))
 
     rep.add(
         "thm-3.7",

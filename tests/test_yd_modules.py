@@ -249,7 +249,7 @@ def check_yd_alt_left_associated(yd):
     check_matrix_equal(
         rep, "eq-2.2",
         "h1.m0 (x) B(h2)m1 = mu((h2.mu^-1(m))0) (x) (h2.mu^-1(m))1 A(h1)",
-        lhs, rhs, (d, dm), lambda idx: (h.basis[idx[0]], yd.basis[idx[1]]),
+        lhs, rhs, (h.basis, yd.basis),
     )
     return rep
 
