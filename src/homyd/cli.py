@@ -186,9 +186,6 @@ def _demo_param(flag, text):
 
 
 def cmd_demo(args):
-    if args.what != "h4":
-        print("error: unknown demo %r" % args.what, file=sys.stderr)
-        return 2
     try:
         params = H4Params(*(_demo_param(flag, getattr(args, flag)) for flag in ("c", "cp", "cpp")))
         h = build_h4(params.c)

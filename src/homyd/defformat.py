@@ -74,6 +74,7 @@ from .hom_algebra import (
     check_hom_coalgebra,
 )
 from .reports import CheckReport, _FrozenRecord, _Record, _set
+from .t_category import check_t_category
 from .yd_modules import (
     HomComoduleData,
     HomModuleData,
@@ -283,12 +284,6 @@ class DefinitionFile(_Record):
 
     def __init__(self, sections):
         self.sections = sections
-
-    def section(self, name):
-        for s in self.sections:
-            if s.name == name:
-                return s
-        raise KeyError(name)
 
 
 SECTION_KINDS = ("params", "algebra", "coalgebra", "hopf", "module", "comodule", "ydmodule", "autpair")
@@ -714,7 +709,7 @@ class ResolvedFile:
         return self.objects[name]
 
 
-def _basis_of(section, lineno=None):
+def _basis_of(section):
     basis = None
     for e in section.entries:
         if e.key == "basis":
@@ -722,7 +717,7 @@ def _basis_of(section, lineno=None):
         elif e.key == "dim":
             basis = tuple("e%d" % i for i in range(e.value))
     if basis is None:
-        raise ResolveError("section %r declares no basis" % section.name, lineno)
+        raise ResolveError("section %r declares no basis" % section.name, None)
     return basis
 
 
@@ -833,11 +828,11 @@ def _build_over(section, lines, rf):
         if kind == "module":
             if action is None:
                 raise ResolveError("module section %r has no act lines" % section.name, None)
-            return HomModuleData(h, len(basis), action, mu, basis=basis)
+            return HomModuleData(h, action, mu, basis=basis)
         if kind == "comodule":
             if coaction is None:
                 raise ResolveError("comodule section %r has no coact lines" % section.name, None)
-            return HomComoduleData(h, len(basis), coaction, mu, basis=basis)
+            return HomComoduleData(h, coaction, mu, basis=basis)
         if action is None or coaction is None:
             raise ResolveError("ydmodule section %r needs act and coact lines" % section.name, None)
     pair = None
@@ -915,8 +910,8 @@ def run_checks(resolved, suite="all", seed=0):
                 check = check_hom_module if isinstance(yd, HomModuleData) else check_hom_comodule
                 rep.extend(check(yd).prefixed(name + ":"))
                 continue
-            rep.extend(check_hom_module(yd.module).prefixed(name + ":"))
-            rep.extend(check_hom_comodule(yd.comodule).prefixed(name + ":"))
+            rep.extend(check_hom_module(yd).prefixed(name + ":"))
+            rep.extend(check_hom_comodule(yd).prefixed(name + ":"))
             for pname, aut in (("pair-a", yd.pair_a), ("pair-b", yd.pair_b)):
                 rep.add_verdict(
                     "%s:%s" % (name, pname), "component tag is a structure automorphism",
@@ -926,8 +921,6 @@ def run_checks(resolved, suite="all", seed=0):
             rep.extend(check_yd_alt(yd).prefixed(name + ":"))
 
     if suite in ("all", "tcat"):
-        from .t_category import check_t_category
-
         for hname, h in targets["tcat"]:
             modules = [yd for _, yd in yds if yd.over is h]
             if not modules:

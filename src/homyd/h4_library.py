@@ -2,10 +2,10 @@
 
 At twist parameter c = 1 this degenerates to the classical four-dimensional
 Sweedler Hopf algebra; for general nonzero c the twist is diag(1, 1, c, c)
-and all tables pick up c factors.  The module tables built here are kept as
-golden data, transcribed coefficient by coefficient, deliberately separate
-from the constructive builders in yd_modules / t_category so the two can be
-cross-validated entry for entry.
+and all tables pick up c factors.  The module tables built here are one
+formula in the eigenvalues of their component pair, written out as a table,
+deliberately separate from the constructive builders in yd_modules /
+t_category so the two can be cross-validated entry for entry.
 """
 
 from __future__ import annotations
@@ -101,12 +101,27 @@ def _table_action(c, x_on_1, x_on_g, gx_on_1, gx_on_g):
     }, out_legs=1)
 
 
+_TABLES = ("H4A", "H4B", "H4AB")
+
+
+def _eigenvalues(which, p):
+    """The eigenvalues (a, b) of the component pair (A, B) = (diag(1,1,a,a),
+    diag(1,1,b,b)) of table which: (c', 1), (1, c'') or (c', c'')."""
+    if which not in _TABLES:
+        raise ValueError("unknown table %r; expected H4A, H4B or H4AB" % (which,))
+    return (1 if which == "H4B" else p.c_prime), (1 if which == "H4A" else p.c_double_prime)
+
+
 def build_h4_yd_table(which, p, h=None):
     """Golden Yetter-Drinfeld module table H4A, H4B or H4AB.
 
     The coaction is the comultiplication, the carrier twist is alpha, and
-    the component tag is (A, id), (id, B) or (A, B) respectively with
-    A = diag(1,1,c',c') and B = diag(1,1,c'',c'').
+    the component tag is (A, B) = (diag(1,1,a,a), diag(1,1,b,b)) with
+    (a, b) = (c', 1), (1, c'') or (c', c'') respectively.  The rows of 1
+    and g are those of every table, and the x and gx rows are
+
+        x.1 = c(a - b) gx,     x.g = c(a + b) x,
+        gx.1 = c(b - a) gx,    gx.g = -c(a + b) x.
 
     A widely quoted variant of these tables carries the opposite sign on
     the twist-parameter part of the x row (x.1 and x.g); that variant
@@ -114,24 +129,12 @@ def build_h4_yd_table(which, p, h=None):
     parameter, so the rows here are the axiom-consistent ones.  Use
     golden_table_errata to see the exact cells where the variants differ.
     """
-    c, cp, cpp = p.c, p.c_prime, p.c_double_prime
-    ident = identity_automorphism(4)
-    a_aut = h4_automorphism(cp)
-    b_aut = h4_automorphism(cpp)
-    if which == "H4A":
-        action = _table_action(c, c * (cp - 1), c * (1 + cp), c * (1 - cp), -c * (1 + cp))
-        pair = AutPair(a_aut, ident)
-    elif which == "H4B":
-        action = _table_action(c, c * (1 - cpp), c * (1 + cpp), c * (cpp - 1), -c * (1 + cpp))
-        pair = AutPair(ident, b_aut)
-    elif which == "H4AB":
-        action = _table_action(c, c * (cp - cpp), c * (cp + cpp), c * (cpp - cp), -c * (cp + cpp))
-        pair = AutPair(a_aut, b_aut)
-    else:
-        raise ValueError("unknown table %r; expected H4A, H4B or H4AB" % (which,))
+    a, b = _eigenvalues(which, p)
+    c = p.c
     if h is None:
         h = build_h4(c)
-    return YDModuleData(h, action, h.coalgebra.comul, h.alpha, pair,
+    action = _table_action(c, c * (a - b), c * (a + b), c * (b - a), -c * (a + b))
+    return YDModuleData(h, action, h.coalgebra.comul, h.alpha, AutPair(h4_automorphism(a), h4_automorphism(b)),
                         basis=BASIS, label=which)
 
 
@@ -194,19 +197,13 @@ def golden_table_errata(p):
     the constructed one, which is how a transcription error in source
     tables surfaces instead of being silently patched.
     """
-    c, cp, cpp = p.c, p.c_prime, p.c_double_prime
-    ident = identity_automorphism(4)
+    c = p.c
     h = build_h4(c)
-    variants = (
-        ("H4A", _table_action(c, -c * (1 + cp), c * (1 - cp), c * (1 - cp), -c * (1 + cp)),
-         h4_automorphism(cp), ident),
-        ("H4B", _table_action(c, -c * (1 + cpp), c * (-1 + cpp), c * (-1 + cpp), -c * (1 + cpp)),
-         ident, h4_automorphism(cpp)),
-        ("H4AB", _table_action(c, -c * (cp + cpp), c * (-cp + cpp), c * (-cp + cpp), -c * (cp + cpp)),
-         h4_automorphism(cp), h4_automorphism(cpp)),
-    )
-    return check_laws("golden-table-errata", [
-        ("variant-table-%s" % name, "sign-variant action table equals the constructed action", (BASIS, BASIS),
-         variant_action, build_canonical_yd(h, a_aut, b_aut).action)
-        for name, variant_action, a_aut, b_aut in variants
-    ])
+    laws = []
+    for which in _TABLES:
+        a, b = _eigenvalues(which, p)
+        # x.1 = gx.g = -c(a + b) and x.g = gx.1 = c(b - a)
+        variant = _table_action(c, -c * (a + b), c * (b - a), c * (b - a), -c * (a + b))
+        laws.append(("variant-table-%s" % which, "sign-variant action table equals the constructed action",
+                     (BASIS, BASIS), variant, build_canonical_yd(h, h4_automorphism(a), h4_automorphism(b)).action))
+    return check_laws("golden-table-errata", laws)

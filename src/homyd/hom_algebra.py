@@ -70,6 +70,7 @@ class HomAlgebraData:
         self.dim = d = len(self.basis)
         _require_shape("hom-algebra", "mul", mul, d, d * d)
         _require_shape("hom-algebra", "unit", unit, d, 1)
+        _require_shape("hom-algebra", "alpha", alpha, d, d)
         self.mul = mul
         self.unit = unit
         self.alpha = alpha
@@ -88,6 +89,7 @@ class HomCoalgebraData:
         self.dim = d = len(self.basis)
         _require_shape("hom-coalgebra", "comul", comul, d * d, d)
         _require_shape("hom-coalgebra", "counit", counit, 1, d)
+        _require_shape("hom-coalgebra", "gamma", gamma, d, d)
         self.comul = comul
         self.counit = counit
         self.gamma = gamma
@@ -109,6 +111,7 @@ class HomHopfAlgebraData:
             raise InvalidStructure(_shape_report("hom-hopf", "algebra/coalgebra basis mismatch"))
         if algebra.alpha != coalgebra.gamma:
             raise InvalidStructure(_shape_report("hom-hopf", "twist differs between the two layers"))
+        _require_shape("hom-hopf", "antipode", antipode, algebra.dim, algebra.dim)
         self.algebra = algebra
         self.coalgebra = coalgebra
         self.antipode = antipode

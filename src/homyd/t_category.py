@@ -22,10 +22,10 @@ objects" in the functor identities below always means equality of
 structure maps on the flattened carrier, the strongest checkable reading.
 
 Every object built here is one YDModuleData on its maps, twist and
-component, handed the twist inverse that its factors already know, so
-neither G nor the objects invert a matrix: G's elements are the AutPairs of
-hom_algebra, whose products and inverses carry their inverses, and an
-object's pair is read as m.pair.
+component, which inverts its twist once, in closed form for the diagonal
+twists of h4.alg and their tensor products; G inverts no matrix: its
+elements are the AutPairs of hom_algebra, whose products and inverses carry
+their inverses, and an object's pair is read as m.pair.
 
 Tensor products and braidings contain pieces that depend on one factor X
 only.  X builds each of them once, when first read, and keeps it
@@ -62,7 +62,7 @@ from fractions import Fraction
 from .exactlin import LinearMap, flip, intertwined, kron, permute
 from .hom_algebra import AutPair, check_automorphism
 from .reports import CheckReport, Witness, check_laws, index_leg
-from .yd_modules import _with_twist_inverse, check_yd, trivial_yd
+from .yd_modules import YDModuleData, check_yd, trivial_yd
 
 
 def group_mul(p, q):
@@ -99,8 +99,8 @@ def tensor_yd(m, n):
         raise ValueError("tensor factors live over different algebras")
     act, coact = _tensor_maps(m, n)
     basis = tuple("%s(x)%s" % (a, b) for a in m.basis for b in n.basis)
-    return _with_twist_inverse(m.over, act, coact, kron(m.mu, n.mu), kron(m.mu_inv, n.mu_inv),
-                               group_mul(m.pair, n.pair), basis, "%s(x)%s" % (m.name, n.name))
+    return YDModuleData(m.over, act, coact, kron(m.mu, n.mu), group_mul(m.pair, n.pair),
+                        basis=basis, label="%s(x)%s" % (m.name, n.name))
 
 
 def _tensor_maps(m, n):
@@ -127,9 +127,8 @@ def conjugate_yd(p, n):
     phi = n.pair_a.inverse @ p.b.matrix @ n.pair_a.matrix @ p.a.inverse
     act = n.action @ kron(phi, LinearMap.identity(dn))
     coact = kron(LinearMap.identity(dn), p.a.matrix @ p.b.inverse) @ n.coaction
-    return _with_twist_inverse(n.over, act, coact, n.mu, n.mu_inv,
-                               group_mul(group_mul(p, n.pair), group_inv(p)), n.basis,
-                               "^%s%s" % (p.name, n.name))
+    return YDModuleData(n.over, act, coact, n.mu, group_mul(group_mul(p, n.pair), group_inv(p)),
+                        basis=n.basis, label="^%s%s" % (p.name, n.name))
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,15 @@ check_yd_alt verifies the equivalent antipode-free form (2.2); the two
 verdicts must agree on any carrier whose module/comodule axioms hold, and
 the test suite exercises that equivalence on failing instances too.
 
-A Yetter-Drinfeld object is built in one call, YDModuleData(over, action,
-coaction, mu, pair), from its maps, its twist and its component, an
+A Yetter-Drinfeld object is one record, built in one call, YDModuleData(over,
+action, coaction, mu, pair), from its maps, its twist and its component, an
 AutPair; every builder here, in t_category, h4_library and defformat goes
-through it.  Only comodules read mu^-1, so only they invert the twist.  The
-tensor products and conjugates of t_category already know mu^-1 from their
-factors and hand it over through the trusted _with_twist_inverse instead.
-Constructors and builders check only that each map has the shape its
-carrier needs; the laws are the check_* suites below, and
-require(check_yd_module(yd)) validates a built object.
+through it.  It is its own module and comodule, and it inverts its twist
+once.  Every constructor takes the carrier's size from the twist mu and
+checks only that mu is square, that a given basis has one label per row of
+mu and that each map has the shape its carrier needs; the laws are the
+check_* suites below, and require(check_yd_module(yd)) validates a built
+object.
 
 An object is immutable once built: nothing reassigns its action,
 coaction, mu, mu_inv or pair.  That lets it keep the six pieces of
@@ -58,23 +58,29 @@ def act_vv(action, hvec, mvec):
     return action.apply(tensor_vec(hvec, mvec))
 
 
-def _auto_basis(dim, basis):
-    if basis is not None:
-        return tuple(basis)
-    return tuple("e%d" % i for i in range(dim))
+def _carrier(suite, mu, basis):
+    """The basis of a carrier with twist mu: basis, which must have a label
+    for each row of mu, or e0, e1, ... when it is None; mu must be square."""
+    _require_shape(suite, "twist", mu, mu.rows, mu.rows)
+    if basis is None:
+        return tuple("e%d" % i for i in range(mu.rows))
+    if len(basis) != mu.rows:
+        raise InvalidStructure(_shape_report(suite, "%d basis labels for a %dx%d twist"
+                                             % (len(basis), mu.rows, mu.rows)))
+    return tuple(basis)
 
 
 class HomModuleData:
     """Left twisted module over a twisted Hopf algebra: the action map
     H (x) M -> M and the carrier twist mu."""
 
-    def __init__(self, over, dim, action, mu, basis=None):
+    def __init__(self, over, action, mu, basis=None):
+        self.basis = _carrier("hom-module", mu, basis)
         self.over = over
-        self.dim = dim
-        _require_shape("hom-module", "action", action, dim, over.dim * dim)
+        self.dim = d = mu.rows
+        _require_shape("hom-module", "action", action, d, over.dim * d)
         self.action = action
         self.mu = mu
-        self.basis = _auto_basis(dim, basis)
 
 
 class HomComoduleData:
@@ -82,52 +88,48 @@ class HomComoduleData:
     default, or M -> H (x) M, left-sided for the bicomodule-algebra
     machinery, and the carrier twist mu."""
 
-    def __init__(self, over, dim, coaction, mu, basis=None, side="right"):
-        self._fill(over, dim, coaction, mu, None, basis, side)
-
-    def _fill(self, over, dim, coaction, mu, mu_inv, basis, side):
-        """The constructor, given the inverse mu_inv of mu, or None to invert
-        mu here."""
+    def __init__(self, over, coaction, mu, basis=None, side="right"):
+        self.basis = _carrier("hom-comodule", mu, basis)
         self.over = over
-        self.dim = dim
+        self.dim = d = mu.rows
         self.side = side
-        _require_shape("hom-comodule", "coaction", coaction, dim * over.dim, dim)
+        _require_shape("hom-comodule", "coaction", coaction, d * over.dim, d)
         self.coaction = coaction
         self.mu = mu
-        self.mu_inv = invert(mu) if mu_inv is None else mu_inv
-        self.basis = _auto_basis(dim, basis)
+        self.mu_inv = invert(mu)
 
 
 class YDModuleData:
     """One object of the braided T-category: a carrier with twist mu, a left
     action and a right coaction over the Hopf algebra over, in the
-    component pair (an AutPair (A, B)).  Its module and comodule parts are
-    built here, sharing the maps, and mu is inverted once unless its
-    inverse is handed over (_with_twist_inverse); check_yd_module is the
+    component pair (an AutPair (A, B)).  The object is its own module and
+    its own (right) comodule, and inverts mu once; check_yd_module is the
     suite of its laws.  The maps are never reassigned, so the one-object
     pieces of tensor products and braidings below are built on first read
     and kept."""
 
-    def __init__(self, over, action, coaction, mu, pair, basis=None, label=None):
-        self._fill(over, action, coaction, mu, None, pair, basis, label)
+    side = "right"
 
-    def _fill(self, over, action, coaction, mu, mu_inv, pair, basis, label):
-        """The constructor, given the inverse mu_inv of mu, or None to invert
-        mu here."""
+    def __init__(self, over, action, coaction, mu, pair, basis=None, label=None):
+        self.basis = _carrier("yd-module", mu, basis)
         self.over = over
-        self.dim = mu.rows
-        self.module = HomModuleData(over, self.dim, action, mu, basis=basis)
-        self.comodule = object.__new__(HomComoduleData)
-        self.comodule._fill(over, self.dim, coaction, mu, mu_inv, basis, "right")
+        self.dim = d = mu.rows
+        _require_shape("hom-module", "action", action, d, over.dim * d)
+        _require_shape("hom-comodule", "coaction", coaction, d * over.dim, d)
         self.action = action
         self.coaction = coaction
         self.mu = mu
-        self.mu_inv = self.comodule.mu_inv
-        self.basis = self.module.basis
+        self.mu_inv = invert(mu)
         self.pair = pair
         self.pair_a = pair.a
         self.pair_b = pair.b
         self.name = label or "M"
+
+    # the object is its own module and right comodule, read-only, so that
+    # no object refers to itself; perfbench/tracer.py reads yd.module.action
+    # and yd.comodule.coaction
+    module = property(lambda self: self)
+    comodule = property(lambda self: self)
 
     @cached_property
     def tensor_act(self):
@@ -185,15 +187,6 @@ class YDModuleData:
         return not self.differences(other)
 
 
-def _with_twist_inverse(over, action, coaction, mu, mu_inv, pair, basis, label):
-    """Trusted constructor: YDModuleData(over, action, coaction, mu, pair,
-    basis, label) for a twist mu already known to have the inverse
-    mu_inv."""
-    yd = object.__new__(YDModuleData)
-    yd._fill(over, action, coaction, mu, mu_inv, pair, basis, label)
-    return yd
-
-
 class EntwiningData:
     """Triple (H, C, psi) with psi : H (x) C -> H (x) C subject to the four
     twisted distributivity axioms eq-2.3 .. eq-2.6."""
@@ -217,10 +210,8 @@ class BicomoduleAlgebraData:
         _require_shape("bicomodule-algebra", "right coaction", right_coaction, over.dim * dn, dn)
         self.over = over
         self.carrier = carrier
-        self.left = HomComoduleData(over, dn, left_coaction, carrier.alpha,
-                                    basis=carrier.basis, side="left")
-        self.right = HomComoduleData(over, dn, right_coaction, carrier.alpha,
-                                     basis=carrier.basis, side="right")
+        self.left = HomComoduleData(over, left_coaction, carrier.alpha, basis=carrier.basis, side="left")
+        self.right = HomComoduleData(over, right_coaction, carrier.alpha, basis=carrier.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +365,7 @@ def check_yd_alt(yd):
 def check_yd_module(yd):
     """Every law of one Yetter-Drinfeld object: the module and comodule
     laws and both compatibility forms."""
-    return (CheckReport("yd-module").extend(check_hom_module(yd.module)).extend(check_hom_comodule(yd.comodule))
+    return (CheckReport("yd-module").extend(check_hom_module(yd)).extend(check_hom_comodule(yd))
             .extend(check_yd(yd)).extend(check_yd_alt(yd)))
 
 

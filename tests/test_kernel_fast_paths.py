@@ -7,9 +7,9 @@ back as ints or Fractions, never floats.  A map with stored columns is
 inspected as it is built; a whisker, whose columns are built on first read,
 is recorded as kron makes it and inspected once the run is over, when
 reading it builds the columns it did not build during the run.  Every Yetter-Drinfeld object
-of the run is recorded too, and the twist inverse it holds, handed over by
-tensor_yd and conjugate_yd or computed by the constructor, is compared with
-a fresh inverse of its twist and with the dense Gauss-Jordan reference.
+of the run is recorded too, and the twist inverse its constructor computed
+is compared with a fresh inverse of its twist and with the dense
+Gauss-Jordan reference.
 Last, a yd check of h4.alg, whose twists and component automorphisms are
 all diagonal, runs Gauss-Jordan elimination once, for the antipode.
 """
@@ -40,7 +40,7 @@ def tcat_run(request):
     text = (ROOT / "h4.alg").read_text(encoding="utf-8").replace("c = 1\n", "c = %s\n" % request.param)
     stored, read, maps, objects, whiskers = set(), set(), [], [], []
     from_columns, whisker_map = exactlin._from_columns, exactlin._whisker_map
-    init, fill = LinearMap.__init__, YDModuleData._fill
+    init, yd_init = LinearMap.__init__, YDModuleData.__init__
 
     def seen(f):
         stored.update(type(n) for col in f._cols for n in col.values())
@@ -57,8 +57,8 @@ def tcat_run(request):
         init(self, *args)
         seen(self)
 
-    def recording_fill(self, *args):
-        fill(self, *args)
+    def recording_init(self, *args, **kwargs):
+        yd_init(self, *args, **kwargs)
         objects.append(self)
 
     def recording_whisker_map(*args):
@@ -70,7 +70,7 @@ def tcat_run(request):
         mp.setattr(exactlin, "_from_columns", lambda rows, columns, den: seen(from_columns(rows, columns, den)))
         mp.setattr(exactlin, "_whisker_map", recording_whisker_map)
         mp.setattr(LinearMap, "__init__", checked_init)
-        mp.setattr(YDModuleData, "_fill", recording_fill)
+        mp.setattr(YDModuleData, "__init__", recording_init)
         run_checks(parse_definition(text), "tcat")
     for f in whiskers:
         seen(f)

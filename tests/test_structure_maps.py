@@ -33,21 +33,31 @@ from homyd.yd_modules import (
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Each case passes the map of the other table layout: 16x4 where 4x16 is
-# due and the reverse, the slip an out_legs mix-up makes.
+# Each map case passes the map of the other table layout: 16x4 where 4x16
+# is due and the reverse, the slip an out_legs mix-up makes.  Each twist
+# case passes a 2x2 twist or antipode beside 4-dimensional data, and the
+# last case two basis labels for a 4x4 twist.
 H = build_h4(1)
 MUL, COMUL = H.algebra.mul, H.coalgebra.comul
 UNIT, COUNIT = H.algebra.unit, H.coalgebra.counit
+TWIST2, PAIR = LinearMap.identity(2), AutPair.identity(4)
 WRONG_SHAPE = {
     "algebra": ("hom-algebra", lambda: HomAlgebraData(BASIS, COMUL, UNIT, H.alpha)),
     "algebra-unit": ("hom-algebra", lambda: HomAlgebraData(BASIS, MUL, COUNIT, H.alpha)),
     "coalgebra": ("hom-coalgebra", lambda: HomCoalgebraData(BASIS, MUL, COUNIT, H.alpha)),
     "coalgebra-counit": ("hom-coalgebra", lambda: HomCoalgebraData(BASIS, COMUL, UNIT, H.alpha)),
-    "module": ("hom-module", lambda: HomModuleData(H, 4, COMUL, H.alpha)),
-    "right-comodule": ("hom-comodule", lambda: HomComoduleData(H, 4, MUL, H.alpha)),
-    "left-comodule": ("hom-comodule", lambda: HomComoduleData(H, 4, MUL, H.alpha, side="left")),
+    "module": ("hom-module", lambda: HomModuleData(H, COMUL, H.alpha)),
+    "right-comodule": ("hom-comodule", lambda: HomComoduleData(H, MUL, H.alpha)),
+    "left-comodule": ("hom-comodule", lambda: HomComoduleData(H, MUL, H.alpha, side="left")),
     "bicomodule-left": ("bicomodule-algebra", lambda: BicomoduleAlgebraData(H, H.algebra, MUL, COMUL)),
     "bicomodule-right": ("bicomodule-algebra", lambda: BicomoduleAlgebraData(H, H.algebra, COMUL, MUL)),
+    "algebra-alpha": ("hom-algebra", lambda: HomAlgebraData(BASIS, MUL, UNIT, TWIST2)),
+    "coalgebra-gamma": ("hom-coalgebra", lambda: HomCoalgebraData(BASIS, COMUL, COUNIT, TWIST2)),
+    "hopf-antipode": ("hom-hopf", lambda: HomHopfAlgebraData(H.algebra, H.coalgebra, TWIST2)),
+    "module-twist": ("hom-module", lambda: HomModuleData(H, MUL, TWIST2)),
+    "comodule-twist": ("hom-comodule", lambda: HomComoduleData(H, COMUL, TWIST2)),
+    "yd-twist": ("yd-module", lambda: YDModuleData(H, MUL, COMUL, TWIST2, PAIR, basis=BASIS)),
+    "yd-basis": ("yd-module", lambda: YDModuleData(H, MUL, COMUL, H.alpha, PAIR, basis=BASIS[:2])),
 }
 
 
@@ -141,5 +151,5 @@ def test_views_of_one_dimensional_carriers_place_each_leg():
     assert k.action == table_map((4, 1, 1), {(i, 0, 0): v for i, v in eps}, 1)
     assert (k.coaction.rows, k.coaction.cols) == (4, 1)
     assert k.coaction == table_map((1, 1, 4), {(0, 0, i): v for i, v in one}, 2)
-    left = HomComoduleData(h, 1, h.algebra.unit, LinearMap.identity(1), side="left")
+    left = HomComoduleData(h, h.algebra.unit, LinearMap.identity(1), side="left")
     assert left.coaction == table_map((1, 4, 1), {(0, i, 0): v for i, v in one}, 2)

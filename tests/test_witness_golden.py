@@ -6,7 +6,9 @@ corruption also renders the crossed-category suite ``tcat``.  The sha256 of
 those bytes is compared with ``witness_golden.json``, which was recorded
 from the per-basis-tuple evaluators that predate the map-equality form of
 the laws (for ``tcat``, from the loop builders of ``t_category``): a change
-of these bytes is a change of what a user is shown.
+of these bytes is a change of what a user is shown.  The ``yd`` and ``all``
+reports of a file with a failing ``module`` and a failing ``comodule``
+section are pinned too.
 """
 
 import hashlib
@@ -34,6 +36,7 @@ from homyd.yd_modules import (
     check_module_algebra,
     check_yd_datum,
 )
+from test_cli import MODULE_AND_COMODULE
 from test_t_category import random_structure
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -121,7 +124,7 @@ def library_reports():
     bad_e = EntwiningData(h.algebra, h.coalgebra, LinearMap(16, 16, psi))
 
     yd_ab = build_h4_yd_table("H4AB", p, h=h)
-    regular = HomModuleData(h, 4, _with_entries(h.algebra.mul, {(3, 2 * 4 + 1): -1}), h.alpha,
+    regular = HomModuleData(h, _with_entries(h.algebra.mul, {(3, 2 * 4 + 1): -1}), h.alpha,
                             basis=h.basis)
     # phi(x) = 2x + g, and then also phi(1) = 1 + gx
     phi = LinearMap.from_rows([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
@@ -154,6 +157,9 @@ def all_reports():
     for case, header, line, replacement in TCAT_CORRUPTIONS:
         df = parse_definition(corrupted_text(header, line, replacement))
         reports["%s/tcat" % case] = run_checks(df, "tcat")
+    df = parse_definition(MODULE_AND_COMODULE)
+    for suite in ("yd", "all"):
+        reports["module-comodule/%s" % suite] = run_checks(df, suite)
     for name, rep in library_reports().items():
         reports["library/%s" % name] = rep
     return reports

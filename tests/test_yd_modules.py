@@ -48,11 +48,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def regular_module(h):
     """H acting on itself by its own product."""
-    return HomModuleData(h, h.dim, h.algebra.mul, h.alpha, basis=h.basis)
+    return HomModuleData(h, h.algebra.mul, h.alpha, basis=h.basis)
 
 
 def regular_comodule(h):
-    return HomComoduleData(h, h.dim, h.coalgebra.comul, h.alpha, basis=h.basis)
+    return HomComoduleData(h, h.coalgebra.comul, h.alpha, basis=h.basis)
 
 
 def test_regular_action_is_hom_module():
@@ -62,7 +62,7 @@ def test_regular_action_is_hom_module():
 
 def test_trivial_module_counit_action():
     h = build_h4(3)
-    m = HomModuleData(h, 1, h.coalgebra.counit, LinearMap.identity(1), basis=("1",))
+    m = HomModuleData(h, h.coalgebra.counit, LinearMap.identity(1), basis=("1",))
     assert check_hom_module(m).ok()
 
 
@@ -77,7 +77,7 @@ def test_regular_coaction_is_hom_comodule():
 
 def test_trivial_comodule():
     h = build_h4(2)
-    m = HomComoduleData(h, 1, h.algebra.unit, LinearMap.identity(1), basis=("1",))
+    m = HomComoduleData(h, h.algebra.unit, LinearMap.identity(1), basis=("1",))
     assert check_hom_comodule(m).ok()
 
 
@@ -94,7 +94,7 @@ def test_twisted_coaction_of_conjugated_module():
         },
         out_legs=2,
     )
-    m = HomComoduleData(h, 4, coaction, h.alpha, basis=BASIS)
+    m = HomComoduleData(h, coaction, h.alpha, basis=BASIS)
     assert check_hom_comodule(m).ok()
 
 
@@ -109,7 +109,7 @@ def test_module_algebra_trivial_action():
                 v = eps * h.alpha.entry(k, j)
                 if v:
                     act[(i, j, k)] = v
-    m = HomModuleData(h, 4, table_map((4, 4, 4), act, 1), h.alpha, basis=BASIS)
+    m = HomModuleData(h, table_map((4, 4, 4), act, 1), h.alpha, basis=BASIS)
     assert check_module_algebra(m, h.algebra).ok()
 
 
@@ -128,7 +128,7 @@ def test_module_algebra_unit_violation_witnessed():
         if m.action.entry(k, i * 4 + j)
     }
     act[(2, 0, 2)] = rat(1)  # x . 1 = x breaks h.1 = eps(h)1
-    bad = HomModuleData(h, 4, table_map((4, 4, 4), act, 1), h.alpha, basis=BASIS)
+    bad = HomModuleData(h, table_map((4, 4, 4), act, 1), h.alpha, basis=BASIS)
     rep = check_module_algebra(bad, h.algebra)
     item = rep.item("eq-1.9-unit")
     assert not item.passed and item.witness.labels == ("x",)
@@ -147,7 +147,7 @@ def test_comodule_algebra_trivial_left_coaction():
         for t, v in enumerate(h.alpha_inv.column(k)):
             if v:
                 coa[(k, 0, t)] = v
-    m = HomComoduleData(h, 4, table_map((4, 4, 4), coa, 2), h.alpha, basis=BASIS, side="left")
+    m = HomComoduleData(h, table_map((4, 4, 4), coa, 2), h.alpha, basis=BASIS, side="left")
     assert check_hom_comodule(m).ok()
     assert check_comodule_algebra(m, h.algebra).ok()
 
@@ -162,7 +162,7 @@ def test_comodule_algebra_left_coaction_through_automorphism():
             for t, v in enumerate(a.column(i)):
                 if v:
                     coa[(k, t, j)] = coa.get((k, t, j), ZERO) + w * v
-    m = HomComoduleData(h, 4, table_map((4, 4, 4), coa, 2), h.alpha, basis=BASIS, side="left")
+    m = HomComoduleData(h, table_map((4, 4, 4), coa, 2), h.alpha, basis=BASIS, side="left")
     assert check_hom_comodule(m).ok()
     assert check_comodule_algebra(m, h.algebra).ok()
 

@@ -1,8 +1,6 @@
 """One Yetter-Drinfeld object per builder call: every builder goes through
-the one YDModuleData construction path, which inverts the twist once unless
-the builder hands its known inverse over (tensor products and conjugates),
-and the objects keep the attributes the outside-in tracer of perfbench/
-reads."""
+the one YDModuleData constructor, which inverts the twist once, and the
+objects keep the attributes the outside-in tracer of perfbench/ reads."""
 
 import cProfile
 import importlib
@@ -34,8 +32,8 @@ def builders():
     pair = AutPair(h4_automorphism(7), identity_automorphism(4))
     parsed = parse_definition(H4_ALG.read_text(encoding="utf-8"))
     return {
-        "tensor_yd": (lambda: tensor_yd(m, n), 1, 0),
-        "conjugate_yd": (lambda: conjugate_yd(pair, n), 1, 0),
+        "tensor_yd": (lambda: tensor_yd(m, n), 1, 1),
+        "conjugate_yd": (lambda: conjugate_yd(pair, n), 1, 1),
         "build_canonical_yd": (lambda: build_canonical_yd(h, h4_automorphism(3), h4_automorphism(5)), 1, 1),
         "trivial_yd": (lambda: trivial_yd(h), 1, 1),
         "build_h4_yd_table": (lambda: build_h4_yd_table("H4B", p, h=h), 1, 1),
@@ -47,18 +45,18 @@ def builders():
 def test_each_object_inverts_its_twist_once(name, monkeypatch):
     build, objects, inverts = builders()[name]
     counts = {"invert": 0, "objects": 0}
-    invert, fill = yd_modules.invert, YDModuleData._fill
+    invert, init = yd_modules.invert, YDModuleData.__init__
 
     def counting_invert(f):
         counts["invert"] += 1
         return invert(f)
 
-    def counting_fill(self, *args):
+    def counting_init(self, *args, **kwargs):
         counts["objects"] += 1
-        fill(self, *args)
+        init(self, *args, **kwargs)
 
     monkeypatch.setattr(yd_modules, "invert", counting_invert)
-    monkeypatch.setattr(YDModuleData, "_fill", counting_fill)
+    monkeypatch.setattr(YDModuleData, "__init__", counting_init)
     yd = build()
     assert counts == {"invert": inverts, "objects": objects}
     assert yd.mu_inv is yd.comodule.mu_inv
