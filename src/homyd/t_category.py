@@ -47,10 +47,22 @@ braiding c_{M,N} and conjugate ^MN once and passes them down to the checks
 as arguments.  What it builds lives only for the call; of its inputs, only
 the modules' own pieces outlive it.  check_braiding_inverse, check_hexagons
 and check_conjugation_invariance take every braiding they compare
-prebuilt.  The twisted associativity check compares the two triple tensors
-as maps, without building either as an object, and decides each
-intertwining with the diagonal constraint through exactlin.intertwined,
-without building the scaled products.
+prebuilt.
+
+tensor-assoc(M, N, P) asks a = mu_M (x) id (x) mu_P^-1 to intertwine the
+actions, and the coactions, of (MN)P and M(NP).  With phi_{X,Y} = C_Y^-1 B_X
+C_Y and g_{X,Y} = (C_Y (x) phi_{X,Y}) comul, each triple action is act_M
+(x) act_N (x) act_P on a leg permutation of delta (x) id, delta_L = (g_{M,N}
+C_P (x) phi_{MN,P}) comul and delta_R = (C_{NP} (x) g_{N,P} phi_{M,NP})
+comul.  Where mu(h.m) = alpha(h).mu(m) for M and P, a passes the actions as
+alpha (x) id (x) alpha^-1, so delta_R = (alpha (x) id (x) alpha^-1) delta_L
+proves the module half.  The coactions end in z1(y1 x1) and (z1 y1)x1;
+where rho mu = (mu (x) alpha) rho for M and P, a turns the second into
+(alpha^-1(z1) y1) alpha(x1), so mul (id (x) mul) = mul (mul (alpha^-1 (x)
+id) (x) alpha) proves the comodule half.  A holding certificate is an
+identity of maps, so the full comparison holds too; only a triple whose
+certificate fails builds both triple tensors and compares them through
+exactlin.intertwined, without building the scaled products.
 """
 
 from __future__ import annotations
@@ -60,7 +72,7 @@ import random
 from fractions import Fraction
 
 from .exactlin import LinearMap, flip, intertwined, kron, permute
-from .hom_algebra import AutPair, check_automorphism
+from .hom_algebra import AutPair, _require_shape, check_automorphism
 from .reports import CheckReport, Witness, check_laws, index_leg
 from .yd_modules import YDModuleData, check_yd, trivial_yd
 
@@ -109,11 +121,16 @@ def _tensor_maps(m, n):
     N's tensor_comul, not on that piece."""
     d, dm, dn = m.over.dim, m.dim, n.dim
     idm, idn = LinearMap.identity(dm), LinearMap.identity(dn)
-    cbc = n.pair_a.inverse @ m.pair_b.matrix @ n.pair_a.matrix
-    left = kron(LinearMap.identity(d), n.action @ kron(cbc, idn)) @ kron(n.tensor_comul, idn)
+    left = kron(LinearMap.identity(d), n.action @ kron(_phi(m, n), idn)) @ kron(n.tensor_comul, idn)
     act = kron(m.tensor_act, idn) @ kron(idm, left) @ kron(flip(d, dm), idn)
     coact = kron(idm, n.tensor_coact) @ kron(m.coaction, idn)
     return act, coact
+
+
+def _phi(m, n):
+    """C^-1 B C, with B from M's pair and C from N's: H acts on the right
+    factor of M (x) N through it, after C."""
+    return n.pair_a.inverse @ m.pair_b.matrix @ n.pair_a.matrix
 
 
 def conjugate_yd(p, n):
@@ -189,6 +206,26 @@ def associator(m, n, p):
     on flattened coordinates the untwisted reindexing is the identity, so
     only the twists mu (x) id (x) twist^-1 remain."""
     return kron(m.mu, kron(LinearMap.identity(n.dim), p.mu_inv))
+
+
+def _assoc_certificates(h, modules, tensor):
+    """Per triple (i, j, k) of module positions, whether the module and the
+    comodule half of tensor-assoc hold by their certificates on H (module
+    docstring); tensor holds the pair tensors by position."""
+    idh, alpha, alpha_inv, mul = LinearMap.identity(h.dim), h.alpha, h.alpha_inv, h.algebra.mul
+    hom_assoc = mul @ kron(idh, mul) == mul @ kron(mul @ kron(alpha_inv, idh), alpha)
+    twists = [(m.mu @ m.action == m.action @ kron(alpha, m.mu),
+               m.coaction @ m.mu == kron(m.mu, alpha) @ m.coaction) for m in modules]
+    g = {(i, j): kron(idh, _phi(modules[i], modules[j])) @ modules[j].tensor_comul for i, j in tensor}
+    outer, comul = kron(alpha, kron(idh, alpha_inv)), h.coalgebra.comul
+    certified = {}
+    for i, j, k in itertools.product(range(len(modules)), repeat=3):
+        m, p, mn, np = modules[i], modules[k], tensor[i, j], tensor[j, k]
+        module_half = twists[i][0] and twists[k][0] and (
+            kron(np.pair_a.matrix, g[j, k] @ _phi(m, np)) @ comul
+            == outer @ (kron(g[i, j] @ p.pair_a.matrix, _phi(mn, p)) @ comul))
+        certified[i, j, k] = module_half, hom_assoc and twists[i][1] and twists[k][1]
+    return certified
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +331,8 @@ def check_t_category(h, modules, pairs, seed=0):
 
     modules and pairs are lists; all checks iterate them in order, so the
     resulting report is deterministic.  The seed is recorded for the callers
-    that sampled their inputs from it.
+    that sampled their inputs from it.  A pair whose automorphisms are not
+    dim(H) x dim(H) raises InvalidStructure with the one item shape.
 
     Each pair tensor M (x) N, braiding c_{M,N} and conjugate ^pM and ^MN is
     built once, before the checks, and kept by position for this call.
@@ -304,6 +342,9 @@ def check_t_category(h, modules, pairs, seed=0):
     rep = CheckReport("t-category", seed=seed)
     modules = list(modules)
     pairs = list(pairs)
+    for p in pairs:
+        for aut in (p.a, p.b):
+            _require_shape(rep.suite, "pair", aut.matrix, h.dim, h.dim)
     ident_pair = AutPair.identity(h.dim)
     idh = LinearMap.identity(h.dim)
     index_pairs = list(itertools.product(range(len(modules)), repeat=2))
@@ -393,25 +434,27 @@ def check_t_category(h, modules, pairs, seed=0):
             )
             rep.extend(check_conjugation_invariance(p, braid[i, j], braiding(conj[pi, i], conj[pi, j])))
 
+    certified = _assoc_certificates(h, modules, tensor)
     for i, j, k in itertools.product(range(len(modules)), repeat=3):
         m, n, p_mod = modules[i], modules[j], modules[k]
         mn, np = tensor[i, j], tensor[j, k]
-        left_act, left_coact = _tensor_maps(mn, p_mod)
-        right_act, right_coact = _tensor_maps(m, np)
-        # The two orders share carrier, twist and component; their
-        # structures coincide strictly only for identity twists, and in
-        # general the twisted constraint is the intertwiner between them.
-        a = associator(m, n, p_mod)
         placement = kron(mn.mu, p_mod.mu) == kron(m.mu, np.mu) and (
             group_mul(mn.pair, p_mod.pair) == group_mul(m.pair, np.pair)
         )
-        module_map = intertwined(right_act, kron(idh, a), a, left_act)
-        comodule_map = intertwined(right_coact, a, kron(a, idh), left_coact)
+        holds = all(certified[i, j, k])
+        if not holds:
+            left_act, left_coact = _tensor_maps(mn, p_mod)
+            right_act, right_coact = _tensor_maps(m, np)
+            # the orders coincide strictly only for identity twists; in
+            # general the twisted constraint intertwines them
+            a = associator(m, n, p_mod)
+            holds = (intertwined(right_act, kron(idh, a), a, left_act)
+                     and intertwined(right_coact, a, kron(a, idh), left_coact))
         rep.add(
             "tensor-assoc(%s,%s,%s)" % (m.name, n.name, p_mod.name),
             "(M (x) N) (x) P and M (x) (N (x) P) share the component and are "
             "intertwined by the twisted constraint",
-            placement and module_map and comodule_map,
+            placement and holds,
         )
         rep.extend(check_hexagons(
             braid[i, j], braid[j, k], braid[i, k], braiding(mn, p_mod), braiding(m, twisted[j, k]),

@@ -26,9 +26,9 @@ AutPair; every builder here, in t_category, h4_library and defformat goes
 through it.  It is its own module and comodule, and it inverts its twist
 once.  Every constructor takes the carrier's size from the twist mu and
 checks only that mu is square, that a given basis has one label per row of
-mu and that each map has the shape its carrier needs; the laws are the
-check_* suites below, and require(check_yd_module(yd)) validates a built
-object.
+mu and that each map and each automorphism of the pair has the shape its
+carrier needs; the laws are the check_* suites below, and
+require(check_yd_module(yd)) validates a built object.
 
 An object is immutable once built: nothing reassigns its action,
 coaction, mu, mu_inv or pair.  That lets it keep the six pieces of
@@ -116,6 +116,8 @@ class YDModuleData:
         self.dim = d = mu.rows
         _require_shape("hom-module", "action", action, d, over.dim * d)
         _require_shape("hom-comodule", "coaction", coaction, d * over.dim, d)
+        for aut in (pair.a, pair.b):
+            _require_shape("yd-module", "pair", aut.matrix, over.dim, over.dim)
         self.action = action
         self.coaction = coaction
         self.mu = mu

@@ -20,6 +20,7 @@ from homyd.hom_algebra import (
     identity_automorphism,
     require,
 )
+from homyd.t_category import check_t_category
 from homyd.yd_modules import (
     BicomoduleAlgebraData,
     HomComoduleData,
@@ -36,11 +37,13 @@ ROOT = Path(__file__).resolve().parent.parent
 # Each map case passes the map of the other table layout: 16x4 where 4x16
 # is due and the reverse, the slip an out_legs mix-up makes.  Each twist
 # case passes a 2x2 twist or antipode beside 4-dimensional data, and the
-# last case two basis labels for a 4x4 twist.
+# yd-basis case two basis labels for a 4x4 twist.  The pair cases tag
+# 4-dimensional data with automorphisms of an 8-dimensional space.
 H = build_h4(1)
 MUL, COMUL = H.algebra.mul, H.coalgebra.comul
 UNIT, COUNIT = H.algebra.unit, H.coalgebra.counit
 TWIST2, PAIR = LinearMap.identity(2), AutPair.identity(4)
+PAIR8, HALF8 = AutPair.identity(8), AutPair(identity_automorphism(4), identity_automorphism(8))
 WRONG_SHAPE = {
     "algebra": ("hom-algebra", lambda: HomAlgebraData(BASIS, COMUL, UNIT, H.alpha)),
     "algebra-unit": ("hom-algebra", lambda: HomAlgebraData(BASIS, MUL, COUNIT, H.alpha)),
@@ -58,6 +61,8 @@ WRONG_SHAPE = {
     "comodule-twist": ("hom-comodule", lambda: HomComoduleData(H, COMUL, TWIST2)),
     "yd-twist": ("yd-module", lambda: YDModuleData(H, MUL, COMUL, TWIST2, PAIR, basis=BASIS)),
     "yd-basis": ("yd-module", lambda: YDModuleData(H, MUL, COMUL, H.alpha, PAIR, basis=BASIS[:2])),
+    "yd-pair": ("yd-module", lambda: YDModuleData(H, MUL, COMUL, H.alpha, PAIR8, basis=BASIS)),
+    "t-category-pair": ("t-category", lambda: check_t_category(H, [trivial_yd(H)], [PAIR, HALF8])),
 }
 
 

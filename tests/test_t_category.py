@@ -618,16 +618,12 @@ def fresh_copy(x):
 STRUCTURE = ("action", "coaction", "mu", "mu_inv", "pair")
 
 
-def test_tcat_halves_give_the_public_builders_maps(monkeypatch):
-    """Every tensor product, braiding and inverse braiding that
-    check_t_category builds from the pieces its objects keep equals the one
-    the same builder makes on fresh copies of its inputs, at a twisted
-    point, so a stale or mis-kept piece would show; and the inputs' structure
-    maps are the same objects after the call."""
-    text = H4_ALG.read_text(encoding="utf-8")
-    resolved = resolve_definition(parse_definition(
-        "[params]\nc = -3/2\ncp = 2\ncpp = 3\n" + text[len(SHIPPED_PARAMS):]
-    ))
+def recorded_tcat(monkeypatch, text):
+    """check_t_category on h4.alg's objects, with text in place of its
+    sections, at c = -3/2, recording every _tensor_maps, braiding and
+    braiding_inverse call; the inputs' structure maps are the same objects
+    after the call."""
+    resolved = resolve_definition(parse_definition("[params]\nc = -3/2\ncp = 2\ncpp = 3\n" + text))
     _, h = resolved.get("H4")
     _, pair = resolved.get("P")
     modules = [yd for _, yd in resolved.of_kind("ydmodule")] + [trivial_yd(h)]
@@ -657,12 +653,12 @@ def test_tcat_halves_give_the_public_builders_maps(monkeypatch):
     monkeypatch.setattr(tc, "braiding_inverse", recording_braiding_inverse)
     rep = check_t_category(h, modules, pairs)
     monkeypatch.undo()
-    assert rep.ok()
     assert [vars(x) for x in (h, *pairs)] == before_h
     assert all(getattr(m, k) is v for m, b in zip(modules, before) for k, v in b.items())
-    # pair tensors, triple tensors of either order, braiding targets, ^pM (x) ^pN
-    # and the unit tensors; pair braidings, conjugated ones and the hexagons'
-    assert len(tensors) == 16 + 128 + 16 + 32 + 8 and len(braidings) == 16 + 32 + 192
+    return rep, tensors, braidings, inverses
+
+
+def assert_fresh_copies_give_the_same_maps(tensors, braidings, inverses):
     for m, n, (act, coact) in tensors:
         want_act, want_coact = tc._tensor_maps(fresh_copy(m), fresh_copy(n))
         assert act == want_act and coact == want_coact
@@ -672,3 +668,31 @@ def test_tcat_halves_give_the_public_builders_maps(monkeypatch):
     for b, inv in inverses:
         m, n = b.source
         assert inv == braiding_inverse(BraidingMap((fresh_copy(m), fresh_copy(n)), b.matrix))
+
+
+def test_tcat_halves_give_the_public_builders_maps(monkeypatch):
+    """Every tensor product, braiding and inverse braiding that
+    check_t_category builds from the pieces its objects keep equals the one
+    the same builder makes on fresh copies of its inputs, at a twisted
+    point, so a stale or mis-kept piece would show."""
+    text = H4_ALG.read_text(encoding="utf-8")[len(SHIPPED_PARAMS):]
+    rep, tensors, braidings, inverses = recorded_tcat(monkeypatch, text)
+    assert rep.ok()
+    # pair tensors, braiding targets, ^pM (x) ^pN and the unit tensors (every
+    # tensor-assoc item is decided by its certificate on H); pair braidings,
+    # conjugated ones and the hexagons'
+    assert len(tensors) == 16 + 16 + 32 + 8 and len(braidings) == 16 + 32 + 192
+    assert_fresh_copies_give_the_same_maps(tensors, braidings, inverses)
+
+
+def test_tcat_fallback_gives_the_public_builders_maps(monkeypatch):
+    """With g g = -1 no tensor-assoc certificate holds, so both triple
+    tensors of every triple are built, from kept pieces of pair tensors
+    too, and each equals the one built on fresh copies."""
+    text = H4_ALG.read_text(encoding="utf-8")[len(SHIPPED_PARAMS):]
+    assert text.count("mul: g g -> 1\n") == 1
+    text = text.replace("mul: g g -> 1\n", "mul: g g -> -1\n")
+    rep, tensors, braidings, inverses = recorded_tcat(monkeypatch, text)
+    assert [item.passed for item in rep.items if item.identity.startswith("tensor-assoc")].count(False) == 27
+    assert len(tensors) == 16 + 128 + 16 + 32 + 8 and len(braidings) == 16 + 32 + 192
+    assert_fresh_copies_give_the_same_maps(tensors, braidings, inverses)

@@ -79,11 +79,14 @@ CORRUPTIONS = [
 #: corruptions whose crossed-category report is pinned as well: a module
 #: coaction line makes tensor products, conjugates, braidings and hexagons fail;
 #: a module twist line also reaches the braiding-morphism, eq-3.5 and unit
-#: items, the index-labelled unit-*-comodule witnesses among them
+#: items, the index-labelled unit-*-comodule witnesses among them; g g = -1
+#: breaks twisted associativity on H, so every tensor-assoc item is decided by
+#: the full comparison of the two triple tensors (27 of 64 fail)
 TCAT_CORRUPTIONS = [
     ("h4a-coact-x", "[ydmodule H4A over H4]", "coact: x -> 1 / c * x@1 + 1 / c * g@x",
      "coact: x -> 1 / c * x@1 + 1 / c * 1@x"),
     ("h4b-mu-x", "[ydmodule H4B over H4]", "mu: x -> c * x", "mu: x -> 2 * x"),
+    ("hopf-g-squared", "[hopf H4]", "mul: g g -> 1", "mul: g g -> -1"),
 ]
 
 
