@@ -45,9 +45,10 @@ which the twisted associativity check shares), braiding, braiding_inverse
 and the checks.  check_t_category builds each pair tensor M (x) N,
 braiding c_{M,N} and conjugate ^MN once and passes them down to the checks
 as arguments.  What it builds lives only for the call; of its inputs, only
-the modules' own pieces outlive it.  check_braiding_inverse, check_hexagons
-and check_conjugation_invariance take every braiding they compare
-prebuilt.
+the modules' own pieces outlive it.  check_braiding_inverse and
+check_conjugation_invariance take every braiding they compare prebuilt;
+check_hexagons takes the pair braidings and builds a triple braiding only
+where a certificate fails.
 
 tensor-assoc(M, N, P) asks a = mu_M (x) id (x) mu_P^-1 to intertwine the
 actions, and the coactions, of (MN)P and M(NP).  With phi_{X,Y} = C_Y^-1 B_X
@@ -62,7 +63,28 @@ where rho mu = (mu (x) alpha) rho for M and P, a turns the second into
 id) (x) alpha) proves the comodule half.  A holding certificate is an
 identity of maps, so the full comparison holds too; only a triple whose
 certificate fails builds both triple tensors and compares them through
-exactlin.intertwined, without building the scaled products.
+exactlin.intertwined, without building the scaled products.  Both
+bracketings lie in one component with one twist, by associativity of kron
+and, for exact inverses, of G, so the item checks only the intertwining.
+
+The hexagons are decided the same way, per equation.  On x (x) y (x) z,
+with w = mu_P(z) and k = B_{MN}^-1(w1), the left side of eq-3.4 is w0 (x)
+A_N(k1).mu_M^-2(x) (x) mu_N(phi_{M,N}(k2).mu_N^-1(y)), and with Q = B_M^-1
+A_N B_N^-1 the right side is mu_P^2(z00) (x) Q alpha(z01).mu_M^-2(x) (x)
+mu_N(B_N^-1(z1).mu_N^-1(y)), by rho mu = (mu (x) alpha) rho for P, which
+also makes w0 (x) k = mu_P(z0) (x) f(z1) for f = B_{MN}^-1 alpha.  The
+stored inverses are exact and B_{MN}^-1 = A_N^-1 B_M^-1 A_N B_N^-1
+(group_mul), so A_N f = Q alpha and phi_{M,N} f = B_N^-1 alpha as
+matrices.  Where f is a coalgebra map, comul f = (f (x) f) comul, the two
+sides are then one map applied to mu_P(z0) (x) z11 (x) alpha(z12) and to
+mu_P^2(z00) (x) z01 (x) z1, which eq-1.7 for P, mu^-1(z0) (x) comul(z1) =
+rho(z0) (x) alpha^-1(z1), equates after mu_P^2 (x) id (x) alpha.  With
+z' = mu_P^-1(z), the two sides of eq-3.5 are mu_N^2(y0) (x) mu_P(z'0) (x)
+mu_M^-1(B_M^-1(z'1 y1).x) and mu_N^2(y0) (x) mu_P(z'0) (x)
+B_M^-1(z'1).mu_M^-1(B_M^-1(y1).mu_M^-1(x)), so M's braid law mu_M^-1
+act_M (B_M^-1 mul (x) id) = act_M (B_M^-1 (x) mu_M^-1 braid_act_M) on
+H (x) H (x) M proves it.  Only an equation whose certificate fails builds
+its triple braidings and runs the full matrix comparison.
 """
 
 from __future__ import annotations
@@ -208,23 +230,34 @@ def associator(m, n, p):
     return kron(m.mu, kron(LinearMap.identity(n.dim), p.mu_inv))
 
 
-def _assoc_certificates(h, modules, tensor):
+def _certificates(h, modules, tensor):
     """Per triple (i, j, k) of module positions, whether the module and the
-    comodule half of tensor-assoc hold by their certificates on H (module
-    docstring); tensor holds the pair tensors by position."""
+    comodule half of tensor-assoc, eq-3.4 and eq-3.5 hold by their
+    certificates on H (module docstring); tensor holds the pair tensors by
+    position."""
     idh, alpha, alpha_inv, mul = LinearMap.identity(h.dim), h.alpha, h.alpha_inv, h.algebra.mul
+    comul = h.coalgebra.comul
     hom_assoc = mul @ kron(idh, mul) == mul @ kron(mul @ kron(alpha_inv, idh), alpha)
-    twists = [(m.mu @ m.action == m.action @ kron(alpha, m.mu),
-               m.coaction @ m.mu == kron(m.mu, alpha) @ m.coaction) for m in modules]
-    g = {(i, j): kron(idh, _phi(modules[i], modules[j])) @ modules[j].tensor_comul for i, j in tensor}
-    outer, comul = kron(alpha, kron(idh, alpha_inv)), h.coalgebra.comul
+    # per module: module-twist, eq-1.8-coact, eq-1.7 and eq-3.5's braid law
+    twist = [m.mu @ m.action == m.action @ kron(alpha, m.mu) for m in modules]
+    coact_twist = [m.coaction @ m.mu == kron(m.mu, alpha) @ m.coaction for m in modules]
+    coassoc = [kron(m.mu_inv, comul) @ m.coaction == kron(m.coaction, alpha_inv) @ m.coaction for m in modules]
+    braid_law = [m.mu_inv @ m.action @ kron(m.pair_b.inverse @ mul, LinearMap.identity(m.dim))
+                 == m.action @ kron(m.pair_b.inverse, m.mu_inv @ m.braid_act) for m in modules]
+    g, coalgebra_map = {}, {}
+    for (i, j), mn in tensor.items():
+        g[i, j] = kron(idh, _phi(modules[i], modules[j])) @ modules[j].tensor_comul
+        f = mn.pair_b.inverse @ alpha
+        coalgebra_map[i, j] = comul @ f == kron(f, f) @ comul
+    outer = kron(alpha, kron(idh, alpha_inv))
     certified = {}
     for i, j, k in itertools.product(range(len(modules)), repeat=3):
         m, p, mn, np = modules[i], modules[k], tensor[i, j], tensor[j, k]
-        module_half = twists[i][0] and twists[k][0] and (
+        module_half = twist[i] and twist[k] and (
             kron(np.pair_a.matrix, g[j, k] @ _phi(m, np)) @ comul
             == outer @ (kron(g[i, j] @ p.pair_a.matrix, _phi(mn, p)) @ comul))
-        certified[i, j, k] = module_half, hom_assoc and twists[i][1] and twists[k][1]
+        certified[i, j, k] = (module_half, hom_assoc and coact_twist[i] and coact_twist[k],
+                              coalgebra_map[i, j] and coact_twist[k] and coassoc[k], braid_law[i])
     return certified
 
 
@@ -267,13 +300,15 @@ def check_braiding_inverse(b, inv):
     ))
 
 
-def check_hexagons(c_mn, c_np, c_mp, c_mn_p, c_m_npconj, c_m_np):
-    """The two crossed hexagon identities for M, N, P as exact matrix
-    equalities on the flattened triple tensor, given the braidings of the
-    pairs and c_{MN,P}, c_{M,^NP} and c_{M,NP}, where MN = M (x) N,
-    NP = N (x) P and ^NP is P conjugated by N's pair.  Conjugates keep
-    carrier and twist, so ^{MN}P, ^MN and ^MP enter only as P's and N's
-    twists."""
+def check_hexagons(c_mn, c_np, c_mp, mn, np, np_conj, certified):
+    """The two crossed hexagon identities eq-3.4 and eq-3.5 for M, N, P,
+    given the braidings of the pairs, MN = M (x) N, NP = N (x) P and ^NP, P
+    conjugated by N's pair, and per equation whether its certificate on H
+    holds (module docstring).  An equation whose certificate holds passes;
+    any other is an exact matrix equality on the flattened triple tensor,
+    which builds c_{MN,P} and c_{M,^NP} for eq-3.4 and c_{M,NP} for eq-3.5.
+    Conjugates keep carrier and twist, so ^{MN}P, ^MN and ^MP enter only as
+    P's and N's twists."""
     m, n = c_mn.source
     p = c_np.source[1]
     tag = "%s,%s,%s" % (m.name, n.name, p.name)
@@ -283,16 +318,23 @@ def check_hexagons(c_mn, c_np, c_mp, c_mn_p, c_m_npconj, c_m_np):
     idp = LinearMap.identity(p.dim)
 
     legs = (m.basis, n.basis, p.basis)
-    return check_laws("hexagons", (
+    rep = CheckReport("hexagons")
+    for ident, law, holds, sides in (
         # eq-3.4 on M (x) (N (x) P)
-        ("eq-3.4(%s)" % tag, "a^-1 c_{MN,P} a^-1 = (c_{M,^NP} (x) id) a^-1 (id (x) c_{N,P})", legs,
-         kron(p.mu_inv, kron(idm, n.mu)) @ c_mn_p.matrix @ kron(m.mu_inv, kron(idn, p.mu)),
-         kron(c_m_npconj.matrix, idn) @ kron(m.mu_inv, kron(idp, n.mu)) @ kron(idm, c_np.matrix)),
+        ("eq-3.4(%s)" % tag, "a^-1 c_{MN,P} a^-1 = (c_{M,^NP} (x) id) a^-1 (id (x) c_{N,P})", certified[0],
+         lambda: (kron(p.mu_inv, kron(idm, n.mu)) @ braiding(mn, p).matrix @ kron(m.mu_inv, kron(idn, p.mu)),
+                  kron(braiding(m, np_conj).matrix, idn) @ kron(m.mu_inv, kron(idp, n.mu))
+                  @ kron(idm, c_np.matrix))),
         # eq-3.5 on (M (x) N) (x) P
-        ("eq-3.5(%s)" % tag, "a c_{M,NP} a = (id (x) c_{M,P}) a (c_{M,N} (x) id)", legs,
-         kron(n.mu, kron(idp, m.mu_inv)) @ c_m_np.matrix @ kron(m.mu, kron(idn, p.mu_inv)),
-         kron(idn, c_mp.matrix) @ kron(n.mu, kron(idm, p.mu_inv)) @ kron(c_mn.matrix, idp)),
-    ))
+        ("eq-3.5(%s)" % tag, "a c_{M,NP} a = (id (x) c_{M,P}) a (c_{M,N} (x) id)", certified[1],
+         lambda: (kron(n.mu, kron(idp, m.mu_inv)) @ braiding(m, np).matrix @ kron(m.mu, kron(idn, p.mu_inv)),
+                  kron(idn, c_mp.matrix) @ kron(n.mu, kron(idm, p.mu_inv)) @ kron(c_mn.matrix, idp))),
+    ):
+        if holds:
+            rep.add(ident, law, True)
+        else:
+            rep.extend(check_laws(rep.suite, ((ident, law, legs) + sides(),)))
+    return rep
 
 
 def check_conjugation_invariance(p, b, conjugated):
@@ -338,6 +380,9 @@ def check_t_category(h, modules, pairs, seed=0):
     built once, before the checks, and kept by position for this call.
     tensor_yd, braiding and braiding_inverse read the one-object pieces of
     their factors, which each object builds once, when first read.
+    tensor-assoc and the hexagons of a triple are decided by certificates
+    on H (_certificates); only one that fails builds triple tensors or
+    triple braidings.
     """
     rep = CheckReport("t-category", seed=seed)
     modules = list(modules)
@@ -434,14 +479,11 @@ def check_t_category(h, modules, pairs, seed=0):
             )
             rep.extend(check_conjugation_invariance(p, braid[i, j], braiding(conj[pi, i], conj[pi, j])))
 
-    certified = _assoc_certificates(h, modules, tensor)
+    certified = _certificates(h, modules, tensor)
     for i, j, k in itertools.product(range(len(modules)), repeat=3):
         m, n, p_mod = modules[i], modules[j], modules[k]
         mn, np = tensor[i, j], tensor[j, k]
-        placement = kron(mn.mu, p_mod.mu) == kron(m.mu, np.mu) and (
-            group_mul(mn.pair, p_mod.pair) == group_mul(m.pair, np.pair)
-        )
-        holds = all(certified[i, j, k])
+        holds = all(certified[i, j, k][:2])
         if not holds:
             left_act, left_coact = _tensor_maps(mn, p_mod)
             right_act, right_coact = _tensor_maps(m, np)
@@ -454,12 +496,10 @@ def check_t_category(h, modules, pairs, seed=0):
             "tensor-assoc(%s,%s,%s)" % (m.name, n.name, p_mod.name),
             "(M (x) N) (x) P and M (x) (N (x) P) share the component and are "
             "intertwined by the twisted constraint",
-            placement and holds,
+            holds,
         )
-        rep.extend(check_hexagons(
-            braid[i, j], braid[j, k], braid[i, k], braiding(mn, p_mod), braiding(m, twisted[j, k]),
-            braiding(m, np),
-        ))
+        rep.extend(check_hexagons(braid[i, j], braid[j, k], braid[i, k], mn, np, twisted[j, k],
+                                  certified[i, j, k][2:]))
 
     unit = trivial_yd(h)
     for n in modules:

@@ -2,7 +2,7 @@
 where it fails.
 
 check_t_category decides each half of tensor-assoc(M, N, P) from maps on H
-(t_category._assoc_certificates) and builds the two triple tensors only for
+(t_category._certificates) and builds the two triple tensors only for
 a triple whose certificate fails.  A certificate is sufficient, not
 necessary: here, for every triple and each half, it is computed beside the
 full comparison of the two triple tensors, and a certificate that holds
@@ -61,11 +61,11 @@ def certified_halves(h, modules):
     comparison's."""
     index_pairs = itertools.product(range(len(modules)), repeat=2)
     tensor = {(i, j): tensor_yd(modules[i], modules[j]) for i, j in index_pairs}
-    certified = tc._assoc_certificates(h, modules, tensor)
+    certified = tc._certificates(h, modules, tensor)
     for i, j, k in itertools.product(range(len(modules)), repeat=3):
         full = full_halves(modules[i], modules[j], modules[k], tensor[i, j], tensor[j, k])
         triple = ",".join(modules[x].name for x in (i, j, k))
-        yield from zip((triple + ":module", triple + ":comodule"), certified[i, j, k], full)
+        yield from zip((triple + ":module", triple + ":comodule"), certified[i, j, k][:2], full)
 
 
 def mutated_objects():

@@ -1,7 +1,9 @@
 """The integer-first kernel over a whole crossed-category run.
 
 Every map built while ``run_checks(h4.alg, "tcat")`` runs, at the shipped
-point and at the twisted point c = -3/2, is inspected: it stores int
+point and at the twisted point c = -3/2, and then on a copy with g g = -1,
+whose tensor-assoc and eq-3.5 items take the full comparison, is
+inspected: it stores int
 numerators over a positive denominator prime to them, and its entries read
 back as ints or Fractions, never floats.  A map with stored columns is
 inspected as it is built; a whisker, whose columns are built on first read,
@@ -34,10 +36,13 @@ ROOT = Path(__file__).resolve().parent.parent
 def tcat_run(request):
     """(types stored, types of the stored entries read back, one flag per
     map built telling whether it is in canonical form, YD objects built,
-    number of whiskers made) over one tcat run of h4.alg with c
-    bound to the parameter; cp = 2 and cpp = 3 give the component pairs
-    inverses with denominators at either point."""
+    number of whiskers made) over the tcat runs of h4.alg with c bound
+    to the parameter and of its copy with g g = -1, where no certificate
+    decides tensor-assoc or eq-3.5; cp = 2 and cpp = 3 give the component
+    pairs inverses with denominators at either point."""
     text = (ROOT / "h4.alg").read_text(encoding="utf-8").replace("c = 1\n", "c = %s\n" % request.param)
+    assert text.count("mul: g g -> 1\n") == 1
+    texts = (text, text.replace("mul: g g -> 1\n", "mul: g g -> -1\n"))
     stored, read, maps, objects, whiskers = set(), set(), [], [], []
     from_columns, whisker_map = exactlin._from_columns, exactlin._whisker_map
     init, yd_init = LinearMap.__init__, YDModuleData.__init__
@@ -71,7 +76,8 @@ def tcat_run(request):
         mp.setattr(exactlin, "_whisker_map", recording_whisker_map)
         mp.setattr(LinearMap, "__init__", checked_init)
         mp.setattr(YDModuleData, "__init__", recording_init)
-        run_checks(parse_definition(text), "tcat")
+        for text in texts:
+            run_checks(parse_definition(text), "tcat")
     for f in whiskers:
         seen(f)
     return stored, read, maps, objects, len(whiskers)

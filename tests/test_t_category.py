@@ -330,7 +330,9 @@ def test_hexagons_trivial_modules():
     h = build_h4(2)
     k = trivial_yd(h)
     kk, c = tensor_yd(k, k), braiding(k, k)
-    assert check_hexagons(c, c, c, braiding(kk, k), braiding(k, conjugate_yd(k.pair, k)), braiding(k, kk)).ok()
+    # (False, False): no certificate given, so both equations are compared
+    # as matrices
+    assert check_hexagons(c, c, c, kk, kk, conjugate_yd(k.pair, k), (False, False)).ok()
 
 
 @pytest.mark.parametrize("c,cp,cpp", [(1, 2, 3), (1, rat(1, 2), 5)])
@@ -339,7 +341,7 @@ def test_hexagons_on_module_triples(c, cp, cpp):
     m, n, p = mods["H4A"], mods["H4B"], mods["H4AB"]
     assert check_hexagons(
         braiding(m, n), braiding(n, p), braiding(m, p),
-        braiding(tensor_yd(m, n), p), braiding(m, conjugate_yd(n.pair, p)), braiding(m, tensor_yd(n, p)),
+        tensor_yd(m, n), tensor_yd(n, p), conjugate_yd(n.pair, p), (False, False),
     ).ok()
 
 
@@ -679,20 +681,38 @@ def test_tcat_halves_give_the_public_builders_maps(monkeypatch):
     rep, tensors, braidings, inverses = recorded_tcat(monkeypatch, text)
     assert rep.ok()
     # pair tensors, braiding targets, ^pM (x) ^pN and the unit tensors (every
-    # tensor-assoc item is decided by its certificate on H); pair braidings,
-    # conjugated ones and the hexagons'
-    assert len(tensors) == 16 + 16 + 32 + 8 and len(braidings) == 16 + 32 + 192
+    # tensor-assoc item is decided by its certificate on H); pair braidings
+    # and conjugated ones (every hexagon is decided by its certificate too)
+    assert len(tensors) == 16 + 16 + 32 + 8 and len(braidings) == 16 + 32
     assert_fresh_copies_give_the_same_maps(tensors, braidings, inverses)
 
 
 def test_tcat_fallback_gives_the_public_builders_maps(monkeypatch):
-    """With g g = -1 no tensor-assoc certificate holds, so both triple
-    tensors of every triple are built, from kept pieces of pair tensors
-    too, and each equals the one built on fresh copies."""
+    """With g g = -1 no tensor-assoc certificate and no eq-3.5 certificate
+    holds, so both triple tensors and c_{M,NP} of every triple are built,
+    from kept pieces of pair tensors too, and each equals the one built on
+    fresh copies."""
     text = H4_ALG.read_text(encoding="utf-8")[len(SHIPPED_PARAMS):]
     assert text.count("mul: g g -> 1\n") == 1
     text = text.replace("mul: g g -> 1\n", "mul: g g -> -1\n")
     rep, tensors, braidings, inverses = recorded_tcat(monkeypatch, text)
     assert [item.passed for item in rep.items if item.identity.startswith("tensor-assoc")].count(False) == 27
-    assert len(tensors) == 16 + 128 + 16 + 32 + 8 and len(braidings) == 16 + 32 + 192
+    assert len(tensors) == 16 + 128 + 16 + 32 + 8 and len(braidings) == 16 + 32 + 64
+    assert sum("(x)" in n.name for _, n, _ in braidings) == 64
+    assert_fresh_copies_give_the_same_maps(tensors, braidings, inverses)
+
+
+def test_tcat_hexagon_fallback_gives_the_public_builders_maps(monkeypatch):
+    """With rho(1) = 2 1 (x) 1 in H4A, eq-1.7 fails for H4A, so eq-3.4 of
+    every triple (M, N, H4A) builds c_{MN,H4A}, from the kept pieces of a
+    pair tensor, and c_{M,^N H4A}, and each equals the one built on fresh
+    copies."""
+    text = H4_ALG.read_text(encoding="utf-8")[len(SHIPPED_PARAMS):]
+    first = text.index("coact: 1 -> 1@1\n")
+    assert text.index("[ydmodule H4A") < first < text.index("[ydmodule H4B")
+    text = text.replace("coact: 1 -> 1@1\n", "coact: 1 -> 2 * 1@1\n", 1)
+    rep, tensors, braidings, inverses = recorded_tcat(monkeypatch, text)
+    assert [item.identity.split("(")[0] for item in rep.items if not item.passed].count("eq-3.4") == 16
+    assert len(tensors) == 16 + 16 + 32 + 8 and len(braidings) == 16 + 32 + 32
+    assert sum("(x)" in m.name for m, _, _ in braidings) == 16
     assert_fresh_copies_give_the_same_maps(tensors, braidings, inverses)
