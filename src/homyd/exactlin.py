@@ -36,8 +36,6 @@ by a diagonal f, kron of two diagonals is built as a diagonal, and invert
 returns an identity as it is and the inverse of any other diagonal in
 closed form, the diagonal den / n_i, so only a map that is not diagonal
 (or has a zero on its diagonal) meets Gauss-Jordan elimination.
-intertwined decides x . r = l . y for diagonal r and l without building
-either product, by comparing the numerators of x and y column by column.
 
 All values are immutable after construction and all operations are pure,
 so everything here is safe to share between threads.  The writes after
@@ -424,38 +422,6 @@ def compose(f, g):
             acc = {i: e for i, e in acc.items() if e}
         out.append(acc)
     return _reduced(f.rows, tuple(out), f._den * g._den)
-
-
-def intertwined(x, r, l, y):
-    """Whether x . r = l . y, exactly.
-
-    For diagonal r and l with no zero on their diagonals neither product is
-    built: column j of x . r is r_j times x's column j and row i of l . y is
-    l_i times y's row i, so the two sides agree when x and y have the same
-    support, column by column, and x_ij r_j den(l) den(y) = l_i y_ij den(x)
-    den(r) on it; for two identities that is x = y.  Any other r or l is
-    composed and compared."""
-    if x.cols != r.rows or l.cols != y.rows:
-        raise DimensionMismatch(
-            "cannot compose %dx%d with %dx%d, or %dx%d with %dx%d"
-            % (x.rows, x.cols, r.rows, r.cols, l.rows, l.cols, y.rows, y.cols)
-        )
-    rd, ld = r._diag, l._diag
-    if rd is None or ld is None:
-        return compose(x, r) == compose(l, y)
-    if x.rows != l.rows or r.cols != y.cols:
-        return False
-    if _is_identity(r) and _is_identity(l):
-        return x == y
-    xs, ys = l._den * y._den, x._den * r._den
-    for xcol, ycol, rj in zip(x._cols, y._cols, rd):
-        if xcol.keys() != ycol.keys():
-            return False
-        rj *= xs
-        for i, n in xcol.items():
-            if n * rj != ld[i] * ycol[i] * ys:
-                return False
-    return True
 
 
 def _compose_whisker_right(f, a, x, b):

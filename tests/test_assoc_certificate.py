@@ -20,7 +20,7 @@ import pytest
 
 import homyd.t_category as tc
 from homyd.defformat import parse_definition, resolve_definition, run_checks
-from homyd.exactlin import LinearMap, intertwined, kron
+from homyd.exactlin import LinearMap, kron
 from homyd.t_category import associator, tensor_yd
 from homyd.yd_modules import YDModuleData, trivial_yd
 from test_t_category import random_structure
@@ -52,8 +52,8 @@ def full_halves(m, n, p, mn, np):
     left_act, left_coact = tc._tensor_maps(mn, p)
     right_act, right_coact = tc._tensor_maps(m, np)
     a = associator(m, n, p)
-    return (intertwined(right_act, kron(idh, a), a, left_act),
-            intertwined(right_coact, a, kron(a, idh), left_coact))
+    return (right_act @ kron(idh, a) == a @ left_act,
+            right_coact @ a == kron(a, idh) @ left_coact)
 
 
 def certified_halves(h, modules):

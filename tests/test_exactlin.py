@@ -14,7 +14,6 @@ from homyd.exactlin import (
     SingularMap,
     compose,
     flip,
-    intertwined,
     invert,
     kron,
     permute,
@@ -573,13 +572,6 @@ def test_compose_and_kron_do_no_fraction_arithmetic(monkeypatch):
               compose(kron(wide, LinearMap.identity(2)), kron(LinearMap.identity(2), tall)),
               left, right):
         assert_canonical(h)
-    # intertwined with diagonal r and l, whiskers of a diagonal among them,
-    # decides x . r = l . y on the numerators, and x = y for identities
-    sr, sl, f2 = kron(s, LinearMap.identity(2)), kron(LinearMap.identity(2), s), kron(f, LinearMap.identity(2))
-    i16, i32 = LinearMap.identity(16), LinearMap.identity(32)
-    for x, r, l, y in ((f, s, i16, compose(f, s)), (f, s, s, g), (f2, sr, i32, compose(f2, sr)),
-                       (f2, sr, sl, compose(f2, sr)), (f, i16, i16, f)):
-        assert intertwined(x, r, l, y) is (compose(x, r) == compose(l, y))
     assert calls == []
 
 
@@ -861,84 +853,3 @@ def test_diagonal_and_identity_paths_match_dense_reference():
     # the products of two diagonals cancel to canonical form
     h = kron(LinearMap.diagonal([rat(1, 2), rat(3, 2)]), LinearMap.diagonal([2, 4]))
     assert h._den == 1 and stored_diag(h) == (1, 2, 3, 6)
-
-
-# ---------------------------------------------------------------------------
-# intertwined: x . r = l . y, decided without building either product
-# ---------------------------------------------------------------------------
-
-
-def both_ways(x, r, l, y):
-    """compose(x, r) == compose(l, y), by the kernel and by the dense
-    reference; the two must agree."""
-    kernel = compose(x, r) == compose(l, y)
-    assert kernel is (dense.compose(x, r) == dense.compose(l, y))
-    return kernel
-
-
-def changed_entry(f, i, j, value):
-    """f with its entry (i, j) set to value."""
-    entries = list(f.entries)
-    entries[i * f.cols + j] = value
-    return LinearMap(f.rows, f.cols, entries)
-
-
-def test_intertwined_matches_compose_on_random_maps_and_diagonals():
-    rng = random.Random(50)
-    for rows, cols in ((4, 4), (4, 16), (16, 4), (64, 16), (1, 3)):
-        for _ in range(6):
-            x = cancelling_map(rng, rows, cols, 0.4)
-            r, l = nonzero_diagonal(rng, cols), nonzero_diagonal(rng, rows)
-            # y = l^-1 x r, so that x . r = l . y holds
-            y = dense.compose(dense.compose(dense.invert(l), x), r)
-            assert intertwined(x, r, l, y) and both_ways(x, r, l, y)
-            other = cancelling_map(rng, rows, cols, 0.4)
-            assert intertwined(x, r, l, other) is both_ways(x, r, l, other)
-            assert intertwined(other, r, l, y) is both_ways(other, r, l, y)
-
-
-def test_intertwined_cases_against_compose():
-    rng = random.Random(51)
-    n = 16
-    x = cancelling_map(rng, n, n, 0.3)
-    d, d4 = nonzero_diagonal(rng, n), nonzero_diagonal(rng, 4)
-    y = dense.compose(dense.compose(dense.invert(d), x), d)
-    i, j = next((i, j) for j in range(n) for i in range(n) if y.entry(i, j))
-    k, m = next((k, m) for m in range(n) for k in range(n) if not y.entry(k, m))
-    missing, extra = changed_entry(y, i, j, 0), changed_entry(y, k, m, 1)
-    differing = changed_entry(y, i, j, y.entry(i, j) + 1)
-    # diagonal whiskers I4 (x) d4 and d4 (x) I4 as r or l
-    left_w, right_w = kron(eye(4), d4), kron(d4, eye(4))
-    yw = dense.compose(dense.compose(dense.invert(dense.kron(d4, eye(4))), x), dense.kron(eye(4), d4))
-    zero = LinearMap.diagonal([rng.choice(CANCELLING) if j % 5 else 0 for j in range(n)])
-    triangular = invertible_map(rng, n, 0.3)
-    cases = {
-        "holds": (x, d, d, y, True),
-        "support-missing": (x, d, d, missing, False),
-        "support-extra": (x, d, d, extra, False),
-        "one-entry": (x, d, d, differing, False),
-        "whiskers": (x, left_w, right_w, yw, True),
-        "whiskers-one-entry": (x, left_w, right_w, changed_entry(yw, i, j, yw.entry(i, j) + 1), False),
-        "identities": (x, eye(n), eye(n), x, True),
-        "identities-differ": (x, eye(n), eye(n), differing, False),
-        "identity-and-diagonal": (x, eye(n), d, dense.compose(dense.invert(d), x), True),
-        "zero-diagonal": (x, zero, zero, x, both_ways(x, zero, zero, x)),
-        "permutation": (x, shift(rng, n, "permutation"), d, y, both_ways(x, shift(rng, n, "permutation"), d, y)),
-        "triangular": (x, triangular, triangular, dense.compose(dense.compose(dense.invert(triangular), x), triangular), True),
-        "triangular-one-entry": (x, triangular, d, differing, False),
-        "other-shape": (cancelling_map(rng, 4, n, 0.4), d, eye(8), cancelling_map(rng, 8, n, 0.4), False),
-    }
-    got = {name: intertwined(f, r, l, g) for name, (f, r, l, g, _) in cases.items()}
-    # the diagonal whiskers are read through their middle factor, never built
-    assert not built(left_w) and not built(right_w)
-    for name, (f, r, l, g, want) in cases.items():
-        assert got[name] is want, name
-        assert both_ways(f, r, l, g) is want, name
-
-
-def test_intertwined_shape_mismatch_raises():
-    x = LinearMap.zeros(4, 4)
-    with pytest.raises(DimensionMismatch):
-        intertwined(x, eye(3), eye(4), x)
-    with pytest.raises(DimensionMismatch):
-        intertwined(x, eye(4), eye(3), x)

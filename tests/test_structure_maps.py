@@ -9,7 +9,7 @@ import pytest
 
 from homyd.defformat import eval_expr, parse_definition, resolve_definition
 from homyd.exactlin import LinearMap, rat, table_map
-from homyd.h4_library import BASIS, build_h4, h4_automorphism
+from homyd.h4_library import BASIS, H4Params, build_h4, build_h4_yd_table, h4_automorphism
 from homyd.hom_algebra import (
     AutPair,
     HomAlgebraData,
@@ -38,12 +38,15 @@ ROOT = Path(__file__).resolve().parent.parent
 # is due and the reverse, the slip an out_legs mix-up makes.  Each twist
 # case passes a 2x2 twist or antipode beside 4-dimensional data, and the
 # yd-basis case two basis labels for a 4x4 twist.  The pair cases tag
-# 4-dimensional data with automorphisms of an 8-dimensional space.
+# 4-dimensional data with automorphisms of an 8-dimensional space, and the
+# module case passes check_t_category a module over another H4.
 H = build_h4(1)
 MUL, COMUL = H.algebra.mul, H.coalgebra.comul
 UNIT, COUNIT = H.algebra.unit, H.coalgebra.counit
 TWIST2, PAIR = LinearMap.identity(2), AutPair.identity(4)
 PAIR8, HALF8 = AutPair.identity(8), AutPair(identity_automorphism(4), identity_automorphism(8))
+# H4A over H4 at c = 2, beside data over H4 at c = 1
+H4A_C2 = build_h4_yd_table("H4A", H4Params(2, 2, 3))
 WRONG_SHAPE = {
     "algebra": ("hom-algebra", lambda: HomAlgebraData(BASIS, COMUL, UNIT, H.alpha)),
     "algebra-unit": ("hom-algebra", lambda: HomAlgebraData(BASIS, MUL, COUNIT, H.alpha)),
@@ -63,6 +66,7 @@ WRONG_SHAPE = {
     "yd-basis": ("yd-module", lambda: YDModuleData(H, MUL, COMUL, H.alpha, PAIR, basis=BASIS[:2])),
     "yd-pair": ("yd-module", lambda: YDModuleData(H, MUL, COMUL, H.alpha, PAIR8, basis=BASIS)),
     "t-category-pair": ("t-category", lambda: check_t_category(H, [trivial_yd(H)], [PAIR, HALF8])),
+    "t-category-module": ("t-category", lambda: check_t_category(H, [trivial_yd(H), H4A_C2], [PAIR])),
 }
 
 
