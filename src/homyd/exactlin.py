@@ -38,15 +38,17 @@ closed form, the diagonal den / n_i, so only a map that is not diagonal
 (or has a zero on its diagonal) meets Gauss-Jordan elimination.
 
 All values are immutable after construction and all operations are pure,
-so everything here is safe to share between threads.  The writes after
-construction are a map storing its diagonal, and a whisker its columns, on
-first read; threads that race there store equal values, and either copy
-serves.
+so everything here is safe to share between threads, and permute builds
+each leg permutation once per shape and hands out that one map.  The
+writes after construction are a map storing its diagonal, and a whisker
+its columns, on first read; threads that race there store equal values,
+and either copy serves.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 #: Ground-field scalar: an exact rational, read back from a map as an int
@@ -542,7 +544,14 @@ def _unit_index(col):
 
 def permute(dims, order):
     """Leg permutation X_0 (x) ... (x) X_n-1 -> X_order[0] (x) ... (x) X_order[n-1],
-    where dims[k] = dim X_k."""
+    where dims[k] = dim X_k.  It is a function of the integers alone and
+    maps are immutable, so each shape is built once and every caller shares
+    it."""
+    return _permutation(tuple(dims), tuple(order))
+
+
+@cache
+def _permutation(dims, order):
     stride = [0] * len(dims)
     size = 1
     for k in reversed(order):

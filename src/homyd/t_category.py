@@ -42,12 +42,15 @@ Kronecker-multiplied with a piece that depends on both factors.
 
 Each formula has one function: tensor_yd (with _tensor_maps, its maps,
 which the twisted associativity check shares), braiding, braiding_inverse
-and the checks.  check_t_category builds each pair tensor M (x) N,
-braiding c_{M,N} and conjugate ^MN once and passes them down to the checks
-as arguments.  What it builds lives only for the call; of its inputs, only
-the modules' own pieces outlive it.  check_braiding_inverse takes every
-braiding it compares prebuilt, and check_hexagons takes the pair braidings
-and builds a triple braiding only where a certificate fails.
+and the checks.  check_t_category builds each braiding c_{M,N} and
+conjugate ^pN once, and each pair tensor M (x) N, conjugate ^MN and
+braiding target ^MN (x) M when first read, and passes them down to the
+checks, the last three as functions that read them.  What it builds lives
+only for the call; of its inputs, only the modules' own pieces outlive it.
+check_braiding_inverse takes every braiding it compares prebuilt, and
+check_hexagons and check_braiding_equivariance take the pair braidings and
+read an object, or build a triple braiding, only where a certificate
+fails.
 
 tensor-assoc(M, N, P) asks a = mu_M (x) id (x) mu_P^-1 to intertwine the
 actions, and the coactions, of (MN)P and M(NP).  With phi_{X,Y} = C_Y^-1 B_X
@@ -127,6 +130,58 @@ f_p(x1), so f_p mul = mul (f_p (x) f_p) proves the coaction half; both
 twists are kron(mu_M, mu_N), and the components agree, which completes the
 item.  Only an item whose certificate fails builds ^p(M (x) N) and ^pM (x)
 ^pN and compares them.
+
+The pair items are decided from certificates on H too.  Let M lie in (A,
+B), N in (C, D), and g = (C (x) C^-1 B C) comul (_split), so that h.(x (x)
+y) = g'.x (x) g''.y.  Write T_X(k, r) = (alpha(k21), (B_X(k22)
+alpha^-1(r)) A_X(S^-1(k1))) for the H part of eq-2.1 in X's component
+(A_X, B_X), a map H (x) H -> H (x) H: eq-2.1 for X says that rho_X act_X
+is (act_X (x) id) of T_X on the legs (h, m1) of h (x) rho_X(m).  Each
+certificate below names the laws it reads; _laws and check_yd compute
+them as identities of maps, and the certificate holds only where they do.
+
+tensor-component(M, N).  Where eq-2.1 holds for M and for N, rho_{MN}
+act_{MN}(h (x) x (x) y), which ends in (g''.y)1 (g'.x)1, is (act_M (x)
+act_N (x) id) of Phi_L on the legs (h, x1, y1) of h (x) rho_M(x) (x)
+rho_N(y), where Phi_L(h, r, s) = (u_M, u_N, w_N w_M) for (u_M, w_M) =
+T_M(g', r) and (u_N, w_N) = T_N(g'', s).  The right side of eq-2.1 for M (x)
+N, in (AC, D C^-1 B C), whose coaction ends in y1 x1, is the same with
+Phi_R(h, r, s) = (g (x) id) T_{MN}(h, s r).  So yd-member of M and of N
+and Phi_L = Phi_R, maps on H (x) H (x) H, prove the item.
+
+braiding-module-map(M, N).  c(x (x) y) = nu(y0) (x) B^-1(y1).mu^-1(x),
+with mu = mu_M and nu = mu_N.  ^MN (x) M acts on ^MN through A(h1), where
+^MN acts through C^-1 B C A^-1, and on M through A^-1 B_{^MN} A = B^-1
+B_{MN}, words of G that hold as matrices for exact stored inverses.  With
+(a, k) = g(h) and (u, w) = T_N(k, y1), eq-2.1 for N, mu act = act (alpha
+(x) mu) for M and N (module-twist) and e.(f.x) = (alpha^-1(e) f).mu(x) for
+M (module-assoc) give c(h.(x (x) y)) = alpha(u).nu(y0) (x)
+(alpha^-1(B^-1 w) alpha^-1(a)).x and h.c(x (x) y) = C^-1 B C(h1).nu(y0)
+(x) (alpha^-1(B^-1 B_{MN}(h2)) B^-1(y1)).x.  So those laws and Psi_L =
+Psi_R, maps on H (x) H with Psi_L(h, t) = (alpha(u), alpha^-1(B^-1 w)
+alpha^-1(a)) for (u, w) = T_N(k, t) and Psi_R(h, t) = (C^-1 B C(h1),
+alpha^-1(B^-1 B_{MN}(h2)) B^-1(t)), prove the item.
+
+braiding-comodule-map(M, N).  ^MN (x) M coacts by y0 (x) x0 (x) x1 f(y1),
+f = A B^-1.  Where rho mu = (mu (x) alpha) rho holds for M and N
+(eq-1.8-coact) and eq-2.1 for M, rho(c(x (x) y)) = nu(y00) (x)
+u.mu^-1(x0) (x) w f alpha(y01) with (u, w) = T_M(B^-1(y1), alpha^-1(x1)),
+and (c (x) id) rho(x (x) y) = nu(y00) (x) B^-1(y01).mu^-1(x0) (x) y1 x1.
+Both are one map of Xi(y01, y1, x1), with Xi_L(s, t', r) = T_M(B^-1(t'),
+alpha^-1(r)) times f alpha(s) on its second leg and Xi_R(s, t', r) =
+(B^-1(s), t' r).  Where eq-1.7 holds for N, y00 (x) y01 (x) y1 = nu^-1(y0)
+(x) y11 (x) alpha(y12), so Xi meets only pre(t, r) = (t1, alpha(t2), r),
+and Xi_L pre = Xi_R pre, a map on H (x) H that depends on M alone and is
+computed once per M, proves the item with those laws.
+
+braiding-morphism(M, N).  Module-twist for M and eq-1.8-coact for N give
+(nu (x) mu) c(x (x) y) = nu^2(y0) (x) alpha B^-1(y1).x and c(mu(x) (x)
+nu(y)) = nu^2(y0) (x) B^-1 alpha(y1).x, so alpha B^-1 = B^-1 alpha, on
+H, proves the item with those laws.
+
+naturality-id(M, N) states (id (x) id) c = c (id (x) id), which holds for
+any map c, since kron(I, I) is an identity; it passes, and nothing is
+computed for it.
 """
 
 from __future__ import annotations
@@ -174,9 +229,13 @@ def tensor_yd(m, n):
     if m.over is not n.over and not m.over.equal_tables(n.over):
         raise ValueError("tensor factors live over different algebras")
     act, coact = _tensor_maps(m, n)
-    basis = tuple("%s(x)%s" % (a, b) for a in m.basis for b in n.basis)
     return YDModuleData(m.over, act, coact, kron(m.mu, n.mu), group_mul(m.pair, n.pair),
-                        basis=basis, label="%s(x)%s" % (m.name, n.name))
+                        basis=_tensor_basis(m, n), label="%s(x)%s" % (m.name, n.name))
+
+
+def _tensor_basis(m, n):
+    """The basis labels of M (x) N."""
+    return tuple("%s(x)%s" % (a, b) for a in m.basis for b in n.basis)
 
 
 def _tensor_maps(m, n):
@@ -185,28 +244,28 @@ def _tensor_maps(m, n):
     N's tensor_comul, not on that piece."""
     d, dm, dn = m.over.dim, m.dim, n.dim
     idm, idn = LinearMap.identity(dm), LinearMap.identity(dn)
-    left = kron(LinearMap.identity(d), n.action @ kron(_phi(m.pair_b, n), idn)) @ kron(n.tensor_comul, idn)
+    left = kron(LinearMap.identity(d), n.action @ kron(_phi(m.pair_b, n.pair_a), idn)) @ kron(n.tensor_comul, idn)
     act = kron(m.tensor_act, idn) @ kron(idm, left) @ kron(flip(d, dm), idn)
     coact = kron(idm, n.tensor_coact) @ kron(m.coaction, idn)
     return act, coact
 
 
-def _phi(b, n):
-    """C^-1 B C, with C from N's pair: for B from M's pair, H acts on the
-    right factor of M (x) N through it, after C."""
-    return n.pair_a.inverse @ b.matrix @ n.pair_a.matrix
+def _phi(b, c):
+    """C^-1 B C: for B from M's pair and C from N's, H acts on the right
+    factor of M (x) N through it, after C."""
+    return c.inverse @ b.matrix @ c.matrix
 
 
 def _split(m, n):
     """(C (x) C^-1 B C) comul: H -> H (x) H, with B from M's pair and C from
     N's: h.(x (x) y) = act_M (x) act_N on the legs (h1', x, h2', y) of it."""
-    return kron(LinearMap.identity(m.over.dim), _phi(m.pair_b, n)) @ n.tensor_comul
+    return kron(LinearMap.identity(m.over.dim), _phi(m.pair_b, n.pair_a)) @ n.tensor_comul
 
 
-def _conj_phi(p, n):
+def _conj_phi(p, c):
     """C^-1 B C A^-1 for p = (A, B) and C from N's pair: H acts on ^pN
     through it."""
-    return _phi(p.b, n) @ p.a.inverse
+    return _phi(p.b, c) @ p.a.inverse
 
 
 def _conj_f(p):
@@ -227,7 +286,7 @@ def conjugate_yd(p, n):
         rho(y) = y0 (x) A B^-1(y1) = (id (x) A B^-1) rho_N.
     """
     dn = n.dim
-    act = n.action @ kron(_conj_phi(p, n), LinearMap.identity(dn))
+    act = n.action @ kron(_conj_phi(p, n.pair_a), LinearMap.identity(dn))
     coact = kron(LinearMap.identity(dn), _conj_f(p)) @ n.coaction
     return YDModuleData(n.over, act, coact, n.mu, _conj_pair(p, n.pair),
                         basis=n.basis, label="^%s%s" % (p.name, n.name))
@@ -293,52 +352,130 @@ def associator(m, n, p):
     return kron(m.mu, kron(LinearMap.identity(n.dim), p.mu_inv))
 
 
-def _certificates(h, modules, tensor):
-    """Per triple (i, j, k) of module positions, whether the module and the
-    comodule half of tensor-assoc, eq-3.4 and eq-3.5 hold by their
-    certificates on H (module docstring); tensor holds the pair tensors by
-    position."""
-    idh, alpha, alpha_inv, mul = LinearMap.identity(h.dim), h.alpha, h.alpha_inv, h.algebra.mul
-    comul = h.coalgebra.comul
-    hom_assoc = mul @ kron(idh, mul) == mul @ kron(mul @ kron(alpha_inv, idh), alpha)
-    # per module: module-twist, eq-1.8-coact, eq-1.7 and eq-3.5's braid law
+def _pair_pieces(modules):
+    """Per pair (i, j) of module positions, the component pair(M) * pair(N)
+    of M (x) N and its split (C (x) C^-1 B C) comul: the certificates read
+    these two pieces of a pair tensor alone."""
+    return {(i, j): (group_mul(m.pair, n.pair), _split(m, n))
+            for (i, m), (j, n) in itertools.product(enumerate(modules), repeat=2)}
+
+
+def _laws(h, modules):
+    """Per module, by position, whether each law the certificates use holds
+    as an identity of maps: module-twist, module-assoc, eq-1.8-coact, eq-1.7
+    and eq-3.5's braid law."""
+    alpha, alpha_inv, mul, comul = h.alpha, h.alpha_inv, h.algebra.mul, h.coalgebra.comul
     twist = [m.mu @ m.action == m.action @ kron(alpha, m.mu) for m in modules]
+    assoc = [m.action @ kron(alpha, m.action) == m.action @ kron(mul, m.mu) for m in modules]
     coact_twist = [m.coaction @ m.mu == kron(m.mu, alpha) @ m.coaction for m in modules]
     coassoc = [kron(m.mu_inv, comul) @ m.coaction == kron(m.coaction, alpha_inv) @ m.coaction for m in modules]
     braid_law = [m.mu_inv @ m.action @ kron(m.pair_b.inverse @ mul, LinearMap.identity(m.dim))
                  == m.action @ kron(m.pair_b.inverse, m.mu_inv @ m.braid_act) for m in modules]
-    g, coalgebra_map = {}, {}
-    for (i, j), mn in tensor.items():
-        g[i, j] = _split(modules[i], modules[j])
-        f = mn.pair_b.inverse @ alpha
+    return twist, assoc, coact_twist, coassoc, braid_law
+
+
+def _certificates(h, modules, pieces, laws):
+    """Per triple (i, j, k) of module positions, whether the module and the
+    comodule half of tensor-assoc, eq-3.4 and eq-3.5 hold by their
+    certificates on H (module docstring); pieces holds the components and
+    splits of the pair tensors by position (_pair_pieces), and laws the
+    per-module laws (_laws)."""
+    idh, alpha, alpha_inv, mul = LinearMap.identity(h.dim), h.alpha, h.alpha_inv, h.algebra.mul
+    comul = h.coalgebra.comul
+    hom_assoc = mul @ kron(idh, mul) == mul @ kron(mul @ kron(alpha_inv, idh), alpha)
+    twist, _, coact_twist, coassoc, braid_law = laws
+    coalgebra_map = {}
+    for (i, j), (mn, _) in pieces.items():
+        f = mn.b.inverse @ alpha
         coalgebra_map[i, j] = comul @ f == kron(f, f) @ comul
     outer = kron(alpha, kron(idh, alpha_inv))
     certified = {}
     for i, j, k in itertools.product(range(len(modules)), repeat=3):
-        m, p, mn, np = modules[i], modules[k], tensor[i, j], tensor[j, k]
+        (mn, g_mn), (np, g_np) = pieces[i, j], pieces[j, k]
+        m, p = modules[i], modules[k]
         module_half = twist[i] and twist[k] and (
-            kron(np.pair_a.matrix, g[j, k] @ _phi(m.pair_b, np)) @ comul
-            == outer @ (kron(g[i, j] @ p.pair_a.matrix, _phi(mn.pair_b, p)) @ comul))
+            kron(np.a.matrix, g_np @ _phi(m.pair_b, np.a)) @ comul
+            == outer @ (kron(g_mn @ p.pair_a.matrix, _phi(mn.b, p.pair_a)) @ comul))
         certified[i, j, k] = (module_half, hom_assoc and coact_twist[i] and coact_twist[k],
                               coalgebra_map[i, j] and coact_twist[k] and coassoc[k], braid_law[i])
     return certified
 
 
-def _functor_certificates(h, modules, pairs, tensor, conj):
+def _functor_certificates(h, modules, pairs, pieces, conj):
     """Whether functor-tensor(p;M,N) holds by its certificate on H, f_p
     multiplicative and the split identity (module docstring), keyed by the
-    positions (p, M, N); tensor and conj hold the pair tensors and the
-    conjugates ^pN by position."""
+    positions (p, M, N); pieces holds the components and splits of the pair
+    tensors (_pair_pieces) and conj the conjugates ^pN by position."""
     mul = h.algebra.mul
-    phi = {(pi, i): _conj_phi(p, m) for pi, p in enumerate(pairs) for i, m in enumerate(modules)}
-    split = {(i, j): _split(modules[i], modules[j]) for i, j in tensor}
+    phi = {(pi, i): _conj_phi(p, m.pair_a) for pi, p in enumerate(pairs) for i, m in enumerate(modules)}
     certified = {}
     for pi, p in enumerate(pairs):
         f = _conj_f(p)
         multiplicative = f @ mul == mul @ kron(f, f)
-        for (i, j), mn in tensor.items():
+        for (i, j), (mn, g) in pieces.items():
             certified[pi, i, j] = multiplicative and (
-                split[i, j] @ _conj_phi(p, mn) == kron(phi[pi, i], phi[pi, j]) @ _split(conj[pi, i], conj[pi, j]))
+                g @ _conj_phi(p, mn.a) == kron(phi[pi, i], phi[pi, j]) @ _split(conj[pi, i], conj[pi, j]))
+    return certified
+
+
+def _braiding_certificates(h, modules, pieces, member, laws):
+    """Per pair (i, j) of module positions, whether tensor-component,
+    braiding-module-map, braiding-comodule-map and braiding-morphism hold by
+    their certificates on H (module docstring); pieces holds the components
+    and splits of the pair tensors (_pair_pieces), member the yd-member
+    verdicts and laws the per-module laws (_laws), by position.  The pieces
+    that depend on one module are built once, and each product is taken
+    right to left, on the 64 or 16 columns of the domain."""
+    d = h.dim
+    idh, idhh = LinearMap.identity(d), LinearMap.identity(d * d)
+    alpha, alpha_inv, mul, comul = h.alpha, h.alpha_inv, h.algebra.mul, h.coalgebra.comul
+    twist, assoc, coact_twist, coassoc, _ = laws
+    # T_(A,B)(k, r) = (alpha(k21), (B(k22) alpha^-1(r)) A(S^-1(k1))): the
+    # legs (k, r) -> (alpha(k21), k22, alpha^-1(r), k1), then B on the
+    # second and A S^-1 on the last, and (x, y, z) -> (x y) z on the last three
+    lift = kron(alpha, kron(idh, kron(alpha_inv, idh))) @ (
+        permute((d,) * 4, (1, 2, 3, 0)) @ kron(kron(idh, comul) @ comul, idh))
+    products = kron(idh, mul @ kron(mul, idh))
+
+    def h_part(pair):
+        return products @ (kron(idh, kron(pair.b.matrix, idhh))
+                           @ (kron(LinearMap.identity(d ** 3), pair.a.matrix @ h.antipode_inv) @ lift))
+
+    part = [h_part(m.pair) for m in modules]
+    pre, rotate, swap = kron(comul, idh), permute((d,) * 3, (1, 2, 0)), permute((d,) * 4, (0, 2, 1, 3))
+    # per module M: (u_M, w_M, u, w) -> (u_M, u, w w_M) after T_M, the left
+    # end of Phi_L; (u, w, a) -> (alpha(u), alpha^-1(B^-1 w) alpha^-1(a)),
+    # that of Psi_L; Xi_L pre = Xi_R pre, with Xi_L pre (t, r) = T_M(B^-1
+    # alpha(t2), alpha^-1(r)) times f alpha(t1) and Xi_R pre (t, r) =
+    # (B^-1(t1), alpha(t2) r); and alpha B^-1 = B^-1 alpha
+    gather = kron(idhh, mul) @ permute((d,) * 4, (0, 2, 3, 1))
+    phi_left, psi_left, xi, commute = [], [], [], []
+    for m, t_m in zip(modules, part):
+        b_inv = m.pair_b.inverse
+        phi_left.append(gather @ kron(t_m, idhh))
+        psi_left.append(kron(alpha, mul @ kron(alpha_inv @ b_inv, alpha_inv)) @ rotate)
+        xi.append(kron(idh, mul) @ (kron(t_m, _conj_f(m.pair) @ alpha)
+                                    @ (rotate @ (kron(idh, kron(b_inv @ alpha, alpha_inv)) @ pre)))
+                  == kron(b_inv, mul @ kron(alpha, idh)) @ pre)
+        commute.append(alpha @ b_inv == b_inv @ alpha)
+    reversed_mul = kron(idh, mul @ flip(d, d))
+    certified = {}
+    for (i, j), (mn, g) in pieces.items():
+        m, n = modules[i], modules[j]
+        b_inv = m.pair_b.inverse
+        # Phi_L (h, r, s) = (u_M, u_N, w_N w_M) from (g', r, g'', s), and
+        # Phi_R (h, r, s) = (g (x) id) T_MN(h, s r)
+        component = member[i] and member[j] and (
+            phi_left[i] @ (kron(idhh, part[j]) @ (swap @ kron(g, idhh)))
+            == kron(g, idh) @ (h_part(mn) @ reversed_mul))
+        # Psi_L (h, t) from (a, T_N(k, t)) for (a, k) = g(h), and Psi_R (h, t)
+        # = (C^-1 B C(h1), alpha^-1(B^-1 B_MN(h2)) B^-1(t))
+        module_map = member[j] and twist[i] and twist[j] and assoc[i] and (
+            psi_left[i] @ (kron(idh, part[j]) @ kron(g, idh))
+            == kron(_phi(m.pair_b, n.pair_a), mul @ kron(alpha_inv @ b_inv @ mn.b.matrix, b_inv)) @ pre)
+        comodule_map = member[i] and coact_twist[i] and coact_twist[j] and coassoc[j] and xi[i]
+        morphism = twist[i] and coact_twist[j] and commute[i]
+        certified[i, j] = component, module_map, comodule_map, morphism
     return certified
 
 
@@ -351,20 +488,40 @@ def _pair_labels(m, n):
     return "%s,%s" % (m.name, n.name)
 
 
-def check_braiding_equivariance(b, src, tgt):
+def _decided(suite, laws):
+    """The report of suite with one item per record (identity, law text,
+    legs, holds, sides), in order: an item whose certificate holds passes,
+    and for any other sides() builds the two maps that check_laws
+    compares."""
+    rep = CheckReport(suite)
+    for ident, law, legs, holds, sides in laws:
+        if holds:
+            rep.add(ident, law, True)
+        else:
+            rep.extend(check_laws(suite, ((ident, law, legs) + sides(),)))
+    return rep
+
+
+def check_braiding_equivariance(b, src, tgt, certified):
     """The braiding intertwines the tensor actions and tensor coactions of
-    its source src = M (x) N and its target tgt = ^MN (x) M, and is a
-    morphism for the carrier twists."""
+    its source M (x) N and its target ^MN (x) M, and is a morphism for the
+    carrier twists.  certified holds, per item in that order, whether its
+    certificate on H holds (module docstring): such an item passes, and any
+    other is an exact matrix equality.  src and tgt are functions of no
+    argument that return M (x) N and ^MN (x) M; only a module-map or
+    comodule-map item whose certificate fails calls them."""
     m, n = b.source
     h = m.over
+    idh = LinearMap.identity(h.dim)
     tag = _pair_labels(m, n)
-    return check_laws("braiding", (
-        ("braiding-module-map(%s)" % tag, "c(h.(m (x) n)) = h.c(m (x) n)", (h.basis, src.basis),
-         b.matrix @ src.action, tgt.action @ kron(LinearMap.identity(h.dim), b.matrix)),
-        ("braiding-comodule-map(%s)" % tag, "rho(c(m (x) n)) = (c (x) id) rho(m (x) n)", (src.basis,),
-         kron(b.matrix, LinearMap.identity(h.dim)) @ src.coaction, tgt.coaction @ b.matrix),
-        ("braiding-morphism(%s)" % tag, "(nu (x) mu) c = c (mu (x) nu)", (src.basis,),
-         kron(n.mu, m.mu) @ b.matrix, b.matrix @ kron(m.mu, n.mu)),
+    basis = _tensor_basis(m, n)
+    return _decided("braiding", (
+        ("braiding-module-map(%s)" % tag, "c(h.(m (x) n)) = h.c(m (x) n)", (h.basis, basis), certified[0],
+         lambda: (b.matrix @ src().action, tgt().action @ kron(idh, b.matrix))),
+        ("braiding-comodule-map(%s)" % tag, "rho(c(m (x) n)) = (c (x) id) rho(m (x) n)", (basis,), certified[1],
+         lambda: (kron(b.matrix, idh) @ src().coaction, tgt().coaction @ b.matrix)),
+        ("braiding-morphism(%s)" % tag, "(nu (x) mu) c = c (mu (x) nu)", (basis,), certified[2],
+         lambda: (kron(n.mu, m.mu) @ b.matrix, b.matrix @ kron(m.mu, n.mu))),
     ))
 
 
@@ -383,13 +540,15 @@ def check_braiding_inverse(b, inv):
 
 def check_hexagons(c_mn, c_np, c_mp, mn, np, np_conj, certified):
     """The two crossed hexagon identities eq-3.4 and eq-3.5 for M, N, P,
-    given the braidings of the pairs, MN = M (x) N, NP = N (x) P and ^NP, P
-    conjugated by N's pair, and per equation whether its certificate on H
-    holds (module docstring).  An equation whose certificate holds passes;
-    any other is an exact matrix equality on the flattened triple tensor,
-    which builds c_{MN,P} and c_{M,^NP} for eq-3.4 and c_{M,NP} for eq-3.5.
-    Conjugates keep carrier and twist, so ^{MN}P, ^MN and ^MP enter only as
-    P's and N's twists."""
+    given the braidings of the pairs and per equation whether its
+    certificate on H holds (module docstring).  An equation whose
+    certificate holds passes; any other is an exact matrix equality on the
+    flattened triple tensor, which builds c_{MN,P} and c_{M,^NP} for eq-3.4
+    and c_{M,NP} for eq-3.5.  mn, np and np_conj are functions of no
+    argument that return MN = M (x) N, NP = N (x) P and ^NP, P conjugated
+    by N's pair; only an equation whose certificate fails calls the ones it
+    reads.  Conjugates keep carrier and twist, so ^{MN}P, ^MN and ^MP enter
+    only as P's and N's twists."""
     m, n = c_mn.source
     p = c_np.source[1]
     tag = "%s,%s,%s" % (m.name, n.name, p.name)
@@ -399,23 +558,17 @@ def check_hexagons(c_mn, c_np, c_mp, mn, np, np_conj, certified):
     idp = LinearMap.identity(p.dim)
 
     legs = (m.basis, n.basis, p.basis)
-    rep = CheckReport("hexagons")
-    for ident, law, holds, sides in (
+    return _decided("hexagons", (
         # eq-3.4 on M (x) (N (x) P)
-        ("eq-3.4(%s)" % tag, "a^-1 c_{MN,P} a^-1 = (c_{M,^NP} (x) id) a^-1 (id (x) c_{N,P})", certified[0],
-         lambda: (kron(p.mu_inv, kron(idm, n.mu)) @ braiding(mn, p).matrix @ kron(m.mu_inv, kron(idn, p.mu)),
-                  kron(braiding(m, np_conj).matrix, idn) @ kron(m.mu_inv, kron(idp, n.mu))
+        ("eq-3.4(%s)" % tag, "a^-1 c_{MN,P} a^-1 = (c_{M,^NP} (x) id) a^-1 (id (x) c_{N,P})", legs, certified[0],
+         lambda: (kron(p.mu_inv, kron(idm, n.mu)) @ braiding(mn(), p).matrix @ kron(m.mu_inv, kron(idn, p.mu)),
+                  kron(braiding(m, np_conj()).matrix, idn) @ kron(m.mu_inv, kron(idp, n.mu))
                   @ kron(idm, c_np.matrix))),
         # eq-3.5 on (M (x) N) (x) P
-        ("eq-3.5(%s)" % tag, "a c_{M,NP} a = (id (x) c_{M,P}) a (c_{M,N} (x) id)", certified[1],
-         lambda: (kron(n.mu, kron(idp, m.mu_inv)) @ braiding(m, np).matrix @ kron(m.mu, kron(idn, p.mu_inv)),
+        ("eq-3.5(%s)" % tag, "a c_{M,NP} a = (id (x) c_{M,P}) a (c_{M,N} (x) id)", legs, certified[1],
+         lambda: (kron(n.mu, kron(idp, m.mu_inv)) @ braiding(m, np()).matrix @ kron(m.mu, kron(idn, p.mu_inv)),
                   kron(idn, c_mp.matrix) @ kron(n.mu, kron(idm, p.mu_inv)) @ kron(c_mn.matrix, idp))),
-    ):
-        if holds:
-            rep.add(ident, law, True)
-        else:
-            rep.extend(check_laws(rep.suite, ((ident, law, legs) + sides(),)))
-    return rep
+    ))
 
 
 def check_conjugation_invariance(p, b):
@@ -453,6 +606,19 @@ def sample_nonzero_rationals(seed, count, max_abs=4, denominators=(1, 2, 3)):
     return out
 
 
+class _Kept(dict):
+    """Objects built by build(*key) when first read, and kept by their key,
+    a tuple of positions, for one check_t_category call."""
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, key):
+        self[key] = value = self._build(*key)
+        return value
+
+
 def check_t_category(h, modules, pairs, seed=0):
     """Aggregate suite: group axioms, component placement of tensor products
     and conjugations, functor identities, unit constraints, and for every
@@ -465,17 +631,23 @@ def check_t_category(h, modules, pairs, seed=0):
     dim(H) x dim(H), or a module over another algebra than h (one whose
     tables differ from h's), raises InvalidStructure with the one item shape.
 
-    Each pair tensor M (x) N, braiding c_{M,N} and conjugate ^pM and ^MN is
-    built once, before the checks, and kept by position for this call.
-    tensor_yd, braiding and braiding_inverse read the one-object pieces of
-    their factors, which each object builds once, when first read.
-    tensor-assoc and the hexagons of a triple are decided by certificates
-    on H (_certificates); only one that fails builds triple tensors or
-    triple braidings.  So is functor-tensor (_functor_certificates); only
-    an item that fails builds ^p(M (x) N) and ^pM (x) ^pN.  The group
-    axioms, functor-compose and conjugation-invariance are identities of G
-    that hold for any pairs (module docstring): they pass, and nothing is
-    built or computed for them.
+    Each braiding c_{M,N} and conjugate ^pM is built once, before the
+    checks, and kept by position for this call; each pair tensor M (x) N,
+    conjugate ^MN and braiding target ^MN (x) M is built when first read,
+    and kept by position for this call.  tensor_yd, braiding and
+    braiding_inverse read the one-object pieces of their factors, which
+    each object builds once, when first read.  The certificates on H read a
+    pair tensor's component and split alone (_pair_pieces).
+    tensor-component and the braiding module, comodule and morphism laws of
+    a pair are decided by them (_braiding_certificates); only an item that
+    fails builds M (x) N, or M (x) N and ^MN (x) M, and runs the full
+    comparison.  tensor-assoc and the hexagons of a triple are decided by
+    certificates on H (_certificates); only one that fails builds triple
+    tensors or triple braidings, and eq-3.4 reads ^NP only then.  So is
+    functor-tensor (_functor_certificates); only an item that fails builds
+    ^p(M (x) N) and ^pM (x) ^pN.  The group axioms, functor-compose,
+    conjugation-invariance and naturality-id hold for any input (module
+    docstring): they pass, and nothing is built or computed for them.
     """
     rep = CheckReport("t-category", seed=seed)
     modules = list(modules)
@@ -488,13 +660,15 @@ def check_t_category(h, modules, pairs, seed=0):
             raise InvalidStructure(_shape_report(rep.suite, "module %s lives over another algebra" % m.name))
     idh = LinearMap.identity(h.dim)
     index_pairs = list(itertools.product(range(len(modules)), repeat=2))
-    tensor = {(i, j): tensor_yd(modules[i], modules[j]) for i, j in index_pairs}
+    pieces = _pair_pieces(modules)
+    tensor = _Kept(lambda i, j: tensor_yd(modules[i], modules[j]))
+    twisted = _Kept(lambda i, j: conjugate_yd(modules[i].pair, modules[j]))
+    target = _Kept(lambda i, j: tensor_yd(twisted[i, j], modules[i]))
     braid = {(i, j): braiding(modules[i], modules[j]) for i, j in index_pairs}
     conj = {
         (pi, i): conjugate_yd(p, m)
         for pi, p in enumerate(pairs) for i, m in enumerate(modules)
     }
-    twisted = {(i, j): conjugate_yd(modules[i].pair, modules[j]) for i, j in index_pairs}
 
     for p in pairs:
         for name, aut in (("a", p.a), ("b", p.b)):
@@ -509,27 +683,26 @@ def check_t_category(h, modules, pairs, seed=0):
     rep.add("group-unit", "(id,id)*p = p = p*(id,id)", True)
     rep.add("group-inv", "p^-1 * p = (id,id) = p * p^-1", True)
 
-    for m in modules:
-        rep.add_verdict(
-            "yd-member(%s)" % m.name, "module satisfies eq-2.1 in its component", check_yd(m),
-        )
+    member = [check_yd(m) for m in modules]
+    for m, sub in zip(modules, member):
+        rep.add_verdict("yd-member(%s)" % m.name, "module satisfies eq-2.1 in its component", sub)
 
+    laws = _laws(h, modules)
+    braided = _braiding_certificates(h, modules, pieces, [sub.ok() for sub in member], laws)
     for i, j in index_pairs:
         m, n = modules[i], modules[j]
         b = braid[i, j]
-        rep.add_verdict(
-            "tensor-component(%s)" % _pair_labels(m, n),
-            "M (x) N satisfies eq-2.1 in component pair(M)*pair(N)",
-            check_yd(tensor[i, j]),
-        )
-        rep.extend(check_braiding_equivariance(b, tensor[i, j], tensor_yd(twisted[i, j], m)))
+        component, *equivariant = braided[i, j]
+        ident = "tensor-component(%s)" % _pair_labels(m, n)
+        law = "M (x) N satisfies eq-2.1 in component pair(M)*pair(N)"
+        if component:
+            rep.add(ident, law, True)
+        else:
+            rep.add_verdict(ident, law, check_yd(tensor[i, j]))
+        rep.extend(check_braiding_equivariance(b, lambda: tensor[i, j], lambda: target[i, j], equivariant))
         rep.extend(check_braiding_inverse(b, braiding_inverse(b)))
-        rep.extend(check_laws(rep.suite, ((
-            "naturality-id(%s)" % _pair_labels(m, n), "(id (x) id) c = c (id (x) id)",
-            (index_leg(m.dim), index_leg(n.dim)),
-            kron(LinearMap.identity(n.dim), LinearMap.identity(m.dim)) @ b.matrix,
-            b.matrix @ kron(LinearMap.identity(m.dim), LinearMap.identity(n.dim)),
-        ),)))
+        # (id (x) id) c = c (id (x) id) for any map c (module docstring)
+        rep.add("naturality-id(%s)" % _pair_labels(m, n), "(id (x) id) c = c (id (x) id)", True)
 
     for pi, p in enumerate(pairs):
         for i, n in enumerate(modules):
@@ -544,7 +717,7 @@ def check_t_category(h, modules, pairs, seed=0):
             rep.add("functor-compose(%s,%s;%s)" % (p.name, q.name, n.name),
                     "^(p*q)N = ^p(^qN) as structure tensors", True)
 
-    functor_tensor = _functor_certificates(h, modules, pairs, tensor, conj)
+    functor_tensor = _functor_certificates(h, modules, pairs, pieces, conj)
     for pi, p in enumerate(pairs):
         for i, j in index_pairs:
             m, n = modules[i], modules[j]
@@ -555,14 +728,13 @@ def check_t_category(h, modules, pairs, seed=0):
             )
             rep.extend(check_conjugation_invariance(p, braid[i, j]))
 
-    certified = _certificates(h, modules, tensor)
+    certified = _certificates(h, modules, pieces, laws)
     for i, j, k in itertools.product(range(len(modules)), repeat=3):
         m, n, p_mod = modules[i], modules[j], modules[k]
-        mn, np = tensor[i, j], tensor[j, k]
         holds = all(certified[i, j, k][:2])
         if not holds:
-            left_act, left_coact = _tensor_maps(mn, p_mod)
-            right_act, right_coact = _tensor_maps(m, np)
+            left_act, left_coact = _tensor_maps(tensor[i, j], p_mod)
+            right_act, right_coact = _tensor_maps(m, tensor[j, k])
             # the orders coincide strictly only for identity twists; in
             # general the twisted constraint intertwines them
             a = associator(m, n, p_mod)
@@ -573,8 +745,8 @@ def check_t_category(h, modules, pairs, seed=0):
             "intertwined by the twisted constraint",
             holds,
         )
-        rep.extend(check_hexagons(braid[i, j], braid[j, k], braid[i, k], mn, np, twisted[j, k],
-                                  certified[i, j, k][2:]))
+        rep.extend(check_hexagons(braid[i, j], braid[j, k], braid[i, k], lambda: tensor[i, j],
+                                  lambda: tensor[j, k], lambda: twisted[j, k], certified[i, j, k][2:]))
 
     unit = trivial_yd(h)
     for n in modules:

@@ -61,7 +61,7 @@ def certified_halves(h, modules):
     comparison's."""
     index_pairs = itertools.product(range(len(modules)), repeat=2)
     tensor = {(i, j): tensor_yd(modules[i], modules[j]) for i, j in index_pairs}
-    certified = tc._certificates(h, modules, tensor)
+    certified = tc._certificates(h, modules, tc._pair_pieces(modules), tc._laws(h, modules))
     for i, j, k in itertools.product(range(len(modules)), repeat=3):
         full = full_halves(modules[i], modules[j], modules[k], tensor[i, j], tensor[j, k])
         triple = ",".join(modules[x].name for x in (i, j, k))

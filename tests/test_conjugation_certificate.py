@@ -49,7 +49,7 @@ def certified_items(h, modules, pairs):
     index_pairs = list(itertools.product(range(len(modules)), repeat=2))
     tensor = {(i, j): tc.tensor_yd(modules[i], modules[j]) for i, j in index_pairs}
     conj = {(pi, i): tc.conjugate_yd(p, m) for pi, p in enumerate(pairs) for i, m in enumerate(modules)}
-    functor_tensor = tc._functor_certificates(h, modules, pairs, tensor, conj)
+    functor_tensor = tc._functor_certificates(h, modules, pairs, tc._pair_pieces(modules), conj)
     for (pi, p), (qi, q) in itertools.product(enumerate(pairs), repeat=2):
         for i, n in enumerate(modules):
             full = tc.conjugate_yd(tc.group_mul(p, q), n).same_structure(tc.conjugate_yd(p, conj[qi, i]))
@@ -109,7 +109,7 @@ def test_a_holding_certificate_meets_a_holding_full_comparison(case):
 def fallbacks(monkeypatch, text):
     """The tcat report of text, the functor-tensor items whose certificate
     failed, so that they built their objects, and the conjugate_yd calls."""
-    built, conjugates = [], []
+    built, conjugates, targets, inside = [], [], [], []
     structures_equal, conjugate_yd = tc._structures_equal, tc.conjugate_yd
 
     def recording_structures_equal(rep, ident, law, certified, objects):
@@ -118,19 +118,31 @@ def fallbacks(monkeypatch, text):
         return structures_equal(rep, ident, law, certified, objects)
 
     def recording_conjugate_yd(p, n):
-        conjugates.append(n)
+        (targets if inside else conjugates).append((p.name, n.name))
         return conjugate_yd(p, n)
+
+    def recording(check):
+        def wrapped(*args):
+            inside.append(True)
+            try:
+                return check(*args)
+            finally:
+                inside.pop()
+        return wrapped
 
     monkeypatch.setattr(tc, "_structures_equal", recording_structures_equal)
     monkeypatch.setattr(tc, "conjugate_yd", recording_conjugate_yd)
+    for name in ("check_braiding_equivariance", "check_hexagons"):
+        monkeypatch.setattr(tc, name, recording(getattr(tc, name)))
     rep = run_checks(parse_definition(text), "tcat")
     monkeypatch.undo()
-    # conjugates are built for the conjugate-component and the braiding
-    # targets, one per tensor-component item, and by functor-tensor
-    # fallbacks only: functor-compose and conjugation-invariance build none
-    placed = sum(":conjugate-component(" in item.identity or ":tensor-component(" in item.identity
-                 for item in rep.items)
+    # conjugates are built for the conjugate-component items and by
+    # functor-tensor fallbacks only: functor-compose and
+    # conjugation-invariance build none; a braiding equivariance or eq-3.4
+    # fallback builds ^MN on first read, once per pair
+    placed = sum(":conjugate-component(" in item.identity for item in rep.items)
     assert len(conjugates) == placed + len(built)
+    assert len(set(targets)) == len(targets) <= 16
     return rep, len(built)
 
 

@@ -31,10 +31,10 @@ def certified_equations(h, modules):
     tensor = {(i, j): tc.tensor_yd(modules[i], modules[j]) for i, j in index_pairs}
     braid = {(i, j): tc.braiding(modules[i], modules[j]) for i, j in index_pairs}
     twisted = {(i, j): tc.conjugate_yd(modules[i].pair, modules[j]) for i, j in index_pairs}
-    certified = tc._certificates(h, modules, tensor)
+    certified = tc._certificates(h, modules, tc._pair_pieces(modules), tc._laws(h, modules))
     for i, j, k in itertools.product(range(len(modules)), repeat=3):
-        full = tc.check_hexagons(braid[i, j], braid[j, k], braid[i, k], tensor[i, j], tensor[j, k],
-                                 twisted[j, k], (False, False))
+        full = tc.check_hexagons(braid[i, j], braid[j, k], braid[i, k], lambda: tensor[i, j],
+                                 lambda: tensor[j, k], lambda: twisted[j, k], (False, False))
         for item, cert_ok in zip(full.items, certified[i, j, k][2:]):
             yield item.identity, cert_ok, item.passed
 

@@ -2,8 +2,9 @@
 
 Every map built while ``run_checks(h4.alg, "tcat")`` runs, at the shipped
 point and at the twisted point c = -3/2, and then on a copy with g g = -1,
-whose tensor-assoc and eq-3.5 items take the full comparison, is
-inspected: it stores int
+whose tensor-assoc and eq-3.5 items take the full comparison, and on one
+with an act: cell of H4A changed, whose pair items build their pair
+tensors, braiding targets and conjugates ^MN, is inspected: it stores int
 numerators over a positive denominator prime to them, and its entries read
 back as ints or Fractions, never floats.  A map with stored columns is
 inspected as it is built; a whisker, whose columns are built on first read,
@@ -37,12 +38,16 @@ def tcat_run(request):
     """(types stored, types of the stored entries read back, one flag per
     map built telling whether it is in canonical form, YD objects built,
     number of whiskers made) over the tcat runs of h4.alg with c bound
-    to the parameter and of its copy with g g = -1, where no certificate
-    decides tensor-assoc or eq-3.5; cp = 2 and cpp = 3 give the component
-    pairs inverses with denominators at either point."""
+    to the parameter, of its copy with g g = -1, where no certificate
+    decides tensor-assoc or eq-3.5, and of its copy with H4A's x.1 = c cp
+    gx, where no tensor-component certificate of a pair with H4A holds;
+    cp = 2 and cpp = 3 give the component pairs inverses with denominators
+    at either point."""
     text = (ROOT / "h4.alg").read_text(encoding="utf-8").replace("c = 1\n", "c = %s\n" % request.param)
     assert text.count("mul: g g -> 1\n") == 1
-    texts = (text, text.replace("mul: g g -> 1\n", "mul: g g -> -1\n"))
+    assert text.count("act: x 1 -> c * (cp - 1) * gx\n") == 1
+    texts = (text, text.replace("mul: g g -> 1\n", "mul: g g -> -1\n"),
+             text.replace("act: x 1 -> c * (cp - 1) * gx\n", "act: x 1 -> c * cp * gx\n"))
     stored, read, maps, objects, whiskers = set(), set(), [], [], []
     from_columns, whisker_map = exactlin._from_columns, exactlin._whisker_map
     init, yd_init = LinearMap.__init__, YDModuleData.__init__

@@ -123,7 +123,7 @@ def test_functor_compose_words_hold_as_maps_on_non_commuting_pairs(non_commuting
         assert tc._conj_f(pq) == tc._conj_f(p) @ tc._conj_f(q)
         for n in mods:
             qn = conjugate_yd(q, n)
-            assert tc._conj_phi(pq, n) == tc._conj_phi(q, n) @ tc._conj_phi(p, qn)
+            assert tc._conj_phi(pq, n.pair_a) == tc._conj_phi(q, n.pair_a) @ tc._conj_phi(p, qn.pair_a)
             assert same_pair(conjugate_yd(pq, n).pair, conjugate_yd(p, qn).pair)
 
 
@@ -142,7 +142,19 @@ def test_conjugation_invariance_word_holds_as_maps_on_non_commuting_pairs(non_co
     for p in pairs:
         for m in mods:
             pm = conjugate_yd(p, m)
-            assert tc._conj_phi(p, m) @ pm.pair_b.inverse @ tc._conj_f(p) == m.pair_b.inverse
+            assert tc._conj_phi(p, m.pair_a) @ pm.pair_b.inverse @ tc._conj_f(p) == m.pair_b.inverse
+
+
+def test_braiding_target_words_hold_as_maps_on_non_commuting_pairs(non_commuting):
+    """The braiding target ^MN (x) M acts on ^MN through C^-1 B C and on M
+    through A^-1 B_{^MN} A = B^-1 B_{MN}, for M in (A, B) and N in (C, D),
+    as the module-map certificate reads them."""
+    _, mods, _ = non_commuting
+    for m, n in itertools.product(mods, repeat=2):
+        mn = conjugate_yd(m.pair, n)
+        assert tc._conj_phi(m.pair, n.pair_a) @ m.pair_a.matrix == tc._phi(m.pair_b, n.pair_a)
+        assert (tc._phi(mn.pair_b, m.pair_a)
+                == m.pair_b.inverse @ group_mul(m.pair, n.pair).b.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +336,18 @@ def test_braiding_inverse_for_sampled_parameters():
 def test_braiding_equivariance():
     _, _, mods = setup_modules(c=1, cp=2, cpp=3)
     b = braiding(mods["H4A"], mods["H4B"])
-    tgt = tensor_yd(*b.target)
-    assert check_braiding_equivariance(b, tensor_yd(mods["H4A"], mods["H4B"]), tgt).ok()
+    src, tgt = tensor_yd(mods["H4A"], mods["H4B"]), tensor_yd(*b.target)
+    # (False, False, False): no certificate given, so every item is compared
+    # as matrices
+    assert check_braiding_equivariance(b, lambda: src, lambda: tgt, (False, False, False)).ok()
 
 
 def test_braiding_equivariance_trivial():
     h = build_h4(3)
     k = trivial_yd(h)
     b = braiding(k, k)
-    assert check_braiding_equivariance(b, tensor_yd(k, k), tensor_yd(*b.target)).ok()
+    src, tgt = tensor_yd(k, k), tensor_yd(*b.target)
+    assert check_braiding_equivariance(b, lambda: src, lambda: tgt, (False, False, False)).ok()
 
 
 def test_corrupted_braiding_fails_equivariance_with_witness():
@@ -341,8 +356,8 @@ def test_corrupted_braiding_fails_equivariance_with_witness():
     entries = list(b.matrix.entries)
     entries[5 * 16 + 5] += ONE
     bad = BraidingMap(b.source, LinearMap(16, 16, entries))
-    tgt = tensor_yd(*bad.target)
-    rep = check_braiding_equivariance(bad, tensor_yd(mods["H4A"], mods["H4B"]), tgt)
+    src, tgt = tensor_yd(mods["H4A"], mods["H4B"]), tensor_yd(*bad.target)
+    rep = check_braiding_equivariance(bad, lambda: src, lambda: tgt, (False, False, False))
     assert not rep.ok()
     assert any(item.witness is not None for item in rep.failures())
 
@@ -394,16 +409,17 @@ def test_hexagons_trivial_modules():
     kk, c = tensor_yd(k, k), braiding(k, k)
     # (False, False): no certificate given, so both equations are compared
     # as matrices
-    assert check_hexagons(c, c, c, kk, kk, conjugate_yd(k.pair, k), (False, False)).ok()
+    k_k = conjugate_yd(k.pair, k)
+    assert check_hexagons(c, c, c, lambda: kk, lambda: kk, lambda: k_k, (False, False)).ok()
 
 
 @pytest.mark.parametrize("c,cp,cpp", [(1, 2, 3), (1, rat(1, 2), 5)])
 def test_hexagons_on_module_triples(c, cp, cpp):
     _, _, mods = setup_modules(c, cp, cpp)
     m, n, p = mods["H4A"], mods["H4B"], mods["H4AB"]
+    mn, np, n_p = tensor_yd(m, n), tensor_yd(n, p), conjugate_yd(n.pair, p)
     assert check_hexagons(
-        braiding(m, n), braiding(n, p), braiding(m, p),
-        tensor_yd(m, n), tensor_yd(n, p), conjugate_yd(n.pair, p), (False, False),
+        braiding(m, n), braiding(n, p), braiding(m, p), lambda: mn, lambda: np, lambda: n_p, (False, False),
     ).ok()
 
 
@@ -686,9 +702,9 @@ STRUCTURE = ("action", "coaction", "mu", "mu_inv", "pair")
 
 def recorded_tcat(monkeypatch, text):
     """check_t_category on h4.alg's objects, with text in place of its
-    sections, at c = -3/2, recording every _tensor_maps, braiding and
-    braiding_inverse call; the inputs' structure maps are the same objects
-    after the call."""
+    sections, at c = -3/2, recording every _tensor_maps, braiding,
+    braiding_inverse and conjugate_yd call; the inputs' structure maps are
+    the same objects after the call."""
     resolved = resolve_definition(parse_definition("[params]\nc = -3/2\ncp = 2\ncpp = 3\n" + text))
     _, h = resolved.get("H4")
     _, pair = resolved.get("P")
@@ -696,8 +712,9 @@ def recorded_tcat(monkeypatch, text):
     pairs = [AutPair.identity(h.dim), pair]
     before_h = [dict(vars(x)) for x in (h, *pairs)]
     before = [{k: getattr(m, k) for k in STRUCTURE} for m in modules]
-    tensors, braidings, inverses = [], [], []
+    tensors, braidings, inverses, conjugates = [], [], [], []
     tensor_maps, braiding_, braiding_inverse_ = tc._tensor_maps, tc.braiding, tc.braiding_inverse
+    conjugate_yd_ = tc.conjugate_yd
 
     def recording_tensor_maps(m, n):
         out = tensor_maps(m, n)
@@ -714,17 +731,25 @@ def recorded_tcat(monkeypatch, text):
         inverses.append((b, out))
         return out
 
+    def recording_conjugate_yd(p, n):
+        out = conjugate_yd_(p, n)
+        conjugates.append((p, n, out))
+        return out
+
     monkeypatch.setattr(tc, "_tensor_maps", recording_tensor_maps)
     monkeypatch.setattr(tc, "braiding", recording_braiding)
     monkeypatch.setattr(tc, "braiding_inverse", recording_braiding_inverse)
+    monkeypatch.setattr(tc, "conjugate_yd", recording_conjugate_yd)
     rep = check_t_category(h, modules, pairs)
     monkeypatch.undo()
     assert [vars(x) for x in (h, *pairs)] == before_h
     assert all(getattr(m, k) is v for m, b in zip(modules, before) for k, v in b.items())
-    return rep, tensors, braidings, inverses
+    return rep, tensors, braidings, inverses, conjugates
 
 
-def assert_fresh_copies_give_the_same_maps(tensors, braidings, inverses):
+def assert_fresh_copies_give_the_same_maps(tensors, braidings, inverses, conjugates):
+    for p, n, out in conjugates:
+        assert out.differences(conjugate_yd(p, fresh_copy(n))) == []
     for m, n, (act, coact) in tensors:
         want_act, want_coact = tc._tensor_maps(fresh_copy(m), fresh_copy(n))
         assert act == want_act and coact == want_coact
@@ -737,18 +762,19 @@ def assert_fresh_copies_give_the_same_maps(tensors, braidings, inverses):
 
 
 def test_tcat_halves_give_the_public_builders_maps(monkeypatch):
-    """Every tensor product, braiding and inverse braiding that
+    """Every tensor product, braiding, inverse braiding and conjugate that
     check_t_category builds from the pieces its objects keep equals the one
     the same builder makes on fresh copies of its inputs, at a twisted
     point, so a stale or mis-kept piece would show."""
     text = H4_ALG.read_text(encoding="utf-8")[len(SHIPPED_PARAMS):]
-    rep, tensors, braidings, inverses = recorded_tcat(monkeypatch, text)
+    rep, tensors, braidings, inverses, conjugates = recorded_tcat(monkeypatch, text)
     assert rep.ok()
-    # pair tensors, braiding targets and the unit tensors, and the pair
-    # braidings: every tensor-assoc, hexagon, functor-tensor and
-    # conjugation-invariance item is decided by its certificate on H
-    assert len(tensors) == 16 + 16 + 8 and len(braidings) == 16
-    assert_fresh_copies_give_the_same_maps(tensors, braidings, inverses)
+    # the unit tensors, the pair braidings and the conjugates ^pN: every
+    # tensor-component, braiding equivariance, tensor-assoc, hexagon,
+    # functor-tensor and conjugation-invariance item is decided by its
+    # certificate on H, so no pair tensor, braiding target or ^MN is built
+    assert len(tensors) == 8 and len(braidings) == 16 and len(conjugates) == 2 * 4
+    assert_fresh_copies_give_the_same_maps(tensors, braidings, inverses, conjugates)
 
 
 def test_tcat_fallback_gives_the_public_builders_maps(monkeypatch):
@@ -759,27 +785,31 @@ def test_tcat_fallback_gives_the_public_builders_maps(monkeypatch):
     text = H4_ALG.read_text(encoding="utf-8")[len(SHIPPED_PARAMS):]
     assert text.count("mul: g g -> 1\n") == 1
     text = text.replace("mul: g g -> 1\n", "mul: g g -> -1\n")
-    rep, tensors, braidings, inverses = recorded_tcat(monkeypatch, text)
+    rep, tensors, braidings, inverses, conjugates = recorded_tcat(monkeypatch, text)
     assert [item.passed for item in rep.items if item.identity.startswith("tensor-assoc")].count(False) == 27
     assert len(tensors) == 16 + 128 + 16 + 8 and len(braidings) == 16 + 64
     assert sum("(x)" in n.name for _, n, _ in braidings) == 64
-    assert_fresh_copies_give_the_same_maps(tensors, braidings, inverses)
+    # no equivariance certificate holds either, so every pair builds ^MN
+    assert len(conjugates) == 2 * 4 + 16
+    assert_fresh_copies_give_the_same_maps(tensors, braidings, inverses, conjugates)
 
 
 def test_tcat_hexagon_fallback_gives_the_public_builders_maps(monkeypatch):
     """With rho(1) = 2 1 (x) 1 in H4A, eq-1.7 fails for H4A, so eq-3.4 of
     every triple (M, N, H4A) builds c_{MN,H4A}, from the kept pieces of a
     pair tensor, and c_{M,^N H4A}, and each equals the one built on fresh
-    copies."""
+    copies; so do the ^MN and ^MN (x) M of the 7 pairs with H4A, whose
+    braiding comodule-map certificate fails."""
     text = H4_ALG.read_text(encoding="utf-8")[len(SHIPPED_PARAMS):]
     first = text.index("coact: 1 -> 1@1\n")
     assert text.index("[ydmodule H4A") < first < text.index("[ydmodule H4B")
     text = text.replace("coact: 1 -> 1@1\n", "coact: 1 -> 2 * 1@1\n", 1)
-    rep, tensors, braidings, inverses = recorded_tcat(monkeypatch, text)
+    rep, tensors, braidings, inverses, conjugates = recorded_tcat(monkeypatch, text)
     assert [item.identity.split("(")[0] for item in rep.items if not item.passed].count("eq-3.4") == 16
-    assert len(tensors) == 16 + 16 + 8 and len(braidings) == 16 + 32
+    assert len(tensors) == 16 + 7 + 8 and len(braidings) == 16 + 32
     assert sum("(x)" in m.name for m, _, _ in braidings) == 16
-    assert_fresh_copies_give_the_same_maps(tensors, braidings, inverses)
+    assert len(conjugates) == 2 * 4 + 7
+    assert_fresh_copies_give_the_same_maps(tensors, braidings, inverses, conjugates)
 
 
 def broken_p(text, old="a: g -> g", new="a: g -> 2 * g"):
@@ -797,14 +827,43 @@ def test_tcat_functor_fallback_gives_the_public_builders_maps(monkeypatch):
     keep, and each equals the one built on fresh copies; every
     functor-compose and conjugation-invariance certificate still holds."""
     text = broken_p(H4_ALG.read_text(encoding="utf-8")[len(SHIPPED_PARAMS):])
-    rep, tensors, braidings, inverses = recorded_tcat(monkeypatch, text)
+    rep, tensors, braidings, inverses, conjugates = recorded_tcat(monkeypatch, text)
     verdicts = [(item.identity.split("(")[0], item.passed) for item in rep.items]
     assert verdicts.count(("functor-tensor", False)) == 16
     assert verdicts.count(("functor-compose", True)) == 16
     assert verdicts.count(("conjugation-invariance", True)) == 32
-    assert len(tensors) == 16 + 16 + 16 + 8 and len(braidings) == 16
+    assert len(tensors) == 16 + 16 + 8 and len(braidings) == 16
     assert sum(m.name.startswith("^P") and n.name.startswith("^P") for m, n, _ in tensors) == 16
-    assert_fresh_copies_give_the_same_maps(tensors, braidings, inverses)
+    assert_fresh_copies_give_the_same_maps(tensors, braidings, inverses, conjugates)
+
+
+def broken_module(text):
+    """text with H4A's x.1 = c (cp - 1) gx replaced by c cp gx, so that H4A
+    is no Yetter-Drinfeld module and the certificates of its pairs fail."""
+    old = "act: x 1 -> c * (cp - 1) * gx\n"
+    assert text.count(old) == 1 and text.index("[ydmodule H4A") < text.index(old) < text.index("[ydmodule H4B")
+    return text.replace(old, "act: x 1 -> c * cp * gx\n")
+
+
+def test_tcat_module_fallback_gives_the_public_builders_maps(monkeypatch):
+    """With an act: cell of H4A changed, eq-2.1 fails for H4A, so no
+    tensor-component certificate of the 7 pairs with H4A holds, nor any of
+    their braiding module-map and comodule-map certificates: each builds
+    its M (x) N, ^MN and ^MN (x) M when first read, and each equals the one
+    built on fresh copies."""
+    text = broken_module(H4_ALG.read_text(encoding="utf-8")[len(SHIPPED_PARAMS):])
+    rep, tensors, braidings, inverses, conjugates = recorded_tcat(monkeypatch, text)
+    failing = [item.identity.split("(")[0] for item in rep.items if not item.passed]
+    assert [failing.count(f) for f in ("yd-member", "tensor-component", "braiding-module-map",
+                                       "braiding-comodule-map", "braiding-morphism")] == [1, 7, 5, 3, 0]
+    # the pair tensors, which the tensor-assoc fallbacks read as well, the
+    # 7 braiding targets and the unit tensors; H4A's eq-3.5 braid law
+    # fails, so each triple (H4A, N, P) builds c_{H4A,NP}
+    assert len(tensors) == 16 + 7 + 8 and len(braidings) == 16 + 16
+    assert sum("(x)" in n.name for _, n, _ in braidings) == 16
+    assert sum(m.name.startswith("^") for m, _, _ in tensors) == 7
+    assert len(conjugates) == 2 * 4 + 7
+    assert_fresh_copies_give_the_same_maps(tensors, braidings, inverses, conjugates)
 
 
 def test_conjugation_invariance_fallback_gives_the_public_builders_maps():
