@@ -74,7 +74,6 @@ from .h4_library import (
     ZeroParameter,
     build_h4,
     build_h4_yd_table,
-    build_twisted_h4b,
     golden_table_errata,
     h4_automorphism,
     h4_braiding_matrix,

@@ -20,22 +20,23 @@ when integral and Fractions otherwise, exactly as rational entries are.
 Most Kronecker products in the library whisker a map with identities:
 id (x) f, f (x) id, and a twist or flip placed on one leg.  kron returns
 such a product I_a (x) x (x) I_b as a whisker, a LinearMap that holds
-(a, x, b) and leaves its columns unbuilt; compose reads a whisker on either
-side, or on both, through index offsets into the middle factors' columns,
-and anything else that reads the columns (entries, transpose, invert,
-apply, ==, hash, a kron with no identity factor) builds them on first
-read.  A whisker equals, and hashes as, the map its columns spell out.
+(a, x, b) and leaves its columns unbuilt; compose reads one whisker
+operand, the left one when both are whiskers, through index offsets into
+its middle factor's columns, and anything else that reads the columns
+(entries, transpose, invert, apply, ==, hash, a kron with no identity
+factor, the other operand of such a compose) builds them on first read.
+A whisker equals, and hashes as, the map its columns spell out.
 
 Twists are mostly diagonal, and identities are everywhere.  Each map
 stores, once, whether it is diagonal with no zero on its diagonal, and if
 so its diagonal numerators: a map that is not square when it is made, a
 square one on first read (_diagonal; a whisker reads them off its middle
 factor).  The identity is the case of all ones over the denominator 1.
-compose returns the other operand of an identity and scales the rows of g
-by a diagonal f, kron of two diagonals is built as a diagonal, and invert
-returns an identity as it is and the inverse of any other diagonal in
-closed form, the diagonal den / n_i, so only a map that is not diagonal
-(or has a zero on its diagonal) meets Gauss-Jordan elimination.
+compose returns the other operand of an identity, kron of two diagonals
+is built as a diagonal, and invert returns an identity as it is and the
+inverse of any other diagonal in closed form, the diagonal den / n_i, so
+only a map that is not diagonal (or has a zero on its diagonal) meets
+Gauss-Jordan elimination.
 
 All values are immutable after construction and all operations are pure,
 so everything here is safe to share between threads, and permute builds
@@ -293,11 +294,8 @@ def _whisker_map(a, x, b):
 
 def _whisker_columns(a, x, b):
     """The columns of I_a (x) x (x) I_b: column (p, j, q) is x's column j
-    with each row i moved to (p, i, q) = p * x.rows * b + i * b + q; the
-    block p = 0 shares x's columns when b = 1."""
+    with each row i moved to (p, i, q) = p * x.rows * b + i * b + q."""
     xcols, tops = x._cols, [p * x.rows * b for p in range(a)]
-    if b == 1:
-        return tuple({top + i: n for i, n in xcol.items()} if top else xcol for top in tops for xcol in xcols)
     return tuple({top + q + i * b: n for i, n in xcol.items()} for top in tops for xcol in xcols for q in range(b))
 
 
@@ -321,15 +319,10 @@ def _diagonal(f):
             diag = tuple(n for n in diag for _ in range(b))
         return diag if diag is None else diag * a
     # column j holds just its diagonal entry when each column has an entry
-    # on its diagonal and the columns hold n entries in all; the middle
-    # column alone rules out most maps that are not diagonal, and the scan
-    # for a missing diagonal entry stops at the first
+    # on its diagonal and the columns hold n entries in all
     columns = f._cols
-    n = len(columns)
-    mid = columns[n // 2] if n else {}
-    if n and (len(mid) != 1 or n // 2 not in mid) or None in map(dict.get, columns, range(n)):
-        return None
-    return tuple(map(dict.get, columns, range(n))) if sum(map(len, columns)) == n else None
+    diag = tuple(map(dict.get, columns, range(len(columns))))
+    return None if None in diag or sum(map(len, columns)) != len(diag) else diag
 
 
 def _is_identity(f):
@@ -364,31 +357,17 @@ def _reduced(rows, columns, den):
             g = gcd(g, *col.values())
             if g == 1:
                 return _from_columns(rows, columns, den)
-        return _divided(rows, columns, den, g)
-    return _from_columns(rows, columns, den)
-
-
-def _divided(rows, columns, den, g):
-    """The map of int numerator columns over den, divided through by g, a
-    common factor of den and every numerator."""
-    if g != 1:
         columns = tuple({i: n // g for i, n in col.items()} for col in columns)
         den //= g
     return _from_columns(rows, columns, den)
 
 
-def _content(columns):
-    """The gcd of every numerator in columns; 0 when there is none."""
-    return gcd(*(n for col in columns for n in col.values()))
-
-
 def compose(f, g):
     """Matrix product f . g (apply g first), multiplying numerators.
 
-    An identity on either side returns the other operand.  A whisker on
-    either side, or on both, is read through index offsets into its middle
-    factor's columns and is left unbuilt; otherwise a diagonal f scales the
-    rows of g."""
+    An identity on either side returns the other operand.  A whisker is
+    read through index offsets into its middle factor's columns and is left
+    unbuilt: f when it is one, else g."""
     if f.cols != g.rows:
         raise DimensionMismatch(
             "cannot compose %dx%d with %dx%d" % (f.rows, f.cols, g.rows, g.cols)
@@ -397,25 +376,13 @@ def compose(f, g):
         return g
     if _is_identity(g):
         return f
-    if g._whisker is not None:
-        if f._whisker is not None:
-            return _compose_whiskers(*f._whisker, *g._whisker)
-        return _compose_whisker_right(f, *g._whisker)
-    fd = f._diag
-    if fd is not None:
-        return _reduced(f.rows, tuple([{i: fd[i] * n for i, n in gcol.items()} for gcol in g._cols]),
-                        f._den * g._den)
     if f._whisker is not None:
         return _compose_whisker_left(*f._whisker, g)
+    if g._whisker is not None:
+        return _compose_whisker_right(f, *g._whisker)
     fcols = f._cols
     out = []
     for gcol in g._cols:
-        if len(gcol) == 1:
-            # a multiple of a basis vector selects one column of f
-            for k, gk in gcol.items():
-                fcol = fcols[k]
-                out.append(fcol if gk == 1 else {i: fik * gk for i, fik in fcol.items()})
-            continue
         acc = {}
         for k, gk in gcol.items():
             for i, fik in fcols[k].items():
@@ -468,39 +435,14 @@ def _compose_whisker_left(a, x, b, g):
     return _reduced(a * step, tuple(out), x._den * g._den)
 
 
-def _compose_whiskers(a, x, b, c, y, d):
-    """(I_a (x) x (x) I_b) . (I_c (x) y (x) I_d), building neither.  Column
-    (p, j, q) of the right whisker holds y's column j on the rows
-    k = p * y.rows * d + i * d + q, and column k of the left whisker is x's
-    column J on the rows P * x.rows * b + Q + I * b for k = (P, J, Q);
-    placed lists that (P * x.rows * b + Q, x's column J) for every k."""
-    xcols, step, ystep = x._cols, x.rows * b, y.rows * d
-    placed = [(top + q, xcol) for top in range(0, a * step, step) for xcol in xcols for q in range(b)]
-    out = []
-    for top in range(0, c * ystep, ystep):
-        for ycol in y._cols:
-            for q in range(top, top + d):
-                acc = {}
-                for i, n in ycol.items():
-                    base, xcol = placed[q + i * d]
-                    for r, v in xcol.items():
-                        r = base + r * b
-                        acc[r] = acc[r] + v * n if r in acc else v * n
-                out.append({r: v for r, v in acc.items() if v} if len(ycol) > 1 else acc)
-    return _reduced(a * step, tuple(out), x._den * y._den)
-
-
 def kron(f, g):
     """Kronecker product realising f (x) g on flattened tensor coordinates.
 
     Index convention: basis vector (i, j) of the domain sits at i*g.cols + j,
     matching the global flattening.  With an identity factor the product is
     a whisker, and kron(I, I) is an identity; two diagonal factors give a
-    diagonal, built as one.  Otherwise a column whose one numerator is 1,
-    as in every column of a leg permutation, places the other factor's
-    column without multiplying it by 1.  The denominators multiply, and
-    since the gcd of all products of two numerators is the product of the
-    factors' gcds, the factors give the reduction factor.
+    diagonal, built as one.  The denominators multiply, and _reduced
+    restores the canonical form.
     """
     if _is_identity(f):
         if _is_identity(g):
@@ -514,32 +456,10 @@ def kron(f, g):
         diag = tuple([m * n for m in fd for n in gd])
         common = gcd(den, gcd(*fd) * gcd(*gd))
         return _diagonal_map(diag if common == 1 else tuple([n // common for n in diag]), den // common)
-    gr = g.rows
-    fcols, gcols = f._cols, g._cols
-    g_units = [_unit_index(gcol) for gcol in gcols]
-    out = []
-    for fcol in fcols:
-        f_unit = _unit_index(fcol)
-        for gcol, g_unit in zip(gcols, g_units):
-            if g_unit is not None:
-                out.append({i1 * gr + g_unit: a for i1, a in fcol.items()})
-            elif f_unit is not None:
-                out.append({f_unit * gr + i2: b for i2, b in gcol.items()})
-            else:
-                out.append({i1 * gr + i2: a * b for i1, a in fcol.items() for i2, b in gcol.items()})
-    if den == 1:
-        return _from_columns(f.rows * gr, tuple(out), 1)
-    return _divided(f.rows * gr, tuple(out), den, gcd(den, _content(fcols) * _content(gcols)))
-
-
-def _unit_index(col):
-    """i when the column's numerators are those of the basis vector e_i,
-    else None."""
-    if len(col) == 1:
-        for i, e in col.items():
-            if e == 1:
-                return i
-    return None
+    gr, gcols = g.rows, g._cols
+    out = tuple({i1 * gr + i2: a * b for i1, a in fcol.items() for i2, b in gcol.items()}
+                for fcol in f._cols for gcol in gcols)
+    return _reduced(f.rows * gr, out, den)
 
 
 def permute(dims, order):

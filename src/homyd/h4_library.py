@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactlin import LinearMap, table_map
-from .hom_algebra import AutPair, HomHopfAlgebraData, HopfAutomorphism, identity_automorphism
+from .hom_algebra import AutPair, HomHopfAlgebraData, HopfAutomorphism
 from .reports import check_laws
 from .yd_modules import YDModuleData, build_canonical_yd
 
@@ -136,33 +136,6 @@ def build_h4_yd_table(which, p, h=None):
     action = _table_action(c, c * (a - b), c * (a + b), c * (b - a), -c * (a + b))
     return YDModuleData(h, action, h.coalgebra.comul, h.alpha, AutPair(h4_automorphism(a), h4_automorphism(b)),
                         basis=BASIS, label=which)
-
-
-def build_twisted_h4b(p, h=None):
-    """Golden conjugated module: H4B twisted by the pair (A, id).
-
-    The action divides the x / gx rows of H4B by c', the coaction picks up
-    c' on the second comultiplication legs of x and gx, and the component
-    tag stays (id, B).
-    """
-    c, cp, cpp = p.c, p.c_prime, p.c_double_prime
-    action = _table_action(
-        c,
-        c * (1 - cpp) / cp,
-        c * (1 + cpp) / cp,
-        c * (cpp - 1) / cp,
-        -c * (1 + cpp) / cp,
-    )
-    cinv = 1 / c
-    coaction = table_map((4, 4, 4), {
-        (_I, _I, _I): 1, (_G, _G, _G): 1,
-        (_X, _X, _I): cinv, (_X, _G, _X): cinv * cp,
-        (_GX, _GX, _G): cinv, (_GX, _I, _GX): cinv * cp,
-    }, out_legs=2)
-    if h is None:
-        h = build_h4(c)
-    pair = AutPair(identity_automorphism(4), h4_automorphism(cpp))
-    return YDModuleData(h, action, coaction, h.alpha, pair, basis=BASIS, label="^(A,id)H4B")
 
 
 def h4_braiding_matrix(p):

@@ -372,7 +372,8 @@ def test_kron_with_basis_vector_columns_matches_dense_reference():
 
 
 # ---------------------------------------------------------------------------
-# single-entry columns: compose selects, and reuses or scales, a column
+# single-entry columns, and the columns of f that a unit column of a right
+# whisker hands over
 # ---------------------------------------------------------------------------
 
 
@@ -412,27 +413,28 @@ def test_compose_with_single_entry_columns_matches_dense_reference(kind):
 def test_columns_shared_by_compose_are_never_mutated(kind):
     rng = random.Random(17)
     s = selector(rng, 8, kind)
+    w = kron(s, LinearMap.identity(2))
     # lower triangular with a nonzero diagonal, so h below is invertible
     f = LinearMap.from_rows([
         [rng.choice((1, 2, rat(-1, 3))) if i == j else rng.choice((0, 0, 1, rat(1, 2))) if j < i else 0
-         for j in range(8)]
-        for i in range(8)
+         for j in range(16)]
+        for i in range(16)
     ])
-    h = compose(f, s)
-    # a column of s whose one numerator is 1 hands f's numerator column over
-    # as it is; h keeps the product of the denominators, so no reduction
-    # replaced the columns
+    h = compose(f, w)
+    # a column of s whose one numerator is 1 hands the 2 columns of f that
+    # the whisker s (x) I_2 selects over as they are; h keeps the product of
+    # the denominators, so no reduction replaced the columns
     assert h._den == f._den * s._den
     shared = sum(1 for hc in h._cols for fc in f._cols if hc is fc)
-    assert shared == sum(1 for e in stored_values(s) if e == 1)
+    assert shared == 2 * sum(1 for e in stored_values(s) if e == 1)
     before_f, before_h = snapshot(f), snapshot(h)
     # every kernel operation that reads the shared columns
     assert compose(h, h) == dense.compose(h, h)
-    assert compose(s, h) == dense.compose(s, h)
+    assert compose(w, h) == dense.compose(w, h) and compose(h, w) == dense.compose(h, w)
     assert kron(h, s) == dense.kron(h, s) and kron(s, h) == dense.kron(s, h)
     assert compose(invert(h), h).is_identity()
     assert h.transpose().transpose() == h
-    assert h.apply([1] * 8) == tuple(sum(h.row(i)) for i in range(8))
+    assert h.apply([1] * 16) == tuple(sum(h.row(i)) for i in range(16))
     assert snapshot(f) == before_f and snapshot(h) == before_h
 
 
@@ -561,8 +563,8 @@ def test_compose_and_kron_do_no_fraction_arithmetic(monkeypatch):
     # whiskers I2 (x) s (x) I2 and f (x) I4, composed on either side and
     # with each other, and built at the end by assert_canonical
     left, right = kron(LinearMap.identity(2), kron(s, LinearMap.identity(2))), kron(f, LinearMap.identity(4))
-    # s and the whisker left are diagonal: compose scales rows by them, and
-    # kron of two of them is a diagonal
+    # s and the whisker left are diagonal, and kron of two of them is a
+    # diagonal
     s4 = LinearMap.diagonal([rng.choice(CANCELLING) for _ in range(4)])
     for h in (compose(f, g), compose(s, f), compose(f, s), kron(f, g), kron(s, g), kron(f, s),
               compose(left, tall), compose(wide, right), compose(left, right), compose(right, left),
@@ -576,6 +578,8 @@ def test_compose_and_kron_do_no_fraction_arithmetic(monkeypatch):
 
 
 def test_kron_reduction_factor_comes_from_the_factors():
+    # a product of two diagonals takes its reduction factor from theirs, any
+    # other product from its own numerators (_reduced), as compose does;
     # 1/2 * 2, 1/2 * 4, 3/2 * 2, 3/2 * 4: the denominator 2 cancels in every product
     h = kron(LinearMap.diagonal([rat(1, 2), rat(3, 2)]), LinearMap.diagonal([2, 4]))
     assert_canonical(h)
@@ -667,10 +671,13 @@ def test_compose_reads_whiskers_on_either_side_against_dense_reference(kind):
         f = cancelling_map(rng, 5, w.rows, 0.3)
         g = cancelling_map(rng, w.cols, 5, 0.3)
         s, p = selector(rng, w.cols, "scaled"), selector(rng, w.cols, "permutation")
-        # whiskers on both sides: neither is built
+        got = [compose(f, w), compose(w, g), compose(w, s), compose(w, p)]
+        assert not built(w)
+        # whiskers on both sides: the left one is read unbuilt, and the
+        # right one builds its columns
         v = kron(eye(w.rows // n), shift(rng, n, "scaled"))
-        got = [compose(f, w), compose(w, g), compose(w, s), compose(w, p), compose(v, w)]
-        assert not built(w) and not built(v)
+        got.append(compose(v, w))
+        assert not built(v) and built(w)
         want = [dense.compose(f, w), dense.compose(w, g), dense.compose(w, s), dense.compose(w, p),
                 dense.compose(v, w)]
         for h, d in zip(got, want):
@@ -731,8 +738,8 @@ def test_threads_racing_to_build_a_whisker_read_equal_columns():
 
 
 # ---------------------------------------------------------------------------
-# whisker on whisker, and the diagonal predicate: compose reads two whiskers
-# through index offsets, and a diagonal or identity operand takes a shortcut
+# whisker on whisker, and the diagonal predicate: compose reads the left
+# whisker through index offsets, and an identity operand takes a shortcut
 # ---------------------------------------------------------------------------
 
 
@@ -763,7 +770,7 @@ WHISKER_PAIRS = [
 
 
 @pytest.mark.parametrize("name, left, right", WHISKER_PAIRS, ids=[w[0] for w in WHISKER_PAIRS])
-def test_compose_of_two_whiskers_builds_neither(name, left, right):
+def test_compose_of_two_whiskers_leaves_the_left_unbuilt(name, left, right):
     rng = random.Random(name)
     (a, (xr, xc), b), (c, (yr, yc), d) = left, right
     for _ in range(3):
@@ -775,7 +782,7 @@ def test_compose_of_two_whiskers_builds_neither(name, left, right):
             f, g = whisker(a, x, b), whisker(c, y, d)
         assert f._whisker == (a, x, b) and g._whisker == (c, y, d)
         h = compose(f, g)
-        assert not built(f) and not built(g)
+        assert not built(f)
         assert_canonical(h)
         want = dense.compose(f, g)
         assert h == want and hash(h) == hash(want)

@@ -18,13 +18,13 @@ from homyd.h4_library import (
     ZeroParameter,
     build_h4,
     build_h4_yd_table,
-    build_twisted_h4b,
     golden_table_errata,
     h4_automorphism,
     h4_braiding_matrix,
 )
 from homyd.t_category import AutPair, braiding_inverse, braiding, conjugate_yd, sample_nonzero_rationals
 from homyd.yd_modules import build_canonical_yd, check_yd_module
+from twisted_h4b import build_twisted_h4b
 
 
 GRID_C = [rat(1), rat(2), rat(3), rat(-1), rat(1, 2), rat(-2, 3)]

@@ -9,7 +9,7 @@ import loop_reference as loop
 from homyd.defformat import parse_definition, resolve_definition, run_checks
 from homyd.exactlin import LinearMap, ZERO, ONE, add_scaled, basis_vec, flip, kron, permute, rat, table_map, tensor_vec
 from homyd.hom_algebra import HopfAutomorphism, identity_automorphism
-from homyd.h4_library import H4Params, build_h4, build_h4_yd_table, build_twisted_h4b, h4_automorphism
+from homyd.h4_library import H4Params, build_h4, build_h4_yd_table, h4_automorphism
 import homyd.t_category as tc
 from homyd.t_category import (
     AutPair,
@@ -29,6 +29,7 @@ from homyd.t_category import (
     tensor_yd,
 )
 from homyd.yd_modules import YDModuleData, check_yd, check_yd_module, trivial_yd
+from twisted_h4b import build_twisted_h4b
 
 
 def pair_of(lam1, lam2, label=None):
