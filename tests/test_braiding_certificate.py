@@ -14,6 +14,12 @@ modules re-tagged with non-commuting triangular pairs); random_structure
 modules with their non-commuting triangular pairs beside the trivial one;
 and h4.alg at both twist points with every perfbench mutation, with A(g) =
 2g in its autpair P, or with an act: cell of H4A changed.
+
+tensor-component's certificate reads no map of the pair: yd-member of M
+and N, and laws of H and of each module (t_category docstring), which prove
+the identity Phi_L = Phi_R of maps on H (x) H (x) H.  Phi is kept here as
+an oracle: wherever the certificate holds, Phi_L = Phi_R holds too, and on
+three inputs every step of the derivation is an equality of maps.
 """
 
 import itertools
@@ -23,29 +29,59 @@ from collections import Counter
 import pytest
 
 import homyd.t_category as tc
-from homyd.defformat import parse_definition, run_checks
+from homyd.defformat import parse_definition, resolve_definition, run_checks
+from homyd.exactlin import LinearMap, flip, kron, permute
+from homyd.hom_algebra import AutPair, HopfAutomorphism
 from homyd.yd_modules import check_yd, trivial_yd
 from test_assoc_certificate import CASES as ASSOC_CASES
 from test_assoc_certificate import INPUTS, TWISTED, objects, shipped_text
 from test_t_category import broken_module, broken_p, random_structure
+from transport import transport
 
 FAMILIES = ("tensor-component", "braiding-module-map", "braiding-comodule-map", "braiding-morphism")
 POINTS = ("c = 1", TWISTED)
 
 
+def phi_sides(h, m, n):
+    """Phi_L and Phi_R (t_category docstring), maps on H (x) H (x) H taken
+    right to left on their 64 columns: Phi_L(h, r, s) = (u_M, u_N, w_N w_M)
+    for (u_M, w_M) = T_M(g', r) and (u_N, w_N) = T_N(g'', s), and Phi_R(h,
+    r, s) = (g (x) id) T_MN(h, s r)."""
+    d, g = h.dim, tc._split(m, n)
+    idh = LinearMap.identity(d)
+    t_m, t_n, t_mn = tc._h_parts(h, [m.pair, n.pair, tc.group_mul(m.pair, n.pair)])
+    return gathered(h, t_m, t_n, g), kron(g, idh) @ (t_mn @ kron(idh, h.algebra.mul @ flip(d, d)))
+
+
+def gathered(h, t_left, t_right, split):
+    """(u, u', w' w) for (u, w) = t_left(k', r) and (u', w') = t_right(k'',
+    s), with (k', k'') = split(h): Phi_L's shape."""
+    d = h.dim
+    idhh = LinearMap.identity(d * d)
+    # (u, w, u', w') -> (u, u', w' w)
+    gather = kron(idhh, h.algebra.mul) @ permute((d,) * 4, (0, 2, 3, 1))
+    return gather @ (kron(t_left, idhh) @ (kron(idhh, t_right) @ (permute((d,) * 4, (0, 2, 1, 3))
+                                                                   @ kron(split, idhh))))
+
+
 def certified_items(h, modules):
     """Per pair and family, the certificate's verdict and the full
     comparison's: eq-2.1 for M (x) N, and check_braiding_equivariance with
-    no certificate given."""
+    no certificate given.  Where tensor-component's certificate holds,
+    Phi_L = Phi_R must hold too."""
     laws = tc._laws(h, modules)
     member = [check_yd(m).ok() for m in modules]
-    certified = tc._braiding_certificates(h, modules, tc._pair_pieces(modules), member, laws)
+    part = tc._h_parts(h, [m.pair for m in modules])
+    certified = tc._braiding_certificates(h, modules, tc._pair_pieces(modules), member, laws, part)
     for i, j in itertools.product(range(len(modules)), repeat=2):
         m, n = modules[i], modules[j]
         b = tc.braiding(m, n)
         src, tgt = tc.tensor_yd(m, n), tc.tensor_yd(*b.target)
         full = [check_yd(src).ok()] + [
             item.passed for item in tc.check_braiding_equivariance(b, lambda: src, lambda: tgt, (False,) * 3)]
+        if certified[i, j][0]:
+            left, right = phi_sides(h, m, n)
+            full[0] = full[0] and left == right
         for family, cert_ok, full_ok in zip(FAMILIES, certified[i, j], full):
             yield "%s(%s,%s)" % (family, m.name, n.name), cert_ok, full_ok
 
@@ -155,3 +191,91 @@ def test_fallbacks_on_the_shipped_file_and_its_mutations(monkeypatch, point, nam
     rep, counts = fallbacks(monkeypatch, MAKERS[name](shipped_text(point)))
     assert counts == FALLBACKS[name]
     assert rep.ok() == (name is None)
+
+
+def split_sides(h):
+    """lambda and rho (t_category docstring), maps H -> H^(x)5, built as
+    written there, leg by leg."""
+    d = h.dim
+    idh = LinearMap.identity(d)
+    alpha, alpha_inv, mul, comul, unit = h.alpha, h.alpha_inv, h.algebra.mul, h.coalgebra.comul, h.algebra.unit
+    s_inv, s3 = h.antipode_inv, kron(idh, comul) @ comul
+    q = at(d, 0, s3, 3) @ (at(d, 1, s3, 0) @ comul)
+    for leg, f in ((0, s_inv), (1, alpha), (4, alpha), (5, alpha)):
+        q = at(d, leg, f, 5 - leg) @ q
+    lam = at(d, 2, mul @ kron(alpha_inv @ alpha_inv @ s_inv, alpha_inv) @ flip(d, d), 2) @ q
+    rho = at(d, 0, alpha_inv @ s_inv, 4) @ (at(d, 1, kron(idh, kron(unit, idh)) @ comul @ alpha, 1) @ s3)
+    return lam, rho
+
+
+def at(d, before, f, after):
+    """f on the legs after the first before of a tensor power of H, with
+    after legs behind them."""
+    return kron(LinearMap.identity(d ** before), kron(f, LinearMap.identity(d ** after)))
+
+
+def through_e(h, m, n, legs):
+    """E (legs (x) id (x) id) for a map legs: H -> H^(x)5, with E(x1, ...,
+    x5, r, s) = (C(x2), phi(x4), (D phi(x5) s)((BC(x3) alpha^-1(r))
+    AC(x1)))."""
+    d, mul = h.dim, h.algebra.mul
+    a, b, c, dd = (f.matrix for f in (m.pair_a, m.pair_b, n.pair_a, n.pair_b))
+    phi = tc._phi(m.pair_b, n.pair_a)
+    # (x1, ..., x5) -> (C x2, phi x4, D phi x5, BC x3, AC x1)
+    legs = permute((d,) * 5, (1, 3, 4, 2, 0)) @ legs
+    for leg, f in enumerate((c, phi, dd @ phi, b @ c, a @ c)):
+        legs = at(d, leg, f, 4 - leg) @ legs
+    # (y5, y3, y1, r, s) -> (y5 s)((y3 alpha^-1(r)) y1)
+    third = (mul @ kron(mul, mul @ kron(mul, LinearMap.identity(d)))
+             @ permute((d,) * 5, (0, 4, 1, 3, 2)) @ at(d, 3, h.alpha_inv, 1))
+    return at(d, 2, third, 0) @ kron(legs, LinearMap.identity(d * d))
+
+
+def derivation(h, m, n, lam):
+    """Phi_L, then each map the derivation of tensor-component turns it into,
+    ending in Phi_R: Phi_L with C and phi moved from g into T_M and T_N,
+    and E (lambda (x) id (x) id), for lambda from split_sides.  Where lambda
+    = rho as maps, E (rho (x) id (x) id) is that same map, so the step from
+    it to Phi_R is the last one here."""
+    d = h.dim
+    c, phi = n.pair_a.matrix, tc._phi(m.pair_b, n.pair_a)
+    left, right = phi_sides(h, m, n)
+    # T_M(C(k), r) = (C (x) id) T_(AC, BC)(k, r) and T_N(phi(k), s) =
+    # (phi (x) id) T_(BC, D phi)(k, s)
+    bc = m.pair_b @ n.pair_a
+    t_m, t_n = tc._h_parts(h, [AutPair(m.pair_a @ n.pair_a, bc), AutPair(bc, n.pair_b @ HopfAutomorphism(phi))])
+    idh = LinearMap.identity(d)
+    moved = gathered(h, kron(c, idh) @ t_m, kron(phi, idh) @ t_n, h.coalgebra.comul)
+    return left, moved, through_e(h, m, n, lam), right
+
+
+def dense_objects():
+    """The dense transport of h4.alg at c = -3/2 (transport.py, seed 1)."""
+    dense = transport(resolve_definition(parse_definition(shipped_text(TWISTED))), seed=1)
+    _, h = dense.get("H4")
+    return h, [yd for _, yd in dense.of_kind("ydmodule")] + [trivial_yd(h)]
+
+
+@pytest.mark.parametrize("point", POINTS + ("dense",))
+def test_every_step_of_the_tensor_component_derivation_is_an_equality_of_maps(point):
+    h, modules = dense_objects() if point == "dense" else objects(shipped_text(point))
+    lam, rho = split_sides(h)
+    assert lam == rho
+    for m, n in itertools.product(modules, repeat=2):
+        steps = derivation(h, m, n, lam)
+        assert all(x == y for x, y in zip(steps, steps[1:])), (m.name, n.name)
+
+
+@pytest.mark.parametrize("point", POINTS)
+def test_a_clean_op_runs_check_yd_on_the_four_members_alone(monkeypatch, point):
+    # every tensor-component and conjugate-component certificate holds on
+    # the shipped file, so no M (x) N and no ^pN meets check_yd
+    checked, check_yd_ = [], tc.check_yd
+
+    def recording(yd):
+        checked.append(yd.name)
+        return check_yd_(yd)
+
+    monkeypatch.setattr(tc, "check_yd", recording)
+    assert run_checks(parse_definition(shipped_text(point)), "tcat").ok()
+    assert checked == ["H4A", "H4B", "H4AB", "k"]

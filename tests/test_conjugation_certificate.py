@@ -18,17 +18,24 @@ C^-1 is the identity, so that only the action half of functor-tensor can
 fail; and h4.alg at two twist points with A(g) = 2g in its autpair P, or
 with A(gx) = 3gx, a coalgebra map that is no algebra map, so that only the
 coaction half can fail.
+
+conjugate-component(p;N) is decided the same way
+(t_category._conjugate_certificates): yd-member(N) and (id (x) f_p) T_N
+(phi_{p,N} (x) id) = (phi_{p,N} (x) id) T_{^pN} (id (x) f_p) on H (x) H.
+Here it is computed beside check_yd(^pN) on every input above, and check_yd
+runs on a conjugate in a tcat op only where the certificate fails.
 """
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 import homyd.t_category as tc
 from homyd.defformat import parse_definition, resolve_definition, run_checks
 from homyd.hom_algebra import AutPair
-from homyd.yd_modules import trivial_yd
+from homyd.yd_modules import check_yd, trivial_yd
 from test_assoc_certificate import CASES as ASSOC_CASES
 from test_assoc_certificate import INPUTS, TWISTED, objects, shipped_text
 from test_t_category import broken_p, random_structure
@@ -44,12 +51,18 @@ def conjugating_pairs(h, modules, extra=()):
 
 
 def certified_items(h, modules, pairs):
-    """Per item of the three families, the verdict check_t_category states,
-    from the certificate for functor-tensor, and the full comparison's."""
+    """Per item of the four families, the verdict check_t_category states,
+    from the certificate for functor-tensor and conjugate-component, and
+    the full comparison's."""
     index_pairs = list(itertools.product(range(len(modules)), repeat=2))
     tensor = {(i, j): tc.tensor_yd(modules[i], modules[j]) for i, j in index_pairs}
     conj = {(pi, i): tc.conjugate_yd(p, m) for pi, p in enumerate(pairs) for i, m in enumerate(modules)}
     functor_tensor = tc._functor_certificates(h, modules, pairs, tc._pair_pieces(modules), conj)
+    member = [check_yd(m).ok() for m in modules]
+    part = tc._h_parts(h, [m.pair for m in modules])
+    conjugated = tc._conjugate_certificates(h, modules, pairs, conj, member, part)
+    for (pi, i), yd in conj.items():
+        yield "conjugate-component(%d;%d)" % (pi, i), conjugated[pi, i], check_yd(yd).ok()
     for (pi, p), (qi, q) in itertools.product(enumerate(pairs), repeat=2):
         for i, n in enumerate(modules):
             full = tc.conjugate_yd(tc.group_mul(p, q), n).same_structure(tc.conjugate_yd(p, conj[qi, i]))
@@ -89,18 +102,22 @@ CASES = {**ASSOC_CASES, "random": random_objects, "broken P": broken_p_objects}
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_a_holding_certificate_meets_a_holding_full_comparison(case):
-    held, failed, unsound, proven = 0, 0, [], 0
+    held, failed, unsound, proven = Counter(), 0, [], 0
     # a case's objects are (h, modules) or (h, modules, its file's pairs)
     for label, (h, modules, *file_pairs) in CASES[case]():
         for item, cert_ok, full_ok in certified_items(h, modules, conjugating_pairs(h, modules, *file_pairs)):
-            held += cert_ok
             failed += not full_ok
             if cert_ok and not full_ok:
                 unsound.append((label, item))
-            if not item.startswith("functor-tensor"):
+            if item.startswith(("functor-compose", "conjugation-invariance")):
                 assert cert_ok, (label, item)
                 proven += 1
-    assert held and proven and unsound == []
+            else:
+                held[item.split("(")[0]] += cert_ok
+    assert proven and unsound == []
+    # the H4 modules break eq-2.1 in the retagged components, so no
+    # conjugate-component certificate holds there
+    assert held["functor-tensor"] and (held["conjugate-component"] or case == "retagged")
     # non-automorphism pairs make some full comparisons fail, so the
     # certificates meet failing items there
     assert failed or case not in ("random", "retagged", "broken P")
@@ -163,3 +180,72 @@ def test_a_broken_pair_takes_16_failing_functor_tensor_fallbacks(monkeypatch, po
     assert count == 16
     functor_tensor = [item.passed for item in rep.items if ":functor-tensor(" in item.identity]
     assert functor_tensor == [True] * 16 + [False] * 16
+
+
+def conjugate_fallbacks(monkeypatch, text):
+    """The tcat report of text, the number of conjugate-component items
+    whose certificate fails, and the number of check_yd calls on a
+    conjugate ^pN."""
+    seen, checked = [], []
+    conjugate_certificates, check_yd_ = tc._conjugate_certificates, tc.check_yd
+
+    def recording_certificates(*args):
+        seen.append(conjugate_certificates(*args))
+        return seen[-1]
+
+    def recording_check_yd(yd):
+        checked.append(yd.name.startswith("^"))
+        return check_yd_(yd)
+
+    monkeypatch.setattr(tc, "_conjugate_certificates", recording_certificates)
+    monkeypatch.setattr(tc, "check_yd", recording_check_yd)
+    rep = run_checks(parse_definition(text), "tcat")
+    monkeypatch.undo()
+    [certified] = seen
+    return rep, sum(not holds for holds in certified.values()), sum(checked)
+
+
+#: per input, the conjugate-component items whose certificate fails, the
+#: same at both points.  A module that breaks eq-2.1 (H4A, H4B, or the
+#: trivial module when the counit is broken) fails the certificates of its
+#: 2 conjugates; a Hopf-table mutation fails all 8, except mul-1g-2, under
+#: which the trivial module keeps eq-2.1 and its 2 certificates hold.
+CONJUGATE_FALLBACKS = {
+    None: 0,
+    "alpha-g-neg": 8,
+    "antipode-g-neg": 8,
+    "antipode-x-sign": 8,
+    "comul-g-2": 8,
+    "counit-1-2": 2,
+    "counit-g-2": 2,
+    "g-squared-minus-1": 8,
+    "h4a-coact-1-2": 2,
+    "h4ab-mu-g-2": 0,
+    "h4b-act-1g-2": 2,
+    "h4b-coact-g-2": 2,
+    "mul-1g-2": 6,
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(CONJUGATE_FALLBACKS, key=str), ids=str)
+@pytest.mark.parametrize("point", ["c = 1", TWISTED])
+def test_conjugate_component_runs_check_yd_only_where_its_certificate_fails(monkeypatch, point, mutation):
+    assert set(CONJUGATE_FALLBACKS) == {None, *INPUTS.MUTATIONS}
+    text = shipped_text(point)
+    if mutation is not None:
+        text = INPUTS.apply_mutation(text, INPUTS.MUTATIONS[mutation])
+    rep, count, checked = conjugate_fallbacks(monkeypatch, text)
+    assert count == checked == CONJUGATE_FALLBACKS[mutation]
+    conjugate_component = [item.passed for item in rep.items if ":conjugate-component(" in item.identity]
+    assert conjugate_component.count(False) <= count
+    assert rep.ok() == (mutation is None)
+
+
+@pytest.mark.parametrize("point", ["c = 1", TWISTED])
+def test_a_broken_pair_fails_the_conjugate_component_certificates_of_its_4_conjugates(monkeypatch, point):
+    # A(g) = 2g in P breaks the identity of maps for P's 4 conjugates, and
+    # check_yd finds each of them no Yetter-Drinfeld module
+    rep, count, checked = conjugate_fallbacks(monkeypatch, broken_p(shipped_text(point)))
+    assert count == checked == 4
+    conjugate_component = [item.passed for item in rep.items if ":conjugate-component(" in item.identity]
+    assert conjugate_component == [True] * 4 + [False] * 4
