@@ -53,27 +53,31 @@ def render_text_report(report):
     return "\n".join(lines) + "\n"
 
 
-def report_to_dict(report):
-    items = []
-    for item in report.items:
-        entry = {
-            "id": item.identity,
-            "paper_ref": item.law,
-            "status": "pass" if item.passed else "fail",
-        }
-        if item.witness is not None:
-            entry["witness"] = {
-                "inputs": list(item.witness.inputs),
-                "labels": list(item.witness.labels),
-                "lhs": [str(x) for x in item.witness.lhs],
-                "rhs": [str(x) for x in item.witness.rhs],
-            }
-        items.append(entry)
-    return {"suite": report.suite, "seed": report.seed, "items": items}
+#: json.dumps(..., indent=2) of one item of a report, and of a witness
+_ITEM = '{\n      "id": %s,\n      "paper_ref": %s,\n      "status": "%s"%s\n    }'
+_WITNESS = ',\n      "witness": {\n        "inputs": %s,\n        "labels": %s,\n        "lhs": %s,\n        "rhs": %s\n      }'
+_string = json.encoder.encode_basestring_ascii
+
+
+def _array(texts, indent):
+    """A JSON array of encoded values as json.dumps(..., indent=2) lays it out at indent."""
+    sep = "\n" + indent + "  "
+    return "[" + sep + ("," + sep).join(texts) + "\n" + indent + "]" if texts else "[]"
 
 
 def render_json_report(report):
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    """json.dumps(..., indent=2) of the report's suite, seed and items, one
+    template per item; strings go through json's own escaper."""
+    items = []
+    for item in report.items:
+        w = item.witness
+        if w is not None:
+            w = _WITNESS % tuple(_array(v, "        ") for v in (
+                [str(i) for i in w.inputs], [_string(x) for x in w.labels],
+                [_string(str(x)) for x in w.lhs], [_string(str(x)) for x in w.rhs]))
+        items.append(_ITEM % (_string(item.identity), _string(item.law), "pass" if item.passed else "fail", w or ""))
+    return '{\n  "suite": %s,\n  "seed": %s,\n  "items": %s\n}\n' % (
+        _string(report.suite), json.dumps(report.seed), _array(items, "  "))
 
 
 def matrix_to_csv(matrix):

@@ -1,7 +1,8 @@
 """Textual definition format for algebras, modules and automorphism pairs.
 
-The format is line oriented and UTF-8; `#` starts a comment anywhere on a
-line.  A file is a sequence of sections:
+The format is line oriented and UTF-8: a line ends at "\n", with a "\r"
+before it dropped, and `#` starts a comment anywhere on a line.  A file
+is a sequence of sections:
 
     [params]
     c = 1
@@ -29,11 +30,12 @@ denotes the tensor pair a (x) b, and a bare `0` is the zero element.
 Unspecified structure constants are zero; a wholly omitted twist line
 family (alpha / mu / a / b) defaults to the identity.
 
-A token is a number, a name, the arrow `->` or one of the characters
-@ + - * / ( ) ; : = [ ]; spaces and tabs separate tokens, and any other
-character is a ParseError.  The arrow and each punctuation character are
-each a token kind of their own, so a wrong one (`q : 2`, `[algebra A)`) is
-a ParseError at it.
+One regex pass over the text yields its tokens, and the parser reads them by
+index.  A token is a number (ASCII digits), a name, the arrow `->` or one of
+the characters @ + - * / ( ) ; : = [ ]; spaces and tabs separate tokens, and
+any other character (a form feed or a Unicode space too) is a ParseError at
+its line and column.  The arrow and each punctuation character are a token
+kind of their own, so a wrong one (`q : 2`, `[algebra A)`) is one at it.
 
 Section names are unique; a repeated name is a ParseError at its header,
 and a repeated basis label one at the repeat.  _LEGS says which basis each
@@ -56,10 +58,11 @@ with witnesses rather than load-time crashes.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
-from .exactlin import ONE, DimensionMismatch, LinearMap, SingularMap, table_map
+from .exactlin import ONE, DimensionMismatch, LinearMap, SingularMap, _sparse_map
 from .hom_algebra import (
     AutPair,
     HomAlgebraData,
@@ -177,41 +180,39 @@ def _fold_neg(x):
     return Neg(x)
 
 
-def _arith(op, left, right, line, col):
-    """left op right on exact scalars; a zero divisor is a diagnostic."""
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if right == 0:
-        raise ZeroDenominator(line, col)
-    return left / right
+#: the arithmetic of each binary operator on exact scalars
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def _fold_bin(op, left, right, line, col):
-    if isinstance(left, Num) and isinstance(right, Num):
-        return Num(_arith(op, left.value, right.value, line, col))
+def _fold_bin(op, left, right, p, at):
+    """left op right, folded for two numbers; a zero divisor is then a
+    diagnostic at the parser p's token at, the operator."""
+    if type(left) is Num and type(right) is Num:
+        if op == "/" and not right.value:
+            raise ZeroDenominator(p.line, p.col(at))
+        return Num(_ARITH[op](left.value, right.value))
     if op == "*":
-        if left == Num(ONE):
+        if type(left) is Num and left.value == 1:
             return right
-        if right == Num(ONE):
+        if type(right) is Num and right.value == 1:
             return left
     return Bin(op, left, right)
 
 
 def eval_expr(node, params, line):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, ParamRef):
+    kind = type(node)
+    if kind is ParamRef:
         if node.name not in params:
             raise UnboundName(node.name, line)
         return params[node.name]
-    if isinstance(node, Neg):
+    if kind is Num:
+        return node.value
+    if kind is Neg:
         return -eval_expr(node.arg, params, line)
-    left = eval_expr(node.left, params, line)
-    return _arith(node.op, left, eval_expr(node.right, params, line), line, None)
+    left, right = eval_expr(node.left, params, line), eval_expr(node.right, params, line)
+    if node.op == "/" and right == 0:
+        raise ZeroDenominator(line)
+    return _ARITH[node.op](left, right)
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
@@ -318,143 +319,142 @@ _LEGS = {
     "b": (("over",), ("over",)),
 }
 
-# the kinds of a token that is a basis label or section name
-_LABEL = ("ident", "num")
+# One pass of _TOKEN_RE over the whole text gives every token as its text:
+# "\n" ends a line, and the spaces, tabs and comment before a token are
+# skipped, with a "\r" before a "\n".  A character outside a token and a
+# comment is a token of its own, bad unless in _CHARS.  The text ends in "".
+_TOKEN_RE = re.compile(r"[ \t]*(?:#[^\n]*|\r(?=\n))?([A-Za-z_][A-Za-z0-9_]*|[0-9]+|->|[^ \t]|\Z)")
+_CHARS = frozenset("\n@+-*/();:=[]_0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+# the tokens that end a line, and those that are no label (name or number)
+_END = ("\n", "")
+_NOT_LABEL = frozenset(["\n", "", "->", *"@+-*/();:=[]"])
+_LEVEL_OPS = (("+", "-"), ("*", "/"))  # the operators of _parse_scalar's levels 0 and 1
+_ONE = Num(ONE)
 
-# spaces and tabs separate tokens; any other character outside a token is bad
-_TOKEN_RE = re.compile(
-    r"(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>->|[@+\-*/();:=\[\]])|(?P<bad>[^ \t])"
-)
 
+class _Parser:
+    """The tokens of a whole text, read by index: toks[i] is the next one
+    and line its line.  A token's kind is its text, and a column is worked
+    out only for a diagnostic."""
 
-class _Cursor:
-    """Token stream of one line, (kind, value, col) triples ending in an
-    end-of-line token one column beyond the line's text.  The kind of the
-    arrow and of each punctuation character is its own text."""
+    __slots__ = ("text", "toks", "i", "line")
 
-    def __init__(self, line, lineno):
-        self.lineno = lineno
-        self.i = 0
-        self.tokens = []
-        for m in _TOKEN_RE.finditer(line):
-            kind, value = m.lastgroup, m.group()
-            if kind == "bad":
-                raise ParseError(lineno, m.start() + 1, ("token",), value)
-            self.tokens.append((value if kind == "punct" else kind, value, m.start() + 1))
-        self.tokens.append(("end", "end of line", len(line) + 1))
+    def __init__(self, text, toks):
+        self.text, self.toks, self.i, self.line = text, toks, 0, 1
 
-    def peek(self):
-        return self.tokens[self.i]
+    def col(self, at):
+        """The column of token at; an end of line is one beyond the token before it."""
+        line_start = end = 0
+        for n, m in enumerate(_TOKEN_RE.finditer(self.text)):
+            if n == at:
+                return (m.start(1) if m[1] not in _END else end) - line_start + 1
+            end = m.end()
+            if m[1] == "\n":
+                line_start = end
 
-    def accept(self, kinds):
-        """The next token, consumed, if its kind is one of kinds; else None."""
-        tok = self.tokens[self.i]
-        if tok[0] in kinds:
-            self.i += 1
-            return tok
-        return None
+    def error(self, expected, found=None, at=None):
+        """A ParseError at token at (by default the next) that found found (by default that token)."""
+        at = self.i if at is None else at
+        if found is None:
+            found = "end of line" if self.toks[at] in _END else self.toks[at]
+        return ParseError(self.line, self.col(at), expected, found)
 
     def expect(self, kinds, what):
-        """The next token, consumed; a ParseError naming what if its kind
-        is not one of kinds."""
-        tok = self.tokens[self.i]
-        if tok[0] not in kinds:
-            raise ParseError(self.lineno, tok[2], what, tok[1])
+        """The next token, read past unless it ends the line (parse_definition
+        reads that); a ParseError naming what unless it is one of kinds."""
+        tok = self.toks[self.i]
+        if tok not in kinds:
+            raise self.error(what)
+        self.i += tok not in _END
+        return tok
+
+    def label(self, what, name=False):
+        """The next token, read past, if it is a label (if name, one that is
+        no number); else a ParseError naming what."""
+        tok = self.toks[self.i]
+        if tok in _NOT_LABEL or name and tok.isdigit():
+            raise self.error(what)
         self.i += 1
         return tok
 
 
-def _leaf(kind, value):
+def _leaf(tok):
     """The scalar of a number or name token."""
-    return Num(Fraction(value)) if kind == "num" else ParamRef(value)
+    return Num(Fraction(int(tok))) if tok.isdigit() else ParamRef(tok)
 
 
-def _parse_scalar(cur):
-    node = _parse_scalar_mul(cur)
-    while op := cur.accept(("+", "-")):
-        node = _fold_bin(op[0], node, _parse_scalar_mul(cur), cur.lineno, op[2])
-    return node
-
-
-def _parse_scalar_mul(cur):
-    node = _parse_scalar_unary(cur)
-    while op := cur.accept(("*", "/")):
-        node = _fold_bin(op[0], node, _parse_scalar_unary(cur), cur.lineno, op[2])
-    return node
-
-
-def _parse_scalar_unary(cur):
-    kind, value, _ = cur.expect(("-", "num", "ident", "("), ("number", "name", "'('", "'-'"))
-    if kind == "-":
-        return _fold_neg(_parse_scalar_unary(cur))
-    if kind == "(":
-        node = _parse_scalar(cur)
-        cur.expect((")",), ("')'",))
+def _parse_scalar(p, level=0):
+    """A sum (level 0) of products (level 1) of unary factors (level 2)."""
+    if level < 2:
+        node = _parse_scalar(p, level + 1)
+        while (op := p.toks[p.i]) in _LEVEL_OPS[level]:
+            at = p.i
+            p.i += 1
+            node = _fold_bin(op, node, _parse_scalar(p, level + 1), p, at)
         return node
-    return _leaf(kind, value)
+    tok = p.toks[p.i]
+    if tok in _NOT_LABEL and tok != "-" and tok != "(":
+        raise p.error(("number", "name", "'('", "'-'"))
+    p.i += 1
+    if tok != "(":
+        return _fold_neg(_parse_scalar(p, 2)) if tok == "-" else _leaf(tok)
+    node = _parse_scalar(p)
+    p.expect((")",), ("')'",))
+    return node
 
 
-def _parse_combo(cur, pairs_allowed):
-    """List of Terms; `0` alone denotes the empty combination."""
-    if cur.peek()[1] == "0" and cur.tokens[cur.i + 1][0] == "end":
-        cur.accept(("num",))
+def _parse_combo(p, pairs_allowed):
+    """Tuple of Terms; `0` alone denotes the empty combination.  A term is
+    '*'-separated factors whose last is the basis atom, the tuple of its
+    one or two labels: a lone name or number not followed by an arithmetic
+    continuation, or a tensor pair by the infix @.  A term's diagnostics
+    point at the token after it."""
+    toks, i = p.toks, p.i
+    if toks[i] == "0" and toks[i + 1] in _END:
+        p.i += 1
         return ()
-    terms = [_parse_term(cur, pairs_allowed, negate=False)]
-    while op := cur.accept(("+", "-")):
-        terms.append(_parse_term(cur, pairs_allowed, negate=(op[0] == "-")))
-    return tuple(terms)
-
-
-def _parse_term(cur, pairs_allowed, negate):
-    """A term is '*'-separated factors whose last factor is the basis atom."""
-    while cur.accept(("-",)):
-        negate = not negate
-    factors = [_parse_term_factor(cur)]
-    while cur.accept(("*",)):
-        factors.append(_parse_term_factor(cur))
-    atom = factors[-1]
-    _, found, col = cur.peek()
-    if not isinstance(atom, tuple):
-        raise ParseError(cur.lineno, col, ("basis label",), found)
-    coef = None
-    for f in factors[:-1]:
-        if isinstance(f, tuple):
-            # a bare label in coefficient position is a parameter reference
-            if len(f) != 1:
-                raise ParseError(cur.lineno, col, ("scalar factor",), "@".join(tok[1] for tok in f))
-            kind, value, _ = f[0]
-            f = _leaf(kind, value)
-        coef = f if coef is None else _fold_bin("*", coef, f, cur.lineno, col)
-    if coef is None:
-        coef = Num(ONE)
-    if negate:
-        coef = _fold_neg(coef)
-    atom = tuple(tok[1] for tok in atom)
-    if len(atom) == 2 and not pairs_allowed:
-        raise ParseError(cur.lineno, col, ("plain basis label",), "@".join(atom))
-    if len(atom) == 1 and pairs_allowed:
-        raise ParseError(cur.lineno, col, ("tensor pair label@label",), atom[0])
-    return Term(coef, atom)
-
-
-def _parse_term_factor(cur):
-    """Either a scalar coefficient factor or a basis atom, the tuple of its
-    one or two label tokens.
-
-    A lone identifier or number could be either; atoms are recognised by
-    *not* being followed by an arithmetic continuation, and tensor pairs by
-    the infix @.  Ambiguity is settled when the term ends: the final factor
-    must be an atom.
-    """
-    if cur.peek()[0] in ("-", "("):
-        return _parse_scalar_unary(cur)
-    label = cur.expect(_LABEL, ("basis label", "scalar factor"))
-    if cur.accept(("@",)):
-        return (label, cur.expect(_LABEL, ("basis label",)))
-    slash = cur.accept(("/",))
-    if slash:
-        return _fold_bin("/", _leaf(label[0], label[1]), _parse_scalar_unary(cur), cur.lineno, slash[2])
-    return (label,)
+    terms, negate = [], False
+    while True:
+        while toks[i] == "-":
+            i += 1
+            negate = not negate
+        factors = []
+        while True:
+            tok, p.i = toks[i], i + 1
+            if tok == "-" or tok == "(":
+                p.i = i
+                factors.append(_parse_scalar(p, 2))
+            elif tok in _NOT_LABEL:
+                raise p.error(("basis label", "scalar factor"), at=i)
+            elif toks[i + 1] == "@":
+                p.i += 1
+                factors.append((tok, p.label(("basis label",))))
+            elif toks[i + 1] == "/":
+                p.i += 1
+                factors.append(_fold_bin("/", _leaf(tok), _parse_scalar(p, 2), p, i + 1))
+            else:
+                factors.append((tok,))
+            i = p.i
+            if toks[i] != "*":
+                break
+            i += 1
+        atom, coef = factors.pop(), _ONE
+        if type(atom) is not tuple:
+            raise p.error(("basis label",))
+        for n, f in enumerate(factors):
+            if type(f) is tuple:
+                # a bare label in coefficient position is a parameter reference
+                if len(f) != 1:
+                    raise p.error(("scalar factor",), "@".join(f))
+                f = _leaf(f[0])
+            coef = _fold_bin("*", coef, f, p, i) if n else f
+        if (len(atom) == 2) != pairs_allowed:
+            raise p.error(("tensor pair label@label",) if pairs_allowed else ("plain basis label",), "@".join(atom))
+        terms.append(Term(_fold_neg(coef) if negate else coef, atom))
+        if toks[i] != "+" and toks[i] != "-":
+            return tuple(terms)
+        negate = toks[i] == "-"
+        i += 1
 
 
 class _SectionState:
@@ -462,22 +462,13 @@ class _SectionState:
 
     def __init__(self, section):
         self.section = section
-        self.labels = None
-        self.via_dim = False
+        self.labels = frozenset()
+        self.via_dim = None  # until a basis or dim line
         # the section this one is over, and whether lines were read over it
-        self.over = section.over
-        self.over_read = False
-
-    def declare(self, key, labels, lineno):
-        if self.labels is not None:
-            raise ParseError(lineno, 1, ("single basis/dim declaration",), key)
-        self.labels = frozenset(labels)
-        self.via_dim = key == "dim"
+        self.over, self.over_read = section.over, False
 
     def check(self, label, lineno):
         """A diagnostic unless label is one of the declared basis labels."""
-        if self.labels is None:
-            raise UnboundName(label, lineno)
         if label not in self.labels:
             if self.via_dim and re.fullmatch(r"e\d+", label):
                 raise OutOfRangeIndex(label, len(self.labels), lineno)
@@ -494,61 +485,52 @@ def parse_definition(text):
             col = exc.start - text.rfind(b"\n", 0, exc.start)
             raise ParseError(text.count(b"\n", 0, exc.start) + 1, col, ("UTF-8 text",),
                              text[exc.start:exc.end]) from None
-    sections = []
-    states = {}
-    current = state = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        cur = _Cursor(line, lineno)
-
-        if cur.accept(("[",)):
-            current = _parse_header(cur, states)
-            state = _SectionState(current)
+    p = _Parser(text, _TOKEN_RE.findall(text))
+    toks = p.toks
+    # the first bad token is a diagnostic once the parse reaches its line
+    bad = min(map(toks.index, {tok for tok in set(toks) if len(tok) == 1} - _CHARS), default=-1)
+    bad_line = toks[:bad].count("\n") + 1 if bad >= 0 else 0
+    sections, states, current, state = [], {}, None, None
+    while tok := toks[p.i]:
+        if tok == "\n":
+            p.i += 1
+            p.line += 1
+        elif p.line == bad_line:
+            raise p.error(("token",), at=bad)
+        elif tok == "[":
+            p.i += 1
+            kind = p.label(SECTION_KINDS, name=True)
+            if kind not in SECTION_KINDS:
+                raise p.error(SECTION_KINDS, at=p.i - 1)
+            name = over = None
+            if kind != "params":
+                name = p.label(("section name",))
+                if name in states:
+                    raise p.error(("unused section name",), at=p.i - 1)
+                if toks[p.i] == "over":
+                    p.i += 1
+                    over = p.label(("section name",))
+            p.expect(("]",), ("']'",))
+            p.expect(_END, ("end of line",))
+            current = Section(kind, name, over, [])
             sections.append(current)
-            if current.name is not None:
-                states[current.name] = state
-            continue
-
-        if current is None:
-            raise ParseError(lineno, 1, ("section header",), cur.peek()[1])
-
-        if current.kind == "params":
-            _, name, _ = cur.expect(("ident",), ("parameter name",))
-            cur.expect(("=",), ("'='",))
-            expr = _parse_scalar(cur)
-            cur.expect(("end",), ("end of line",))
-            current.entries.append(Entry(lineno, "param", (name,), expr))
-            continue
-
-        _, key, kcol = cur.expect(("ident",), ("entry key",))
-        if key not in _KEYS[current.kind]:
-            raise ParseError(lineno, kcol, tuple(sorted(_KEYS[current.kind])), key)
-        cur.expect((":",), ("':'",))
-        current.entries.append(_parse_entry(cur, key, state, states, lineno))
+            state = states[name] = _SectionState(current)
+        elif current is None:
+            raise ParseError(p.line, 1, ("section header",), tok)
+        elif current.kind == "params":
+            name = p.label(("parameter name",), name=True)
+            p.expect(("=",), ("'='",))
+            current.entries.append(Entry(p.line, "param", (name,), _parse_scalar(p)))
+            p.expect(_END, ("end of line",))
+        elif tok in _KEYS[current.kind] and toks[p.i + 1] == ":":
+            p.i += 2
+            current.entries.append(_parse_entry(p, tok, state, states, p.line))
+        else:
+            p.label(("entry key",), name=True)
+            if tok not in _KEYS[current.kind]:
+                raise p.error(tuple(sorted(_KEYS[current.kind])), at=p.i - 1)
+            raise p.error(("':'",))
     return DefinitionFile(sections)
-
-
-def _parse_header(cur, states):
-    """The rest of a section header line after its '['."""
-    lineno = cur.lineno
-    _, kind, col = cur.expect(("ident",), SECTION_KINDS)
-    if kind not in SECTION_KINDS:
-        raise ParseError(lineno, col, SECTION_KINDS, kind)
-    name = None
-    over = None
-    if kind != "params":
-        _, name, col = cur.expect(_LABEL, ("section name",))
-        if name in states:
-            raise ParseError(lineno, col, ("unused section name",), name)
-        if cur.peek()[1] == "over":
-            cur.accept(("ident",))
-            _, over, _ = cur.expect(_LABEL, ("section name",))
-    cur.expect(("]",), ("']'",))
-    cur.expect(("end",), ("end of line",))
-    return Section(kind, name, over, [])
 
 
 def _over_name(section, lineno):
@@ -562,48 +544,56 @@ def _over_name(section, lineno):
     return name
 
 
-def _parse_entry(cur, key, state, states, lineno):
+def _parse_entry(p, key, state, states, lineno):
     if key == "basis":
         labels = {}
-        while cur.peek()[0] != "end" or not labels:
-            _, label, col = cur.expect(_LABEL, ("basis label",))
+        while p.toks[p.i] not in _END or not labels:
+            label = p.label(("basis label",))
             if label in labels:
-                raise ParseError(lineno, col, ("basis label not declared before",), label)
+                raise p.error(("basis label not declared before",), at=p.i - 1)
             labels[label] = None
-        state.declare("basis", labels, lineno)
-        return Entry(lineno, "basis", (), tuple(labels))
     if key == "dim":
-        _, v, _ = cur.expect(("num",), ("dimension",))
-        cur.expect(("end",), ("end of line",))
-        state.declare("dim", ("e%d" % i for i in range(int(v))), lineno)
-        return Entry(lineno, "dim", (), int(v))
+        if not p.label(("dimension",)).isdigit():
+            raise p.error(("dimension",), at=p.i - 1)
+        v = int(p.toks[p.i - 1])
+        p.expect(_END, ("end of line",))
+        labels = ["e%d" % i for i in range(v)]
+    if key in ("basis", "dim"):
+        if state.via_dim is not None:
+            raise ParseError(lineno, 1, ("single basis/dim declaration",), key)
+        state.labels, state.via_dim = frozenset(labels), key == "dim"
+        return Entry(lineno, key, (), tuple(labels) if key == "basis" else v)
     if key in ("over", "pair"):
-        _, v, col = cur.expect(_LABEL, ("section name" if key == "over" else "autpair name",))
-        cur.expect(("end",), ("end of line",))
+        v = p.label(("section name" if key == "over" else "autpair name",))
+        p.expect(_END, ("end of line",))
         if v not in states:
             raise UnboundName(v, lineno)
         if key == "over":
             # resolution reads every line over the last `over:`, so it may
             # not move away from the section earlier lines were checked in
             if state.over_read and v != state.over:
-                raise ParseError(lineno, col, ("%r, which earlier lines of this section are over" % state.over,), v)
+                raise p.error(("%r, which earlier lines of this section are over" % state.over,), at=p.i - 1)
             state.over = v
         return Entry(lineno, key, (), v)
 
     # a table line: its argument labels, then `-> value` (unit: the value alone)
     arg_legs, term_legs = _LEGS[key]
-    args = tuple(cur.expect(_LABEL, ("basis label",))[1] for _ in arg_legs)
+    args = tuple(p.toks[p.i:p.i + len(arg_legs)])
+    if not _NOT_LABEL.isdisjoint(args):
+        for _ in args:
+            p.label(("basis label",))
+    p.i += len(args)
     if not term_legs:
         # counit: its label is checked before its scalar is read
         state.check(args[0], lineno)
-        cur.expect(("->",), ("'->'",))
-        value = _parse_scalar(cur)
-        cur.expect(("end",), ("end of line",))
+        p.expect(("->",), ("'->'",))
+        value = _parse_scalar(p)
+        p.expect(_END, ("end of line",))
         return Entry(lineno, key, args, value)
     if args:
-        cur.expect(("->",), ("'->'",))
-    combo = _parse_combo(cur, pairs_allowed=len(term_legs) == 2)
-    cur.expect(("end",), ("end of line",))
+        p.expect(("->",), ("'->'",))
+    combo = _parse_combo(p, pairs_allowed=len(term_legs) == 2)
+    p.expect(_END, ("end of line",))
     # every label is checked in its leg's basis, so bad names fail here
     bases = {"own": state}
     if "over" in arg_legs + term_legs:
@@ -615,10 +605,12 @@ def _parse_entry(cur, key, state, states, lineno):
         state.over_read = True
         bases["over"] = states[state.over]
     for label, leg in zip(args, arg_legs):
-        bases[leg].check(label, lineno)
+        if label not in bases[leg].labels:
+            bases[leg].check(label, lineno)
     for t in combo:
         for label, leg in zip(t.atom, term_legs):
-            bases[leg].check(label, lineno)
+            if label not in bases[leg].labels:
+                bases[leg].check(label, lineno)
     return Entry(lineno, key, args, combo)
 
 
@@ -721,47 +713,50 @@ def _basis_of(section):
     return basis
 
 
-def _table(key, lines, bases, params):
-    """The map of a section's `key` lines, read through exactlin.table_map.
+def _table(key, lines, index, params):
+    """The map of a section's `key` lines, built like exactlin.table_map.
 
-    lines maps each key to its entries in file order, and bases maps each
-    leg of _LEGS[key] to its basis labels.  The domain is the argument
-    legs, the codomain the term legs (a scalar for counit).  A key with
-    one argument and one leg and no line is the identity.  A repeated
-    line follows its family's rule: comul and coact terms add up, a mul or
-    act line sets the cells it gives nonzero and keeps the rest, and every
-    other line replaces its column.
+    lines maps each key to its entries in file order, and index maps each
+    leg of _LEGS[key] to its basis's label -> index dict, made once per
+    section.  Each cell goes straight to its column, the argument legs
+    flattened as (i, j) -> i * dim_j + j, and its row, the term legs
+    flattened alike (one row for counit).  A key with one argument and one
+    leg and no line is the identity.  A repeated line follows its family's
+    rule: comul and coact terms add up, a mul or act line sets the cells it
+    gives nonzero and keeps the rest, and every other line replaces its
+    column.
     """
     arg_legs, term_legs = _LEGS[key]
     family = lines.get(key, ())
     if not family and len(arg_legs) == len(term_legs) == 1:
-        return LinearMap.identity(len(bases[arg_legs[0]]))
-    index = {leg: {label: i for i, label in enumerate(basis)} for leg, basis in bases.items()}
-    arg_index = [index[leg] for leg in arg_legs]
-    term_index = [index[leg] for leg in term_legs]
-    columns = {}
+        return LinearMap.identity(len(index[arg_legs[0]]))
+    cols, rows = (_flat([index[leg] for leg in legs]) for legs in (arg_legs, term_legs))
+    adds, sets = len(term_legs) == 2, len(arg_legs) == 2  # comul, coact; mul, act
+    columns = [{} for _ in cols]
     for e in family:
-        col = tuple(map(dict.__getitem__, arg_index, e.args))
+        col = cols[e.args]
         if not term_legs:
-            cells = {(0,): eval_expr(e.value, params, e.line)}
-        else:
-            cells = {}
-            for t in e.value:
-                cell = tuple(map(dict.__getitem__, term_index, t.atom))
-                v = eval_expr(t.coef, params, e.line)
-                cells[cell] = cells[cell] + v if cell in cells else v
-        if len(term_legs) == 2:  # comul, coact
-            old = columns.setdefault(col, {})
-            for cell, v in cells.items():
-                old[cell] = old[cell] + v if cell in old else v
-        elif len(arg_legs) == 2:  # mul, act
-            columns.setdefault(col, {}).update((cell, v) for cell, v in cells.items() if v)
-        else:
+            columns[col] = {0: eval_expr(e.value, params, e.line)}
+            continue
+        cells = columns[col] if adds else {}
+        for t in e.value:
+            row = rows[t.atom]
+            v = t.coef.value if type(t.coef) is Num else eval_expr(t.coef, params, e.line)
+            cells[row] = cells[row] + v if row in cells else v
+        if sets:
+            columns[col].update({row: v for row, v in cells.items() if v})
+        elif not adds:
             columns[col] = cells
-    dims = tuple(len(bases[leg]) for leg in arg_legs) + (tuple(len(bases[leg]) for leg in term_legs) or (1,))
-    pad = (0,) * (3 - len(dims))
-    data = {pad + col + cell: v for col, cells in columns.items() for cell, v in cells.items()}
-    return table_map((1,) * len(pad) + dims, data, max(len(term_legs), 1))
+    return _sparse_map(len(rows), columns)
+
+
+def _flat(indices):
+    """The flat index of each tuple of labels, one per leg, when the label
+    -> index dicts of the legs are indices: (a, b) -> i_a * dim_b + i_b."""
+    flat = {(): 0}
+    for ix in indices:
+        flat = {labels + (label,): n * len(ix) + i for labels, n in flat.items() for label, i in ix.items()}
+    return flat
 
 
 def resolve_definition(df):
@@ -796,7 +791,7 @@ def resolve_definition(df):
 def _build_own(section, lines, rf):
     """The object of an algebra, coalgebra or hopf section."""
     basis = _basis_of(section)
-    bases = {"own": basis}
+    bases = {"own": {label: i for i, label in enumerate(basis)}}
     if section.kind != "coalgebra":
         if "unit" not in lines:
             raise ResolveError("section %r has no unit" % section.name, None)
@@ -818,9 +813,10 @@ def _build_over(section, lines, rf):
     over, h = rf.get(_over_name(section, None))
     if over != "hopf":
         raise ResolveError("section %r must be over a hopf section, got %s" % (section.name, over), None)
-    bases = {"over": h.basis}
+    bases = {"over": {label: i for i, label in enumerate(h.basis)}}
     if kind != "autpair":
-        basis = bases["own"] = _basis_of(section)
+        basis = _basis_of(section)
+        bases["own"] = {label: i for i, label in enumerate(basis)}
         mu = _table("mu", lines, bases, rf.params)
         action, coaction = (
             _table(key, lines, bases, rf.params) if key in lines else None for key in ("act", "coact")

@@ -12,7 +12,8 @@ A map stores its entries fraction-free: int numerators over one positive
 denominator shared by the whole map, in canonical form (the gcd of the
 denominator and every numerator is 1, and an integral map has denominator
 1).  Every scalar enters a map through one coercion, _scalar, and the
-entries of a new map are cleared to that form by _cleared; compose and kron
+entries of a new map are cleared to that form by _cleared (a sparse
+table's by _sparse_map, in the pass that coerces them); compose and kron
 then multiply plain ints, multiply the denominators, and _reduced restores
 the canonical form.  Entries read back through the access methods are ints
 when integral and Fractions otherwise, exactly as rational entries are.
@@ -563,17 +564,40 @@ def table_map(dims, data, out_legs):
     others as the domain: a product table t[i, j, k] (the e_k coefficient of
     e_i e_j) gives A (x) A -> A with out_legs=1, a coproduct table
     t[k, i, j] (the e_i (x) e_j coefficient of comul(e_k)) C -> C (x) C
-    with 2."""
+    with 2.  Each cell goes straight to its column and row, and
+    _sparse_map builds the map."""
     d0, d1, d2 = dims
     rows, cols = (d2, d0 * d1) if out_legs == 1 else (d1 * d2, d0)
-    columns = tuple({} for _ in range(cols))
+    columns = [{} for _ in range(cols)]
     for (i, j, k), v in data.items():
         if not (0 <= i < d0 and 0 <= j < d1 and 0 <= k < d2):
             raise DimensionMismatch("index %r out of range for dims %r" % ((i, j, k), dims))
-        if v:
-            col, row = divmod((i * d1 + j) * d2 + k, rows)
-            columns[col][row] = _scalar(v)
-    return _from_columns(rows, *_cleared(columns))
+        if out_legs == 1:
+            columns[i * d1 + j][k] = v
+        else:
+            columns[i][j * d2 + k] = v
+    return _sparse_map(rows, columns)
+
+
+def _sparse_map(rows, columns):
+    """The map whose column j holds the scalars of columns[j], a dict row
+    -> scalar; zeros are dropped.  One pass takes each scalar as _scalar
+    does and the least common denominator, as _cleared would; table_map
+    and defformat's tables build their maps here."""
+    den, kept = 1, []
+    for col in columns:
+        out = {}
+        for i, v in col.items():
+            v = _scalar(v)
+            if type(v) is not int:
+                den = lcm(den, v.denominator)
+                out[i] = v
+            elif v:
+                out[i] = v
+        kept.append(out)
+    if den != 1:
+        kept = [{i: v.numerator * (den // v.denominator) for i, v in col.items()} for col in kept]
+    return _from_columns(rows, tuple(kept), den)
 
 
 # -- coordinate vector helpers --------------------------------------

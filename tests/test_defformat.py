@@ -267,9 +267,8 @@ def test_fuzzed_mutations_of_shipped_file():
             pass
 
 
-def test_repeated_lines_follow_each_family_rule():
-    df = parse_definition(
-        """
+#: a hopf and a ydmodule section that repeat a line of every table family
+FAMILY_RULES = """
         [hopf H]
         basis: 1 x
         unit: x
@@ -304,7 +303,10 @@ def test_repeated_lines_follow_each_family_rule():
         b: 1 -> 1 + x
         b: 1 -> 1
         """
-    )
+
+
+def test_repeated_lines_follow_each_family_rule():
+    df = parse_definition(FAMILY_RULES)
     resolved = resolve_definition(df)
     _, h = resolved.get("H")
     _, m = resolved.get("M")
@@ -323,6 +325,12 @@ def test_repeated_lines_follow_each_family_rule():
     # counit: the last value per label wins; unit: the last line wins
     assert h.coalgebra.counit == LinearMap.from_rows([(1, 0)])
     assert h.algebra.unit == LinearMap.from_cols([(1, 0)])
+
+
+def test_a_repeated_mul_line_keeps_the_cells_it_gives_zero():
+    df = parse_definition("[algebra A]\nbasis: 1 x\nunit: 1\nmul: 1 x -> 1 + x\nmul: 1 x -> 0 * 1 + 3 * x + x - x\n")
+    mul = resolve_definition(df).get("A")[1].mul
+    assert mul == LinearMap.from_cols([(0, 0), (1, 3), (0, 0), (0, 0)])
 
 
 def test_duplicate_section_name_is_a_parse_error():
@@ -392,3 +400,60 @@ def test_repeated_basis_label_is_a_parse_error_at_the_repeat():
     with pytest.raises(ParseError) as err:
         parse_definition("[algebra A]\nbasis: x y x\nunit: x\n")
     assert (err.value.line, err.value.col, err.value.found) == (2, 12, "x")
+
+
+#: the line breaks of str.splitlines that are no line break of the format
+SPLITLINES_BREAKS = ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"]
+
+
+@pytest.mark.parametrize("char", SPLITLINES_BREAKS, ids=repr)
+def test_a_splitlines_break_inside_a_line_is_a_parse_error_at_its_column(char):
+    line = "mul: x x" + char + " -> x"
+    with pytest.raises(ParseError) as err:
+        parse_definition("[algebra A]\nbasis: x\nunit: x\n" + line + "\n")
+    assert (err.value.line, err.value.col, err.value.found) == (4, 9, char)
+
+
+@pytest.mark.parametrize("char", ["\f", "\u00a0", "\u2003"], ids=repr)
+def test_a_trailing_space_or_break_is_a_parse_error(char):
+    with pytest.raises(ParseError) as err:
+        parse_definition("[params]\nc = 1" + char + "\nq = 2\n")
+    assert (err.value.line, err.value.col, err.value.found) == (2, 6, char)
+
+
+@pytest.mark.parametrize("char", SPLITLINES_BREAKS[:-1], ids=repr)
+def test_lines_after_a_splitlines_break_in_a_comment_keep_their_numbers(char):
+    head = "[params]\nc = 1  # a comment" + char + " goes on\nq = "
+    with pytest.raises(ParseError) as text_err:
+        parse_definition(head + "?\n")
+    with pytest.raises(ParseError) as bytes_err:
+        parse_definition(head.encode("utf-8") + b"\xe9\n")
+    assert (text_err.value.line, text_err.value.col, text_err.value.found) == (3, 5, "?")
+    assert (bytes_err.value.line, bytes_err.value.col, bytes_err.value.found) == (3, 5, b"\xe9")
+
+
+def test_crlf_file_reads_as_the_lf_file(tmp_path, capsys):
+    from homyd.cli import main
+
+    text = H4_ALG.read_text(encoding="utf-8")
+    assert "\r" not in text
+    assert parse_definition(text.replace("\n", "\r\n").encode("utf-8")) == parse_definition(text)
+    path = tmp_path / "h4-crlf.alg"
+    path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    outputs = []
+    for file in (H4_ALG, path):
+        assert main(["check", str(file), "--suite", "all", "--report", "json"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].err == ""
+
+
+@pytest.mark.parametrize("text, digit", [
+    ("[params]\nc = \uff13\n", "\uff13"),
+    ("[params]\nc = \u0663/2\n", "\u0663"),
+    ("[algebra A]\nbasis: \uff11 x\n", "\uff11"),
+], ids=["fullwidth-three", "arabic-indic-three", "fullwidth-one-label"])
+def test_a_non_ascii_digit_is_a_parse_error_at_it(text, digit):
+    line = text.splitlines()[-1]
+    with pytest.raises(ParseError) as err:
+        parse_definition(text)
+    assert (err.value.line, err.value.col, err.value.found) == (2, line.index(digit) + 1, digit)
