@@ -9,14 +9,21 @@ permutations below follow the same convention.  Structure constants
 written out as a sparse table literal become a map through table_map.
 
 A map stores its entries fraction-free: int numerators over one positive
-denominator shared by the whole map, in canonical form (the gcd of the
-denominator and every numerator is 1, and an integral map has denominator
-1).  Every scalar enters a map through one coercion, _scalar, and the
-entries of a new map are cleared to that form by _cleared (a sparse
-table's by _sparse_map, in the pass that coerces them); compose and kron
-then multiply plain ints, multiply the denominators, and _reduced restores
-the canonical form.  Entries read back through the access methods are ints
-when integral and Fractions otherwise, exactly as rational entries are.
+denominator shared by the whole map, and not necessarily in lowest terms.
+Every scalar enters a map through one coercion, _scalar, and the entries of
+a new map are cleared by _cleared to their least common denominator (a
+sparse table's by _sparse_map, in the pass that coerces them); compose and
+kron then multiply plain ints and multiply the denominators, and leave the
+product over that product denominator.  A product whose denominator passes
+_BOUND = 2**20 is reduced at once by _reduced, so no stored denominator
+passes _BOUND unless the map's lowest one does: the products of a clean
+tcat check of the shipped files never pass it, while a dense map whose
+products cancel is reduced often enough that its numerators stay small.
+Lowest terms are read where they matter and nowhere else: ==
+cross-multiplies two maps over different denominators, hash hashes the
+reduced map, and the identity test reads numerators equal to the
+denominator.  Entries read back through the access methods are ints when
+integral and Fractions otherwise, exactly as rational entries are.
 
 Most Kronecker products in the library whisker a map with identities:
 id (x) f, f (x) id, and a twist or flip placed on one leg.  kron returns
@@ -32,7 +39,8 @@ Twists are mostly diagonal, and identities are everywhere.  Each map
 stores, once, whether it is diagonal with no zero on its diagonal, and if
 so its diagonal numerators: a map that is not square when it is made, a
 square one on first read (_diagonal; a whisker reads them off its middle
-factor).  The identity is the case of all ones over the denominator 1.
+factor).  The identity is the case of a diagonal whose numerators all equal
+the denominator, and LinearMap.identity hands out one map per size.
 compose returns the other operand of an identity, kron of two diagonals
 is built as a diagonal, and invert returns an identity as it is and the
 inverse of any other diagonal in closed form, the diagonal den / n_i, so
@@ -40,11 +48,11 @@ only a map that is not diagonal (or has a zero on its diagonal) meets
 Gauss-Jordan elimination.
 
 All values are immutable after construction and all operations are pure,
-so everything here is safe to share between threads, and permute builds
-each leg permutation once per shape and hands out that one map.  The
-writes after construction are a map storing its diagonal, and a whisker
-its columns, on first read; threads that race there store equal values,
-and either copy serves.
+so everything here is safe to share between threads: permute builds each
+leg permutation once per shape, and LinearMap.identity each identity once
+per size, and hands out that one map.  The writes after construction are
+a map storing its diagonal, and a whisker its columns, on first read;
+threads that race there store equal values, and either copy serves.
 """
 
 from __future__ import annotations
@@ -61,6 +69,12 @@ Scalar = int | Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+#: A product whose denominator passes _BOUND is reduced as it is made.  A
+#: larger bound lets the numerators of dense maps, whose products cancel,
+#: grow and slow every later product: the tcat check of a dense change of
+#: basis of h4.alg (tests/transport.py) slows as the bound grows past it.
+_BOUND = 1 << 20
 
 
 def rat(num, den=1):
@@ -100,20 +114,22 @@ class SingularMap(ArithmeticError):
 
 class LinearMap:
     """rows x cols matrix of exact rationals, stored as the int numerators
-    of its nonzero entries, column by column, over one reduced denominator.
+    of its nonzero entries, column by column, over one shared denominator.
 
     Maps act on column coordinate vectors, so ``(f @ g)`` means "apply g
     first, then f".  This convention is fixed across the library.  Each
     column is a dict row -> nonzero int numerator that is never mutated
     after construction, and _den is the positive denominator of the whole
-    map, prime to the numerators taken together; so two equal maps store
-    equal denominators and equal columns.  entry, entries, column, row and
-    apply read the values back as ints and Fractions.  _whisker is
-    (a, x, b) for a whisker I_a (x) x (x) I_b, whose columns are built on
-    first read, and None otherwise.  _diag is the tuple of diagonal
-    numerators of a diagonal map with no zero on its diagonal, and None
-    for any other map: from the start for a map that is not square, and
-    worked out on first read (_diagonal) for one that is.
+    map, at most _BOUND unless the map's lowest denominator is larger, and
+    not necessarily prime to the numerators: two maps equal in value store
+    equal columns over equal denominators, or proportional columns over
+    different ones, and compare and hash equal either way.  entry,
+    entries, column, row and apply read the values back as ints and
+    Fractions.  _whisker is (a, x, b) for a whisker I_a (x) x (x) I_b,
+    whose columns are built on first read, and None otherwise.  _diag is
+    the tuple of diagonal numerators of a diagonal map with no zero on its
+    diagonal, and None for any other map: from the start for a map that is
+    not square, and worked out on first read (_diagonal) for one that is.
     """
 
     __slots__ = ("rows", "cols", "_cols", "_den", "_whisker", "_diag")
@@ -139,7 +155,7 @@ class LinearMap:
 
     @classmethod
     def identity(cls, n):
-        return _diagonal_map((1,) * n, 1)
+        return _identity(n)
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -237,16 +253,24 @@ class LinearMap:
         return compose(self, other)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, LinearMap)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._den == other._den
-            and self._cols == other._cols
-        )
+        if not (isinstance(other, LinearMap) and self.rows == other.rows and self.cols == other.cols):
+            return False
+        d, e = self._den, other._den
+        if d == e:
+            return self._cols == other._cols
+        # n / d == m / e, entry by entry, as n * e == m * d; an entry absent
+        # from the other column reads m = 0, which no stored n matches
+        for col, ocol in zip(self._cols, other._cols):
+            if len(col) != len(ocol):
+                return False
+            for i, n in col.items():
+                if n * e != ocol.get(i, 0) * d:
+                    return False
+        return True
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._den, tuple(frozenset(col.items()) for col in self._cols)))
+        f = _reduced(self.rows, self._cols, self._den)
+        return hash((f.rows, f.cols, f._den, tuple(frozenset(col.items()) for col in f._cols)))
 
     def __repr__(self):
         return "LinearMap(%d, %d, %r)" % (self.rows, self.cols, list(self.entries))
@@ -261,8 +285,8 @@ class LinearMap:
 
 def _from_columns(rows, columns, den):
     """Trusted constructor: columns is a tuple of dicts row -> nonzero int
-    numerator over the positive den, already in canonical form, never
-    mutated from here on and so free to be shared with other maps."""
+    numerator over the positive den, never mutated from here on and so free
+    to be shared with other maps."""
     f = object.__new__(LinearMap)
     f.rows = rows
     f.cols = len(columns)
@@ -276,8 +300,8 @@ def _from_columns(rows, columns, den):
 
 def _whisker_map(a, x, b):
     """I_a (x) x (x) I_b as a whisker, with a nested whisker x flattened into
-    one (a, x, b); its columns stay unbuilt until read.  x is in canonical
-    form and so is the whisker, over x's denominator."""
+    one (a, x, b); its columns stay unbuilt until read, over x's
+    denominator."""
     if x._whisker is not None:
         xa, x, xb = x._whisker
         a, b = a * xa, xb * b
@@ -302,17 +326,22 @@ def _whisker_columns(a, x, b):
 
 def _diagonal_map(diag, den):
     """Trusted constructor of the diagonal map whose numerators diag, none
-    of them zero, are over den in canonical form."""
+    of them zero, are over den."""
     f = _from_columns(len(diag), tuple({j: n} for j, n in enumerate(diag)), den)
     f._diag = diag
     return f
 
 
+@cache
+def _identity(n):
+    return _diagonal_map((1,) * n, 1)
+
+
 def _diagonal(f):
     """The numerators on the diagonal of the square map f when f is
     diagonal and has no zero there, else None; a whisker reads them off its
-    middle factor and stays unbuilt.  The identity is the case of all ones
-    over the denominator 1 (_is_identity)."""
+    middle factor and stays unbuilt.  The identity is the case of
+    numerators all equal to the denominator (_is_identity)."""
     if f._whisker is not None:
         a, x, b = f._whisker
         diag = x._diag
@@ -327,9 +356,10 @@ def _diagonal(f):
 
 
 def _is_identity(f):
-    """Whether f is an identity map, read from its diagonal."""
+    """Whether f is an identity map, read from its diagonal: every
+    numerator equals the denominator."""
     diag = f._diag
-    return diag is not None and f._den == 1 and diag.count(1) == len(diag)
+    return diag is not None and diag.count(f._den) == len(diag)
 
 
 def _cleared(columns):
@@ -349,9 +379,12 @@ def _cleared(columns):
 
 
 def _reduced(rows, columns, den):
-    """The map of int numerator columns over the positive den, divided
-    through by the gcd of den and every numerator; the scan stops at the
-    first column that brings the running gcd to 1, and a den of 1 skips it."""
+    """The map of int numerator columns over the positive den in lowest
+    terms, divided through by the gcd of den and every numerator; the scan
+    stops at the first column that brings the running gcd to 1, and a den
+    of 1 skips it.  Two maps equal in value reduce to equal denominators
+    and equal columns.  hash reads it, and so does a product whose
+    denominator passes _BOUND (_product, and kron of two diagonals)."""
     if den != 1:
         g = den
         for col in columns:
@@ -361,6 +394,13 @@ def _reduced(rows, columns, den):
         columns = tuple({i: n // g for i, n in col.items()} for col in columns)
         den //= g
     return _from_columns(rows, columns, den)
+
+
+def _product(rows, columns, den):
+    """The product of numerator columns over den, the product of its
+    operands' denominators: left as it is, and reduced only when den
+    passes _BOUND."""
+    return _from_columns(rows, columns, den) if den <= _BOUND else _reduced(rows, columns, den)
 
 
 def compose(f, g):
@@ -391,7 +431,7 @@ def compose(f, g):
         if len(gcol) > 1:
             acc = {i: e for i, e in acc.items() if e}
         out.append(acc)
-    return _reduced(f.rows, tuple(out), f._den * g._den)
+    return _product(f.rows, tuple(out), f._den * g._den)
 
 
 def _compose_whisker_right(f, a, x, b):
@@ -415,7 +455,7 @@ def _compose_whisker_right(f, a, x, b):
                     for r, v in fcols[q + i * b].items():
                         acc[r] = acc[r] + v * n if r in acc else v * n
                 out.append({r: v for r, v in acc.items() if v})
-    return _reduced(f.rows, tuple(out), f._den * x._den)
+    return _product(f.rows, tuple(out), f._den * x._den)
 
 
 def _compose_whisker_left(a, x, b, g):
@@ -433,7 +473,7 @@ def _compose_whisker_left(a, x, b, g):
                 r = base + i * b
                 acc[r] = acc[r] + n * gk if r in acc else n * gk
         out.append({r: v for r, v in acc.items() if v} if len(gcol) > 1 else acc)
-    return _reduced(a * step, tuple(out), x._den * g._den)
+    return _product(a * step, tuple(out), x._den * g._den)
 
 
 def kron(f, g):
@@ -442,8 +482,8 @@ def kron(f, g):
     Index convention: basis vector (i, j) of the domain sits at i*g.cols + j,
     matching the global flattening.  With an identity factor the product is
     a whisker, and kron(I, I) is an identity; two diagonal factors give a
-    diagonal, built as one.  The denominators multiply, and _reduced
-    restores the canonical form.
+    diagonal, built as one.  The denominators multiply, and the product
+    stays over theirs unless it passes _BOUND (_product).
     """
     if _is_identity(f):
         if _is_identity(g):
@@ -454,13 +494,12 @@ def kron(f, g):
     den = f._den * g._den
     fd, gd = f._diag, g._diag
     if fd is not None and gd is not None:
-        diag = tuple([m * n for m in fd for n in gd])
-        common = gcd(den, gcd(*fd) * gcd(*gd))
-        return _diagonal_map(diag if common == 1 else tuple([n // common for n in diag]), den // common)
+        h = _diagonal_map(tuple([m * n for m in fd for n in gd]), den)
+        return h if den <= _BOUND else _reduced(h.rows, h._cols, den)
     gr, gcols = g.rows, g._cols
     out = tuple({i1 * gr + i2: a * b for i1, a in fcol.items() for i2, b in gcol.items()}
                 for fcol in f._cols for gcol in gcols)
-    return _reduced(f.rows * gr, out, den)
+    return _product(f.rows * gr, out, den)
 
 
 def permute(dims, order):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import dense_reference as dense
+import homyd.exactlin as exactlin
 from homyd.exactlin import (
     DimensionMismatch,
     LinearMap,
@@ -21,6 +22,7 @@ from homyd.exactlin import (
     table_map,
 )
 from homyd.h4_library import build_h4
+from homyd.hom_algebra import AutPair, HopfAutomorphism, check_automorphism
 
 
 def test_scalar_canonical_form():
@@ -439,8 +441,9 @@ def test_columns_shared_by_compose_are_never_mutated(kind):
 
 
 # ---------------------------------------------------------------------------
-# fraction-free storage: numerators over one reduced denominator, against
-# the dense reference on maps whose denominators cancel
+# fraction-free storage: numerators over one shared denominator, left
+# unreduced by products, against the dense reference on maps whose
+# denominators cancel
 # ---------------------------------------------------------------------------
 
 # values whose products and sums cancel denominators now and then
@@ -463,13 +466,21 @@ def invertible_map(rng, n, density):
     return triangle(True) @ triangle(False)
 
 
-def assert_canonical(f):
-    """int numerators, none zero, over a positive int denominator that
-    shares no factor with all of them; 1 for an integral map."""
+def reduced(f):
+    """f in lowest terms, as _reduced makes it."""
+    return exactlin._reduced(f.rows, f._cols, f._den)
+
+
+def assert_kernel_form(f):
+    """int numerators, none zero, over a positive int denominator no larger
+    than the bound; f equals, and hashes as, its lowest terms, which
+    share no factor with the denominator and are over 1 for an integral map."""
     nums = stored_values(f)
     assert all(type(n) is int and n for n in nums)
-    assert type(f._den) is int and f._den > 0
-    assert math.gcd(f._den, *nums) == 1
+    assert type(f._den) is int and 0 < f._den <= exactlin._BOUND
+    low = reduced(f)
+    assert f == low and low == f and hash(f) == hash(low)
+    assert math.gcd(low._den, *stored_values(low)) == 1
 
 
 def read_type(x):
@@ -493,7 +504,7 @@ def test_fraction_free_kernel_matches_dense_reference(rows, inner, cols, density
         sq = invertible_map(rng, min(rows, 16), density)
         results.append((invert(sq), dense.invert(sq)))
         for got, want in results:
-            assert_canonical(got)
+            assert_kernel_form(got)
             assert got == want and hash(got) == hash(want)
             assert got.entries == want.entries
         vec = [rng.choice(CANCELLING + (0,)) for _ in range(inner)]
@@ -501,7 +512,7 @@ def test_fraction_free_kernel_matches_dense_reference(rows, inner, cols, density
         assert all(type(x) is Fraction for x in f.apply(vec))
         values = [rng.choice(CANCELLING + (0, 0, 4)) for _ in range(rows * cols)]
         h = LinearMap(rows, cols, values)
-        assert_canonical(h)
+        assert_kernel_form(h)
         assert h.entries == tuple(values)
         assert [type(x) for x in h.entries] == [read_type(x) for x in values]
         for i in range(0, rows, 7):
@@ -513,15 +524,18 @@ def test_fraction_free_kernel_matches_dense_reference(rows, inner, cols, density
 
 
 def test_fraction_free_results_cancel_to_canonical_form():
+    # compose keeps the product of the denominators, and the lowest terms
+    # that == and hash read cancel it now and then
     rng = random.Random(3)
     cancelled = 0
     for _ in range(60):
         f = cancelling_map(rng, 4, 4, 0.5)
         g = cancelling_map(rng, 4, 4, 0.5)
         h = compose(f, g)
-        assert_canonical(h)
+        assert_kernel_form(h)
         assert h == dense.compose(f, g)
-        cancelled += h._den < f._den * g._den
+        assert h._den == f._den * g._den
+        cancelled += reduced(h)._den < h._den
     assert cancelled
 
 
@@ -530,9 +544,9 @@ def test_maps_equal_in_value_are_equal_and_hash_equal_by_any_route(n):
     half, two = LinearMap.diagonal([rat(1, 2)] * n), LinearMap.diagonal([2] * n)
     for one in (half @ two, two @ half, kron(LinearMap.identity(1), half @ two),
                 invert(half) @ half, LinearMap.from_cols([[rat(i == j) for i in range(n)] for j in range(n)])):
-        assert_canonical(one)
+        assert_kernel_form(one)
         assert one == LinearMap.identity(n) and hash(one) == hash(LinearMap.identity(n))
-        assert one._den == 1
+        assert reduced(one)._den == 1 and one.is_identity()
     rng = random.Random(n)
     k = 4
     f = cancelling_map(rng, n, k, 0.6)
@@ -540,7 +554,7 @@ def test_maps_equal_in_value_are_equal_and_hash_equal_by_any_route(n):
     third, three = LinearMap.diagonal([rat(1, 3)] * k), LinearMap.diagonal([3] * k)
     direct = kron(f, g)
     routed = kron(f @ third, three @ g)
-    assert_canonical(routed)
+    assert_kernel_form(routed)
     assert routed == direct and hash(routed) == hash(direct)
     assert routed == LinearMap(n * k, k * n, list(dense.kron(f, g).entries))
     assert invert(invert(half)) == half and hash(invert(invert(half))) == hash(half)
@@ -561,7 +575,7 @@ def test_compose_and_kron_do_no_fraction_arithmetic(monkeypatch):
         op = getattr(Fraction, name)
         monkeypatch.setattr(Fraction, name, lambda *a, _op=op, _name=name: calls.append(_name) or _op(*a))
     # whiskers I2 (x) s (x) I2 and f (x) I4, composed on either side and
-    # with each other, and built at the end by assert_canonical
+    # with each other, and built at the end by assert_kernel_form
     left, right = kron(LinearMap.identity(2), kron(s, LinearMap.identity(2))), kron(f, LinearMap.identity(4))
     # s and the whisker left are diagonal, and kron of two of them is a
     # diagonal
@@ -573,28 +587,32 @@ def test_compose_and_kron_do_no_fraction_arithmetic(monkeypatch):
               kron(left, s4), kron(s4, left),
               compose(kron(wide, LinearMap.identity(2)), kron(LinearMap.identity(2), tall)),
               left, right):
-        assert_canonical(h)
+        assert_kernel_form(h)
     assert calls == []
 
 
-def test_kron_reduction_factor_comes_from_the_factors():
-    # a product of two diagonals takes its reduction factor from theirs, any
-    # other product from its own numerators (_reduced), as compose does;
-    # 1/2 * 2, 1/2 * 4, 3/2 * 2, 3/2 * 4: the denominator 2 cancels in every product
+def test_kron_keeps_the_product_denominator():
+    # a product of two diagonals, like any other product, keeps the product
+    # of its factors' denominators, as compose does, and is reduced where it
+    # is compared; 1/2 * 2, 1/2 * 4, 3/2 * 2, 3/2 * 4: the denominator 2
+    # cancels in every product
     h = kron(LinearMap.diagonal([rat(1, 2), rat(3, 2)]), LinearMap.diagonal([2, 4]))
-    assert_canonical(h)
-    assert h._den == 1 and stored_values(h) == [1, 2, 3, 6]
+    assert_kernel_form(h)
+    assert h._den == 2 and stored_values(h) == [2, 4, 6, 12]
+    low = reduced(h)
+    assert low._den == 1 and stored_values(low) == [1, 2, 3, 6]
     assert h == LinearMap.diagonal([1, 2, 3, 6])
     rng = random.Random(12)
-    reduced = 0
+    cancelled = 0
     for _ in range(40):
         f = cancelling_map(rng, 3, 4, 0.5)
         g = LinearMap(2, 3, [rng.choice((0, 2, -4, 6, rat(4, 3))) for _ in range(6)])
         for got, want in ((kron(f, g), dense.kron(f, g)), (kron(g, f), dense.kron(g, f))):
-            assert_canonical(got)
+            assert_kernel_form(got)
             assert got == want and hash(got) == hash(want)
-            reduced += got._den < f._den * g._den
-    assert reduced
+            assert got._den == f._den * g._den
+            cancelled += reduced(got)._den < got._den
+    assert cancelled
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +664,7 @@ def test_whiskers_match_dense_reference(name, factors, legs):
         assert (w.rows, w.cols, w._den) == (want.rows, want.cols, want._den)
         assert w == want and want == w and hash(w) == hash(want)
         assert built(w)
-        assert_canonical(w)
+        assert_kernel_form(w)
         assert w.entries == want.entries
         assert kron(f, g).transpose() == dense.transpose(want)
         vec = [rng.choice(CANCELLING + (0,)) for _ in range(w.cols)]
@@ -681,7 +699,7 @@ def test_compose_reads_whiskers_on_either_side_against_dense_reference(kind):
         want = [dense.compose(f, w), dense.compose(w, g), dense.compose(w, s), dense.compose(w, p),
                 dense.compose(v, w)]
         for h, d in zip(got, want):
-            assert_canonical(h)
+            assert_kernel_form(h)
             assert h == d and hash(h) == hash(d)
             assert h.entries == d.entries
 
@@ -783,7 +801,7 @@ def test_compose_of_two_whiskers_leaves_the_left_unbuilt(name, left, right):
         assert f._whisker == (a, x, b) and g._whisker == (c, y, d)
         h = compose(f, g)
         assert not built(f)
-        assert_canonical(h)
+        assert_kernel_form(h)
         want = dense.compose(f, g)
         assert h == want and hash(h) == hash(want)
         assert h.entries == want.entries
@@ -849,7 +867,7 @@ def test_diagonal_and_identity_paths_match_dense_reference():
     assert not built(dw)
     want = [dense.compose(f, g) for f, g in cases] + [dense.kron(f, g) for f, g in pairs]
     for h, w in zip(got, want):
-        assert_canonical(h)
+        assert_kernel_form(h)
         assert h == w and hash(h) == hash(w) and h.entries == w.entries
     for (f, g), h in zip(pairs, got[len(cases):]):
         if f._diag is not None and g._diag is not None:
@@ -857,6 +875,123 @@ def test_diagonal_and_identity_paths_match_dense_reference():
             assert stored_diag(h) == tuple(h._cols[j][j] for j in range(h.rows))
         else:
             assert stored_diag(h) is UNSET
-    # the products of two diagonals cancel to canonical form
+    # the product of two diagonals is built as one over the product of
+    # their denominators, which == cancels
     h = kron(LinearMap.diagonal([rat(1, 2), rat(3, 2)]), LinearMap.diagonal([2, 4]))
-    assert h._den == 1 and stored_diag(h) == (1, 2, 3, 6)
+    assert h._den == 2 and stored_diag(h) == (2, 4, 6, 12)
+    assert h == LinearMap.diagonal([1, 2, 3, 6])
+
+
+# ---------------------------------------------------------------------------
+# lazy reduction: a product keeps the product of its operands' denominators,
+# and a map is read in lowest terms only where it is compared or hashed
+# ---------------------------------------------------------------------------
+
+
+def rescaled(f):
+    """f over twice its denominator, through two products that are not
+    identities: f . 2 . 1/2 stores every numerator of f doubled."""
+    n = f.cols
+    return compose(compose(f, LinearMap.diagonal([2] * n)), LinearMap.diagonal([rat(1, 2)] * n))
+
+
+def test_maps_over_different_denominators_are_equal_and_hash_equal():
+    rng = random.Random(50)
+    h = build_h4(rat(-3, 2))
+    for f in (h.alpha, h.antipode, cancelling_map(rng, 4, 4, 0.6), cancelling_map(rng, 6, 3, 0.5),
+              LinearMap.zeros(2, 2)):
+        g = rescaled(f)
+        assert g._den == 2 * f._den and stored_values(g) == [2 * n for n in stored_values(f)]
+        assert g == f and f == g and hash(g) == hash(f)
+        assert g == dense.compose(dense.compose(f, LinearMap.diagonal([2] * f.cols)),
+                                  LinearMap.diagonal([rat(1, 2)] * f.cols))
+    # one entry off, over either denominator, is another map
+    f = h.alpha
+    for other in (LinearMap.diagonal([1, 1, rat(-3, 2), rat(-2, 3)]), rescaled(LinearMap.diagonal([1, 1, 2, 3]))):
+        assert other != f and other != rescaled(f) and rescaled(f) != other
+    a, b = HopfAutomorphism(h.alpha), HopfAutomorphism(rescaled(h.alpha))
+    assert a.matrix._den != b.matrix._den
+    assert a == b and hash(a) == hash(b)
+    s = HopfAutomorphism(h.antipode)
+    assert AutPair(a, s) == AutPair(b, HopfAutomorphism(rescaled(h.antipode)))
+    assert hash(AutPair(a, s)) == hash(AutPair(b, HopfAutomorphism(rescaled(h.antipode))))
+    assert len({AutPair(a, s), AutPair(b, s), AutPair(s, a)}) == 2
+
+
+def test_a_den_scaled_identity_takes_the_identity_paths():
+    n = 4
+    e = compose(LinearMap.diagonal([2] * n), LinearMap.diagonal([rat(1, 2)] * n))
+    # the numerators 2 over the denominator 2
+    assert e._den == 2 and e._diag == (2,) * n
+    assert e.is_identity() and e == LinearMap.identity(n) and hash(e) == hash(LinearMap.identity(n))
+    rng = random.Random(51)
+    x = cancelling_map(rng, n, n, 0.5)
+    assert compose(e, x) is x and compose(x, e) is x and compose(e, e) is e
+    assert kron(e, x)._whisker == (n, x, 1) and kron(x, e)._whisker == (1, x, n)
+    assert kron(e, e).is_identity() and kron(e, e) is LinearMap.identity(n * n)
+    assert invert(e) is e
+    h = build_h4(rat(-3, 2))
+    for phi in (HopfAutomorphism(e), e):
+        report = check_automorphism(h, phi)
+        assert [(item.identity, item.passed) for item in report][0] == ("aut-invertible", True)
+        assert report.ok()
+
+
+def chain_step(k, d, di, ops):
+    """Step k of a chain of 8 x 8 products through ops (exactlin or the
+    dense reference): d and its inverse di in turn, on either side of the
+    product so far, through a whisker or a diagonal kron, so that its value
+    stays L m R with L and R each d, di or the identity on a leg."""
+    step, scale = (d, [3, rat(1, 3)]) if k % 2 == 0 else (di, [rat(1, 3), 3])
+    kind = k % 3
+    if kind == 0:
+        return lambda got: ops.compose(got, ops.kron(eye(2), step))
+    if kind == 1:
+        return lambda got: ops.compose(ops.kron(step, eye(2)), got)
+    return lambda got: ops.compose(got, ops.kron(LinearMap.diagonal(scale), step))
+
+
+def test_a_long_chain_of_products_stays_under_the_bound(monkeypatch):
+    # the stored denominators multiply by 6 to 90 at each of the 48 steps,
+    # and unreduced would pass 2**62 within 16 of them; a product past the
+    # bound is reduced where it is made
+    calls = []
+    original = exactlin._reduced
+
+    def counted(*args):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return original(*args)
+
+    monkeypatch.setattr(exactlin, "_reduced", counted)
+    rng = random.Random(52)
+    d = LinearMap.diagonal([rat(1, 2), 3, rat(2, 3), 5])
+    di = invert(d)
+    m = cancelling_map(rng, 8, 8, 0.6)
+    got, want = m, m
+    for k in range(48):
+        got = chain_step(k, d, di, exactlin)(got)
+        want = chain_step(k, d, di, dense)(want)
+        assert 0 < got._den <= exactlin._BOUND
+    assert got == want and hash(got) == hash(want) and got.entries == want.entries
+    assert set(calls) == {"_product", "__hash__"} and calls.count("_product") >= 2
+    # kron of two maps over stored denominators whose product passes the
+    # bound, diagonal or not
+    big = compose(compose(d, d), di)
+    lhs = compose(compose(m, kron(eye(2), d)), kron(eye(2), di))
+    assert big == d and lhs == m and big._den > reduced(big)._den and lhs._den > reduced(lhs)._den
+    assert big._den ** 2 > exactlin._BOUND and lhs._den * big._den > exactlin._BOUND
+    calls.clear()
+    k = kron(big, big)
+    assert calls == ["kron"] and 0 < k._den <= exactlin._BOUND
+    assert k == dense.kron(d, d) and k._diag == tuple(k._cols[j][j] for j in range(16))
+    calls.clear()
+    k = kron(lhs, big)
+    assert calls == ["_product"] and 0 < k._den <= exactlin._BOUND
+    assert k == dense.kron(m, d)
+
+
+def test_an_identity_is_shared_per_size():
+    for n in (0, 1, 4, 64):
+        assert LinearMap.identity(n) is LinearMap.identity(n)
+        assert LinearMap.identity(n).is_identity()
+    assert LinearMap.identity(4) is not LinearMap.identity(16)
