@@ -52,6 +52,14 @@ check_hexagons and check_braiding_equivariance take the pair braidings and
 read an object, or build a triple braiding, only where a certificate
 fails.
 
+The certificates below are identities of maps on H that read only the
+component automorphisms (A, B) of their modules and products of them.
+check_t_category numbers those values by == (_Components) and computes
+each identity once per distinct tuple of the values it reads, so modules
+that share a component share its identities.  A module's own laws
+(yd-member, module-twist, module-assoc, eq-1.8-coact, eq-1.7 and eq-3.5's
+braid law) stay per position, and a certificate is the conjunction of both.
+
 tensor-assoc(M, N, P) asks a = mu_M (x) id (x) mu_P^-1 to intertwine the
 actions, and the coactions, of (MN)P and M(NP).  With phi_{X,Y} = C_Y^-1 B_X
 C_Y and g_{X,Y} = (C_Y (x) phi_{X,Y}) comul, each triple action is act_M
@@ -293,10 +301,10 @@ def _phi(b, c):
     return c.inverse @ b.matrix @ c.matrix
 
 
-def _split(m, n):
+def _split(h, b, c):
     """(C (x) C^-1 B C) comul: H -> H (x) H, with B from M's pair and C from
     N's: h.(x (x) y) = act_M (x) act_N on the legs (h1', x, h2', y) of it."""
-    return kron(LinearMap.identity(m.over.dim), _phi(m.pair_b, n.pair_a)) @ n.tensor_comul
+    return kron(c.matrix, _phi(b, c)) @ h.coalgebra.comul
 
 
 def _conj_phi(p, c):
@@ -389,22 +397,37 @@ def associator(m, n, p):
     return kron(m.mu, kron(LinearMap.identity(n.dim), p.mu_inv))
 
 
-def _pair_pieces(modules):
-    """Per pair (i, j) of module positions, the component pair(M) * pair(N)
-    of M (x) N and its split (C (x) C^-1 B C) comul: the certificates read
-    these two pieces of a pair tensor alone."""
-    return {(i, j): (group_mul(m.pair, n.pair), _split(m, n))
-            for (i, m), (j, n) in itertools.product(enumerate(modules), repeat=2)}
+class _Components(list):
+    """The distinct component automorphisms of one check_t_category call,
+    numbered by ==, which hashes no map, and the pieces on H that read them
+    alone, keyed by their numbers and built when first read: split[b, c] =
+    g_{M,N} for B_M numbered b and A_N numbered c (_split), b_mn[b, c, d] =
+    D C^-1 B C, the B of pair(M) * pair(N) for N in (C, D), and part[a, b]
+    = T_(A,B) (_h_parts), which the modules and the conjugates ^pN share."""
+
+    def __init__(self, h):
+        super().__init__()
+        self.split = _Kept(lambda b, c: _split(h, self[b], self[c]))
+        self.b_mn = _Kept(lambda b, c, d: self[d] @ self[c].inv() @ self[b] @ self[c])
+        self.part = _h_parts(h, self)
+
+    def key(self, pair):
+        """The numbers (a, b) of pair's A and B, numbering a new value."""
+        for aut in (pair.a, pair.b):
+            if aut not in self:
+                self.append(aut)
+        return self.index(pair.a), self.index(pair.b)
 
 
-def _laws(h, modules):
+def _laws(h, modules, comps):
     """Whether each law the certificates use holds as an identity of maps
     (module docstring).  Per module, by position: module-twist,
-    module-assoc, eq-1.8-coact, eq-1.7, eq-3.5's braid law, and for its A
-    and its B whether each is a bialgebra map that commutes with S^-1 and
-    whether each commutes with alpha.  On H, once: Hom-associativity
-    a(bc) = (alpha^-1(a) b) alpha(c), and the laws of H that
-    tensor-component reads besides (_component_laws)."""
+    module-assoc, eq-1.8-coact, eq-1.7 and eq-3.5's braid law.  Per
+    component automorphism, keyed by its number (k,) in comps (_Components)
+    and computed when first read: whether it is a bialgebra map that
+    commutes with S^-1, and whether it commutes with alpha.  On H, once:
+    Hom-associativity a(bc) = (alpha^-1(a) b) alpha(c), and the laws of H
+    that tensor-component reads besides (_component_laws)."""
     alpha, alpha_inv, mul, comul = h.alpha, h.alpha_inv, h.algebra.mul, h.coalgebra.comul
     unit, s_inv, idh = h.algebra.unit, h.antipode_inv, LinearMap.identity(h.dim)
     twist = [m.mu @ m.action == m.action @ kron(alpha, m.mu) for m in modules]
@@ -418,9 +441,8 @@ def _laws(h, modules):
         return (comul @ f == kron(f, f) @ comul and f @ mul == mul @ kron(f, f) and f @ unit == unit
                 and f @ s_inv == s_inv @ f)
 
-    components = [(m.pair_a.matrix, m.pair_b.matrix) for m in modules]
-    hopf = [(bialgebra(a), bialgebra(b)) for a, b in components]
-    commute = [(alpha @ a == a @ alpha, alpha @ b == b @ alpha) for a, b in components]
+    hopf = _Kept(lambda k: bialgebra(comps[k].matrix))
+    commute = _Kept(lambda k: alpha @ comps[k].matrix == comps[k].matrix @ alpha)
     hom_assoc = mul @ kron(idh, mul) == mul @ kron(mul @ kron(alpha_inv, idh), alpha)
     return twist, assoc, coact_twist, coassoc, braid_law, hopf, commute, hom_assoc, _component_laws(h)
 
@@ -448,124 +470,135 @@ def _component_laws(h):
     return lam == rho
 
 
-def _h_parts(h, pairs):
-    """T_(A,B) for each pair (A, B) of pairs, in order: the H part of eq-2.1
-    in component (A, B), a map H (x) H -> H (x) H (module docstring).  The
-    legs (k, r) -> (alpha(k21), k22, alpha^-1(r), k1) are built once; each
-    T then puts B on the second leg and A S^-1 on the last, and takes (x, y,
-    z) -> (x y) z on the last three, right to left on the 16 columns."""
+def _h_parts(h, auts):
+    """T_(A,B), the H part of eq-2.1 in component (A, B), a map H (x) H ->
+    H (x) H (module docstring), keyed by the numbers (a, b) of A and B in
+    auts and built when first read.  The legs (k, r) -> (alpha(k21), k22,
+    alpha^-1(r), k1) are built once; each T then puts B on the second leg
+    and A S^-1 on the last, and takes (x, y, z) -> (x y) z on the last
+    three, right to left on the 16 columns."""
     d = h.dim
-    idh, idhh = LinearMap.identity(d), LinearMap.identity(d * d)
+    idh, idhh, idhhh = LinearMap.identity(d), LinearMap.identity(d * d), LinearMap.identity(d ** 3)
     mul, comul = h.algebra.mul, h.coalgebra.comul
     lift = kron(h.alpha, kron(idh, kron(h.alpha_inv, idh))) @ (
         permute((d,) * 4, (1, 2, 3, 0)) @ kron(kron(idh, comul) @ comul, idh))
     products = kron(idh, mul @ kron(mul, idh))
-    return [products @ (kron(idh, kron(pair.b.matrix, idhh))
-                        @ (kron(LinearMap.identity(d ** 3), pair.a.matrix @ h.antipode_inv) @ lift))
-            for pair in pairs]
+    return _Kept(lambda a, b: products @ (kron(idh, kron(auts[b].matrix, idhh))
+                                          @ (kron(idhhh, auts[a].matrix @ h.antipode_inv) @ lift)))
 
 
-def _certificates(h, modules, pieces, laws):
+def _certificates(h, keys, comps, laws):
     """Per triple (i, j, k) of module positions, whether the module and the
     comodule half of tensor-assoc, eq-3.4 and eq-3.5 hold by their
-    certificates on H (module docstring); pieces holds the components and
-    splits of the pair tensors by position (_pair_pieces), and laws the
-    laws of H and of each module (_laws)."""
+    certificates on H (module docstring); keys holds the numbers of the
+    modules' pairs in comps (_Components), and laws the laws of H and of
+    each module (_laws).  The module half's identity is computed once per
+    (B_M, pair(N), A_P), and eq-3.4's coalgebra-map identity of B_{MN}^-1
+    alpha once per (B_M, pair(N))."""
     idh, alpha, alpha_inv, comul = LinearMap.identity(h.dim), h.alpha, h.alpha_inv, h.coalgebra.comul
     twist, _, coact_twist, coassoc, braid_law, _, _, hom_assoc, _ = laws
-    coalgebra_map = {}
-    for (i, j), (mn, _) in pieces.items():
-        f = mn.b.inverse @ alpha
-        coalgebra_map[i, j] = comul @ f == kron(f, f) @ comul
+    split, b_mn = comps.split, comps.b_mn
     outer = kron(alpha, kron(idh, alpha_inv))
-    certified = {}
-    for i, j, k in itertools.product(range(len(modules)), repeat=3):
-        (mn, g_mn), (np, g_np) = pieces[i, j], pieces[j, k]
-        m, p = modules[i], modules[k]
-        module_half = twist[i] and twist[k] and (
-            kron(np.a.matrix, g_np @ _phi(m.pair_b, np.a)) @ comul
-            == outer @ (kron(g_mn @ p.pair_a.matrix, _phi(mn.b, p.pair_a)) @ comul))
-        certified[i, j, k] = (module_half, hom_assoc and coact_twist[i] and coact_twist[k],
-                              coalgebra_map[i, j] and coact_twist[k] and coassoc[k], braid_law[i])
-    return certified
+
+    def coalgebra_map(b, c, d):
+        f = b_mn[b, c, d].inverse @ alpha
+        return comul @ f == kron(f, f) @ comul
+
+    def module_half(b, c, d, e):
+        a_np = comps[c] @ comps[e]
+        return (kron(a_np.matrix, split[d, e] @ _phi(comps[b], a_np)) @ comul
+                == outer @ (kron(split[b, c] @ comps[e].matrix, _phi(b_mn[b, c, d], comps[e])) @ comul))
+
+    coalgebra, module = _Kept(coalgebra_map), _Kept(module_half)
+    return {(i, j, k): (twist[i] and twist[k] and module[b, c, d, e], hom_assoc and coact_twist[i] and coact_twist[k],
+                        coact_twist[k] and coassoc[k] and coalgebra[b, c, d], braid_law[i])
+            for (i, (_, b)), (j, (c, d)), (k, (e, _)) in itertools.product(enumerate(keys), repeat=3)}
 
 
-def _functor_certificates(h, modules, pairs, pieces, conj):
+def _functor_certificates(h, pairs, keys, conj_keys, comps):
     """Whether functor-tensor(p;M,N) holds by its certificate on H, f_p
     multiplicative and the split identity (module docstring), keyed by the
-    positions (p, M, N); pieces holds the components and splits of the pair
-    tensors (_pair_pieces) and conj the conjugates ^pN by position."""
+    positions (p, M, N); keys and conj_keys hold the numbers of the pairs of
+    the modules and of the conjugates ^pN, by position, in comps
+    (_Components).  The split identity is computed once per (p, pair(M),
+    A_N)."""
     mul = h.algebra.mul
-    phi = {(pi, i): _conj_phi(p, m.pair_a) for pi, p in enumerate(pairs) for i, m in enumerate(modules)}
-    certified = {}
-    for pi, p in enumerate(pairs):
-        f = _conj_f(p)
-        multiplicative = f @ mul == mul @ kron(f, f)
-        for (i, j), (mn, g) in pieces.items():
-            certified[pi, i, j] = multiplicative and (
-                g @ _conj_phi(p, mn.a) == kron(phi[pi, i], phi[pi, j]) @ _split(conj[pi, i], conj[pi, j]))
-    return certified
+    phi = _Kept(lambda pi, a: _conj_phi(pairs[pi], comps[a]))
+
+    def split_identity(pi, a, b, c, conj_b, conj_c):
+        # conj_b, the B of ^pM, and conj_c, the A of ^pN, follow from the rest
+        return (comps.split[b, c] @ _conj_phi(pairs[pi], comps[a] @ comps[c])
+                == kron(phi[pi, a], phi[pi, c]) @ comps.split[conj_b, conj_c])
+
+    multiplicative = [f @ mul == mul @ kron(f, f) for f in map(_conj_f, pairs)]
+    identity = _Kept(split_identity)
+    return {(pi, i, j): multiplicative[pi] and identity[pi, a, b, c, conj_keys[pi, i][1], conj_keys[pi, j][0]]
+            for pi in range(len(pairs)) for (i, (a, b)), (j, (c, _)) in itertools.product(enumerate(keys), repeat=2)}
 
 
-def _braiding_certificates(h, modules, pieces, member, laws, part):
+def _braiding_certificates(h, keys, comps, member, laws):
     """Per pair (i, j) of module positions, whether tensor-component,
     braiding-module-map, braiding-comodule-map and braiding-morphism hold by
-    their certificates on H (module docstring); pieces holds the components
-    and splits of the pair tensors (_pair_pieces), member the yd-member
-    verdicts, laws the laws (_laws) and part the H parts T_X of eq-2.1
-    (_h_parts), by position.  tensor-component and braiding-morphism are
-    conjunctions of those; Psi_L = Psi_R, per pair, and Xi_L pre = Xi_R pre,
-    per module, are taken right to left on their 16 columns."""
-    d = h.dim
-    idh = LinearMap.identity(d)
+    their certificates on H (module docstring); keys holds the numbers of
+    the modules' pairs in comps (_Components), member the yd-member
+    verdicts and laws the laws (_laws).  tensor-component and
+    braiding-morphism are conjunctions of those; Psi_L = Psi_R, once per
+    (B_M, pair(N)), and Xi_L pre = Xi_R pre, once per pair(M), are taken
+    right to left on their 16 columns."""
+    idh = LinearMap.identity(h.dim)
     alpha, alpha_inv, mul, comul = h.alpha, h.alpha_inv, h.algebra.mul, h.coalgebra.comul
     twist, assoc, coact_twist, coassoc, _, hopf, commute, hom_assoc, component_laws = laws
-    pre, rotate = kron(comul, idh), permute((d,) * 3, (1, 2, 0))
-    # per module M: (u, w, a) -> (alpha(u), alpha^-1(B^-1 w) alpha^-1(a)),
-    # the left end of Psi_L; and Xi_L pre = Xi_R pre, with Xi_L pre (t, r) =
-    # T_M(B^-1 alpha(t2), alpha^-1(r)) times f alpha(t1) and Xi_R pre (t, r)
-    # = (B^-1(t1), alpha(t2) r)
-    psi_left, xi = [], []
-    for m, t_m in zip(modules, part):
-        b_inv = m.pair_b.inverse
-        psi_left.append(kron(alpha, mul @ kron(alpha_inv @ b_inv, alpha_inv)) @ rotate)
-        xi.append(kron(idh, mul) @ (kron(t_m, _conj_f(m.pair) @ alpha)
-                                    @ (rotate @ (kron(idh, kron(b_inv @ alpha, alpha_inv)) @ pre)))
-                  == kron(b_inv, mul @ kron(alpha, idh)) @ pre)
-    certified = {}
-    for (i, j), (mn, g) in pieces.items():
-        m, n = modules[i], modules[j]
-        b_inv = m.pair_b.inverse
-        # B of M and C of N are bialgebra maps that commute with S^-1, and
-        # M's A and B and N's C and D commute with alpha
-        component = (member[i] and member[j] and hom_assoc and component_laws and hopf[i][1] and hopf[j][0]
-                     and all(commute[i]) and all(commute[j]))
+    pre, rotate, part = kron(comul, idh), permute((h.dim,) * 3, (1, 2, 0)), comps.part
+    # per B_M: (u, w, a) -> (alpha(u), alpha^-1(B^-1 w) alpha^-1(a)), the
+    # left end of Psi_L
+    psi_left = _Kept(lambda b: kron(alpha, mul @ kron(alpha_inv @ comps[b].inverse, alpha_inv)) @ rotate)
+
+    def psi(b, c, d):
         # Psi_L (h, t) from (a, T_N(k, t)) for (a, k) = g(h), and Psi_R (h, t)
         # = (C^-1 B C(h1), alpha^-1(B^-1 B_MN(h2)) B^-1(t))
-        module_map = member[j] and twist[i] and twist[j] and assoc[i] and (
-            psi_left[i] @ (kron(idh, part[j]) @ kron(g, idh))
-            == kron(_phi(m.pair_b, n.pair_a), mul @ kron(alpha_inv @ b_inv @ mn.b.matrix, b_inv)) @ pre)
-        comodule_map = member[i] and coact_twist[i] and coact_twist[j] and coassoc[j] and xi[i]
-        morphism = twist[i] and coact_twist[j] and commute[i][1]
+        b_inv = comps[b].inverse
+        return (psi_left[b,] @ (kron(idh, part[c, d]) @ kron(comps.split[b, c], idh))
+                == kron(_phi(comps[b], comps[c]), mul @ kron(alpha_inv @ b_inv @ comps.b_mn[b, c, d].matrix, b_inv))
+                @ pre)
+
+    def xi(a, b):
+        # Xi_L pre (t, r) = T_M(B^-1 alpha(t2), alpha^-1(r)) times f alpha(t1)
+        # and Xi_R pre (t, r) = (B^-1(t1), alpha(t2) r)
+        b_inv = comps[b].inverse
+        return (kron(idh, mul) @ (kron(part[a, b], comps[a].matrix @ b_inv @ alpha)
+                                  @ (rotate @ (kron(idh, kron(b_inv @ alpha, alpha_inv)) @ pre)))
+                == kron(b_inv, mul @ kron(alpha, idh)) @ pre)
+
+    psi, xi = _Kept(psi), _Kept(xi)
+    certified = {}
+    for (i, (a, b)), (j, (c, d)) in itertools.product(enumerate(keys), repeat=2):
+        # B of M and C of N are bialgebra maps that commute with S^-1, and
+        # M's A and B and N's C and D commute with alpha
+        component = (member[i] and member[j] and hom_assoc and component_laws and hopf[b,] and hopf[c,]
+                     and commute[a,] and commute[b,] and commute[c,] and commute[d,])
+        module_map = member[j] and twist[i] and twist[j] and assoc[i] and psi[b, c, d]
+        comodule_map = member[i] and coact_twist[i] and coact_twist[j] and coassoc[j] and xi[a, b]
+        morphism = twist[i] and coact_twist[j] and commute[b,]
         certified[i, j] = component, module_map, comodule_map, morphism
     return certified
 
 
-def _conjugate_certificates(h, modules, pairs, conj, member, part):
+def _conjugate_certificates(h, pairs, keys, conj_keys, comps, member):
     """Whether conjugate-component(p;N) holds by its certificate on H, keyed
     by the positions (p, N): yd-member(N) and (id (x) f_p) T_N (phi_{p,N}
-    (x) id) = (phi_{p,N} (x) id) T_{^pN} (id (x) f_p) (module docstring);
-    conj holds the conjugates ^pN, member the yd-member verdicts and part
-    the T_N (_h_parts), by position.  Each side is taken right to left on
-    its 16 columns."""
-    idh = LinearMap.identity(h.dim)
-    keys = [(pi, i) for pi, i in conj if member[i]]
-    conj_part = dict(zip(keys, _h_parts(h, [conj[key].pair for key in keys])))
-    certified = dict.fromkeys(conj, False)
-    for pi, i in keys:
-        phi, f = kron(_conj_phi(pairs[pi], modules[i].pair_a), idh), kron(idh, _conj_f(pairs[pi]))
-        certified[pi, i] = f @ (part[i] @ phi) == phi @ (conj_part[pi, i] @ f)
-    return certified
+    (x) id) = (phi_{p,N} (x) id) T_{^pN} (id (x) f_p) (module docstring),
+    the identity computed once per (p, pair(N)); keys and conj_keys hold
+    the numbers of the pairs of N and of ^pN in comps (_Components), and
+    member the yd-member verdicts.  Each side is taken right to left on its
+    16 columns."""
+    idh, part = LinearMap.identity(h.dim), comps.part
+
+    def holds(pi, a, b, conj_a, conj_b):
+        phi, f = kron(_conj_phi(pairs[pi], comps[a]), idh), kron(idh, _conj_f(pairs[pi]))
+        return f @ (part[a, b] @ phi) == phi @ (part[conj_a, conj_b] @ f)
+
+    identity = _Kept(holds)
+    return {(pi, i): member[i] and identity[(pi,) + keys[i] + key] for (pi, i), key in conj_keys.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +730,8 @@ def sample_nonzero_rationals(seed, count, max_abs=4, denominators=(1, 2, 3)):
 
 class _Kept(dict):
     """Objects built by build(*key) when first read, and kept by their key,
-    a tuple of positions, for one check_t_category call."""
+    a tuple of positions or of value numbers (_Components), for one
+    check_t_category call."""
 
     def __init__(self, build):
         super().__init__()
@@ -726,22 +760,24 @@ def check_t_category(h, modules, pairs, seed=0):
     and kept by position for this call.  tensor_yd, braiding and
     braiding_inverse read the one-object pieces of their factors, which
     each object builds once, when first read.  The certificates on H read a
-    pair tensor's component and split alone (_pair_pieces), and the H
-    parts T_X of eq-2.1 (_h_parts).  tensor-component and the braiding
-    module, comodule and morphism laws of a pair are decided by them and by
-    laws of H and of each module computed once (_laws,
-    _braiding_certificates); only an item that fails builds M (x) N, or M
-    (x) N and ^MN (x) M, and runs the full comparison.  So is
+    pair tensor's split and the B of its component alone, and the H parts
+    T_X of eq-2.1 (_h_parts); each identity of them is computed once per
+    distinct tuple of the component values it reads, numbered by == for
+    this call (_Components), and the per-module laws stay per position.
+    tensor-component and the braiding module, comodule and morphism laws of
+    a pair are decided by them and by laws of H and of each module computed
+    once (_laws, _braiding_certificates); only an item that fails builds M
+    (x) N, or M (x) N and ^MN (x) M, and runs the full comparison.  So is
     conjugate-component (_conjugate_certificates); only an item that fails
-    runs check_yd on ^pN, which is built for every (p, N) all the same, as
-    functor-tensor reads it.  tensor-assoc and the hexagons of a triple are
-    decided by certificates on H (_certificates); only one that fails
-    builds triple tensors or triple braidings, and eq-3.4 reads ^NP only
-    then.  So is
-    functor-tensor (_functor_certificates); only an item that fails builds
-    ^p(M (x) N) and ^pM (x) ^pN.  The group axioms, functor-compose,
-    conjugation-invariance and naturality-id hold for any input (module
-    docstring): they pass, and nothing is built or computed for them.
+    runs check_yd on ^pN, which is built for every (p, N) all the same,
+    though the certificates read only its component pair.  tensor-assoc and
+    the hexagons of a triple are decided by certificates on H
+    (_certificates); only one that fails builds triple tensors or triple
+    braidings, and eq-3.4 reads ^NP only then.  So is functor-tensor
+    (_functor_certificates); only an item that fails builds ^p(M (x) N) and
+    ^pM (x) ^pN.  The group axioms, functor-compose, conjugation-invariance
+    and naturality-id hold for any input (module docstring): they pass, and
+    nothing is built or computed for them.
     """
     rep = CheckReport("t-category", seed=seed)
     modules = list(modules)
@@ -754,7 +790,6 @@ def check_t_category(h, modules, pairs, seed=0):
             raise InvalidStructure(_shape_report(rep.suite, "module %s lives over another algebra" % m.name))
     idh = LinearMap.identity(h.dim)
     index_pairs = list(itertools.product(range(len(modules)), repeat=2))
-    pieces = _pair_pieces(modules)
     tensor = _Kept(lambda i, j: tensor_yd(modules[i], modules[j]))
     twisted = _Kept(lambda i, j: conjugate_yd(modules[i].pair, modules[j]))
     target = _Kept(lambda i, j: tensor_yd(twisted[i, j], modules[i]))
@@ -763,6 +798,9 @@ def check_t_category(h, modules, pairs, seed=0):
         (pi, i): conjugate_yd(p, m)
         for pi, p in enumerate(pairs) for i, m in enumerate(modules)
     }
+    comps = _Components(h)
+    keys = [comps.key(m.pair) for m in modules]
+    conj_keys = {key: comps.key(c.pair) for key, c in conj.items()}
 
     for p in pairs:
         for name, aut in (("a", p.a), ("b", p.b)):
@@ -783,9 +821,8 @@ def check_t_category(h, modules, pairs, seed=0):
         rep.add_verdict("yd-member(%s)" % m.name, "module satisfies eq-2.1 in its component", sub)
         member.append(sub.ok())
 
-    laws = _laws(h, modules)
-    part = _h_parts(h, [m.pair for m in modules])
-    braided = _braiding_certificates(h, modules, pieces, member, laws, part)
+    laws = _laws(h, modules, comps)
+    braided = _braiding_certificates(h, keys, comps, member, laws)
     for i, j in index_pairs:
         m, n = modules[i], modules[j]
         b = braid[i, j]
@@ -801,7 +838,7 @@ def check_t_category(h, modules, pairs, seed=0):
         # (id (x) id) c = c (id (x) id) for any map c (module docstring)
         rep.add("naturality-id(%s)" % _pair_labels(m, n), "(id (x) id) c = c (id (x) id)", True)
 
-    conjugated = _conjugate_certificates(h, modules, pairs, conj, member, part)
+    conjugated = _conjugate_certificates(h, pairs, keys, conj_keys, comps, member)
     for pi, p in enumerate(pairs):
         for i, n in enumerate(modules):
             ident = "conjugate-component(%s;%s)" % (p.name, n.name)
@@ -816,7 +853,7 @@ def check_t_category(h, modules, pairs, seed=0):
             rep.add("functor-compose(%s,%s;%s)" % (p.name, q.name, n.name),
                     "^(p*q)N = ^p(^qN) as structure tensors", True)
 
-    functor_tensor = _functor_certificates(h, modules, pairs, pieces, conj)
+    functor_tensor = _functor_certificates(h, pairs, keys, conj_keys, comps)
     for pi, p in enumerate(pairs):
         for i, j in index_pairs:
             m, n = modules[i], modules[j]
@@ -827,7 +864,7 @@ def check_t_category(h, modules, pairs, seed=0):
             )
             rep.extend(check_conjugation_invariance(p, braid[i, j]))
 
-    certified = _certificates(h, modules, pieces, laws)
+    certified = _certificates(h, keys, comps, laws)
     for i, j, k in itertools.product(range(len(modules)), repeat=3):
         m, n, p_mod = modules[i], modules[j], modules[k]
         holds = all(certified[i, j, k][:2])

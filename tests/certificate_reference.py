@@ -1,0 +1,193 @@
+"""Reference certificates: the certificate functions of check_t_category
+as they were when each identity on H was computed once per module
+position, not once per distinct tuple of the component values it reads.
+
+Every table here is keyed by positions: the pair pieces by (M, N), the T_X
+by module, the identities of _certificates, _braiding_certificates,
+_functor_certificates and _conjugate_certificates by the positions of
+their modules and pairs, and the laws of each component automorphism by
+the module that carries it.  They share with t_category only the group
+words (_phi, _conj_phi, _conj_f, group_mul) and the laws of H alone
+(_component_laws), which the keying does not touch.
+"""
+
+import itertools
+
+from homyd.exactlin import LinearMap, kron, permute
+from homyd.t_category import _component_laws, _conj_f, _conj_phi, _phi, group_mul
+
+
+def _split(m, n):
+    """(C (x) C^-1 B C) comul: H -> H (x) H, with B from M's pair and C from
+    N's: h.(x (x) y) = act_M (x) act_N on the legs (h1', x, h2', y) of it."""
+    return kron(LinearMap.identity(m.over.dim), _phi(m.pair_b, n.pair_a)) @ n.tensor_comul
+
+
+def _pair_pieces(modules):
+    """Per pair (i, j) of module positions, the component pair(M) * pair(N)
+    of M (x) N and its split (C (x) C^-1 B C) comul: the certificates read
+    these two pieces of a pair tensor alone."""
+    return {(i, j): (group_mul(m.pair, n.pair), _split(m, n))
+            for (i, m), (j, n) in itertools.product(enumerate(modules), repeat=2)}
+
+
+def _laws(h, modules):
+    """Whether each law the certificates use holds as an identity of maps
+    (module docstring).  Per module, by position: module-twist,
+    module-assoc, eq-1.8-coact, eq-1.7, eq-3.5's braid law, and for its A
+    and its B whether each is a bialgebra map that commutes with S^-1 and
+    whether each commutes with alpha.  On H, once: Hom-associativity
+    a(bc) = (alpha^-1(a) b) alpha(c), and the laws of H that
+    tensor-component reads besides (_component_laws)."""
+    alpha, alpha_inv, mul, comul = h.alpha, h.alpha_inv, h.algebra.mul, h.coalgebra.comul
+    unit, s_inv, idh = h.algebra.unit, h.antipode_inv, LinearMap.identity(h.dim)
+    twist = [m.mu @ m.action == m.action @ kron(alpha, m.mu) for m in modules]
+    assoc = [m.action @ kron(alpha, m.action) == m.action @ kron(mul, m.mu) for m in modules]
+    coact_twist = [m.coaction @ m.mu == kron(m.mu, alpha) @ m.coaction for m in modules]
+    coassoc = [kron(m.mu_inv, comul) @ m.coaction == kron(m.coaction, alpha_inv) @ m.coaction for m in modules]
+    braid_law = [m.mu_inv @ m.action @ kron(m.pair_b.inverse @ mul, LinearMap.identity(m.dim))
+                 == m.action @ kron(m.pair_b.inverse, m.mu_inv @ m.braid_act) for m in modules]
+
+    def bialgebra(f):
+        return (comul @ f == kron(f, f) @ comul and f @ mul == mul @ kron(f, f) and f @ unit == unit
+                and f @ s_inv == s_inv @ f)
+
+    components = [(m.pair_a.matrix, m.pair_b.matrix) for m in modules]
+    hopf = [(bialgebra(a), bialgebra(b)) for a, b in components]
+    commute = [(alpha @ a == a @ alpha, alpha @ b == b @ alpha) for a, b in components]
+    hom_assoc = mul @ kron(idh, mul) == mul @ kron(mul @ kron(alpha_inv, idh), alpha)
+    return twist, assoc, coact_twist, coassoc, braid_law, hopf, commute, hom_assoc, _component_laws(h)
+
+
+def _h_parts(h, pairs):
+    """T_(A,B) for each pair (A, B) of pairs, in order: the H part of eq-2.1
+    in component (A, B), a map H (x) H -> H (x) H (module docstring).  The
+    legs (k, r) -> (alpha(k21), k22, alpha^-1(r), k1) are built once; each
+    T then puts B on the second leg and A S^-1 on the last, and takes (x, y,
+    z) -> (x y) z on the last three, right to left on the 16 columns."""
+    d = h.dim
+    idh, idhh = LinearMap.identity(d), LinearMap.identity(d * d)
+    mul, comul = h.algebra.mul, h.coalgebra.comul
+    lift = kron(h.alpha, kron(idh, kron(h.alpha_inv, idh))) @ (
+        permute((d,) * 4, (1, 2, 3, 0)) @ kron(kron(idh, comul) @ comul, idh))
+    products = kron(idh, mul @ kron(mul, idh))
+    return [products @ (kron(idh, kron(pair.b.matrix, idhh))
+                        @ (kron(LinearMap.identity(d ** 3), pair.a.matrix @ h.antipode_inv) @ lift))
+            for pair in pairs]
+
+
+def _certificates(h, modules, pieces, laws):
+    """Per triple (i, j, k) of module positions, whether the module and the
+    comodule half of tensor-assoc, eq-3.4 and eq-3.5 hold by their
+    certificates on H (module docstring); pieces holds the components and
+    splits of the pair tensors by position (_pair_pieces), and laws the
+    laws of H and of each module (_laws)."""
+    idh, alpha, alpha_inv, comul = LinearMap.identity(h.dim), h.alpha, h.alpha_inv, h.coalgebra.comul
+    twist, _, coact_twist, coassoc, braid_law, _, _, hom_assoc, _ = laws
+    coalgebra_map = {}
+    for (i, j), (mn, _) in pieces.items():
+        f = mn.b.inverse @ alpha
+        coalgebra_map[i, j] = comul @ f == kron(f, f) @ comul
+    outer = kron(alpha, kron(idh, alpha_inv))
+    certified = {}
+    for i, j, k in itertools.product(range(len(modules)), repeat=3):
+        (mn, g_mn), (np, g_np) = pieces[i, j], pieces[j, k]
+        m, p = modules[i], modules[k]
+        module_half = twist[i] and twist[k] and (
+            kron(np.a.matrix, g_np @ _phi(m.pair_b, np.a)) @ comul
+            == outer @ (kron(g_mn @ p.pair_a.matrix, _phi(mn.b, p.pair_a)) @ comul))
+        certified[i, j, k] = (module_half, hom_assoc and coact_twist[i] and coact_twist[k],
+                              coalgebra_map[i, j] and coact_twist[k] and coassoc[k], braid_law[i])
+    return certified
+
+
+def _functor_certificates(h, modules, pairs, pieces, conj):
+    """Whether functor-tensor(p;M,N) holds by its certificate on H, f_p
+    multiplicative and the split identity (module docstring), keyed by the
+    positions (p, M, N); pieces holds the components and splits of the pair
+    tensors (_pair_pieces) and conj the conjugates ^pN by position."""
+    mul = h.algebra.mul
+    phi = {(pi, i): _conj_phi(p, m.pair_a) for pi, p in enumerate(pairs) for i, m in enumerate(modules)}
+    certified = {}
+    for pi, p in enumerate(pairs):
+        f = _conj_f(p)
+        multiplicative = f @ mul == mul @ kron(f, f)
+        for (i, j), (mn, g) in pieces.items():
+            certified[pi, i, j] = multiplicative and (
+                g @ _conj_phi(p, mn.a) == kron(phi[pi, i], phi[pi, j]) @ _split(conj[pi, i], conj[pi, j]))
+    return certified
+
+
+def _braiding_certificates(h, modules, pieces, member, laws, part):
+    """Per pair (i, j) of module positions, whether tensor-component,
+    braiding-module-map, braiding-comodule-map and braiding-morphism hold by
+    their certificates on H (module docstring); pieces holds the components
+    and splits of the pair tensors (_pair_pieces), member the yd-member
+    verdicts, laws the laws (_laws) and part the H parts T_X of eq-2.1
+    (_h_parts), by position.  tensor-component and braiding-morphism are
+    conjunctions of those; Psi_L = Psi_R, per pair, and Xi_L pre = Xi_R pre,
+    per module, are taken right to left on their 16 columns."""
+    d = h.dim
+    idh = LinearMap.identity(d)
+    alpha, alpha_inv, mul, comul = h.alpha, h.alpha_inv, h.algebra.mul, h.coalgebra.comul
+    twist, assoc, coact_twist, coassoc, _, hopf, commute, hom_assoc, component_laws = laws
+    pre, rotate = kron(comul, idh), permute((d,) * 3, (1, 2, 0))
+    # per module M: (u, w, a) -> (alpha(u), alpha^-1(B^-1 w) alpha^-1(a)),
+    # the left end of Psi_L; and Xi_L pre = Xi_R pre, with Xi_L pre (t, r) =
+    # T_M(B^-1 alpha(t2), alpha^-1(r)) times f alpha(t1) and Xi_R pre (t, r)
+    # = (B^-1(t1), alpha(t2) r)
+    psi_left, xi = [], []
+    for m, t_m in zip(modules, part):
+        b_inv = m.pair_b.inverse
+        psi_left.append(kron(alpha, mul @ kron(alpha_inv @ b_inv, alpha_inv)) @ rotate)
+        xi.append(kron(idh, mul) @ (kron(t_m, _conj_f(m.pair) @ alpha)
+                                    @ (rotate @ (kron(idh, kron(b_inv @ alpha, alpha_inv)) @ pre)))
+                  == kron(b_inv, mul @ kron(alpha, idh)) @ pre)
+    certified = {}
+    for (i, j), (mn, g) in pieces.items():
+        m, n = modules[i], modules[j]
+        b_inv = m.pair_b.inverse
+        # B of M and C of N are bialgebra maps that commute with S^-1, and
+        # M's A and B and N's C and D commute with alpha
+        component = (member[i] and member[j] and hom_assoc and component_laws and hopf[i][1] and hopf[j][0]
+                     and all(commute[i]) and all(commute[j]))
+        # Psi_L (h, t) from (a, T_N(k, t)) for (a, k) = g(h), and Psi_R (h, t)
+        # = (C^-1 B C(h1), alpha^-1(B^-1 B_MN(h2)) B^-1(t))
+        module_map = member[j] and twist[i] and twist[j] and assoc[i] and (
+            psi_left[i] @ (kron(idh, part[j]) @ kron(g, idh))
+            == kron(_phi(m.pair_b, n.pair_a), mul @ kron(alpha_inv @ b_inv @ mn.b.matrix, b_inv)) @ pre)
+        comodule_map = member[i] and coact_twist[i] and coact_twist[j] and coassoc[j] and xi[i]
+        morphism = twist[i] and coact_twist[j] and commute[i][1]
+        certified[i, j] = component, module_map, comodule_map, morphism
+    return certified
+
+
+def _conjugate_certificates(h, modules, pairs, conj, member, part):
+    """Whether conjugate-component(p;N) holds by its certificate on H, keyed
+    by the positions (p, N): yd-member(N) and (id (x) f_p) T_N (phi_{p,N}
+    (x) id) = (phi_{p,N} (x) id) T_{^pN} (id (x) f_p) (module docstring);
+    conj holds the conjugates ^pN, member the yd-member verdicts and part
+    the T_N (_h_parts), by position.  Each side is taken right to left on
+    its 16 columns."""
+    idh = LinearMap.identity(h.dim)
+    keys = [(pi, i) for pi, i in conj if member[i]]
+    conj_part = dict(zip(keys, _h_parts(h, [conj[key].pair for key in keys])))
+    certified = dict.fromkeys(conj, False)
+    for pi, i in keys:
+        phi, f = kron(_conj_phi(pairs[pi], modules[i].pair_a), idh), kron(idh, _conj_f(pairs[pi]))
+        certified[pi, i] = f @ (part[i] @ phi) == phi @ (conj_part[pi, i] @ f)
+    return certified
+
+
+def reference_certificates(h, modules, pairs, conj, member):
+    """Per family, the certificate dict check_t_category decides from, by
+    position: _braiding_certificates, _conjugate_certificates,
+    _functor_certificates and _certificates."""
+    pieces, laws = _pair_pieces(modules), _laws(h, modules)
+    part = _h_parts(h, [m.pair for m in modules])
+    return {
+        "braiding": _braiding_certificates(h, modules, pieces, member, laws, part),
+        "conjugate": _conjugate_certificates(h, modules, pairs, conj, member, part),
+        "functor": _functor_certificates(h, modules, pairs, pieces, conj),
+        "triple": _certificates(h, modules, pieces, laws),
+    }

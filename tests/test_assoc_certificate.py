@@ -37,6 +37,13 @@ def shipped_text(point="c = 1"):
     return text.replace("c = 1\n", point + "\n")
 
 
+def numbered(h, modules):
+    """The _Components of one check_t_category call on modules, and the
+    numbers of each module's pair in it, by position."""
+    comps = tc._Components(h)
+    return comps, [comps.key(m.pair) for m in modules]
+
+
 def objects(text):
     """The H4 of text and its ydmodules plus the trivial module, as the tcat
     suite takes them."""
@@ -61,7 +68,8 @@ def certified_halves(h, modules):
     comparison's."""
     index_pairs = itertools.product(range(len(modules)), repeat=2)
     tensor = {(i, j): tensor_yd(modules[i], modules[j]) for i, j in index_pairs}
-    certified = tc._certificates(h, modules, tc._pair_pieces(modules), tc._laws(h, modules))
+    comps, keys = numbered(h, modules)
+    certified = tc._certificates(h, keys, comps, tc._laws(h, modules, comps))
     for i, j, k in itertools.product(range(len(modules)), repeat=3):
         full = full_halves(modules[i], modules[j], modules[k], tensor[i, j], tensor[j, k])
         triple = ",".join(modules[x].name for x in (i, j, k))

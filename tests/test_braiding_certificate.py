@@ -34,7 +34,7 @@ from homyd.exactlin import LinearMap, flip, kron, permute
 from homyd.hom_algebra import AutPair, HopfAutomorphism
 from homyd.yd_modules import check_yd, trivial_yd
 from test_assoc_certificate import CASES as ASSOC_CASES
-from test_assoc_certificate import INPUTS, TWISTED, objects, shipped_text
+from test_assoc_certificate import INPUTS, TWISTED, numbered, objects, shipped_text
 from test_t_category import broken_module, broken_p, random_structure
 from transport import transport
 
@@ -42,14 +42,20 @@ FAMILIES = ("tensor-component", "braiding-module-map", "braiding-comodule-map", 
 POINTS = ("c = 1", TWISTED)
 
 
+def h_parts(h, pairs):
+    """T_X for each pair X, in order (t_category._h_parts)."""
+    comps = tc._Components(h)
+    return [comps.part[comps.key(pair)] for pair in pairs]
+
+
 def phi_sides(h, m, n):
     """Phi_L and Phi_R (t_category docstring), maps on H (x) H (x) H taken
     right to left on their 64 columns: Phi_L(h, r, s) = (u_M, u_N, w_N w_M)
     for (u_M, w_M) = T_M(g', r) and (u_N, w_N) = T_N(g'', s), and Phi_R(h,
     r, s) = (g (x) id) T_MN(h, s r)."""
-    d, g = h.dim, tc._split(m, n)
+    d, g = h.dim, tc._split(h, m.pair_b, n.pair_a)
     idh = LinearMap.identity(d)
-    t_m, t_n, t_mn = tc._h_parts(h, [m.pair, n.pair, tc.group_mul(m.pair, n.pair)])
+    t_m, t_n, t_mn = h_parts(h, [m.pair, n.pair, tc.group_mul(m.pair, n.pair)])
     return gathered(h, t_m, t_n, g), kron(g, idh) @ (t_mn @ kron(idh, h.algebra.mul @ flip(d, d)))
 
 
@@ -69,10 +75,9 @@ def certified_items(h, modules):
     comparison's: eq-2.1 for M (x) N, and check_braiding_equivariance with
     no certificate given.  Where tensor-component's certificate holds,
     Phi_L = Phi_R must hold too."""
-    laws = tc._laws(h, modules)
+    comps, keys = numbered(h, modules)
     member = [check_yd(m).ok() for m in modules]
-    part = tc._h_parts(h, [m.pair for m in modules])
-    certified = tc._braiding_certificates(h, modules, tc._pair_pieces(modules), member, laws, part)
+    certified = tc._braiding_certificates(h, keys, comps, member, tc._laws(h, modules, comps))
     for i, j in itertools.product(range(len(modules)), repeat=2):
         m, n = modules[i], modules[j]
         b = tc.braiding(m, n)
@@ -243,7 +248,7 @@ def derivation(h, m, n, lam):
     # T_M(C(k), r) = (C (x) id) T_(AC, BC)(k, r) and T_N(phi(k), s) =
     # (phi (x) id) T_(BC, D phi)(k, s)
     bc = m.pair_b @ n.pair_a
-    t_m, t_n = tc._h_parts(h, [AutPair(m.pair_a @ n.pair_a, bc), AutPair(bc, n.pair_b @ HopfAutomorphism(phi))])
+    t_m, t_n = h_parts(h, [AutPair(m.pair_a @ n.pair_a, bc), AutPair(bc, n.pair_b @ HopfAutomorphism(phi))])
     idh = LinearMap.identity(d)
     moved = gathered(h, kron(c, idh) @ t_m, kron(phi, idh) @ t_n, h.coalgebra.comul)
     return left, moved, through_e(h, m, n, lam), right

@@ -37,7 +37,7 @@ from homyd.defformat import parse_definition, resolve_definition, run_checks
 from homyd.hom_algebra import AutPair
 from homyd.yd_modules import check_yd, trivial_yd
 from test_assoc_certificate import CASES as ASSOC_CASES
-from test_assoc_certificate import INPUTS, TWISTED, objects, shipped_text
+from test_assoc_certificate import INPUTS, TWISTED, numbered, objects, shipped_text
 from test_t_category import broken_p, random_structure
 
 
@@ -57,10 +57,11 @@ def certified_items(h, modules, pairs):
     index_pairs = list(itertools.product(range(len(modules)), repeat=2))
     tensor = {(i, j): tc.tensor_yd(modules[i], modules[j]) for i, j in index_pairs}
     conj = {(pi, i): tc.conjugate_yd(p, m) for pi, p in enumerate(pairs) for i, m in enumerate(modules)}
-    functor_tensor = tc._functor_certificates(h, modules, pairs, tc._pair_pieces(modules), conj)
+    comps, keys = numbered(h, modules)
+    conj_keys = {key: comps.key(yd.pair) for key, yd in conj.items()}
+    functor_tensor = tc._functor_certificates(h, pairs, keys, conj_keys, comps)
     member = [check_yd(m).ok() for m in modules]
-    part = tc._h_parts(h, [m.pair for m in modules])
-    conjugated = tc._conjugate_certificates(h, modules, pairs, conj, member, part)
+    conjugated = tc._conjugate_certificates(h, pairs, keys, conj_keys, comps, member)
     for (pi, i), yd in conj.items():
         yield "conjugate-component(%d;%d)" % (pi, i), conjugated[pi, i], check_yd(yd).ok()
     for (pi, p), (qi, q) in itertools.product(enumerate(pairs), repeat=2):

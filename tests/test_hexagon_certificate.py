@@ -20,7 +20,7 @@ import homyd.t_category as tc
 from homyd.defformat import parse_definition, run_checks
 from homyd.yd_modules import trivial_yd
 from test_assoc_certificate import CASES as ASSOC_CASES
-from test_assoc_certificate import INPUTS, TWISTED, objects, shipped_text
+from test_assoc_certificate import INPUTS, TWISTED, numbered, objects, shipped_text
 from test_t_category import random_structure
 
 
@@ -31,7 +31,8 @@ def certified_equations(h, modules):
     tensor = {(i, j): tc.tensor_yd(modules[i], modules[j]) for i, j in index_pairs}
     braid = {(i, j): tc.braiding(modules[i], modules[j]) for i, j in index_pairs}
     twisted = {(i, j): tc.conjugate_yd(modules[i].pair, modules[j]) for i, j in index_pairs}
-    certified = tc._certificates(h, modules, tc._pair_pieces(modules), tc._laws(h, modules))
+    comps, keys = numbered(h, modules)
+    certified = tc._certificates(h, keys, comps, tc._laws(h, modules, comps))
     for i, j, k in itertools.product(range(len(modules)), repeat=3):
         full = tc.check_hexagons(braid[i, j], braid[j, k], braid[i, k], lambda: tensor[i, j],
                                  lambda: tensor[j, k], lambda: twisted[j, k], (False, False))
