@@ -922,9 +922,7 @@ def run_checks(resolved, suite="all", seed=0):
             if not modules:
                 continue
             modules = modules + [trivial_yd(h)]
-            pairs = [AutPair.identity(h.dim)]
-            for _, pair in resolved.of_kind("autpair"):
-                if pair.a.matrix.rows == h.dim:
-                    pairs.append(pair)
+            pairs = [AutPair.identity(h.dim)] + [pair for name, pair in resolved.of_kind("autpair")
+                                                 if _over_name(resolved.sections[name], None) == hname]
             rep.extend(check_t_category(h, modules, pairs, seed=seed).prefixed(hname + ":"))
     return rep

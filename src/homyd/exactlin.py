@@ -10,15 +10,16 @@ written out as a sparse table literal become a map through table_map.
 
 A map stores its entries fraction-free: int numerators over one positive
 denominator shared by the whole map, and not necessarily in lowest terms.
-Every scalar enters a map through one coercion, _scalar, and the entries of
-a new map are cleared by _cleared to their least common denominator (a
-sparse table's by _sparse_map, in the pass that coerces them); compose and
-kron then multiply plain ints and multiply the denominators, and leave the
-product over that product denominator.  A product whose denominator passes
-_BOUND = 2**20 is reduced at once by _reduced, so no stored denominator
-passes _BOUND unless the map's lowest one does: the products of a clean
-tcat check of the shipped files never pass it, while a dense map whose
-products cancel is reduced often enough that its numerators stay small.
+Every scalar enters a map through _sparse_map, which coerces it as _scalar
+does and clears a new map's entries to their least common denominator:
+the constructors, table_map, defformat's tables and invert all build
+their maps there.  compose and kron then multiply plain ints and multiply
+the denominators, and leave the product over that product denominator.
+A product whose denominator passes _BOUND = 2**20 is reduced at once by
+_reduced, so no stored denominator passes _BOUND unless the map's lowest
+one does: the products of a clean tcat check of the shipped files never
+pass it, while a dense map whose products cancel is reduced often enough
+that its numerators stay small.
 Lowest terms are read where they matter and nowhere else: ==
 cross-multiplies two maps over different denominators, hash hashes the
 reduced map, and the identity test reads numerators equal to the
@@ -136,20 +137,16 @@ class LinearMap:
 
     def __init__(self, rows, cols, entries):
         """Checked constructor from row-major dense entries."""
-        entries = [_scalar(e) for e in entries]
+        entries = list(entries)
         if len(entries) != rows * cols:
             raise DimensionMismatch(
                 "expected %d entries for %dx%d, got %d"
                 % (rows * cols, rows, cols, len(entries))
             )
-        self.rows = rows
-        self.cols = cols
-        self._whisker = None
+        f = _sparse_map(rows, [dict(enumerate(entries[j::cols])) for j in range(cols)])
+        self.rows, self.cols, self._cols, self._den, self._whisker = rows, cols, f._cols, f._den, None
         if rows != cols:
             self._diag = None
-        self._cols, self._den = _cleared(tuple(
-            {i: e for i, e in enumerate(entries[j::cols]) if e} for j in range(cols)
-        ))
 
     # -- constructors ------------------------------------------------
 
@@ -163,29 +160,19 @@ class LinearMap:
 
     @classmethod
     def diagonal(cls, values):
-        values = [_scalar(v) for v in values]
-        return _from_columns(len(values), *_cleared(tuple({j: v} if v else {} for j, v in enumerate(values))))
+        columns = [{j: v} for j, v in enumerate(values)]
+        return _sparse_map(len(columns), columns)
 
     @classmethod
     def from_rows(cls, rows):
-        nr = len(rows)
-        nc = len(rows[0]) if rows else 0
-        flat = []
-        for r in rows:
-            if len(r) != nc:
-                raise DimensionMismatch("ragged rows")
-            flat.extend(r)
-        return cls(nr, nc, flat)
+        return cls.from_cols(rows).transpose()
 
     @classmethod
     def from_cols(cls, cols):
         nr = len(cols[0]) if cols else 0
-        out = []
-        for c in cols:
-            if len(c) != nr:
-                raise DimensionMismatch("ragged columns")
-            out.append({i: _scalar(e) for i, e in enumerate(c) if e})
-        return _from_columns(nr, *_cleared(tuple(out)))
+        if any(len(c) != nr for c in cols):
+            raise DimensionMismatch("ragged rows or columns")
+        return _sparse_map(nr, [dict(enumerate(c)) for c in cols])
 
     # -- access ------------------------------------------------------
 
@@ -362,22 +349,6 @@ def _is_identity(f):
     return diag is not None and diag.count(f._den) == len(diag)
 
 
-def _cleared(columns):
-    """(numerator columns, den) of columns of dicts row -> nonzero scalar
-    as _scalar returns them: den is the least common denominator of the
-    entries, and it is prime to the numerators taken together, since a
-    prime dividing den divides some entry's denominator to the full power
-    and that entry's numerator not at all."""
-    den = 1
-    for col in columns:
-        for e in col.values():
-            if type(e) is not int:
-                den = lcm(den, e.denominator)
-    if den == 1:
-        return columns, 1
-    return tuple({i: e.numerator * (den // e.denominator) for i, e in col.items()} for col in columns), den
-
-
 def _reduced(rows, columns, den):
     """The map of int numerator columns over the positive den in lowest
     terms, divided through by the gcd of den and every numerator; the scan
@@ -544,10 +515,9 @@ def invert(f):
         return _gauss_jordan(f)
     if _is_identity(f):
         return f
-    # cleared as _cleared clears: over the lcm of the entries' denominators
-    values = [Fraction(f._den, n) for n in diag]
-    den = lcm(*(v.denominator for v in values))
-    return _diagonal_map(tuple(v.numerator * (den // v.denominator) for v in values), den)
+    g = LinearMap.diagonal([Fraction(f._den, n) for n in diag])
+    g._diag = _diagonal(g)
+    return g
 
 
 def _gauss_jordan(f):
@@ -582,7 +552,7 @@ def _gauss_jordan(f):
                 a[r] = _axpy(a[r], -factor, a[col])
                 b[r] = _axpy(b[r], -factor, b[col])
     d = f._den
-    return _from_columns(n, *_cleared(tuple({k: _scalar(x * d) for k, x in row.items()} for row in b))).transpose()
+    return _sparse_map(n, [{k: x * d for k, x in row.items()} for row in b]).transpose()
 
 
 def _axpy(y, coef, x):
@@ -620,9 +590,11 @@ def table_map(dims, data, out_legs):
 
 def _sparse_map(rows, columns):
     """The map whose column j holds the scalars of columns[j], a dict row
-    -> scalar; zeros are dropped.  One pass takes each scalar as _scalar
-    does and the least common denominator, as _cleared would; table_map
-    and defformat's tables build their maps here."""
+    -> scalar, and the one place where scalars become numerators: one pass
+    takes each scalar as _scalar does, drops the zeros and finds the least
+    common denominator of the rest, which is prime to their numerators
+    taken together, since a prime dividing it divides some entry's
+    denominator to the full power and that entry's numerator not at all."""
     den, kept = 1, []
     for col in columns:
         out = {}

@@ -145,9 +145,13 @@ too.  Let M lie in (A, B), N in (C, D), and g = (C (x) C^-1 B C) comul
 (alpha(k21), (B_X(k22) alpha^-1(r)) A_X(S^-1(k1))) for the H part of eq-2.1
 in X's component (A_X, B_X), a map H (x) H -> H (x) H: eq-2.1 for X says
 that rho_X act_X is (act_X (x) id) of T_X on the legs (h, m1) of h (x)
-rho_X(m).  Each certificate below names the laws it reads; _laws and
-check_yd compute them as identities of maps, and the certificate holds only
-where they do.
+rho_X(m).  Each certificate below names the laws it reads, and holds only
+where they do.  _laws reads each by its id from the suite that states it,
+exactly: a(bc) = (alpha^-1(a) b) alpha(c) is eq-1.1 precomposed with
+alpha^-1 (x) id (x) id; for the exact stored S^-1, F S^-1 = S^-1 F holds
+iff F S = S F (aut-antipode); eq-1.7's gamma^-1 is alpha^-1, since
+HomHopfAlgebraData rejects gamma != alpha.  It computes only lambda = rho
+and the braid law, which no suite states.
 
 tensor-component(M, N).  Where eq-2.1 holds for M and for N, rho_{MN}
 act_{MN}(h (x) x (x) y), which ends in (g''.y)1 (g'.x)1, is (act_M (x)
@@ -236,9 +240,10 @@ import random
 from fractions import Fraction
 
 from .exactlin import LinearMap, flip, kron, permute
-from .hom_algebra import AutPair, InvalidStructure, _require_shape, _shape_report, check_automorphism
+from .hom_algebra import (AutPair, InvalidStructure, _require_shape, _shape_report, check_automorphism,
+                          check_hom_algebra)
 from .reports import CheckReport, Witness, check_laws, index_leg
-from .yd_modules import YDModuleData, check_yd, trivial_yd
+from .yd_modules import YDModuleData, check_hom_comodule, check_hom_module, check_yd, trivial_yd
 
 
 def group_mul(p, q):
@@ -400,13 +405,16 @@ def associator(m, n, p):
 class _Components(list):
     """The distinct component automorphisms of one check_t_category call,
     numbered by ==, which hashes no map, and the pieces on H that read them
-    alone, keyed by their numbers and built when first read: split[b, c] =
-    g_{M,N} for B_M numbered b and A_N numbered c (_split), b_mn[b, c, d] =
-    D C^-1 B C, the B of pair(M) * pair(N) for N in (C, D), and part[a, b]
-    = T_(A,B) (_h_parts), which the modules and the conjugates ^pN share."""
+    alone, keyed by their numbers and built when first read: report[k,] =
+    check_automorphism of value k, which the pair-automorphism items and
+    the certificates share, split[b, c] = g_{M,N} for B_M numbered b and A_N
+    numbered c (_split), b_mn[b, c, d] = D C^-1 B C, the B of pair(M) *
+    pair(N) for N in (C, D), and part[a, b] = T_(A,B) (_h_parts), which the
+    modules and the conjugates ^pN share."""
 
     def __init__(self, h):
         super().__init__()
+        self.report = _Kept(lambda k: check_automorphism(h, self[k]))
         self.split = _Kept(lambda b, c: _split(h, self[b], self[c]))
         self.b_mn = _Kept(lambda b, c, d: self[d] @ self[c].inv() @ self[b] @ self[c])
         self.part = _h_parts(h, self)
@@ -419,38 +427,39 @@ class _Components(list):
         return self.index(pair.a), self.index(pair.b)
 
 
+def _passing(report):
+    """The ids of report's passing items.  check_automorphism reports only
+    aut-invertible for a map that is not bijective, so its other ids are
+    absent there and read as failing."""
+    return {item.identity for item in report.items if item.passed}
+
+
 def _laws(h, modules, comps):
-    """Whether each law the certificates use holds as an identity of maps
-    (module docstring).  Per module, by position: module-twist,
-    module-assoc, eq-1.8-coact, eq-1.7 and eq-3.5's braid law.  Per
-    component automorphism, keyed by its number (k,) in comps (_Components)
-    and computed when first read: whether it is a bialgebra map that
-    commutes with S^-1, and whether it commutes with alpha.  On H, once:
-    Hom-associativity a(bc) = (alpha^-1(a) b) alpha(c), and the laws of H
-    that tensor-component reads besides (_component_laws)."""
-    alpha, alpha_inv, mul, comul = h.alpha, h.alpha_inv, h.algebra.mul, h.coalgebra.comul
-    unit, s_inv, idh = h.algebra.unit, h.antipode_inv, LinearMap.identity(h.dim)
-    twist = [m.mu @ m.action == m.action @ kron(alpha, m.mu) for m in modules]
-    assoc = [m.action @ kron(alpha, m.action) == m.action @ kron(mul, m.mu) for m in modules]
-    coact_twist = [m.coaction @ m.mu == kron(m.mu, alpha) @ m.coaction for m in modules]
-    coassoc = [kron(m.mu_inv, comul) @ m.coaction == kron(m.coaction, alpha_inv) @ m.coaction for m in modules]
-    braid_law = [m.mu_inv @ m.action @ kron(m.pair_b.inverse @ mul, LinearMap.identity(m.dim))
+    """Whether each law the certificates use holds (module docstring), read
+    by id from the suite that states it.  Per module, by position:
+    module-twist and module-assoc (check_hom_module), eq-1.8-coact and eq-1.7
+    (check_hom_comodule), and eq-3.5's braid law, computed here.  Per
+    component value k, from comps.report[k,]: whether it is a bialgebra map
+    that commutes with S (aut-comul, aut-mult, aut-unit, aut-antipode), and
+    whether it commutes with alpha (aut-alpha).  On H, once: eq-1.1 for
+    Hom-associativity, and alpha-mult, eq-1.2-left and lambda = rho
+    (_component_laws) for tensor-component."""
+    per_module = [_passing(check_hom_module(m)) | _passing(check_hom_comodule(m)) for m in modules]
+    twist, assoc, coact_twist, coassoc = ([ident in ids for ids in per_module]
+                                          for ident in ("module-twist", "module-assoc", "eq-1.8-coact", "eq-1.7"))
+    braid_law = [m.mu_inv @ m.action @ kron(m.pair_b.inverse @ h.algebra.mul, LinearMap.identity(m.dim))
                  == m.action @ kron(m.pair_b.inverse, m.mu_inv @ m.braid_act) for m in modules]
-
-    def bialgebra(f):
-        return (comul @ f == kron(f, f) @ comul and f @ mul == mul @ kron(f, f) and f @ unit == unit
-                and f @ s_inv == s_inv @ f)
-
-    hopf = _Kept(lambda k: bialgebra(comps[k].matrix))
-    commute = _Kept(lambda k: alpha @ comps[k].matrix == comps[k].matrix @ alpha)
-    hom_assoc = mul @ kron(idh, mul) == mul @ kron(mul @ kron(alpha_inv, idh), alpha)
-    return twist, assoc, coact_twist, coassoc, braid_law, hopf, commute, hom_assoc, _component_laws(h)
+    hopf = _Kept(lambda k: _passing(comps.report[k,]) >= {"aut-comul", "aut-mult", "aut-unit", "aut-antipode"})
+    commute = _Kept(lambda k: "aut-alpha" in _passing(comps.report[k,]))
+    algebra = _passing(check_hom_algebra(h.algebra))
+    return (twist, assoc, coact_twist, coassoc, braid_law, hopf, commute, "eq-1.1" in algebra,
+            {"alpha-mult", "eq-1.2-left"} <= algebra and _component_laws(h))
 
 
 def _component_laws(h):
-    """Whether alpha(ab) = alpha(a) alpha(b), 1a = alpha(a) and lambda = rho
-    hold on H, the laws of H besides Hom-associativity that tensor-component
-    reads (module docstring).  lambda(h) = (S^-1(q1), alpha(q2),
+    """Whether lambda = rho holds on H, the identity of maps that
+    tensor-component reads besides the laws check_hom_algebra states (module
+    docstring).  lambda(h) = (S^-1(q1), alpha(q2),
     alpha^-2(S^-1(q4)) alpha^-1(q3), alpha(q5), alpha(q6)) for q = (s3 (x)
     s3) comul(h) with s3 = (id (x) comul) comul, and rho(h) = (alpha^-1
     S^-1(h1), k1, 1, k2, h22) for k = alpha(h21); each side is taken right
@@ -459,8 +468,6 @@ def _component_laws(h):
     idh = LinearMap.identity(d)
     alpha, alpha_inv, mul, comul, unit = h.alpha, h.alpha_inv, h.algebra.mul, h.coalgebra.comul, h.algebra.unit
     s_inv, split = h.antipode_inv, kron(idh, comul) @ comul
-    if not (alpha @ mul == mul @ kron(alpha, alpha) and mul @ kron(unit, idh) == alpha):
-        return False
     middle = mul @ kron(alpha_inv @ alpha_inv @ s_inv, alpha_inv) @ flip(d, d)
     q = kron(kron(s_inv, kron(alpha, idh)) @ split, LinearMap.identity(d ** 3)) @ (
         kron(idh, kron(idh, kron(alpha, alpha)) @ split) @ comul)
@@ -765,7 +772,7 @@ def check_t_category(h, modules, pairs, seed=0):
     distinct tuple of the component values it reads, numbered by == for
     this call (_Components), and the per-module laws stay per position.
     tensor-component and the braiding module, comodule and morphism laws of
-    a pair are decided by them and by laws of H and of each module computed
+    a pair are decided by them and by laws of H and of each module read
     once (_laws, _braiding_certificates); only an item that fails builds M
     (x) N, or M (x) N and ^MN (x) M, and runs the full comparison.  So is
     conjugate-component (_conjugate_certificates); only an item that fails
@@ -803,12 +810,9 @@ def check_t_category(h, modules, pairs, seed=0):
     conj_keys = {key: comps.key(c.pair) for key, c in conj.items()}
 
     for p in pairs:
-        for name, aut in (("a", p.a), ("b", p.b)):
-            rep.add_verdict(
-                "pair-automorphism(%s.%s)" % (p.name, name),
-                "component of an index-group element is a structure automorphism",
-                check_automorphism(h, aut),
-            )
+        for name, k in zip("ab", comps.key(p)):
+            rep.add_verdict("pair-automorphism(%s.%s)" % (p.name, name),
+                            "component of an index-group element is a structure automorphism", comps.report[k,])
 
     # identities of G for any pairs with exact inverses (module docstring)
     rep.add("group-assoc", "(p*q)*r = p*(q*r)", True)

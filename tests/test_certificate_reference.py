@@ -163,4 +163,4 @@ def test_a_clean_tcat_op_builds_one_t_per_distinct_pair(monkeypatch):
     rep, parts, calls = counted_tcat(monkeypatch, shipped_text(TWISTED))
     assert rep.ok() and len(rep.items) > 400
     assert parts == 4
-    assert calls == {"compose": 732, "kron": 453}
+    assert calls == {"compose": 723, "kron": 453}

@@ -447,6 +447,24 @@ def test_crlf_file_reads_as_the_lf_file(tmp_path, capsys):
     assert outputs[0] == outputs[1] and outputs[0].err == ""
 
 
+def test_the_tcat_suite_conjugates_only_by_the_autpairs_over_its_hopf_section(tmp_path, capsys):
+    # h4.alg with a copy of [hopf H4] named K4 and an autpair Q over K4 of
+    # H4's dimension: K4 has no ydmodule and adds no item, and H4's items
+    # must not name Q
+    from homyd.cli import main
+
+    text = H4_ALG.read_text(encoding="utf-8")
+    k4 = text[text.index("[hopf H4]"):text.index("[ydmodule H4A over H4]")].replace("[hopf H4]", "[hopf K4]")
+    path = tmp_path / "h4-two-hopf.alg"
+    path.write_text(text + "\n" + k4 + "[autpair Q over K4]\na: 1 -> 1\na: g -> g\na: x -> 5 * x\na: gx -> 5 * gx\n",
+                    encoding="utf-8")
+    outputs = []
+    for file in (H4_ALG, path):
+        assert main(["check", str(file), "--suite", "tcat", "--report", "json"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].err == ""
+
+
 @pytest.mark.parametrize("text, digit", [
     ("[params]\nc = \uff13\n", "\uff13"),
     ("[params]\nc = \u0663/2\n", "\u0663"),

@@ -9,6 +9,7 @@ import pytest
 
 import dense_reference as dense
 import homyd.exactlin as exactlin
+from homyd.defformat import parse_definition, resolve_definition
 from homyd.exactlin import (
     DimensionMismatch,
     LinearMap,
@@ -995,3 +996,40 @@ def test_an_identity_is_shared_per_size():
         assert LinearMap.identity(n) is LinearMap.identity(n)
         assert LinearMap.identity(n).is_identity()
     assert LinearMap.identity(4) is not LinearMap.identity(16)
+
+
+def assert_cleared(f, grid):
+    """f is the rows x cols grid of scalars, stored as int numerators of its
+    nonzero entries alone over the lcm of their denominators, which shares
+    no factor with all of them."""
+    values = {(i, j): Fraction(v) for i, row in enumerate(grid) for j, v in enumerate(row) if Fraction(v)}
+    den = math.lcm(1, *(v.denominator for v in values.values()))
+    assert (f.rows, f.cols) == (len(grid), len(grid[0]))
+    assert f._den == den
+    assert {(i, j): n for j, col in enumerate(f._cols) for i, n in col.items()} == {
+        key: v * den for key, v in values.items()}
+    assert all(type(n) is int for n in stored_values(f))
+    assert math.gcd(den, *stored_values(f)) == 1
+
+
+def test_every_constructor_clears_its_scalars_to_their_least_common_denominator():
+    # int, Fraction and string scalars, zeros of each kind among them
+    grid = [[1, "-3/4", 0, Fraction(0)], [Fraction(5, 6), "0", "2", 0], [0, 0, "-7", Fraction(4, 3)]]
+    columns = [list(col) for col in zip(*grid)]
+    assert_cleared(LinearMap(3, 4, [v for row in grid for v in row]), grid)
+    assert_cleared(LinearMap.from_rows(grid), grid)
+    assert_cleared(LinearMap.from_cols(columns), grid)
+    assert_cleared(LinearMap.diagonal(["2/3", 0, -4, Fraction(5, 2)]),
+                   [["2/3", 0, 0, 0], [0, 0, 0, 0], [0, 0, -4, 0], [0, 0, 0, "5/2"]])
+    # t[i, j, k] is the e_k coefficient of e_i e_j: column i * 2 + j, row k
+    table = {(0, 0, 0): 1, (0, 1, 1): "3/4", (1, 0, 1): Fraction(2, 3), (1, 1, 0): "0"}
+    assert_cleared(table_map((2, 2, 2), table, 1), [[1, 0, 0, 0], [0, "3/4", "2/3", 0]])
+    algebra = resolve_definition(parse_definition(
+        "[params]\nc = 3/4\n\n[algebra A]\nbasis: u v\nunit: u\nmul: u u -> u\nmul: u v -> c * v\n"
+        "mul: v u -> 2/3 * v\nmul: v v -> 0\nalpha: u -> u\nalpha: v -> 5/6 * v\n")).get("A")[1]
+    assert_cleared(algebra.mul, [[1, 0, 0, 0], [0, "3/4", "2/3", 0]])
+    assert_cleared(algebra.alpha, [[1, 0], [0, "5/6"]])
+    # Gauss-Jordan and the closed-form diagonal inverse
+    assert_cleared(invert(LinearMap.from_rows([["1/2", 1], [0, "3"]])), [[2, "-2/3"], [0, "1/3"]])
+    assert_cleared(invert(LinearMap.diagonal(["2/3", -4, Fraction(5, 2)])),
+                   [["3/2", 0, 0], [0, "-1/4", 0], [0, 0, "2/5"]])

@@ -1,0 +1,107 @@
+"""Each law the tcat certificates read from a suite turns off exactly the
+certificates whose conjunct names it.
+
+t_category._laws reads twelve laws by id from the suites that state them:
+module-twist and module-assoc from check_hom_module, eq-1.8-coact and
+eq-1.7 from check_hom_comodule, eq-1.1, alpha-mult and eq-1.2-left from
+check_hom_algebra, and aut-comul, aut-mult, aut-unit, aut-antipode and
+aut-alpha from check_automorphism.  Here each suite is replaced by one
+whose report fails that id alone, for one module, one component value or
+H, and the certificates of h4.alg, which all hold, must lose exactly the
+keys that CONJUNCTS, the conjunct table of _certificates and
+_braiding_certificates, names for the law: dropping a conjunct from either
+function, or reading the wrong id, fails here.
+"""
+
+import pytest
+
+import homyd.t_category as tc
+from homyd.reports import CheckItem
+from homyd.yd_modules import check_yd
+from test_assoc_certificate import shipped_text
+from test_certificate_reference import POINTS, certificates, file_objects
+
+#: law id -> (the suite that states it, and per certificate slot it gates,
+#: (family, slot, roles)): for a module law the key positions whose module
+#: it is read of, for a law of a component value the (key position, "a" or
+#: "b") whose pair's automorphism it is read of, and None for a law of H,
+#: which every key of the slot reads.  The triple slots are tensor-assoc's
+#: module and comodule halves, eq-3.4 and eq-3.5; the braiding slots are
+#: tensor-component, braiding-module-map, braiding-comodule-map and
+#: braiding-morphism.
+CONJUNCTS = {
+    "module-twist": ("check_hom_module", [("triple", 0, (0, 2)), ("braiding", 1, (0, 1)), ("braiding", 3, (0,))]),
+    "module-assoc": ("check_hom_module", [("braiding", 1, (0,))]),
+    "eq-1.8-coact": ("check_hom_comodule", [("triple", 1, (0, 2)), ("triple", 2, (2,)), ("braiding", 2, (0, 1)),
+                                            ("braiding", 3, (1,))]),
+    "eq-1.7": ("check_hom_comodule", [("triple", 2, (2,)), ("braiding", 2, (1,))]),
+    "eq-1.1": ("check_hom_algebra", [("triple", 1, None), ("braiding", 0, None)]),
+    "alpha-mult": ("check_hom_algebra", [("braiding", 0, None)]),
+    "eq-1.2-left": ("check_hom_algebra", [("braiding", 0, None)]),
+    "aut-comul": ("check_automorphism", [("braiding", 0, ((0, "b"), (1, "a")))]),
+    "aut-mult": ("check_automorphism", [("braiding", 0, ((0, "b"), (1, "a")))]),
+    "aut-unit": ("check_automorphism", [("braiding", 0, ((0, "b"), (1, "a")))]),
+    "aut-antipode": ("check_automorphism", [("braiding", 0, ((0, "b"), (1, "a")))]),
+    "aut-alpha": ("check_automorphism", [("braiding", 0, ((0, "a"), (0, "b"), (1, "a"), (1, "b"))),
+                                         ("braiding", 3, ((0, "b"),))]),
+}
+
+
+def flat(families):
+    """{(family, key, slot): verdict} of the certificate dicts, slot None
+    for a family of one verdict per key."""
+    out = {}
+    for family, certified in families.items():
+        for key, held in certified.items():
+            for slot, verdict in enumerate(held) if isinstance(held, tuple) else ((None, held),):
+                out[family, key, slot] = verdict
+    return out
+
+
+def failing(suite, law, chosen):
+    """suite, with law failing in the report of each argument that chosen
+    picks and every other item as it is."""
+    def patched(*args):
+        rep = suite(*args)
+        if chosen(args[-1]):
+            assert law in [item.identity for item in rep.items]
+            rep.items = [CheckItem(item.identity, item.law, item.passed and item.identity != law)
+                         for item in rep.items]
+        return rep
+    return patched
+
+
+def targets(suite, modules):
+    """(label, chosen, reads) for each module, component value or H that a
+    law of suite is read of: chosen picks its argument of suite, and
+    reads(key, roles) tells whether a key reads it in one of roles."""
+    if suite == "check_hom_algebra":
+        yield "H", lambda _: True, lambda key, roles: True
+    elif suite == "check_automorphism":
+        values = []
+        for aut in (a for m in modules for a in (m.pair_a, m.pair_b)):
+            if aut not in values:
+                values.append(aut)
+        for v in values:
+            yield v, v.__eq__, lambda key, roles, v=v: any(
+                getattr(modules[key[r]].pair, side) == v for r, side in roles)
+    else:
+        for t, m in enumerate(modules):
+            yield m.name, lambda x, m=m: x is m, lambda key, roles, t=t: any(key[r] == t for r in roles)
+
+
+@pytest.mark.parametrize("point", POINTS)
+def test_each_law_turns_off_exactly_the_certificates_that_name_it(monkeypatch, point):
+    h, modules, pairs = file_objects(shipped_text(point))
+    conj = {(pi, i): tc.conjugate_yd(p, m) for pi, p in enumerate(pairs) for i, m in enumerate(modules)}
+    member = [check_yd(m).ok() for m in modules]
+    base = flat(certificates(h, modules, pairs, conj, member))
+    assert all(base.values())
+    for law, (suite, conjuncts) in CONJUNCTS.items():
+        for label, chosen, reads in targets(suite, modules):
+            with monkeypatch.context() as patch:
+                patch.setattr(tc, suite, failing(getattr(tc, suite), law, chosen))
+                got = flat(certificates(h, modules, pairs, conj, member))
+            want = {(family, key, slot) for family, slot, roles in conjuncts
+                    for (f, key, s) in base if (f, s) == (family, slot) and (roles is None or reads(key, roles))}
+            assert want and {key for key, held in got.items() if not held} == want, (law, label)
