@@ -63,6 +63,7 @@ from .t_category import (
     check_conjugation_invariance,
     check_hexagons,
     check_t_category,
+    check_unit_constraints,
     conjugate_yd,
     group_inv,
     group_mul,

@@ -42,15 +42,17 @@ Kronecker-multiplied with a piece that depends on both factors.
 
 Each formula has one function: tensor_yd (with _tensor_maps, its maps,
 which the twisted associativity check shares), braiding, braiding_inverse
-and the checks.  check_t_category builds each braiding c_{M,N} and
-conjugate ^pN once, and each pair tensor M (x) N, conjugate ^MN and
-braiding target ^MN (x) M when first read, and passes them down to the
-checks, the last three as functions that read them.  What it builds lives
-only for the call; of its inputs, only the modules' own pieces outlive it.
-check_braiding_inverse takes every braiding it compares prebuilt, and
-check_hexagons and check_braiding_equivariance take the pair braidings and
-read an object, or build a triple braiding, only where a certificate
-fails.
+and the checks.  check_t_category builds each conjugate ^pN once, and each
+pair braiding c_{M,N}, as a BraidingMap whose matrix braiding builds when
+first read, and each pair tensor M (x) N, conjugate ^MN and braiding
+target ^MN (x) M when first read, and passes them down to the checks, the
+last three as functions that read them.  What it builds lives only for the
+call; of its inputs, only the modules' own pieces outlive it.
+check_braiding_equivariance, check_braiding_inverse and check_hexagons
+read a pair braiding's source for their labels, and its matrix, its
+inverse, an object or a triple braiding only where a certificate fails;
+check_unit_constraints builds the unit tensors 1 (x) N and N (x) 1 only
+there too.
 
 The certificates below are identities of maps on H that read only the
 component automorphisms (A, B) of their modules and products of them.
@@ -231,6 +233,39 @@ those laws.
 naturality-id(M, N) states (id (x) id) c = c (id (x) id), which holds for
 any map c, since kron(I, I) is an identity; it passes, and nothing is
 computed for it.
+
+braiding-inverse-left(M, N) and braiding-inverse-right(M, N).  With mu =
+mu_M, nu = mu_N and B = B_M, c^-1 c(x (x) y) = B^-1 S(y'1).mu^-1(x') (x)
+nu(y'0) for y' = nu(y0) and x' = B^-1(y1).mu^-1(x).  eq-1.8-coact for N
+makes it B^-1 S alpha(y01).mu^-1(x') (x) nu^2(y00); module-twist for M,
+read as mu^-1(a.m) = alpha^-1(a).mu^-1(m), and module-assoc, a.(b.m) =
+(alpha^-1(a) b).mu(m), make its first leg (alpha^-1 B^-1 S alpha(y01)
+alpha^-1 B^-1(y1)).mu^-1(x), and eq-1.7 for N, y00 (x) y01 (x)
+alpha^-1(y1) = nu^-1(y0) (x) y11 (x) y12, turns the whole into (alpha^-1
+B^-1 S alpha(y11) alpha^-1 B^-1 alpha(y12)).mu^-1(x) (x) nu(y0).  Where B
+and S commute with alpha (aut-alpha, antipode-alpha) and B is
+multiplicative and unital (aut-mult, aut-unit), with exact stored
+inverses, the product is B^-1(S(y11) y12), which S(h1)h2 = eps(h)1
+(antipode-left) makes eps(y1) 1; module-unit for M, 1.m = mu(m), and
+eq-1.8-counit for N, y0 eps(y1) = nu^-1(y), end it in x (x) y.  c c^-1(y
+(x) x) takes the same steps to B^-1(y11 S(y12)).mu^-1(x) (x) nu(y0), which
+h1 S(h2) = eps(h)1 (antipode-right) ends in y (x) x.  So those laws prove
+both items; alpha(ab) = alpha(a) alpha(b) and B S = S B are not read.
+
+unit-left-module(N), unit-left-comodule(N), unit-right-module(N) and
+unit-right-comodule(N).  The unit object k (trivial_yd) acts through eps,
+coacts through 1 and lies in (id, id), and l and r are nu = mu_N on the
+flattened carriers of 1 (x) N and N (x) 1.  For N in (A, B), 1 (x) N acts
+by h.(1 (x) y) = eps(A(h1)) A^-1 A(h2).y; check_automorphism states
+aut-counit only for a bijective A, so A^-1 A = id, and eps A = eps
+(aut-counit) and eps(h1) h2 = alpha^-1(h) (counit-left) make it
+alpha^-1(h).y, so module-twist for N, nu(alpha^-1(h).y) = h.nu(y), proves
+unit-left-module.  N (x) 1 acts by h1.y eps(B(h2)), which eps B = eps and
+h1 eps(h2) = alpha^-1(h) (counit-right) make alpha^-1(h).y, and
+module-twist proves unit-right-module.  1 (x) N coacts by y0 (x) y1 1 and
+N (x) 1 by y0 (x) 1 y1, which a1 = alpha(a) (eq-1.2-right) and 1a =
+alpha(a) (eq-1.2-left) make y0 (x) alpha(y1), so eq-1.8-coact for N,
+rho(nu(y)) = nu(y0) (x) alpha(y1), proves the two comodule items.
 """
 
 from __future__ import annotations
@@ -238,10 +273,11 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import cache, cached_property
 
 from .exactlin import LinearMap, flip, kron, permute
-from .hom_algebra import (AutPair, InvalidStructure, _require_shape, _shape_report, check_automorphism,
-                          check_hom_algebra)
+from .hom_algebra import (AutPair, InvalidStructure, _require_shape, _shape_report, check_antipode,
+                          check_automorphism, check_hom_algebra, check_hom_coalgebra)
 from .reports import CheckReport, Witness, check_laws, index_leg
 from .yd_modules import YDModuleData, check_hom_comodule, check_hom_module, check_yd, trivial_yd
 
@@ -348,11 +384,18 @@ def conjugate_yd(p, n):
 
 
 class BraidingMap:
-    """The component-crossing isomorphism M (x) N -> (^M N) (x) M."""
+    """The component-crossing isomorphism M (x) N -> (^M N) (x) M: its
+    source (M, N) and its matrix, given, or built by braiding when first
+    read."""
 
-    def __init__(self, source, matrix):
+    def __init__(self, source, matrix=None):
         self.source = source
-        self.matrix = matrix
+        if matrix is not None:
+            self.matrix = matrix
+
+    @cached_property
+    def matrix(self):
+        return braiding(*self.source).matrix
 
     @property
     def target(self):
@@ -435,25 +478,21 @@ def _passing(report):
 
 
 def _laws(h, modules, comps):
-    """Whether each law the certificates use holds (module docstring), read
-    by id from the suite that states it.  Per module, by position:
-    module-twist and module-assoc (check_hom_module), eq-1.8-coact and eq-1.7
-    (check_hom_comodule), and eq-3.5's braid law, computed here.  Per
-    component value k, from comps.report[k,]: whether it is a bialgebra map
-    that commutes with S (aut-comul, aut-mult, aut-unit, aut-antipode), and
-    whether it commutes with alpha (aut-alpha).  On H, once: eq-1.1 for
-    Hom-associativity, and alpha-mult, eq-1.2-left and lambda = rho
-    (_component_laws) for tensor-component."""
+    """The laws the certificates read (module docstring), each by its id
+    from the suite that states it, as the set of the ids that pass: per
+    module, by position, of check_hom_module and check_hom_comodule; per
+    component value k, of comps.report[k,] (check_automorphism), kept; on H,
+    once, of check_hom_algebra, check_hom_coalgebra and check_antipode.
+    Beside them, computed here: eq-3.5's braid law per module, and lambda =
+    rho (_component_laws) where alpha-mult and eq-1.2-left hold, which
+    tensor-component reads with them."""
     per_module = [_passing(check_hom_module(m)) | _passing(check_hom_comodule(m)) for m in modules]
-    twist, assoc, coact_twist, coassoc = ([ident in ids for ids in per_module]
-                                          for ident in ("module-twist", "module-assoc", "eq-1.8-coact", "eq-1.7"))
+    values = _Kept(lambda k: _passing(comps.report[k,]))
+    on_h = _passing(check_hom_algebra(h.algebra)) | _passing(check_hom_coalgebra(h.coalgebra)) | _passing(
+        check_antipode(h))
     braid_law = [m.mu_inv @ m.action @ kron(m.pair_b.inverse @ h.algebra.mul, LinearMap.identity(m.dim))
                  == m.action @ kron(m.pair_b.inverse, m.mu_inv @ m.braid_act) for m in modules]
-    hopf = _Kept(lambda k: _passing(comps.report[k,]) >= {"aut-comul", "aut-mult", "aut-unit", "aut-antipode"})
-    commute = _Kept(lambda k: "aut-alpha" in _passing(comps.report[k,]))
-    algebra = _passing(check_hom_algebra(h.algebra))
-    return (twist, assoc, coact_twist, coassoc, braid_law, hopf, commute, "eq-1.1" in algebra,
-            {"alpha-mult", "eq-1.2-left"} <= algebra and _component_laws(h))
+    return per_module, values, on_h, braid_law, {"alpha-mult", "eq-1.2-left"} <= on_h and _component_laws(h)
 
 
 def _component_laws(h):
@@ -503,7 +542,7 @@ def _certificates(h, keys, comps, laws):
     (B_M, pair(N), A_P), and eq-3.4's coalgebra-map identity of B_{MN}^-1
     alpha once per (B_M, pair(N))."""
     idh, alpha, alpha_inv, comul = LinearMap.identity(h.dim), h.alpha, h.alpha_inv, h.coalgebra.comul
-    twist, _, coact_twist, coassoc, braid_law, _, _, hom_assoc, _ = laws
+    mods, _, on_h, braid_law, _ = laws
     split, b_mn = comps.split, comps.b_mn
     outer = kron(alpha, kron(idh, alpha_inv))
 
@@ -517,8 +556,9 @@ def _certificates(h, keys, comps, laws):
                 == outer @ (kron(split[b, c] @ comps[e].matrix, _phi(b_mn[b, c, d], comps[e])) @ comul))
 
     coalgebra, module = _Kept(coalgebra_map), _Kept(module_half)
-    return {(i, j, k): (twist[i] and twist[k] and module[b, c, d, e], hom_assoc and coact_twist[i] and coact_twist[k],
-                        coact_twist[k] and coassoc[k] and coalgebra[b, c, d], braid_law[i])
+    return {(i, j, k): ("module-twist" in mods[i] and "module-twist" in mods[k] and module[b, c, d, e],
+                        "eq-1.1" in on_h and "eq-1.8-coact" in mods[i] and "eq-1.8-coact" in mods[k],
+                        {"eq-1.8-coact", "eq-1.7"} <= mods[k] and coalgebra[b, c, d], braid_law[i])
             for (i, (_, b)), (j, (c, d)), (k, (e, _)) in itertools.product(enumerate(keys), repeat=3)}
 
 
@@ -554,7 +594,8 @@ def _braiding_certificates(h, keys, comps, member, laws):
     right to left on their 16 columns."""
     idh = LinearMap.identity(h.dim)
     alpha, alpha_inv, mul, comul = h.alpha, h.alpha_inv, h.algebra.mul, h.coalgebra.comul
-    twist, assoc, coact_twist, coassoc, _, hopf, commute, hom_assoc, component_laws = laws
+    mods, values, on_h, _, component_laws = laws
+    hopf = {"aut-comul", "aut-mult", "aut-unit", "aut-antipode"}
     pre, rotate, part = kron(comul, idh), permute((h.dim,) * 3, (1, 2, 0)), comps.part
     # per B_M: (u, w, a) -> (alpha(u), alpha^-1(B^-1 w) alpha^-1(a)), the
     # left end of Psi_L
@@ -581,13 +622,45 @@ def _braiding_certificates(h, keys, comps, member, laws):
     for (i, (a, b)), (j, (c, d)) in itertools.product(enumerate(keys), repeat=2):
         # B of M and C of N are bialgebra maps that commute with S^-1, and
         # M's A and B and N's C and D commute with alpha
-        component = (member[i] and member[j] and hom_assoc and component_laws and hopf[b,] and hopf[c,]
-                     and commute[a,] and commute[b,] and commute[c,] and commute[d,])
-        module_map = member[j] and twist[i] and twist[j] and assoc[i] and psi[b, c, d]
-        comodule_map = member[i] and coact_twist[i] and coact_twist[j] and coassoc[j] and xi[a, b]
-        morphism = twist[i] and coact_twist[j] and commute[b,]
+        component = (member[i] and member[j] and "eq-1.1" in on_h and component_laws and hopf <= values[b,]
+                     and hopf <= values[c,] and all("aut-alpha" in values[k,] for k in (a, b, c, d)))
+        module_map = (member[j] and {"module-twist", "module-assoc"} <= mods[i] and "module-twist" in mods[j]
+                      and psi[b, c, d])
+        comodule_map = (member[i] and "eq-1.8-coact" in mods[i] and {"eq-1.8-coact", "eq-1.7"} <= mods[j]
+                        and xi[a, b])
+        morphism = "module-twist" in mods[i] and "eq-1.8-coact" in mods[j] and "aut-alpha" in values[b,]
         certified[i, j] = component, module_map, comodule_map, morphism
     return certified
+
+
+def _inverse_certificates(keys, laws):
+    """Per pair (i, j) of module positions, whether braiding-inverse-left
+    and braiding-inverse-right hold by their certificates (module
+    docstring), conjunctions of laws of M, of N, of M's B and of H read by
+    id (_laws); keys holds the numbers of the modules' pairs in
+    _Components."""
+    mods, values, on_h, _, _ = laws
+    certified = {}
+    for (i, (_, b)), j in itertools.product(enumerate(keys), range(len(keys))):
+        held = ({"module-twist", "module-assoc", "module-unit"} <= mods[i]
+                and {"eq-1.7", "eq-1.8-coact", "eq-1.8-counit"} <= mods[j]
+                and {"aut-mult", "aut-unit", "aut-alpha"} <= values[b,] and "antipode-alpha" in on_h)
+        certified[i, j] = held and "antipode-left" in on_h, held and "antipode-right" in on_h
+    return certified
+
+
+def _unit_certificates(keys, laws):
+    """Per module position, whether unit-left-module, unit-left-comodule,
+    unit-right-module and unit-right-comodule hold by their certificates
+    (module docstring), in that order, conjunctions of laws of N, of its A
+    or B and of H read by id (_laws); keys holds the numbers of the
+    modules' pairs in _Components."""
+    mods, values, on_h, _, _ = laws
+    return {i: ("module-twist" in mods[i] and "counit-left" in on_h and "aut-counit" in values[a,],
+                "eq-1.8-coact" in mods[i] and "eq-1.2-right" in on_h,
+                "module-twist" in mods[i] and "counit-right" in on_h and "aut-counit" in values[b,],
+                "eq-1.8-coact" in mods[i] and "eq-1.2-left" in on_h)
+            for i, (a, b) in enumerate(keys)}
 
 
 def _conjugate_certificates(h, pairs, keys, conj_keys, comps, member):
@@ -654,17 +727,46 @@ def check_braiding_equivariance(b, src, tgt, certified):
     ))
 
 
-def check_braiding_inverse(b, inv):
-    """Both composites of b with inv, the lemma-3.6 formula
-    braiding_inverse(b), are identities, exactly."""
+def check_braiding_inverse(b, certified):
+    """Both composites of b with its inverse braiding_inverse(b), the
+    lemma-3.6 formula, are identities.  certified holds, per item in that
+    order, whether its certificate holds (module docstring): such an item
+    passes, and any other is an exact matrix equality, which reads b's
+    matrix and builds braiding_inverse(b), once for both."""
     m, n = b.source
     tag = _pair_labels(m, n)
     dim = m.dim * n.dim
     legs = (index_leg(dim),)
-    return check_laws("braiding", (
-        ("braiding-inverse-left(%s)" % tag, "c^-1 c = id", legs, inv @ b.matrix, LinearMap.identity(dim)),
-        ("braiding-inverse-right(%s)" % tag, "c c^-1 = id", legs, b.matrix @ inv, LinearMap.identity(dim)),
+    inv = cache(lambda: braiding_inverse(b))
+    return _decided("braiding", (
+        ("braiding-inverse-left(%s)" % tag, "c^-1 c = id", legs, certified[0],
+         lambda: (inv() @ b.matrix, LinearMap.identity(dim))),
+        ("braiding-inverse-right(%s)" % tag, "c c^-1 = id", legs, certified[1],
+         lambda: (b.matrix @ inv(), LinearMap.identity(dim))),
     ))
+
+
+def check_unit_constraints(n, certified):
+    """The unit constraints of N: l and r, the twist nu of N on the
+    flattened carriers of 1 (x) N and N (x) 1 for the unit object 1
+    (trivial_yd), intertwine the actions and the coactions.  certified
+    holds, per item in that order, whether its certificate holds (module
+    docstring): such an item passes, and any other is an exact matrix
+    equality, which builds its side's unit tensor, once for both items."""
+    h = n.over
+    idh = LinearMap.identity(h.dim)
+    laws = []
+    for side, sym, src, t, held in (
+        ("left", "l", "1 (x) n", cache(lambda: tensor_yd(trivial_yd(h), n)), certified[:2]),
+        ("right", "r", "n (x) 1", cache(lambda: tensor_yd(n, trivial_yd(h))), certified[2:]),
+    ):
+        laws += [
+            ("unit-%s-module(%s)" % (side, n.name), "%s(h.(%s)) = h.%s(%s)" % (sym, src, sym, src),
+             (h.basis, n.basis), held[0], lambda t=t: (n.mu @ t().action, n.action @ kron(idh, n.mu))),
+            ("unit-%s-comodule(%s)" % (side, n.name), "rho(%s(%s)) = (%s (x) id) rho(%s)" % (sym, src, sym, src),
+             (index_leg(n.dim),), held[1], lambda t=t: (kron(n.mu, idh) @ t().coaction, n.coaction @ n.mu)),
+        ]
+    return _decided("t-category", laws)
 
 
 def check_hexagons(c_mn, c_np, c_mp, mn, np, np_conj, certified):
@@ -761,24 +863,30 @@ def check_t_category(h, modules, pairs, seed=0):
     dim(H) x dim(H), or a module over another algebra than h (one whose
     tables differ from h's), raises InvalidStructure with the one item shape.
 
-    Each braiding c_{M,N} and conjugate ^pM is built once, before the
-    checks, and kept by position for this call; each pair tensor M (x) N,
-    conjugate ^MN and braiding target ^MN (x) M is built when first read,
-    and kept by position for this call.  tensor_yd, braiding and
-    braiding_inverse read the one-object pieces of their factors, which
-    each object builds once, when first read.  The certificates on H read a
-    pair tensor's split and the B of its component alone, and the H parts
-    T_X of eq-2.1 (_h_parts); each identity of them is computed once per
-    distinct tuple of the component values it reads, numbered by == for
-    this call (_Components), and the per-module laws stay per position.
-    tensor-component and the braiding module, comodule and morphism laws of
-    a pair are decided by them and by laws of H and of each module read
-    once (_laws, _braiding_certificates); only an item that fails builds M
-    (x) N, or M (x) N and ^MN (x) M, and runs the full comparison.  So is
-    conjugate-component (_conjugate_certificates); only an item that fails
-    runs check_yd on ^pN, which is built for every (p, N) all the same,
-    though the certificates read only its component pair.  tensor-assoc and
-    the hexagons of a triple are decided by certificates on H
+    Each conjugate ^pM is built once, before the checks, and kept by
+    position for this call; each pair braiding c_{M,N} is kept by position
+    too, as a BraidingMap whose matrix is built when first read, and each
+    pair tensor M (x) N, conjugate ^MN and braiding target ^MN (x) M is
+    built when first read, and kept by position for this call.  tensor_yd,
+    braiding and braiding_inverse read the one-object pieces of their
+    factors, which each object builds once, when first read.  The
+    certificates on H read a pair tensor's split and the B of its component
+    alone, and the H parts T_X of eq-2.1 (_h_parts); each identity of them
+    is computed once per distinct tuple of the component values it reads,
+    numbered by == for this call (_Components), and the per-module laws stay
+    per position.  tensor-component and the braiding module, comodule and
+    morphism laws of a pair are decided by them and by laws of H and of
+    each module read once (_laws, _braiding_certificates); only an item
+    that fails builds M (x) N, or M (x) N and ^MN (x) M, and runs the full
+    comparison.  So is conjugate-component (_conjugate_certificates); only
+    an item that fails runs check_yd on ^pN, which is built for every (p,
+    N) all the same, though the certificates read only its component pair.
+    The braiding-inverse laws of a pair and the unit constraints of a
+    module are conjunctions of those laws alone (_inverse_certificates,
+    _unit_certificates); only an item that fails builds c_{M,N} and its
+    inverse, or its side's unit tensor, and compares them in full, so a
+    clean call builds no braiding matrix and no unit tensor.  tensor-assoc
+    and the hexagons of a triple are decided by certificates on H
     (_certificates); only one that fails builds triple tensors or triple
     braidings, and eq-3.4 reads ^NP only then.  So is functor-tensor
     (_functor_certificates); only an item that fails builds ^p(M (x) N) and
@@ -800,7 +908,7 @@ def check_t_category(h, modules, pairs, seed=0):
     tensor = _Kept(lambda i, j: tensor_yd(modules[i], modules[j]))
     twisted = _Kept(lambda i, j: conjugate_yd(modules[i].pair, modules[j]))
     target = _Kept(lambda i, j: tensor_yd(twisted[i, j], modules[i]))
-    braid = {(i, j): braiding(modules[i], modules[j]) for i, j in index_pairs}
+    braid = _Kept(lambda i, j: BraidingMap((modules[i], modules[j])))
     conj = {
         (pi, i): conjugate_yd(p, m)
         for pi, p in enumerate(pairs) for i, m in enumerate(modules)
@@ -827,6 +935,7 @@ def check_t_category(h, modules, pairs, seed=0):
 
     laws = _laws(h, modules, comps)
     braided = _braiding_certificates(h, keys, comps, member, laws)
+    inverse = _inverse_certificates(keys, laws)
     for i, j in index_pairs:
         m, n = modules[i], modules[j]
         b = braid[i, j]
@@ -838,7 +947,7 @@ def check_t_category(h, modules, pairs, seed=0):
         else:
             rep.add_verdict(ident, law, check_yd(tensor[i, j]))
         rep.extend(check_braiding_equivariance(b, lambda: tensor[i, j], lambda: target[i, j], equivariant))
-        rep.extend(check_braiding_inverse(b, braiding_inverse(b)))
+        rep.extend(check_braiding_inverse(b, inverse[i, j]))
         # (id (x) id) c = c (id (x) id) for any map c (module docstring)
         rep.add("naturality-id(%s)" % _pair_labels(m, n), "(id (x) id) c = c (id (x) id)", True)
 
@@ -888,19 +997,9 @@ def check_t_category(h, modules, pairs, seed=0):
         rep.extend(check_hexagons(braid[i, j], braid[j, k], braid[i, k], lambda: tensor[i, j],
                                   lambda: tensor[j, k], lambda: twisted[j, k], certified[i, j, k][2:]))
 
-    unit = trivial_yd(h)
-    for n in modules:
-        for side, sym, src, t in (
-            ("left", "l", "1 (x) n", tensor_yd(unit, n)),
-            ("right", "r", "n (x) 1", tensor_yd(n, unit)),
-        ):
-            rep.extend(check_laws(rep.suite, (
-                ("unit-%s-module(%s)" % (side, n.name), "%s(h.(%s)) = h.%s(%s)" % (sym, src, sym, src),
-                 (h.basis, n.basis), n.mu @ t.action, n.action @ kron(idh, n.mu)),
-                ("unit-%s-comodule(%s)" % (side, n.name),
-                 "rho(%s(%s)) = (%s (x) id) rho(%s)" % (sym, src, sym, src), (index_leg(n.dim),),
-                 kron(n.mu, idh) @ t.coaction, n.coaction @ n.mu),
-            )))
+    unital = _unit_certificates(keys, laws)
+    for i, n in enumerate(modules):
+        rep.extend(check_unit_constraints(n, unital[i]))
 
     rep.add(
         "thm-3.7",

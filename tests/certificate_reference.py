@@ -6,15 +6,16 @@ Every table here is keyed by positions: the pair pieces by (M, N), the T_X
 by module, the identities of _certificates, _braiding_certificates,
 _functor_certificates and _conjugate_certificates by the positions of
 their modules and pairs, and the laws of each component automorphism by
-the module that carries it.  They share with t_category only the group
-words (_phi, _conj_phi, _conj_f, group_mul) and the laws of H alone
-(_component_laws), which the keying does not touch.
+the module that carries it.  Every law is restated here as an equality of
+maps, where t_category reads it by id from the suite that states it; the
+reference shares with t_category only the group words (_phi, _conj_phi,
+_conj_f, group_mul).
 """
 
 import itertools
 
-from homyd.exactlin import LinearMap, kron, permute
-from homyd.t_category import _component_laws, _conj_f, _conj_phi, _phi, group_mul
+from homyd.exactlin import LinearMap, flip, kron, permute
+from homyd.t_category import _conj_f, _conj_phi, _phi, group_mul
 
 
 def _split(m, n):
@@ -57,6 +58,29 @@ def _laws(h, modules):
     commute = [(alpha @ a == a @ alpha, alpha @ b == b @ alpha) for a, b in components]
     hom_assoc = mul @ kron(idh, mul) == mul @ kron(mul @ kron(alpha_inv, idh), alpha)
     return twist, assoc, coact_twist, coassoc, braid_law, hopf, commute, hom_assoc, _component_laws(h)
+
+
+def _component_laws(h):
+    """Whether alpha(ab) = alpha(a) alpha(b), 1a = alpha(a) and lambda = rho
+    hold on H, the laws of H besides Hom-associativity that tensor-component
+    reads (module docstring).  lambda(h) = (S^-1(q1), alpha(q2),
+    alpha^-2(S^-1(q4)) alpha^-1(q3), alpha(q5), alpha(q6)) for q = (s3 (x)
+    s3) comul(h) with s3 = (id (x) comul) comul, and rho(h) = (alpha^-1
+    S^-1(h1), k1, 1, k2, h22) for k = alpha(h21); each side is taken right
+    to left on the 4 columns of H."""
+    d = h.dim
+    idh = LinearMap.identity(d)
+    alpha, alpha_inv, mul, comul, unit = h.alpha, h.alpha_inv, h.algebra.mul, h.coalgebra.comul, h.algebra.unit
+    s_inv, split = h.antipode_inv, kron(idh, comul) @ comul
+    if not (alpha @ mul == mul @ kron(alpha, alpha) and mul @ kron(unit, idh) == alpha):
+        return False
+    middle = mul @ kron(alpha_inv @ alpha_inv @ s_inv, alpha_inv) @ flip(d, d)
+    q = kron(kron(s_inv, kron(alpha, idh)) @ split, LinearMap.identity(d ** 3)) @ (
+        kron(idh, kron(idh, kron(alpha, alpha)) @ split) @ comul)
+    lam = kron(LinearMap.identity(d * d), kron(middle, LinearMap.identity(d * d))) @ q
+    rho = kron(alpha_inv @ s_inv, LinearMap.identity(d ** 4)) @ (
+        kron(idh, kron(kron(idh, kron(unit, idh)) @ comul @ alpha, idh)) @ split)
+    return lam == rho
 
 
 def _h_parts(h, pairs):
@@ -179,10 +203,50 @@ def _conjugate_certificates(h, modules, pairs, conj, member, part):
     return certified
 
 
+def _inverse_certificates(h, modules, laws):
+    """Per pair (i, j) of module positions, whether braiding-inverse-left
+    and braiding-inverse-right hold by their certificates (module
+    docstring): module-twist, module-assoc and 1.m = mu(m) for M; eq-1.7,
+    eq-1.8-coact and m0 eps(m1) = mu^-1(m) for N; B of M multiplicative,
+    unital and commuting with alpha; S alpha = alpha S, and S(h1)h2 =
+    eps(h)1 for the left item and h1 S(h2) = eps(h)1 for the right."""
+    twist, assoc, coact_twist, coassoc, _, _, commute, _, _ = laws
+    mul, unit, comul, counit = h.algebra.mul, h.algebra.unit, h.coalgebra.comul, h.coalgebra.counit
+    s, alpha, idh = h.antipode, h.alpha, LinearMap.identity(h.dim)
+    unital = [m.action @ kron(unit, LinearMap.identity(m.dim)) == m.mu for m in modules]
+    counital = [kron(LinearMap.identity(m.dim), counit) @ m.coaction == m.mu_inv for m in modules]
+    b_laws = [f @ mul == mul @ kron(f, f) and f @ unit == unit for f in (m.pair_b.matrix for m in modules)]
+    s_alpha = s @ alpha == alpha @ s
+    left, right = (mul @ kron(f, g) @ comul == unit @ counit for f, g in ((s, idh), (idh, s)))
+    certified = {}
+    for i, j in itertools.product(range(len(modules)), repeat=2):
+        held = (twist[i] and assoc[i] and unital[i] and coassoc[j] and coact_twist[j] and counital[j]
+                and b_laws[i] and commute[i][1] and s_alpha)
+        certified[i, j] = held and left, held and right
+    return certified
+
+
+def _unit_certificates(h, modules, laws):
+    """Per module position, whether unit-left-module, unit-left-comodule,
+    unit-right-module and unit-right-comodule hold by their certificates
+    (module docstring): module-twist, eps(c1) c2 = alpha^-1(c) and eps A =
+    eps; eq-1.8-coact and a1 = alpha(a); module-twist, c1 eps(c2) =
+    alpha^-1(c) and eps B = eps; eq-1.8-coact and 1a = alpha(a)."""
+    twist, _, coact_twist, _, _, _, _, _, _ = laws
+    mul, unit, comul, counit = h.algebra.mul, h.algebra.unit, h.coalgebra.comul, h.coalgebra.counit
+    alpha, alpha_inv, idh = h.alpha, h.alpha_inv, LinearMap.identity(h.dim)
+    counit_left, counit_right = (kron(f, g) @ comul == alpha_inv for f, g in ((counit, idh), (idh, counit)))
+    unit_left, unit_right = (mul @ kron(f, g) == alpha for f, g in ((unit, idh), (idh, unit)))
+    return {i: (twist[i] and counit_left and counit @ m.pair_a.matrix == counit, coact_twist[i] and unit_right,
+                twist[i] and counit_right and counit @ m.pair_b.matrix == counit, coact_twist[i] and unit_left)
+            for i, m in enumerate(modules)}
+
+
 def reference_certificates(h, modules, pairs, conj, member):
     """Per family, the certificate dict check_t_category decides from, by
     position: _braiding_certificates, _conjugate_certificates,
-    _functor_certificates and _certificates."""
+    _functor_certificates, _certificates, _inverse_certificates and
+    _unit_certificates."""
     pieces, laws = _pair_pieces(modules), _laws(h, modules)
     part = _h_parts(h, [m.pair for m in modules])
     return {
@@ -190,4 +254,6 @@ def reference_certificates(h, modules, pairs, conj, member):
         "conjugate": _conjugate_certificates(h, modules, pairs, conj, member, part),
         "functor": _functor_certificates(h, modules, pairs, pieces, conj),
         "triple": _certificates(h, modules, pieces, laws),
+        "inverse": _inverse_certificates(h, modules, laws),
+        "unit": _unit_certificates(h, modules, laws),
     }

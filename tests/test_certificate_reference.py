@@ -29,9 +29,9 @@ import homyd.exactlin as exactlin
 import homyd.t_category as tc
 from certificate_reference import reference_certificates
 from homyd.defformat import parse_definition, resolve_definition, run_checks
-from homyd.exactlin import rat
+from homyd.exactlin import LinearMap, rat
 from homyd.h4_library import build_h4
-from homyd.hom_algebra import AutPair, identity_automorphism
+from homyd.hom_algebra import AutPair, HomHopfAlgebraData, check_hom_algebra, identity_automorphism
 from homyd.yd_modules import YDModuleData, check_yd, trivial_yd
 from test_assoc_certificate import INPUTS, TWISTED, numbered, retagged_objects, shipped_text
 from test_conjugation_certificate import conjugating_pairs
@@ -95,8 +95,21 @@ def random_cases():
     yield "random", (h, mods + [trivial_yd(h)], conjugating_pairs(h, mods, pairs))
 
 
+def alpha_mult_cases():
+    """A one-dimensional H, 1 1 = 1 with unit 2, twist alpha = 2, comul(1)
+    = 2 1 (x) 1, eps(1) = 1 and S(1) = 2, on which alpha(ab) = alpha(a)
+    alpha(b) fails and every other law that tensor-component's certificate
+    reads holds, with a module whose action and coaction are zero, a
+    Yetter-Drinfeld module in the identity component, twice: its
+    tensor-component certificate fails through alpha-mult alone."""
+    one, two = LinearMap.identity(1), LinearMap(1, 1, [2])
+    h = HomHopfAlgebraData.from_maps(("1",), one, two, two, one, two, two)
+    zero = YDModuleData(h, LinearMap.zeros(1, 1), LinearMap.zeros(1, 1), one, AutPair.identity(1), label="Z")
+    yield "alpha-mult", (h, [zero, zero], conjugating_pairs(h, [zero]))
+
+
 CASES = {"shipped": shipped_cases, "mutations": mutated_cases, "twin": twin_cases,
-         "retagged": retagged_cases, "random": random_cases}
+         "retagged": retagged_cases, "random": random_cases, "alpha-mult": alpha_mult_cases}
 
 
 def certificates(h, modules, pairs, conj, member):
@@ -109,7 +122,23 @@ def certificates(h, modules, pairs, conj, member):
         "conjugate": tc._conjugate_certificates(h, pairs, keys, conj_keys, comps, member),
         "functor": tc._functor_certificates(h, pairs, keys, conj_keys, comps),
         "triple": tc._certificates(h, keys, comps, laws),
+        "inverse": tc._inverse_certificates(keys, laws),
+        "unit": tc._unit_certificates(keys, laws),
     }
+
+
+def test_the_alpha_mult_case_breaks_alpha_mult_alone():
+    # of the laws tensor-component's certificate reads, only alpha-mult
+    # fails, so a reference that dropped it would hold there
+    [(_, (h, modules, _))] = alpha_mult_cases()
+    algebra = tc._passing(check_hom_algebra(h.algebra))
+    assert "alpha-mult" not in algebra and {"eq-1.1", "eq-1.2-left"} <= algebra
+    assert [check_yd(m).ok() for m in modules] == [True, True]
+    assert tc._component_laws(h)
+    comps, keys = numbered(h, modules)
+    assert {"aut-comul", "aut-mult", "aut-unit", "aut-antipode", "aut-alpha"} <= tc._passing(comps.report[0,])
+    assert not any(certified[0] for certified in tc._braiding_certificates(
+        h, keys, comps, [True, True], tc._laws(h, modules, comps)).values())
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -159,8 +188,9 @@ def test_a_clean_tcat_op_builds_one_t_per_distinct_pair(monkeypatch):
     # h4.alg's four modules carry four distinct pairs, and each conjugate
     # ^pN lies in the pair of some module, so 4 T_X serve the 4 modules and
     # the 8 conjugates (12 when each was built per position); the products
-    # were 1,256 composes and 702 krons then
+    # were 1,256 composes and 702 krons then, and 723 and 453 while every
+    # braiding, inverse braiding and unit tensor was built and compared
     rep, parts, calls = counted_tcat(monkeypatch, shipped_text(TWISTED))
     assert rep.ok() and len(rep.items) > 400
     assert parts == 4
-    assert calls == {"compose": 723, "kron": 453}
+    assert calls == {"compose": 598, "kron": 291}

@@ -17,6 +17,7 @@ from homyd.h4_library import H4Params, build_h4, build_h4_yd_table, h4_automorph
 from homyd.hom_algebra import AutPair, identity_automorphism
 from homyd.t_category import conjugate_yd, tensor_yd
 from homyd.yd_modules import YDModuleData, build_canonical_yd, trivial_yd
+from test_yd_modules import load_bench_inputs
 
 ROOT = Path(__file__).resolve().parent.parent
 H4_ALG = ROOT / "h4.alg"
@@ -100,10 +101,15 @@ def test_tracer_targets_resolve():
 
 def test_tracer_t_category_targets_run_in_tcat():
     # each t_category name the tracer counts is the function the tcat suite
-    # calls, so none of them reads 0 calls in a tcat op
-    definition = parse_definition(H4_ALG.read_text(encoding="utf-8"))
+    # calls, so none of them reads 0 calls over the shipped file and the
+    # tcat-h4 workload's module mutation, h4a-coact-1-2: on the shipped
+    # file every certificate holds, and braiding, braiding_inverse and
+    # tensor_yd run only in the fallbacks of the mutated file
+    text = H4_ALG.read_text(encoding="utf-8")
+    inputs = load_bench_inputs()
     profile = cProfile.Profile()
-    profile.runcall(run_checks, definition, "tcat")
+    for source in (text, inputs.apply_mutation(text, inputs.MUTATIONS["h4a-coact-1-2"])):
+        profile.runcall(run_checks, parse_definition(source), "tcat")
     calls = {key: stat[1] for key, stat in pstats.Stats(profile).stats.items()}
     for _, attr in load_tracer().TARGETS["t_category"]:
         code = getattr(t_category, attr).__code__
