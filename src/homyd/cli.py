@@ -34,7 +34,7 @@ from .defformat import (
 )
 from .h4_library import H4Params, ZeroParameter, build_h4, build_h4_yd_table
 from .hom_algebra import check_hom_algebra, check_hom_coalgebra, check_hom_hopf, require
-from .t_category import braiding
+from .t_category import _conj_pair, _tensor_basis, braiding
 from .yd_modules import check_yd_module
 
 
@@ -96,22 +96,21 @@ def _pair_dict(pair):
 
 def braiding_to_dict(b):
     m, n = b.source
-    tgt_first, tgt_second = b.target
     mat = b.matrix
     return {
         "convention": "columns hold images of domain basis vectors; "
                       "the row-per-source table is the transpose",
         "rows": mat.rows,
         "cols": mat.cols,
-        "domain_basis": ["%s(x)%s" % (a, c) for a in m.basis for c in n.basis],
-        "codomain_basis": ["%s(x)%s" % (a, c) for a in tgt_first.basis for c in tgt_second.basis],
+        "domain_basis": list(_tensor_basis(m, n)),
+        "codomain_basis": list(_tensor_basis(n, m)),
         "source": {
             "m": m.name,
             "n": n.name,
             "m_pair": _pair_dict(m.pair),
             "n_pair": _pair_dict(n.pair),
         },
-        "target_pair": _pair_dict(tgt_first.pair),
+        "target_pair": _pair_dict(_conj_pair(m.pair, n.pair)),
         "matrix": [[str(mat.entry(i, j)) for j in range(mat.cols)] for i in range(mat.rows)],
     }
 

@@ -924,5 +924,5 @@ def run_checks(resolved, suite="all", seed=0):
             modules = modules + [trivial_yd(h)]
             pairs = [AutPair.identity(h.dim)] + [pair for name, pair in resolved.of_kind("autpair")
                                                  if _over_name(resolved.sections[name], None) == hname]
-            rep.extend(check_t_category(h, modules, pairs, seed=seed).prefixed(hname + ":"))
+            rep.extend(check_t_category(h, modules, pairs).prefixed(hname + ":"))
     return rep

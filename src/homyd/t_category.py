@@ -41,18 +41,16 @@ the comultiplication rather than C (x) act_N (...), so no twist is
 Kronecker-multiplied with a piece that depends on both factors.
 
 Each formula has one function: tensor_yd (with _tensor_maps, its maps,
-which the twisted associativity check shares), braiding, braiding_inverse
-and the checks.  check_t_category builds each conjugate ^pN once, and each
-pair braiding c_{M,N}, as a BraidingMap whose matrix braiding builds when
-first read, and each pair tensor M (x) N, conjugate ^MN and braiding
-target ^MN (x) M when first read, and passes them down to the checks, the
-last three as functions that read them.  What it builds lives only for the
-call; of its inputs, only the modules' own pieces outlive it.
-check_braiding_equivariance, check_braiding_inverse and check_hexagons
-read a pair braiding's source for their labels, and its matrix, its
-inverse, an object or a triple braiding only where a certificate fails;
-check_unit_constraints builds the unit tensors 1 (x) N and N (x) 1 only
-there too.
+which the twisted associativity check shares), conjugate_yd, braiding,
+braiding_inverse and the checks.  check_t_category keeps each object it
+builds by position, for the call only, and builds it when first read: each
+conjugate ^pN, pair tensor M (x) N, conjugate ^MN and braiding target ^MN
+(x) M, and each pair braiding c_{M,N}, a BraidingMap whose matrix braiding
+builds when first read.  Its certificates read a conjugate's component
+p * pair(N) * p^-1 alone (_conj_pair), and the checks read an object, a
+braiding matrix, its inverse or a triple braiding only where a certificate
+fails; check_unit_constraints builds the unit tensors 1 (x) N and N (x) 1
+only there too.  Of its inputs, only the modules' own pieces outlive it.
 
 The certificates below are identities of maps on H that read only the
 component automorphisms (A, B) of their modules and products of them.
@@ -397,12 +395,6 @@ class BraidingMap:
     def matrix(self):
         return braiding(*self.source).matrix
 
-    @property
-    def target(self):
-        """(^M N, M), built when read."""
-        m, n = self.source
-        return conjugate_yd(m.pair, n), m
-
     def __repr__(self):
         m, n = self.source
         return "BraidingMap(%s, %s)" % (m.name, n.name)
@@ -585,13 +577,14 @@ def _functor_certificates(h, pairs, keys, conj_keys, comps):
 
 def _braiding_certificates(h, keys, comps, member, laws):
     """Per pair (i, j) of module positions, whether tensor-component,
-    braiding-module-map, braiding-comodule-map and braiding-morphism hold by
-    their certificates on H (module docstring); keys holds the numbers of
-    the modules' pairs in comps (_Components), member the yd-member
-    verdicts and laws the laws (_laws).  tensor-component and
-    braiding-morphism are conjunctions of those; Psi_L = Psi_R, once per
-    (B_M, pair(N)), and Xi_L pre = Xi_R pre, once per pair(M), are taken
-    right to left on their 16 columns."""
+    braiding-module-map, braiding-comodule-map, braiding-morphism,
+    braiding-inverse-left and braiding-inverse-right hold by their
+    certificates on H (module docstring); keys holds the numbers of the
+    modules' pairs in comps (_Components), member the yd-member verdicts
+    and laws the laws (_laws).  All but the module and comodule maps are
+    conjunctions of those; Psi_L = Psi_R, once per (B_M, pair(N)), and Xi_L
+    pre = Xi_R pre, once per pair(M), are taken right to left on their 16
+    columns."""
     idh = LinearMap.identity(h.dim)
     alpha, alpha_inv, mul, comul = h.alpha, h.alpha_inv, h.algebra.mul, h.coalgebra.comul
     mods, values, on_h, _, component_laws = laws
@@ -629,23 +622,11 @@ def _braiding_certificates(h, keys, comps, member, laws):
         comodule_map = (member[i] and "eq-1.8-coact" in mods[i] and {"eq-1.8-coact", "eq-1.7"} <= mods[j]
                         and xi[a, b])
         morphism = "module-twist" in mods[i] and "eq-1.8-coact" in mods[j] and "aut-alpha" in values[b,]
-        certified[i, j] = component, module_map, comodule_map, morphism
-    return certified
-
-
-def _inverse_certificates(keys, laws):
-    """Per pair (i, j) of module positions, whether braiding-inverse-left
-    and braiding-inverse-right hold by their certificates (module
-    docstring), conjunctions of laws of M, of N, of M's B and of H read by
-    id (_laws); keys holds the numbers of the modules' pairs in
-    _Components."""
-    mods, values, on_h, _, _ = laws
-    certified = {}
-    for (i, (_, b)), j in itertools.product(enumerate(keys), range(len(keys))):
-        held = ({"module-twist", "module-assoc", "module-unit"} <= mods[i]
-                and {"eq-1.7", "eq-1.8-coact", "eq-1.8-counit"} <= mods[j]
-                and {"aut-mult", "aut-unit", "aut-alpha"} <= values[b,] and "antipode-alpha" in on_h)
-        certified[i, j] = held and "antipode-left" in on_h, held and "antipode-right" in on_h
+        inverse = ({"module-twist", "module-assoc", "module-unit"} <= mods[i]
+                   and {"eq-1.7", "eq-1.8-coact", "eq-1.8-counit"} <= mods[j]
+                   and {"aut-mult", "aut-unit", "aut-alpha"} <= values[b,] and "antipode-alpha" in on_h)
+        certified[i, j] = (component, module_map, comodule_map, morphism,
+                           inverse and "antipode-left" in on_h, inverse and "antipode-right" in on_h)
     return certified
 
 
@@ -851,50 +832,22 @@ class _Kept(dict):
         return value
 
 
-def check_t_category(h, modules, pairs, seed=0):
+def check_t_category(h, modules, pairs):
     """Aggregate suite: group axioms, component placement of tensor products
     and conjugations, functor identities, unit constraints, and for every
     pair/triple of the given modules the braiding properties, hexagons,
     invertibility and conjugation invariance.
 
     modules and pairs are lists; all checks iterate them in order, so the
-    resulting report is deterministic.  The seed is recorded for the callers
-    that sampled their inputs from it.  A pair whose automorphisms are not
+    resulting report is deterministic.  A pair whose automorphisms are not
     dim(H) x dim(H), or a module over another algebra than h (one whose
     tables differ from h's), raises InvalidStructure with the one item shape.
-
-    Each conjugate ^pM is built once, before the checks, and kept by
-    position for this call; each pair braiding c_{M,N} is kept by position
-    too, as a BraidingMap whose matrix is built when first read, and each
-    pair tensor M (x) N, conjugate ^MN and braiding target ^MN (x) M is
-    built when first read, and kept by position for this call.  tensor_yd,
-    braiding and braiding_inverse read the one-object pieces of their
-    factors, which each object builds once, when first read.  The
-    certificates on H read a pair tensor's split and the B of its component
-    alone, and the H parts T_X of eq-2.1 (_h_parts); each identity of them
-    is computed once per distinct tuple of the component values it reads,
-    numbered by == for this call (_Components), and the per-module laws stay
-    per position.  tensor-component and the braiding module, comodule and
-    morphism laws of a pair are decided by them and by laws of H and of
-    each module read once (_laws, _braiding_certificates); only an item
-    that fails builds M (x) N, or M (x) N and ^MN (x) M, and runs the full
-    comparison.  So is conjugate-component (_conjugate_certificates); only
-    an item that fails runs check_yd on ^pN, which is built for every (p,
-    N) all the same, though the certificates read only its component pair.
-    The braiding-inverse laws of a pair and the unit constraints of a
-    module are conjunctions of those laws alone (_inverse_certificates,
-    _unit_certificates); only an item that fails builds c_{M,N} and its
-    inverse, or its side's unit tensor, and compares them in full, so a
-    clean call builds no braiding matrix and no unit tensor.  tensor-assoc
-    and the hexagons of a triple are decided by certificates on H
-    (_certificates); only one that fails builds triple tensors or triple
-    braidings, and eq-3.4 reads ^NP only then.  So is functor-tensor
-    (_functor_certificates); only an item that fails builds ^p(M (x) N) and
-    ^pM (x) ^pN.  The group axioms, functor-compose, conjugation-invariance
-    and naturality-id hold for any input (module docstring): they pass, and
-    nothing is built or computed for them.
+    An item whose certificate on H holds passes (module docstring); only
+    one that fails builds the objects it compares, each once per call, so a
+    clean call builds no tensor product, conjugate, braiding matrix or unit
+    tensor.
     """
-    rep = CheckReport("t-category", seed=seed)
+    rep = CheckReport("t-category")
     modules = list(modules)
     pairs = list(pairs)
     for p in pairs:
@@ -909,13 +862,11 @@ def check_t_category(h, modules, pairs, seed=0):
     twisted = _Kept(lambda i, j: conjugate_yd(modules[i].pair, modules[j]))
     target = _Kept(lambda i, j: tensor_yd(twisted[i, j], modules[i]))
     braid = _Kept(lambda i, j: BraidingMap((modules[i], modules[j])))
-    conj = {
-        (pi, i): conjugate_yd(p, m)
-        for pi, p in enumerate(pairs) for i, m in enumerate(modules)
-    }
+    conj = _Kept(lambda pi, i: conjugate_yd(pairs[pi], modules[i]))
     comps = _Components(h)
     keys = [comps.key(m.pair) for m in modules]
-    conj_keys = {key: comps.key(c.pair) for key, c in conj.items()}
+    conj_keys = {(pi, i): comps.key(_conj_pair(p, m.pair))
+                 for pi, p in enumerate(pairs) for i, m in enumerate(modules)}
 
     for p in pairs:
         for name, k in zip("ab", comps.key(p)):
@@ -935,11 +886,10 @@ def check_t_category(h, modules, pairs, seed=0):
 
     laws = _laws(h, modules, comps)
     braided = _braiding_certificates(h, keys, comps, member, laws)
-    inverse = _inverse_certificates(keys, laws)
     for i, j in index_pairs:
         m, n = modules[i], modules[j]
         b = braid[i, j]
-        component, *equivariant = braided[i, j]
+        component, *equivariant, left, right = braided[i, j]
         ident = "tensor-component(%s)" % _pair_labels(m, n)
         law = "M (x) N satisfies eq-2.1 in component pair(M)*pair(N)"
         if component:
@@ -947,7 +897,7 @@ def check_t_category(h, modules, pairs, seed=0):
         else:
             rep.add_verdict(ident, law, check_yd(tensor[i, j]))
         rep.extend(check_braiding_equivariance(b, lambda: tensor[i, j], lambda: target[i, j], equivariant))
-        rep.extend(check_braiding_inverse(b, inverse[i, j]))
+        rep.extend(check_braiding_inverse(b, (left, right)))
         # (id (x) id) c = c (id (x) id) for any map c (module docstring)
         rep.add("naturality-id(%s)" % _pair_labels(m, n), "(id (x) id) c = c (id (x) id)", True)
 

@@ -244,16 +244,17 @@ def _unit_certificates(h, modules, laws):
 
 def reference_certificates(h, modules, pairs, conj, member):
     """Per family, the certificate dict check_t_category decides from, by
-    position: _braiding_certificates, _conjugate_certificates,
-    _functor_certificates, _certificates, _inverse_certificates and
-    _unit_certificates."""
+    position: _braiding_certificates, with the two slots of
+    _inverse_certificates after its four, _conjugate_certificates,
+    _functor_certificates, _certificates and _unit_certificates."""
     pieces, laws = _pair_pieces(modules), _laws(h, modules)
     part = _h_parts(h, [m.pair for m in modules])
+    inverse = _inverse_certificates(h, modules, laws)
     return {
-        "braiding": _braiding_certificates(h, modules, pieces, member, laws, part),
+        "braiding": {key: held + inverse[key]
+                     for key, held in _braiding_certificates(h, modules, pieces, member, laws, part).items()},
         "conjugate": _conjugate_certificates(h, modules, pairs, conj, member, part),
         "functor": _functor_certificates(h, modules, pairs, pieces, conj),
         "triple": _certificates(h, modules, pieces, laws),
-        "inverse": _inverse_certificates(h, modules, laws),
         "unit": _unit_certificates(h, modules, laws),
     }

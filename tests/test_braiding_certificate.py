@@ -81,7 +81,7 @@ def certified_items(h, modules):
     for i, j in itertools.product(range(len(modules)), repeat=2):
         m, n = modules[i], modules[j]
         b = tc.braiding(m, n)
-        src, tgt = tc.tensor_yd(m, n), tc.tensor_yd(*b.target)
+        src, tgt = tc.tensor_yd(m, n), tc.tensor_yd(tc.conjugate_yd(m.pair, n), m)
         full = [check_yd(src).ok()] + [
             item.passed for item in tc.check_braiding_equivariance(b, lambda: src, lambda: tgt, (False,) * 3)]
         if certified[i, j][0]:

@@ -33,6 +33,7 @@ from collections import Counter
 import pytest
 
 import homyd.t_category as tc
+from homyd.cli import main as cli_main
 from homyd.defformat import parse_definition, resolve_definition, run_checks
 from homyd.hom_algebra import AutPair
 from homyd.yd_modules import check_yd, trivial_yd
@@ -126,7 +127,8 @@ def test_a_holding_certificate_meets_a_holding_full_comparison(case):
 
 def fallbacks(monkeypatch, text):
     """The tcat report of text, the functor-tensor items whose certificate
-    failed, so that they built their objects, and the conjugate_yd calls."""
+    failed, so that they built their objects, and the conjugate_yd calls
+    outside the braiding and hexagon checks."""
     built, conjugates, targets, inside = [], [], [], []
     structures_equal, conjugate_yd = tc._structures_equal, tc.conjugate_yd
 
@@ -154,14 +156,13 @@ def fallbacks(monkeypatch, text):
         monkeypatch.setattr(tc, name, recording(getattr(tc, name)))
     rep = run_checks(parse_definition(text), "tcat")
     monkeypatch.undo()
-    # conjugates are built for the conjugate-component items and by
-    # functor-tensor fallbacks only: functor-compose and
+    # conjugates are built by conjugate-component and functor-tensor
+    # fallbacks only, each ^pN once: functor-compose and
     # conjugation-invariance build none; a braiding equivariance or eq-3.4
     # fallback builds ^MN on first read, once per pair
-    placed = sum(":conjugate-component(" in item.identity for item in rep.items)
-    assert len(conjugates) == placed + len(built)
+    assert len(set(conjugates)) == len(conjugates)
     assert len(set(targets)) == len(targets) <= 16
-    return rep, len(built)
+    return rep, len(built), len(conjugates)
 
 
 @pytest.mark.parametrize("mutation", [None] + sorted(INPUTS.MUTATIONS), ids=str)
@@ -170,15 +171,21 @@ def test_clean_files_and_every_mutation_take_no_fallback(monkeypatch, point, mut
     text = shipped_text(point)
     if mutation is not None:
         text = INPUTS.apply_mutation(text, INPUTS.MUTATIONS[mutation])
-    rep, count = fallbacks(monkeypatch, text)
+    rep, count, conjugates = fallbacks(monkeypatch, text)
     assert count == 0
+    # only a conjugate-component item whose certificate fails builds its ^pN
+    assert conjugates == CONJUGATE_FALLBACKS[mutation]
     assert rep.ok() == (mutation is None)
 
 
 @pytest.mark.parametrize("point", ["c = 1", TWISTED])
 def test_a_broken_pair_takes_16_failing_functor_tensor_fallbacks(monkeypatch, point):
-    rep, count = fallbacks(monkeypatch, broken_p(shipped_text(point)))
+    rep, count, conjugates = fallbacks(monkeypatch, broken_p(shipped_text(point)))
     assert count == 16
+    # ^P(M (x) N) for the 16 pairs and the 4 ^PM they read, which P's
+    # failing conjugate-component items share
+    assert conjugates == 20
+    assert [item.passed for item in rep.items if ":conjugate-component(P;" in item.identity] == [False] * 4
     functor_tensor = [item.passed for item in rep.items if ":functor-tensor(" in item.identity]
     assert functor_tensor == [True] * 16 + [False] * 16
 
@@ -250,3 +257,21 @@ def test_a_broken_pair_fails_the_conjugate_component_certificates_of_its_4_conju
     assert count == checked == 4
     conjugate_component = [item.passed for item in rep.items if ":conjugate-component(" in item.identity]
     assert conjugate_component == [True] * 4 + [False] * 4
+
+
+@pytest.mark.parametrize("point", ["c = 1", TWISTED])
+def test_a_clean_tcat_op_and_the_braid_json_build_no_conjugate(monkeypatch, capsys, tmp_path, point):
+    # the certificates read a conjugate's component p * pair(N) * p^-1
+    # alone, and the braid and demo JSON read the target's basis from N and
+    # M and its pair from that product
+    calls = []
+    conjugate_yd = tc.conjugate_yd
+    monkeypatch.setattr(tc, "conjugate_yd", lambda p, n: calls.append((p.name, n.name)) or conjugate_yd(p, n))
+    text = shipped_text(point)
+    assert run_checks(parse_definition(text), "tcat").ok()
+    path = tmp_path / "h4.alg"
+    path.write_text(text, encoding="utf-8")
+    assert cli_main(["braid", str(path), "-m", "H4A", "-n", "H4B", "--out", "json"]) == 0
+    assert cli_main(["demo", "h4", "--c=" + point.split(" = ")[1], "--out", "json"]) == 0
+    assert '"target_pair"' in capsys.readouterr().out
+    assert calls == []

@@ -2,7 +2,8 @@
 are sound, and the fallbacks run only where one fails.
 
 check_t_category decides braiding-inverse-left(M,N) and
-braiding-inverse-right(M,N) (t_category._inverse_certificates), and
+braiding-inverse-right(M,N) (the last two slots of
+t_category._braiding_certificates), and
 unit-left-module(N), unit-left-comodule(N), unit-right-module(N) and
 unit-right-comodule(N) (t_category._unit_certificates), from laws of H, of
 the modules and of their component automorphisms that the suites state,
@@ -15,8 +16,9 @@ that holds.  The inputs are those of the braiding certificate test (h4.alg
 at two twist points, every perfbench mutation at three seeded points and at
 both twist points, the H4 modules re-tagged with non-commuting triangular
 pairs, random_structure modules, A(g) = 2g in P, an act: cell of H4A
-changed), the dense transports of h4.alg at both points and the
-twin-module files at both points.
+changed), the dense transports of h4.alg at both points, the
+twin-module files at both points, and h4.alg at both points with a fifth
+module Z whose coaction is zero, which breaks eq-1.8-counit alone.
 """
 
 import itertools
@@ -26,7 +28,7 @@ import pytest
 
 import homyd.t_category as tc
 from homyd.defformat import parse_definition, resolve_definition, run_checks
-from homyd.yd_modules import trivial_yd
+from homyd.yd_modules import check_yd, trivial_yd
 from test_assoc_certificate import INPUTS, numbered, objects, shipped_text
 from test_braiding_certificate import CASES as BRAIDING_CASES
 from test_braiding_certificate import MAKERS, POINTS
@@ -41,10 +43,11 @@ def certified_items(h, modules):
     """Per item, its certificate's verdict and the full comparison's."""
     comps, keys = numbered(h, modules)
     laws = tc._laws(h, modules, comps)
-    inverse, unital = tc._inverse_certificates(keys, laws), tc._unit_certificates(keys, laws)
+    member = [check_yd(m).ok() for m in modules]
+    braided, unital = tc._braiding_certificates(h, keys, comps, member, laws), tc._unit_certificates(keys, laws)
     for (i, m), (j, n) in itertools.product(enumerate(modules), repeat=2):
         full = tc.check_braiding_inverse(tc.braiding(m, n), (False, False))
-        yield from ((item.identity, cert_ok, item.passed) for item, cert_ok in zip(full.items, inverse[i, j]))
+        yield from ((item.identity, cert_ok, item.passed) for item, cert_ok in zip(full.items, braided[i, j][4:]))
     for i, n in enumerate(modules):
         full = tc.check_unit_constraints(n, (False,) * 4)
         yield from ((item.identity, cert_ok, item.passed) for item, cert_ok in zip(full.items, unital[i]))
@@ -61,7 +64,20 @@ def dense_and_twin_objects():
             yield "twin, broken %s, %s" % (broken, point), objects(twin_text(shipped_text(point), broken))
 
 
-CASES = {**BRAIDING_CASES, "dense and twin": dense_and_twin_objects}
+def counit_text(text):
+    """text with a one-dimensional module Z on which 1 and g act as the
+    identity and x and gx as zero, with the zero coaction: eq-1.8-counit,
+    z0 eps(z1) = mu^-1(z), fails for Z, and every other law of Z holds."""
+    return text + "\n[ydmodule Z over H4]\nbasis: z\nact: 1 z -> z\nact: g z -> z\ncoact: z -> 0\n"
+
+
+def counit_objects():
+    """h4.alg at both twist points with Z (counit_text)."""
+    for point in POINTS:
+        yield "counit, %s" % point, objects(counit_text(shipped_text(point)))
+
+
+CASES = {**BRAIDING_CASES, "dense and twin": dense_and_twin_objects, "counit": counit_objects}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -77,7 +93,24 @@ def test_a_holding_certificate_meets_a_holding_full_comparison(case):
     # the retagged pairs are no automorphisms, so only the unit-comodule
     # certificates, which read no pair, hold there
     assert all(held[f] for f in (UNIT[1::2] if case == "retagged" else INVERSE + UNIT))
-    assert failed or case not in ("perfbench mutations", "mutations at both points", "broken")
+    assert failed or case not in ("perfbench mutations", "mutations at both points", "broken", "counit")
+
+
+@pytest.mark.parametrize("point", POINTS)
+def test_the_counit_module_breaks_eq_1_8_counit_alone(monkeypatch, point):
+    # of the laws the inverse certificates read, only eq-1.8-counit of Z
+    # fails, so the 5 pairs (M, Z) take the full comparison, which fails
+    # both items of each: a certificate that dropped eq-1.8-counit would
+    # hold there
+    text = counit_text(shipped_text(point))
+    yd = run_checks(parse_definition(text), "yd")
+    assert len(yd.items) == 40 and [item.identity for item in yd.failures()] == ["Z:eq-1.8-counit"]
+    rep, counts = fallbacks(monkeypatch, text)
+    assert counts == (5, 5, 0, 0, 0, 0)
+    assert len(rep.items) == 713
+    assert [item.identity for item in rep.failures()] == [
+        "H4:braiding-inverse-%s(%s,Z)" % (side, m) for m in ("H4A", "H4B", "H4AB", "Z", "k")
+        for side in ("left", "right")] + ["H4:thm-3.7"]
 
 
 def fallbacks(monkeypatch, text):
@@ -93,12 +126,13 @@ def fallbacks(monkeypatch, text):
             return seen[name]
         return wrapped
 
-    for name in ("_inverse_certificates", "_unit_certificates"):
+    for name in ("_braiding_certificates", "_unit_certificates"):
         monkeypatch.setattr(tc, name, recording(name))
     rep = run_checks(parse_definition(text), "tcat")
     monkeypatch.undo()
     counts = [sum(not held[f] for held in seen[name].values())
-              for name, size in (("_inverse_certificates", 2), ("_unit_certificates", 4)) for f in range(size)]
+              for name, slots in (("_braiding_certificates", (4, 5)), ("_unit_certificates", range(4)))
+              for f in slots]
     return rep, tuple(counts)
 
 

@@ -54,7 +54,7 @@ def shipped_texts():
 @pytest.mark.parametrize("suite", SUITES)
 def test_every_suite_on_the_shipped_file(point, suite):
     report = run_checks(parse_definition(shipped_texts()[point]), suite, seed=3)
-    assert report.ok() and report.items
+    assert report.ok() and report.items and report.seed == 3
     assert_oracle(report)
 
 

@@ -11,9 +11,9 @@ aut-mult, aut-unit, aut-counit, aut-antipode and aut-alpha from
 check_automorphism.  Here each suite is replaced by one whose report fails
 that id alone, for one module, one component value or H, and the
 certificates of h4.alg, which all hold, must lose exactly the keys that
-CONJUNCTS, the conjunct table of _certificates, _braiding_certificates,
-_inverse_certificates and _unit_certificates, names for the law: dropping
-a conjunct from any of them, or reading the wrong id, fails here.
+CONJUNCTS, the conjunct table of _certificates, _braiding_certificates
+and _unit_certificates, names for the law: dropping a conjunct from any of
+them, or reading the wrong id, fails here.
 """
 
 import pytest
@@ -30,42 +30,42 @@ from test_certificate_reference import POINTS, certificates, file_objects
 #: "b") whose pair's automorphism it is read of, and None for a law of H,
 #: which every key of the slot reads.  The triple slots are tensor-assoc's
 #: module and comodule halves, eq-3.4 and eq-3.5; the braiding slots are
-#: tensor-component, braiding-module-map, braiding-comodule-map and
-#: braiding-morphism; the inverse slots are braiding-inverse-left and
-#: braiding-inverse-right, keyed by the pair (M, N); the unit slots are
-#: unit-left-module, unit-left-comodule, unit-right-module and
-#: unit-right-comodule, keyed by the module N alone.
+#: tensor-component, braiding-module-map, braiding-comodule-map,
+#: braiding-morphism, braiding-inverse-left and braiding-inverse-right,
+#: keyed by the pair (M, N); the unit slots are unit-left-module,
+#: unit-left-comodule, unit-right-module and unit-right-comodule, keyed by
+#: the module N alone.
 CONJUNCTS = {
     "module-twist": ("check_hom_module", [("triple", 0, (0, 2)), ("braiding", 1, (0, 1)), ("braiding", 3, (0,)),
-                                          ("inverse", 0, (0,)), ("inverse", 1, (0,)), ("unit", 0, (0,)),
+                                          ("braiding", 4, (0,)), ("braiding", 5, (0,)), ("unit", 0, (0,)),
                                           ("unit", 2, (0,))]),
-    "module-assoc": ("check_hom_module", [("braiding", 1, (0,)), ("inverse", 0, (0,)), ("inverse", 1, (0,))]),
-    "module-unit": ("check_hom_module", [("inverse", 0, (0,)), ("inverse", 1, (0,))]),
+    "module-assoc": ("check_hom_module", [("braiding", 1, (0,)), ("braiding", 4, (0,)), ("braiding", 5, (0,))]),
+    "module-unit": ("check_hom_module", [("braiding", 4, (0,)), ("braiding", 5, (0,))]),
     "eq-1.8-coact": ("check_hom_comodule", [("triple", 1, (0, 2)), ("triple", 2, (2,)), ("braiding", 2, (0, 1)),
-                                            ("braiding", 3, (1,)), ("inverse", 0, (1,)), ("inverse", 1, (1,)),
+                                            ("braiding", 3, (1,)), ("braiding", 4, (1,)), ("braiding", 5, (1,)),
                                             ("unit", 1, (0,)), ("unit", 3, (0,))]),
-    "eq-1.7": ("check_hom_comodule", [("triple", 2, (2,)), ("braiding", 2, (1,)), ("inverse", 0, (1,)),
-                                      ("inverse", 1, (1,))]),
-    "eq-1.8-counit": ("check_hom_comodule", [("inverse", 0, (1,)), ("inverse", 1, (1,))]),
+    "eq-1.7": ("check_hom_comodule", [("triple", 2, (2,)), ("braiding", 2, (1,)), ("braiding", 4, (1,)),
+                                      ("braiding", 5, (1,))]),
+    "eq-1.8-counit": ("check_hom_comodule", [("braiding", 4, (1,)), ("braiding", 5, (1,))]),
     "eq-1.1": ("check_hom_algebra", [("triple", 1, None), ("braiding", 0, None)]),
     "alpha-mult": ("check_hom_algebra", [("braiding", 0, None)]),
     "eq-1.2-left": ("check_hom_algebra", [("braiding", 0, None), ("unit", 3, None)]),
     "eq-1.2-right": ("check_hom_algebra", [("unit", 1, None)]),
     "counit-left": ("check_hom_coalgebra", [("unit", 0, None)]),
     "counit-right": ("check_hom_coalgebra", [("unit", 2, None)]),
-    "antipode-left": ("check_antipode", [("inverse", 0, None)]),
-    "antipode-right": ("check_antipode", [("inverse", 1, None)]),
-    "antipode-alpha": ("check_antipode", [("inverse", 0, None), ("inverse", 1, None)]),
+    "antipode-left": ("check_antipode", [("braiding", 4, None)]),
+    "antipode-right": ("check_antipode", [("braiding", 5, None)]),
+    "antipode-alpha": ("check_antipode", [("braiding", 4, None), ("braiding", 5, None)]),
     "aut-comul": ("check_automorphism", [("braiding", 0, ((0, "b"), (1, "a")))]),
-    "aut-mult": ("check_automorphism", [("braiding", 0, ((0, "b"), (1, "a"))), ("inverse", 0, ((0, "b"),)),
-                                        ("inverse", 1, ((0, "b"),))]),
-    "aut-unit": ("check_automorphism", [("braiding", 0, ((0, "b"), (1, "a"))), ("inverse", 0, ((0, "b"),)),
-                                        ("inverse", 1, ((0, "b"),))]),
+    "aut-mult": ("check_automorphism", [("braiding", 0, ((0, "b"), (1, "a"))), ("braiding", 4, ((0, "b"),)),
+                                        ("braiding", 5, ((0, "b"),))]),
+    "aut-unit": ("check_automorphism", [("braiding", 0, ((0, "b"), (1, "a"))), ("braiding", 4, ((0, "b"),)),
+                                        ("braiding", 5, ((0, "b"),))]),
     "aut-counit": ("check_automorphism", [("unit", 0, ((0, "a"),)), ("unit", 2, ((0, "b"),))]),
     "aut-antipode": ("check_automorphism", [("braiding", 0, ((0, "b"), (1, "a")))]),
     "aut-alpha": ("check_automorphism", [("braiding", 0, ((0, "a"), (0, "b"), (1, "a"), (1, "b"))),
-                                         ("braiding", 3, ((0, "b"),)), ("inverse", 0, ((0, "b"),)),
-                                         ("inverse", 1, ((0, "b"),))]),
+                                         ("braiding", 3, ((0, "b"),)), ("braiding", 4, ((0, "b"),)),
+                                         ("braiding", 5, ((0, "b"),))]),
 }
 
 
