@@ -57,8 +57,8 @@ component automorphisms (A, B) of their modules and products of them.
 check_t_category numbers those values by == (_Components) and computes
 each identity once per distinct tuple of the values it reads, so modules
 that share a component share its identities.  A module's own laws
-(yd-member, module-twist, module-assoc, eq-1.8-coact, eq-1.7 and eq-3.5's
-braid law) stay per position, and a certificate is the conjunction of both.
+(yd-member, module-twist, module-assoc, eq-1.8-coact and eq-1.7) stay per
+position, and a certificate is the conjunction of both.
 
 tensor-assoc(M, N, P) asks a = mu_M (x) id (x) mu_P^-1 to intertwine the
 actions, and the coactions, of (MN)P and M(NP).  With phi_{X,Y} = C_Y^-1 B_X
@@ -93,7 +93,15 @@ z' = mu_P^-1(z), the two sides of eq-3.5 are mu_N^2(y0) (x) mu_P(z'0) (x)
 mu_M^-1(B_M^-1(z'1 y1).x) and mu_N^2(y0) (x) mu_P(z'0) (x)
 B_M^-1(z'1).mu_M^-1(B_M^-1(y1).mu_M^-1(x)), so M's braid law mu_M^-1
 act_M (B_M^-1 mul (x) id) = act_M (B_M^-1 (x) mu_M^-1 braid_act_M) on
-H (x) H (x) M proves it.  Only an equation whose certificate fails builds
+H (x) H (x) M proves it.  The braid law is not computed.  With mu = mu_M
+and B = B_M, module-twist, read as mu^-1(a.m) = alpha^-1(a).mu^-1(m), and
+B^-1 multiplicative (aut-mult of B, for the exact stored inverse) make its
+left side on a (x) b (x) m alpha^-1(B^-1(a) B^-1(b)).mu^-1(m);
+module-twist and module-assoc, a.(b.m) = (alpha^-1(a) b).mu(m), make its
+right side (alpha^-1 B^-1(a) alpha^-1 B^-1(b)).mu^-1(m), and alpha(ab) =
+alpha(a) alpha(b) (alpha-mult) equates the two for the exact stored
+alpha^-1.  So module-twist and module-assoc of M, aut-mult of B_M and
+alpha-mult prove eq-3.5.  Only an equation whose certificate fails builds
 its triple braidings and runs the full matrix comparison.
 
 The index-group items are proven, not computed.  For invertible A, ..., F
@@ -151,7 +159,7 @@ exactly: a(bc) = (alpha^-1(a) b) alpha(c) is eq-1.1 precomposed with
 alpha^-1 (x) id (x) id; for the exact stored S^-1, F S^-1 = S^-1 F holds
 iff F S = S F (aut-antipode); eq-1.7's gamma^-1 is alpha^-1, since
 HomHopfAlgebraData rejects gamma != alpha.  It computes only lambda = rho
-and the braid law, which no suite states.
+and kappa below, which no suite states.
 
 tensor-component(M, N).  Where eq-2.1 holds for M and for N, rho_{MN}
 act_{MN}(h (x) x (x) y), which ends in (g''.y)1 (g'.x)1, is (act_M (x)
@@ -197,6 +205,20 @@ right side of eq-2.1 for ^pN is phi(u').y0 (x) w' for (u', w') =
 T_{^pN}(h, f(y1)).  So yd-member(N) and (id (x) f) T_N (phi (x) id) = (phi
 (x) id) T_{^pN} (id (x) f), maps on H (x) H, prove the item.
 
+kappa.  The braiding module and comodule maps read the contraction law
+kappa_L = kappa_R, maps H -> H^(x)3 with
+
+    kappa_L(h) = (S^-1(h21) alpha^-1(h1), h221, h222),
+    kappa_R(h) = (1, alpha^-2(h1), alpha^-2(h2)),
+
+which the antipode and counit laws give, S^-1(h2) h1 = eps(h)1 after
+Hom-coassociativity, as one identity that reads no counit; it is computed
+once per call.  lambda = rho does not give it: on H = k[x]/(x^2) with
+comul(1) = 1 (x) 1, comul(x) = x (x) 1 and S = alpha = id, every law of
+check_hom_algebra, eq-1.4, eq-1.5 and lambda = rho hold while kappa and
+Psi_L = Psi_R below fail, since no counit law cancels lambda's two outer
+legs.
+
 braiding-module-map(M, N).  c(x (x) y) = nu(y0) (x) B^-1(y1).mu^-1(x),
 with mu = mu_M and nu = mu_N.  ^MN (x) M acts on ^MN through A(h1), where
 ^MN acts through C^-1 B C A^-1, and on M through A^-1 B_{^MN} A = B^-1
@@ -210,6 +232,24 @@ Psi_R, maps on H (x) H with Psi_L(h, t) = (alpha(u), alpha^-1(B^-1 w)
 alpha^-1(a)) for (u, w) = T_N(k, t) and Psi_R(h, t) = (C^-1 B C(h1),
 alpha^-1(B^-1 B_{MN}(h2)) B^-1(t)), prove the item.
 
+Psi_L = Psi_R is not computed; kappa and laws the suites state prove it.
+With phi = C^-1 B C, k = phi(h2) and B_{MN} = D phi, where B and C are
+coalgebra maps that commute with S^-1, k's legs are phi(h21), phi(h221)
+and phi(h222) and B^-1 C S^-1 phi = C S^-1.  B^-1 and alpha^-1 are
+multiplicative and commute with B, C and D, so the second leg of Psi_L is
+((P Q) alpha^-1 C S^-1(h21)) alpha^-1 C(h1) for P = alpha^-1 B^-1 D
+phi(h222) and Q = alpha^-2 B^-1(t).  Hom-associativity, (x y) z =
+alpha(x)(y alpha^-1(z)), and C multiplicative make it alpha(P Q) alpha^-1
+C(S^-1(h21) alpha^-1(h1)), so Psi_L = G (kappa_L (x) id) for
+
+    G(z, x, y, t) = (alpha^2 phi(x), alpha(alpha^-1 B^-1 D phi(y) alpha^-2 B^-1(t)) alpha^-1 C(z)),
+
+and C(1) = 1, alpha(1) = 1 (eq-1.3), a1 = alpha(a) (eq-1.2-right) and
+alpha(ab) = alpha(a) alpha(b) make G (kappa_R (x) id) = Psi_R.  So kappa,
+eq-1.1, alpha-mult, eq-1.2-right and eq-1.3; aut-comul, aut-mult,
+aut-antipode and aut-alpha of B; the same and aut-unit of C; and
+aut-alpha of D prove Psi_L = Psi_R.
+
 braiding-comodule-map(M, N).  ^MN (x) M coacts by y0 (x) x0 (x) x1 f(y1),
 f = A B^-1.  Where rho mu = (mu (x) alpha) rho holds for M and N
 (eq-1.8-coact) and eq-2.1 for M, rho(c(x (x) y)) = nu(y00) (x)
@@ -219,8 +259,21 @@ Both are one map of Xi(y01, y1, x1), with Xi_L(s, t', r) = T_M(B^-1(t'),
 alpha^-1(r)) times f alpha(s) on its second leg and Xi_R(s, t', r) =
 (B^-1(s), t' r).  Where eq-1.7 holds for N, y00 (x) y01 (x) y1 = nu^-1(y0)
 (x) y11 (x) alpha(y12), so Xi meets only pre(t, r) = (t1, alpha(t2), r),
-and Xi_L pre = Xi_R pre, a map on H (x) H that depends on M alone and is
-computed once per M, proves the item with those laws.
+and Xi_L pre = Xi_R pre, maps on H (x) H, proves the item with those laws.
+
+Xi_L pre = Xi_R pre is not computed either.  With s = alpha(t2), where B
+is a coalgebra map that commutes with S^-1, T_M(B^-1(s), alpha^-1(r)) =
+(alpha B^-1(s21), (s22 alpha^-2(r)) A B^-1 S^-1(s1)).  Hom-associativity
+and A B^-1 multiplicative and commuting with alpha turn its second leg
+times f alpha(t1) into alpha(s22 alpha^-2(r)) A B^-1(S^-1(s1) t1).  Where
+comul alpha = (alpha (x) alpha) comul (eq-1.5), s1, s21 and s22 are the
+legs h21, h221 and h222 of h = alpha(t), and t1 = alpha^-1(h1), so Xi_L
+pre = G' (kappa_L alpha (x) id) for G'(z, x, y, r) = (alpha B^-1(x),
+alpha(y alpha^-2(r)) A B^-1(z)); A B^-1(1) = 1, eq-1.2-right,
+alpha-mult and eq-1.5 make G' (kappa_R alpha (x) id) = Xi_R pre.  So
+kappa, eq-1.1, alpha-mult, eq-1.2-right and eq-1.5; aut-mult, aut-unit and
+aut-alpha of A; and aut-comul, aut-mult, aut-unit, aut-antipode and
+aut-alpha of B prove it.
 
 braiding-morphism(M, N).  Module-twist for M and eq-1.8-coact for N give
 (nu (x) mu) c(x (x) y) = nu^2(y0) (x) alpha B^-1(y1).x and c(mu(x) (x)
@@ -475,16 +528,17 @@ def _laws(h, modules, comps):
     module, by position, of check_hom_module and check_hom_comodule; per
     component value k, of comps.report[k,] (check_automorphism), kept; on H,
     once, of check_hom_algebra, check_hom_coalgebra and check_antipode.
-    Beside them, computed here: eq-3.5's braid law per module, and lambda =
-    rho (_component_laws) where alpha-mult and eq-1.2-left hold, which
-    tensor-component reads with them."""
+    Beside them, computed here, once: lambda = rho (_component_laws) where
+    alpha-mult and eq-1.2-left hold, which tensor-component reads with
+    them, and kappa (_contraction_law) where eq-1.1, alpha-mult and
+    eq-1.2-right hold, which the braiding module-map and comodule-map slots
+    read with them."""
     per_module = [_passing(check_hom_module(m)) | _passing(check_hom_comodule(m)) for m in modules]
     values = _Kept(lambda k: _passing(comps.report[k,]))
     on_h = _passing(check_hom_algebra(h.algebra)) | _passing(check_hom_coalgebra(h.coalgebra)) | _passing(
         check_antipode(h))
-    braid_law = [m.mu_inv @ m.action @ kron(m.pair_b.inverse @ h.algebra.mul, LinearMap.identity(m.dim))
-                 == m.action @ kron(m.pair_b.inverse, m.mu_inv @ m.braid_act) for m in modules]
-    return per_module, values, on_h, braid_law, {"alpha-mult", "eq-1.2-left"} <= on_h and _component_laws(h)
+    return (per_module, values, on_h, {"alpha-mult", "eq-1.2-left"} <= on_h and _component_laws(h),
+            {"eq-1.1", "alpha-mult", "eq-1.2-right"} <= on_h and _contraction_law(h))
 
 
 def _component_laws(h):
@@ -508,6 +562,21 @@ def _component_laws(h):
     return lam == rho
 
 
+def _contraction_law(h):
+    """Whether kappa_L = kappa_R holds on H, the identity of maps H ->
+    H^(x)3 that the braiding module-map and comodule-map certificates read
+    besides the laws the suites state (module docstring): kappa_L(h) =
+    (S^-1(h21) alpha^-1(h1), h221, h222) and kappa_R(h) = (1,
+    alpha^-2(h1), alpha^-2(h2)), each taken right to left on the 4 columns
+    of H."""
+    d = h.dim
+    idh, comul, alpha_inv = LinearMap.identity(d), h.coalgebra.comul, h.alpha_inv
+    contract = h.algebra.mul @ kron(h.antipode_inv, alpha_inv) @ flip(d, d)
+    left = kron(contract, LinearMap.identity(d * d)) @ (kron(idh, kron(idh, comul) @ comul) @ comul)
+    twice = alpha_inv @ alpha_inv
+    return left == kron(h.algebra.unit, kron(twice, twice) @ comul)
+
+
 def _h_parts(h, auts):
     """T_(A,B), the H part of eq-2.1 in component (A, B), a map H (x) H ->
     H (x) H (module docstring), keyed by the numbers (a, b) of A and B in
@@ -529,12 +598,13 @@ def _certificates(h, keys, comps, laws):
     """Per triple (i, j, k) of module positions, whether the module and the
     comodule half of tensor-assoc, eq-3.4 and eq-3.5 hold by their
     certificates on H (module docstring); keys holds the numbers of the
-    modules' pairs in comps (_Components), and laws the laws of H and of
-    each module (_laws).  The module half's identity is computed once per
-    (B_M, pair(N), A_P), and eq-3.4's coalgebra-map identity of B_{MN}^-1
-    alpha once per (B_M, pair(N))."""
+    modules' pairs in comps (_Components), and laws the laws of H, of each
+    module and of each component value (_laws).  The module half's identity
+    is computed once per (B_M, pair(N), A_P), and eq-3.4's coalgebra-map
+    identity of B_{MN}^-1 alpha once per (B_M, pair(N)); eq-3.5's is a
+    conjunction of laws."""
     idh, alpha, alpha_inv, comul = LinearMap.identity(h.dim), h.alpha, h.alpha_inv, h.coalgebra.comul
-    mods, _, on_h, braid_law, _ = laws
+    mods, values, on_h, _, _ = laws
     split, b_mn = comps.split, comps.b_mn
     outer = kron(alpha, kron(idh, alpha_inv))
 
@@ -548,6 +618,8 @@ def _certificates(h, keys, comps, laws):
                 == outer @ (kron(split[b, c] @ comps[e].matrix, _phi(b_mn[b, c, d], comps[e])) @ comul))
 
     coalgebra, module = _Kept(coalgebra_map), _Kept(module_half)
+    braid_law = [{"module-twist", "module-assoc"} <= mods[i] and "aut-mult" in values[b,] and "alpha-mult" in on_h
+                 for i, (_, b) in enumerate(keys)]
     return {(i, j, k): ("module-twist" in mods[i] and "module-twist" in mods[k] and module[b, c, d, e],
                         "eq-1.1" in on_h and "eq-1.8-coact" in mods[i] and "eq-1.8-coact" in mods[k],
                         {"eq-1.8-coact", "eq-1.7"} <= mods[k] and coalgebra[b, c, d], braid_law[i])
@@ -575,42 +647,19 @@ def _functor_certificates(h, pairs, keys, conj_keys, comps):
             for pi in range(len(pairs)) for (i, (a, b)), (j, (c, _)) in itertools.product(enumerate(keys), repeat=2)}
 
 
-def _braiding_certificates(h, keys, comps, member, laws):
+def _braiding_certificates(keys, member, laws):
     """Per pair (i, j) of module positions, whether tensor-component,
     braiding-module-map, braiding-comodule-map, braiding-morphism,
     braiding-inverse-left and braiding-inverse-right hold by their
-    certificates on H (module docstring); keys holds the numbers of the
-    modules' pairs in comps (_Components), member the yd-member verdicts
-    and laws the laws (_laws).  All but the module and comodule maps are
-    conjunctions of those; Psi_L = Psi_R, once per (B_M, pair(N)), and Xi_L
-    pre = Xi_R pre, once per pair(M), are taken right to left on their 16
-    columns."""
-    idh = LinearMap.identity(h.dim)
-    alpha, alpha_inv, mul, comul = h.alpha, h.alpha_inv, h.algebra.mul, h.coalgebra.comul
-    mods, values, on_h, _, component_laws = laws
+    certificates on H (module docstring), each a conjunction of the
+    yd-member verdicts member and the laws (_laws); keys holds the numbers
+    of the modules' pairs in _Components."""
+    mods, values, on_h, component_laws, contraction = laws
     hopf = {"aut-comul", "aut-mult", "aut-unit", "aut-antipode"}
-    pre, rotate, part = kron(comul, idh), permute((h.dim,) * 3, (1, 2, 0)), comps.part
-    # per B_M: (u, w, a) -> (alpha(u), alpha^-1(B^-1 w) alpha^-1(a)), the
-    # left end of Psi_L
-    psi_left = _Kept(lambda b: kron(alpha, mul @ kron(alpha_inv @ comps[b].inverse, alpha_inv)) @ rotate)
-
-    def psi(b, c, d):
-        # Psi_L (h, t) from (a, T_N(k, t)) for (a, k) = g(h), and Psi_R (h, t)
-        # = (C^-1 B C(h1), alpha^-1(B^-1 B_MN(h2)) B^-1(t))
-        b_inv = comps[b].inverse
-        return (psi_left[b,] @ (kron(idh, part[c, d]) @ kron(comps.split[b, c], idh))
-                == kron(_phi(comps[b], comps[c]), mul @ kron(alpha_inv @ b_inv @ comps.b_mn[b, c, d].matrix, b_inv))
-                @ pre)
-
-    def xi(a, b):
-        # Xi_L pre (t, r) = T_M(B^-1 alpha(t2), alpha^-1(r)) times f alpha(t1)
-        # and Xi_R pre (t, r) = (B^-1(t1), alpha(t2) r)
-        b_inv = comps[b].inverse
-        return (kron(idh, mul) @ (kron(part[a, b], comps[a].matrix @ b_inv @ alpha)
-                                  @ (rotate @ (kron(idh, kron(b_inv @ alpha, alpha_inv)) @ pre)))
-                == kron(b_inv, mul @ kron(alpha, idh)) @ pre)
-
-    psi, xi = _Kept(psi), _Kept(xi)
+    # kappa and the laws of H that prove Psi_L = Psi_R and Xi_L pre = Xi_R
+    # pre with the automorphism laws below
+    psi_h = contraction and "eq-1.3" in on_h
+    xi_h = contraction and "eq-1.5" in on_h
     certified = {}
     for (i, (a, b)), (j, (c, d)) in itertools.product(enumerate(keys), repeat=2):
         # B of M and C of N are bialgebra maps that commute with S^-1, and
@@ -618,9 +667,11 @@ def _braiding_certificates(h, keys, comps, member, laws):
         component = (member[i] and member[j] and "eq-1.1" in on_h and component_laws and hopf <= values[b,]
                      and hopf <= values[c,] and all("aut-alpha" in values[k,] for k in (a, b, c, d)))
         module_map = (member[j] and {"module-twist", "module-assoc"} <= mods[i] and "module-twist" in mods[j]
-                      and psi[b, c, d])
+                      and psi_h and {"aut-comul", "aut-mult", "aut-antipode", "aut-alpha"} <= values[b,]
+                      and hopf | {"aut-alpha"} <= values[c,] and "aut-alpha" in values[d,])
         comodule_map = (member[i] and "eq-1.8-coact" in mods[i] and {"eq-1.8-coact", "eq-1.7"} <= mods[j]
-                        and xi[a, b])
+                        and xi_h and {"aut-mult", "aut-unit", "aut-alpha"} <= values[a,]
+                        and hopf | {"aut-alpha"} <= values[b,])
         morphism = "module-twist" in mods[i] and "eq-1.8-coact" in mods[j] and "aut-alpha" in values[b,]
         inverse = ({"module-twist", "module-assoc", "module-unit"} <= mods[i]
                    and {"eq-1.7", "eq-1.8-coact", "eq-1.8-counit"} <= mods[j]
@@ -885,7 +936,7 @@ def check_t_category(h, modules, pairs):
         member.append(sub.ok())
 
     laws = _laws(h, modules, comps)
-    braided = _braiding_certificates(h, keys, comps, member, laws)
+    braided = _braiding_certificates(keys, member, laws)
     for i, j in index_pairs:
         m, n = modules[i], modules[j]
         b = braid[i, j]

@@ -36,10 +36,15 @@ def _laws(h, modules):
     """Whether each law the certificates use holds as an identity of maps
     (module docstring).  Per module, by position: module-twist,
     module-assoc, eq-1.8-coact, eq-1.7, eq-3.5's braid law, and for its A
-    and its B whether each is a bialgebra map that commutes with S^-1 and
-    whether each commutes with alpha.  On H, once: Hom-associativity
-    a(bc) = (alpha^-1(a) b) alpha(c), and the laws of H that
-    tensor-component reads besides (_component_laws)."""
+    and its B whether each is a bialgebra map that commutes with S^-1,
+    whether each commutes with alpha, and each of those laws alone.  On H,
+    once: Hom-associativity a(bc) = (alpha^-1(a) b) alpha(c),
+    alpha(ab) = alpha(a) alpha(b), the laws of H that tensor-component
+    reads besides (_component_laws), and those that the braiding module-map
+    and comodule-map certificates read with the contraction law
+    (_contraction_law): a1 = alpha(a) and alpha(1) = 1 for the one,
+    a1 = alpha(a) and comul alpha = (alpha (x) alpha) comul for the
+    other."""
     alpha, alpha_inv, mul, comul = h.alpha, h.alpha_inv, h.algebra.mul, h.coalgebra.comul
     unit, s_inv, idh = h.algebra.unit, h.antipode_inv, LinearMap.identity(h.dim)
     twist = [m.mu @ m.action == m.action @ kron(alpha, m.mu) for m in modules]
@@ -49,15 +54,32 @@ def _laws(h, modules):
     braid_law = [m.mu_inv @ m.action @ kron(m.pair_b.inverse @ mul, LinearMap.identity(m.dim))
                  == m.action @ kron(m.pair_b.inverse, m.mu_inv @ m.braid_act) for m in modules]
 
-    def bialgebra(f):
-        return (comul @ f == kron(f, f) @ comul and f @ mul == mul @ kron(f, f) and f @ unit == unit
-                and f @ s_inv == s_inv @ f)
+    def automorphism(f):
+        return {"comul": comul @ f == kron(f, f) @ comul, "mult": f @ mul == mul @ kron(f, f),
+                "unit": f @ unit == unit, "antipode": f @ s_inv == s_inv @ f, "alpha": alpha @ f == f @ alpha}
 
-    components = [(m.pair_a.matrix, m.pair_b.matrix) for m in modules]
-    hopf = [(bialgebra(a), bialgebra(b)) for a, b in components]
-    commute = [(alpha @ a == a @ alpha, alpha @ b == b @ alpha) for a, b in components]
+    auts = [(automorphism(m.pair_a.matrix), automorphism(m.pair_b.matrix)) for m in modules]
+    hopf = [tuple(all(x[k] for k in ("comul", "mult", "unit", "antipode")) for x in pair) for pair in auts]
+    commute = [tuple(x["alpha"] for x in pair) for pair in auts]
     hom_assoc = mul @ kron(idh, mul) == mul @ kron(mul @ kron(alpha_inv, idh), alpha)
-    return twist, assoc, coact_twist, coassoc, braid_law, hopf, commute, hom_assoc, _component_laws(h)
+    alpha_mult = alpha @ mul == mul @ kron(alpha, alpha)
+    contraction = (hom_assoc and alpha_mult and mul @ kron(idh, unit) == alpha and _contraction_law(h))
+    psi_h = contraction and alpha @ unit == unit
+    xi_h = contraction and comul @ alpha == kron(alpha, alpha) @ comul
+    return (twist, assoc, coact_twist, coassoc, braid_law, hopf, commute, hom_assoc, _component_laws(h), auts,
+            alpha_mult, psi_h, xi_h)
+
+
+def _contraction_law(h):
+    """Whether kappa_L = kappa_R, maps H -> H^(x)3 with kappa_L(h) =
+    (S^-1(h21) alpha^-1(h1), h221, h222) and kappa_R(h) = (1,
+    alpha^-2(h1), alpha^-2(h2)) (module docstring), the laws of H that the
+    braiding module-map and comodule-map certificates read besides."""
+    d = h.dim
+    idh, comul, alpha_inv = LinearMap.identity(d), h.coalgebra.comul, h.alpha_inv
+    legs = kron(idh, kron(idh, comul) @ comul) @ comul
+    left = kron(h.algebra.mul @ kron(h.antipode_inv, alpha_inv) @ flip(d, d), LinearMap.identity(d * d)) @ legs
+    return left == kron(h.algebra.unit, kron(alpha_inv @ alpha_inv, alpha_inv @ alpha_inv) @ comul)
 
 
 def _component_laws(h):
@@ -107,7 +129,7 @@ def _certificates(h, modules, pieces, laws):
     splits of the pair tensors by position (_pair_pieces), and laws the
     laws of H and of each module (_laws)."""
     idh, alpha, alpha_inv, comul = LinearMap.identity(h.dim), h.alpha, h.alpha_inv, h.coalgebra.comul
-    twist, _, coact_twist, coassoc, braid_law, _, _, hom_assoc, _ = laws
+    twist, assoc, coact_twist, coassoc, braid_law, _, _, hom_assoc, _, auts, alpha_mult, _, _ = laws
     coalgebra_map = {}
     for (i, j), (mn, _) in pieces.items():
         f = mn.b.inverse @ alpha
@@ -121,7 +143,8 @@ def _certificates(h, modules, pieces, laws):
             kron(np.a.matrix, g_np @ _phi(m.pair_b, np.a)) @ comul
             == outer @ (kron(g_mn @ p.pair_a.matrix, _phi(mn.b, p.pair_a)) @ comul))
         certified[i, j, k] = (module_half, hom_assoc and coact_twist[i] and coact_twist[k],
-                              coalgebra_map[i, j] and coact_twist[k] and coassoc[k], braid_law[i])
+                              coalgebra_map[i, j] and coact_twist[k] and coassoc[k],
+                              braid_law[i] and twist[i] and assoc[i] and auts[i][1]["mult"] and alpha_mult)
     return certified
 
 
@@ -154,7 +177,7 @@ def _braiding_certificates(h, modules, pieces, member, laws, part):
     d = h.dim
     idh = LinearMap.identity(d)
     alpha, alpha_inv, mul, comul = h.alpha, h.alpha_inv, h.algebra.mul, h.coalgebra.comul
-    twist, assoc, coact_twist, coassoc, _, hopf, commute, hom_assoc, component_laws = laws
+    twist, assoc, coact_twist, coassoc, _, hopf, commute, hom_assoc, component_laws, auts, _, psi_h, xi_h = laws
     pre, rotate = kron(comul, idh), permute((d,) * 3, (1, 2, 0))
     # per module M: (u, w, a) -> (alpha(u), alpha^-1(B^-1 w) alpha^-1(a)),
     # the left end of Psi_L; and Xi_L pre = Xi_R pre, with Xi_L pre (t, r) =
@@ -180,7 +203,13 @@ def _braiding_certificates(h, modules, pieces, member, laws, part):
         module_map = member[j] and twist[i] and twist[j] and assoc[i] and (
             psi_left[i] @ (kron(idh, part[j]) @ kron(g, idh))
             == kron(_phi(m.pair_b, n.pair_a), mul @ kron(alpha_inv @ b_inv @ mn.b.matrix, b_inv)) @ pre)
-        comodule_map = member[i] and coact_twist[i] and coact_twist[j] and coassoc[j] and xi[i]
+        # the laws that prove Psi_L = Psi_R and Xi_L pre = Xi_R pre from the
+        # contraction law
+        (a_m, b_m), (c_n, d_n) = auts[i], auts[j]
+        module_map = module_map and psi_h and all(b_m[k] for k in ("comul", "mult", "antipode", "alpha")) and all(
+            c_n.values()) and d_n["alpha"]
+        comodule_map = (member[i] and coact_twist[i] and coact_twist[j] and coassoc[j] and xi[i] and xi_h
+                        and all(a_m[k] for k in ("mult", "unit", "alpha")) and all(b_m.values()))
         morphism = twist[i] and coact_twist[j] and commute[i][1]
         certified[i, j] = component, module_map, comodule_map, morphism
     return certified
@@ -210,7 +239,7 @@ def _inverse_certificates(h, modules, laws):
     eq-1.8-coact and m0 eps(m1) = mu^-1(m) for N; B of M multiplicative,
     unital and commuting with alpha; S alpha = alpha S, and S(h1)h2 =
     eps(h)1 for the left item and h1 S(h2) = eps(h)1 for the right."""
-    twist, assoc, coact_twist, coassoc, _, _, commute, _, _ = laws
+    twist, assoc, coact_twist, coassoc, _, _, commute, _, _, _, _, _, _ = laws
     mul, unit, comul, counit = h.algebra.mul, h.algebra.unit, h.coalgebra.comul, h.coalgebra.counit
     s, alpha, idh = h.antipode, h.alpha, LinearMap.identity(h.dim)
     unital = [m.action @ kron(unit, LinearMap.identity(m.dim)) == m.mu for m in modules]
@@ -232,7 +261,7 @@ def _unit_certificates(h, modules, laws):
     (module docstring): module-twist, eps(c1) c2 = alpha^-1(c) and eps A =
     eps; eq-1.8-coact and a1 = alpha(a); module-twist, c1 eps(c2) =
     alpha^-1(c) and eps B = eps; eq-1.8-coact and 1a = alpha(a)."""
-    twist, _, coact_twist, _, _, _, _, _, _ = laws
+    twist, _, coact_twist, _, _, _, _, _, _, _, _, _, _ = laws
     mul, unit, comul, counit = h.algebra.mul, h.algebra.unit, h.coalgebra.comul, h.coalgebra.counit
     alpha, alpha_inv, idh = h.alpha, h.alpha_inv, LinearMap.identity(h.dim)
     counit_left, counit_right = (kron(f, g) @ comul == alpha_inv for f, g in ((counit, idh), (idh, counit)))

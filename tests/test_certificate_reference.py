@@ -15,7 +15,9 @@ at both points, the H4 modules re-tagged with non-commuting triangular
 pairs, once each and once from a pool of two automorphisms, the identity
 and a triangular one, so that the values repeat across positions in every
 combination and an identity holds for some of them only, and the random
-non-commuting pairs of test_t_category.  Each is conjugated by the
+non-commuting pairs of test_t_category, h4.alg at both points with a
+module that breaks eq-1.8-counit alone, and an H on which lambda = rho
+holds but kappa fails.  Each is conjugated by the
 identity pair, its file's autpairs and its modules' pairs.
 """
 
@@ -34,7 +36,9 @@ from homyd.h4_library import build_h4
 from homyd.hom_algebra import AutPair, HomHopfAlgebraData, check_hom_algebra, identity_automorphism
 from homyd.yd_modules import YDModuleData, check_yd, trivial_yd
 from test_assoc_certificate import INPUTS, TWISTED, numbered, retagged_objects, shipped_text
+from test_braiding_certificate import nilpotent_objects
 from test_conjugation_certificate import conjugating_pairs
+from test_inverse_unit_certificate import counit_text
 from test_t_category import random_structure
 from test_twin_modules import twin_text
 from transport import transport
@@ -108,8 +112,25 @@ def alpha_mult_cases():
     yield "alpha-mult", (h, [zero, zero], conjugating_pairs(h, [zero]))
 
 
+def kappa_cases():
+    """test_braiding_certificate.nilpotent_objects, an H on which every law
+    the braiding module-map certificate reads holds but kappa, and Psi_L =
+    Psi_R fails with it, with its zero module twice."""
+    h, zero = nilpotent_objects()
+    yield "kappa", (h, [zero, zero], conjugating_pairs(h, [zero]))
+
+
+def counit_cases():
+    """h4.alg at both twist points with a fifth module Z whose coaction is
+    zero (test_inverse_unit_certificate.counit_text), which breaks
+    eq-1.8-counit alone."""
+    for point in POINTS:
+        yield "counit, %s" % point, file_objects(counit_text(shipped_text(point)))
+
+
 CASES = {"shipped": shipped_cases, "mutations": mutated_cases, "twin": twin_cases,
-         "retagged": retagged_cases, "random": random_cases, "alpha-mult": alpha_mult_cases}
+         "retagged": retagged_cases, "random": random_cases, "alpha-mult": alpha_mult_cases,
+         "counit": counit_cases, "kappa": kappa_cases}
 
 
 def certificates(h, modules, pairs, conj, member):
@@ -118,7 +139,7 @@ def certificates(h, modules, pairs, conj, member):
     conj_keys = {key: comps.key(yd.pair) for key, yd in conj.items()}
     laws = tc._laws(h, modules, comps)
     return {
-        "braiding": tc._braiding_certificates(h, keys, comps, member, laws),
+        "braiding": tc._braiding_certificates(keys, member, laws),
         "conjugate": tc._conjugate_certificates(h, pairs, keys, conj_keys, comps, member),
         "functor": tc._functor_certificates(h, pairs, keys, conj_keys, comps),
         "triple": tc._certificates(h, keys, comps, laws),
@@ -137,7 +158,7 @@ def test_the_alpha_mult_case_breaks_alpha_mult_alone():
     comps, keys = numbered(h, modules)
     assert {"aut-comul", "aut-mult", "aut-unit", "aut-antipode", "aut-alpha"} <= tc._passing(comps.report[0,])
     assert not any(certified[0] for certified in tc._braiding_certificates(
-        h, keys, comps, [True, True], tc._laws(h, modules, comps)).values())
+        keys, [True, True], tc._laws(h, modules, comps)).values())
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -183,14 +204,22 @@ def counted_tcat(monkeypatch, text):
     return rep, sum(map(len, tables)), calls
 
 
-def test_a_clean_tcat_op_builds_one_t_per_distinct_pair(monkeypatch):
+#: per twist point, the compose calls with no identity operand and the kron
+#: calls of a clean tcat op on h4.alg
+CLEAN_CALLS = {"c = 1": {"compose": 410, "kron": 208}, TWISTED: {"compose": 481, "kron": 208}}
+
+
+@pytest.mark.parametrize("point", POINTS)
+def test_a_clean_tcat_op_builds_one_t_per_distinct_pair(monkeypatch, point):
     # h4.alg's four modules carry four distinct pairs, and each conjugate
     # ^pN lies in the pair of some module, so 4 T_X serve the 4 modules and
-    # the 8 conjugates (12 when each was built per position); the products
-    # were 1,256 composes and 702 krons then, 723 and 453 while every
-    # braiding, inverse braiding and unit tensor was built and compared, and
-    # 598 and 291 while every conjugate ^pN was built
-    rep, parts, calls = counted_tcat(monkeypatch, shipped_text(TWISTED))
+    # the 8 conjugates (12 when each was built per position); at c = -3/2
+    # the products were 1,256 composes and 702 krons then, 723 and 453 while
+    # every braiding, inverse braiding and unit tensor was built and
+    # compared, 598 and 291 while every conjugate ^pN was built, and 576 and
+    # 275 (479 and 275 at c = 1) while Psi_L = Psi_R, Xi_L pre = Xi_R pre
+    # and eq-3.5's braid law were computed as maps
+    rep, parts, calls = counted_tcat(monkeypatch, shipped_text(point))
     assert rep.ok() and len(rep.items) > 400
     assert parts == 4
-    assert calls == {"compose": 576, "kron": 275}
+    assert calls == CLEAN_CALLS[point]

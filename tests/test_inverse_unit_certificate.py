@@ -44,7 +44,7 @@ def certified_items(h, modules):
     comps, keys = numbered(h, modules)
     laws = tc._laws(h, modules, comps)
     member = [check_yd(m).ok() for m in modules]
-    braided, unital = tc._braiding_certificates(h, keys, comps, member, laws), tc._unit_certificates(keys, laws)
+    braided, unital = tc._braiding_certificates(keys, member, laws), tc._unit_certificates(keys, laws)
     for (i, m), (j, n) in itertools.product(enumerate(modules), repeat=2):
         full = tc.check_braiding_inverse(tc.braiding(m, n), (False, False))
         yield from ((item.identity, cert_ok, item.passed) for item, cert_ok in zip(full.items, braided[i, j][4:]))

@@ -4,8 +4,8 @@ certificates whose conjunct names it.
 t_category._laws reads laws by id from the suites that state them:
 module-twist, module-assoc and module-unit from check_hom_module,
 eq-1.8-coact, eq-1.7 and eq-1.8-counit from check_hom_comodule, eq-1.1,
-alpha-mult, eq-1.2-left and eq-1.2-right from check_hom_algebra,
-counit-left and counit-right from check_hom_coalgebra, antipode-left,
+alpha-mult, eq-1.2-left, eq-1.2-right and eq-1.3 from check_hom_algebra,
+eq-1.5, counit-left and counit-right from check_hom_coalgebra, antipode-left,
 antipode-right and antipode-alpha from check_antipode, and aut-comul,
 aut-mult, aut-unit, aut-counit, aut-antipode and aut-alpha from
 check_automorphism.  Here each suite is replaced by one whose report fails
@@ -36,10 +36,11 @@ from test_certificate_reference import POINTS, certificates, file_objects
 #: unit-left-comodule, unit-right-module and unit-right-comodule, keyed by
 #: the module N alone.
 CONJUNCTS = {
-    "module-twist": ("check_hom_module", [("triple", 0, (0, 2)), ("braiding", 1, (0, 1)), ("braiding", 3, (0,)),
-                                          ("braiding", 4, (0,)), ("braiding", 5, (0,)), ("unit", 0, (0,)),
-                                          ("unit", 2, (0,))]),
-    "module-assoc": ("check_hom_module", [("braiding", 1, (0,)), ("braiding", 4, (0,)), ("braiding", 5, (0,))]),
+    "module-twist": ("check_hom_module", [("triple", 0, (0, 2)), ("triple", 3, (0,)), ("braiding", 1, (0, 1)),
+                                          ("braiding", 3, (0,)), ("braiding", 4, (0,)), ("braiding", 5, (0,)),
+                                          ("unit", 0, (0,)), ("unit", 2, (0,))]),
+    "module-assoc": ("check_hom_module", [("triple", 3, (0,)), ("braiding", 1, (0,)), ("braiding", 4, (0,)),
+                                          ("braiding", 5, (0,))]),
     "module-unit": ("check_hom_module", [("braiding", 4, (0,)), ("braiding", 5, (0,))]),
     "eq-1.8-coact": ("check_hom_comodule", [("triple", 1, (0, 2)), ("triple", 2, (2,)), ("braiding", 2, (0, 1)),
                                             ("braiding", 3, (1,)), ("braiding", 4, (1,)), ("braiding", 5, (1,)),
@@ -47,25 +48,34 @@ CONJUNCTS = {
     "eq-1.7": ("check_hom_comodule", [("triple", 2, (2,)), ("braiding", 2, (1,)), ("braiding", 4, (1,)),
                                       ("braiding", 5, (1,))]),
     "eq-1.8-counit": ("check_hom_comodule", [("braiding", 4, (1,)), ("braiding", 5, (1,))]),
-    "eq-1.1": ("check_hom_algebra", [("triple", 1, None), ("braiding", 0, None)]),
-    "alpha-mult": ("check_hom_algebra", [("braiding", 0, None)]),
+    "eq-1.1": ("check_hom_algebra", [("triple", 1, None), ("braiding", 0, None), ("braiding", 1, None),
+                                     ("braiding", 2, None)]),
+    "alpha-mult": ("check_hom_algebra", [("triple", 3, None), ("braiding", 0, None), ("braiding", 1, None),
+                                         ("braiding", 2, None)]),
     "eq-1.2-left": ("check_hom_algebra", [("braiding", 0, None), ("unit", 3, None)]),
-    "eq-1.2-right": ("check_hom_algebra", [("unit", 1, None)]),
+    "eq-1.2-right": ("check_hom_algebra", [("braiding", 1, None), ("braiding", 2, None), ("unit", 1, None)]),
+    "eq-1.3": ("check_hom_algebra", [("braiding", 1, None)]),
+    "eq-1.5": ("check_hom_coalgebra", [("braiding", 2, None)]),
     "counit-left": ("check_hom_coalgebra", [("unit", 0, None)]),
     "counit-right": ("check_hom_coalgebra", [("unit", 2, None)]),
     "antipode-left": ("check_antipode", [("braiding", 4, None)]),
     "antipode-right": ("check_antipode", [("braiding", 5, None)]),
     "antipode-alpha": ("check_antipode", [("braiding", 4, None), ("braiding", 5, None)]),
-    "aut-comul": ("check_automorphism", [("braiding", 0, ((0, "b"), (1, "a")))]),
-    "aut-mult": ("check_automorphism", [("braiding", 0, ((0, "b"), (1, "a"))), ("braiding", 4, ((0, "b"),)),
-                                        ("braiding", 5, ((0, "b"),))]),
-    "aut-unit": ("check_automorphism", [("braiding", 0, ((0, "b"), (1, "a"))), ("braiding", 4, ((0, "b"),)),
+    "aut-comul": ("check_automorphism", [("braiding", 0, ((0, "b"), (1, "a"))), ("braiding", 1, ((0, "b"), (1, "a"))),
+                                         ("braiding", 2, ((0, "b"),))]),
+    "aut-mult": ("check_automorphism", [("triple", 3, ((0, "b"),)), ("braiding", 0, ((0, "b"), (1, "a"))),
+                                        ("braiding", 1, ((0, "b"), (1, "a"))), ("braiding", 2, ((0, "a"), (0, "b"))),
+                                        ("braiding", 4, ((0, "b"),)), ("braiding", 5, ((0, "b"),))]),
+    "aut-unit": ("check_automorphism", [("braiding", 0, ((0, "b"), (1, "a"))), ("braiding", 1, ((1, "a"),)),
+                                        ("braiding", 2, ((0, "a"), (0, "b"))), ("braiding", 4, ((0, "b"),)),
                                         ("braiding", 5, ((0, "b"),))]),
     "aut-counit": ("check_automorphism", [("unit", 0, ((0, "a"),)), ("unit", 2, ((0, "b"),))]),
-    "aut-antipode": ("check_automorphism", [("braiding", 0, ((0, "b"), (1, "a")))]),
+    "aut-antipode": ("check_automorphism", [("braiding", 0, ((0, "b"), (1, "a"))),
+                                            ("braiding", 1, ((0, "b"), (1, "a"))), ("braiding", 2, ((0, "b"),))]),
     "aut-alpha": ("check_automorphism", [("braiding", 0, ((0, "a"), (0, "b"), (1, "a"), (1, "b"))),
-                                         ("braiding", 3, ((0, "b"),)), ("braiding", 4, ((0, "b"),)),
-                                         ("braiding", 5, ((0, "b"),))]),
+                                         ("braiding", 1, ((0, "b"), (1, "a"), (1, "b"))),
+                                         ("braiding", 2, ((0, "a"), (0, "b"))), ("braiding", 3, ((0, "b"),)),
+                                         ("braiding", 4, ((0, "b"),)), ("braiding", 5, ((0, "b"),))]),
 }
 
 
