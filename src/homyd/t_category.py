@@ -158,8 +158,8 @@ where they do.  _laws reads each by its id from the suite that states it,
 exactly: a(bc) = (alpha^-1(a) b) alpha(c) is eq-1.1 precomposed with
 alpha^-1 (x) id (x) id; for the exact stored S^-1, F S^-1 = S^-1 F holds
 iff F S = S F (aut-antipode); eq-1.7's gamma^-1 is alpha^-1, since
-HomHopfAlgebraData rejects gamma != alpha.  It computes only lambda = rho
-and kappa below, which no suite states.
+HomHopfAlgebraData rejects gamma != alpha.  It computes only kappa
+below, which no suite states.
 
 tensor-component(M, N).  Where eq-2.1 holds for M and for N, rho_{MN}
 act_{MN}(h (x) x (x) y), which ends in (g''.y)1 (g'.x)1, is (act_M (x)
@@ -170,11 +170,12 @@ N, in (AC, D phi) with phi = C^-1 B C, whose coaction ends in y1 x1, is the
 same with Phi_R(h, r, s) = (g (x) id) T_{MN}(h, s r).  So yd-member of M and
 of N and Phi_L = Phi_R prove the item, and Phi_L = Phi_R, which is not
 computed, follows from laws that are, once: on H, Hom-associativity,
-alpha(ab) = alpha(a) alpha(b), 1a = alpha(a) and lambda = rho below; per
-module, that M's B and N's C are bialgebra maps (comul F = (F (x) F) comul,
-F(ab) = F(a) F(b), F(1) = 1) that commute with S^-1, and that A, B, C and D
-commute with alpha.  For exact stored inverses C^-1, and so phi, has C's
-laws, alpha^-1 is multiplicative, and C phi = BC.
+alpha(ab) = alpha(a) alpha(b), 1a = alpha(a) and lambda = rho below,
+which kappa gives; per module, that M's B and N's C are bialgebra maps
+(comul F = (F (x) F) comul, F(ab) = F(a) F(b), F(1) = 1) that commute
+with S^-1, and that A, B, C and D commute with alpha.  For exact stored
+inverses C^-1, and so phi, has C's laws, alpha^-1 is multiplicative, and
+C phi = BC.
 
 Let q = (s3 (x) s3) comul(h) with s3 = (id (x) comul) comul, so that C(h1)
 and phi(h2) split into C(q1), C(q2), C(q3) and phi(q4), phi(q5), phi(q6).
@@ -194,9 +195,22 @@ first two legs of E(rho(h), r, s) are g(alpha(h21)), and BC(1) = 1 and 1a
 = alpha(a) make its last (D phi(h22) s)(r alpha^-1 AC S^-1(h1)), which
 Hom-associativity turns into (D phi(h22) alpha^-1(s r)) AC S^-1(h1).  So
 Phi_R = E (rho (x) id (x) id), and lambda = rho, maps H -> H^(x)5, proves
-Phi_L = Phi_R.  At alpha = id, lambda = rho is k1 (x) S^-1(k3) k2 (x) k4 =
-k1 (x) 1 (x) k2 on the middle legs: the antipode and counit laws as one
-identity that reads no counit.
+Phi_L = Phi_R.
+
+lambda = rho is not computed; kappa below and laws the suites state prove
+it.  Hom-coassociativity (eq-1.4), c11 (x) c12 (x) c2 = alpha^-1(c1) (x)
+c21 (x) alpha(c22), once for c = h and once for c = h2, and comul alpha =
+(alpha (x) alpha) comul (eq-1.5) take lambda's legs (q1, ..., q6) to
+(alpha^-1(h1), alpha^-1(h21), h221, alpha^2(h2221), alpha^2(h22221),
+alpha^2(h22222)); with alpha^-2 multiplicative (alpha-mult), that makes
+lambda(h) = (S^-1 alpha^-1(h1), h21, alpha^-2(z), alpha(x), alpha(y)) for
+(z, x, y) = kappa_L(alpha^2(h22)).  kappa_R there gives (S^-1
+alpha^-1(h1), h21, alpha^-2(1), alpha(h221), alpha(h222)) by eq-1.5, and
+alpha(1) = 1 (eq-1.3), eq-1.4 for c = h2, c1 (x) alpha(c21) (x)
+alpha(c22) = alpha(c11) (x) alpha(c12) (x) c2, eq-1.5 and S alpha = alpha
+S (antipode-alpha) make it rho(h).  So kappa, eq-1.1, alpha-mult,
+eq-1.2-left, eq-1.2-right, eq-1.3, eq-1.4, eq-1.5 and antipode-alpha prove
+lambda = rho, and with the laws above, tensor-component.
 
 conjugate-component(p;N).  ^pN acts through phi = phi_{p,N} and coacts
 through f = f_p.  Where eq-2.1 holds for N, rho_{^pN}(h.y) = (id (x) f)
@@ -205,8 +219,8 @@ right side of eq-2.1 for ^pN is phi(u').y0 (x) w' for (u', w') =
 T_{^pN}(h, f(y1)).  So yd-member(N) and (id (x) f) T_N (phi (x) id) = (phi
 (x) id) T_{^pN} (id (x) f), maps on H (x) H, prove the item.
 
-kappa.  The braiding module and comodule maps read the contraction law
-kappa_L = kappa_R, maps H -> H^(x)3 with
+kappa.  tensor-component and the braiding module and comodule maps read
+the contraction law kappa_L = kappa_R, maps H -> H^(x)3 with
 
     kappa_L(h) = (S^-1(h21) alpha^-1(h1), h221, h222),
     kappa_R(h) = (1, alpha^-2(h1), alpha^-2(h2)),
@@ -527,48 +541,26 @@ def _laws(h, modules, comps):
     from the suite that states it, as the set of the ids that pass: per
     module, by position, of check_hom_module and check_hom_comodule; per
     component value k, of comps.report[k,] (check_automorphism), kept; on H,
-    once, of check_hom_algebra, check_hom_coalgebra and check_antipode.
-    Beside them, computed here, once: lambda = rho (_component_laws) where
-    alpha-mult and eq-1.2-left hold, which tensor-component reads with
-    them, and kappa (_contraction_law) where eq-1.1, alpha-mult and
-    eq-1.2-right hold, which the braiding module-map and comodule-map slots
-    read with them."""
+    once, of check_hom_algebra, check_hom_coalgebra and check_antipode, and
+    kappa (_contraction_law), computed here where eq-1.1, alpha-mult and
+    eq-1.2-right hold, which tensor-component and the braiding module-map
+    and comodule-map slots read with them."""
     per_module = [_passing(check_hom_module(m)) | _passing(check_hom_comodule(m)) for m in modules]
     values = _Kept(lambda k: _passing(comps.report[k,]))
     on_h = _passing(check_hom_algebra(h.algebra)) | _passing(check_hom_coalgebra(h.coalgebra)) | _passing(
         check_antipode(h))
-    return (per_module, values, on_h, {"alpha-mult", "eq-1.2-left"} <= on_h and _component_laws(h),
-            {"eq-1.1", "alpha-mult", "eq-1.2-right"} <= on_h and _contraction_law(h))
-
-
-def _component_laws(h):
-    """Whether lambda = rho holds on H, the identity of maps that
-    tensor-component reads besides the laws check_hom_algebra states (module
-    docstring).  lambda(h) = (S^-1(q1), alpha(q2),
-    alpha^-2(S^-1(q4)) alpha^-1(q3), alpha(q5), alpha(q6)) for q = (s3 (x)
-    s3) comul(h) with s3 = (id (x) comul) comul, and rho(h) = (alpha^-1
-    S^-1(h1), k1, 1, k2, h22) for k = alpha(h21); each side is taken right
-    to left on the 4 columns of H."""
-    d = h.dim
-    idh = LinearMap.identity(d)
-    alpha, alpha_inv, mul, comul, unit = h.alpha, h.alpha_inv, h.algebra.mul, h.coalgebra.comul, h.algebra.unit
-    s_inv, split = h.antipode_inv, kron(idh, comul) @ comul
-    middle = mul @ kron(alpha_inv @ alpha_inv @ s_inv, alpha_inv) @ flip(d, d)
-    q = kron(kron(s_inv, kron(alpha, idh)) @ split, LinearMap.identity(d ** 3)) @ (
-        kron(idh, kron(idh, kron(alpha, alpha)) @ split) @ comul)
-    lam = kron(LinearMap.identity(d * d), kron(middle, LinearMap.identity(d * d))) @ q
-    rho = kron(alpha_inv @ s_inv, LinearMap.identity(d ** 4)) @ (
-        kron(idh, kron(kron(idh, kron(unit, idh)) @ comul @ alpha, idh)) @ split)
-    return lam == rho
+    if {"eq-1.1", "alpha-mult", "eq-1.2-right"} <= on_h and _contraction_law(h):
+        on_h.add("kappa")
+    return per_module, values, on_h
 
 
 def _contraction_law(h):
     """Whether kappa_L = kappa_R holds on H, the identity of maps H ->
-    H^(x)3 that the braiding module-map and comodule-map certificates read
-    besides the laws the suites state (module docstring): kappa_L(h) =
-    (S^-1(h21) alpha^-1(h1), h221, h222) and kappa_R(h) = (1,
-    alpha^-2(h1), alpha^-2(h2)), each taken right to left on the 4 columns
-    of H."""
+    H^(x)3 that tensor-component and the braiding module-map and
+    comodule-map certificates read besides the laws the suites state
+    (module docstring): kappa_L(h) = (S^-1(h21) alpha^-1(h1), h221, h222)
+    and kappa_R(h) = (1, alpha^-2(h1), alpha^-2(h2)), each taken right to
+    left on the 4 columns of H."""
     d = h.dim
     idh, comul, alpha_inv = LinearMap.identity(d), h.coalgebra.comul, h.alpha_inv
     contract = h.algebra.mul @ kron(h.antipode_inv, alpha_inv) @ flip(d, d)
@@ -604,7 +596,7 @@ def _certificates(h, keys, comps, laws):
     identity of B_{MN}^-1 alpha once per (B_M, pair(N)); eq-3.5's is a
     conjunction of laws."""
     idh, alpha, alpha_inv, comul = LinearMap.identity(h.dim), h.alpha, h.alpha_inv, h.coalgebra.comul
-    mods, values, on_h, _, _ = laws
+    mods, values, on_h = laws
     split, b_mn = comps.split, comps.b_mn
     outer = kron(alpha, kron(idh, alpha_inv))
 
@@ -652,25 +644,25 @@ def _braiding_certificates(keys, member, laws):
     braiding-module-map, braiding-comodule-map, braiding-morphism,
     braiding-inverse-left and braiding-inverse-right hold by their
     certificates on H (module docstring), each a conjunction of the
-    yd-member verdicts member and the laws (_laws); keys holds the numbers
-    of the modules' pairs in _Components."""
-    mods, values, on_h, component_laws, contraction = laws
+    yd-member verdicts member and the laws read by id (_laws), kappa among
+    those of H; keys holds the numbers of the modules' pairs in
+    _Components."""
+    mods, values, on_h = laws
     hopf = {"aut-comul", "aut-mult", "aut-unit", "aut-antipode"}
-    # kappa and the laws of H that prove Psi_L = Psi_R and Xi_L pre = Xi_R
-    # pre with the automorphism laws below
-    psi_h = contraction and "eq-1.3" in on_h
-    xi_h = contraction and "eq-1.5" in on_h
     certified = {}
     for (i, (a, b)), (j, (c, d)) in itertools.product(enumerate(keys), repeat=2):
-        # B of M and C of N are bialgebra maps that commute with S^-1, and
-        # M's A and B and N's C and D commute with alpha
-        component = (member[i] and member[j] and "eq-1.1" in on_h and component_laws and hopf <= values[b,]
-                     and hopf <= values[c,] and all("aut-alpha" in values[k,] for k in (a, b, c, d)))
+        # kappa and the laws of H that prove lambda = rho; B of M and C of N
+        # are bialgebra maps that commute with S^-1, and M's A and B and N's
+        # C and D commute with alpha
+        component = (member[i] and member[j]
+                     and {"kappa", "eq-1.2-left", "eq-1.3", "eq-1.4", "eq-1.5", "antipode-alpha"} <= on_h
+                     and hopf <= values[b,] and hopf <= values[c,]
+                     and all("aut-alpha" in values[k,] for k in (a, b, c, d)))
         module_map = (member[j] and {"module-twist", "module-assoc"} <= mods[i] and "module-twist" in mods[j]
-                      and psi_h and {"aut-comul", "aut-mult", "aut-antipode", "aut-alpha"} <= values[b,]
-                      and hopf | {"aut-alpha"} <= values[c,] and "aut-alpha" in values[d,])
+                      and {"kappa", "eq-1.3"} <= on_h and {"aut-comul", "aut-mult", "aut-antipode", "aut-alpha"}
+                      <= values[b,] and hopf | {"aut-alpha"} <= values[c,] and "aut-alpha" in values[d,])
         comodule_map = (member[i] and "eq-1.8-coact" in mods[i] and {"eq-1.8-coact", "eq-1.7"} <= mods[j]
-                        and xi_h and {"aut-mult", "aut-unit", "aut-alpha"} <= values[a,]
+                        and {"kappa", "eq-1.5"} <= on_h and {"aut-mult", "aut-unit", "aut-alpha"} <= values[a,]
                         and hopf | {"aut-alpha"} <= values[b,])
         morphism = "module-twist" in mods[i] and "eq-1.8-coact" in mods[j] and "aut-alpha" in values[b,]
         inverse = ({"module-twist", "module-assoc", "module-unit"} <= mods[i]
@@ -687,7 +679,7 @@ def _unit_certificates(keys, laws):
     (module docstring), in that order, conjunctions of laws of N, of its A
     or B and of H read by id (_laws); keys holds the numbers of the
     modules' pairs in _Components."""
-    mods, values, on_h, _, _ = laws
+    mods, values, on_h = laws
     return {i: ("module-twist" in mods[i] and "counit-left" in on_h and "aut-counit" in values[a,],
                 "eq-1.8-coact" in mods[i] and "eq-1.2-right" in on_h,
                 "module-twist" in mods[i] and "counit-right" in on_h and "aut-counit" in values[b,],

@@ -174,19 +174,14 @@ class YDModuleData:
 
     def differences(self, other):
         """The structure pieces in which other differs, in the order action,
-        coaction, twist, component pair; equal action maps imply equal
-        carriers."""
+        coaction, twist, component pair, none for strict object equality;
+        equal action maps imply equal carriers."""
         return [piece for piece, same in (
             ("action", self.action == other.action),
             ("coaction", self.coaction == other.coaction),
             ("twist", self.mu == other.mu),
             ("component pair", self.pair == other.pair),
         ) if not same]
-
-    def same_structure(self, other):
-        """Strict object equality: equal structure maps on the flattened
-        carrier and equal component pair."""
-        return not self.differences(other)
 
 
 class EntwiningData:

@@ -39,12 +39,12 @@ def _laws(h, modules):
     and its B whether each is a bialgebra map that commutes with S^-1,
     whether each commutes with alpha, and each of those laws alone.  On H,
     once: Hom-associativity a(bc) = (alpha^-1(a) b) alpha(c),
-    alpha(ab) = alpha(a) alpha(b), the laws of H that tensor-component
-    reads besides (_component_laws), and those that the braiding module-map
-    and comodule-map certificates read with the contraction law
-    (_contraction_law): a1 = alpha(a) and alpha(1) = 1 for the one,
-    a1 = alpha(a) and comul alpha = (alpha (x) alpha) comul for the
-    other."""
+    alpha(ab) = alpha(a) alpha(b), and the laws of H that tensor-component
+    and the braiding module-map and comodule-map certificates read with the
+    contraction law (_contraction_law) and a1 = alpha(a): 1a = alpha(a),
+    alpha(1) = 1, Hom-coassociativity, comul alpha = (alpha (x) alpha)
+    comul and S alpha = alpha S for the first, alpha(1) = 1 for the second
+    and comul alpha = (alpha (x) alpha) comul for the third."""
     alpha, alpha_inv, mul, comul = h.alpha, h.alpha_inv, h.algebra.mul, h.coalgebra.comul
     unit, s_inv, idh = h.algebra.unit, h.antipode_inv, LinearMap.identity(h.dim)
     twist = [m.mu @ m.action == m.action @ kron(alpha, m.mu) for m in modules]
@@ -66,8 +66,11 @@ def _laws(h, modules):
     contraction = (hom_assoc and alpha_mult and mul @ kron(idh, unit) == alpha and _contraction_law(h))
     psi_h = contraction and alpha @ unit == unit
     xi_h = contraction and comul @ alpha == kron(alpha, alpha) @ comul
-    return (twist, assoc, coact_twist, coassoc, braid_law, hopf, commute, hom_assoc, _component_laws(h), auts,
-            alpha_mult, psi_h, xi_h)
+    lambda_h = (psi_h and xi_h and mul @ kron(unit, idh) == alpha
+                and kron(alpha_inv, comul) @ comul == kron(comul, alpha_inv) @ comul
+                and h.antipode @ alpha == alpha @ h.antipode)
+    return (twist, assoc, coact_twist, coassoc, braid_law, hopf, commute, hom_assoc, lambda_h, auts, alpha_mult,
+            psi_h, xi_h)
 
 
 def _contraction_law(h):
@@ -84,8 +87,9 @@ def _contraction_law(h):
 
 def _component_laws(h):
     """Whether alpha(ab) = alpha(a) alpha(b), 1a = alpha(a) and lambda = rho
-    hold on H, the laws of H besides Hom-associativity that tensor-component
-    reads (module docstring).  lambda(h) = (S^-1(q1), alpha(q2),
+    hold on H (module docstring).  No certificate reads it, since kappa and
+    laws of H prove lambda = rho; test_lambda_equals_rho_does_not_give_psi
+    shows that it does not give kappa.  lambda(h) = (S^-1(q1), alpha(q2),
     alpha^-2(S^-1(q4)) alpha^-1(q3), alpha(q5), alpha(q6)) for q = (s3 (x)
     s3) comul(h) with s3 = (id (x) comul) comul, and rho(h) = (alpha^-1
     S^-1(h1), k1, 1, k2, h22) for k = alpha(h21); each side is taken right
@@ -177,7 +181,7 @@ def _braiding_certificates(h, modules, pieces, member, laws, part):
     d = h.dim
     idh = LinearMap.identity(d)
     alpha, alpha_inv, mul, comul = h.alpha, h.alpha_inv, h.algebra.mul, h.coalgebra.comul
-    twist, assoc, coact_twist, coassoc, _, hopf, commute, hom_assoc, component_laws, auts, _, psi_h, xi_h = laws
+    twist, assoc, coact_twist, coassoc, _, hopf, commute, _, lambda_h, auts, _, psi_h, xi_h = laws
     pre, rotate = kron(comul, idh), permute((d,) * 3, (1, 2, 0))
     # per module M: (u, w, a) -> (alpha(u), alpha^-1(B^-1 w) alpha^-1(a)),
     # the left end of Psi_L; and Xi_L pre = Xi_R pre, with Xi_L pre (t, r) =
@@ -196,8 +200,8 @@ def _braiding_certificates(h, modules, pieces, member, laws, part):
         b_inv = m.pair_b.inverse
         # B of M and C of N are bialgebra maps that commute with S^-1, and
         # M's A and B and N's C and D commute with alpha
-        component = (member[i] and member[j] and hom_assoc and component_laws and hopf[i][1] and hopf[j][0]
-                     and all(commute[i]) and all(commute[j]))
+        component = (member[i] and member[j] and lambda_h and hopf[i][1] and hopf[j][0] and all(commute[i])
+                     and all(commute[j]))
         # Psi_L (h, t) from (a, T_N(k, t)) for (a, k) = g(h), and Psi_R (h, t)
         # = (C^-1 B C(h1), alpha^-1(B^-1 B_MN(h2)) B^-1(t))
         module_map = member[j] and twist[i] and twist[j] and assoc[i] and (

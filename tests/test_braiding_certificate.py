@@ -19,7 +19,9 @@ tensor-component's certificate reads no map of the pair: yd-member of M
 and N, and laws of H and of each module (t_category docstring), which prove
 the identity Phi_L = Phi_R of maps on H (x) H (x) H.  Phi is kept here as
 an oracle: wherever the certificate holds, Phi_L = Phi_R holds too, and on
-three inputs every step of the derivation is an equality of maps.  The
+three inputs every step of the derivation is an equality of maps.  It
+reads kappa and laws of H in place of lambda = rho, and every step from
+lambda through kappa to rho is an equality of maps on those inputs.  The
 module-map and comodule-map certificates read kappa and laws of H, of the
 modules and of their components in place of Psi_L = Psi_R and Xi_L pre =
 Xi_R pre; every step of those two derivations is an equality of maps too,
@@ -33,6 +35,7 @@ from collections import Counter
 import pytest
 
 import homyd.t_category as tc
+from certificate_reference import _component_laws
 from homyd.defformat import parse_definition, resolve_definition, run_checks
 from homyd.exactlin import LinearMap, flip, kron, permute
 from homyd.hom_algebra import (AutPair, HomHopfAlgebraData, HopfAutomorphism, check_hom_algebra,
@@ -276,6 +279,48 @@ def test_every_step_of_the_tensor_component_derivation_is_an_equality_of_maps(po
         assert all(x == y for x, y in zip(steps, steps[1:])), (m.name, n.name)
 
 
+def kappa_chain(h):
+    """lambda, then each map the derivation of lambda = rho from kappa
+    (t_category docstring) turns it into, ending in rho: (S^-1
+    alpha^-1(h1), h21, alpha^-2(z), alpha(x), alpha(y)) for (z, x, y) =
+    kappa_L(alpha^2(h22)), and the same with kappa_R."""
+    d, alpha, alpha_inv = h.dim, h.alpha, h.alpha_inv
+    lam, rho = split_sides(h)
+    legs = at(d, 1, h.coalgebra.comul, 0) @ h.coalgebra.comul
+    ends = kron(h.antipode_inv @ alpha_inv, LinearMap.identity(d))
+
+    def through(kappa):
+        return kron(ends, kron(alpha_inv @ alpha_inv, kron(alpha, alpha)) @ kappa @ alpha @ alpha) @ legs
+
+    return (lam,) + tuple(map(through, contraction_sides(h))) + (rho,)
+
+
+@pytest.mark.parametrize("point", POINTS + ("dense",))
+def test_every_step_of_lambda_equals_rho_from_kappa_is_an_equality_of_maps(point):
+    h, _ = derivation_objects(point)
+    steps = kappa_chain(h)
+    assert all(x == y for x, y in zip(steps, steps[1:]))
+
+
+@pytest.mark.parametrize("name", ("antipode-g-neg", "antipode-x-sign", "g-squared-minus-1"))
+@pytest.mark.parametrize("point", POINTS)
+def test_the_kappa_step_alone_fails_where_an_antipode_law_does(point, name):
+    # these mutations keep eq-1.3, eq-1.4, eq-1.5, alpha-mult and
+    # antipode-alpha and break kappa and lambda = rho
+    h, _ = objects(INPUTS.apply_mutation(shipped_text(point), INPUTS.MUTATIONS[name]))
+    steps = kappa_chain(h)
+    assert [x == y for x, y in zip(steps, steps[1:])] == [True, False, True]
+
+
+def test_kappa_is_stronger_than_lambda_equals_rho():
+    # on nilpotent_objects kappa fails, but the chain meets it only at
+    # alpha^2(h22), which is a multiple of 1 there, so every step holds
+    h, _ = nilpotent_objects()
+    kappa_l, kappa_r = contraction_sides(h)
+    steps = kappa_chain(h)
+    assert kappa_l != kappa_r and all(x == y for x, y in zip(steps, steps[1:]))
+
+
 @pytest.mark.parametrize("point", POINTS)
 def test_a_clean_op_runs_check_yd_on_the_four_members_alone(monkeypatch, point):
     # every tensor-component and conjugate-component certificate holds on
@@ -424,9 +469,9 @@ def test_lambda_equals_rho_does_not_give_psi():
     assert check_hom_algebra(h.algebra).ok()
     assert {"eq-1.4", "eq-1.5"} <= tc._passing(check_hom_coalgebra(h.coalgebra))
     steps = psi_derivation(h, zero, zero)
-    assert tc._component_laws(h) and steps[0] != steps[-1]
+    assert _component_laws(h) and steps[0] != steps[-1]
     assert not tc._contraction_law(h) and steps[3] != steps[4]
     comps, keys = numbered(h, [zero])
     laws = tc._laws(h, [zero], comps)
-    assert laws[3] and not laws[4]
+    assert "kappa" not in laws[2]
     assert not tc._braiding_certificates(keys, [True], laws)[0, 0][1]

@@ -16,8 +16,10 @@ pairs, once each and once from a pool of two automorphisms, the identity
 and a triangular one, so that the values repeat across positions in every
 combination and an identity holds for some of them only, and the random
 non-commuting pairs of test_t_category, h4.alg at both points with a
-module that breaks eq-1.8-counit alone, and an H on which lambda = rho
-holds but kappa fails.  Each is conjugated by the
+module that breaks eq-1.8-counit alone, a one-dimensional H that breaks
+alpha-mult, and an H on which lambda = rho holds but kappa fails.
+tensor-component reads kappa and laws of H, which the reference restates
+as maps; lambda = rho is computed by neither.  Each is conjugated by the
 identity pair, its file's autpairs and its modules' pairs.
 """
 
@@ -34,7 +36,7 @@ from homyd.defformat import parse_definition, resolve_definition, run_checks
 from homyd.exactlin import LinearMap, rat
 from homyd.h4_library import build_h4
 from homyd.hom_algebra import AutPair, HomHopfAlgebraData, check_hom_algebra, identity_automorphism
-from homyd.yd_modules import YDModuleData, check_yd, trivial_yd
+from homyd.yd_modules import YDModuleData, check_hom_module, check_yd, trivial_yd
 from test_assoc_certificate import INPUTS, TWISTED, numbered, retagged_objects, shipped_text
 from test_braiding_certificate import nilpotent_objects
 from test_conjugation_certificate import conjugating_pairs
@@ -102,10 +104,10 @@ def random_cases():
 def alpha_mult_cases():
     """A one-dimensional H, 1 1 = 1 with unit 2, twist alpha = 2, comul(1)
     = 2 1 (x) 1, eps(1) = 1 and S(1) = 2, on which alpha(ab) = alpha(a)
-    alpha(b) fails and every other law that tensor-component's certificate
-    reads holds, with a module whose action and coaction are zero, a
-    Yetter-Drinfeld module in the identity component, twice: its
-    tensor-component certificate fails through alpha-mult alone."""
+    alpha(b) fails, with a module whose action and coaction are zero, a
+    Yetter-Drinfeld module in the identity component, twice: every other
+    law that eq-3.5's certificate reads holds, so it fails through
+    alpha-mult alone."""
     one, two = LinearMap.identity(1), LinearMap(1, 1, [2])
     h = HomHopfAlgebraData.from_maps(("1",), one, two, two, one, two, two)
     zero = YDModuleData(h, LinearMap.zeros(1, 1), LinearMap.zeros(1, 1), one, AutPair.identity(1), label="Z")
@@ -148,17 +150,15 @@ def certificates(h, modules, pairs, conj, member):
 
 
 def test_the_alpha_mult_case_breaks_alpha_mult_alone():
-    # of the laws tensor-component's certificate reads, only alpha-mult
-    # fails, so a reference that dropped it would hold there
+    # of the laws eq-3.5's certificate reads, only alpha-mult fails, so a
+    # reference that dropped it would hold there
     [(_, (h, modules, _))] = alpha_mult_cases()
-    algebra = tc._passing(check_hom_algebra(h.algebra))
-    assert "alpha-mult" not in algebra and {"eq-1.1", "eq-1.2-left"} <= algebra
-    assert [check_yd(m).ok() for m in modules] == [True, True]
-    assert tc._component_laws(h)
+    assert "alpha-mult" not in tc._passing(check_hom_algebra(h.algebra))
+    assert all({"module-twist", "module-assoc"} <= tc._passing(check_hom_module(m)) for m in modules)
     comps, keys = numbered(h, modules)
-    assert {"aut-comul", "aut-mult", "aut-unit", "aut-antipode", "aut-alpha"} <= tc._passing(comps.report[0,])
-    assert not any(certified[0] for certified in tc._braiding_certificates(
-        keys, [True, True], tc._laws(h, modules, comps)).values())
+    assert "aut-mult" in tc._passing(comps.report[0,])
+    assert not any(certified[3] for certified in tc._certificates(
+        h, keys, comps, tc._laws(h, modules, comps)).values())
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -206,7 +206,7 @@ def counted_tcat(monkeypatch, text):
 
 #: per twist point, the compose calls with no identity operand and the kron
 #: calls of a clean tcat op on h4.alg
-CLEAN_CALLS = {"c = 1": {"compose": 410, "kron": 208}, TWISTED: {"compose": 481, "kron": 208}}
+CLEAN_CALLS = {"c = 1": {"compose": 400, "kron": 193}, TWISTED: {"compose": 466, "kron": 193}}
 
 
 @pytest.mark.parametrize("point", POINTS)
@@ -218,7 +218,8 @@ def test_a_clean_tcat_op_builds_one_t_per_distinct_pair(monkeypatch, point):
     # every braiding, inverse braiding and unit tensor was built and
     # compared, 598 and 291 while every conjugate ^pN was built, and 576 and
     # 275 (479 and 275 at c = 1) while Psi_L = Psi_R, Xi_L pre = Xi_R pre
-    # and eq-3.5's braid law were computed as maps
+    # and eq-3.5's braid law were computed as maps, and 481 and 208 (410
+    # and 208 at c = 1) while lambda = rho was computed beside kappa
     rep, parts, calls = counted_tcat(monkeypatch, shipped_text(point))
     assert rep.ok() and len(rep.items) > 400
     assert parts == 4

@@ -67,11 +67,11 @@ def certified_items(h, modules, pairs):
         yield "conjugate-component(%d;%d)" % (pi, i), conjugated[pi, i], check_yd(yd).ok()
     for (pi, p), (qi, q) in itertools.product(enumerate(pairs), repeat=2):
         for i, n in enumerate(modules):
-            full = tc.conjugate_yd(tc.group_mul(p, q), n).same_structure(tc.conjugate_yd(p, conj[qi, i]))
+            full = not tc.conjugate_yd(tc.group_mul(p, q), n).differences(tc.conjugate_yd(p, conj[qi, i]))
             yield "functor-compose(%d,%d;%d)" % (pi, qi, i), True, full
     for pi, p in enumerate(pairs):
         for i, j in index_pairs:
-            full = tc.conjugate_yd(p, tensor[i, j]).same_structure(tc.tensor_yd(conj[pi, i], conj[pi, j]))
+            full = not tc.conjugate_yd(p, tensor[i, j]).differences(tc.tensor_yd(conj[pi, i], conj[pi, j]))
             yield "functor-tensor(%d;%d,%d)" % (pi, i, j), functor_tensor[pi, i, j], full
             b = tc.braiding(modules[i], modules[j])
             full = tc.braiding(conj[pi, i], conj[pi, j]).matrix == b.matrix
