@@ -634,9 +634,3 @@ def add_scaled(acc, vec, coef):
     for i, x in enumerate(vec):
         if x:
             acc[i] += coef * x
-
-
-def basis_vec(dim, k):
-    v = [ZERO] * dim
-    v[k] = ONE
-    return tuple(v)

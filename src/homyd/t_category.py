@@ -40,42 +40,56 @@ g)(h (x) k) = fh (x) gk: nu on rho_N rather than nu (x) act_M, and C on
 the comultiplication rather than C (x) act_N (...), so no twist is
 Kronecker-multiplied with a piece that depends on both factors.
 
-Each formula has one function: tensor_yd (with _tensor_maps, its maps,
-which the twisted associativity check shares), conjugate_yd, braiding,
+Each formula has one function: tensor_yd (with _tensor_maps, its maps, which
+the twisted associativity check shares), conjugate_yd, braiding,
 braiding_inverse and the checks.  check_t_category keeps each object it
 builds by position, for the call only, and builds it when first read: each
 conjugate ^pN, pair tensor M (x) N, conjugate ^MN and braiding target ^MN
 (x) M, and each pair braiding c_{M,N}, a BraidingMap whose matrix braiding
-builds when first read.  Its certificates read a conjugate's component
-p * pair(N) * p^-1 alone (_conj_pair), and the checks read an object, a
-braiding matrix, its inverse or a triple braiding only where a certificate
-fails; check_unit_constraints builds the unit tensors 1 (x) N and N (x) 1
-only there too.  Of its inputs, only the modules' own pieces outlive it.
+builds when first read.  Its certificates read no object, and the checks
+read an object, a braiding matrix, its inverse or a triple braiding only
+where a certificate fails; check_unit_constraints builds the unit tensors 1
+(x) N and N (x) 1 only there too.  Of its inputs, only the modules' own
+pieces outlive it.
 
-The certificates below are identities of maps on H that read only the
-component automorphisms (A, B) of their modules and products of them.
-check_t_category numbers those values by == (_Components) and computes
-each identity once per distinct tuple of the values it reads, so modules
-that share a component share its identities.  A module's own laws
-(yd-member, module-twist, module-assoc, eq-1.8-coact and eq-1.7) stay per
-position, and a certificate is the conjunction of both.
+Each certificate below is a conjunction of laws that the suites state,
+read by id (_laws): of each module, by position (yd-member, module-twist,
+module-assoc, eq-1.8-coact, eq-1.7, ...); of each component automorphism
+of a module or a pair, which check_t_category numbers by == (_Components)
+and checks once per distinct value, so modules and pairs that share a
+value share its laws; and of H.  One identity of maps on H, kappa below,
+is computed, once per call.  For a map F that is bijective with an exact
+stored inverse, as check_automorphism requires before it states any other
+law, F^-1 is a coalgebra map, multiplicative or commutes with alpha or S
+wherever F is, and the words of G below, which cancel only F F^-1 and F^-1
+F, hold as identities of matrices.
 
 tensor-assoc(M, N, P) asks a = mu_M (x) id (x) mu_P^-1 to intertwine the
-actions, and the coactions, of (MN)P and M(NP).  With phi_{X,Y} = C_Y^-1 B_X
-C_Y and g_{X,Y} = (C_Y (x) phi_{X,Y}) comul, each triple action is act_M
-(x) act_N (x) act_P on a leg permutation of delta (x) id, delta_L = (g_{M,N}
-C_P (x) phi_{MN,P}) comul and delta_R = (C_{NP} (x) g_{N,P} phi_{M,NP})
-comul.  Where mu(h.m) = alpha(h).mu(m) for M and P, a passes the actions as
-alpha (x) id (x) alpha^-1, so delta_R = (alpha (x) id (x) alpha^-1) delta_L
-proves the module half.  The coactions end in z1(y1 x1) and (z1 y1)x1;
-where rho mu = (mu (x) alpha) rho for M and P, a turns the second into
-(alpha^-1(z1) y1) alpha(x1), so mul (id (x) mul) = mul (mul (alpha^-1 (x)
-id) (x) alpha) proves the comodule half.  A holding certificate is an
-identity of maps, so the full comparison holds too; only a triple whose
-certificate fails builds both triple tensors and compares a composed with
-each.  Both bracketings lie in one component with one twist, by
-associativity of kron and, for exact inverses, of G, so the item checks
-only the intertwining.
+actions, and the coactions, of (MN)P and M(NP).  With X in (A_X, B_X),
+phi_{X,Y} = A_Y^-1 B_X A_Y and g_{X,Y} = (A_Y (x) phi_{X,Y}) comul, each
+triple action is act_M (x) act_N (x) act_P on a leg permutation of delta (x)
+id, delta_L = (g_{M,N} A_P (x) phi_{MN,P}) comul and delta_R = (A_{NP} (x)
+g_{N,P} phi_{M,NP}) comul.  Where mu(h.m) = alpha(h).mu(m) for M and P, a
+passes the actions as alpha (x) id (x) alpha^-1, so delta_R = (alpha (x) id
+(x) alpha^-1) delta_L proves the module half.  That identity is not
+computed.  Where B_M, A_N and A_P are coalgebra maps (aut-comul), so is
+phi_{M,NP}, and delta_R = (A_N A_P (x) A_P phi_{M,NP} (x) phi_{N,P}
+phi_{M,NP}) (id (x) comul) comul and delta_L = (A_N A_P (x) phi_{M,N} A_P
+(x) phi_{MN,P}) (comul (x) id) comul.  The leg words agree, A_P phi_{M,NP} =
+phi_{M,N} A_P and, as B_{MN} = B_N A_N^-1 B_M A_N, phi_{N,P} phi_{M,NP} =
+phi_{MN,P}.  Hom-coassociativity (eq-1.4) gives (id (x) comul) comul =
+(alpha (x) id (x) alpha^-1)(comul (x) id) comul, and alpha and alpha^-1 pass
+A_N A_P and phi_{MN,P} where B_M, A_N, B_N and A_P commute with alpha
+(aut-alpha).  So module-twist of M and of P, eq-1.4, aut-comul of B_M, A_N
+and A_P, and aut-alpha of B_M, A_N, B_N and A_P prove the module half.  The
+coactions end in z1(y1 x1) and (z1 y1)x1; where rho mu = (mu (x) alpha) rho
+for M and P, a turns the second into (alpha^-1(z1) y1) alpha(x1), so mul (id
+(x) mul) = mul (mul (alpha^-1 (x) id) (x) alpha) (eq-1.1) proves the
+comodule half.  A holding certificate proves the item, so the full
+comparison holds too; only a triple whose certificate fails builds both
+triple tensors and compares a composed with each.  Both bracketings lie in
+one component with one twist, by associativity of kron and, for exact
+inverses, of G, so the item checks only the intertwining.
 
 The hexagons are decided the same way, per equation.  On x (x) y (x) z,
 with w = mu_P(z) and k = B_{MN}^-1(w1), the left side of eq-3.4 is w0 (x)
@@ -88,7 +102,10 @@ stored inverses are exact and B_{MN}^-1 = A_N^-1 B_M^-1 A_N B_N^-1
 matrices.  Where f is a coalgebra map, comul f = (f (x) f) comul, the two
 sides are then one map applied to mu_P(z0) (x) z11 (x) alpha(z12) and to
 mu_P^2(z00) (x) z01 (x) z1, which eq-1.7 for P, mu^-1(z0) (x) comul(z1) =
-rho(z0) (x) alpha^-1(z1), equates after mu_P^2 (x) id (x) alpha.  With
+rho(z0) (x) alpha^-1(z1), equates after mu_P^2 (x) id (x) alpha.  f is a
+coalgebra map where B_M, A_N and B_N are (aut-comul), so that B_{MN}^-1 is,
+and comul alpha = (alpha (x) alpha) comul (eq-1.5), so eq-1.8-coact and
+eq-1.7 of P, eq-1.5 and aut-comul of B_M, A_N and B_N prove eq-3.4.  With
 z' = mu_P^-1(z), the two sides of eq-3.5 are mu_N^2(y0) (x) mu_P(z'0) (x)
 mu_M^-1(B_M^-1(z'1 y1).x) and mu_N^2(y0) (x) mu_P(z'0) (x)
 B_M^-1(z'1).mu_M^-1(B_M^-1(y1).mu_M^-1(x)), so M's braid law mu_M^-1
@@ -136,22 +153,28 @@ so every conjugation-invariance(p;M,N) passes.  These are identities of G,
 not laws of the input; tests/test_t_category.py asserts each of them as maps
 on random non-commuting pairs.
 
-functor-tensor is decided by a certificate on H, as the hexagons are.
-Every tensor action is act_M (x) act_N on a leg permutation of delta (x)
-id, with delta = g_{M,N} = (C_N (x) phi_{M,N}) comul (_split); ^p(M (x) N)
-acts through g_{M,N} phi_{p,MN} and ^pM (x) ^pN through (phi_{p,M} (x)
-phi_{p,N}) g_{^pM,^pN}, so their equality proves the action half of
-functor-tensor(p;M,N).  The two coactions end in f_p(y1 x1) and f_p(y1)
-f_p(x1), so f_p mul = mul (f_p (x) f_p) proves the coaction half; both
-twists are kron(mu_M, mu_N), and the components agree, which completes the
-item.  Only an item whose certificate fails builds ^p(M (x) N) and ^pM (x)
-^pN and compares them.
+functor-tensor is decided by a certificate, as the hexagons are.  Every
+tensor action is act_M (x) act_N on a leg permutation of delta (x) id, with
+delta = g_{M,N}; ^p(M (x) N) acts through g_{M,N} phi_{p,MN} and ^pM (x)
+^pN through (phi_{p,M} (x) phi_{p,N}) g_{^pM,^pN}, so their equality proves
+the action half of functor-tensor(p;M,N).  It is not computed.  Where A_p,
+B_p, A_M and A_N are coalgebra maps (aut-comul), so is phi_{p,MN} = (A_M
+A_N)^-1 B_p A_M A_N A_p^-1, and the two sides are (A_N phi_{p,MN} (x)
+phi_{M,N} phi_{p,MN}) comul and (phi_{p,M} A_{^pN} (x) phi_{p,N}
+phi_{^pM,^pN}) comul, whose legs agree as words of G: A_N phi_{p,MN} =
+phi_{p,M} A_{^pN} and phi_{M,N} phi_{p,MN} = phi_{p,N} phi_{^pM,^pN}.  The
+two coactions end in f_p(y1 x1) and f_p(y1) f_p(x1), so f_p multiplicative,
+which aut-mult of A_p and B_p gives, proves the coaction half; both twists
+are kron(mu_M, mu_N), and the components agree, which completes the item.
+So aut-mult and aut-comul of A_p and B_p and aut-comul of A_M and A_N prove
+it; only an item where one fails builds ^p(M (x) N) and ^pM (x) ^pN and
+compares them.
 
-The pair items and conjugate-component are decided from certificates on H
-too.  Let M lie in (A, B), N in (C, D), and g = (C (x) C^-1 B C) comul
-(_split), so that h.(x (x) y) = g'.x (x) g''.y.  Write T_X(k, r) =
-(alpha(k21), (B_X(k22) alpha^-1(r)) A_X(S^-1(k1))) for the H part of eq-2.1
-in X's component (A_X, B_X), a map H (x) H -> H (x) H: eq-2.1 for X says
+The pair items and conjugate-component are decided from certificates too.
+Let M lie in (A, B), N in (C, D), and g = (C (x) C^-1 B C) comul, so that
+h.(x (x) y) = g'.x (x) g''.y.  Write T_X(k, r) = (alpha(k21), (B_X(k22)
+alpha^-1(r)) A_X(S^-1(k1))) for the H part of eq-2.1 in X's component
+(A_X, B_X), a map H (x) H -> H (x) H: eq-2.1 for X says
 that rho_X act_X is (act_X (x) id) of T_X on the legs (h, m1) of h (x)
 rho_X(m).  Each certificate below names the laws it reads, and holds only
 where they do.  _laws reads each by its id from the suite that states it,
@@ -217,7 +240,17 @@ through f = f_p.  Where eq-2.1 holds for N, rho_{^pN}(h.y) = (id (x) f)
 rho_N(phi(h).y) is u.y0 (x) f(w) for (u, w) = T_N(phi(h), y1), and the
 right side of eq-2.1 for ^pN is phi(u').y0 (x) w' for (u', w') =
 T_{^pN}(h, f(y1)).  So yd-member(N) and (id (x) f) T_N (phi (x) id) = (phi
-(x) id) T_{^pN} (id (x) f), maps on H (x) H, prove the item.
+(x) id) T_{^pN} (id (x) f), maps on H (x) H, prove the item.  That identity
+is not computed.  Where A_p, B_p and A_N are coalgebra maps that commute
+with alpha (aut-comul, aut-alpha), phi = A_N^-1 B_p A_N A_p^-1 is one, and
+f = A_p B_p^-1 commutes with alpha and, where A_p and B_p are
+multiplicative (aut-mult), is multiplicative, so the left side takes (k,
+r) to (alpha phi(k21), (f B_N phi(k22) alpha^-1 f(r)) f A_N S^-1 phi(k1))
+and the right side to (phi alpha(k21), (B_{^pN}(k22) alpha^-1 f(r))
+A_{^pN} S^-1(k1)).  f B_N phi = B_{^pN} is a word of G, and f A_N S^-1 phi
+= A_{^pN} S^-1 is one where S commutes with A_p, B_p and A_N
+(aut-antipode).  So yd-member(N), aut-comul, aut-alpha and aut-antipode of
+A_p, B_p and A_N, and aut-mult of A_p and B_p prove conjugate-component.
 
 kappa.  tensor-component and the braiding module and comodule maps read
 the contraction law kappa_L = kappa_R, maps H -> H^(x)3 with
@@ -407,12 +440,6 @@ def _phi(b, c):
     return c.inverse @ b.matrix @ c.matrix
 
 
-def _split(h, b, c):
-    """(C (x) C^-1 B C) comul: H -> H (x) H, with B from M's pair and C from
-    N's: h.(x (x) y) = act_M (x) act_N on the legs (h1', x, h2', y) of it."""
-    return kron(c.matrix, _phi(b, c)) @ h.coalgebra.comul
-
-
 def _conj_phi(p, c):
     """C^-1 B C A^-1 for p = (A, B) and C from N's pair: H acts on ^pN
     through it."""
@@ -506,20 +533,13 @@ def associator(m, n, p):
 
 class _Components(list):
     """The distinct component automorphisms of one check_t_category call,
-    numbered by ==, which hashes no map, and the pieces on H that read them
-    alone, keyed by their numbers and built when first read: report[k,] =
-    check_automorphism of value k, which the pair-automorphism items and
-    the certificates share, split[b, c] = g_{M,N} for B_M numbered b and A_N
-    numbered c (_split), b_mn[b, c, d] = D C^-1 B C, the B of pair(M) *
-    pair(N) for N in (C, D), and part[a, b] = T_(A,B) (_h_parts), which the
-    modules and the conjugates ^pN share."""
+    of its modules and of its pairs, numbered by ==, which hashes no map,
+    and report[k,] = check_automorphism of value k, built when first read,
+    which the pair-automorphism items and the certificates share."""
 
     def __init__(self, h):
         super().__init__()
         self.report = _Kept(lambda k: check_automorphism(h, self[k]))
-        self.split = _Kept(lambda b, c: _split(h, self[b], self[c]))
-        self.b_mn = _Kept(lambda b, c, d: self[d] @ self[c].inv() @ self[b] @ self[c])
-        self.part = _h_parts(h, self)
 
     def key(self, pair):
         """The numbers (a, b) of pair's A and B, numbering a new value."""
@@ -569,81 +589,48 @@ def _contraction_law(h):
     return left == kron(h.algebra.unit, kron(twice, twice) @ comul)
 
 
-def _h_parts(h, auts):
-    """T_(A,B), the H part of eq-2.1 in component (A, B), a map H (x) H ->
-    H (x) H (module docstring), keyed by the numbers (a, b) of A and B in
-    auts and built when first read.  The legs (k, r) -> (alpha(k21), k22,
-    alpha^-1(r), k1) are built once; each T then puts B on the second leg
-    and A S^-1 on the last, and takes (x, y, z) -> (x y) z on the last
-    three, right to left on the 16 columns."""
-    d = h.dim
-    idh, idhh, idhhh = LinearMap.identity(d), LinearMap.identity(d * d), LinearMap.identity(d ** 3)
-    mul, comul = h.algebra.mul, h.coalgebra.comul
-    lift = kron(h.alpha, kron(idh, kron(h.alpha_inv, idh))) @ (
-        permute((d,) * 4, (1, 2, 3, 0)) @ kron(kron(idh, comul) @ comul, idh))
-    products = kron(idh, mul @ kron(mul, idh))
-    return _Kept(lambda a, b: products @ (kron(idh, kron(auts[b].matrix, idhh))
-                                          @ (kron(idhhh, auts[a].matrix @ h.antipode_inv) @ lift)))
-
-
-def _certificates(h, keys, comps, laws):
+def _certificates(keys, laws):
     """Per triple (i, j, k) of module positions, whether the module and the
     comodule half of tensor-assoc, eq-3.4 and eq-3.5 hold by their
-    certificates on H (module docstring); keys holds the numbers of the
-    modules' pairs in comps (_Components), and laws the laws of H, of each
-    module and of each component value (_laws).  The module half's identity
-    is computed once per (B_M, pair(N), A_P), and eq-3.4's coalgebra-map
-    identity of B_{MN}^-1 alpha once per (B_M, pair(N)); eq-3.5's is a
-    conjunction of laws."""
-    idh, alpha, alpha_inv, comul = LinearMap.identity(h.dim), h.alpha, h.alpha_inv, h.coalgebra.comul
+    certificates (module docstring), each a conjunction of the laws read by
+    id (_laws); keys holds the numbers of the modules' pairs in
+    _Components."""
     mods, values, on_h = laws
-    split, b_mn = comps.split, comps.b_mn
-    outer = kron(alpha, kron(idh, alpha_inv))
-
-    def coalgebra_map(b, c, d):
-        f = b_mn[b, c, d].inverse @ alpha
-        return comul @ f == kron(f, f) @ comul
-
-    def module_half(b, c, d, e):
-        a_np = comps[c] @ comps[e]
-        return (kron(a_np.matrix, split[d, e] @ _phi(comps[b], a_np)) @ comul
-                == outer @ (kron(split[b, c] @ comps[e].matrix, _phi(b_mn[b, c, d], comps[e])) @ comul))
-
-    coalgebra, module = _Kept(coalgebra_map), _Kept(module_half)
     braid_law = [{"module-twist", "module-assoc"} <= mods[i] and "aut-mult" in values[b,] and "alpha-mult" in on_h
                  for i, (_, b) in enumerate(keys)]
-    return {(i, j, k): ("module-twist" in mods[i] and "module-twist" in mods[k] and module[b, c, d, e],
-                        "eq-1.1" in on_h and "eq-1.8-coact" in mods[i] and "eq-1.8-coact" in mods[k],
-                        {"eq-1.8-coact", "eq-1.7"} <= mods[k] and coalgebra[b, c, d], braid_law[i])
-            for (i, (_, b)), (j, (c, d)), (k, (e, _)) in itertools.product(enumerate(keys), repeat=3)}
+    certified = {}
+    for (i, (_, b)), (j, (c, d)), (k, (e, _)) in itertools.product(enumerate(keys), repeat=3):
+        # B_M, A_N and A_P are coalgebra maps, and they and B_N commute with
+        # alpha
+        module_half = ("module-twist" in mods[i] and "module-twist" in mods[k] and "eq-1.4" in on_h
+                       and all({"aut-comul", "aut-alpha"} <= values[x,] for x in (b, c, e))
+                       and "aut-alpha" in values[d,])
+        # B_MN^-1 alpha is a coalgebra map
+        coalgebra_map = "eq-1.5" in on_h and all("aut-comul" in values[x,] for x in (b, c, d))
+        certified[i, j, k] = (module_half,
+                              "eq-1.1" in on_h and "eq-1.8-coact" in mods[i] and "eq-1.8-coact" in mods[k],
+                              {"eq-1.8-coact", "eq-1.7"} <= mods[k] and coalgebra_map, braid_law[i])
+    return certified
 
 
-def _functor_certificates(h, pairs, keys, conj_keys, comps):
-    """Whether functor-tensor(p;M,N) holds by its certificate on H, f_p
-    multiplicative and the split identity (module docstring), keyed by the
-    positions (p, M, N); keys and conj_keys hold the numbers of the pairs of
-    the modules and of the conjugates ^pN, by position, in comps
-    (_Components).  The split identity is computed once per (p, pair(M),
-    A_N)."""
-    mul = h.algebra.mul
-    phi = _Kept(lambda pi, a: _conj_phi(pairs[pi], comps[a]))
-
-    def split_identity(pi, a, b, c, conj_b, conj_c):
-        # conj_b, the B of ^pM, and conj_c, the A of ^pN, follow from the rest
-        return (comps.split[b, c] @ _conj_phi(pairs[pi], comps[a] @ comps[c])
-                == kron(phi[pi, a], phi[pi, c]) @ comps.split[conj_b, conj_c])
-
-    multiplicative = [f @ mul == mul @ kron(f, f) for f in map(_conj_f, pairs)]
-    identity = _Kept(split_identity)
-    return {(pi, i, j): multiplicative[pi] and identity[pi, a, b, c, conj_keys[pi, i][1], conj_keys[pi, j][0]]
-            for pi in range(len(pairs)) for (i, (a, b)), (j, (c, _)) in itertools.product(enumerate(keys), repeat=2)}
+def _functor_certificates(pair_keys, keys, laws):
+    """Whether functor-tensor(p;M,N) holds by its certificate (module
+    docstring), keyed by the positions (p, M, N): A_p and B_p are
+    multiplicative coalgebra maps, and A_M and A_N coalgebra maps, read by
+    id (_laws); pair_keys and keys hold the numbers of the pairs p and of
+    the modules' pairs in _Components."""
+    _, values, _ = laws
+    pair_held = [{"aut-mult", "aut-comul"} <= values[a,] & values[b,] for a, b in pair_keys]
+    comul = ["aut-comul" in values[a,] for a, _ in keys]
+    return {(pi, i, j): pair_held[pi] and comul[i] and comul[j]
+            for pi in range(len(pair_keys)) for i, j in itertools.product(range(len(keys)), repeat=2)}
 
 
 def _braiding_certificates(keys, member, laws):
     """Per pair (i, j) of module positions, whether tensor-component,
     braiding-module-map, braiding-comodule-map, braiding-morphism,
     braiding-inverse-left and braiding-inverse-right hold by their
-    certificates on H (module docstring), each a conjunction of the
+    certificates (module docstring), each a conjunction of the
     yd-member verdicts member and the laws read by id (_laws), kappa among
     those of H; keys holds the numbers of the modules' pairs in
     _Components."""
@@ -687,22 +674,18 @@ def _unit_certificates(keys, laws):
             for i, (a, b) in enumerate(keys)}
 
 
-def _conjugate_certificates(h, pairs, keys, conj_keys, comps, member):
-    """Whether conjugate-component(p;N) holds by its certificate on H, keyed
-    by the positions (p, N): yd-member(N) and (id (x) f_p) T_N (phi_{p,N}
-    (x) id) = (phi_{p,N} (x) id) T_{^pN} (id (x) f_p) (module docstring),
-    the identity computed once per (p, pair(N)); keys and conj_keys hold
-    the numbers of the pairs of N and of ^pN in comps (_Components), and
-    member the yd-member verdicts.  Each side is taken right to left on its
-    16 columns."""
-    idh, part = LinearMap.identity(h.dim), comps.part
-
-    def holds(pi, a, b, conj_a, conj_b):
-        phi, f = kron(_conj_phi(pairs[pi], comps[a]), idh), kron(idh, _conj_f(pairs[pi]))
-        return f @ (part[a, b] @ phi) == phi @ (part[conj_a, conj_b] @ f)
-
-    identity = _Kept(holds)
-    return {(pi, i): member[i] and identity[(pi,) + keys[i] + key] for (pi, i), key in conj_keys.items()}
+def _conjugate_certificates(pair_keys, keys, member, laws):
+    """Whether conjugate-component(p;N) holds by its certificate (module
+    docstring), keyed by the positions (p, N): yd-member(N), A_p, B_p and
+    A_N coalgebra maps that commute with alpha and S, and A_p and B_p
+    multiplicative, read by id (_laws); pair_keys and keys hold the numbers
+    of the pairs p and of the modules' pairs in _Components, and member the
+    yd-member verdicts."""
+    _, values, _ = laws
+    laws_of_a = {"aut-comul", "aut-alpha", "aut-antipode"}
+    pair_held = [laws_of_a | {"aut-mult"} <= values[a,] & values[b,] for a, b in pair_keys]
+    return {(pi, i): pair_held[pi] and member[i] and laws_of_a <= values[a,]
+            for pi in range(len(pair_keys)) for i, (a, _) in enumerate(keys)}
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +715,7 @@ def check_braiding_equivariance(b, src, tgt, certified):
     """The braiding intertwines the tensor actions and tensor coactions of
     its source M (x) N and its target ^MN (x) M, and is a morphism for the
     carrier twists.  certified holds, per item in that order, whether its
-    certificate on H holds (module docstring): such an item passes, and any
+    certificate holds (module docstring): such an item passes, and any
     other is an exact matrix equality.  src and tgt are functions of no
     argument that return M (x) N and ^MN (x) M; only a module-map or
     comodule-map item whose certificate fails calls them."""
@@ -796,7 +779,7 @@ def check_unit_constraints(n, certified):
 def check_hexagons(c_mn, c_np, c_mp, mn, np, np_conj, certified):
     """The two crossed hexagon identities eq-3.4 and eq-3.5 for M, N, P,
     given the braidings of the pairs and per equation whether its
-    certificate on H holds (module docstring).  An equation whose
+    certificate holds (module docstring).  An equation whose
     certificate holds passes; any other is an exact matrix equality on the
     flattened triple tensor, which builds c_{MN,P} and c_{M,^NP} for eq-3.4
     and c_{M,NP} for eq-3.5.  mn, np and np_conj are functions of no
@@ -840,7 +823,7 @@ def check_conjugation_invariance(p, b):
 
 
 def _structures_equal(rep, ident, law, certified, objects):
-    """One item, passing where its certificate on H holds; otherwise
+    """One item, passing where its certificate holds; otherwise
     objects() builds the two objects, and the item fails naming the pieces
     in which they differ."""
     pieces = []
@@ -885,7 +868,7 @@ def check_t_category(h, modules, pairs):
     resulting report is deterministic.  A pair whose automorphisms are not
     dim(H) x dim(H), or a module over another algebra than h (one whose
     tables differ from h's), raises InvalidStructure with the one item shape.
-    An item whose certificate on H holds passes (module docstring); only
+    An item whose certificate holds passes (module docstring); only
     one that fails builds the objects it compares, each once per call, so a
     clean call builds no tensor product, conjugate, braiding matrix or unit
     tensor.
@@ -908,11 +891,10 @@ def check_t_category(h, modules, pairs):
     conj = _Kept(lambda pi, i: conjugate_yd(pairs[pi], modules[i]))
     comps = _Components(h)
     keys = [comps.key(m.pair) for m in modules]
-    conj_keys = {(pi, i): comps.key(_conj_pair(p, m.pair))
-                 for pi, p in enumerate(pairs) for i, m in enumerate(modules)}
+    pair_keys = [comps.key(p) for p in pairs]
 
-    for p in pairs:
-        for name, k in zip("ab", comps.key(p)):
+    for p, key in zip(pairs, pair_keys):
+        for name, k in zip("ab", key):
             rep.add_verdict("pair-automorphism(%s.%s)" % (p.name, name),
                             "component of an index-group element is a structure automorphism", comps.report[k,])
 
@@ -944,7 +926,7 @@ def check_t_category(h, modules, pairs):
         # (id (x) id) c = c (id (x) id) for any map c (module docstring)
         rep.add("naturality-id(%s)" % _pair_labels(m, n), "(id (x) id) c = c (id (x) id)", True)
 
-    conjugated = _conjugate_certificates(h, pairs, keys, conj_keys, comps, member)
+    conjugated = _conjugate_certificates(pair_keys, keys, member, laws)
     for pi, p in enumerate(pairs):
         for i, n in enumerate(modules):
             ident = "conjugate-component(%s;%s)" % (p.name, n.name)
@@ -959,7 +941,7 @@ def check_t_category(h, modules, pairs):
             rep.add("functor-compose(%s,%s;%s)" % (p.name, q.name, n.name),
                     "^(p*q)N = ^p(^qN) as structure tensors", True)
 
-    functor_tensor = _functor_certificates(h, pairs, keys, conj_keys, comps)
+    functor_tensor = _functor_certificates(pair_keys, keys, laws)
     for pi, p in enumerate(pairs):
         for i, j in index_pairs:
             m, n = modules[i], modules[j]
@@ -970,7 +952,7 @@ def check_t_category(h, modules, pairs):
             )
             rep.extend(check_conjugation_invariance(p, braid[i, j]))
 
-    certified = _certificates(h, keys, comps, laws)
+    certified = _certificates(keys, laws)
     for i, j, k in itertools.product(range(len(modules)), repeat=3):
         m, n, p_mod = modules[i], modules[j], modules[k]
         holds = all(certified[i, j, k][:2])

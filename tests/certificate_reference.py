@@ -9,7 +9,10 @@ their modules and pairs, and the laws of each component automorphism by
 the module that carries it.  Every law is restated here as an equality of
 maps, where t_category reads it by id from the suite that states it; the
 reference shares with t_category only the group words (_phi, _conj_phi,
-_conj_f, group_mul).
+_conj_f, group_mul).  For the module half of tensor-assoc, eq-3.4,
+functor-tensor and conjugate-component it keeps the identities of maps on
+H that t_category no longer computes, since it reads laws of the component
+automorphisms that imply them (t_category docstring).
 """
 
 import itertools

@@ -10,7 +10,7 @@ both to agree entry for entry.
 
 from types import SimpleNamespace
 
-from homyd.exactlin import LinearMap, ZERO, add_scaled, basis_vec, kron, table_map, tensor_vec
+from homyd.exactlin import LinearMap, ZERO, add_scaled, kron, table_map, tensor_vec
 from homyd.t_category import group_inv, group_mul
 from homyd.yd_modules import YDModuleData, act_vv
 
@@ -50,8 +50,8 @@ def tensor_yd(m, n, label=None):
             for j in range(dn):
                 out = [ZERO] * dim
                 for h1, h2, w in terms:
-                    mv = act_vv(m_action, c_mat.column(h1), basis_vec(dm, i))
-                    nv = act_vv(n_action, cbc.column(h2), basis_vec(dn, j))
+                    mv = act_vv(m_action, c_mat.column(h1), LinearMap.identity(dm).column(i))
+                    nv = act_vv(n_action, cbc.column(h2), LinearMap.identity(dn).column(j))
                     add_scaled(out, tensor_vec(mv, nv), w)
                 for t, v in enumerate(out):
                     if v:
@@ -93,7 +93,7 @@ def conjugate_yd(p, n, label=None):
     for hk in range(d):
         hv = phi.column(hk)
         for j in range(dn):
-            out = act_vv(n_action, hv, basis_vec(dn, j))
+            out = act_vv(n_action, hv, LinearMap.identity(dn).column(j))
             for t, v in enumerate(out):
                 if v:
                     act_entries[(hk, j, t)] = v

@@ -1,8 +1,8 @@
-"""The tensor-assoc certificate on H is sound, and the fallback runs only
+"""The tensor-assoc certificate is sound, and the fallback runs only
 where it fails.
 
-check_t_category decides each half of tensor-assoc(M, N, P) from maps on H
-(t_category._certificates) and builds the two triple tensors only for
+check_t_category decides each half of tensor-assoc(M, N, P) from laws read
+by id (t_category._certificates) and builds the two triple tensors only for
 a triple whose certificate fails.  A certificate is sufficient, not
 necessary: here, for every triple and each half, it is computed beside the
 full comparison of the two triple tensors, and a certificate that holds
@@ -69,7 +69,7 @@ def certified_halves(h, modules):
     index_pairs = itertools.product(range(len(modules)), repeat=2)
     tensor = {(i, j): tensor_yd(modules[i], modules[j]) for i, j in index_pairs}
     comps, keys = numbered(h, modules)
-    certified = tc._certificates(h, keys, comps, tc._laws(h, modules, comps))
+    certified = tc._certificates(keys, tc._laws(h, modules, comps))
     for i, j, k in itertools.product(range(len(modules)), repeat=3):
         full = full_halves(modules[i], modules[j], modules[k], tensor[i, j], tensor[j, k])
         triple = ",".join(modules[x].name for x in (i, j, k))

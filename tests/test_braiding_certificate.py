@@ -35,7 +35,7 @@ from collections import Counter
 import pytest
 
 import homyd.t_category as tc
-from certificate_reference import _component_laws
+from certificate_reference import _component_laws, _h_parts, _split
 from homyd.defformat import parse_definition, resolve_definition, run_checks
 from homyd.exactlin import LinearMap, flip, kron, permute
 from homyd.hom_algebra import (AutPair, HomHopfAlgebraData, HopfAutomorphism, check_hom_algebra,
@@ -50,20 +50,14 @@ FAMILIES = ("tensor-component", "braiding-module-map", "braiding-comodule-map", 
 POINTS = ("c = 1", TWISTED)
 
 
-def h_parts(h, pairs):
-    """T_X for each pair X, in order (t_category._h_parts)."""
-    comps = tc._Components(h)
-    return [comps.part[comps.key(pair)] for pair in pairs]
-
-
 def phi_sides(h, m, n):
     """Phi_L and Phi_R (t_category docstring), maps on H (x) H (x) H taken
     right to left on their 64 columns: Phi_L(h, r, s) = (u_M, u_N, w_N w_M)
     for (u_M, w_M) = T_M(g', r) and (u_N, w_N) = T_N(g'', s), and Phi_R(h,
     r, s) = (g (x) id) T_MN(h, s r)."""
-    d, g = h.dim, tc._split(h, m.pair_b, n.pair_a)
+    d, g = h.dim, _split(m, n)
     idh = LinearMap.identity(d)
-    t_m, t_n, t_mn = h_parts(h, [m.pair, n.pair, tc.group_mul(m.pair, n.pair)])
+    t_m, t_n, t_mn = _h_parts(h, [m.pair, n.pair, tc.group_mul(m.pair, n.pair)])
     return gathered(h, t_m, t_n, g), kron(g, idh) @ (t_mn @ kron(idh, h.algebra.mul @ flip(d, d)))
 
 
@@ -256,7 +250,7 @@ def derivation(h, m, n, lam):
     # T_M(C(k), r) = (C (x) id) T_(AC, BC)(k, r) and T_N(phi(k), s) =
     # (phi (x) id) T_(BC, D phi)(k, s)
     bc = m.pair_b @ n.pair_a
-    t_m, t_n = h_parts(h, [AutPair(m.pair_a @ n.pair_a, bc), AutPair(bc, n.pair_b @ HopfAutomorphism(phi))])
+    t_m, t_n = _h_parts(h, [AutPair(m.pair_a @ n.pair_a, bc), AutPair(bc, n.pair_b @ HopfAutomorphism(phi))])
     idh = LinearMap.identity(d)
     moved = gathered(h, kron(c, idh) @ t_m, kron(phi, idh) @ t_n, h.coalgebra.comul)
     return left, moved, through_e(h, m, n, lam), right
@@ -370,12 +364,12 @@ def psi_derivation(h, m, n):
     idh, alpha, alpha_inv = LinearMap.identity(d), h.alpha, h.alpha_inv
     b_inv, c, dd = m.pair_b.inverse, n.pair_a.matrix, n.pair_b.matrix
     phi = tc._phi(m.pair_b, n.pair_a)
-    [t_n] = h_parts(h, [n.pair])
+    [t_n] = _h_parts(h, [n.pair])
     # Psi_L(h, t) = (alpha(u), alpha^-1(B^-1 w) alpha^-1(a)) for (a, k) =
     # g(h) and (u, w) = T_N(k, t); Psi_R(h, t) = (phi(h1), alpha^-1(B^-1
     # B_MN(h2)) B^-1(t))
     ends = kron(alpha, mul @ kron(alpha_inv @ b_inv, alpha_inv)) @ permute((d,) * 3, (1, 2, 0))
-    left = ends @ (kron(idh, t_n) @ kron(tc._split(h, m.pair_b, n.pair_a), idh))
+    left = ends @ (kron(idh, t_n) @ kron(_split(m, n), idh))
     b_mn = tc.group_mul(m.pair, n.pair).b.matrix
     right = kron(phi, mul @ kron(alpha_inv @ b_inv @ b_mn, b_inv)) @ kron(h.coalgebra.comul, idh)
     # (h1, h21, h221, h222, t) -> (h221, h222, t, h21, h1)
@@ -401,7 +395,7 @@ def xi_derivation(h, m):
     d, mul, comul = h.dim, h.algebra.mul, h.coalgebra.comul
     idh, alpha, alpha_inv = LinearMap.identity(d), h.alpha, h.alpha_inv
     a, b_inv = m.pair_a.matrix, m.pair_b.inverse
-    [t_m] = h_parts(h, [m.pair])
+    [t_m] = _h_parts(h, [m.pair])
     pre = kron(comul, idh)
     # Xi_L pre (t, r) = T_M(B^-1 alpha(t2), alpha^-1(r)) times A B^-1
     # alpha(t1), and Xi_R pre (t, r) = (B^-1(t1), alpha(t2) r)

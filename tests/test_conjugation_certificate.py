@@ -1,29 +1,30 @@
-"""The functor-tensor certificate on H is sound, the proven
+"""The functor-tensor certificate is sound, the proven
 functor-compose and conjugation-invariance items are never contradicted,
 and only functor-tensor builds objects, where its certificate fails.
 
-check_t_category decides every functor-tensor item from maps on H
-(t_category._functor_certificates) and builds ^p(M (x) N) and ^pM (x) ^pN
-only for an item whose certificate fails.  A certificate is sufficient, not
-necessary: here, for every item, it is computed beside the full
-comparison, and a certificate that holds must meet a comparison that
-holds.  functor-compose and conjugation-invariance are identities of the
-index group, proven in the t_category docstring and stated as passing
-without a computation; here every such item is also compared in full, as
-a reference, and must hold.  The inputs are those of the tensor-assoc
-certificate test, conjugated by the identity pair and by the modules' own
-pairs; random_structure modules beside the trivial one, conjugated by
-their non-commuting triangular pairs (C, B) and by (C, C), whose f_p = C
-C^-1 is the identity, so that only the action half of functor-tensor can
-fail; and h4.alg at two twist points with A(g) = 2g in its autpair P, or
-with A(gx) = 3gx, a coalgebra map that is no algebra map, so that only the
-coaction half can fail.
+check_t_category decides every functor-tensor item from laws of the
+component automorphisms read by id (t_category._functor_certificates) and
+builds ^p(M (x) N) and ^pM (x) ^pN only for an item whose certificate fails.
+A certificate is sufficient, not necessary: here, for every item, it is
+computed beside the full comparison, and a certificate that holds must meet
+a comparison that holds.  functor-compose and conjugation-invariance are
+identities of the index group, proven in the t_category docstring and stated
+as passing without a computation; here every such item is also compared in
+full, as a reference, and must hold.  The inputs are those of the
+tensor-assoc certificate test, conjugated by the identity pair and by the
+modules' own pairs; random_structure modules beside the trivial one,
+conjugated by their non-commuting triangular pairs (C, B) and by (C, C),
+whose f_p = C C^-1 is the identity, so that only the action half of
+functor-tensor can fail; and h4.alg at two twist points with A(g) = 2g in
+its autpair P, or with A(gx) = 3gx, a coalgebra map that is no algebra map,
+so that only the coaction half can fail.
 
 conjugate-component(p;N) is decided the same way
-(t_category._conjugate_certificates): yd-member(N) and (id (x) f_p) T_N
-(phi_{p,N} (x) id) = (phi_{p,N} (x) id) T_{^pN} (id (x) f_p) on H (x) H.
-Here it is computed beside check_yd(^pN) on every input above, and check_yd
-runs on a conjugate in a tcat op only where the certificate fails.
+(t_category._conjugate_certificates): yd-member(N) and laws of A_p, B_p
+and A_N, which prove (id (x) f_p) T_N (phi_{p,N} (x) id) = (phi_{p,N} (x)
+id) T_{^pN} (id (x) f_p) on H (x) H.  Here it is computed beside
+check_yd(^pN) on every input above, and check_yd runs on a conjugate in a
+tcat op only where the certificate fails.
 """
 
 import itertools
@@ -59,10 +60,11 @@ def certified_items(h, modules, pairs):
     tensor = {(i, j): tc.tensor_yd(modules[i], modules[j]) for i, j in index_pairs}
     conj = {(pi, i): tc.conjugate_yd(p, m) for pi, p in enumerate(pairs) for i, m in enumerate(modules)}
     comps, keys = numbered(h, modules)
-    conj_keys = {key: comps.key(yd.pair) for key, yd in conj.items()}
-    functor_tensor = tc._functor_certificates(h, pairs, keys, conj_keys, comps)
+    pair_keys = [comps.key(p) for p in pairs]
+    laws = tc._laws(h, modules, comps)
+    functor_tensor = tc._functor_certificates(pair_keys, keys, laws)
     member = [check_yd(m).ok() for m in modules]
-    conjugated = tc._conjugate_certificates(h, pairs, keys, conj_keys, comps, member)
+    conjugated = tc._conjugate_certificates(pair_keys, keys, member, laws)
     for (pi, i), yd in conj.items():
         yield "conjugate-component(%d;%d)" % (pi, i), conjugated[pi, i], check_yd(yd).ok()
     for (pi, p), (qi, q) in itertools.product(enumerate(pairs), repeat=2):
@@ -117,9 +119,9 @@ def test_a_holding_certificate_meets_a_holding_full_comparison(case):
             else:
                 held[item.split("(")[0]] += cert_ok
     assert proven and unsound == []
-    # the H4 modules break eq-2.1 in the retagged components, so no
-    # conjugate-component certificate holds there
-    assert held["functor-tensor"] and (held["conjugate-component"] or case == "retagged")
+    # the retagged components are no coalgebra maps, and the H4 modules
+    # break eq-2.1 in them, so no certificate holds there
+    assert (held["functor-tensor"] and held["conjugate-component"]) or case == "retagged"
     # non-automorphism pairs make some full comparisons fail, so the
     # certificates meet failing items there
     assert failed or case not in ("random", "retagged", "broken P")

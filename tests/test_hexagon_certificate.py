@@ -1,8 +1,8 @@
-"""The hexagon certificates on H are sound, and the fallback runs only where
+"""The hexagon certificates are sound, and the fallback runs only where
 one fails.
 
 check_t_category decides eq-3.4 and eq-3.5 of each triple (M, N, P) from
-maps on H (t_category._certificates) and builds the triple braidings of an
+laws read by id (t_category._certificates) and builds the triple braidings of an
 equation only where its certificate fails.  A certificate is sufficient,
 not necessary: here, for every triple and each equation, it is computed
 beside the full matrix comparison of check_hexagons, and a certificate that
@@ -32,7 +32,7 @@ def certified_equations(h, modules):
     braid = {(i, j): tc.braiding(modules[i], modules[j]) for i, j in index_pairs}
     twisted = {(i, j): tc.conjugate_yd(modules[i].pair, modules[j]) for i, j in index_pairs}
     comps, keys = numbered(h, modules)
-    certified = tc._certificates(h, keys, comps, tc._laws(h, modules, comps))
+    certified = tc._certificates(keys, tc._laws(h, modules, comps))
     for i, j, k in itertools.product(range(len(modules)), repeat=3):
         full = tc.check_hexagons(braid[i, j], braid[j, k], braid[i, k], lambda: tensor[i, j],
                                  lambda: tensor[j, k], lambda: twisted[j, k], (False, False))

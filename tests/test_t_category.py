@@ -7,7 +7,7 @@ import pytest
 
 import loop_reference as loop
 from homyd.defformat import parse_definition, resolve_definition, run_checks
-from homyd.exactlin import LinearMap, ZERO, ONE, add_scaled, basis_vec, flip, kron, permute, rat, table_map, tensor_vec
+from homyd.exactlin import LinearMap, ZERO, ONE, add_scaled, flip, kron, permute, rat, table_map, tensor_vec
 from homyd.hom_algebra import HopfAutomorphism, identity_automorphism
 from homyd.h4_library import H4Params, build_h4, build_h4_yd_table, h4_automorphism
 import homyd.t_category as tc
@@ -156,6 +156,47 @@ def test_braiding_target_words_hold_as_maps_on_non_commuting_pairs(non_commuting
         assert tc._conj_phi(m.pair, n.pair_a) @ m.pair_a.matrix == tc._phi(m.pair_b, n.pair_a)
         assert (tc._phi(mn.pair_b, m.pair_a)
                 == m.pair_b.inverse @ group_mul(m.pair, n.pair).b.matrix)
+
+
+def test_certificate_leg_words_hold_as_maps_on_non_commuting_pairs(non_commuting):
+    """The words of G that the tensor-assoc, functor-tensor and
+    conjugate-component certificates rest on (t_category docstring), with
+    phi_{X,Y} = A_Y^-1 B_X A_Y: A_P phi_{M,NP} = phi_{M,N} A_P, phi_{N,P}
+    phi_{M,NP} = phi_{MN,P}, A_N phi_{p,MN} = phi_{p,M} A_{^pN}, phi_{M,N}
+    phi_{p,MN} = phi_{p,N} phi_{^pM,^pN} and f_p B_N phi_{p,N} = B_{^pN}."""
+    _, mods, pairs = non_commuting
+    for m, n, p in itertools.product(mods, repeat=3):
+        mn, np = group_mul(m.pair, n.pair), group_mul(n.pair, p.pair)
+        assert p.pair_a.matrix @ tc._phi(m.pair_b, np.a) == tc._phi(m.pair_b, n.pair_a) @ p.pair_a.matrix
+        assert tc._phi(n.pair_b, p.pair_a) @ tc._phi(m.pair_b, np.a) == tc._phi(mn.b, p.pair_a)
+    for p in pairs:
+        conj = [conjugate_yd(p, m) for m in mods]
+        for (m, pm), (n, pn) in itertools.product(zip(mods, conj), repeat=2):
+            phi_p_mn = tc._conj_phi(p, group_mul(m.pair, n.pair).a)
+            assert n.pair_a.matrix @ phi_p_mn == tc._conj_phi(p, m.pair_a) @ pn.pair_a.matrix
+            assert (tc._phi(m.pair_b, n.pair_a) @ phi_p_mn
+                    == tc._conj_phi(p, n.pair_a) @ tc._phi(pm.pair_b, pn.pair_a))
+        for n, pn in zip(mods, conj):
+            assert tc._conj_f(p) @ n.pair_b.matrix @ tc._conj_phi(p, n.pair_a) == pn.pair_b.matrix
+
+
+@pytest.mark.parametrize("c", [1, rat(-3, 2)])
+def test_conjugate_component_words_hold_as_maps_on_h4(c):
+    """conjugate-component's words f_p B_N phi_{p,N} = B_{^pN} and f_p A_N
+    S^-1 phi_{p,N} = A_{^pN} S^-1; the second needs S to commute with A_p,
+    B_p and A_N, which h4.alg's pairs do, so it is asserted on h4.alg's
+    modules and autpair P, not on random pairs."""
+    text = (Path(__file__).resolve().parent.parent / "h4.alg").read_text(encoding="utf-8")
+    resolved = resolve_definition(parse_definition(text.replace("c = 1\n", "c = %s\n" % c, 1)))
+    _, h = resolved.get("H4")
+    mods = [yd for _, yd in resolved.of_kind("ydmodule")]
+    s_inv = h.antipode_inv
+    for p in [pair for _, pair in resolved.of_kind("autpair")] + [m.pair for m in mods]:
+        f = tc._conj_f(p)
+        for n in mods:
+            pn, phi = conjugate_yd(p, n), tc._conj_phi(p, n.pair_a)
+            assert f @ n.pair_b.matrix @ phi == pn.pair_b.matrix
+            assert f @ n.pair_a.matrix @ s_inv @ phi == pn.pair_a.matrix @ s_inv
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +527,7 @@ def test_classical_limit_braiding_is_untwisted_double_crossing():
         for j in range(4):
             out = [ZERO] * 16
             for q, a, w in loop.coact_terms(n.comodule, j):
-                add_scaled(out, tensor_vec(basis_vec(4, q), m.action.column(a * 4 + i)), w)
+                add_scaled(out, tensor_vec(LinearMap.identity(4).column(q), m.action.column(a * 4 + i)), w)
             cols.append(out)
     untwisted = LinearMap.from_cols(cols)
     assert braiding(m, n).matrix == untwisted

@@ -9,7 +9,7 @@ import pytest
 
 from loop_reference import coact_terms, comul_terms
 from homyd.defformat import parse_definition, resolve_definition
-from homyd.exactlin import LinearMap, ZERO, basis_vec, invert, kron, permute, rat, table_map, tensor_vec
+from homyd.exactlin import LinearMap, ZERO, invert, kron, permute, rat, table_map, tensor_vec
 from homyd.hom_algebra import (
     AutPair,
     HopfAutomorphism,
@@ -319,8 +319,8 @@ def test_entwining_fixes_unit_leg():
     h = build_h4(2)
     e = build_entwining(h, h4_automorphism(3), identity_automorphism(4))
     for c in range(4):
-        v = e.psi.apply(tensor_vec(h.algebra.unit.column(0), basis_vec(4, c)))
-        assert v == tuple(tensor_vec(h.algebra.unit.column(0), basis_vec(4, c)))
+        v = e.psi.apply(tensor_vec(h.algebra.unit.column(0), LinearMap.identity(4).column(c)))
+        assert v == tuple(tensor_vec(h.algebra.unit.column(0), LinearMap.identity(4).column(c)))
 
 
 def test_entwining_axioms_for_sampled_pairs():
@@ -344,8 +344,8 @@ def test_identity_pair_entwining_spot_values():
     h = build_h4(1)
     e = build_entwining(h, identity_automorphism(4), identity_automorphism(4))
     # g (x) g -> g (x) g g g^-1: grouplikes conjugate
-    assert e.psi.apply(tensor_vec(basis_vec(4, 1), basis_vec(4, 1))) == tuple(
-        tensor_vec(basis_vec(4, 1), basis_vec(4, 1))
+    assert e.psi.apply(tensor_vec(LinearMap.identity(4).column(1), LinearMap.identity(4).column(1))) == tuple(
+        tensor_vec(LinearMap.identity(4).column(1), LinearMap.identity(4).column(1))
     )
 
 
